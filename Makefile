@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWAHRoundTrip -fuzztime=$(FUZZTIME) ./internal/wah/
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
+	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/
 
 # One benchmark per paper figure + ablations + throughput benches.
 bench:

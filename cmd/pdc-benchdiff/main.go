@@ -95,6 +95,12 @@ func measureAllocs() map[string]float64 {
 	c.Put("region", make([]byte, 4096))
 	out["exec.Cache.Get.hit"] = testing.AllocsPerRun(200, func() { c.Get("region") })
 
+	// The region kernels over one 64 KiB region: scan into a warm
+	// buffer, probe in place, count.
+	for name, op := range exec.KernelOps() {
+		out["exec."+name+".warm"] = testing.AllocsPerRun(200, op)
+	}
+
 	return out
 }
 

@@ -4,8 +4,9 @@
 // R=2 replication, and answers a pinned query corpus byte-identically
 // to an in-process brute-force oracle — including while one member is
 // SIGKILLed mid-corpus and a replacement joins and pulls its regions.
-// It finishes by scraping the catalog's and members' /metrics and
-// validating the exposition strictly.
+// It finishes by scraping the catalog's and members' /metrics,
+// validating the exposition strictly, and probing one member's
+// /debug/pprof.
 //
 // CI runs it via `make cluster-smoke`. Exit status 0 means the whole
 // distributed path — catalog placement, import replication, epoch-
@@ -127,6 +128,13 @@ func main() {
 		"ingest_extents", "cluster_epoch", "query_count")
 	checkMetrics("replacement", p.MetricsAddr(replacement), deadline,
 		"cluster_transfers", "cluster_transfer_bytes", "cluster_epoch")
+
+	// A member is profiled over the same listener, as the standalone
+	// daemon is (pdc-debugsmoke): the pprof surface must answer.
+	if out := httpGet("http://"+p.MetricsAddr(p.MemberAddrs()[0])+"/debug/pprof/cmdline", deadline); len(out) == 0 {
+		log.Fatal("cluster-smoke: survivor /debug/pprof/cmdline returned nothing")
+	}
+	log.Print("cluster-smoke: survivor /debug/pprof OK")
 
 	fmt.Println("cluster-smoke: PASS")
 }

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -52,7 +50,7 @@ func runCatalog(addr string, seed uint64, r int, hbTimeout time.Duration, metric
 	}
 	mAddr := ""
 	if metricsAddr != "" {
-		mAddr = serveClusterMetrics(metricsAddr, "catalog", cat.Metrics, cat.Recorder)
+		mAddr = serveMetrics(metricsAddr, "catalog", cat.Metrics, cat.Recorder)
 	}
 	if hbTimeout > 0 {
 		sweep := hbTimeout / 4
@@ -114,7 +112,7 @@ func runMember(catalogAddr, addr string, strat exec.Strategy, workers, queueDept
 	}
 	mAddr := ""
 	if metricsAddr != "" {
-		mAddr = serveClusterMetrics(metricsAddr, fmt.Sprintf("member %d", m.ID()), m.Server().Metrics, m.Server().Recorder)
+		mAddr = serveMetrics(metricsAddr, fmt.Sprintf("member %d", m.ID()), m.Server().Metrics, m.Server().Recorder)
 	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -133,35 +131,4 @@ func runMember(catalogAddr, addr string, strat exec.Strategy, workers, queueDept
 		log.Printf("pdc-server member %d: %v, shutting down", m.ID(), s)
 		m.Close()
 	}
-}
-
-// serveClusterMetrics exposes /metrics and /debug/events for a cluster
-// process (same surface as the standalone daemon's metrics listener)
-// and returns the bound address, so ":0" listeners can report the real
-// port in the PDC_METRICS handshake line.
-func serveClusterMetrics(addr, who string, metrics func() *telemetry.Registry, recorder func() *telemetry.Recorder) string {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg := metrics()
-		telemetry.SampleRuntime(reg)
-		telemetry.WritePrometheus(w, reg)
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		events, total := recorder().SnapshotTotal()
-		telemetry.WriteEvents(w, events, total)
-	})
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Printf("pdc-server %s: metrics listen %s: %v", who, addr, err)
-		return ""
-	}
-	go func() {
-		log.Printf("pdc-server %s: metrics on http://%s/metrics", who, lis.Addr())
-		if err := http.Serve(lis, mux); err != nil {
-			log.Printf("pdc-server: metrics server: %v", err)
-		}
-	}()
-	return lis.Addr().String()
 }

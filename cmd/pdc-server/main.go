@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -163,36 +161,7 @@ func main() {
 		log.Fatalf("pdc-server: listen: %v", err)
 	}
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg := srv.Metrics()
-			// Fold live Go runtime health (heap, GC, scheduler latency)
-			// into the scrape: the gauges land beside the query metrics,
-			// so one endpoint answers both "is the service slow" and "is
-			// the process sick".
-			telemetry.SampleRuntime(reg)
-			telemetry.WritePrometheus(w, reg)
-		})
-		// Live introspection: the flight-recorder ring as text, and the
-		// standard pprof surface (profiles, goroutine dumps, heap) on the
-		// same loopback-intended listener.
-		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			events, total := srv.Recorder().SnapshotTotal()
-			telemetry.WriteEvents(w, events, total)
-		})
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("pdc-server rank %d: metrics on http://%s/metrics (debug: /debug/events, /debug/pprof)", *id, *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				log.Printf("pdc-server: metrics server: %v", err)
-			}
-		}()
+		serveMetrics(*metricsAddr, fmt.Sprintf("rank %d", *id), srv.Metrics, srv.Recorder)
 	}
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, let in-flight
 	// connections finish their current request loop.

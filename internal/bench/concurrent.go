@@ -130,6 +130,17 @@ func concurrentOnce(v *workload.VPIC, c Config, regionBytes int64, workers int) 
 		serveWG.Wait()
 	}()
 
+	// Warm the region cache with one serial pass before the sessions
+	// race. Against a cold cache, which session pays each first miss
+	// depends on interleaving, and a call's modeled time takes a max over
+	// servers, so the per-session sum would differ from run to run; warm,
+	// every call costs the same whoever issues it.
+	for _, q := range queries {
+		if _, err := sessions[0].RunCount(q); err != nil {
+			return ConcurrentRow{}, 0, err
+		}
+	}
+
 	const rounds = 2
 	type tally struct {
 		completed, busy int

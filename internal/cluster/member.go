@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,6 +59,44 @@ type MemberOptions struct {
 type viewState struct {
 	view  View
 	place *Placement
+
+	// shares memoises each object's region share — the regions this
+	// member is primary for — so a query costs one lookup instead of a
+	// ring walk per region. view and place never change after install,
+	// so neither does a share; the memo is dropped with the viewState on
+	// the next install.
+	mu     sync.Mutex
+	shares map[object.ID]regionShare
+}
+
+// regionShare is one object's memoised share, valid for an object of
+// nregions regions (a re-import may change the decomposition).
+type regionShare struct {
+	nregions int
+	orig     []int
+}
+
+func newViewState(v View, place *Placement) *viewState {
+	return &viewState{view: v.Clone(), place: place, shares: make(map[object.ID]regionShare)}
+}
+
+// share returns the regions of obj (decomposed into nregions regions)
+// that member id is primary for. The result is a copy: the engine sorts
+// its assignment, and the memo is shared by every concurrent query.
+func (vs *viewState) share(id MemberID, obj object.ID, nregions int) []int {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	sh, ok := vs.shares[obj]
+	if !ok || sh.nregions != nregions {
+		sh = regionShare{nregions: nregions}
+		for r := 0; r < nregions; r++ {
+			if vs.place.Primary(obj, r) == id {
+				sh.orig = append(sh.orig, r)
+			}
+		}
+		vs.shares[obj] = sh
+	}
+	return slices.Clone(sh.orig)
 }
 
 // Member is one cluster data server: an embedded query server over a
@@ -224,7 +263,7 @@ func (m *Member) Store() *simio.Store { return m.store }
 // installView swaps the placement snapshot and refreshes the membership
 // gauges the server's Metrics merges in.
 func (m *Member) installView(v View) {
-	m.vs.Store(&viewState{view: v.Clone(), place: NewPlacement(v)})
+	m.vs.Store(newViewState(v, NewPlacement(v)))
 	m.reg.SetGauge("cluster.epoch", float64(v.Epoch))
 	m.reg.SetGauge("cluster.view.members", float64(len(v.Members)))
 }
@@ -243,16 +282,10 @@ func (m *Member) assign(epoch uint64, anchor *object.Object, rep *sortstore.Repl
 	if epoch != vs.view.Epoch {
 		return exec.Assignment{}, fmt.Errorf("cluster: epoch mismatch: request %d, member at %d", epoch, vs.view.Epoch)
 	}
-	var a exec.Assignment
-	for r := range anchor.Regions {
-		if vs.place.Primary(anchor.ID, r) == m.id {
-			a.Orig = append(a.Orig, r)
-		}
-	}
 	// Sorted replicas are not replicated across the cluster; cluster
 	// deployments evaluate from original regions (rep stays unused).
 	_ = rep
-	return a, nil
+	return exec.Assignment{Orig: vs.share(m.id, anchor.ID, len(anchor.Regions))}, nil
 }
 
 // ownsTag shards tag-query answers: the member answers for an object
@@ -512,7 +545,7 @@ func (m *Member) handleCommit(v View) {
 			m.reg.Add("cluster.failover.regions", promoted)
 		}
 	}
-	m.vs.Store(&viewState{view: v.Clone(), place: place})
+	m.vs.Store(newViewState(v, place))
 	m.reg.SetGauge("cluster.epoch", float64(v.Epoch))
 	m.reg.SetGauge("cluster.view.members", float64(len(v.Members)))
 }

@@ -330,3 +330,33 @@ func TestTextQueryErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestTextQueryBitmapReadsNoRawData pins §III-D4 on the text path: a
+// statement resolved from the bitmap indexes whose window touches no
+// candidate bin reads index extents and nothing else — on a cold cache,
+// where a raw region read cannot hide as a cache hit. (Values used to be
+// collected for a stash no text client could reach, re-reading every
+// region the index path exists to avoid.)
+func TestTextQueryBitmapReadsNoRawData(t *testing.T) {
+	for _, text := range []string{
+		"select count where Energy > 2",
+		"select ids where Energy > 2",
+	} {
+		d, _ := textDeployment(t, 20000)
+		res, err := d.Client().RunText(text, plan.ForceBitmap)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		st := res.Info.Stats
+		if st.CandChecks != 0 {
+			t.Fatalf("%q: window touches a candidate bin (%d checks); the test needs one that does not", text, st.CandChecks)
+		}
+		if st.IndexBytesRead == 0 || res.Sel.NHits == 0 {
+			t.Fatalf("%q: read %d index bytes for %d hits; the test shows nothing", text, st.IndexBytesRead, res.Sel.NHits)
+		}
+		if st.StorageBytes != st.IndexBytesRead {
+			t.Errorf("%q: read %d bytes from storage, %d of them index bins: raw region extents were read",
+				text, st.StorageBytes, st.IndexBytesRead)
+		}
+	}
+}

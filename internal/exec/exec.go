@@ -296,11 +296,28 @@ func (e *Engine) flushCacheTraffic(t *CacheTraffic) {
 	}
 }
 
+// Need is how much of the answer the request can use. The engine
+// materialises no more than that: each level includes the one before.
+type Need uint8
+
+const (
+	// NeedCount asks for the number of hits only. Conjuncts of one
+	// condition are counted without a hit list; longer ones keep hits
+	// only to probe them. Result.Sel is count-only unless the evaluation
+	// had to build coordinates anyway (OR dedup, the sorted path).
+	NeedCount Need = iota
+	// NeedCoords asks for the matching coordinates.
+	NeedCoords
+	// NeedValues additionally asks for the matching values of the
+	// queried objects when the evaluation has them in hand — what a
+	// later get-data request on the same result is served from.
+	NeedValues
+)
+
 // Evaluate runs the query over the assigned regions and returns the
-// partial result. wantValues asks the engine to return matching values
-// for the queried objects when it has them in hand.
-func (e *Engine) Evaluate(q *query.Query, assign Assignment, wantValues bool) (*Result, error) {
-	return e.EvaluateTraced(q, assign, wantValues, nil)
+// partial result.
+func (e *Engine) Evaluate(q *query.Query, assign Assignment, need Need) (*Result, error) {
+	return e.EvaluateToken(nil, q, assign, need, nil)
 }
 
 // spanCost captures the account cost before a traced section; done adds
@@ -335,20 +352,15 @@ func condOut(cs *telemetry.Span, id object.ID, n int64) {
 	}
 }
 
-// EvaluateTraced is Evaluate with per-conjunct and per-region trace spans
+// EvaluateToken is Evaluate with per-conjunct and per-region trace spans
 // recorded as children of span (which may be nil: all span operations are
-// nil-safe and skipped). Each region child carries the pruning decision
-// (histogram-pruned / bitmap-probed / cache-hit / full-scan / scan) and
-// the virtual cost spent on that region.
-func (e *Engine) EvaluateTraced(q *query.Query, assign Assignment, wantValues bool, span *telemetry.Span) (*Result, error) {
-	return e.EvaluateToken(nil, q, assign, wantValues, span)
-}
-
-// EvaluateToken is EvaluateTraced with an end-to-end cancellation token:
-// tok is checked between regions and before storage reads, so a session
-// disconnect or a virtual-deadline overrun stops the evaluation instead
-// of running it to completion. A nil token never cancels.
-func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignment, wantValues bool, span *telemetry.Span) (*Result, error) {
+// nil-safe and skipped) and an end-to-end cancellation token. Each region
+// child carries the pruning decision (histogram-pruned / bitmap-probed /
+// cache-hit / full-scan / scan) and the virtual cost spent on that
+// region. tok is checked between regions and before storage reads, so a
+// session disconnect or a virtual-deadline overrun stops the evaluation
+// instead of running it to completion. A nil token never cancels.
+func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignment, need Need, span *telemetry.Span) (*Result, error) {
 	conjuncts, err := query.Normalize(q.Root)
 	if err != nil {
 		return nil, err
@@ -421,10 +433,18 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 	}
 
 	res := &Result{}
-	// Collect values only when the evaluation reads raw data anyway (the
-	// index strategy deliberately avoids raw reads, §III-D4) and the
-	// result is a single conjunct (OR merging would misalign values).
-	collect := wantValues && len(conjuncts) == 1 && e.Strategy != HistogramIndex
+	// Values are collected only when the evaluation reads raw data anyway
+	// (the index strategy deliberately avoids raw reads, §III-D4) and the
+	// result is a single conjunct (OR merging would misalign values);
+	// OR merging also removes duplicates by coordinate, so a count over
+	// several conjuncts still needs them.
+	switch {
+	case len(conjuncts) > 1:
+		need = NeedCoords
+	case e.Strategy == HistogramIndex:
+		need = min(need, NeedCoords)
+	}
+	collect := need == NeedValues
 	var parts []*selection.Selection
 	for i, c := range conjuncts {
 		if err := tok.Err(); err != nil {
@@ -432,7 +452,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 		}
 		cs := span.Child(telemetry.SpanConjunct, fmt.Sprintf("conjunct.%d", i))
 		before, costed := e.spanCost(cs)
-		sel, vals, err := e.evalConjunct(tok, e.Plan.conjunct(i), q, c, objs, anchor, orig, assign.Sorted, collect, &res.Stats, cs)
+		sel, vals, err := e.evalConjunct(tok, e.Plan.conjunct(i), q, c, objs, anchor, orig, assign.Sorted, need, &res.Stats, cs)
 		if err != nil {
 			return nil, err
 		}
@@ -534,7 +554,7 @@ func runsElems(runs []localRun) int64 {
 // replaces the strategy check (still contingent on the replica being
 // present).
 func (e *Engine) evalConjunct(tok *sched.Token, cp *ConjunctPlan, q *query.Query, c query.Conjunct, objs map[object.ID]*object.Object,
-	anchor *object.Object, orig []int, sorted []int, collect bool, stats *Stats,
+	anchor *object.Object, orig []int, sorted []int, need Need, stats *Stats,
 	cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
 
 	order := e.orderConditions(c)
@@ -547,10 +567,10 @@ func (e *Engine) evalConjunct(tok *sched.Token, cp *ConjunctPlan, q *query.Query
 	}
 	if useSorted {
 		if rep := e.replicaFor(order[0]); rep != nil {
-			return e.evalConjunctSorted(tok, q, c, order, objs, anchor, rep, sorted, collect, stats, cs)
+			return e.evalConjunctSorted(tok, q, c, order, objs, anchor, rep, sorted, need == NeedValues, stats, cs)
 		}
 	}
-	return e.evalConjunctScanProbe(tok, cp, q, c, order, objs, anchor, orig, collect, stats, cs)
+	return e.evalConjunctScanProbe(tok, cp, q, c, order, objs, anchor, orig, need, stats, cs)
 }
 
 func (e *Engine) replicaFor(id object.ID) *sortstore.Replica {
@@ -569,8 +589,23 @@ type regionTaskResult struct {
 	acct    *vclock.Account // shadow account (nil when the engine has none)
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
-	hits    []uint64
+	nhits   int64
+	coords  []uint64 // absolute, exact-size; nil under NeedCount
 	vals    map[object.ID][]float64
+}
+
+// compilePreds compiles the conjunct's conditions once, in evaluation
+// order, each for its object's element type.
+func compilePreds(c query.Conjunct, order []object.ID, objs map[object.ID]*object.Object) ([]pred, error) {
+	preds := make([]pred, len(order))
+	for k, id := range order {
+		p, err := compile(objs[id].Type, c[id])
+		if err != nil {
+			return nil, err
+		}
+		preds[k] = p
+	}
+	return preds, nil
 }
 
 // replayCondAttrs folds a task's private condition-selectivity log into
@@ -597,11 +632,17 @@ func replayCondAttrs(cs, log *telemetry.Span) {
 //     on a shadow engine (private account, detached spans) touching only
 //     its own region's extents;
 //  3. a serial merge in region order that adopts spans, replays condition
-//     counters, absorbs shadow accounts, and appends hit coordinates.
+//     counters, absorbs shadow accounts, and copies the tasks' coordinates
+//     into a result sized once from their total.
 func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *query.Query, c query.Conjunct, order []object.ID,
 	objs map[object.ID]*object.Object, anchor *object.Object, orig []int,
-	collect bool, stats *Stats, cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
+	need Need, stats *Stats, cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
 
+	preds, err := compilePreds(c, order, objs)
+	if err != nil {
+		return nil, nil, err
+	}
+	collect := need == NeedValues
 	type regionEntry struct {
 		r      int
 		pruned *telemetry.Span // non-nil: histogram-pruned, span pre-built
@@ -692,12 +733,18 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 			}
 		}
 
+		// The task scans and probes in pooled scratch and keeps only an
+		// exact-size copy of what the request needs.
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		base := anchor.LinearStart(r)
 		var hits []uint64
 		var err error
 		if useIndex {
-			hits, err = te.evalRegionIndex(tok, c, order, objs, r, taskRuns[i], &res.stats, res.condLog)
+			hits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, base, taskRuns[i], sc, &res.stats, res.condLog)
+			res.nhits = int64(len(hits))
 		} else {
-			hits, err = te.evalRegionScan(tok, c, order, objs, r, taskRuns[i], nil, &res.stats, res.condLog)
+			hits, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, base, taskRuns[i], need, sc, &res.stats, res.condLog)
 		}
 		if err != nil {
 			return err
@@ -705,11 +752,14 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		if res.acct != nil {
 			rs.AddCost(res.acct.Cost())
 		}
-		rs.SetInt("hits", int64(len(hits)))
-		res.hits = hits
+		rs.SetInt("hits", res.nhits)
+		if need >= NeedCoords && len(hits) > 0 {
+			res.coords = make([]uint64, len(hits))
+			copy(res.coords, hits)
+		}
 		if len(hits) > 0 && collect {
 			res.vals = make(map[object.ID][]float64, len(order))
-			if err := te.collectRegionValues(tok, order, objs, r, hits, res.vals); err != nil {
+			if err := te.collectRegionValues(tok, order, objs, r, base, hits, res.vals); err != nil {
 				return err
 			}
 		}
@@ -721,7 +771,15 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		return nil, nil, err
 	}
 
+	var nhits int64
+	for _, res := range results {
+		nhits += res.nhits
+	}
 	var coords []uint64
+	if need >= NeedCoords && nhits > 0 {
+		coords = make([]uint64, nhits)
+	}
+	filled := 0
 	var vals map[object.ID][]float64
 	if collect {
 		vals = make(map[object.ID][]float64, len(order))
@@ -743,99 +801,97 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		// stamp is the account total after this region's absorb. Cache
 		// traffic the task accumulated flushes here for the same reason.
 		e.flushCacheTraffic(&res.cacheEv)
-		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(en.r), int64(len(res.hits)))
-		if len(res.hits) == 0 {
+		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(en.r), res.nhits)
+		if res.nhits == 0 {
 			continue
 		}
-		start := anchor.LinearStart(en.r)
 		if collect {
 			for _, id := range order {
 				vals[id] = append(vals[id], res.vals[id]...)
 			}
 		}
-		for _, h := range res.hits {
-			coords = append(coords, start+h)
-		}
+		filled += copy(coords[filled:], res.coords)
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
-	sel := selection.New(coords, anchor.Dims)
+	if need == NeedCount {
+		return selection.NewCount(uint64(nhits), anchor.Dims), nil, nil
+	}
 	var out map[object.ID][]byte
 	if collect {
 		out = encodeValues(order, objs, vals)
 	}
-	return sel, out, nil
+	return selection.New(coords, anchor.Dims), out, nil
 }
 
 // evalRegionScan scans the first condition and probes the rest (§III-C:
 // only already selected locations are evaluated for subsequent
-// conditions).
-func (e *Engine) evalRegionScan(tok *sched.Token, c query.Conjunct, order []object.ID, objs map[object.ID]*object.Object,
-	r int, runs []localRun, buf []uint64, stats *Stats, cs *telemetry.Span) ([]uint64, error) {
+// conditions). The hits are absolute coordinates (base + local index)
+// held in sc, valid until the scratch is reused; under NeedCount a
+// single-condition conjunct is counted without a hit list at all.
+func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pred, objs map[object.ID]*object.Object,
+	r int, base uint64, runs []localRun, need Need, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, int64, error) {
 
 	first := objs[order[0]]
 	data, err := e.readRegion(first, r)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := runsElems(runs)
-	if buf == nil {
-		// Pre-size the hit buffer to the scan's worst case (every scanned
-		// element matches) so the append loop in scanTyped never regrows.
-		buf = make([]uint64, 0, n)
-	}
-	hits, err := scanRegion(first.Type, data, runs, c[order[0]], buf[:0])
-	if err != nil {
-		return nil, err
+	var hits []uint64
+	var nhits int64
+	if need == NeedCount && len(order) == 1 {
+		nhits = preds[0].count(data, runs)
+	} else {
+		sc.hits = preds[0].scan(data, runs, base, sc.hits[:0])
+		hits, nhits = sc.hits, int64(len(sc.hits))
 	}
 	stats.ElementsScanned += n
 	condIn(cs, order[0], n)
-	condOut(cs, order[0], int64(len(hits)))
+	condOut(cs, order[0], nhits)
 	if e.Acct != nil {
 		e.Acct.Charge(vclock.Compute, computeCost(n, scanNsPerElem))
 	}
-	for _, id := range order[1:] {
+	for k, id := range order[1:] {
 		if err := tok.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if len(hits) == 0 {
-			return hits, nil // AND short-circuit
+			break // AND short-circuit
 		}
 		o := objs[id]
 		data, err := e.readRegion(o, r)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		stats.Probes += int64(len(hits))
 		condIn(cs, id, int64(len(hits)))
 		if e.Acct != nil {
 			e.Acct.Charge(vclock.Compute, computeCost(int64(len(hits)), probeNsPerElem))
 		}
-		hits, err = probeRegion(o.Type, data, hits, c[id])
-		if err != nil {
-			return nil, err
-		}
-		condOut(cs, id, int64(len(hits)))
+		hits = preds[k+1].probe(data, base, hits)
+		nhits = int64(len(hits))
+		condOut(cs, id, nhits)
 	}
-	return hits, nil
+	return hits, nhits, nil
 }
 
 // evalRegionIndex resolves every condition from the per-region bitmap
 // indexes, ANDing the bitmaps; conditions on regions without an index
-// fall back to scan/probe semantics.
-func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []object.ID, objs map[object.ID]*object.Object,
-	r int, runs []localRun, stats *Stats, cs *telemetry.Span) ([]uint64, error) {
+// fall back to scan/probe semantics. Like evalRegionScan it returns
+// absolute coordinates held in sc.
+func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []object.ID, preds []pred, objs map[object.ID]*object.Object,
+	r int, base uint64, runs []localRun, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, error) {
 
 	// acc and scratch ping-pong through AndInto: after the first AND the
 	// fold recycles the previous accumulator's storage instead of
 	// allocating a bitmap per condition. Both always point at bitmaps this
 	// loop owns (the first bm or an AndInto result), never a caller's.
 	var acc, scratch *wah.Bitmap
-	for _, id := range order {
+	for k, id := range order {
 		if err := tok.Err(); err != nil {
 			return nil, err
 		}
 		o := objs[id]
-		iv := c[id]
 		rm := &o.Regions[r]
 		var bm *wah.Bitmap
 		if rm.IndexKey == "" {
@@ -846,18 +902,15 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 				return nil, err
 			}
 			all := []localRun{{Start: 0, Len: rm.Region.NumElems()}}
-			idxs, err := scanRegion(o.Type, data, all, iv, nil)
-			if err != nil {
-				return nil, err
-			}
+			sc.hits = preds[k].scan(data, all, 0, sc.hits[:0])
 			stats.ElementsScanned += runsElems(all)
 			if e.Acct != nil {
 				e.Acct.Charge(vclock.Compute, computeCost(runsElems(all), scanNsPerElem))
 			}
-			bm = wah.FromIndices(idxs, rm.Region.NumElems())
+			bm = wah.FromIndices(sc.hits, rm.Region.NumElems())
 		} else {
 			var err error
-			bm, err = e.evalIndexCondition(o, r, iv, stats)
+			bm, err = e.evalIndexCondition(o, r, c[id], preds[k], stats)
 			if err != nil {
 				return nil, err
 			}
@@ -876,16 +929,19 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 	if acc == nil {
 		return nil, nil
 	}
-	hits := acc.ToIndices()
+	sc.hits = acc.ToIndicesInto(sc.hits)
 	// Apply the spatial constraint (runs cover the whole region when
 	// unconstrained, making filterRuns a no-op pass).
-	hits = filterRuns(hits, runs)
+	hits := filterRuns(sc.hits, runs)
+	for i := range hits {
+		hits[i] += base
+	}
 	return hits, nil
 }
 
 // evalIndexCondition reads the index directory and only the touched bins,
 // resolving boundary candidates against raw data when needed.
-func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, stats *Stats) (*wah.Bitmap, error) {
+func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, p pred, stats *Stats) (*wah.Bitmap, error) {
 	rm := &o.Regions[r]
 	// The directory usually lives in the region metadata (cached on all
 	// servers after metadata distribution); otherwise read its prefix
@@ -951,13 +1007,10 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, 
 			if err != nil {
 				return nil, err
 			}
-			bm.ForEach(func(idx uint64) {
-				stats.CandChecks++
-				if iv.Contains(dtype.At(o.Type, data, int(idx))) {
-					extra = append(extra, idx)
-				}
-			})
+			bm.ForEach(func(idx uint64) { extra = append(extra, idx) })
 		}
+		stats.CandChecks += int64(len(extra))
+		extra = p.probe(data, 0, extra)
 		if e.Acct != nil {
 			e.Acct.Charge(vclock.Compute, computeCost(stats.CandChecks, candNsPerElem))
 		}
@@ -968,7 +1021,7 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, 
 }
 
 // shHit carries one PDC-SH match: the original coordinate plus the
-// values already in hand (key first, then companions in compIDs order)
+// values already in hand (key first, then companions in condition order)
 // for the stash.
 type shHit struct {
 	coord uint64
@@ -1005,12 +1058,28 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 	// Conditions on objects with a co-sorted companion are resolved from
 	// the companion extents (contiguous, aligned with the sorted key);
 	// the rest are probed against the original regions afterwards.
-	var compIDs, restIDs []object.ID
+	type cond struct {
+		id object.ID
+		t  dtype.Type
+		p  pred
+	}
+	var comps, rests []cond
 	for _, id := range order[1:] {
-		if rep.HasCompanion(id) {
-			compIDs = append(compIDs, id)
+		cd := cond{id: id, t: objs[id].Type}
+		companion := rep.HasCompanion(id)
+		var err error
+		if companion {
+			if cd.t, err = companionType(rep, id); err != nil {
+				return nil, nil, err
+			}
+		}
+		if cd.p, err = compile(cd.t, c[id]); err != nil {
+			return nil, nil, err
+		}
+		if companion {
+			comps = append(comps, cd)
 		} else {
-			restIDs = append(restIDs, id)
+			rests = append(rests, cd)
 		}
 	}
 
@@ -1076,51 +1145,36 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		}
 
 		// Resolve companion conditions first: contiguous co-sorted reads,
-		// no permutation needed for eliminated positions.
-		positions := make([]int, 0, hi-lo)
+		// no permutation needed for eliminated positions. The extents stay
+		// in hand so the survivors' values can be picked up afterwards.
+		alive := make([]uint64, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			positions = append(positions, i)
+			alive = append(alive, uint64(i))
 		}
-		var compVals [][]float64
+		var compData []dtype.ROBytes
 		if collect {
-			compVals = make([][]float64, len(positions))
+			compData = make([]dtype.ROBytes, len(comps))
 		}
-		alive := positions
-		for _, id := range compIDs {
+		for ci, cd := range comps {
 			if err := tok.Err(); err != nil {
 				return err
 			}
 			if len(alive) == 0 {
 				break
 			}
-			data, err := te.readExtent(sortstore.CompanionValKey(keyID, id, s))
-			if err != nil {
-				return err
-			}
-			civ := c[id]
-			ct, err := companionType(rep, id)
+			data, err := te.readExtent(sortstore.CompanionValKey(keyID, cd.id, s))
 			if err != nil {
 				return err
 			}
 			res.stats.Probes += int64(len(alive))
-			condIn(res.condLog, id, int64(len(alive)))
+			condIn(res.condLog, cd.id, int64(len(alive)))
 			if te.Acct != nil {
 				te.Acct.Charge(vclock.Compute, computeCost(int64(len(alive)), probeNsPerElem))
 			}
-			keep := alive[:0]
-			for k, pos := range alive {
-				v := dtype.At(ct, data, pos)
-				if civ.Contains(v) {
-					if collect {
-						compVals[len(keep)] = append(compVals[k], v)
-					}
-					keep = append(keep, pos)
-				}
-			}
-			alive = keep
-			condOut(res.condLog, id, int64(len(alive)))
+			alive = cd.p.probe(data, 0, alive)
+			condOut(res.condLog, cd.id, int64(len(alive)))
 			if collect {
-				compVals = compVals[:len(alive)]
+				compData[ci] = data
 			}
 		}
 		if len(alive) == 0 {
@@ -1134,7 +1188,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		pw := rep.PermWidth()
 		regionElems := int(rep.Regions[s].Count)
 		var permBytes []byte
-		permBase := alive[0]
+		permBase := int(alive[0])
 		if hi-lo >= regionElems/4 {
 			full, err := te.readExtent(object.SortedPermKey(keyID, s))
 			if err != nil {
@@ -1143,7 +1197,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			permBytes = full
 			permBase = 0
 		} else {
-			span := alive[len(alive)-1] - permBase + 1
+			span := int(alive[len(alive)-1]) - permBase + 1
 			var err error
 			permBytes, err = te.Store.Read(te.Acct, object.SortedPermKey(keyID, s), int64(permBase)*pw, int64(span)*pw)
 			if err != nil {
@@ -1151,7 +1205,8 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			}
 		}
 		cbuf := make([]uint64, len(anchor.Dims))
-		for k, pos := range alive {
+		for _, p := range alive {
+			pos := int(p)
 			coord := rep.PermAt(permBytes, pos-permBase)
 			if q.Constraint != nil {
 				cbuf = region.LinearToCoord(anchor.Dims, coord, cbuf)
@@ -1161,7 +1216,11 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			}
 			h := shHit{coord: coord}
 			if collect {
-				h.vals = append([]float64{dtype.At(rep.Type, valBytes, pos)}, compVals[k]...)
+				h.vals = make([]float64, 1+len(comps))
+				h.vals[0] = dtype.At(rep.Type, valBytes, pos)
+				for ci, cd := range comps {
+					h.vals[1+ci] = dtype.At(cd.t, compData[ci], pos)
+				}
 			}
 			res.hits = append(res.hits, h)
 		}
@@ -1215,10 +1274,10 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		group := hits[i:j]
 		surviving := local
 		var rs *telemetry.Span
-		if len(restIDs) > 0 {
+		if len(rests) > 0 {
 			rs = cs.Child(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
 			if rs != nil {
-				if e.Cache.Contains(objs[restIDs[0]].Regions[r].ExtentKey) {
+				if e.Cache.Contains(objs[rests[0].id].Regions[r].ExtentKey) {
 					rs.SetStr("decision", telemetry.DecisionCacheHit)
 				} else {
 					rs.SetStr("decision", telemetry.DecisionScan)
@@ -1226,27 +1285,21 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			}
 		}
 		rsBefore, rsCosted := e.spanCost(rs)
-		for _, id := range restIDs {
+		for _, cd := range rests {
 			if len(surviving) == 0 {
 				break
 			}
-			o := objs[id]
+			id, o := cd.id, objs[cd.id]
 			stats.Probes += int64(len(surviving))
 			condIn(cs, id, int64(len(surviving)))
 			if e.Acct != nil {
 				e.Acct.Charge(vclock.Compute, computeCost(int64(len(surviving)), probeNsPerElem))
 			}
-			probed, err := e.probeValues(o, r, surviving, regionElems)
+			var err error
+			surviving, err = e.probeFilter(o, r, surviving, regionElems, cd.p)
 			if err != nil {
 				return nil, nil, err
 			}
-			keep := surviving[:0]
-			for k, lidx := range surviving {
-				if c[id].Contains(probed[k]) {
-					keep = append(keep, lidx)
-				}
-			}
-			surviving = keep
 			condOut(cs, id, int64(len(surviving)))
 		}
 		if len(surviving) > 0 {
@@ -1260,12 +1313,12 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 						ki++
 					}
 					vals[keyID] = append(vals[keyID], group[ki].vals[0])
-					for ci, id := range compIDs {
-						vals[id] = append(vals[id], group[ki].vals[1+ci])
+					for ci, cd := range comps {
+						vals[cd.id] = append(vals[cd.id], group[ki].vals[1+ci])
 					}
 				}
-				for _, id := range restIDs {
-					o := objs[id]
+				for _, cd := range rests {
+					id, o := cd.id, objs[cd.id]
 					probed, err := e.probeValues(o, r, surviving, regionElems)
 					if err != nil {
 						return nil, nil, err
@@ -1302,54 +1355,75 @@ func companionType(rep *sortstore.Replica, id object.ID) (dtype.Type, error) {
 	return 0, fmt.Errorf("exec: replica %d has no companion copy of object %d", rep.Key, id)
 }
 
-// probeValues returns the values of object o's region r at the given
-// sorted local element indices. Sparse probes use aggregated ranged
-// reads; dense probes (or a cache hit) use the whole region buffer.
-func (e *Engine) probeValues(o *object.Object, r int, local []uint64, regionElems uint64) ([]float64, error) {
+// probeRead fetches what a probe of object o's region r at the given
+// sorted local element indices needs: the whole region buffer (indexed
+// by local index) when it is cached or the probe is dense, else one
+// single-element blob per index from an aggregated ranged read.
+func (e *Engine) probeRead(o *object.Object, r int, local []uint64, regionElems uint64) (data dtype.ROBytes, blobs []dtype.ROBytes, err error) {
 	es := int64(o.Type.Size())
 	key := o.Regions[r].ExtentKey
-	out := make([]float64, len(local))
-	// Prefer the cached region when available; otherwise only pull the
-	// region when the probe is dense.
 	if data, ok := e.Cache.Get(key); ok {
 		if e.Acct != nil {
 			m := e.Store.Model()
 			e.Acct.ChargeCost(m.ReadCost(simio.Memory, int64(len(local))*es))
 		}
 		e.noteCache(telemetry.EvCacheHit, int64(len(data)), 1)
-		for k, lidx := range local {
-			out[k] = dtype.At(o.Type, data, int(lidx))
-		}
-		return out, nil
+		return data, nil, nil
 	}
 	if uint64(len(local))*4 >= regionElems {
 		data, err := e.readRegion(o, r)
-		if err != nil {
-			return nil, err
-		}
-		for k, lidx := range local {
-			out[k] = dtype.At(o.Type, data, int(lidx))
-		}
-		return out, nil
+		return data, nil, err
 	}
 	ranges := make([]simio.Range, len(local))
 	for k, lidx := range local {
 		ranges[k] = simio.Range{Off: int64(lidx) * es, Len: es}
 	}
-	blobs, err := e.Store.ReadRanges(e.Acct, key, ranges)
+	blobs, err = e.Store.ReadRanges(e.Acct, key, ranges)
+	return nil, blobs, err
+}
+
+// probeFilter keeps the local indices whose element of o's region r
+// satisfies p, in place.
+func (e *Engine) probeFilter(o *object.Object, r int, local []uint64, regionElems uint64, p pred) ([]uint64, error) {
+	data, blobs, err := e.probeRead(o, r, local, regionElems)
 	if err != nil {
 		return nil, err
 	}
-	for k := range blobs {
-		out[k] = dtype.At(o.Type, blobs[k], 0)
+	if blobs == nil {
+		return p.probe(data, 0, local), nil
+	}
+	keep := local[:0]
+	for k, lidx := range local {
+		if p.at(blobs[k], 0) {
+			keep = append(keep, lidx)
+		}
+	}
+	return keep, nil
+}
+
+// probeValues returns the values of object o's region r at the given
+// sorted local element indices.
+func (e *Engine) probeValues(o *object.Object, r int, local []uint64, regionElems uint64) ([]float64, error) {
+	data, blobs, err := e.probeRead(o, r, local, regionElems)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(local))
+	for k, lidx := range local {
+		if blobs == nil {
+			out[k] = dtype.At(o.Type, data, int(lidx))
+		} else {
+			out[k] = dtype.At(o.Type, blobs[k], 0)
+		}
 	}
 	return out, nil
 }
 
-// collectRegionValues appends the hit values for every queried object of
-// one region (scan/probe path — the buffers are warm in cache).
+// collectRegionValues appends the values at the hit coordinates (offset
+// by base) for every queried object of one region (scan/probe path — the
+// buffers are warm in cache).
 func (e *Engine) collectRegionValues(tok *sched.Token, order []object.ID, objs map[object.ID]*object.Object,
-	r int, hits []uint64, vals map[object.ID][]float64) error {
+	r int, base uint64, hits []uint64, vals map[object.ID][]float64) error {
 	for _, id := range order {
 		if err := tok.Err(); err != nil {
 			return err
@@ -1360,7 +1434,7 @@ func (e *Engine) collectRegionValues(tok *sched.Token, order []object.ID, objs m
 			return err
 		}
 		for _, h := range hits {
-			vals[id] = append(vals[id], dtype.At(o.Type, data, int(h)))
+			vals[id] = append(vals[id], dtype.At(o.Type, data, int(h-base)))
 		}
 	}
 	return nil

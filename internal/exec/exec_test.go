@@ -30,7 +30,7 @@ type fixture struct {
 	nreg    int
 }
 
-func buildFixture(t *testing.T, names []string, gen func(name string, i int) float32,
+func buildFixture(t testing.TB, names []string, gen func(name string, i int) float32,
 	n int, regionElems uint64, withIndex, withSorted bool) *fixture {
 	t.Helper()
 	f := &fixture{
@@ -149,7 +149,7 @@ func checkQuery(t *testing.T, f *fixture, q *query.Query, label string) {
 	want := f.truth(q)
 	for _, s := range allStrategies {
 		e, _ := f.engine(s)
-		res, err := e.Evaluate(q, f.fullAssign(), false)
+		res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", label, s, err)
 		}
@@ -255,7 +255,7 @@ func TestHistogramPrunesClusteredData(t *testing.T) {
 	q := &query.Query{Root: query.Between(1, 42.0, 43.0, false, false)}
 
 	e, _ := f.engine(Histogram)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestHistogramPrunesClusteredData(t *testing.T) {
 
 	// Full scan evaluates everything.
 	e2, _ := f.engine(FullScan)
-	res2, err := e2.Evaluate(q, f.fullAssign(), false)
+	res2, err := e2.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestFullScanReadsEverything(t *testing.T) {
 	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 10000, 1000, false, false)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 100), query.Leaf(2, query.OpGT, 1000))}
 	e, a := f.engine(FullScan)
-	if _, err := e.Evaluate(q, f.fullAssign(), false); err != nil {
+	if _, err := e.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
 		t.Fatal(err)
 	}
 	// Both objects' full data: 2 * 10000 * 4 bytes.
@@ -297,7 +297,7 @@ func TestIndexReadsLessThanData(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 50000, 5000, true, false)
 	q := &query.Query{Root: query.Between(1, 4.0, 4.1, false, false)} // very selective
 	e, a := f.engine(HistogramIndex)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSortedTouchesFewRegions(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 50000, 2500, false, true)
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, 5.0)} // far tail
 	e, _ := f.engine(SortedHistogram)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestValuesCollection(t *testing.T) {
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 1.5), query.Between(2, 0, 200, false, false))}
 	for _, s := range []Strategy{FullScan, Histogram, SortedHistogram} {
 		e, _ := f.engine(s)
-		res, err := e.Evaluate(q, f.fullAssign(), true)
+		res, err := e.Evaluate(q, f.fullAssign(), NeedValues)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -360,7 +360,7 @@ func TestExtractValues(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 5000, 600, false, false)
 	e, a := f.engine(Histogram)
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, 2.0)}
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestPartitionedAssignmentsUnionToFullResult(t *testing.T) {
 					}
 				}
 				e, _ := f.engine(s)
-				res, err := e.Evaluate(q, assign, false)
+				res, err := e.Evaluate(q, assign, NeedCoords)
 				if err != nil {
 					t.Fatalf("%v srv%d: %v", s, srv, err)
 				}
@@ -429,7 +429,7 @@ func TestAndShortCircuit(t *testing.T) {
 	// First condition (after ordering) can never match: x > 1e6.
 	q := &query.Query{Root: query.And(query.Leaf(2, query.OpGT, 1e6), query.Leaf(1, query.OpGT, 0))}
 	e, _ := f.engine(Histogram)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestContradictoryQueryIsFree(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 4000, 1000, false, false)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 5), query.Leaf(1, query.OpLT, 2))}
 	e, a := f.engine(Histogram)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,13 +463,13 @@ func TestEvaluateErrors(t *testing.T) {
 	e, _ := f.engine(Histogram)
 	// Unknown object.
 	q := &query.Query{Root: query.Leaf(99, query.OpGT, 0)}
-	if _, err := e.Evaluate(q, f.fullAssign(), false); err == nil {
+	if _, err := e.Evaluate(q, f.fullAssign(), NeedCoords); err == nil {
 		t.Error("unknown object accepted")
 	}
 	// Missing extent surfaces as an error.
 	f.st.Delete(object.ExtentKey(1, 0))
 	q = &query.Query{Root: query.Leaf(1, query.OpGT, -100)}
-	if _, err := e.Evaluate(q, f.fullAssign(), false); err == nil {
+	if _, err := e.Evaluate(q, f.fullAssign(), NeedCoords); err == nil {
 		t.Error("missing extent not reported")
 	}
 }
@@ -494,11 +494,11 @@ func TestHistogramCostBelowFullScan(t *testing.T) {
 	q := &query.Query{Root: query.Between(1, 10, 11, false, false)}
 
 	eh, ah := f.engine(Histogram)
-	if _, err := eh.Evaluate(q, f.fullAssign(), false); err != nil {
+	if _, err := eh.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
 		t.Fatal(err)
 	}
 	ef, af := f.engine(FullScan)
-	if _, err := ef.Evaluate(q, f.fullAssign(), false); err != nil {
+	if _, err := ef.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
 		t.Fatal(err)
 	}
 	// The histogram strategy must touch a small fraction of the bytes the
@@ -523,7 +523,7 @@ func TestIndexStrategyWithoutIndexesFallsBack(t *testing.T) {
 		query.Between(2, 50, 250, false, false))}
 	want := f.truth(q)
 	e, _ := f.engine(HistogramIndex)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestIndexStrategyWithPartialIndexes(t *testing.T) {
 	q := &query.Query{Root: query.Between(1, 0.5, 1.5, false, false)}
 	want := f.truth(q)
 	e, _ := f.engine(HistogramIndex)
-	res, err := e.Evaluate(q, f.fullAssign(), false)
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/query"
@@ -14,92 +18,360 @@ type localRun struct {
 	Len   uint64
 }
 
-// scanTyped appends the local indices within the given runs whose value
-// satisfies the interval.
-func scanTyped[E dtype.Native](vals []E, runs []localRun, iv query.Interval, out []uint64) []uint64 {
+// pred is a query.Interval compiled for one element type. The methods
+// are the engine's only per-element loops: every path that tests values
+// against a condition (scan, probe, index candidate check, sorted
+// companion filter, rest-probe) goes through one of them, and all of
+// them agree with iv.Contains(float64(v)) on every v of the type.
+type pred interface {
+	// scan appends base+i for every element i of the runs that satisfies
+	// the condition. out is grown once to the runs' worst case, so a warm
+	// buffer makes the call allocation-free.
+	scan(data []byte, runs []localRun, base uint64, out []uint64) []uint64
+	// count returns how many elements of the runs satisfy the condition
+	// without materialising them.
+	count(data []byte, runs []localRun) int64
+	// probe filters hits (coordinates offset by base) in place, keeping
+	// those whose element satisfies the condition — the paper's AND
+	// refinement: only already selected locations are evaluated for
+	// subsequent conditions.
+	probe(data []byte, base uint64, hits []uint64) []uint64
+	// at tests the single element i (sparse probes over ranged reads).
+	at(data []byte, i int) bool
+}
+
+// bounds is the compiled form of an interval: closed native bounds with
+//
+//	lo <= v && v <= hi  ⇔  iv.Contains(float64(v))   for every v of type E.
+//
+// NaN values fail both compares, as they fail Contains. Only float
+// intervals that straddle zero are evaluated in this form (it is a pred
+// for the two float types); every other one is strength-reduced to a
+// span.
+type bounds[E dtype.Native] struct{ lo, hi E }
+
+// span is closed bounds reduced to one unsigned compare on the element's
+// bit pattern: u-lo <= width ⇔ lo <= u <= lo+width, the subtraction
+// wrapping below lo. It serves every type whose order the bit pattern
+// carries: unsigned integers as they are; signed integers, because
+// reinterpreting both ends as unsigned shifts the whole range by the
+// same wrap; non-negative floats, which order like their patterns; and
+// negative floats, which order against theirs (the ends swap). Patterns
+// on the other side of zero and NaNs lie outside [lo, lo+width] in all
+// four cases. Integer compares retire several per cycle where the float
+// compare is one per cycle, so this is the fast path, not a curiosity.
+type span[U unsigned] struct{ lo, width U }
+
+// never is the compiled form of an interval no value of the type
+// satisfies (Lo > Hi, a NaN bound, bounds beyond the type's range).
+type never struct{}
+
+type unsigned interface {
+	~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// compile lowers iv to a kernel over element type t. An unknown type
+// means corrupt metadata reached the evaluation engine; it is reported
+// as an error, not a panic, so one bad request cannot take the server
+// down.
+func compile(t dtype.Type, iv query.Interval) (pred, error) {
+	switch t {
+	case dtype.Float32:
+		b := float32Bounds(iv)
+		return floatPred(b, math.Float32bits(b.lo), math.Float32bits(b.hi)), nil
+	case dtype.Float64:
+		b := float64Bounds(iv)
+		return floatPred(b, math.Float64bits(b.lo), math.Float64bits(b.hi)), nil
+	case dtype.Int8:
+		return intPred[int8, uint8](iv), nil
+	case dtype.Int16:
+		return intPred[int16, uint16](iv), nil
+	case dtype.Int32:
+		return intPred[int32, uint32](iv), nil
+	case dtype.Int64:
+		return intPred[int64, uint64](iv), nil
+	case dtype.Uint8:
+		return intPred[uint8, uint8](iv), nil
+	case dtype.Uint16:
+		return intPred[uint16, uint16](iv), nil
+	case dtype.Uint32:
+		return intPred[uint32, uint32](iv), nil
+	case dtype.Uint64:
+		return intPred[uint64, uint64](iv), nil
+	}
+	return nil, fmt.Errorf("exec: condition on invalid element type %v", t)
+}
+
+// floatPred picks the kernel for closed float bounds whose bit patterns
+// are lo and hi.
+func floatPred[E ~float32 | ~float64, U unsigned](b bounds[E], lo, hi U) pred {
+	switch {
+	case !(b.lo <= b.hi):
+		return never{}
+	case b.lo > 0:
+		return span[U]{lo, hi - lo}
+	case b.hi < 0:
+		return span[U]{hi, lo - hi}
+	}
+	return b
+}
+
+// intPred compiles an interval over integer type E, whose unsigned twin
+// is U.
+func intPred[E integer, U unsigned](iv query.Interval) pred {
+	b := intBounds[E](iv)
+	if b.lo > b.hi {
+		return never{}
+	}
+	return span[U]{U(b.lo), U(b.hi) - U(b.lo)}
+}
+
+// float64Bounds closes the interval's open ends by stepping one ulp
+// inwards. An open end at the infinity it points away from leaves
+// nothing beyond it; that and a NaN bound come back as lo <= hi false.
+func float64Bounds(iv query.Interval) bounds[float64] {
+	lo, hi := iv.Lo, iv.Hi
+	if !iv.LoIncl {
+		if lo == math.Inf(1) {
+			lo = math.NaN()
+		}
+		lo = math.Nextafter(lo, math.Inf(1))
+	}
+	if !iv.HiIncl {
+		if hi == math.Inf(-1) {
+			hi = math.NaN()
+		}
+		hi = math.Nextafter(hi, math.Inf(-1))
+	}
+	return bounds[float64]{lo, hi}
+}
+
+// float32Bounds narrows the closed float64 bounds to the float32 grid:
+// the smallest float32 not below lo and the largest not above hi.
+// float64(v) is exact for float32 v, so membership is unchanged.
+func float32Bounds(iv query.Interval) bounds[float32] {
+	b := float64Bounds(iv)
+	lo, hi := float32(b.lo), float32(b.hi)
+	if float64(lo) < b.lo {
+		lo = math.Nextafter32(lo, float32(math.Inf(1)))
+	}
+	if float64(hi) > b.hi {
+		hi = math.Nextafter32(hi, float32(math.Inf(-1)))
+	}
+	return bounds[float32]{lo, hi}
+}
+
+// integer is the part of dtype.Native with integer arithmetic.
+type integer interface {
+	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// aboveLo and belowHi are the two halves of iv.Contains(float64(v)).
+// float64(v) is monotone in v even where it rounds (64-bit integers
+// beyond 2^53), so each half is a monotone predicate of v.
+func aboveLo[E integer](iv query.Interval, v E) bool {
+	f := float64(v)
+	return f > iv.Lo || (iv.LoIncl && f == iv.Lo)
+}
+
+func belowHi[E integer](iv query.Interval, v E) bool {
+	f := float64(v)
+	return f < iv.Hi || (iv.HiIncl && f == iv.Hi)
+}
+
+// intBounds finds the edges by binary search over the type's whole
+// range rather than by casting the bound: the edge of a monotone
+// predicate is exact, which a cast of the bound is not once several
+// integers share one float64. NaN bounds fail both halves everywhere.
+func intBounds[E integer](iv query.Interval) bounds[E] {
+	var minV, maxV E
+	if ^E(0) < 0 {
+		minV = E(1) << (8*unsafe.Sizeof(minV) - 1)
+		maxV = ^minV
+	} else {
+		maxV = ^E(0)
+	}
+	if !aboveLo(iv, maxV) || !belowHi(iv, minV) {
+		return bounds[E]{1, 0} // lo > hi: unsatisfiable
+	}
+	// Midpoints are taken as uint64 distances, where the type's full
+	// width cannot overflow. aboveLo(loTop) and belowHi(hiBot) hold
+	// throughout.
+	lo, loTop := minV, maxV
+	for lo != loTop {
+		mid := lo + E((uint64(loTop)-uint64(lo))/2)
+		if aboveLo(iv, mid) {
+			loTop = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	hiBot, hi := minV, maxV
+	for hiBot != hi {
+		mid := hi - E((uint64(hi)-uint64(hiBot))/2)
+		if belowHi(iv, mid) {
+			hiBot = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return bounds[E]{lo, hi}
+}
+
+// b2i is the branch-free bool→int the compiler lowers to a flag set.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// clip bounds a run to the buffer (a short extent never panics).
+func clip[E any](vals []E, run localRun) (start, end uint64) {
+	n := uint64(len(vals))
+	start, end = min(run.Start, n), min(run.Start+run.Len, n)
+	return start, end
+}
+
+func (b bounds[E]) scan(data []byte, runs []localRun, base uint64, out []uint64) []uint64 {
+	vals := dtype.View[E](data)
+	out = slices.Grow(out, int(runsElems(runs)))
+	lo, hi := b.lo, b.hi
 	for _, run := range runs {
-		end := run.Start + run.Len
-		if end > uint64(len(vals)) {
-			end = uint64(len(vals))
+		start, end := clip(vals, run)
+		// Branch-free compaction: the coordinate is stored at every
+		// element and the cursor advances by the compare result, so a
+		// hit costs the same as a miss and nothing is mispredicted.
+		k := len(out)
+		buf := out[:k+int(end-start)]
+		coord := base + start
+		for _, v := range vals[start:end] {
+			buf[k] = coord
+			k += b2i(v >= lo) & b2i(v <= hi)
+			coord++
 		}
-		for i := run.Start; i < end; i++ {
-			if iv.Contains(float64(vals[i])) {
-				out = append(out, i)
-			}
-		}
+		out = buf[:k]
 	}
 	return out
 }
 
-// scanRegion dispatches scanTyped on the region's element type. An
-// unknown type means corrupt metadata reached the evaluation engine; it
-// is reported as an error, not a panic, so one bad request cannot take
-// the server down.
-func scanRegion(t dtype.Type, data []byte, runs []localRun, iv query.Interval, out []uint64) ([]uint64, error) {
-	switch t {
-	case dtype.Float32:
-		return scanTyped(dtype.View[float32](data), runs, iv, out), nil
-	case dtype.Float64:
-		return scanTyped(dtype.View[float64](data), runs, iv, out), nil
-	case dtype.Int8:
-		return scanTyped(dtype.View[int8](data), runs, iv, out), nil
-	case dtype.Int16:
-		return scanTyped(dtype.View[int16](data), runs, iv, out), nil
-	case dtype.Int32:
-		return scanTyped(dtype.View[int32](data), runs, iv, out), nil
-	case dtype.Int64:
-		return scanTyped(dtype.View[int64](data), runs, iv, out), nil
-	case dtype.Uint8:
-		return scanTyped(dtype.View[uint8](data), runs, iv, out), nil
-	case dtype.Uint16:
-		return scanTyped(dtype.View[uint16](data), runs, iv, out), nil
-	case dtype.Uint32:
-		return scanTyped(dtype.View[uint32](data), runs, iv, out), nil
-	case dtype.Uint64:
-		return scanTyped(dtype.View[uint64](data), runs, iv, out), nil
+func (b bounds[E]) count(data []byte, runs []localRun) int64 {
+	vals := dtype.View[E](data)
+	lo, hi := b.lo, b.hi
+	var n int
+	for _, run := range runs {
+		start, end := clip(vals, run)
+		for _, v := range vals[start:end] {
+			n += b2i(v >= lo) & b2i(v <= hi)
+		}
 	}
-	return nil, fmt.Errorf("exec: scan on invalid element type %v", t)
+	return int64(n)
 }
 
-// probeTyped filters local hit indices in place, keeping those whose value
-// in vals satisfies the interval (the paper's AND refinement: only already
-// selected locations are evaluated for subsequent conditions).
-func probeTyped[E dtype.Native](vals []E, hits []uint64, iv query.Interval) []uint64 {
-	out := hits[:0]
-	for _, i := range hits {
-		if iv.Contains(float64(vals[i])) {
-			out = append(out, i)
+func (b bounds[E]) probe(data []byte, base uint64, hits []uint64) []uint64 {
+	vals := dtype.View[E](data)
+	lo, hi := b.lo, b.hi
+	k := 0
+	for _, h := range hits {
+		v := vals[h-base]
+		hits[k] = h
+		k += b2i(v >= lo) & b2i(v <= hi)
+	}
+	return hits[:k]
+}
+
+func (b bounds[E]) at(data []byte, i int) bool {
+	v := dtype.View[E](data)[i]
+	return v >= b.lo && v <= b.hi
+}
+
+// The span kernels repeat the bounds loops with the one-compare test.
+// They are written out rather than shared: a test handed in as a type
+// parameter is called through the generic dictionary, not inlined, which
+// costs more than the compare it wraps.
+
+func (s span[U]) scan(data []byte, runs []localRun, base uint64, out []uint64) []uint64 {
+	vals := dtype.View[U](data)
+	out = slices.Grow(out, int(runsElems(runs)))
+	lo, width := s.lo, s.width
+	for _, run := range runs {
+		start, end := clip(vals, run)
+		k := len(out)
+		buf := out[:k+int(end-start)]
+		coord := base + start
+		for _, v := range vals[start:end] {
+			buf[k] = coord
+			k += b2i(v-lo <= width)
+			coord++
 		}
+		out = buf[:k]
 	}
 	return out
 }
 
-// probeRegion dispatches probeTyped on the region's element type; like
-// scanRegion it reports unknown types as errors.
-func probeRegion(t dtype.Type, data []byte, hits []uint64, iv query.Interval) ([]uint64, error) {
-	switch t {
-	case dtype.Float32:
-		return probeTyped(dtype.View[float32](data), hits, iv), nil
-	case dtype.Float64:
-		return probeTyped(dtype.View[float64](data), hits, iv), nil
-	case dtype.Int8:
-		return probeTyped(dtype.View[int8](data), hits, iv), nil
-	case dtype.Int16:
-		return probeTyped(dtype.View[int16](data), hits, iv), nil
-	case dtype.Int32:
-		return probeTyped(dtype.View[int32](data), hits, iv), nil
-	case dtype.Int64:
-		return probeTyped(dtype.View[int64](data), hits, iv), nil
-	case dtype.Uint8:
-		return probeTyped(dtype.View[uint8](data), hits, iv), nil
-	case dtype.Uint16:
-		return probeTyped(dtype.View[uint16](data), hits, iv), nil
-	case dtype.Uint32:
-		return probeTyped(dtype.View[uint32](data), hits, iv), nil
-	case dtype.Uint64:
-		return probeTyped(dtype.View[uint64](data), hits, iv), nil
+func (s span[U]) count(data []byte, runs []localRun) int64 {
+	vals := dtype.View[U](data)
+	lo, width := s.lo, s.width
+	var n int
+	for _, run := range runs {
+		start, end := clip(vals, run)
+		for _, v := range vals[start:end] {
+			n += b2i(v-lo <= width)
+		}
 	}
-	return nil, fmt.Errorf("exec: probe on invalid element type %v", t)
+	return int64(n)
+}
+
+func (s span[U]) probe(data []byte, base uint64, hits []uint64) []uint64 {
+	vals := dtype.View[U](data)
+	lo, width := s.lo, s.width
+	k := 0
+	for _, h := range hits {
+		v := vals[h-base]
+		hits[k] = h
+		k += b2i(v-lo <= width)
+	}
+	return hits[:k]
+}
+
+func (s span[U]) at(data []byte, i int) bool {
+	return dtype.View[U](data)[i]-s.lo <= s.width
+}
+
+func (never) scan(_ []byte, _ []localRun, _ uint64, out []uint64) []uint64 { return out }
+func (never) count([]byte, []localRun) int64                               { return 0 }
+func (never) probe(_ []byte, _ uint64, hits []uint64) []uint64             { return hits[:0] }
+func (never) at([]byte, int) bool                                          { return false }
+
+// scratch is the per-task hit buffer. A region task takes one from the
+// pool, scans and probes into it, copies out an exact-size result, and
+// puts it back, so the worst-case buffer (8 B per scanned element) is
+// paid once per worker rather than once per region. The buffer never
+// carries state between tasks — every use starts from hits[:0] — so
+// which task gets which buffer cannot affect any result.
+type scratch struct{ hits []uint64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// KernelOps returns one steady-state call of each region kernel — scan
+// into a warm buffer, probe, count — over a fixed 64 KiB float32 region.
+// The allocation ratchet (pdc-benchdiff, and this package's tests) runs
+// them under testing.AllocsPerRun and pins all three at zero.
+func KernelOps() map[string]func() {
+	vals := make([]float32, 1<<14)
+	for i := range vals {
+		vals[i] = float32(i%1000) / 10
+	}
+	data := dtype.Bytes(vals)
+	runs := []localRun{{Start: 0, Len: uint64(len(vals))}}
+	p, _ := compile(dtype.Float32, query.Interval{Lo: 20, Hi: 60})
+	out := p.scan(data, runs, 0, nil)
+	hits := make([]uint64, len(out))
+	return map[string]func(){
+		"scanRegion":  func() { out = p.scan(data, runs, 0, out[:0]) },
+		"probeRegion": func() { p.probe(data, 0, hits[:copy(hits, out)]) },
+		"countRegion": func() { p.count(data, runs) },
+	}
 }
 
 // filterRuns keeps the sorted local indices that fall inside the sorted,

@@ -674,10 +674,11 @@ func (s *Server) handleQuery(ss *session, tok *sched.Token, acct *vclock.Account
 
 	// Always let the engine capture values it has in hand: that is the
 	// paper's server-side result caching, which the stash serves to later
-	// get-data requests. The response only carries the values when the
+	// get-data requests on this request ID (even a count-only reply can be
+	// followed by one). The response only carries the values when the
 	// client explicitly asked for them inline.
 	var phases telemetry.PhaseTimes
-	res, err := s.reqEngine(acct, &phases).EvaluateToken(tok, q, assign, true, span)
+	res, err := s.reqEngine(acct, &phases).EvaluateToken(tok, q, assign, exec.NeedValues, span)
 	if err != nil {
 		if errors.Is(err, sched.ErrDeadline) {
 			s.rec.Record(telemetry.EvDeadline, 0, int32(s.cfg.ID), acct.Cost().Total().Nanoseconds(), int64(m.ReqID), 0)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pdcquery/internal/dtype"
@@ -336,5 +337,40 @@ func TestConnectionsHaveIsolatedStashes(t *testing.T) {
 	})
 	if reply.Type != MsgDataResult {
 		t.Errorf("client A lost its stash: %s", reply.Payload)
+	}
+}
+
+// A text statement leaves nothing in the stash: the text API hands its
+// caller no request ID, so a get-data naming one can only be a confused
+// client, and it gets the same typed error as any unknown request —
+// while a binary query on the same connection is still served from it.
+func TestTextQueryIsNotStashed(t *testing.T) {
+	_, conn, oid := testServer(t, 0, 1)
+	reply := call(t, conn, transport.Message{
+		Type:    MsgTextQuery,
+		Payload: EncodeTextQuery(FlagWantSelection, 0, 0, "select ids where energy > 1 and energy < 2"),
+	})
+	if reply.Type != MsgTextResult {
+		t.Fatalf("text reply = %d payload=%s", reply.Type, reply.Payload)
+	}
+	tr, err := DecodeTextResult(reply.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Base.Sel.NHits != 99 || len(tr.Base.Sel.Coords) != 99 {
+		t.Fatalf("text query: %d hits, %d coords, want 99", tr.Base.Sel.NHits, len(tr.Base.Sel.Coords))
+	}
+	get := transport.Message{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, QueryReq: 77}).Encode()}
+	dreply := call(t, conn, get)
+	if want := "no stashed result for request 77"; dreply.Type != MsgError || !strings.Contains(string(dreply.Payload), want) {
+		t.Fatalf("get-data after a text statement: type %d payload %q, want MsgError containing %q", dreply.Type, dreply.Payload, want)
+	}
+
+	q := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
+	if r := call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode())}); r.Type != MsgQueryResult {
+		t.Fatalf("binary query failed: %s", r.Payload)
+	}
+	if dreply = call(t, conn, get); dreply.Type != MsgDataResult {
+		t.Fatalf("get-data after a binary query: %s", dreply.Payload)
 	}
 }

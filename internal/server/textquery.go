@@ -148,10 +148,18 @@ func (s *Server) handleTextQuery(ss *session, tok *sched.Token, acct *vclock.Acc
 		wallStart = s.clock().Now()
 	}
 
+	// What the statement can use decides what the engine materialises:
+	// ids are returned and hist reads values at the coordinates; a count
+	// needs neither. No text reply is stashed — the text API hands out no
+	// request ID a get-data could name — so values are never collected.
+	need := exec.NeedCount
+	if flags&FlagWantSelection != 0 || low.Projection.Kind == qlang.ProjHist {
+		need = exec.NeedCoords
+	}
 	var phases telemetry.PhaseTimes
 	eng := s.reqEngine(acct, &phases)
 	eng.Plan = &pl.Exec
-	res, err := eng.EvaluateToken(tok, q, assign, true, span)
+	res, err := eng.EvaluateToken(tok, q, assign, need, span)
 	if err != nil {
 		if errors.Is(err, sched.ErrDeadline) {
 			s.rec.Record(telemetry.EvDeadline, 0, int32(s.cfg.ID), acct.Cost().Total().Nanoseconds(), int64(m.ReqID), 0)
@@ -181,7 +189,6 @@ func (s *Server) handleTextQuery(ss *session, tok *sched.Token, acct *vclock.Acc
 
 	cost := acct.Cost()
 	res.Stats.StorageBytes = acct.Counter("read.bytes")
-	ss.put(m.ReqID, &stashEntry{coords: res.Sel.Coords, values: res.Values})
 	ss.reg.Add("query.count", 1)
 	ss.reg.Observe("query.cost_ns", float64(cost.Total()))
 	s.rec.Record(telemetry.EvQueryDone, 0, int32(s.cfg.ID), cost.Total().Nanoseconds(), int64(m.ReqID), int64(res.Sel.NHits))
@@ -199,9 +206,6 @@ func (s *Server) handleTextQuery(ss *session, tok *sched.Token, acct *vclock.Acc
 	}
 	if flags&FlagWantSelection == 0 {
 		resp.Base.Sel = selection.NewCount(res.Sel.NHits, res.Sel.Dims)
-	}
-	if flags&FlagWantValues != 0 {
-		resp.Base.Values = res.Values
 	}
 	encStart := s.clock().Now()
 	payload := resp.Encode()
