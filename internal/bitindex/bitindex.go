@@ -324,9 +324,11 @@ func DecodeDirectory(b []byte) (*Directory, error) {
 }
 
 // Select classifies bins against a range predicate using the directory
-// only: sure bins (every element matches) and candidate bins (need either
-// their extrema-undecidable elements checked against raw data).
-func (d *Directory) Select(lo, hi float64, loIncl, hiIncl bool) (sure, candidates []int) {
+// only: sure bins (every element matches) and candidate bins (their
+// extrema cannot decide, so their elements need checking against raw
+// data). The bin numbers are appended to sure and candidates, which a
+// caller on a hot path passes back emptied to reuse their storage.
+func (d *Directory) Select(sure, candidates []int, lo, hi float64, loIncl, hiIncl bool) ([]int, []int) {
 	for i := range d.Bins {
 		db := &d.Bins[i]
 		b := Bin{Lo: db.Lo, Hi: db.Hi, Min: db.Min, Max: db.Max}
@@ -340,12 +342,6 @@ func (d *Directory) Select(lo, hi float64, loIncl, hiIncl bool) (sure, candidate
 		}
 	}
 	return sure, candidates
-}
-
-// DecodeBin decodes bin i's bitmap from its blob bytes (as located by the
-// directory).
-func DecodeBin(blob []byte) (*wah.Bitmap, error) {
-	return wah.Decode(blob)
 }
 
 // Decode fully deserializes an encoded index (used by tests and tools;

@@ -223,7 +223,7 @@ func TestDirectoryPartialRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sure, cands := d.Select(2.1, 2.4, false, false)
+	sure, cands := d.Select(nil, nil, 2.1, 2.4, false, false)
 	if len(cands) != 0 {
 		t.Fatalf("aligned query produced candidates: %v", cands)
 	}
@@ -232,7 +232,7 @@ func TestDirectoryPartialRead(t *testing.T) {
 	var blobBytes int64
 	for _, bi := range sure {
 		db := d.Bins[bi]
-		bm, err := DecodeBin(enc[db.BlobOff : db.BlobOff+db.BlobLen])
+		bm, err := wah.Decode(enc[db.BlobOff : db.BlobOff+db.BlobLen])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,10 @@ package exec
 import (
 	"testing"
 
+	"pdcquery/internal/bitindex"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/query"
+	"pdcquery/internal/workload"
 )
 
 func BenchmarkScanKernelFloat32(b *testing.B) {
@@ -45,15 +47,35 @@ func BenchmarkProbeKernel(b *testing.B) {
 	}
 }
 
-// regionBench is one 64 KiB float32 region (the benchmark workloads'
-// region size) behind a warm engine, and a query selecting ~1% of it.
-func regionBench(b *testing.B) (*Engine, *query.Query, Assignment, []float32) {
+// regionBench is one 64 KiB region of VPIC Energy (the benchmark
+// workloads' column and region size) behind a warm engine of the given
+// strategy, and a window selecting 16 % of it that touches ten sure bins
+// and two candidate bins of the region's bitmap index (9.4 KB of index
+// against the 64 KiB of data).
+func regionBench(b *testing.B, s Strategy) (*Engine, *query.Query, Assignment, []float32) {
 	const n = 1 << 14
-	f := buildFixture(b, []string{"Energy"}, func(_ string, i int) float32 { return float32(i%1000) / 10 }, n, n, false, false)
-	e, _ := f.engine(Histogram)
-	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 42), query.Leaf(1, query.OpLT, 43))}
-	if _, err := e.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
+	energy := workload.GenerateVPIC(n, 1).Vars["Energy"]
+	f := buildFixture(b, []string{"Energy"}, func(_ string, i int) float32 { return energy[i] }, n, n, true, false)
+	// Import keeps the index directory in the region metadata.
+	rm := &f.objs[1].Regions[0]
+	raw, err := f.st.ReadAll(nil, rm.IndexKey)
+	if err != nil {
 		b.Fatal(err)
+	}
+	if rm.IndexDir, err = bitindex.DecodeDirectory(raw); err != nil {
+		b.Fatal(err)
+	}
+	e, _ := f.engine(s)
+	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 0.35), query.Leaf(1, query.OpLT, 1.45))}
+	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if want := len(f.truth(q)); int(res.Sel.NHits) != want || want == 0 {
+		b.Fatalf("%v: %d hits, want %d", s, res.Sel.NHits, want)
+	}
+	if s == HistogramIndex && (res.Stats.IndexBinsRead != 12 || res.Stats.CandChecks == 0) {
+		b.Fatalf("window touches %d bins with %d candidate checks, want 12 bins and some checks", res.Stats.IndexBinsRead, res.Stats.CandChecks)
 	}
 	b.SetBytes(n * 4)
 	b.ReportAllocs()
@@ -61,36 +83,39 @@ func regionBench(b *testing.B) (*Engine, *query.Query, Assignment, []float32) {
 	return e, q, f.fullAssign(), f.data[1]
 }
 
+func benchEvaluate(b *testing.B, s Strategy, need Need) {
+	e, q, assign, _ := regionBench(b, s)
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Evaluate(q, assign, need); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEvalRegionScan is the whole per-region cost of an ids
 // statement — prune, task, scan into scratch, exact-size copy, merge —
 // which BenchmarkScanKernelFloat32 (a reused out buffer) never showed.
-func BenchmarkEvalRegionScan(b *testing.B) {
-	e, q, assign, _ := regionBench(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(q, assign, NeedCoords); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEvalRegionScan(b *testing.B) { benchEvaluate(b, Histogram, NeedCoords) }
 
 // BenchmarkEvalRegionCount is the same region under a count statement:
 // the counting kernel, no hit list.
-func BenchmarkEvalRegionCount(b *testing.B) {
-	e, q, assign, _ := regionBench(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(q, assign, NeedCount); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEvalRegionCount(b *testing.B) { benchEvaluate(b, Histogram, NeedCount) }
+
+// BenchmarkEvalRegionIndexIDs and BenchmarkEvalRegionIndexCount are the
+// same statements resolved from the region's bitmap index: twelve bins
+// ORed into the dense bitset, the two boundary bins checked against the
+// data, then the coordinates emitted — or, for the count, a popcount.
+func BenchmarkEvalRegionIndexIDs(b *testing.B) { benchEvaluate(b, HistogramIndex, NeedCoords) }
+
+func BenchmarkEvalRegionIndexCount(b *testing.B) { benchEvaluate(b, HistogramIndex, NeedCount) }
 
 var ceilingSink int
 
-// BenchmarkScanCeiling is the machine ceiling the two above are read
+// BenchmarkScanCeiling is the machine ceiling the four above are read
 // against: a plain loop over the same bytes with the same bounds.
 func BenchmarkScanCeiling(b *testing.B) {
-	_, _, _, vals := regionBench(b)
-	lo, hi := float32(42), float32(43)
+	_, _, _, vals := regionBench(b, Histogram)
+	lo, hi := float32(0.35), float32(1.45)
 	for i := 0; i < b.N; i++ {
 		hits := 0
 		for _, x := range vals {

@@ -301,10 +301,12 @@ func (e *Engine) flushCacheTraffic(t *CacheTraffic) {
 type Need uint8
 
 const (
-	// NeedCount asks for the number of hits only. Conjuncts of one
-	// condition are counted without a hit list; longer ones keep hits
-	// only to probe them. Result.Sel is count-only unless the evaluation
-	// had to build coordinates anyway (OR dedup, the sorted path).
+	// NeedCount asks for the number of hits only. On the scan path
+	// conjuncts of one condition are counted without a hit list and
+	// longer ones keep hits only to probe them; the index path counts
+	// the bits of its result. Result.Sel is count-only unless the
+	// evaluation had to build coordinates anyway (OR dedup, the sorted
+	// path).
 	NeedCount Need = iota
 	// NeedCoords asks for the matching coordinates.
 	NeedCoords
@@ -557,9 +559,9 @@ func (e *Engine) evalConjunct(tok *sched.Token, cp *ConjunctPlan, q *query.Query
 	anchor *object.Object, orig []int, sorted []int, need Need, stats *Stats,
 	cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
 
-	order := e.orderConditions(c)
-	if po := cp.planOrder(c); po != nil {
-		order = po
+	order := cp.planOrder(c)
+	if order == nil {
+		order = e.orderConditions(c)
 	}
 	useSorted := e.Strategy == SortedHistogram
 	if cp != nil {
@@ -741,8 +743,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		var hits []uint64
 		var err error
 		if useIndex {
-			hits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, base, taskRuns[i], sc, &res.stats, res.condLog)
-			res.nhits = int64(len(hits))
+			hits, res.nhits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, base, taskRuns[i], need, sc, &res.stats, res.condLog)
 		} else {
 			hits, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, base, taskRuns[i], need, sc, &res.stats, res.condLog)
 		}
@@ -876,72 +877,77 @@ func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pre
 }
 
 // evalRegionIndex resolves every condition from the per-region bitmap
-// indexes, ANDing the bitmaps; conditions on regions without an index
-// fall back to scan/probe semantics. Like evalRegionScan it returns
-// absolute coordinates held in sc.
+// indexes into a dense bitset over the region's elements (sc.acc) and
+// ANDs the conditions word-wise; conditions on regions without an index
+// fall back to scan semantics. The spatial constraint is a range mask
+// on the result. Only then does it materialise what the request needs:
+// a popcount under NeedCount, else absolute coordinates held in sc like
+// evalRegionScan's.
 func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []object.ID, preds []pred, objs map[object.ID]*object.Object,
-	r int, base uint64, runs []localRun, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, error) {
+	r int, base uint64, runs []localRun, need Need, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, int64, error) {
 
-	// acc and scratch ping-pong through AndInto: after the first AND the
-	// fold recycles the previous accumulator's storage instead of
-	// allocating a bitmap per condition. Both always point at bitmaps this
-	// loop owns (the first bm or an AndInto result), never a caller's.
-	var acc, scratch *wah.Bitmap
+	// Every object of a conjunct shares the region decomposition; a bin
+	// encoded for another element count is refused by the kernel.
+	n := objs[order[0]].Regions[r].Region.NumElems()
+	words := wah.DenseWords(n)
+	sc.acc = zeroed(sc.acc, words)
+	acc := sc.acc
+	var nhits int64
 	for k, id := range order {
 		if err := tok.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		o := objs[id]
 		rm := &o.Regions[r]
-		var bm *wah.Bitmap
+		// The first condition lands in acc itself; later ones in cur,
+		// ANDed into acc below.
+		dst := acc
+		if k > 0 {
+			sc.cur = zeroed(sc.cur, words)
+			dst = sc.cur
+		}
 		if rm.IndexKey == "" {
 			// No index for this region: degrade to a scan of this
 			// condition (kept correct, costed as a raw read).
 			data, err := e.readRegion(o, r)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			all := []localRun{{Start: 0, Len: rm.Region.NumElems()}}
-			sc.hits = preds[k].scan(data, all, 0, sc.hits[:0])
-			stats.ElementsScanned += runsElems(all)
+			sc.hits = preds[k].scan(data, []localRun{{Start: 0, Len: n}}, 0, sc.hits[:0])
+			stats.ElementsScanned += int64(n)
 			if e.Acct != nil {
-				e.Acct.Charge(vclock.Compute, computeCost(runsElems(all), scanNsPerElem))
+				e.Acct.Charge(vclock.Compute, computeCost(int64(n), scanNsPerElem))
 			}
-			bm = wah.FromIndices(sc.hits, rm.Region.NumElems())
-		} else {
-			var err error
-			bm, err = e.evalIndexCondition(o, r, c[id], preds[k], stats)
-			if err != nil {
-				return nil, err
-			}
+			setBits(dst, sc.hits)
+		} else if err := e.evalIndexCondition(o, r, n, c[id], preds[k], sc, dst, stats); err != nil {
+			return nil, 0, err
 		}
-		condIn(cs, id, int64(rm.Region.NumElems()))
-		condOut(cs, id, int64(bm.Cardinality()))
-		if acc == nil {
-			acc = bm
-		} else {
-			acc, scratch = wah.AndInto(scratch, acc, bm), acc
+		nhits = popcount(dst)
+		condIn(cs, id, int64(n))
+		condOut(cs, id, nhits)
+		if k > 0 {
+			nhits = andInto(acc, dst)
 		}
-		if acc.Cardinality() == 0 {
-			return nil, nil // AND short-circuit
+		if nhits == 0 {
+			return nil, 0, nil // AND short-circuit
 		}
 	}
-	if acc == nil {
-		return nil, nil
+	if len(runs) != 1 || runs[0].Start != 0 || runs[0].Len < n {
+		keepRuns(acc, runs, n)
+		nhits = popcount(acc)
 	}
-	sc.hits = acc.ToIndicesInto(sc.hits)
-	// Apply the spatial constraint (runs cover the whole region when
-	// unconstrained, making filterRuns a no-op pass).
-	hits := filterRuns(sc.hits, runs)
-	for i := range hits {
-		hits[i] += base
+	if need == NeedCount || nhits == 0 {
+		return nil, nhits, nil
 	}
-	return hits, nil
+	sc.hits = appendSetBits(sc.hits, acc, base, nhits)
+	return sc.hits, nhits, nil
 }
 
-// evalIndexCondition reads the index directory and only the touched bins,
-// resolving boundary candidates against raw data when needed.
-func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, p pred, stats *Stats) (*wah.Bitmap, error) {
+// evalIndexCondition reads the index directory and only the touched
+// bins, and ORs into dst — a zeroed dense bitset over the region's nbits
+// elements — every element the condition surely matches plus the
+// boundary candidates that pass a check against raw data.
+func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv query.Interval, p pred, sc *scratch, dst []uint64, stats *Stats) error {
 	rm := &o.Regions[r]
 	// The directory usually lives in the region metadata (cached on all
 	// servers after metadata distribution); otherwise read its prefix
@@ -951,73 +957,73 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, iv query.Interval, 
 		dirLen := bitindex.DirectorySize(rm.IndexBins)
 		dirBytes, err := e.Store.Read(e.Acct, rm.IndexKey, 0, dirLen)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dir, err = bitindex.DecodeDirectory(dirBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	sure, cands := dir.Select(iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
-	nbits := rm.Region.NumElems()
+	sc.sure, sc.cands = dir.Select(sc.sure[:0], sc.cands[:0], iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
+	sure, cands := sc.sure, sc.cands
 	if len(sure) == 0 && len(cands) == 0 {
-		return wah.Empty(nbits), nil
+		return nil
 	}
-	// Read the touched bins' blobs in one aggregated request.
-	bins := make([]int, 0, len(sure)+len(cands))
-	bins = append(append(bins, sure...), cands...)
-	ranges := make([]simio.Range, len(bins))
+	// Read the touched bins' blobs in one aggregated request: the sure
+	// bins, then the candidates.
+	sc.ranges = sc.ranges[:0]
 	var blobBytes int64
-	for i, b := range bins {
-		db := dir.Bins[b]
-		ranges[i] = simio.Range{Off: db.BlobOff, Len: db.BlobLen}
-		blobBytes += db.BlobLen
+	for _, bins := range [2][]int{sure, cands} {
+		for _, b := range bins {
+			db := dir.Bins[b]
+			sc.ranges = append(sc.ranges, simio.Range{Off: db.BlobOff, Len: db.BlobLen})
+			blobBytes += db.BlobLen
+		}
 	}
-	stats.IndexBinsRead += int64(len(bins))
+	stats.IndexBinsRead += int64(len(sc.ranges))
 	stats.IndexBytesRead += blobBytes
-	blobs, err := e.Store.ReadRanges(e.Acct, rm.IndexKey, ranges)
+	var err error
+	sc.blobs, err = e.Store.ReadRanges(sc.blobs, e.Acct, rm.IndexKey, sc.ranges)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// The pooled scratch must not pin extents beyond this call.
+	defer clear(sc.blobs)
 	if e.Acct != nil {
 		e.Acct.Charge(vclock.Compute, time.Duration(blobBytes/1024+1)*decodeCostPerKB)
 	}
-	parts := make([]*wah.Bitmap, 0, len(sure))
-	for i := range sure {
-		bm, err := bitindex.DecodeBin(blobs[i])
-		if err != nil {
-			return nil, err
+	for _, blob := range sc.blobs[:len(sure)] {
+		if err := wah.OrEncodedInto(dst, nbits, blob); err != nil {
+			return fmt.Errorf("exec: index %s: %w", rm.IndexKey, err)
 		}
-		parts = append(parts, bm)
-	}
-	acc := wah.OrAll(parts)
-	if acc == nil {
-		acc = wah.Empty(nbits)
 	}
 	if len(cands) > 0 {
 		// Candidate bins need the raw data (rare: only when a query
 		// boundary value actually occurs in the data).
 		data, err := e.readRegion(o, r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var extra []uint64
-		for i := range cands {
-			bm, err := bitindex.DecodeBin(blobs[len(sure)+i])
-			if err != nil {
-				return nil, err
+		if uint64(o.Type.Count(len(data))) < nbits {
+			return fmt.Errorf("exec: region %s holds %d elements, index covers %d", rm.ExtentKey, o.Type.Count(len(data)), nbits)
+		}
+		sc.cand = zeroed(sc.cand, len(dst))
+		for _, blob := range sc.blobs[len(sure):] {
+			if err := wah.OrEncodedInto(sc.cand, nbits, blob); err != nil {
+				return fmt.Errorf("exec: index %s: %w", rm.IndexKey, err)
 			}
-			bm.ForEach(func(idx uint64) { extra = append(extra, idx) })
 		}
-		stats.CandChecks += int64(len(extra))
-		extra = p.probe(data, 0, extra)
+		// Bins partition the region, so the candidates' union counts
+		// each checked element once.
+		checks := popcount(sc.cand)
+		sc.hits = appendSetBits(sc.hits, sc.cand, 0, checks)
+		setBits(dst, p.probe(data, 0, sc.hits))
+		stats.CandChecks += checks
 		if e.Acct != nil {
-			e.Acct.Charge(vclock.Compute, computeCost(stats.CandChecks, candNsPerElem))
+			e.Acct.Charge(vclock.Compute, computeCost(checks, candNsPerElem))
 		}
-		slices.Sort(extra)
-		acc = wah.Or(acc, wah.FromIndices(extra, nbits))
 	}
-	return acc, nil
+	return nil
 }
 
 // shHit carries one PDC-SH match: the original coordinate plus the
@@ -1378,7 +1384,7 @@ func (e *Engine) probeRead(o *object.Object, r int, local []uint64, regionElems 
 	for k, lidx := range local {
 		ranges[k] = simio.Range{Off: int64(lidx) * es, Len: es}
 	}
-	blobs, err = e.Store.ReadRanges(e.Acct, key, ranges)
+	blobs, err = e.Store.ReadRanges(nil, e.Acct, key, ranges)
 	return nil, blobs, err
 }
 

@@ -1,0 +1,303 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pdcquery/internal/bitindex"
+	"pdcquery/internal/dtype"
+	"pdcquery/internal/histogram"
+	"pdcquery/internal/object"
+	"pdcquery/internal/query"
+	"pdcquery/internal/region"
+	"pdcquery/internal/sched"
+	"pdcquery/internal/simio"
+	"pdcquery/internal/vclock"
+	"pdcquery/internal/wah"
+)
+
+// typedFixture is buildFixture for objects of any element type: one 1-D
+// object per type over the same n elements, each region indexed except
+// those in noIndex. dirInMeta keeps the index directory in the region
+// metadata (what import does); otherwise the engine reads it from the
+// index extent.
+type typedFixture struct {
+	st   *simio.Store
+	objs map[object.ID]*object.Object
+	vals map[object.ID][]float64 // what the oracle sees: float64(v)
+	n    int
+}
+
+func buildTypedFixture(rng *rand.Rand, types []dtype.Type, n int, regionElems uint64, noIndex map[int]bool, dirInMeta bool) *typedFixture {
+	f := &typedFixture{
+		st: simio.New(simio.DefaultModel()), n: n,
+		objs: map[object.ID]*object.Object{}, vals: map[object.ID][]float64{},
+	}
+	for oi, typ := range types {
+		id := object.ID(oi + 1)
+		raw := make([]byte, n*typ.Size())
+		// A few hundred distinct values, so query bounds drawn from the
+		// data land on elements (candidate bins) and bins hold runs.
+		scale := 50 + rng.Float64()*500
+		for i := 0; i < n; i++ {
+			v := math.Round(rng.NormFloat64()*scale) / 4
+			if typ.IsFloat() && rng.Intn(400) == 0 {
+				v = math.NaN()
+			}
+			dtype.Put(typ, raw, i, v)
+			f.vals[id] = append(f.vals[id], dtype.At(typ, raw, i))
+		}
+		o := &object.Object{ID: id, Name: typ.String(), Type: typ, Dims: []uint64{uint64(n)}}
+		for ri, r := range region.Split1D(uint64(n), regionElems) {
+			part := raw[int(r.Offset[0])*typ.Size() : int(r.Offset[0]+r.Count[0])*typ.Size()]
+			key := object.ExtentKey(id, ri)
+			f.st.Write(nil, key, simio.PFS, part)
+			mn, mx := dtype.MinMax(typ, part)
+			rm := object.RegionMeta{
+				Index: ri, Region: r, ExtentKey: key, Tier: simio.PFS,
+				Min: mn, Max: mx, Hist: histogram.BuildBytes(typ, part, 32),
+			}
+			if !noIndex[ri] {
+				x := bitindex.Build(typ, part, 2)
+				rm.IndexKey = object.IndexExtentKey(id, ri)
+				rm.IndexBins = len(x.Bins)
+				f.st.Write(nil, rm.IndexKey, simio.PFS, x.Encode())
+				if dirInMeta {
+					rm.IndexDir = x.Directory()
+				}
+			}
+			o.Regions = append(o.Regions, rm)
+		}
+		f.objs[id] = o
+	}
+	return f
+}
+
+func (f *typedFixture) engine(s Strategy, workers int) (*Engine, *vclock.Account) {
+	a := vclock.NewAccount()
+	e := &Engine{
+		Store: f.st, Acct: a, Strategy: s, Cache: NewCache(1 << 30),
+		Lookup: func(id object.ID) (*object.Object, bool) { o, ok := f.objs[id]; return o, ok },
+	}
+	if workers > 0 {
+		e.Pool = sched.NewPool(workers)
+	}
+	return e, a
+}
+
+func (f *typedFixture) assign() Assignment {
+	var a Assignment
+	for i := range f.objs[1].Regions {
+		a.Orig = append(a.Orig, i)
+	}
+	return a
+}
+
+// randInterval draws bounds from the object's own values (so they hit
+// boundary bins), with open, closed and missing ends.
+func (f *typedFixture) randInterval(rng *rand.Rand, id object.ID) query.Interval {
+	pick := func() float64 {
+		for {
+			if v := f.vals[id][rng.Intn(f.n)]; !math.IsNaN(v) {
+				return v + float64(rng.Intn(3)-1)*0.125*float64(rng.Intn(2))
+			}
+		}
+	}
+	lo, hi := pick(), pick()
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	iv := query.Interval{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
+	switch rng.Intn(6) {
+	case 0:
+		iv.Lo, iv.LoIncl = math.Inf(-1), false
+	case 1:
+		iv.Hi, iv.HiIncl = math.Inf(1), false
+	}
+	return iv
+}
+
+func between(id object.ID, iv query.Interval) *query.Node {
+	return query.Between(id, iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
+}
+
+// TestIndexPathDifferential holds the index path to the scan path and to
+// a plain Interval.Contains loop: count and ids, over float32, float64
+// and int32 regions whose lengths are multiples of neither 31 nor 64,
+// with open and closed ends, with and without a spatial constraint, one
+// region without an index, the directory in metadata and in storage,
+// and conjuncts of one to three conditions (some of which short-circuit).
+func TestIndexPathDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	types := []dtype.Type{dtype.Float32, dtype.Float64, dtype.Int32}
+	for trial := 0; trial < 12; trial++ {
+		n := 2500 + rng.Intn(1500)
+		f := buildTypedFixture(rng, types, n, uint64(600+rng.Intn(300)), map[int]bool{2: true}, trial%2 == 0)
+		for k := 0; k < 25; k++ {
+			ids := []object.ID{1, 2, 3}
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			ids = ids[:1+rng.Intn(3)]
+			conds := map[object.ID]query.Interval{}
+			var root *query.Node
+			for ci, id := range ids {
+				iv := f.randInterval(rng, id)
+				if ci > 0 && rng.Intn(5) == 0 {
+					iv = query.Interval{Lo: 1e9, Hi: 2e9} // no hit: short-circuits
+				}
+				conds[id] = iv
+				if root == nil {
+					root = between(id, iv)
+				} else {
+					root = query.And(root, between(id, iv))
+				}
+			}
+			q := &query.Query{Root: root}
+			lo, hi := 0, n
+			if rng.Intn(2) == 0 {
+				lo = rng.Intn(n)
+				hi = lo + 1 + rng.Intn(n-lo)
+				q.SetRegion(region.New([]uint64{uint64(lo)}, []uint64{uint64(hi - lo)}))
+			}
+			var want []uint64
+			for i := lo; i < hi; i++ {
+				ok := true
+				for id, iv := range conds {
+					ok = ok && iv.Contains(f.vals[id][i])
+				}
+				if ok {
+					want = append(want, uint64(i))
+				}
+			}
+			label := fmt.Sprintf("trial %d query %d (%v in [%d,%d))", trial, k, q.Root, lo, hi)
+			for _, s := range []Strategy{HistogramIndex, Histogram} {
+				e, _ := f.engine(s, 0)
+				res, err := e.Evaluate(q, f.assign(), NeedCoords)
+				if err != nil {
+					t.Fatalf("%s %v ids: %v", label, s, err)
+				}
+				if !slices.Equal(res.Sel.Coords, want) {
+					t.Fatalf("%s %v: %d ids, want %d", label, s, len(res.Sel.Coords), len(want))
+				}
+				res, err = e.Evaluate(q, f.assign(), NeedCount)
+				if err != nil {
+					t.Fatalf("%s %v count: %v", label, s, err)
+				}
+				if res.Sel.NHits != uint64(len(want)) {
+					t.Fatalf("%s %v: count %d, want %d", label, s, res.Sel.NHits, len(want))
+				}
+				if s == HistogramIndex && res.Sel.Coords != nil {
+					t.Fatalf("%s: select count materialised %d coordinates on the index path", label, len(res.Sel.Coords))
+				}
+			}
+		}
+	}
+}
+
+// TestCorruptIndexExtentIsTypedError damages one bin of one region's
+// index extent in storage: the query fails with wah.ErrCorrupt, serially
+// and under a worker pool, and never panics or answers.
+func TestCorruptIndexExtentIsTypedError(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	f := buildTypedFixture(rng, []dtype.Type{dtype.Float32}, 4000, 1000, nil, true)
+	rm := &f.objs[1].Regions[1]
+	q := &query.Query{Root: query.Leaf(1, query.OpGT, -1e12)} // touches every bin
+	damage := map[string]func(blob []byte){
+		"truncated word count": func(blob []byte) { blob[8]-- },
+		"lying bit count":      func(blob []byte) { blob[0]++ },
+		"overrunning fill":     func(blob []byte) { copy(blob[12:], []byte{0xff, 0xff, 0x00, 0x80}) },
+	}
+	for name, corrupt := range damage {
+		raw, err := f.st.ReadAll(nil, rm.IndexKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, enc := raw.Clone(), raw.Clone()
+		bin := rm.IndexDir.Bins[len(rm.IndexDir.Bins)/2]
+		corrupt(enc[bin.BlobOff : bin.BlobOff+bin.BlobLen])
+		f.st.Write(nil, rm.IndexKey, simio.PFS, enc)
+		for _, workers := range []int{1, 4} {
+			e, _ := f.engine(HistogramIndex, workers)
+			for _, need := range []Need{NeedCount, NeedCoords} {
+				if _, err := e.Evaluate(q, f.assign(), need); !errors.Is(err, wah.ErrCorrupt) {
+					t.Errorf("%s, %d workers: err = %v, want wah.ErrCorrupt", name, workers, err)
+				}
+			}
+		}
+		f.st.Write(nil, rm.IndexKey, simio.PFS, orig)
+	}
+	e, _ := f.engine(HistogramIndex, 4)
+	if res, err := e.Evaluate(q, f.assign(), NeedCount); err != nil || res.Sel.NHits == 0 {
+		t.Fatalf("restored index: %v", err)
+	}
+}
+
+// TestCandidateChecksChargedPerCondition: each index condition pays
+// candNsPerElem for its own boundary candidates only, so a conjunct's
+// Compute charge is the sum of its conditions evaluated alone.
+func TestCandidateChecksChargedPerCondition(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	f := buildTypedFixture(rng, []dtype.Type{dtype.Float32, dtype.Float32}, 2000, 2000, nil, true)
+	compute := func(root *query.Node) (vclockNs int64, checks int64) {
+		e, a := f.engine(HistogramIndex, 0)
+		res, err := e.Evaluate(&query.Query{Root: root}, f.assign(), NeedCoords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sel.NHits == 0 {
+			t.Fatalf("%v: no hit, the conjunct would short-circuit", root)
+		}
+		return a.Cost().Part(vclock.Compute).Nanoseconds(), res.Stats.CandChecks
+	}
+	// Bounds strictly inside the data's range fall inside a bin's
+	// observed extrema, so both ends are candidate bins.
+	c1 := query.Between(1, -40.1, 60.1, true, true)
+	c2 := query.Between(2, -70.1, 30.1, true, true)
+	ns1, checks1 := compute(c1)
+	ns2, checks2 := compute(c2)
+	if checks1 < 2 || checks2 < 2 {
+		t.Fatalf("fixture has no candidates to charge: %d and %d checks", checks1, checks2)
+	}
+	ns, checks := compute(query.And(c1, c2))
+	if checks != checks1+checks2 {
+		t.Fatalf("conjunct made %d candidate checks, want %d+%d", checks, checks1, checks2)
+	}
+	if ns != ns1+ns2 {
+		t.Errorf("conjunct Compute charge = %d ns, want %d + %d = %d", ns, ns1, ns2, ns1+ns2)
+	}
+}
+
+// TestPlanOrderSkipsSelectivityOrdering: a conjunct whose plan carries a
+// valid order never consults the global histograms; without one the
+// engine orders by them.
+func TestPlanOrderSkipsSelectivityOrdering(t *testing.T) {
+	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 4000, 1000, true, false)
+	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 1.0), query.Between(2, 50, 250, false, false))}
+	want := f.truth(q)
+	run := func(plan *QueryPlan) (globalCalls int) {
+		e, _ := f.engine(Histogram)
+		global := e.Global
+		e.Global = func(id object.ID) *histogram.Histogram { globalCalls++; return global(id) }
+		e.Plan = plan
+		res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Sel.Coords, want) {
+			t.Fatalf("plan %v: wrong answer", plan)
+		}
+		return globalCalls
+	}
+	if n := run(&QueryPlan{Conjuncts: []ConjunctPlan{{Order: []object.ID{2, 1}}}}); n != 0 {
+		t.Errorf("plan order given, yet Global was called %d times", n)
+	}
+	if n := run(nil); n == 0 {
+		t.Error("no plan, yet Global was never consulted")
+	}
+	if n := run(&QueryPlan{Conjuncts: []ConjunctPlan{{Order: []object.ID{2}}}}); n == 0 {
+		t.Error("malformed plan order, yet Global was never consulted")
+	}
+}

@@ -7,8 +7,12 @@ import (
 	"sync"
 	"unsafe"
 
+	"pdcquery/internal/bitindex"
 	"pdcquery/internal/dtype"
+	"pdcquery/internal/object"
 	"pdcquery/internal/query"
+	"pdcquery/internal/region"
+	"pdcquery/internal/simio"
 )
 
 // localRun is a contiguous run of local element indices [Start, Start+Len)
@@ -343,20 +347,33 @@ func (never) count([]byte, []localRun) int64                               { ret
 func (never) probe(_ []byte, _ uint64, hits []uint64) []uint64             { return hits[:0] }
 func (never) at([]byte, int) bool                                          { return false }
 
-// scratch is the per-task hit buffer. A region task takes one from the
-// pool, scans and probes into it, copies out an exact-size result, and
-// puts it back, so the worst-case buffer (8 B per scanned element) is
-// paid once per worker rather than once per region. The buffer never
-// carries state between tasks — every use starts from hits[:0] — so
-// which task gets which buffer cannot affect any result.
-type scratch struct{ hits []uint64 }
+// scratch is the per-task working memory. A region task takes one from
+// the pool, evaluates into it, copies out an exact-size result, and puts
+// it back, so the worst-case hit buffer (8 B per scanned element) and
+// the index path's bitsets are paid once per worker rather than once per
+// region. Nothing carries state between tasks — every use starts from
+// hits[:0], a zeroed bitset or an emptied list — so which task gets
+// which scratch cannot affect any result.
+type scratch struct {
+	hits []uint64
+	// The index path's dense bitsets over one region's elements,
+	// wah.DenseWords(n) words each (1/32 of the region's bytes for 4-byte
+	// elements): the conjunct's running AND, the condition being
+	// resolved, and its boundary candidates.
+	acc, cur, cand []uint64
+	// One index condition's touched bins and their reads.
+	sure, cands []int
+	ranges      []simio.Range
+	blobs       []dtype.ROBytes
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // KernelOps returns one steady-state call of each region kernel — scan
-// into a warm buffer, probe, count — over a fixed 64 KiB float32 region.
-// The allocation ratchet (pdc-benchdiff, and this package's tests) runs
-// them under testing.AllocsPerRun and pins all three at zero.
+// into a warm buffer, probe, count, and the index path's whole region
+// evaluation — over a fixed 64 KiB float32 region. The allocation
+// ratchet (pdc-benchdiff, and this package's tests) runs them under
+// testing.AllocsPerRun and pins all four at zero.
 func KernelOps() map[string]func() {
 	vals := make([]float32, 1<<14)
 	for i := range vals {
@@ -371,24 +388,35 @@ func KernelOps() map[string]func() {
 		"scanRegion":  func() { out = p.scan(data, runs, 0, out[:0]) },
 		"probeRegion": func() { p.probe(data, 0, hits[:copy(hits, out)]) },
 		"countRegion": func() { p.count(data, runs) },
+		"indexRegion": indexRegionOp(data, runs),
 	}
 }
 
-// filterRuns keeps the sorted local indices that fall inside the sorted,
-// disjoint runs (used to apply a spatial constraint to index results).
-func filterRuns(hits []uint64, runs []localRun) []uint64 {
-	out := hits[:0]
-	r := 0
-	for _, h := range hits {
-		for r < len(runs) && runs[r].Start+runs[r].Len <= h {
-			r++
-		}
-		if r == len(runs) {
-			break
-		}
-		if h >= runs[r].Start {
-			out = append(out, h)
+// indexRegionOp is one warm evalRegionIndex of the region, as a count
+// and as ids, for a window whose ends fall on values in the data: nine
+// sure bins and the two boundary bins as candidates.
+func indexRegionOp(data []byte, runs []localRun) func() {
+	const id = object.ID(1)
+	o := &object.Object{ID: id, Type: dtype.Float32, Dims: []uint64{runs[0].Len}}
+	st := simio.New(simio.DefaultModel())
+	x := bitindex.Build(o.Type, data, bitindex.DefaultPrecision)
+	rm := object.RegionMeta{
+		Region:    region.Split1D(runs[0].Len, runs[0].Len)[0],
+		ExtentKey: object.ExtentKey(id, 0), IndexKey: object.IndexExtentKey(id, 0),
+		IndexBins: len(x.Bins), IndexDir: x.Directory(),
+	}
+	st.Write(nil, rm.ExtentKey, simio.PFS, data)
+	st.Write(nil, rm.IndexKey, simio.PFS, x.Encode())
+	o.Regions = []object.RegionMeta{rm}
+	e := &Engine{Store: st, Cache: NewCache(1 << 20)}
+	c := query.Conjunct{id: {Lo: 20.5, Hi: 30.5, LoIncl: true, HiIncl: true}}
+	order := []object.ID{id}
+	objs := map[object.ID]*object.Object{id: o}
+	preds, _ := compilePreds(c, order, objs)
+	sc, stats := new(scratch), new(Stats)
+	return func() {
+		for _, need := range [2]Need{NeedCount, NeedCoords} {
+			_, _, _ = e.evalRegionIndex(nil, c, order, preds, objs, 0, 0, runs, need, sc, stats, nil)
 		}
 	}
-	return out
 }

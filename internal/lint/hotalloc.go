@@ -48,10 +48,7 @@ var HotAllocAnalyzer = NewHotAllocAnalyzer(embeddedHotAllocBudget(), HotAllocRoo
 // the patterns stable across the real module and test fixtures.
 var HotAllocRoots = []string{
 	"exec.Engine.Evaluate*",
-	"wah.And*",
 	"wah.Or*",
-	"wah.Xor",
-	"wah.Not",
 	"wah.Bitmap.ForEach",
 	"wah.Bitmap.ToIndices*",
 	"wah.Bitmap.Cardinality",

@@ -107,7 +107,17 @@ func (t *Tag) render(b *strings.Builder) {
 	b.WriteString("tag ")
 	b.WriteString(t.Key)
 	b.WriteString(" = ")
-	b.WriteString(strconv.Quote(t.Value))
+	// The lexer's string grammar, not Go's: \" and \\ are its only
+	// escapes, so anything strconv.Quote would spell differently (a tab,
+	// a non-printable byte) must go out as it is to parse back the same.
+	b.WriteByte('"')
+	for i := 0; i < len(t.Value); i++ {
+		if c := t.Value[i]; c == '"' || c == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(t.Value[i])
+	}
+	b.WriteByte('"')
 }
 
 func (l *Logic) render(b *strings.Builder) {

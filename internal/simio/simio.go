@@ -317,8 +317,10 @@ func (s *Store) ReadAll(a *vclock.Account, key string) (dtype.ROBytes, error) {
 // ReadRanges reads multiple byte ranges from one extent. When aggregation
 // is enabled, ranges whose gaps are at most AggGap are coalesced into a
 // single operation (one latency charge; gap bytes are charged for transfer,
-// modeling the over-read). Results are returned in the order requested.
-func (s *Store) ReadRanges(a *vclock.Account, key string, ranges []Range) ([]dtype.ROBytes, error) {
+// modeling the over-read). Results are returned in the order requested, in
+// dst's storage when it has the capacity (dst may be nil; a hot path hands
+// back the slice of its previous call).
+func (s *Store) ReadRanges(dst []dtype.ROBytes, a *vclock.Account, key string, ranges []Range) ([]dtype.ROBytes, error) {
 	s.mu.RLock()
 	e, ok := s.extents[key]
 	model := s.model
@@ -327,7 +329,7 @@ func (s *Store) ReadRanges(a *vclock.Account, key string, ranges []Range) ([]dty
 	if !ok {
 		return nil, fmt.Errorf("simio: extent %q not found", key)
 	}
-	out := make([]dtype.ROBytes, len(ranges))
+	out := slices.Grow(dst[:0], len(ranges))[:len(ranges)]
 	var want int64
 	for i, r := range ranges {
 		if r.Off < 0 || r.Len < 0 || r.Off+r.Len > int64(len(e.data)) {

@@ -140,7 +140,7 @@ func TestReadRangesAggregation(t *testing.T) {
 	// Three ranges: first two 50 bytes apart (merge), third 500 away (no merge).
 	ranges := []Range{{0, 100}, {150, 100}, {800, 100}}
 	a := vclock.NewAccount()
-	out, err := s.ReadRanges(a, "e", ranges)
+	out, err := s.ReadRanges(nil, a, "e", ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestReadRangesNoAggregation(t *testing.T) {
 	s := New(m)
 	s.Write(nil, "e", PFS, make([]byte, 1000))
 	a := vclock.NewAccount()
-	if _, err := s.ReadRanges(a, "e", []Range{{0, 10}, {10, 10}, {20, 10}}); err != nil {
+	if _, err := s.ReadRanges(nil, a, "e", []Range{{0, 10}, {10, 10}, {20, 10}}); err != nil {
 		t.Fatal(err)
 	}
 	// Even adjacent ranges stay separate ops without aggregation.
@@ -180,7 +180,7 @@ func TestReadRangesUnsortedInput(t *testing.T) {
 	s := New(testModel())
 	data := []byte("abcdefghij")
 	s.Write(nil, "e", Memory, data)
-	out, err := s.ReadRanges(nil, "e", []Range{{8, 2}, {0, 2}, {4, 2}})
+	out, err := s.ReadRanges(nil, nil, "e", []Range{{8, 2}, {0, 2}, {4, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +195,10 @@ func TestReadRangesUnsortedInput(t *testing.T) {
 func TestReadRangesOutOfBounds(t *testing.T) {
 	s := New(testModel())
 	s.Write(nil, "e", Memory, make([]byte, 10))
-	if _, err := s.ReadRanges(nil, "e", []Range{{5, 10}}); err == nil {
+	if _, err := s.ReadRanges(nil, nil, "e", []Range{{5, 10}}); err == nil {
 		t.Error("out-of-bounds range read succeeded")
 	}
-	if _, err := s.ReadRanges(nil, "missing", nil); err == nil {
+	if _, err := s.ReadRanges(nil, nil, "missing", nil); err == nil {
 		t.Error("missing extent ReadRanges succeeded")
 	}
 }

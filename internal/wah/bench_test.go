@@ -31,15 +31,6 @@ func BenchmarkFromIndicesSparse(b *testing.B) {
 	}
 }
 
-func BenchmarkAnd(b *testing.B) {
-	x := benchBitmap(1<<20, 0.01, 3)
-	y := benchBitmap(1<<20, 0.01, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		And(x, y)
-	}
-}
-
 func BenchmarkOrClustered(b *testing.B) {
 	var bd1, bd2 Builder
 	bd1.AppendRun(false, 1<<19)
@@ -60,4 +51,36 @@ func BenchmarkCardinality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.Cardinality()
 	}
+}
+
+// BenchmarkOrEncodedInto is the index path's per-bin cost: one bin of a
+// 16384-element region of continuous data (about one set bit in eighty,
+// so fills and literals alternate) ORed into the dense bitset. The copy
+// sub-benchmark moves the same bytes and is the floor to read it
+// against; both report ns per 32-bit WAH word.
+func BenchmarkOrEncodedInto(b *testing.B) {
+	const nbits = 1 << 14
+	blob := benchBitmap(nbits, 0.012, 6).Encode()
+	nwords := float64(len(blob)-12) / 4
+	perWord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nwords, "ns/word")
+	}
+	b.Run("kernel", func(b *testing.B) {
+		dst := make([]uint64, DenseWords(nbits))
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			if err := OrEncodedInto(dst, nbits, blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perWord(b)
+	})
+	b.Run("copy", func(b *testing.B) {
+		dst := make([]byte, len(blob))
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			copy(dst, blob)
+		}
+		perWord(b)
+	})
 }

@@ -17,11 +17,11 @@ func Example() {
 	fmt.Printf("bits: %d, set: %d, compressed size: %d bytes\n",
 		bm.NumBits(), bm.Cardinality(), bm.SizeBytes())
 
-	// Boolean algebra stays in compressed form.
-	other := wah.FromIndices([]uint64{999_999, 1_000_000}, bm.NumBits())
-	and := wah.And(bm, other)
-	fmt.Printf("intersection: %v\n", and.ToIndices())
+	// A union of two bitmaps stays in compressed form.
+	other := wah.FromIndices([]uint64{999_999}, bm.NumBits())
+	or := wah.Or(bm, other)
+	fmt.Printf("union: %d set, first %d\n", or.Cardinality(), or.ToIndices()[0])
 	// Output:
 	// bits: 2001000, set: 1000, compressed size: 20 bytes
-	// intersection: [1000000]
+	// union: 1001 set, first 999999
 }

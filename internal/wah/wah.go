@@ -291,9 +291,9 @@ func (it *groupIter) advance(n uint32) {
 	it.wi++
 }
 
-// binary2Into combines two bitmaps group-wise with the given 32-bit
-// operation, writing the result into dst when dst can be reused. Both
-// bitmaps must have the same logical length.
+// OrInto returns the bitwise OR of two equal-length bitmaps, combining
+// them group-wise and writing the result into dst when dst can be
+// reused.
 //
 // dst may be nil (a fresh bitmap is allocated, pre-sized to the worst
 // case so the builder never regrows). A non-nil dst must not share
@@ -301,8 +301,8 @@ func (it *groupIter) advance(n uint32) {
 // repeated combines allocation-free once the buffer is warm. Callers
 // that fold a chain of bitmaps ping-pong two accumulators:
 //
-//	acc, scratch = wah.AndInto(scratch, acc, bm), acc
-func binary2Into(dst, a, b *Bitmap, op func(x, y uint32) uint32) *Bitmap {
+//	acc, scratch = wah.OrInto(scratch, acc, bm), acc
+func OrInto(dst, a, b *Bitmap) *Bitmap {
 	if a.nbits != b.nbits {
 		panic(fmt.Sprintf("wah: length mismatch %d vs %d", a.nbits, b.nbits))
 	}
@@ -312,7 +312,7 @@ func binary2Into(dst, a, b *Bitmap, op func(x, y uint32) uint32) *Bitmap {
 	if dst != nil && dst != a && dst != b {
 		bd.words = dst.words[:0]
 	} else {
-		// Worst case: no run in either operand survives the op, so the
+		// Worst case: no run in either operand survives the OR, so the
 		// output holds at most one word per input word.
 		bd.words = make([]uint32, 0, len(a.words)+len(b.words))
 	}
@@ -320,18 +320,8 @@ func binary2Into(dst, a, b *Bitmap, op func(x, y uint32) uint32) *Bitmap {
 		fa, va, ga, la := ia.peek()
 		fb, vb, gb, lb := ib.peek()
 		if fa && fb {
-			n := ga
-			if gb < n {
-				n = gb
-			}
-			var x, y uint32
-			if va {
-				x = literalAll
-			}
-			if vb {
-				y = literalAll
-			}
-			bd.appendFill2(op(x, y), uint64(n))
+			n := min(ga, gb)
+			bd.appendFill(va || vb, uint64(n))
 			ia.advance(n)
 			ib.advance(n)
 			continue
@@ -353,7 +343,7 @@ func binary2Into(dst, a, b *Bitmap, op func(x, y uint32) uint32) *Bitmap {
 				y = 0
 			}
 		}
-		bd.appendGroup(op(x, y) & literalAll)
+		bd.appendGroup(x | y)
 		ia.advance(1)
 		ib.advance(1)
 	}
@@ -367,53 +357,8 @@ func binary2Into(dst, a, b *Bitmap, op func(x, y uint32) uint32) *Bitmap {
 	return dst
 }
 
-// appendFill2 appends n groups whose 31-bit payload is g (either all zeros
-// or all ones after an op on fills).
-func (bd *Builder) appendFill2(g uint32, n uint64) {
-	g &= literalAll
-	switch g {
-	case 0:
-		bd.appendFill(false, n)
-	case literalAll:
-		bd.appendFill(true, n)
-	default:
-		for i := uint64(0); i < n; i++ {
-			bd.words = append(bd.words, g)
-		}
-	}
-	bd.nbits += n * groupBits
-}
-
-func opAnd(x, y uint32) uint32    { return x & y }
-func opOr(x, y uint32) uint32     { return x | y }
-func opAndNot(x, y uint32) uint32 { return x &^ y }
-func opXor(x, y uint32) uint32    { return x ^ y }
-
-// And returns the bitwise AND of two equal-length bitmaps.
-func And(a, b *Bitmap) *Bitmap { return binary2Into(nil, a, b, opAnd) }
-
-// AndInto returns a AND b, reusing dst's storage when it has capacity.
-// dst may be nil and must not share storage with a or b.
-func AndInto(dst, a, b *Bitmap) *Bitmap { return binary2Into(dst, a, b, opAnd) }
-
 // Or returns the bitwise OR of two equal-length bitmaps.
-func Or(a, b *Bitmap) *Bitmap { return binary2Into(nil, a, b, opOr) }
-
-// OrInto returns a OR b, reusing dst's storage when it has capacity.
-// dst may be nil and must not share storage with a or b.
-func OrInto(dst, a, b *Bitmap) *Bitmap { return binary2Into(dst, a, b, opOr) }
-
-// AndNot returns a AND NOT b.
-func AndNot(a, b *Bitmap) *Bitmap { return binary2Into(nil, a, b, opAndNot) }
-
-// Xor returns the bitwise XOR of two equal-length bitmaps.
-func Xor(a, b *Bitmap) *Bitmap { return binary2Into(nil, a, b, opXor) }
-
-// Not returns the complement of b (within its logical length).
-func Not(b *Bitmap) *Bitmap {
-	f := Full(b.nbits)
-	return AndNot(f, b)
-}
+func Or(a, b *Bitmap) *Bitmap { return OrInto(nil, a, b) }
 
 // OrAll returns the union of the given bitmaps (nil for an empty list).
 // It folds with two ping-ponged accumulators, so the whole union costs
