@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryRequest -fuzztime=$(FUZZTIME) ./internal/server/
 
 # One benchmark per paper figure + ablations + throughput benches.
 bench:

@@ -187,9 +187,9 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		pdcquery.StrategyFullScan, pdcquery.StrategyHistogram,
 		pdcquery.StrategyIndex, pdcquery.StrategySorted,
 	} {
-		b.Run(strat.String(), func(b *testing.B) {
+		b.Run(strat.Label(), func(b *testing.B) {
 			d := pdcquery.NewDeployment(pdcquery.Options{
-				Servers: 4, RegionBytes: 64 << 10, Strategy: strat, BuildIndex: true,
+				Servers: 4, RegionBytes: 64 << 10, BuildIndex: true,
 			})
 			cont := d.CreateContainer("vpic")
 			var energy pdcquery.ObjectID
@@ -213,6 +213,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
+			d.SetStrategy(strat)
 			q := pdcquery.NewQuery(pdcquery.Between(energy, 2.1, 2.2, false, false))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -29,7 +29,6 @@ import (
 
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
@@ -142,7 +141,7 @@ func main() {
 // buildSource imports the VPIC dataset into an in-proc deployment and
 // oracles the query corpus.
 func buildSource(particles int) (*core.Deployment, []*query.Query, []*selection.Selection) {
-	d := core.NewDeployment(core.Options{Servers: 2, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d := core.NewDeployment(core.Options{Servers: 2, RegionBytes: 8 << 10})
 	c := d.CreateContainer("cluster-smoke")
 	v := workload.GenerateVPIC(particles, 42)
 	ids := make(map[string]object.ID)

@@ -17,7 +17,8 @@
 //	pdc-query run "select count where ..."      execute a declarative
 //	                                            statement through the
 //	                                            cost-based planner
-//	                                            (-force pins the strategy)
+//	                                            (-force pins the strategy,
+//	                                            here and in -query mode)
 //	pdc-query explain "select ... where ..."    print the plan without
 //	                                            executing ("explain
 //	                                            analyze select ..." runs
@@ -69,7 +70,7 @@ func main() {
 	limit := flag.Int("limit", 10, "print at most this many matches")
 	countOnly := flag.Bool("count", false, "only report the number of hits")
 	explain := flag.Bool("explain", false, "print the evaluation plan (condition order + selectivity estimates) and exit")
-	forceStr := flag.String("force", "", "run/explain modes: pin the planner strategy (scan, bitmap, sorted; default cost-based)")
+	forceStr := flag.String("force", "", "pin the evaluation strategy: full, scan, bitmap, sorted or a paper label (PDC-F, PDC-H, PDC-HI, PDC-SH); auto is cost-based. Default: auto for run/explain statements, scan (PDC-H) for -query")
 	flag.CommandLine.Parse(args)
 	queryless := mode == "stats" || mode == "top" || mode == "events" ||
 		mode == "run" || mode == "explain"
@@ -146,6 +147,10 @@ func main() {
 		fatal(err)
 	}
 	meta := cli.Meta()
+	force, err := plan.ParseForce(*forceStr)
+	if err != nil {
+		fatal(err)
+	}
 
 	if mode == "run" || mode == "explain" {
 		text := strings.TrimSpace(strings.Join(flag.CommandLine.Args(), " "))
@@ -157,10 +162,6 @@ func main() {
 		}
 		if mode == "explain" && !strings.HasPrefix(strings.ToLower(strings.TrimSpace(text)), "explain") {
 			text = "explain " + text
-		}
-		force, err := plan.ParseForce(*forceStr)
-		if err != nil {
-			fatal(err)
 		}
 		res, err := cli.RunText(text, force)
 		if err != nil {
@@ -181,24 +182,27 @@ func main() {
 		fatal(err)
 	}
 	q := &query.Query{Root: root}
+	if *forceStr != "" {
+		cli.SetForce(force)
+	}
 
 	if mode == "trace" {
 		a, err := cli.ExplainAnalyze(q)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(a)
+		fmt.Print(a.Explain)
 		fmt.Println()
 		fmt.Print(a.Res.Trace().Render(true))
 		return
 	}
 
 	if *explain {
-		plan, err := cli.Explain(q)
+		pl, err := cli.Explain(q)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(plan)
+		fmt.Print(pl.Format(*qstr))
 		return
 	}
 

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"pdcquery/internal/cluster"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
 )
@@ -90,12 +89,11 @@ func runCatalog(addr string, seed uint64, r int, hbTimeout time.Duration, metric
 
 // runMember joins the catalog and serves queries until SIGINT/SIGTERM
 // or until the catalog commits a view without it (a drain).
-func runMember(catalogAddr, addr string, strat exec.Strategy, workers, queueDepth int, heartbeat time.Duration, metricsAddr string, recorderEvents int, queryLog bool) {
+func runMember(catalogAddr, addr string, workers, queueDepth int, heartbeat time.Duration, metricsAddr string, recorderEvents int, queryLog bool) {
 	opts := cluster.MemberOptions{
 		Net:            cluster.TCPNetwork{},
 		CatalogAddr:    catalogAddr,
 		ListenAddr:     addr,
-		Strategy:       strat,
 		Workers:        workers,
 		QueueDepth:     queueDepth,
 		Clock:          telemetry.Wall,

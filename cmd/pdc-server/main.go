@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"pdcquery/internal/core"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/server"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -36,7 +35,6 @@ func main() {
 	logn := flag.Int("logn", 18, "VPIC scale: 2^logn particles")
 	load := flag.String("load", "", "load a deployment checkpoint written by pdc-import -out instead of generating data")
 	seed := flag.Uint64("seed", 42, "dataset seed (must match across the deployment)")
-	strategy := flag.String("strategy", "PDC-H", "evaluation strategy: PDC-F, PDC-H, PDC-HI, PDC-SH")
 	regionKB := flag.Int64("region-kb", 64, "region size in KiB")
 	index := flag.Bool("index", true, "build bitmap indexes at import")
 	sorted := flag.Bool("sorted", true, "build the Energy sorted replica at import")
@@ -59,11 +57,6 @@ func main() {
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 2*time.Second, "catalog mode: declare a member down after this long without a beat (0 disables)")
 	flag.Parse()
 
-	strat, err := exec.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pdc-server:", err)
-		os.Exit(2)
-	}
 	if *catalogMode && *join != "" {
 		fmt.Fprintln(os.Stderr, "pdc-server: -catalog and -join are mutually exclusive")
 		os.Exit(2)
@@ -73,7 +66,7 @@ func main() {
 		return
 	}
 	if *join != "" {
-		runMember(*join, *addr, strat, *workers, *queueDepth, *heartbeat, *metricsAddr, *recorderEvents, *queryLog)
+		runMember(*join, *addr, *workers, *queueDepth, *heartbeat, *metricsAddr, *recorderEvents, *queryLog)
 		return
 	}
 	if *id < 0 || *id >= *n {
@@ -122,7 +115,7 @@ func main() {
 		Store:      d.Store(),
 		Meta:       d.Meta(),
 		Replicas:   d.Replicas(),
-		Strategy:   strat,
+		Assign:     server.ModNAssign(*id, *n),
 		Workers:    *workers,
 		QueueDepth: *queueDepth,
 		// The daemon is a real deployment: traced queries may carry
@@ -173,7 +166,7 @@ func main() {
 		l.Close()
 	}()
 
-	log.Printf("pdc-server rank %d/%d serving on %s (strategy %s)", *id, *n, l.Addr(), strat)
+	log.Printf("pdc-server rank %d/%d serving on %s", *id, *n, l.Addr())
 	var wg sync.WaitGroup
 	for {
 		conn, err := l.Accept()

@@ -26,7 +26,6 @@ func main() {
 
 	d := pdcquery.NewDeployment(pdcquery.Options{
 		Servers: 4, RegionBytes: 64 << 10, BuildIndex: true,
-		Strategy: pdcquery.StrategyHistogram,
 	})
 	cont := d.CreateContainer("simulation")
 	obj, err := d.CreateObject(cont.ID, pdcquery.Property{

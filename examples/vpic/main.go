@@ -75,7 +75,7 @@ func main() {
 		}
 		_ = data
 		fmt.Printf("%-8s %12v %12v %10d %10d\n",
-			s, res.Info.Elapsed.Total(), dinfo.Elapsed.Total(),
+			s.Label(), res.Info.Elapsed.Total(), dinfo.Elapsed.Total(),
 			res.Sel.NHits, res.Info.Stats.RegionsPruned)
 	}
 
@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lo, hi := h.SelectivityBounds(2.5, 1e9, false, false)
-	fmt.Printf("\nglobal histogram: %d bins, estimated selectivity of Energy > 2.5: %.4f%%..%.4f%%\n",
-		h.NumBins(), 100*lo, 100*hi)
+	lo, hi := h.Estimate(2.5, 1e9, false, false)
+	fmt.Printf("\nglobal histogram: %d bins, estimated hits of Energy > 2.5: %d..%d of %d\n",
+		h.NumBins(), lo, hi, h.Total)
 }

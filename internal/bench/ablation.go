@@ -7,8 +7,8 @@ import (
 
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/workload"
@@ -35,7 +35,7 @@ func AblationAggregation(c Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	defer d.Close()
-	d.SetStrategy(exec.HistogramIndex)
+	d.SetStrategy(plan.ForceBitmap)
 	q := &query.Query{Root: query.Between(ids.Energy, 2.1, 2.4, false, false)}
 
 	var rows []AblationRow
@@ -74,7 +74,6 @@ func AblationGlobalHistogram(c Config) ([]AblationRow, error) {
 	for _, disable := range []bool{false, true} {
 		d := core.NewDeployment(core.Options{
 			Servers: c.Servers, RegionBytes: rs.Bytes, DisableHistograms: disable,
-			Strategy: exec.Histogram,
 		})
 		cont := d.CreateContainer("vpic")
 		ids := map[string]object.ID{}
@@ -180,7 +179,7 @@ func AblationCompanions(c Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.SetStrategy(exec.SortedHistogram)
+		d.SetStrategy(plan.ForceSorted)
 		q := workload.MultiObjectQueries(ids.Energy, ids.X, ids.Y, ids.Z)[0]
 		res, err := d.Client().Run(q)
 		if err != nil {
@@ -217,7 +216,7 @@ func AblationTiering(c Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	defer d.Close()
-	d.SetStrategy(exec.Histogram)
+	d.SetStrategy(plan.ForceScan)
 	q := &query.Query{Root: query.Between(ids.Energy, 2.1, 2.4, false, false)}
 
 	var rows []AblationRow

@@ -29,8 +29,8 @@ import (
 
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/workload"
 )
@@ -88,12 +88,12 @@ func DefaultConfig() Config {
 // Approaches in plot order.
 var Approaches = []string{"HDF5-F", "PDC-F", "PDC-H", "PDC-HI", "PDC-SH"}
 
-// pdcStrategies maps approach labels to engine strategies.
-var pdcStrategies = map[string]exec.Strategy{
-	"PDC-F":  exec.FullScan,
-	"PDC-H":  exec.Histogram,
-	"PDC-HI": exec.HistogramIndex,
-	"PDC-SH": exec.SortedHistogram,
+// pdcStrategies maps approach labels to forcings.
+var pdcStrategies = map[string]plan.Force{
+	"PDC-F":  plan.ForceFull,
+	"PDC-H":  plan.ForceScan,
+	"PDC-HI": plan.ForceBitmap,
+	"PDC-SH": plan.ForceSorted,
 }
 
 // RegionSweep returns the Fig. 3 region sizes for a dataset of n

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"pdcquery/internal/baseline"
-	"pdcquery/internal/exec"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/workload"
 )
 
@@ -118,7 +118,7 @@ func Fig3Run(c Config) ([]Fig3Row, error) {
 					regionRows[k].GetDataTime[name] = dinfo.Elapsed.Total()
 				}
 			}
-			if strat == exec.FullScan {
+			if strat == plan.ForceFull {
 				// Amortized accounting for the full-scan approach: the
 				// initial read is shared by the whole batch.
 				var total time.Duration

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"pdcquery/internal/baseline"
-	"pdcquery/internal/exec"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/workload"
 )
 
@@ -82,7 +82,7 @@ func Fig4Run(c Config) ([]Fig4Row, error) {
 				rows[k].GetDataTime[name] = dinfo.Elapsed.Total()
 			}
 		}
-		if strat == exec.FullScan {
+		if strat == plan.ForceFull {
 			var total time.Duration
 			for _, t := range times {
 				total += t

@@ -9,7 +9,6 @@ import (
 
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/workload"
@@ -62,7 +61,7 @@ func PlanCacheRun(c Config) ([]PlanCacheRow, error) {
 	model := scaledModel(n)
 
 	d := core.NewDeployment(core.Options{
-		Servers: 4, Strategy: exec.Histogram, RegionBytes: rs.Bytes,
+		Servers: 4, RegionBytes: rs.Bytes,
 		BuildIndex: true, Model: &model,
 	})
 	defer d.Close()

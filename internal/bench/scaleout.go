@@ -10,7 +10,6 @@ import (
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
@@ -54,7 +53,7 @@ func ScaleoutRun(c Config) ([]ScaleoutRow, error) {
 	// The source deployment holds the dataset at the swept region size
 	// and doubles as the brute-force oracle.
 	src := core.NewDeployment(core.Options{
-		Servers: 2, Strategy: exec.Histogram, RegionBytes: rs.Bytes, Model: &model,
+		Servers: 2, RegionBytes: rs.Bytes, Model: &model,
 	})
 	defer src.Close()
 	cont := src.CreateContainer("scaleout")
@@ -101,8 +100,7 @@ func scaleoutOne(c Config, p int, src *core.Deployment, queries []*query.Query, 
 	n := 1 << c.LogN
 	model := scaledModel(n)
 	l, err := cluster.StartLocal(cluster.LocalOptions{
-		Members: p, R: 2, Seed: c.Seed,
-		Strategy: exec.Histogram, Model: &model,
+		Members: p, R: 2, Seed: c.Seed, Model: &model,
 	})
 	if err != nil {
 		return ScaleoutRow{}, err

@@ -142,7 +142,7 @@ func TestBusyRetryDeadServerTerminal(t *testing.T) {
 // error, never a busy-retry cycle.
 func TestBusyRetryShutdownServerImmediate(t *testing.T) {
 	meta := metadata.NewService()
-	srv := server.New(server.Config{ID: 0, N: 1, Meta: meta, Clock: telemetry.Frozen(42)})
+	srv := server.New(server.Config{ID: 0, N: 1, Meta: meta, Assign: server.ModNAssign(0, 1), Clock: telemetry.Frozen(42)})
 	clientSide, serverSide := transport.Pipe()
 	go func() {
 		srv.Serve(serverSide)

@@ -24,6 +24,7 @@ import (
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -124,13 +125,15 @@ type Client struct {
 	// query never spans two placements.
 	epoch    uint64
 	useEpoch bool
+	// force is the forcing stamped on every binary query (SetForce).
+	force plan.Force
 	// router, when set, overrides the static region→server mapping for
 	// get-data requests (cluster mode routes each region to its
 	// placement primary instead of region mod N).
 	router func(o *object.Object, region int) int
-	budget      time.Duration // virtual-time deadline stamped on requests; 0 = none
-	wg          sync.WaitGroup
-	closed      bool
+	budget time.Duration // virtual-time deadline stamped on requests; 0 = none
+	wg     sync.WaitGroup
+	closed bool
 }
 
 type reply struct {
@@ -150,6 +153,7 @@ func New(conns []transport.Conn, meta *metadata.Service) *Client {
 		meta:        meta,
 		sleeper:     telemetry.NoSleep,
 		busyRetries: busyMaxRetries,
+		force:       plan.ForceScan,
 		nextReq:     1,
 		pending:     make(map[uint64]chan reply),
 		downErr:     make([]error, len(conns)),
@@ -258,6 +262,16 @@ func (c *Client) SetEpoch(epoch uint64) {
 	c.mu.Lock()
 	c.epoch = epoch
 	c.useEpoch = true
+	c.mu.Unlock()
+}
+
+// SetForce sets the forcing stamped on every subsequent binary query
+// (Run, RunCount, RunTraced, RunAsync and Explain): cost-based or one
+// of the paper's four strategies. The default is plan.ForceScan, the
+// paper's default PDC-H. Text statements carry their own (RunText).
+func (c *Client) SetForce(f plan.Force) {
+	c.mu.Lock()
+	c.force = f
 	c.mu.Unlock()
 }
 
@@ -619,7 +633,6 @@ type QueryResult struct {
 
 	client *Client
 	reqID  uint64
-	obj    []object.ID // objects referenced by the query
 }
 
 // Trace assembles the per-server span trees under a single client-side
@@ -687,20 +700,27 @@ func (c *Client) run(ctx context.Context, q *query.Query, flags byte) (*QueryRes
 		}
 	}
 	c.mu.Lock()
-	useEpoch, epoch := c.useEpoch, c.epoch
+	useEpoch, epoch, force := c.useEpoch, c.epoch, c.force
 	c.mu.Unlock()
-	var payload []byte
 	if useEpoch {
-		payload = server.EncodeQueryRequestEpoch(flags, epoch, q.Encode())
-	} else {
-		payload = server.EncodeQueryRequest(flags, q.Encode())
+		flags |= server.FlagEpoch
 	}
-	reqID, msgs, busyWait, err := c.broadcastCtx(ctx, server.MsgQuery, func(int) []byte { return payload })
+	payload := server.EncodeQueryRequest(flags, force, epoch, q.Encode())
+	res, _, err := c.ask(ctx, server.MsgQuery, payload, flags&server.FlagWantTrace != 0)
+	return res, err
+}
+
+// ask broadcasts one statement (binary or text) to every server and
+// folds the partial answers into the merged selection, the servers'
+// partial histograms (hist projections only) and the modeled end-to-end
+// profile.
+func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool) (*QueryResult, []*histogram.Histogram, error) {
+	reqID, msgs, busyWait, err := c.broadcastCtx(ctx, t, func(int) []byte { return payload })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := &QueryResult{client: c, reqID: reqID, obj: q.Root.Objects()}
-	if flags&server.FlagWantTrace != 0 {
+	res := &QueryResult{client: c, reqID: reqID}
+	if traced {
 		res.TraceID = telemetry.TraceID(reqID)
 		res.Traces = make([]*telemetry.Span, len(msgs))
 	}
@@ -709,22 +729,30 @@ func (c *Client) run(ctx context.Context, q *query.Query, flags byte) (*QueryRes
 	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(len(payload))+busyWait))
 
 	var parts []*selection.Selection
+	var hists []*histogram.Histogram
 	var respBytes int
 	for i, m := range msgs {
-		qr, err := server.DecodeQueryResponse(m.Payload)
-		if err != nil {
-			return nil, err
+		var qr *server.QueryResponse
+		if m.Type == server.MsgTextResult {
+			tr, err := server.DecodeTextResult(m.Payload)
+			if err != nil {
+				return nil, nil, err
+			}
+			qr = &tr.Base
+			if tr.Hist != nil {
+				hists = append(hists, tr.Hist)
+			}
+		} else if qr, err = server.DecodeQueryResponse(m.Payload); err != nil {
+			return nil, nil, err
 		}
 		res.Info.ServerMax = res.Info.ServerMax.Max(qr.Cost)
 		res.Info.Stats.Add(qr.Stats)
 		respBytes += len(m.Payload)
 		parts = append(parts, qr.Sel)
-		if res.Traces != nil {
+		if traced {
 			res.Traces[i] = qr.Trace
 		}
 	}
-	// Responses arrive concurrently: one wire latency, serialized bytes.
-	respWire := c.wire(respBytes)
 	res.Sel = selection.MergeAll(parts)
 	res.Info.NHits = res.Sel.NHits
 	// Servers evaluate in parallel; responses serialize into the client.
@@ -738,9 +766,10 @@ func (c *Client) run(ctx context.Context, q *query.Query, flags byte) (*QueryRes
 			res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Storage, extra))
 		}
 	}
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, respWire))
+	// Responses arrive concurrently: one wire latency, serialized bytes.
+	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(respBytes)))
 	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Compute, time.Duration(res.Sel.NHits)*mergeCostPerHit))
-	return res, nil
+	return res, hists, nil
 }
 
 // Future is an in-flight asynchronous query (§III-C: "a client can

@@ -13,7 +13,6 @@ import (
 	"pdcquery/internal/client"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
@@ -23,7 +22,7 @@ import (
 
 func deploy(t *testing.T, n int, servers int) (*core.Deployment, object.ID) {
 	t.Helper()
-	d := core.NewDeployment(core.Options{Servers: servers, RegionBytes: 4 << 10, Strategy: exec.Histogram})
+	d := core.NewDeployment(core.Options{Servers: servers, RegionBytes: 4 << 10})
 	c := d.CreateContainer("c")
 	vals := make([]float32, n)
 	for i := range vals {

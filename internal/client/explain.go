@@ -2,104 +2,46 @@ package client
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 )
 
-// PlanCondition is one condition of a query plan, annotated with the
-// selectivity bounds the planner derived from the global histogram.
-type PlanCondition struct {
-	Obj      object.ID
-	Name     string
-	Interval query.Interval
-	// SelLower and SelUpper bound the condition's selectivity (fraction
-	// of elements matching), from the global histogram.
-	SelLower, SelUpper float64
-}
-
-// Plan describes how the servers will evaluate a query: the DNF terms
-// and, within each term, the conditions in evaluation order (ascending
-// estimated selectivity — §III-D2). It is computed entirely from
-// metadata; no server round trip or storage access happens.
-type Plan struct {
-	// Conjuncts holds each OR term's conditions in evaluation order.
-	Conjuncts [][]PlanCondition
-	// EstLower and EstUpper bound the total hit count (see EstimateNHits).
-	EstLower, EstUpper uint64
-}
-
-// String renders the plan in a compact EXPLAIN-style form.
-func (p *Plan) String() string {
-	var b strings.Builder
-	for i, term := range p.Conjuncts {
-		if i > 0 {
-			b.WriteString("OR\n")
-		}
-		for j, cond := range term {
-			fmt.Fprintf(&b, "  %d. %s in %s  (selectivity %.4f%%..%.4f%%)\n",
-				j+1, cond.Name, cond.Interval, 100*cond.SelLower, 100*cond.SelUpper)
-		}
-	}
-	fmt.Fprintf(&b, "estimated hits: %d..%d\n", p.EstLower, p.EstUpper)
-	return b.String()
-}
-
-// Explain returns the evaluation plan for a query, mirroring the
-// selectivity-ordered execution the servers perform. The paper's future
-// work asks for relational-style query optimization insight on object
-// data; this exposes the existing planner's decisions to applications.
-func (c *Client) Explain(q *query.Query) (*Plan, error) {
+// Explain returns the plan the servers execute for q under the client's
+// forcing (SetForce): the planner's own output — every server derives
+// the identical one from the replicated metadata — computed entirely
+// from metadata, with no server round trip or storage access. Render it
+// with plan.Format.
+func (c *Client) Explain(q *query.Query) (*plan.Plan, error) {
 	if c.meta == nil {
 		return nil, fmt.Errorf("client: no metadata; call SyncMeta first")
 	}
 	if err := q.Validate(c.meta.Get); err != nil {
 		return nil, err
 	}
-	conjuncts, err := query.Normalize(q.Root)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{}
-	for _, conj := range conjuncts {
-		var term []PlanCondition
-		for _, id := range conj.ObjectsSorted() {
-			iv := conj[id]
-			o, _ := c.meta.Get(id)
-			pc := PlanCondition{Obj: id, Name: o.Name, Interval: iv, SelUpper: 1}
-			if o.Global != nil {
-				pc.SelLower, pc.SelUpper = o.Global.SelectivityBounds(iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
-			}
-			term = append(term, pc)
-		}
-		// The engine's order: ascending upper-bound selectivity, stable
-		// on object ID.
-		sort.SliceStable(term, func(i, j int) bool { return term[i].SelUpper < term[j].SelUpper })
-		plan.Conjuncts = append(plan.Conjuncts, term)
-	}
-	plan.EstLower, plan.EstUpper, err = c.EstimateNHits(q)
-	if err != nil {
-		return nil, err
-	}
-	return plan, nil
+	c.mu.Lock()
+	force := c.force
+	c.mu.Unlock()
+	return plan.Build(c.meta, q, force)
 }
 
-// Analyzed couples a query plan with the trace of an actual traced run:
-// the planner's estimated selectivities next to what the servers really
-// observed (EXPLAIN ANALYZE semantics).
+// Analyzed couples a query plan with an actual traced run (EXPLAIN
+// ANALYZE semantics).
 type Analyzed struct {
-	Plan *Plan
+	Plan *plan.Plan
 	Res  *QueryResult
+	// Explain is the rendered plan with, per condition, the planner's
+	// estimated rows next to what the servers really observed.
+	Explain string
 }
 
 // ExplainAnalyze computes the plan, then executes the query with tracing
 // and pairs the two: estimates from metadata, actuals from the servers'
 // span trees.
 func (c *Client) ExplainAnalyze(q *query.Query) (*Analyzed, error) {
-	plan, err := c.Explain(q)
+	pl, err := c.Explain(q)
 	if err != nil {
 		return nil, err
 	}
@@ -107,58 +49,36 @@ func (c *Client) ExplainAnalyze(q *query.Query) (*Analyzed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzed{Plan: plan, Res: res}, nil
+	return &Analyzed{Plan: pl, Res: res, Explain: pl.FormatAnalyze(q.Root.String(), traceActuals(res.Traces))}, nil
 }
 
-// actual sums a condition's observed in/out element counts over every
-// server's span for conjunct term index ci. Conjunct indices are stable
-// across servers: they come from the same query.Normalize order.
-func (a *Analyzed) actual(ci int, id object.ID) (in, out int64) {
-	name := fmt.Sprintf("conjunct.%d", ci)
-	inKey := fmt.Sprintf("cond.%d.in", id)
-	outKey := fmt.Sprintf("cond.%d.out", id)
-	for _, t := range a.Res.Traces {
-		if t == nil {
-			continue
+// traceActuals builds the EXPLAIN ANALYZE actuals lookup from the
+// servers' span trees: for conjunct ci and condition object id, the
+// summed in/out element counts across all servers. Conjunct indices are
+// stable across servers: they come from the same query.Normalize order.
+func traceActuals(traces []*telemetry.Span) plan.Actuals {
+	return func(ci int, id object.ID) (in, out int64, ok bool) {
+		name := fmt.Sprintf("conjunct.%d", ci)
+		inKey := fmt.Sprintf("cond.%d.in", id)
+		outKey := fmt.Sprintf("cond.%d.out", id)
+		for _, t := range traces {
+			if t == nil {
+				continue
+			}
+			t.Walk(func(s *telemetry.Span) {
+				if s.Kind != telemetry.SpanConjunct || s.Name != name {
+					return
+				}
+				if v, found := s.Int(inKey); found {
+					in += v
+					ok = true
+				}
+				if v, found := s.Int(outKey); found {
+					out += v
+					ok = true
+				}
+			})
 		}
-		t.Walk(func(s *telemetry.Span) {
-			if s.Kind != telemetry.SpanConjunct || s.Name != name {
-				return
-			}
-			if v, ok := s.Int(inKey); ok {
-				in += v
-			}
-			if v, ok := s.Int(outKey); ok {
-				out += v
-			}
-		})
+		return in, out, ok
 	}
-	return in, out
-}
-
-// String renders the analyzed plan: per condition the estimated
-// selectivity bounds next to the actual (elements out / elements in, as
-// observed across all servers), then estimated vs actual hit counts and
-// the modeled cost breakdown.
-func (a *Analyzed) String() string {
-	var b strings.Builder
-	for i, term := range a.Plan.Conjuncts {
-		if i > 0 {
-			b.WriteString("OR\n")
-		}
-		for j, cond := range term {
-			fmt.Fprintf(&b, "  %d. %s in %s  (est %.4f%%..%.4f%%",
-				j+1, cond.Name, cond.Interval, 100*cond.SelLower, 100*cond.SelUpper)
-			if in, out := a.actual(i, cond.Obj); in > 0 {
-				fmt.Fprintf(&b, "; actual %.4f%% — %d of %d", 100*float64(out)/float64(in), out, in)
-			} else {
-				b.WriteString("; actual: not evaluated")
-			}
-			b.WriteString(")\n")
-		}
-	}
-	fmt.Fprintf(&b, "estimated hits: %d..%d  actual hits: %d\n",
-		a.Plan.EstLower, a.Plan.EstUpper, a.Res.Info.NHits)
-	fmt.Fprintf(&b, "cost: %v (server max %v)\n", a.Res.Info.Elapsed.Total(), a.Res.Info.ServerMax.Total())
-	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/workload"
@@ -15,7 +14,7 @@ import (
 
 func vpicClient(t *testing.T, n int) (*core.Deployment, map[string]object.ID) {
 	t.Helper()
-	d := core.NewDeployment(core.Options{Servers: 4, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d := core.NewDeployment(core.Options{Servers: 4, RegionBytes: 8 << 10})
 	c := d.CreateContainer("vpic")
 	v := workload.GenerateVPIC(n, 42)
 	ids := map[string]object.ID{}
@@ -43,30 +42,31 @@ func TestExplainOrdersBySelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Conjuncts) != 1 || len(plan.Conjuncts[0]) != 4 {
+	if len(plan.Conjuncts) != 1 || len(plan.Conjuncts[0].Conds) != 4 {
 		t.Fatalf("plan shape = %v", plan)
 	}
-	first := plan.Conjuncts[0][0]
-	if first.Name != "x" {
-		t.Errorf("first condition = %s, want x (most selective)", first.Name)
+	conds := plan.Conjuncts[0].Conds
+	if conds[0].Name != "x" {
+		t.Errorf("first condition = %s, want x (most selective)", conds[0].Name)
 	}
 	// Selectivities are ordered ascending.
 	for i := 1; i < 4; i++ {
-		if plan.Conjuncts[0][i].SelUpper < plan.Conjuncts[0][i-1].SelUpper {
+		if conds[i].SelUpper < conds[i-1].SelUpper {
 			t.Errorf("plan not ordered at %d", i)
 		}
 	}
-	// The estimate brackets the real count.
+	// The driving condition's row estimate bounds the real count from
+	// above (an AND can only shrink it).
 	res, err := d.Client().RunCount(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sel.NHits < plan.EstLower || res.Sel.NHits > plan.EstUpper {
-		t.Errorf("truth %d outside plan estimate [%d, %d]", res.Sel.NHits, plan.EstLower, plan.EstUpper)
+	if res.Sel.NHits > conds[0].EstUpper {
+		t.Errorf("truth %d above the driving condition's estimate %d", res.Sel.NHits, conds[0].EstUpper)
 	}
 	// Rendering mentions every object and the estimate.
-	s := plan.String()
-	for _, want := range []string{"Energy", "x", "y", "z", "estimated hits"} {
+	s := plan.Format(q.Root.String())
+	for _, want := range []string{"Energy", "x", "y", "z", "est rows"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("plan string missing %q:\n%s", want, s)
 		}
@@ -85,8 +85,8 @@ func TestExplainOr(t *testing.T) {
 	if len(plan.Conjuncts) != 2 {
 		t.Fatalf("or plan terms = %d", len(plan.Conjuncts))
 	}
-	if !strings.Contains(plan.String(), "OR") {
-		t.Error("plan string missing OR separator")
+	if s := plan.Format(q.Root.String()); !strings.Contains(s, "conjunct 1:") {
+		t.Errorf("rendered plan missing the second term:\n%s", s)
 	}
 	if _, err := d.Client().Explain(&query.Query{Root: query.Leaf(999, query.OpGT, 0)}); err == nil {
 		t.Error("explain of unknown object succeeded")

@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"pdcquery/internal/client"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 )
 
 // analyzedActual sums a condition's observed in/out counts across all
 // server traces (mirroring the renderer's aggregation).
-func analyzedActual(t *testing.T, a *client.Analyzed, ci int, cond client.PlanCondition) (in, out int64) {
+func analyzedActual(t *testing.T, a *client.Analyzed, ci int, cond plan.CondPlan) (in, out int64) {
 	t.Helper()
 	name := fmt.Sprintf("conjunct.%d", ci)
 	inKey := fmt.Sprintf("cond.%d.in", cond.Obj)
@@ -172,8 +173,8 @@ func TestExplainAnalyze(t *testing.T) {
 	if a.Plan == nil || a.Res == nil || a.Res.Traces == nil {
 		t.Fatal("analyze missing plan or traced result")
 	}
-	s := a.String()
-	for _, want := range []string{"est ", "actual", "estimated hits", "actual hits", "cost:"} {
+	s := a.Explain
+	for _, want := range []string{"est rows", "actual in", "force: scan", "modeled cost:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("analyze output missing %q:\n%s", want, s)
 		}
@@ -181,14 +182,18 @@ func TestExplainAnalyze(t *testing.T) {
 	// The first (most selective) condition was evaluated against real
 	// elements: its actual in-count is positive and its out-count equals
 	// the per-condition survivors, which cannot exceed in.
-	first := a.Plan.Conjuncts[0][0]
+	first := a.Plan.Conjuncts[0].Conds[0]
 	in, out := analyzedActual(t, a, 0, first)
 	if in <= 0 || out < 0 || out > in {
 		t.Errorf("first condition actuals: in=%d out=%d", in, out)
 	}
 	// Actual hits within the estimated bracket.
-	if a.Res.Info.NHits < a.Plan.EstLower || a.Res.Info.NHits > a.Plan.EstUpper {
-		t.Errorf("actual %d outside estimate [%d, %d]", a.Res.Info.NHits, a.Plan.EstLower, a.Plan.EstUpper)
+	lo, hi, err := d.Client().EstimateNHits(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Res.Info.NHits < lo || a.Res.Info.NHits > hi {
+		t.Errorf("actual %d outside estimate [%d, %d]", a.Res.Info.NHits, lo, hi)
 	}
 }
 
@@ -199,7 +204,7 @@ func TestServerEvents(t *testing.T) {
 	d, oid := deploy(t, 10000, 2)
 	const queries = 2
 	for i := 0; i < queries; i++ {
-		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(10 * i))}
+		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(10*i))}
 		if _, err := d.Client().Run(q); err != nil {
 			t.Fatal(err)
 		}

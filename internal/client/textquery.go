@@ -10,7 +10,6 @@ package client
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/object"
@@ -19,7 +18,6 @@ import (
 	"pdcquery/internal/selection"
 	"pdcquery/internal/server"
 	"pdcquery/internal/telemetry"
-	"pdcquery/internal/vclock"
 )
 
 // TextResult is the outcome of one text query.
@@ -33,8 +31,9 @@ type TextResult struct {
 	Sel *selection.Selection
 	// Hist is the merged value histogram of a hist projection.
 	Hist *histogram.Histogram
-	// Plan is the client-derived plan (identical to each server's: both
-	// are pure functions of the replicated metadata and the text).
+	// Plan is the client-derived plan of an EXPLAIN / EXPLAIN ANALYZE
+	// statement (identical to each server's: both are pure functions of
+	// the replicated metadata and the text); nil for plain statements.
 	Plan *plan.Plan
 	// Explain is the rendered EXPLAIN / EXPLAIN ANALYZE text; empty for
 	// plain statements.
@@ -72,14 +71,17 @@ func (c *Client) RunTextContext(ctx context.Context, text string, force plan.For
 		return nil, err
 	}
 	res := &TextResult{Statement: parsed, Text: parsed.CacheKey()}
-	res.Plan, err = plan.Build(c.meta, low.Query, force)
-	if err != nil {
-		return nil, err
-	}
-	if parsed.Explain && !parsed.Analyze {
-		// Plain EXPLAIN: metadata only, no execution.
-		res.Explain = res.Plan.Format(res.Text)
-		return res, nil
+	if parsed.Explain {
+		// Only an explain statement reads the plan; every server plans
+		// (and caches) for itself.
+		if res.Plan, err = plan.Build(c.meta, low.Query, force); err != nil {
+			return nil, err
+		}
+		if !parsed.Analyze {
+			// Plain EXPLAIN: metadata only, no execution.
+			res.Explain = res.Plan.Format(res.Text)
+			return res, nil
+		}
 	}
 
 	var flags byte
@@ -95,82 +97,16 @@ func (c *Client) RunTextContext(ctx context.Context, text string, force plan.For
 	if useEpoch {
 		flags |= server.FlagEpoch
 	}
-	payload := server.EncodeTextQuery(flags, epoch, byte(force), res.Text)
-	_, msgs, busyWait, err := c.broadcastCtx(ctx, server.MsgTextQuery, func(int) []byte { return payload })
+	qr, hists, err := c.ask(ctx, server.MsgTextQuery, server.EncodeTextQuery(flags, epoch, force, res.Text), parsed.Analyze)
 	if err != nil {
 		return nil, err
 	}
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(len(payload))+busyWait))
-	if parsed.Analyze {
-		res.Traces = make([]*telemetry.Span, len(msgs))
-	}
-
-	var parts []*selection.Selection
-	var hists []*histogram.Histogram
-	var respBytes int
-	for i, m := range msgs {
-		tr, err := server.DecodeTextResult(m.Payload)
-		if err != nil {
-			return nil, err
-		}
-		res.Info.ServerMax = res.Info.ServerMax.Max(tr.Base.Cost)
-		res.Info.Stats.Add(tr.Base.Stats)
-		respBytes += len(m.Payload)
-		parts = append(parts, tr.Base.Sel)
-		if tr.Hist != nil {
-			hists = append(hists, tr.Hist)
-		}
-		if res.Traces != nil {
-			res.Traces[i] = tr.Base.Trace
-		}
-	}
-	res.Sel = selection.MergeAll(parts)
-	res.Info.NHits = res.Sel.NHits
+	res.Sel, res.Info, res.Traces = qr.Sel, qr.Info, qr.Traces
 	if low.Projection.Kind == qlang.ProjHist {
 		res.Hist = histogram.MergeAll(hists)
 	}
-	res.Info.Elapsed = res.Info.Elapsed.Add(res.Info.ServerMax)
-	if c.sharedBW > 0 && res.Info.Stats.StorageBytes > 0 {
-		floor := time.Duration(float64(res.Info.Stats.StorageBytes) / c.sharedBW * 1e9)
-		if extra := floor - res.Info.ServerMax.Total(); extra > 0 {
-			res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Storage, extra))
-		}
-	}
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(respBytes)))
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Compute, time.Duration(res.Sel.NHits)*mergeCostPerHit))
-
 	if parsed.Explain {
 		res.Explain = res.Plan.FormatAnalyze(res.Text, traceActuals(res.Traces))
 	}
 	return res, nil
-}
-
-// traceActuals builds the EXPLAIN ANALYZE actuals lookup from the
-// servers' span trees: for conjunct ci and condition object id, the
-// summed in/out element counts across all servers.
-func traceActuals(traces []*telemetry.Span) plan.Actuals {
-	return func(ci int, id object.ID) (in, out int64, ok bool) {
-		name := fmt.Sprintf("conjunct.%d", ci)
-		inKey := fmt.Sprintf("cond.%d.in", id)
-		outKey := fmt.Sprintf("cond.%d.out", id)
-		for _, t := range traces {
-			if t == nil {
-				continue
-			}
-			t.Walk(func(s *telemetry.Span) {
-				if s.Kind != telemetry.SpanConjunct || s.Name != name {
-					return
-				}
-				if v, found := s.Int(inKey); found {
-					in += v
-					ok = true
-				}
-				if v, found := s.Int(outKey); found {
-					out += v
-					ok = true
-				}
-			})
-		}
-		return in, out, ok
-	}
 }

@@ -16,7 +16,6 @@ import (
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
@@ -31,7 +30,6 @@ func newSource(t *testing.T, particles int) (*core.Deployment, []*query.Query, [
 	t.Helper()
 	d := core.NewDeployment(core.Options{
 		Servers:     2,
-		Strategy:    exec.Histogram,
 		RegionBytes: 8 << 10,
 	})
 	c := d.CreateContainer("cluster-e2e")

@@ -1,0 +1,153 @@
+package cluster_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"pdcquery/internal/client"
+	"pdcquery/internal/cluster"
+	"pdcquery/internal/core"
+	"pdcquery/internal/dtype"
+	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
+	"pdcquery/internal/query"
+	"pdcquery/internal/vclock"
+	"pdcquery/internal/workload"
+)
+
+// harness is what the forcing-equivalence check needs of a deployment,
+// so the static core.Deployment and a cluster.Local run the same check.
+type harness struct {
+	setForce func(plan.Force)
+	run      func(*query.Query) (*client.QueryResult, error)
+	runText  func(string, plan.Force) (*client.TextResult, error)
+	// reset makes the next statement cold: empty region caches, zeroed
+	// accounts (prepared plans stay).
+	reset func()
+}
+
+// fullSource is a started deployment with every access path built
+// (region histograms, bitmap indexes, a sorted replica on Energy).
+func fullSource(t *testing.T, workers int) *core.Deployment {
+	t.Helper()
+	const n = 6000
+	d := core.NewDeployment(core.Options{Servers: 4, RegionBytes: 8 << 10, BuildIndex: true, Workers: workers})
+	c := d.CreateContainer("vpic")
+	v := workload.GenerateVPIC(n, 42)
+	var energy object.ID
+	for _, name := range workload.VPICNames {
+		o, err := d.ImportObject(c.ID, object.Property{
+			Name: name, Type: dtype.Float32, Dims: []uint64{n},
+		}, dtype.Bytes(v.Vars[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "Energy" {
+			energy = o.ID
+		}
+	}
+	if err := d.BuildSortedReplica(energy); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Close() })
+	return d
+}
+
+// TestForcingEquivalence: a binary query is the prepared form of the
+// text statement with the same condition. Under every forcing, Run
+// under SetForce(f) and RunText(…, f) return byte-identical encoded
+// selections and identical Stats, and the slowest server's cost differs
+// by exactly the modeled prepare charge only a statement that arrived
+// as text pays (plan build on a cold plan cache, one lookup on a warm
+// one) — at any worker count, on the static deployment and on a
+// cluster.
+func TestForcingEquivalence(t *testing.T) {
+	statements := []struct {
+		where string
+		conds int
+		// collects: a single-conjunct binary query has its values
+		// collected for the stash (except under bitmap, which never
+		// reads raw data for them); the text statement cannot be
+		// stashed and skips that work, so it is only bounded above.
+		collects bool
+	}{
+		{"Energy > 2 and x < 100", 2, true},
+		{"Energy < 0.5 or Energy > 3", 2, false},
+	}
+	forcings := []plan.Force{plan.ForceFull, plan.ForceScan, plan.ForceBitmap, plan.ForceSorted, plan.ForceAuto}
+	for _, workers := range []int{0, 1, 4, 16} {
+		src := fullSource(t, workers)
+		l, err := cluster.StartLocal(cluster.LocalOptions{Members: 3, R: 2, Seed: 42, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(l.Close)
+		s, err := l.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if err := s.Import(src); err != nil {
+			t.Fatal(err)
+		}
+		scli, err := s.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		harnesses := map[string]harness{
+			"core": {src.SetStrategy, src.Client().Run, src.Client().RunText, src.ResetCaches},
+			"cluster": {scli.SetForce, s.Run, s.RunText, func() {
+				for _, id := range l.MemberIDs() {
+					srv := l.Member(id).Server()
+					srv.Cache().Clear()
+					srv.Account().Reset()
+				}
+			}},
+		}
+		for name, h := range harnesses {
+			for _, st := range statements {
+				text := "select ids where " + st.where
+				q := lowerAgainst(t, src.Meta().GetByName, text)
+				for _, f := range forcings {
+					label := fmt.Sprintf("workers %d %s %q force=%v", workers, name, st.where, f)
+					h.setForce(f)
+					h.reset()
+					bin, err := h.run(q)
+					if err != nil {
+						t.Fatalf("%s: binary: %v", label, err)
+					}
+					for _, prepare := range []time.Duration{
+						10*time.Microsecond + time.Duration(st.conds)*2*time.Microsecond, // plan built
+						1 * time.Microsecond, // plan cached
+					} {
+						h.reset()
+						txt, err := h.runText(text, f)
+						if err != nil {
+							t.Fatalf("%s: text: %v", label, err)
+						}
+						if !bytes.Equal(bin.Sel.Encode(), txt.Sel.Encode()) {
+							t.Fatalf("%s: selections differ (%d vs %d hits)", label, bin.Sel.NHits, txt.Sel.NHits)
+						}
+						if bin.Info.Stats != txt.Info.Stats {
+							t.Errorf("%s: stats differ:\nbinary %+v\ntext   %+v", label, bin.Info.Stats, txt.Info.Stats)
+						}
+						want := bin.Info.ServerMax.Add(vclock.CostOf(vclock.Meta, prepare))
+						got := txt.Info.ServerMax
+						if st.collects && f != plan.ForceBitmap {
+							if got.Total() > want.Total() {
+								t.Errorf("%s: text server cost %v above binary %v + prepare %v", label, got, bin.Info.ServerMax, prepare)
+							}
+						} else if got != want {
+							t.Errorf("%s: text server cost %v, want binary %v + prepare %v", label, got, bin.Info.ServerMax, prepare)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"pdcquery/internal/exec"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/telemetry"
 )
@@ -18,8 +17,7 @@ type LocalOptions struct {
 	R int
 	// Seed parameterizes placement.
 	Seed uint64
-	// Strategy, Workers, CacheBytes configure each member's server.
-	Strategy   exec.Strategy
+	// Workers, CacheBytes configure each member's server.
 	Workers    int
 	CacheBytes int64
 	// Model overrides the storage cost model for members.
@@ -110,7 +108,6 @@ func (l *Local) AddMember() (*Member, error) {
 	m, err := StartMember(MemberOptions{
 		Net:         l.net,
 		CatalogAddr: l.catAddr,
-		Strategy:    l.opts.Strategy,
 		Workers:     l.opts.Workers,
 		CacheBytes:  l.opts.CacheBytes,
 		Model:       l.opts.Model,
@@ -206,13 +203,17 @@ func waitDone(done <-chan struct{}, timeout time.Duration) bool {
 	}
 }
 
-// WaitMembers blocks until the committed view has n members (the
-// rebalance protocol runs in member/catalog goroutines, so even the
-// in-proc cluster has genuinely asynchronous commits).
+// WaitMembers blocks until the committed view has n members and every
+// running member it lists has installed it (the rebalance protocol runs
+// in member/catalog goroutines, so even the in-proc cluster has
+// genuinely asynchronous commits — and a commit reaches each member on
+// its own goroutine: a session that reads the committed view from the
+// catalog a moment earlier is answered "not serving at epoch" until it
+// does, and the harness's sessions retry without sleeping).
 func (l *Local) WaitMembers(n int, timeout time.Duration) error {
 	for waited := time.Duration(0); ; waited += waitPoll {
 		v := l.catalog.CommittedView()
-		if len(v.Members) == n {
+		if len(v.Members) == n && l.installed(v) {
 			return nil
 		}
 		if waited >= timeout {
@@ -220,6 +221,19 @@ func (l *Local) WaitMembers(n int, timeout time.Duration) error {
 		}
 		telemetry.WallSleep.Sleep(waitPoll)
 	}
+}
+
+// installed reports whether every running member v lists serves at v's
+// epoch.
+func (l *Local) installed(v View) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, mi := range v.Members {
+		if m := l.members[mi.ID]; m != nil && m.View().Epoch != v.Epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // Session opens a catalog-aware client session on the local cluster.

@@ -31,9 +31,8 @@ type MemberOptions struct {
 	// ListenAddr is the member's serving endpoint ("" auto-assigns:
 	// a free port under TCP, a generated name under LocalNetwork).
 	ListenAddr string
-	// Strategy, CacheBytes, Workers, QueueDepth configure the embedded
-	// query server exactly as server.Config does.
-	Strategy   exec.Strategy
+	// CacheBytes, Workers, QueueDepth configure the embedded query
+	// server exactly as server.Config does.
 	CacheBytes int64
 	Workers    int
 	QueueDepth int
@@ -211,14 +210,13 @@ func StartMember(opts MemberOptions) (*Member, error) {
 		N:              1,
 		Store:          m.store,
 		Meta:           m.meta,
-		Strategy:       opts.Strategy,
 		CacheBytes:     opts.CacheBytes,
 		Workers:        opts.Workers,
 		QueueDepth:     opts.QueueDepth,
 		Clock:          opts.Clock,
 		Log:            opts.Log,
 		RecorderEvents: opts.RecorderEvents,
-		ClusterAssign:  m.assign,
+		Assign:         m.assign,
 		Ingest:         true,
 		ExtraMetrics:   m.reg,
 		TagOwner:       m.ownsTag,
@@ -268,7 +266,7 @@ func (m *Member) installView(v View) {
 	m.reg.SetGauge("cluster.view.members", float64(len(v.Members)))
 }
 
-// assign is the server's ClusterAssign seam: one atomic snapshot gives
+// assign is the server's Assign func: one atomic snapshot gives
 // both the epoch check and the region share, so queries are evaluated
 // under exactly one placement or rejected.
 func (m *Member) assign(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {

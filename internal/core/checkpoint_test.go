@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"pdcquery/internal/exec"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/workload"
 )
@@ -14,14 +14,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// checkpoint, reload into a fresh deployment with a different server
 	// count, and verify every strategy still answers identically.
 	d, ids := vpicDeployment(t, 15000, Options{
-		Servers: 3, Strategy: exec.SortedHistogram, RegionBytes: 8 << 10, BuildIndex: true,
-	})
+		Servers: 3, RegionBytes: 8 << 10, BuildIndex: true,
+	}, plan.ForceSorted)
 	var buf bytes.Buffer
 	if err := d.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), Options{Servers: 5, Strategy: exec.Histogram})
+	d2, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()), Options{Servers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []exec.Strategy{exec.Histogram, exec.HistogramIndex, exec.SortedHistogram} {
+		for _, s := range []plan.Force{plan.ForceScan, plan.ForceBitmap, plan.ForceSorted} {
 			d2.SetStrategy(s)
 			d2.ResetCaches()
 			got, err := d2.Client().RunCount(q)

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/workload"
 )
@@ -14,7 +14,7 @@ import (
 // co-sorted x, y, z companions.
 func companionDeployment(t *testing.T, n int) (*Deployment, map[string]object.ID) {
 	t.Helper()
-	d := NewDeployment(Options{Servers: 4, Strategy: exec.SortedHistogram, RegionBytes: 8 << 10})
+	d := NewDeployment(Options{Servers: 4, RegionBytes: 8 << 10})
 	c := d.CreateContainer("vpic")
 	v := workload.GenerateVPIC(n, 42)
 	ids := make(map[string]object.ID)
@@ -36,6 +36,7 @@ func companionDeployment(t *testing.T, n int) (*Deployment, map[string]object.ID
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
+	d.SetStrategy(plan.ForceSorted)
 	t.Cleanup(func() { d.Close() })
 	return d, ids
 }
@@ -117,7 +118,7 @@ func TestCompanionReducesOriginalRegionReads(t *testing.T) {
 	const n = 30000
 	v := workload.GenerateVPIC(n, 42)
 	build := func(withCompanions bool) (*Deployment, map[string]object.ID) {
-		d := NewDeployment(Options{Servers: 4, Strategy: exec.SortedHistogram, RegionBytes: 8 << 10})
+		d := NewDeployment(Options{Servers: 4, RegionBytes: 8 << 10})
 		c := d.CreateContainer("vpic")
 		ids := make(map[string]object.ID)
 		for _, name := range workload.VPICNames {
@@ -140,6 +141,7 @@ func TestCompanionReducesOriginalRegionReads(t *testing.T) {
 		if err := d.Start(); err != nil {
 			t.Fatal(err)
 		}
+		d.SetStrategy(plan.ForceSorted)
 		return d, ids
 	}
 

@@ -7,8 +7,9 @@
 // Lifecycle: create a Deployment, import objects (regions are written to
 // the simulated PFS with per-region histograms, optional bitmap indexes,
 // and optional sorted replicas), then Start it and query through
-// Client(). Strategy, server count, and cost model are configurable per
-// experiment run.
+// Client(). Server count and cost model are configurable per experiment
+// run; the evaluation strategy is a forcing the client stamps on each
+// statement (SetStrategy).
 package core
 
 import (
@@ -20,10 +21,10 @@ import (
 	"pdcquery/internal/bitindex"
 	"pdcquery/internal/client"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
@@ -39,8 +40,6 @@ type Options struct {
 	// Servers is the number of PDC server processes (64 in most of the
 	// paper's experiments; 32–512 in Fig. 6).
 	Servers int
-	// Strategy is the initial query evaluation strategy.
-	Strategy exec.Strategy
 	// RegionBytes is the region partition size (the paper sweeps 4 MB to
 	// 128 MB). Zero defaults to 4 MB.
 	RegionBytes int64
@@ -335,7 +334,7 @@ func (d *Deployment) newServer(i int) *server.Server {
 		Store:      d.store,
 		Meta:       d.meta,
 		Replicas:   d.replicas,
-		Strategy:   d.opts.Strategy,
+		Assign:     server.ModNAssign(i, d.opts.Servers),
 		CacheBytes: d.opts.CacheBytes,
 		Workers:    d.opts.Workers,
 		QueueDepth: d.opts.QueueDepth,
@@ -478,14 +477,11 @@ func (d *Deployment) Servers() []*server.Server {
 	return append([]*server.Server(nil), d.servers...)
 }
 
-// SetStrategy switches every server's evaluation strategy between
-// experiment runs (the paper restarts servers with a different
-// environment variable).
-func (d *Deployment) SetStrategy(s exec.Strategy) {
-	for _, srv := range d.Servers() {
-		srv.SetStrategy(s)
-	}
-}
+// SetStrategy switches the evaluation strategy between experiment runs
+// (the paper restarts servers with a different environment variable;
+// here the client stamps the forcing on each query — see
+// client.SetForce). Valid after Start.
+func (d *Deployment) SetStrategy(f plan.Force) { d.cli.SetForce(f) }
 
 // ResetCaches clears every server's region cache and virtual-time
 // account, giving each experiment run a cold start.

@@ -5,18 +5,24 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/workload"
 )
 
-// vpicDeployment imports a small VPIC dataset and starts the system.
-func vpicDeployment(t *testing.T, n int, opts Options) (*Deployment, map[string]object.ID) {
+// vpicDeployment imports a small VPIC dataset and starts the system
+// under the given strategy (default PDC-H; PDC-SH also builds the Energy
+// sorted replica).
+func vpicDeployment(t *testing.T, n int, opts Options, strategy ...plan.Force) (*Deployment, map[string]object.ID) {
 	t.Helper()
+	force := plan.ForceScan
+	if len(strategy) > 0 {
+		force = strategy[0]
+	}
 	d := NewDeployment(opts)
 	c := d.CreateContainer("vpic")
 	v := workload.GenerateVPIC(n, 42)
@@ -30,7 +36,7 @@ func vpicDeployment(t *testing.T, n int, opts Options) (*Deployment, map[string]
 		}
 		ids[name] = o.ID
 	}
-	if opts.Strategy == exec.SortedHistogram {
+	if force == plan.ForceSorted {
 		if err := d.BuildSortedReplica(ids["Energy"]); err != nil {
 			t.Fatal(err)
 		}
@@ -38,6 +44,7 @@ func vpicDeployment(t *testing.T, n int, opts Options) (*Deployment, map[string]
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
+	d.SetStrategy(force)
 	t.Cleanup(func() { d.Close() })
 	return d, ids
 }
@@ -66,12 +73,12 @@ func checkAgainstTruth(t *testing.T, d *Deployment, q *query.Query, label string
 }
 
 func TestEndToEndAllStrategies(t *testing.T) {
-	for _, s := range []exec.Strategy{exec.FullScan, exec.Histogram, exec.HistogramIndex, exec.SortedHistogram} {
+	for _, s := range []plan.Force{plan.ForceFull, plan.ForceScan, plan.ForceBitmap, plan.ForceSorted} {
 		t.Run(s.String(), func(t *testing.T) {
 			d, ids := vpicDeployment(t, 30000, Options{
-				Servers: 4, Strategy: s, RegionBytes: 8 << 10, BuildIndex: true,
-			})
-			if s == exec.SortedHistogram {
+				Servers: 4, RegionBytes: 8 << 10, BuildIndex: true,
+			}, s)
+			if s == plan.ForceSorted {
 				// replica built in helper only for SortedHistogram; ensure set
 				if d.replicas[ids["Energy"]] == nil {
 					t.Fatal("no replica")
@@ -88,7 +95,7 @@ func TestEndToEndAllStrategies(t *testing.T) {
 }
 
 func TestRunCountMatchesRun(t *testing.T) {
-	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, RegionBytes: 8 << 10})
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 1.5)}
 	full, err := d.Client().Run(q)
 	if err != nil {
@@ -107,11 +114,11 @@ func TestRunCountMatchesRun(t *testing.T) {
 }
 
 func TestGetDataAllStrategies(t *testing.T) {
-	for _, s := range []exec.Strategy{exec.FullScan, exec.Histogram, exec.HistogramIndex, exec.SortedHistogram} {
+	for _, s := range []plan.Force{plan.ForceFull, plan.ForceScan, plan.ForceBitmap, plan.ForceSorted} {
 		t.Run(s.String(), func(t *testing.T) {
 			d, ids := vpicDeployment(t, 25000, Options{
-				Servers: 4, Strategy: s, RegionBytes: 8 << 10, BuildIndex: true,
-			})
+				Servers: 4, RegionBytes: 8 << 10, BuildIndex: true,
+			}, s)
 			v := workload.GenerateVPIC(25000, 42)
 			q := &query.Query{Root: query.Between(ids["Energy"], 1.5, 2.5, false, false)}
 			res, err := d.Client().Run(q)
@@ -152,7 +159,7 @@ func TestGetDataAllStrategies(t *testing.T) {
 }
 
 func TestGetDataBatch(t *testing.T) {
-	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, RegionBytes: 8 << 10})
 	v := workload.GenerateVPIC(20000, 42)
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 1.0)}
 	res, err := d.Client().Run(q)
@@ -202,7 +209,7 @@ func TestScalabilityConsistency(t *testing.T) {
 	// Fig. 6's invariant: the answer does not depend on the server count.
 	var baseline uint64
 	for _, nsrv := range []int{1, 2, 8, 16} {
-		d, ids := vpicDeployment(t, 20000, Options{Servers: nsrv, Strategy: exec.Histogram, RegionBytes: 4 << 10})
+		d, ids := vpicDeployment(t, 20000, Options{Servers: nsrv, RegionBytes: 4 << 10})
 		q := workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])[2]
 		res, err := d.Client().Run(q)
 		if err != nil {
@@ -218,14 +225,14 @@ func TestScalabilityConsistency(t *testing.T) {
 }
 
 func TestRegionConstraintEndToEnd(t *testing.T) {
-	d, ids := vpicDeployment(t, 15000, Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 4 << 10})
+	d, ids := vpicDeployment(t, 15000, Options{Servers: 3, RegionBytes: 4 << 10})
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 1.0)}
 	q.SetRegion(region.New([]uint64{3000}, []uint64{5000}))
 	checkAgainstTruth(t, d, q, "constrained")
 }
 
 func TestGetHistogram(t *testing.T) {
-	d, ids := vpicDeployment(t, 10000, Options{Servers: 4, Strategy: exec.Histogram, RegionBytes: 4 << 10})
+	d, ids := vpicDeployment(t, 10000, Options{Servers: 4, RegionBytes: 4 << 10})
 	h, info, err := d.Client().GetHistogram(ids["Energy"])
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +291,7 @@ func TestTagQueryEndToEnd(t *testing.T) {
 
 func TestTCPDeployment(t *testing.T) {
 	d, ids := vpicDeployment(t, 8000, Options{
-		Servers: 3, Strategy: exec.Histogram, RegionBytes: 4 << 10, TCP: true,
+		Servers: 3, RegionBytes: 4 << 10, TCP: true,
 	})
 	q := &query.Query{Root: query.Between(ids["Energy"], 1.0, 2.0, false, false)}
 	checkAgainstTruth(t, d, q, "tcp")
@@ -298,13 +305,13 @@ func TestTCPDeployment(t *testing.T) {
 }
 
 func TestStrategySwitchAndCacheReset(t *testing.T) {
-	d, ids := vpicDeployment(t, 10000, Options{Servers: 2, Strategy: exec.FullScan, RegionBytes: 4 << 10})
+	d, ids := vpicDeployment(t, 10000, Options{Servers: 2, RegionBytes: 4 << 10}, plan.ForceFull)
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 2.0)}
 	r1, err := d.Client().Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetStrategy(exec.Histogram)
+	d.SetStrategy(plan.ForceScan)
 	d.ResetCaches()
 	r2, err := d.Client().Run(q)
 	if err != nil {
@@ -348,7 +355,7 @@ func TestImportErrors(t *testing.T) {
 }
 
 func TestIndexBytesReported(t *testing.T) {
-	d, _ := vpicDeployment(t, 10000, Options{Servers: 2, Strategy: exec.HistogramIndex, RegionBytes: 8 << 10, BuildIndex: true})
+	d, _ := vpicDeployment(t, 10000, Options{Servers: 2, RegionBytes: 8 << 10, BuildIndex: true}, plan.ForceBitmap)
 	if d.IndexBytes() == 0 {
 		t.Error("no index bytes reported")
 	}
@@ -369,7 +376,7 @@ func TestQueryValidationErrorPropagates(t *testing.T) {
 func TestManyQueriesSequentially(t *testing.T) {
 	// The Fig. 3 pattern: 15 queries executed sequentially on one warm
 	// deployment; later queries benefit from the region cache.
-	d, ids := vpicDeployment(t, 30000, Options{Servers: 4, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d, ids := vpicDeployment(t, 30000, Options{Servers: 4, RegionBytes: 8 << 10})
 	var prev uint64 = 1 << 62
 	for k, q := range workload.SingleObjectQueries(ids["Energy"]) {
 		res, err := d.Client().RunCount(q)
@@ -400,7 +407,7 @@ func TestLabelHelpers(t *testing.T) {
 // Deployment.Replicas: the returned registry map is the caller's copy,
 // so deleting from it must not detach replicas from the deployment.
 func TestReplicasSnapshotIsCopy(t *testing.T) {
-	d, ids := vpicDeployment(t, 64, Options{Servers: 2, Strategy: exec.SortedHistogram})
+	d, ids := vpicDeployment(t, 64, Options{Servers: 2}, plan.ForceSorted)
 	_ = ids
 	snap := d.Replicas()
 	if len(snap) == 0 {

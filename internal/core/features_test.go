@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
@@ -15,8 +15,8 @@ import (
 
 func TestMigrateObjectToBurstBuffer(t *testing.T) {
 	d, ids := vpicDeployment(t, 20000, Options{
-		Servers: 4, Strategy: exec.SortedHistogram, RegionBytes: 8 << 10, BuildIndex: true,
-	})
+		Servers: 4, RegionBytes: 8 << 10, BuildIndex: true,
+	}, plan.ForceSorted)
 	energy := ids["Energy"]
 	q := &query.Query{Root: query.Between(energy, 2.1, 2.5, false, false)}
 
@@ -65,7 +65,7 @@ func TestMigrateObjectToBurstBuffer(t *testing.T) {
 }
 
 func TestEstimateNHitsBracketsTruth(t *testing.T) {
-	d, ids := vpicDeployment(t, 30000, Options{Servers: 4, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d, ids := vpicDeployment(t, 30000, Options{Servers: 4, RegionBytes: 8 << 10})
 	cli := d.Client()
 	for k, q := range workload.SingleObjectQueries(ids["Energy"]) {
 		lower, upper, err := cli.EstimateNHits(q)
@@ -83,7 +83,7 @@ func TestEstimateNHitsBracketsTruth(t *testing.T) {
 }
 
 func TestEstimateNHitsMultiObjectAndOr(t *testing.T) {
-	d, ids := vpicDeployment(t, 20000, Options{Servers: 2, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d, ids := vpicDeployment(t, 20000, Options{Servers: 2, RegionBytes: 8 << 10})
 	cli := d.Client()
 
 	// AND: upper bound is the tightest single condition.
@@ -135,7 +135,7 @@ func TestTwoDimensionalObjectEndToEnd(t *testing.T) {
 	// A 2-D object (rows x cols) with a rectangular spatial constraint,
 	// exercising the N-D region paths through the whole stack.
 	const rows, cols = 200, 150
-	d := NewDeployment(Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 4 << 10, BuildIndex: true})
+	d := NewDeployment(Options{Servers: 3, RegionBytes: 4 << 10, BuildIndex: true})
 	c := d.CreateContainer("matrix")
 	vals := make([]float32, rows*cols)
 	for r := 0; r < rows; r++ {
@@ -171,7 +171,7 @@ func TestTwoDimensionalObjectEndToEnd(t *testing.T) {
 		t.Fatalf("2-D constrained query: %d hits, want %d", res.Sel.NHits, want.NHits)
 	}
 	// Every strategy handles the 2-D constraint identically.
-	for _, s := range []exec.Strategy{exec.FullScan, exec.HistogramIndex, exec.SortedHistogram} {
+	for _, s := range []plan.Force{plan.ForceFull, plan.ForceBitmap, plan.ForceSorted} {
 		d.SetStrategy(s)
 		d.ResetCaches()
 		r2, err := d.Client().Run(q)
@@ -182,7 +182,7 @@ func TestTwoDimensionalObjectEndToEnd(t *testing.T) {
 			t.Errorf("%v: 2-D query %d hits, want %d", s, r2.Sel.NHits, want.NHits)
 		}
 	}
-	d.SetStrategy(exec.Histogram)
+	d.SetStrategy(plan.ForceScan)
 	d.ResetCaches()
 	if want.NHits == 0 {
 		t.Fatal("test query selected nothing; choose different windows")
@@ -216,7 +216,7 @@ func TestGetDataAfterOrQuery(t *testing.T) {
 	// OR results skip the server-side value stash (values cannot be
 	// aligned across conjuncts), so get-data falls back to extraction —
 	// the answer must be identical either way.
-	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, RegionBytes: 8 << 10})
 	v := workload.GenerateVPIC(20000, 42)
 	q := &query.Query{Root: query.Or(
 		query.Between(ids["Energy"], 2.1, 2.3, false, false),
@@ -261,7 +261,7 @@ func TestGetDataAfterOrQuery(t *testing.T) {
 }
 
 func TestDeploymentStats(t *testing.T) {
-	d, ids := vpicDeployment(t, 10000, Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 4 << 10})
+	d, ids := vpicDeployment(t, 10000, Options{Servers: 3, RegionBytes: 4 << 10})
 	if s := d.Stats(); s.ReadBytes != 0 || s.StoredBytes == 0 {
 		t.Fatalf("pre-query stats = %+v", s)
 	}

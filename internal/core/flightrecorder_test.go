@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"pdcquery/internal/exec"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/workload"
 )
@@ -19,13 +19,13 @@ import (
 // for recording from inside pooled region tasks, where event order
 // would depend on goroutine scheduling.
 func TestRecorderWorkerCountDeterminism(t *testing.T) {
-	for _, strat := range []exec.Strategy{exec.Histogram, exec.SortedHistogram} {
+	for _, strat := range []plan.Force{plan.ForceScan, plan.ForceSorted} {
 		t.Run(strat.String(), func(t *testing.T) {
 			run := func(workers int) [][]byte {
 				d, ids := vpicDeployment(t, 30000, Options{
-					Servers: 4, Strategy: strat, RegionBytes: 8 << 10,
+					Servers: 4, RegionBytes: 8 << 10,
 					BuildIndex: true, Workers: workers,
-				})
+				}, strat)
 				for _, q := range workload.SingleObjectQueries(ids["Energy"])[:4] {
 					if _, err := d.Client().Run(q); err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
@@ -53,7 +52,7 @@ func serverBinary(t *testing.T) string {
 // processSource builds the import source and oracle for process tests.
 func processSource(t *testing.T, particles int) (*Deployment, []*query.Query, []*selection.Selection) {
 	t.Helper()
-	d := NewDeployment(Options{Servers: 2, Strategy: exec.Histogram, RegionBytes: 8 << 10})
+	d := NewDeployment(Options{Servers: 2, RegionBytes: 8 << 10})
 	c := d.CreateContainer("process-e2e")
 	v := workload.GenerateVPIC(particles, 42)
 	ids := make(map[string]object.ID)

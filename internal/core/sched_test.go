@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"pdcquery/internal/client"
-	"pdcquery/internal/exec"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -22,7 +22,7 @@ import (
 // a query batch are identical whether the engine runs serially
 // (Workers 0) or region-parallel with 1, 4, or 16 workers.
 func TestWorkerCountDeterminism(t *testing.T) {
-	for _, strat := range []exec.Strategy{exec.Histogram, exec.SortedHistogram} {
+	for _, strat := range []plan.Force{plan.ForceScan, plan.ForceSorted} {
 		t.Run(strat.String(), func(t *testing.T) {
 			type outcome struct {
 				sel    []byte
@@ -31,9 +31,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			}
 			run := func(workers int) outcome {
 				d, ids := vpicDeployment(t, 30000, Options{
-					Servers: 4, Strategy: strat, RegionBytes: 8 << 10,
+					Servers: 4, RegionBytes: 8 << 10,
 					BuildIndex: true, Workers: workers,
-				})
+				}, strat)
 				var o outcome
 				for _, q := range workload.SingleObjectQueries(ids["Energy"])[:4] {
 					res, err := d.Client().RunTraced(q)
@@ -99,7 +99,7 @@ func extraSession(t *testing.T, d *Deployment) *client.Client {
 // session/dispatcher/writer interleavings.
 func TestConcurrentSessionsStress(t *testing.T) {
 	d, ids := vpicDeployment(t, 20000, Options{
-		Servers: 2, Strategy: exec.Histogram, RegionBytes: 8 << 10, Workers: 4,
+		Servers: 2, RegionBytes: 8 << 10, Workers: 4,
 	})
 	qs := workload.SingleObjectQueries(ids["Energy"])
 	truths := make([]*selection.Selection, len(qs))
@@ -157,9 +157,9 @@ func TestConcurrentSessionsStress(t *testing.T) {
 // least part of the burst complete with oracle-correct results.
 func TestOverloadBusyReplies(t *testing.T) {
 	d, ids := vpicDeployment(t, 20000, Options{
-		Servers: 1, Strategy: exec.FullScan, RegionBytes: 8 << 10,
+		Servers: 1, RegionBytes: 8 << 10,
 		Workers: 1, QueueDepth: 1,
-	})
+	}, plan.ForceFull)
 	cl := d.Client()
 	// Pace retries in real time so the burst is not a pure spin loop.
 	cl.SetSleeper(telemetry.WallSleep)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/qlang"
@@ -20,7 +19,7 @@ import (
 // so the planner has real choices to make.
 func textDeployment(t *testing.T, n int) (*Deployment, map[string]object.ID) {
 	t.Helper()
-	d := NewDeployment(Options{Servers: 4, Strategy: exec.Histogram, RegionBytes: 8 << 10, BuildIndex: true})
+	d := NewDeployment(Options{Servers: 4, RegionBytes: 8 << 10, BuildIndex: true})
 	c := d.CreateContainer("vpic")
 	v := workload.GenerateVPIC(n, 42)
 	ids := make(map[string]object.ID)

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 )
 
@@ -17,7 +17,7 @@ func TestWritePathMatchesImport(t *testing.T) {
 	}
 
 	// Reference: bulk import.
-	dRef := NewDeployment(Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 8 << 10, BuildIndex: true})
+	dRef := NewDeployment(Options{Servers: 3, RegionBytes: 8 << 10, BuildIndex: true})
 	cRef := dRef.CreateContainer("c")
 	oRef, err := dRef.ImportObject(cRef.ID, object.Property{Name: "v", Type: dtype.Float32, Dims: []uint64{n}}, dtype.Bytes(vals))
 	if err != nil {
@@ -29,7 +29,7 @@ func TestWritePathMatchesImport(t *testing.T) {
 	defer dRef.Close()
 
 	// Write path: region by region, out of order.
-	d := NewDeployment(Options{Servers: 3, Strategy: exec.Histogram, RegionBytes: 8 << 10, BuildIndex: true})
+	d := NewDeployment(Options{Servers: 3, RegionBytes: 8 << 10, BuildIndex: true})
 	c := d.CreateContainer("c")
 	o, err := d.CreateObject(c.ID, object.Property{Name: "v", Type: dtype.Float32, Dims: []uint64{n}})
 	if err != nil {
@@ -79,7 +79,7 @@ func TestWritePathMatchesImport(t *testing.T) {
 		t.Errorf("finalized global histogram = %+v", o.Global)
 	}
 	// The index strategy works on written regions too.
-	d.SetStrategy(exec.HistogramIndex)
+	d.SetStrategy(plan.ForceBitmap)
 	d.ResetCaches()
 	got, err := d.Client().RunCount(&query.Query{Root: query.Between(o.ID, 42, 43, false, false)})
 	if err != nil {

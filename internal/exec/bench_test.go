@@ -52,7 +52,7 @@ func BenchmarkProbeKernel(b *testing.B) {
 // strategy, and a window selecting 16 % of it that touches ten sure bins
 // and two candidate bins of the region's bitmap index (9.4 KB of index
 // against the 64 KiB of data).
-func regionBench(b *testing.B, s Strategy) (*Engine, *query.Query, Assignment, []float32) {
+func regionBench(b *testing.B, s shape) (planned, *query.Query, Assignment, []float32) {
 	const n = 1 << 14
 	energy := workload.GenerateVPIC(n, 1).Vars["Energy"]
 	f := buildFixture(b, []string{"Energy"}, func(_ string, i int) float32 { return energy[i] }, n, n, true, false)
@@ -74,7 +74,7 @@ func regionBench(b *testing.B, s Strategy) (*Engine, *query.Query, Assignment, [
 	if want := len(f.truth(q)); int(res.Sel.NHits) != want || want == 0 {
 		b.Fatalf("%v: %d hits, want %d", s, res.Sel.NHits, want)
 	}
-	if s == HistogramIndex && (res.Stats.IndexBinsRead != 12 || res.Stats.CandChecks == 0) {
+	if s == shapeBitmap && (res.Stats.IndexBinsRead != 12 || res.Stats.CandChecks == 0) {
 		b.Fatalf("window touches %d bins with %d candidate checks, want 12 bins and some checks", res.Stats.IndexBinsRead, res.Stats.CandChecks)
 	}
 	b.SetBytes(n * 4)
@@ -83,7 +83,7 @@ func regionBench(b *testing.B, s Strategy) (*Engine, *query.Query, Assignment, [
 	return e, q, f.fullAssign(), f.data[1]
 }
 
-func benchEvaluate(b *testing.B, s Strategy, need Need) {
+func benchEvaluate(b *testing.B, s shape, need Need) {
 	e, q, assign, _ := regionBench(b, s)
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Evaluate(q, assign, need); err != nil {
@@ -95,26 +95,26 @@ func benchEvaluate(b *testing.B, s Strategy, need Need) {
 // BenchmarkEvalRegionScan is the whole per-region cost of an ids
 // statement — prune, task, scan into scratch, exact-size copy, merge —
 // which BenchmarkScanKernelFloat32 (a reused out buffer) never showed.
-func BenchmarkEvalRegionScan(b *testing.B) { benchEvaluate(b, Histogram, NeedCoords) }
+func BenchmarkEvalRegionScan(b *testing.B) { benchEvaluate(b, shapeScan, NeedCoords) }
 
 // BenchmarkEvalRegionCount is the same region under a count statement:
 // the counting kernel, no hit list.
-func BenchmarkEvalRegionCount(b *testing.B) { benchEvaluate(b, Histogram, NeedCount) }
+func BenchmarkEvalRegionCount(b *testing.B) { benchEvaluate(b, shapeScan, NeedCount) }
 
 // BenchmarkEvalRegionIndexIDs and BenchmarkEvalRegionIndexCount are the
 // same statements resolved from the region's bitmap index: twelve bins
 // ORed into the dense bitset, the two boundary bins checked against the
 // data, then the coordinates emitted — or, for the count, a popcount.
-func BenchmarkEvalRegionIndexIDs(b *testing.B) { benchEvaluate(b, HistogramIndex, NeedCoords) }
+func BenchmarkEvalRegionIndexIDs(b *testing.B) { benchEvaluate(b, shapeBitmap, NeedCoords) }
 
-func BenchmarkEvalRegionIndexCount(b *testing.B) { benchEvaluate(b, HistogramIndex, NeedCount) }
+func BenchmarkEvalRegionIndexCount(b *testing.B) { benchEvaluate(b, shapeBitmap, NeedCount) }
 
 var ceilingSink int
 
 // BenchmarkScanCeiling is the machine ceiling the four above are read
 // against: a plain loop over the same bytes with the same bounds.
 func BenchmarkScanCeiling(b *testing.B) {
-	_, _, _, vals := regionBench(b, Histogram)
+	_, _, _, vals := regionBench(b, shapeScan)
 	lo, hi := float32(0.35), float32(1.45)
 	for i := 0; i < b.N; i++ {
 		hits := 0

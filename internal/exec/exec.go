@@ -1,21 +1,26 @@
 // Package exec is the query evaluation engine that runs inside each PDC
-// server: it evaluates normalized query conditions over the server's
-// assigned regions using one of the paper's four strategies (§III-D).
+// server: it executes a prepared plan (QueryPlan) for a normalized
+// query over the server's assigned regions. The engine chooses nothing
+// itself — condition order, per-region access path, the sorted-replica
+// path and the whole-query switches all arrive in the plan, built by
+// internal/plan from the statement's forcing. The paper's four
+// strategies (§III-D) are four shapes of plan:
 //
-//   - FullScan (PDC-F): read every assigned region of every queried
-//     object, scan the first condition, refine with probes.
-//   - Histogram (PDC-H, the default): use per-region histograms/extrema to
-//     prune regions and the global histogram to order conditions by
-//     estimated selectivity, then scan + probe only surviving regions.
-//   - HistogramIndex (PDC-HI): like PDC-H for pruning/ordering, but
-//     resolve conditions from the per-region bitmap indexes, reading only
-//     the index directory and the touched bins — no raw data unless a
-//     boundary candidate check requires it.
-//   - SortedHistogram (PDC-SH): when the most selective condition is on an
-//     object with a sorted replica, binary-search the sorted regions and
-//     probe the remaining conditions at the matching locations; otherwise
-//     fall back to the histogram strategy (the paper's Fig. 4 behaviour
-//     when the engine evaluates a non-sort-key condition first).
+//   - PDC-F: Full — preload every assigned region of every queried
+//     object, prune nothing, scan the first condition (object-ID order),
+//     refine with probes.
+//   - PDC-H (the default): per-region histograms/extrema prune regions,
+//     the plan's order (ascending estimated selectivity) drives scan +
+//     probe of the survivors.
+//   - PDC-HI: like PDC-H for pruning/ordering, but every region is
+//     ChoiceProbe: conditions resolve from the per-region bitmap indexes,
+//     reading only the index directory and the touched bins — no raw
+//     data unless a boundary candidate check requires it (IndexOnly).
+//   - PDC-SH: Sorted — when the first-ordered condition is on an object
+//     with a sorted replica, binary-search the sorted regions and probe
+//     the remaining conditions at the matching locations; otherwise
+//     scan + probe (the paper's Fig. 4 behaviour when a non-sort-key
+//     condition is evaluated first).
 //
 // The engine also implements the AND short-circuit ("one condition has no
 // hit → stop") and evaluates OR terms independently, merging them with
@@ -30,7 +35,6 @@ import (
 
 	"pdcquery/internal/bitindex"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/histogram"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
@@ -43,53 +47,9 @@ import (
 	"pdcquery/internal/wah"
 )
 
-// Strategy selects the evaluation optimization, mirroring the paper's
-// environment-variable switch (§III-D).
-type Strategy int
-
-// Evaluation strategies. Histogram is the zero value: "the histogram
-// only approach is selected by default" (§III-D).
-const (
-	Histogram       Strategy = iota // PDC-H (the default)
-	FullScan                        // PDC-F
-	HistogramIndex                  // PDC-HI
-	SortedHistogram                 // PDC-SH
-)
-
-// String returns the paper's label for the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case FullScan:
-		return "PDC-F"
-	case Histogram:
-		return "PDC-H"
-	case HistogramIndex:
-		return "PDC-HI"
-	case SortedHistogram:
-		return "PDC-SH"
-	}
-	//lint:ignore hotalloc unreachable for defined strategies; debug fallback only
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// ParseStrategy accepts both the paper labels and plain names.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "PDC-F", "fullscan", "full":
-		return FullScan, nil
-	case "PDC-H", "histogram", "hist":
-		return Histogram, nil
-	case "PDC-HI", "index", "histindex":
-		return HistogramIndex, nil
-	case "PDC-SH", "sorted", "sorthist":
-		return SortedHistogram, nil
-	}
-	return 0, fmt.Errorf("exec: unknown strategy %q", s)
-}
-
 // Assignment names the regions this server evaluates: original region
 // indices (shared by all same-shaped objects) and sorted-replica region
-// indices for the SortedHistogram strategy.
+// indices for the sorted-replica path.
 type Assignment struct {
 	Orig   []int
 	Sorted []int
@@ -160,13 +120,10 @@ type Engine struct {
 	// Lookup resolves object metadata (distributed to the server before
 	// evaluation, §III-C).
 	Lookup func(object.ID) (*object.Object, bool)
-	// Global returns the object's global histogram (nil when absent).
-	Global func(object.ID) *histogram.Histogram
 	// Replica returns the object's sorted replica metadata (nil when
 	// absent).
-	Replica  func(object.ID) *sortstore.Replica
-	Strategy Strategy
-	Cache    *Cache
+	Replica func(object.ID) *sortstore.Replica
+	Cache   *Cache
 	// Pool, when non-nil, fans region-level evaluation out to a bounded
 	// worker pool. A nil pool runs the same task/merge code serially, so
 	// results, traces, and virtual costs are byte-identical at any worker
@@ -185,14 +142,6 @@ type Engine struct {
 	// Rec) and the merge barrier flushes the totals as aggregate events
 	// in region order.
 	cacheEv *CacheTraffic
-	// Plan, when non-nil, is the cost-based planner's output for the
-	// query about to run: per-conjunct condition order and per-region
-	// scan-vs-probe choices, replacing the engine's fixed
-	// strategy-driven decisions. Every directive degrades safely (a
-	// malformed order or a probe choice on an unindexed region falls
-	// back to the engine default), so a plan changes cost, never
-	// results.
-	Plan *QueryPlan
 	// Clock supplies wall stamps for phase accounting; nil or NoClock in
 	// every deterministic context.
 	Clock telemetry.Clock
@@ -316,12 +265,6 @@ const (
 	NeedValues
 )
 
-// Evaluate runs the query over the assigned regions and returns the
-// partial result.
-func (e *Engine) Evaluate(q *query.Query, assign Assignment, need Need) (*Result, error) {
-	return e.EvaluateToken(nil, q, assign, need, nil)
-}
-
 // spanCost captures the account cost before a traced section; done adds
 // the delta to the span. Both are no-ops when the span is nil, so the
 // untraced path never touches the account mutex for tracing.
@@ -354,18 +297,23 @@ func condOut(cs *telemetry.Span, id object.ID, n int64) {
 	}
 }
 
-// EvaluateToken is Evaluate with per-conjunct and per-region trace spans
-// recorded as children of span (which may be nil: all span operations are
-// nil-safe and skipped) and an end-to-end cancellation token. Each region
-// child carries the pruning decision (histogram-pruned / bitmap-probed /
-// cache-hit / full-scan / scan) and the virtual cost spent on that
-// region. tok is checked between regions and before storage reads, so a
-// session disconnect or a virtual-deadline overrun stops the evaluation
-// instead of running it to completion. A nil token never cancels.
-func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignment, need Need, span *telemetry.Span) (*Result, error) {
+// EvaluateToken executes pl — the prepared plan of q — over the assigned
+// regions and returns the partial result. A plan that does not cover
+// q's conjuncts is refused with ErrPlan. Per-conjunct and per-region
+// trace spans are recorded as children of span (which may be nil: all
+// span operations are nil-safe and skipped). Each region child carries
+// the pruning decision (histogram-pruned / bitmap-probed / cache-hit /
+// full-scan / scan) and the virtual cost spent on that region. tok is
+// checked between regions and before storage reads, so a session
+// disconnect or a virtual-deadline overrun stops the evaluation instead
+// of running it to completion. A nil token never cancels.
+func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, assign Assignment, need Need, span *telemetry.Span) (*Result, error) {
 	conjuncts, err := query.Normalize(q.Root)
 	if err != nil {
 		return nil, err
+	}
+	if pl == nil || len(pl.Conjuncts) != len(conjuncts) {
+		return nil, fmt.Errorf("%w: %d conjuncts", ErrPlan, len(conjuncts))
 	}
 	ids := q.Root.Objects()
 	objs := make(map[object.ID]*object.Object, len(ids))
@@ -385,7 +333,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 	orig := append([]int(nil), assign.Orig...)
 	slices.Sort(orig)
 	if span != nil {
-		span.SetStr("strategy", e.Strategy.String())
+		span.SetStr("strategy", pl.Label)
 		span.SetInt("conjuncts", int64(len(conjuncts)))
 		span.SetInt("regions.assigned", int64(len(orig)))
 	}
@@ -396,7 +344,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 	// streaming requests (SIII-E), so the preload is charged one
 	// operation latency per object plus the full transfer, instead of
 	// one latency per region.
-	if e.Strategy == FullScan {
+	if pl.Full {
 		ps := span.Child(telemetry.SpanPhase, "preload")
 		before, costed := e.spanCost(ps)
 		for _, o := range objs {
@@ -435,15 +383,14 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 	}
 
 	res := &Result{}
-	// Values are collected only when the evaluation reads raw data anyway
-	// (the index strategy deliberately avoids raw reads, §III-D4) and the
-	// result is a single conjunct (OR merging would misalign values);
-	// OR merging also removes duplicates by coordinate, so a count over
-	// several conjuncts still needs them.
+	// Values are collected only when the plan reads raw data anyway
+	// (IndexOnly) and the result is a single conjunct (OR merging would
+	// misalign values); OR merging also removes duplicates by
+	// coordinate, so a count over several conjuncts still needs them.
 	switch {
 	case len(conjuncts) > 1:
 		need = NeedCoords
-	case e.Strategy == HistogramIndex:
+	case pl.IndexOnly:
 		need = min(need, NeedCoords)
 	}
 	collect := need == NeedValues
@@ -454,7 +401,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 		}
 		cs := span.Child(telemetry.SpanConjunct, fmt.Sprintf("conjunct.%d", i))
 		before, costed := e.spanCost(cs)
-		sel, vals, err := e.evalConjunct(tok, e.Plan.conjunct(i), q, c, objs, anchor, orig, assign.Sorted, need, &res.Stats, cs)
+		sel, vals, err := e.evalConjunct(tok, pl, i, q, c, objs, anchor, orig, assign.Sorted, need, &res.Stats, cs)
 		if err != nil {
 			return nil, err
 		}
@@ -474,41 +421,11 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, assign Assignme
 	return res, nil
 }
 
-// orderConditions returns the conjunct's objects in evaluation order:
-// ascending estimated selectivity (upper bound) from the global
-// histograms, falling back to object ID order (§III-D2).
-func (e *Engine) orderConditions(c query.Conjunct) []object.ID {
-	ids := c.ObjectsSorted()
-	if e.Strategy == FullScan || e.Global == nil {
-		return ids
-	}
-	type entry struct {
-		id  object.ID
-		sel float64
-	}
-	entries := make([]entry, 0, len(ids))
-	for _, id := range ids {
-		sel := 1.0
-		if g := e.Global(id); g != nil {
-			iv := c[id]
-			_, sel = g.SelectivityBounds(iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
-		}
-		entries = append(entries, entry{id, sel})
-	}
-	// SortStableFunc keeps the comparison monomorphic: no interface boxing
-	// of the entry slice and no capturing closure, unlike sort.SliceStable.
-	slices.SortStableFunc(entries, func(x, y entry) int { return cmp.Compare(x.sel, y.sel) })
-	out := make([]object.ID, len(entries))
-	for i, en := range entries {
-		out[i] = en.id
-	}
-	return out
-}
-
-// prunable reports whether region r of object o cannot contain any value
-// in iv, using the region histogram when present, else stored extrema.
-func prunable(o *object.Object, r int, iv query.Interval) bool {
-	rm := &o.Regions[r]
+// Prunable reports whether a region cannot contain any value in iv,
+// using the region histogram when present, else stored extrema. The
+// planner counts pruned regions with the same predicate the engine
+// prunes by.
+func Prunable(rm *object.RegionMeta, iv query.Interval) bool {
 	if rm.Hist != nil {
 		return !rm.Hist.Overlaps(iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
 	}
@@ -550,29 +467,24 @@ func runsElems(runs []localRun) int64 {
 	return n
 }
 
-// evalConjunct evaluates one AND-term over the assigned regions. A
-// non-nil ConjunctPlan overrides the strategy-driven decisions: its
-// validated order replaces selectivity ordering, and its Sorted flag
-// replaces the strategy check (still contingent on the replica being
-// present).
-func (e *Engine) evalConjunct(tok *sched.Token, cp *ConjunctPlan, q *query.Query, c query.Conjunct, objs map[object.ID]*object.Object,
+// evalConjunct evaluates one AND-term over the assigned regions as its
+// ConjunctPlan says: the validated order, and the sorted-replica path
+// when the plan chose it and the engine has the replica.
+func (e *Engine) evalConjunct(tok *sched.Token, pl *QueryPlan, ci int, q *query.Query, c query.Conjunct, objs map[object.ID]*object.Object,
 	anchor *object.Object, orig []int, sorted []int, need Need, stats *Stats,
 	cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
 
-	order := cp.planOrder(c)
-	if order == nil {
-		order = e.orderConditions(c)
+	cp := &pl.Conjuncts[ci]
+	order, err := cp.order(ci, c)
+	if err != nil {
+		return nil, nil, err
 	}
-	useSorted := e.Strategy == SortedHistogram
-	if cp != nil {
-		useSorted = cp.Sorted
-	}
-	if useSorted {
+	if cp.Sorted {
 		if rep := e.replicaFor(order[0]); rep != nil {
 			return e.evalConjunctSorted(tok, q, c, order, objs, anchor, rep, sorted, need == NeedValues, stats, cs)
 		}
 	}
-	return e.evalConjunctScanProbe(tok, cp, q, c, order, objs, anchor, orig, need, stats, cs)
+	return e.evalConjunctScanProbe(tok, cp, pl.Full, q, c, order, objs, anchor, orig, need, stats, cs)
 }
 
 func (e *Engine) replicaFor(id object.ID) *sortstore.Replica {
@@ -622,8 +534,9 @@ func replayCondAttrs(cs, log *telemetry.Span) {
 	}
 }
 
-// evalConjunctScanProbe is the scan+probe path used by PDC-F, PDC-H, and
-// PDC-HI (the latter replaces the scan with index lookups). It runs in
+// evalConjunctScanProbe is the scan+probe path used by PDC-F (full),
+// PDC-H, and PDC-HI (ChoiceProbe regions replace the scan with index
+// lookups). It runs in
 // three phases so regions can be evaluated in parallel without changing
 // a single output byte:
 //
@@ -636,7 +549,7 @@ func replayCondAttrs(cs, log *telemetry.Span) {
 //  3. a serial merge in region order that adopts spans, replays condition
 //     counters, absorbs shadow accounts, and copies the tasks' coordinates
 //     into a result sized once from their total.
-func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *query.Query, c query.Conjunct, order []object.ID,
+func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full bool, q *query.Query, c query.Conjunct, order []object.ID,
 	objs map[object.ID]*object.Object, anchor *object.Object, orig []int,
 	need Need, stats *Stats, cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
 
@@ -660,10 +573,10 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 			continue // outside the spatial constraint
 		}
 		// Region pruning via histogram min/max (not for full scan).
-		if e.Strategy != FullScan {
+		if !full {
 			pruned := false
 			for id, iv := range c {
-				if prunable(objs[id], r, iv) {
+				if Prunable(&objs[id].Regions[r], iv) {
 					var ps *telemetry.Span
 					if cs != nil {
 						ps = telemetry.NewSpan(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
@@ -710,15 +623,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 		rs := res.span
 		res.stats.RegionsEvaluated++
 
-		// Resolve the region per the plan's choice when one is set;
-		// ChoiceAuto keeps the strategy default.
-		useIndex := e.Strategy == HistogramIndex
-		switch cp.choice(r) {
-		case ChoiceScan:
-			useIndex = false
-		case ChoiceProbe:
-			useIndex = true
-		}
+		useIndex := cp.Regions[r] == ChoiceProbe
 
 		// Classify how this region will be resolved before reading it:
 		// once readRegion runs, the cache state that made it a hit is gone.
@@ -726,7 +631,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, q *qu
 			switch {
 			case useIndex:
 				rs.SetStr("decision", telemetry.DecisionBitmapProbed)
-			case e.Strategy == FullScan:
+			case full:
 				rs.SetStr("decision", telemetry.DecisionFullScan)
 			case e.Cache.Contains(objs[order[0]].Regions[r].ExtentKey):
 				rs.SetStr("decision", telemetry.DecisionCacheHit)

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdcquery/internal/bitindex"
@@ -21,25 +23,23 @@ import (
 // store with per-region histograms, bitmap indexes, and a sorted replica
 // of the first object.
 type fixture struct {
-	st      *simio.Store
-	objs    map[object.ID]*object.Object
-	globals map[object.ID]*histogram.Histogram
-	reps    map[object.ID]*sortstore.Replica
-	data    map[object.ID][]float32
-	dims    []uint64
-	nreg    int
+	st   *simio.Store
+	objs map[object.ID]*object.Object
+	reps map[object.ID]*sortstore.Replica
+	data map[object.ID][]float32
+	dims []uint64
+	nreg int
 }
 
 func buildFixture(t testing.TB, names []string, gen func(name string, i int) float32,
 	n int, regionElems uint64, withIndex, withSorted bool) *fixture {
 	t.Helper()
 	f := &fixture{
-		st:      simio.New(simio.DefaultModel()),
-		objs:    map[object.ID]*object.Object{},
-		globals: map[object.ID]*histogram.Histogram{},
-		reps:    map[object.ID]*sortstore.Replica{},
-		data:    map[object.ID][]float32{},
-		dims:    []uint64{uint64(n)},
+		st:   simio.New(simio.DefaultModel()),
+		objs: map[object.ID]*object.Object{},
+		reps: map[object.ID]*sortstore.Replica{},
+		data: map[object.ID][]float32{},
+		dims: []uint64{uint64(n)},
 	}
 	for oi, name := range names {
 		id := object.ID(oi + 1)
@@ -72,7 +72,6 @@ func buildFixture(t testing.TB, names []string, gen func(name string, i int) flo
 		}
 		o.Global = histogram.MergeAll(hists)
 		f.objs[id] = o
-		f.globals[id] = o.Global
 		f.data[id] = vals
 		f.nreg = len(o.Regions)
 	}
@@ -87,20 +86,76 @@ func buildFixture(t testing.TB, names []string, gen func(name string, i int) flo
 	return f
 }
 
-func (f *fixture) engine(s Strategy) (*Engine, *vclock.Account) {
+// shape is one of the four plan shapes a forcing produces. internal/plan
+// builds the real ones but imports this package, so the tests build the
+// QueryPlan literals themselves, in testPlan and nowhere else.
+type shape int
+
+const (
+	shapeFull   shape = iota // PDC-F
+	shapeScan                // PDC-H
+	shapeBitmap              // PDC-HI
+	shapeSorted              // PDC-SH
+)
+
+func (s shape) String() string {
+	return [...]string{"PDC-F", "PDC-H", "PDC-HI", "PDC-SH"}[s]
+}
+
+// testPlan is the plan of q under shape s: conditions by ascending
+// global-histogram selectivity upper bound, stable on object ID (object-ID
+// order for the full scan); every region of a bitmap plan probes.
+func testPlan(q *query.Query, objs map[object.ID]*object.Object, s shape) *QueryPlan {
+	pl := &QueryPlan{Label: s.String(), Full: s == shapeFull, IndexOnly: s == shapeBitmap}
+	conjuncts, _ := query.Normalize(q.Root) // the engine reports the error
+	for _, c := range conjuncts {
+		cp := ConjunctPlan{Order: c.ObjectsSorted(), Sorted: s == shapeSorted}
+		if s != shapeFull {
+			upper := func(id object.ID) float64 {
+				if o := objs[id]; o != nil && o.Global != nil {
+					iv := c[id]
+					_, hi := o.Global.SelectivityBounds(iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
+					return hi
+				}
+				return 1
+			}
+			slices.SortStableFunc(cp.Order, func(x, y object.ID) int { return cmp.Compare(upper(x), upper(y)) })
+		}
+		if first := objs[cp.Order[0]]; s == shapeBitmap && first != nil {
+			cp.Regions = make(map[int]RegionChoice, len(first.Regions))
+			for r := range first.Regions {
+				cp.Regions[r] = ChoiceProbe
+			}
+		}
+		pl.Conjuncts = append(pl.Conjuncts, cp)
+	}
+	return pl
+}
+
+// planned is an engine bound to one plan shape: Evaluate plans the query
+// with testPlan and executes it.
+type planned struct {
+	*Engine
+	s    shape
+	objs map[object.ID]*object.Object
+}
+
+func (p planned) Evaluate(q *query.Query, assign Assignment, need Need) (*Result, error) {
+	return p.EvaluateToken(nil, q, testPlan(q, p.objs, p.s), assign, need, nil)
+}
+
+func (f *fixture) engine(s shape) (planned, *vclock.Account) {
 	a := vclock.NewAccount()
-	return &Engine{
+	return planned{s: s, objs: f.objs, Engine: &Engine{
 		Store: f.st,
 		Acct:  a,
 		Lookup: func(id object.ID) (*object.Object, bool) {
 			o, ok := f.objs[id]
 			return o, ok
 		},
-		Global:   func(id object.ID) *histogram.Histogram { return f.globals[id] },
-		Replica:  func(id object.ID) *sortstore.Replica { return f.reps[id] },
-		Strategy: s,
-		Cache:    NewCache(1 << 30),
-	}, a
+		Replica: func(id object.ID) *sortstore.Replica { return f.reps[id] },
+		Cache:   NewCache(1 << 30),
+	}}, a
 }
 
 func (f *fixture) fullAssign() Assignment {
@@ -142,12 +197,12 @@ func (f *fixture) truth(q *query.Query) []uint64 {
 	return out
 }
 
-var allStrategies = []Strategy{FullScan, Histogram, HistogramIndex, SortedHistogram}
+var allShapes = []shape{shapeFull, shapeScan, shapeBitmap, shapeSorted}
 
 func checkQuery(t *testing.T, f *fixture, q *query.Query, label string) {
 	t.Helper()
 	want := f.truth(q)
-	for _, s := range allStrategies {
+	for _, s := range allShapes {
 		e, _ := f.engine(s)
 		res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 		if err != nil {
@@ -254,7 +309,7 @@ func TestHistogramPrunesClusteredData(t *testing.T) {
 	f := buildFixture(t, []string{"v"}, gen, 10000, 1000, false, false)
 	q := &query.Query{Root: query.Between(1, 42.0, 43.0, false, false)}
 
-	e, _ := f.engine(Histogram)
+	e, _ := f.engine(shapeScan)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +325,7 @@ func TestHistogramPrunesClusteredData(t *testing.T) {
 	}
 
 	// Full scan evaluates everything.
-	e2, _ := f.engine(FullScan)
+	e2, _ := f.engine(shapeFull)
 	res2, err := e2.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +338,7 @@ func TestHistogramPrunesClusteredData(t *testing.T) {
 func TestFullScanReadsEverything(t *testing.T) {
 	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 10000, 1000, false, false)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 100), query.Leaf(2, query.OpGT, 1000))}
-	e, a := f.engine(FullScan)
+	e, a := f.engine(shapeFull)
 	if _, err := e.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +351,7 @@ func TestFullScanReadsEverything(t *testing.T) {
 func TestIndexReadsLessThanData(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 50000, 5000, true, false)
 	q := &query.Query{Root: query.Between(1, 4.0, 4.1, false, false)} // very selective
-	e, a := f.engine(HistogramIndex)
+	e, a := f.engine(shapeBitmap)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +371,7 @@ func TestIndexReadsLessThanData(t *testing.T) {
 func TestSortedTouchesFewRegions(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 50000, 2500, false, true)
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, 5.0)} // far tail
-	e, _ := f.engine(SortedHistogram)
+	e, _ := f.engine(shapeSorted)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +387,7 @@ func TestSortedTouchesFewRegions(t *testing.T) {
 func TestValuesCollection(t *testing.T) {
 	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 9000, 1000, true, true)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 1.5), query.Between(2, 0, 200, false, false))}
-	for _, s := range []Strategy{FullScan, Histogram, SortedHistogram} {
+	for _, s := range []shape{shapeFull, shapeScan, shapeSorted} {
 		e, _ := f.engine(s)
 		res, err := e.Evaluate(q, f.fullAssign(), NeedValues)
 		if err != nil {
@@ -358,7 +413,7 @@ func TestValuesCollection(t *testing.T) {
 
 func TestExtractValues(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 5000, 600, false, false)
-	e, a := f.engine(Histogram)
+	e, a := f.engine(shapeScan)
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, 2.0)}
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
@@ -389,7 +444,7 @@ func TestPartitionedAssignmentsUnionToFullResult(t *testing.T) {
 	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 16000, 1000, true, true)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 1.0), query.Between(2, 50, 300, false, false))}
 	want := f.truth(q)
-	for _, s := range allStrategies {
+	for _, s := range allShapes {
 		for _, nsrv := range []int{2, 3, 7} {
 			var parts []*selection.Selection
 			for srv := 0; srv < nsrv; srv++ {
@@ -428,7 +483,7 @@ func TestAndShortCircuit(t *testing.T) {
 	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 8000, 1000, false, false)
 	// First condition (after ordering) can never match: x > 1e6.
 	q := &query.Query{Root: query.And(query.Leaf(2, query.OpGT, 1e6), query.Leaf(1, query.OpGT, 0))}
-	e, _ := f.engine(Histogram)
+	e, _ := f.engine(shapeScan)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +500,7 @@ func TestAndShortCircuit(t *testing.T) {
 func TestContradictoryQueryIsFree(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 4000, 1000, false, false)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 5), query.Leaf(1, query.OpLT, 2))}
-	e, a := f.engine(Histogram)
+	e, a := f.engine(shapeScan)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +515,7 @@ func TestContradictoryQueryIsFree(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	f := buildFixture(t, []string{"energy"}, vpicLike, 1000, 500, false, false)
-	e, _ := f.engine(Histogram)
+	e, _ := f.engine(shapeScan)
 	// Unknown object.
 	q := &query.Query{Root: query.Leaf(99, query.OpGT, 0)}
 	if _, err := e.Evaluate(q, f.fullAssign(), NeedCoords); err == nil {
@@ -474,18 +529,6 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
-func TestStrategyParseAndString(t *testing.T) {
-	for _, s := range allStrategies {
-		got, err := ParseStrategy(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-}
-
 func TestHistogramCostBelowFullScan(t *testing.T) {
 	// The headline claim: PDC-H evaluates a selective query cheaper than
 	// PDC-F in modeled time.
@@ -493,11 +536,11 @@ func TestHistogramCostBelowFullScan(t *testing.T) {
 	f := buildFixture(t, []string{"v"}, gen, 100000, 5000, false, false)
 	q := &query.Query{Root: query.Between(1, 10, 11, false, false)}
 
-	eh, ah := f.engine(Histogram)
+	eh, ah := f.engine(shapeScan)
 	if _, err := eh.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
 		t.Fatal(err)
 	}
-	ef, af := f.engine(FullScan)
+	ef, af := f.engine(shapeFull)
 	if _, err := ef.Evaluate(q, f.fullAssign(), NeedCoords); err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +565,7 @@ func TestIndexStrategyWithoutIndexesFallsBack(t *testing.T) {
 		query.Between(1, 1.0, 2.0, false, false),
 		query.Between(2, 50, 250, false, false))}
 	want := f.truth(q)
-	e, _ := f.engine(HistogramIndex)
+	e, _ := f.engine(shapeBitmap)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +593,7 @@ func TestIndexStrategyWithPartialIndexes(t *testing.T) {
 	}
 	q := &query.Query{Root: query.Between(1, 0.5, 1.5, false, false)}
 	want := f.truth(q)
-	e, _ := f.engine(HistogramIndex)
+	e, _ := f.engine(shapeBitmap)
 	res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
 	if err != nil {
 		t.Fatal(err)

@@ -77,16 +77,16 @@ func buildTypedFixture(rng *rand.Rand, types []dtype.Type, n int, regionElems ui
 	return f
 }
 
-func (f *typedFixture) engine(s Strategy, workers int) (*Engine, *vclock.Account) {
+func (f *typedFixture) engine(s shape, workers int) (planned, *vclock.Account) {
 	a := vclock.NewAccount()
 	e := &Engine{
-		Store: f.st, Acct: a, Strategy: s, Cache: NewCache(1 << 30),
+		Store: f.st, Acct: a, Cache: NewCache(1 << 30),
 		Lookup: func(id object.ID) (*object.Object, bool) { o, ok := f.objs[id]; return o, ok },
 	}
 	if workers > 0 {
 		e.Pool = sched.NewPool(workers)
 	}
-	return e, a
+	return planned{Engine: e, s: s, objs: f.objs}, a
 }
 
 func (f *typedFixture) assign() Assignment {
@@ -173,7 +173,7 @@ func TestIndexPathDifferential(t *testing.T) {
 				}
 			}
 			label := fmt.Sprintf("trial %d query %d (%v in [%d,%d))", trial, k, q.Root, lo, hi)
-			for _, s := range []Strategy{HistogramIndex, Histogram} {
+			for _, s := range []shape{shapeBitmap, shapeScan} {
 				e, _ := f.engine(s, 0)
 				res, err := e.Evaluate(q, f.assign(), NeedCoords)
 				if err != nil {
@@ -189,7 +189,7 @@ func TestIndexPathDifferential(t *testing.T) {
 				if res.Sel.NHits != uint64(len(want)) {
 					t.Fatalf("%s %v: count %d, want %d", label, s, res.Sel.NHits, len(want))
 				}
-				if s == HistogramIndex && res.Sel.Coords != nil {
+				if s == shapeBitmap && res.Sel.Coords != nil {
 					t.Fatalf("%s: select count materialised %d coordinates on the index path", label, len(res.Sel.Coords))
 				}
 			}
@@ -220,7 +220,7 @@ func TestCorruptIndexExtentIsTypedError(t *testing.T) {
 		corrupt(enc[bin.BlobOff : bin.BlobOff+bin.BlobLen])
 		f.st.Write(nil, rm.IndexKey, simio.PFS, enc)
 		for _, workers := range []int{1, 4} {
-			e, _ := f.engine(HistogramIndex, workers)
+			e, _ := f.engine(shapeBitmap, workers)
 			for _, need := range []Need{NeedCount, NeedCoords} {
 				if _, err := e.Evaluate(q, f.assign(), need); !errors.Is(err, wah.ErrCorrupt) {
 					t.Errorf("%s, %d workers: err = %v, want wah.ErrCorrupt", name, workers, err)
@@ -229,7 +229,7 @@ func TestCorruptIndexExtentIsTypedError(t *testing.T) {
 		}
 		f.st.Write(nil, rm.IndexKey, simio.PFS, orig)
 	}
-	e, _ := f.engine(HistogramIndex, 4)
+	e, _ := f.engine(shapeBitmap, 4)
 	if res, err := e.Evaluate(q, f.assign(), NeedCount); err != nil || res.Sel.NHits == 0 {
 		t.Fatalf("restored index: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestCandidateChecksChargedPerCondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f := buildTypedFixture(rng, []dtype.Type{dtype.Float32, dtype.Float32}, 2000, 2000, nil, true)
 	compute := func(root *query.Node) (vclockNs int64, checks int64) {
-		e, a := f.engine(HistogramIndex, 0)
+		e, a := f.engine(shapeBitmap, 0)
 		res, err := e.Evaluate(&query.Query{Root: root}, f.assign(), NeedCoords)
 		if err != nil {
 			t.Fatal(err)
@@ -270,34 +270,35 @@ func TestCandidateChecksChargedPerCondition(t *testing.T) {
 	}
 }
 
-// TestPlanOrderSkipsSelectivityOrdering: a conjunct whose plan carries a
-// valid order never consults the global histograms; without one the
-// engine orders by them.
-func TestPlanOrderSkipsSelectivityOrdering(t *testing.T) {
+// TestPlanMustCoverQuery: the engine executes the order it is handed or
+// refuses the plan with ErrPlan — a missing plan, a missing or extra
+// conjunct, and an order that omits, repeats or invents a condition are
+// never papered over with an order of the engine's own.
+func TestPlanMustCoverQuery(t *testing.T) {
 	f := buildFixture(t, []string{"energy", "x"}, vpicLike, 4000, 1000, true, false)
 	q := &query.Query{Root: query.And(query.Leaf(1, query.OpGT, 1.0), query.Between(2, 50, 250, false, false))}
 	want := f.truth(q)
-	run := func(plan *QueryPlan) (globalCalls int) {
-		e, _ := f.engine(Histogram)
-		global := e.Global
-		e.Global = func(id object.ID) *histogram.Histogram { globalCalls++; return global(id) }
-		e.Plan = plan
-		res, err := e.Evaluate(q, f.fullAssign(), NeedCoords)
+	e, _ := f.engine(shapeScan)
+	for _, order := range [][]object.ID{{1, 2}, {2, 1}} {
+		res, err := e.EvaluateToken(nil, q, &QueryPlan{Conjuncts: []ConjunctPlan{{Order: order}}}, f.fullAssign(), NeedCoords, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("order %v: %v", order, err)
 		}
 		if !slices.Equal(res.Sel.Coords, want) {
-			t.Fatalf("plan %v: wrong answer", plan)
+			t.Errorf("order %v: wrong answer", order)
 		}
-		return globalCalls
 	}
-	if n := run(&QueryPlan{Conjuncts: []ConjunctPlan{{Order: []object.ID{2, 1}}}}); n != 0 {
-		t.Errorf("plan order given, yet Global was called %d times", n)
-	}
-	if n := run(nil); n == 0 {
-		t.Error("no plan, yet Global was never consulted")
-	}
-	if n := run(&QueryPlan{Conjuncts: []ConjunctPlan{{Order: []object.ID{2}}}}); n == 0 {
-		t.Error("malformed plan order, yet Global was never consulted")
+	for name, pl := range map[string]*QueryPlan{
+		"no plan":           nil,
+		"no conjunct":       {},
+		"extra conjunct":    {Conjuncts: []ConjunctPlan{{Order: []object.ID{1, 2}}, {Order: []object.ID{1, 2}}}},
+		"omits a condition": {Conjuncts: []ConjunctPlan{{Order: []object.ID{2}}}},
+		"repeats one":       {Conjuncts: []ConjunctPlan{{Order: []object.ID{2, 2}}}},
+		"invents one":       {Conjuncts: []ConjunctPlan{{Order: []object.ID{2, 3}}}},
+		"one too many":      {Conjuncts: []ConjunctPlan{{Order: []object.ID{1, 2, 2}}}},
+	} {
+		if res, err := e.EvaluateToken(nil, q, pl, f.fullAssign(), NeedCoords, nil); !errors.Is(err, ErrPlan) {
+			t.Errorf("%s: result %v, err %v; want ErrPlan", name, res, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
+
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 )
@@ -18,78 +21,72 @@ const (
 	CandNsPerElem = candNsPerElem
 )
 
-// RegionChoice is a planner directive for how one region resolves a
-// conjunct.
+// RegionChoice is how one region resolves a conjunct.
 type RegionChoice uint8
 
-// Region choices. ChoiceAuto defers to the engine's strategy default.
+// Region choices. A region the plan does not list scans.
 const (
-	ChoiceAuto RegionChoice = iota
-	// ChoiceScan forces the scan+probe path.
-	ChoiceScan
-	// ChoiceProbe forces the bitmap-index path (regions without an
-	// index degrade to scan semantics inside the index evaluator, so a
-	// stale choice stays correct).
+	// ChoiceScan is the scan+probe path.
+	ChoiceScan RegionChoice = iota
+	// ChoiceProbe is the bitmap-index path (conditions on regions
+	// without an index degrade to scan semantics inside the index
+	// evaluator, so the choice is always safe).
 	ChoiceProbe
 )
 
 // ConjunctPlan fixes one conjunct's evaluation: the condition order
-// and the per-region resolution choice. Both are advisory in the sense
-// that a malformed plan (wrong objects, missing entries) falls back to
-// the engine's own decision — the plan can change cost, never results.
+// and the per-region resolution choice.
 type ConjunctPlan struct {
-	// Order is the condition evaluation order (must cover exactly the
-	// conjunct's objects to take effect).
+	// Order is the condition evaluation order. It must list exactly the
+	// conjunct's objects, each once (ErrPlan otherwise).
 	Order []object.ID
 	// Sorted selects the sorted-replica path for Order[0] (taken only
 	// when the engine actually has the replica).
 	Sorted bool
-	// Regions maps region index → choice; absent regions are ChoiceAuto.
+	// Regions maps region index → choice; absent regions scan.
 	Regions map[int]RegionChoice
 }
 
-// choice returns the plan's directive for region r.
-func (cp *ConjunctPlan) choice(r int) RegionChoice {
-	if cp == nil || cp.Regions == nil {
-		return ChoiceAuto
-	}
-	return cp.Regions[r]
+// QueryPlan is the prepared form of a statement, the only thing the
+// engine executes: one ConjunctPlan per normalized conjunct, in
+// query.Normalize order, plus what the statement's forcing decided for
+// the whole query. A plan changes cost, never results.
+type QueryPlan struct {
+	Conjuncts []ConjunctPlan
+	// Label is the trace span's strategy attribute: the paper's name
+	// for the statement's forcing.
+	Label string
+	// Full is PDC-F: every assigned region of every queried object is
+	// preloaded in one streaming read per object, and no region is
+	// pruned by histogram or extrema.
+	Full bool
+	// IndexOnly is PDC-HI: values are never collected, because the
+	// index strategy deliberately avoids raw reads (§III-D4).
+	IndexOnly bool
 }
 
-// planOrder validates the plan's order against the conjunct: it must
-// list exactly the conjunct's objects (each once). Returns nil when it
-// does not, so the engine falls back to its own ordering.
-func (cp *ConjunctPlan) planOrder(c query.Conjunct) []object.ID {
-	if cp == nil || len(cp.Order) != len(c) {
-		return nil
+// ErrPlan reports a plan that does not cover the query it was handed
+// with: a missing conjunct, or an order that omits, repeats or invents
+// a condition. The engine refuses it rather than reorder on its own.
+var ErrPlan = errors.New("exec: plan does not cover the query")
+
+// order validates the plan's order against the conjunct it is about to
+// drive.
+func (cp *ConjunctPlan) order(i int, c query.Conjunct) ([]object.ID, error) {
+	if len(cp.Order) != len(c) {
+		return nil, fmt.Errorf("%w: conjunct %d has %d conditions, plan orders %d", ErrPlan, i, len(c), len(cp.Order))
 	}
-	// Allocation-free duplicate check: conjuncts hold a handful of
-	// conditions, so the quadratic scan beats a map on the hot path.
-	for i, id := range cp.Order {
+	// Conjuncts hold a handful of conditions, so the quadratic duplicate
+	// scan beats a map on the hot path.
+	for k, id := range cp.Order {
 		if _, ok := c[id]; !ok {
-			return nil
+			return nil, fmt.Errorf("%w: conjunct %d has no condition on object %d", ErrPlan, i, id)
 		}
-		for j := 0; j < i; j++ {
+		for j := 0; j < k; j++ {
 			if cp.Order[j] == id {
-				return nil
+				return nil, fmt.Errorf("%w: conjunct %d orders object %d twice", ErrPlan, i, id)
 			}
 		}
 	}
-	return cp.Order
-}
-
-// QueryPlan is a cost-based planner's output: one ConjunctPlan per
-// normalized conjunct, in query.Normalize order. The engine honors it
-// when set (Engine.Plan); every directive degrades safely, so results
-// are byte-identical with and without a plan.
-type QueryPlan struct {
-	Conjuncts []ConjunctPlan
-}
-
-// conjunct returns the plan for conjunct i (nil when absent).
-func (p *QueryPlan) conjunct(i int) *ConjunctPlan {
-	if p == nil || i >= len(p.Conjuncts) {
-		return nil
-	}
-	return &p.Conjuncts[i]
+	return cp.Order, nil
 }

@@ -10,7 +10,6 @@ import (
 	"pdcquery/internal/client"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
@@ -107,8 +106,7 @@ func typedError(err error) bool {
 // armed, on uncharged reads).
 func chaosDeployment(opts ChaosOptions) (*core.Deployment, []*query.Query, []*selection.Selection, error) {
 	d := core.NewDeployment(core.Options{
-		Servers:  opts.Servers,
-		Strategy: exec.Histogram,
+		Servers: opts.Servers,
 		// Small regions so queries touch several extents per server.
 		RegionBytes: 8 << 10,
 		Redial:      opts.Redial,
@@ -289,7 +287,7 @@ func RunCrashRecovery(seed uint64, opts ChaosOptions) error {
 	// Crash: the first deployment is gone. Recover a fresh one from the
 	// checkpoint bytes alone and re-serve everything.
 	d2, err := core.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), core.Options{
-		Servers: opts.Servers, Strategy: exec.Histogram,
+		Servers: opts.Servers,
 	})
 	if err != nil {
 		return fmt.Errorf("crash seed %d: restore: %w", seed, err)

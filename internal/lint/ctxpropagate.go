@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // CtxPropagateAnalyzer enforces the scheduler's end-to-end cancellation
@@ -33,22 +32,7 @@ var CtxPropagateAnalyzer = &Analyzer{
 func runCtxPropagate(pass *Pass) error {
 	g := pass.CallGraph()
 
-	// Roots: where a client request enters, plus the scheduler API that
-	// carries its cancellation state.
-	var roots []string
-	for _, key := range g.Keys() {
-		n := g.Nodes[key]
-		name := n.Fn.Name()
-		switch {
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "exec") && strings.HasPrefix(name, "Evaluate"):
-			roots = append(roots, key)
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "server") && strings.HasPrefix(name, "handle"):
-			roots = append(roots, key)
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "sched") && token.IsExported(name):
-			roots = append(roots, key)
-		}
-	}
-	sort.Strings(roots)
+	roots := selectRoots(g, "ctxpropagate", nil)
 	attr := g.RootAttribution(roots)
 
 	for _, key := range g.Keys() {
@@ -137,22 +121,20 @@ func loopDoesStoreIO(n *CallNode, body *ast.BlockStmt) bool {
 	return found
 }
 
-// usesCancelParam reports whether the function declares a
-// context.Context or *sched.Token parameter and references it somewhere
-// in its body (checking it, selecting on it, or passing it down all
-// count — what matters is that cancellation state flows in and is not
-// dropped on the floor).
+// usesCancelParam reports whether cancellation state flows into the
+// function through its parameters and is referenced somewhere in its
+// body: a context.Context or *sched.Token parameter, or a field of that
+// type selected from a parameter (the server's handlers take the token
+// inside their *request). Checking it, selecting on it, or passing it
+// down all count — what matters is that it is not dropped on the floor.
 func usesCancelParam(n *CallNode) bool {
 	sig := n.Fn.Type().(*types.Signature)
-	var params []*types.Var
+	params := make(map[types.Object]bool)
 	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if isNamedFromPkg(p.Type(), "Context", "context") || isNamedFromPkg(p.Type(), "Token", "sched") {
-			params = append(params, p)
-		}
+		params[sig.Params().At(i)] = true
 	}
-	if len(params) == 0 {
-		return false
+	isCancel := func(t types.Type) bool {
+		return isNamedFromPkg(t, "Context", "context") || isNamedFromPkg(t, "Token", "sched")
 	}
 	info := n.Pkg.Info
 	used := false
@@ -160,13 +142,13 @@ func usesCancelParam(n *CallNode) bool {
 		if used {
 			return false
 		}
-		id, ok := node.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		for _, p := range params {
-			if obj == p {
+		switch x := node.(type) {
+		case *ast.Ident:
+			if obj := info.Uses[x]; params[obj] && isCancel(obj.Type()) {
+				used = true
+			}
+		case *ast.SelectorExpr:
+			if base, ok := x.X.(*ast.Ident); ok && params[info.Uses[base]] && isCancel(info.TypeOf(x)) {
 				used = true
 			}
 		}

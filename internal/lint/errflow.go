@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ErrFlowAnalyzer proves that error values produced on request paths
@@ -43,7 +42,7 @@ var errflowDroppedNames = map[string]bool{
 
 func runErrFlow(pass *Pass) error {
 	g := pass.CallGraph()
-	reach := g.Reachable(errflowRoots(g))
+	reach := g.Reachable(selectRoots(g, "errflow", nil))
 	for _, key := range g.Keys() {
 		if !reach[key] {
 			continue
@@ -60,31 +59,6 @@ func runErrFlow(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// errflowRoots selects the request-path entry points.
-func errflowRoots(g *CallGraph) []string {
-	var roots []string
-	for _, key := range g.Keys() {
-		n := g.Nodes[key]
-		if n.Fn == nil || n.Fn.Pkg() == nil {
-			continue
-		}
-		name := n.Fn.Name()
-		switch {
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "exec") && strings.HasPrefix(name, "Evaluate"):
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "server") &&
-			(strings.HasPrefix(name, "handle") || name == "Serve" || name == "serveOne" || name == "Shutdown"):
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "transport") &&
-			(name == "Send" || name == "Recv" || name == "Close"):
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "client") && ast.IsExported(name):
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "core") && ast.IsExported(name):
-		default:
-			continue
-		}
-		roots = append(roots, key)
-	}
-	return roots
 }
 
 type errflowFunc struct {

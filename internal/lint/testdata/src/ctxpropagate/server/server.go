@@ -31,3 +31,29 @@ func (s *Server) handlePrefetch(keys []uint64) {
 		s.Store.ReadAll(k)
 	}
 }
+
+// request carries the per-request cancellation state the way the real
+// server's handler table passes it: inside one struct parameter.
+type request struct {
+	ctx  context.Context
+	keys []uint64
+}
+
+// handleFetch loops over storage but checks the context it selects from
+// its request parameter: cancellation flows in, so it is sanctioned.
+func (s *Server) handleFetch(r *request) {
+	for _, k := range r.keys {
+		if r.ctx.Err() != nil {
+			return
+		}
+		s.Store.ReadAll(k)
+	}
+}
+
+// handleFetchBlind takes the same request and never looks at its
+// context: carrying cancellation state is not using it.
+func (s *Server) handleFetchBlind(r *request) {
+	for _, k := range r.keys { // want `storage-I/O loop on a request path in server\.Server\.handleFetchBlind \(reachable from server\.Server\.handleFetchBlind\)`
+		s.Store.ReadAll(k)
+	}
+}

@@ -44,18 +44,7 @@ func runVclockCharge(pass *Pass) error {
 	g := pass.CallGraph()
 
 	// Roots: the functions a client request enters through.
-	var roots []string
-	for _, key := range g.Keys() {
-		n := g.Nodes[key]
-		name := n.Fn.Name()
-		switch {
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "exec") && strings.HasPrefix(name, "Evaluate"):
-			roots = append(roots, key)
-		case pkgPathHasSuffix(n.Pkg.PkgPath, "server") && strings.HasPrefix(name, "handle"):
-			roots = append(roots, key)
-		}
-	}
-	sort.Strings(roots)
+	roots := selectRoots(g, "vclockcharge", nil)
 	attr := g.RootAttribution(roots)
 
 	for _, key := range g.Keys() {

@@ -21,47 +21,71 @@ import (
 	"pdcquery/internal/query"
 )
 
-// Force pins the planner's strategy choice, for corpus tests and the
-// CLI's strategy override.
+// Force is the one strategy vocabulary: how a statement's access paths
+// are chosen. ForceAuto lets the cost model decide; the other four are
+// the paper's evaluation strategies (§III-D). The values are the wire
+// encoding (MsgTextQuery's forcing byte, MsgQuery's forcing bits), so
+// new forcings are appended.
 type Force int
 
-// Forcings. ForceAuto lets the cost model decide.
+// Forcings.
 const (
 	ForceAuto Force = iota
-	// ForceScan resolves every region by scan+probe.
+	// ForceScan (PDC-H) prunes by histogram and resolves every
+	// surviving region by scan+probe.
 	ForceScan
-	// ForceBitmap resolves every region by bitmap-probe (regions
-	// without an index degrade to scan semantics in the engine).
+	// ForceBitmap (PDC-HI) resolves every indexed region by
+	// bitmap-probe and never collects values: the index strategy reads
+	// no raw data it can avoid (§III-D4).
 	ForceBitmap
-	// ForceSorted uses the sorted replica for every conjunct whose
-	// first-ordered condition has one.
+	// ForceSorted (PDC-SH) uses the sorted replica for every conjunct
+	// whose first-ordered condition has one; the rest scan+probe.
 	ForceSorted
+	// ForceFull (PDC-F) preloads every assigned region and scans it:
+	// no histogram pruning, conditions in object-ID order.
+	ForceFull
 )
 
-// String names the forcing.
+// forceNames and forceLabels are indexed by Force.
+var (
+	forceNames  = [...]string{"auto", "scan", "bitmap", "sorted", "full"}
+	forceLabels = [...]string{"auto", "PDC-H", "PDC-HI", "PDC-SH", "PDC-F"}
+)
+
+// String names the forcing ("auto" for a value out of range).
 func (f Force) String() string {
-	switch f {
-	case ForceScan:
-		return "scan"
-	case ForceBitmap:
-		return "bitmap"
-	case ForceSorted:
-		return "sorted"
+	if !f.Valid() {
+		f = ForceAuto
 	}
-	return "auto"
+	return forceNames[f]
 }
 
-// ParseForce reads a forcing name.
+// Label returns the paper's name for the strategy the forcing pins
+// ("auto" for the cost model) — the trace span's strategy attribute.
+func (f Force) Label() string {
+	if !f.Valid() {
+		f = ForceAuto
+	}
+	return forceLabels[f]
+}
+
+// Valid reports whether f is a defined forcing (wire values are checked
+// with it before they reach the planner).
+func (f Force) Valid() bool { return f >= ForceAuto && f <= ForceFull }
+
+// ParseForce reads a forcing by name or by paper label.
 func ParseForce(s string) (Force, error) {
 	switch s {
 	case "", "auto":
 		return ForceAuto, nil
-	case "scan":
+	case "scan", "PDC-H", "histogram", "hist":
 		return ForceScan, nil
-	case "bitmap", "probe", "index":
+	case "bitmap", "probe", "index", "PDC-HI", "histindex":
 		return ForceBitmap, nil
-	case "sorted":
+	case "sorted", "PDC-SH", "sorthist":
 		return ForceSorted, nil
+	case "full", "PDC-F", "fullscan":
+		return ForceFull, nil
 	}
 	return 0, fmt.Errorf("plan: unknown forcing %q", s)
 }
@@ -110,8 +134,7 @@ type Plan struct {
 	CostNs float64
 	// Force records the forcing the plan was built under.
 	Force Force
-	// Exec is the engine-facing form the server installs on its
-	// request engine.
+	// Exec is the engine-facing form the server hands to the engine.
 	Exec exec.QueryPlan
 }
 
@@ -132,6 +155,9 @@ func Build(src Source, q *query.Query, force Force) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Force: force}
+	p.Exec.Label = force.Label()
+	p.Exec.Full = force == ForceFull
+	p.Exec.IndexOnly = force == ForceBitmap
 	for _, c := range conjuncts {
 		cp, err := buildConjunct(src, c, force)
 		if err != nil {
@@ -145,8 +171,10 @@ func Build(src Source, q *query.Query, force Force) (*Plan, error) {
 }
 
 // buildConjunct orders one conjunct's conditions by ascending
-// selectivity upper bound (stable on object ID, mirroring the
-// engine's fallback order) and chooses access paths by modeled cost.
+// selectivity upper bound from the global histograms, stable on object
+// ID (§III-D2; ForceFull keeps object-ID order), and chooses access
+// paths by modeled cost. It is the only place either decision is made:
+// the engine executes the order and choices it is handed.
 func buildConjunct(src Source, c query.Conjunct, force Force) (ConjunctPlan, error) {
 	ids := c.ObjectsSorted()
 	conds := make([]CondPlan, 0, len(ids))
@@ -166,7 +194,9 @@ func buildConjunct(src Source, c query.Conjunct, force Force) (ConjunctPlan, err
 		}
 		conds = append(conds, cp)
 	}
-	slices.SortStableFunc(conds, func(x, y CondPlan) int { return cmp.Compare(x.SelUpper, y.SelUpper) })
+	if force != ForceFull {
+		slices.SortStableFunc(conds, func(x, y CondPlan) int { return cmp.Compare(x.SelUpper, y.SelUpper) })
+	}
 
 	out := ConjunctPlan{Conds: conds}
 	out.Exec.Order = make([]object.ID, len(conds))
@@ -189,7 +219,7 @@ func buildConjunct(src Source, c query.Conjunct, force Force) (ConjunctPlan, err
 	choices := make(map[int]exec.RegionChoice, len(first.Regions))
 	for r := range first.Regions {
 		rm := &first.Regions[r]
-		if regionPrunable(rm, iv) {
+		if force != ForceFull && exec.Prunable(rm, iv) {
 			out.PrunedRegions++
 			continue
 		}
@@ -212,11 +242,14 @@ func buildConjunct(src Source, c query.Conjunct, force Force) (ConjunctPlan, err
 		choice := exec.ChoiceScan
 		costNs := scanNs
 		switch force {
-		case ForceScan:
+		case ForceScan, ForceSorted, ForceFull:
 			// keep scan
 		case ForceBitmap:
+			// Unindexed regions go to the index evaluator too: it
+			// degrades per condition to scan semantics, at scan cost.
+			choice = exec.ChoiceProbe
 			if !math.IsInf(probeRegionNs, 1) {
-				choice, costNs = exec.ChoiceProbe, probeRegionNs
+				costNs = probeRegionNs
 			}
 		default:
 			if probeRegionNs < scanNs {
@@ -250,7 +283,7 @@ func buildConjunct(src Source, c query.Conjunct, force Force) (ConjunctPlan, err
 		if !math.IsInf(sortedNs, 1) {
 			out.Sorted = true
 		}
-	case ForceScan, ForceBitmap:
+	case ForceScan, ForceBitmap, ForceFull:
 		// keep the forced per-region path
 	default:
 		if sortedNs < scanProbeNs {
@@ -272,19 +305,4 @@ func frac(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// regionPrunable mirrors the engine's metadata-only region pruning:
-// region histogram overlap when present, stored extrema otherwise.
-func regionPrunable(rm *object.RegionMeta, iv query.Interval) bool {
-	if rm.Hist != nil {
-		return !rm.Hist.Overlaps(iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
-	}
-	if rm.Max < iv.Lo || (rm.Max == iv.Lo && !iv.LoIncl) {
-		return true
-	}
-	if rm.Min > iv.Hi || (rm.Min == iv.Hi && !iv.HiIncl) {
-		return true
-	}
-	return false
 }

@@ -36,18 +36,26 @@ type FairQueue[T any] struct {
 	size     int
 	hiwater  int // max total backlog ever observed (monotonic)
 	closed   bool
+	// admitted, when set, is called inside Push's critical section for
+	// every item the queue accepts, with the session's backlog after the
+	// push. A consumer cannot Pop the item until Push releases the lock,
+	// so whatever the callback records about the admission is ordered
+	// before anything a consumer records about the item. It must not
+	// call back into the queue.
+	admitted func(v T, queued int)
 }
 
 // NewFairQueue builds a queue with the given per-session depth bound
-// and DRR quantum (both floored at 1).
-func NewFairQueue[T any](depth int, quantum int64) *FairQueue[T] {
+// and DRR quantum (both floored at 1). admitted may be nil; see the
+// field for its contract.
+func NewFairQueue[T any](depth int, quantum int64, admitted func(v T, queued int)) *FairQueue[T] {
 	if depth < 1 {
 		depth = 1
 	}
 	if quantum < 1 {
 		quantum = 1
 	}
-	q := &FairQueue[T]{depth: depth, quantum: quantum, sessions: make(map[uint64]*fqSession[T])}
+	q := &FairQueue[T]{depth: depth, quantum: quantum, sessions: make(map[uint64]*fqSession[T]), admitted: admitted}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -82,6 +90,9 @@ func (q *FairQueue[T]) Push(session uint64, cost int64, v T) (int, error) {
 	q.size++
 	if q.size > q.hiwater {
 		q.hiwater = q.size
+	}
+	if q.admitted != nil {
+		q.admitted(v, len(s.items))
 	}
 	q.cond.Signal()
 	return len(s.items), nil

@@ -113,7 +113,7 @@ func TestTokenVirtualDeadline(t *testing.T) {
 }
 
 func TestFairQueueAdmissionControl(t *testing.T) {
-	q := NewFairQueue[int](2, 1)
+	q := NewFairQueue[int](2, 1, nil)
 	// Push reports the backlog from inside its critical section: the
 	// post-push length on success, the full depth on rejection.
 	if n, err := q.Push(7, 1, 10); err != nil || n != 1 {
@@ -138,7 +138,7 @@ func TestFairQueueAdmissionControl(t *testing.T) {
 }
 
 func TestFairQueueInterleavesSessions(t *testing.T) {
-	q := NewFairQueue[string](16, 1)
+	q := NewFairQueue[string](16, 1, nil)
 	// Session 1 floods first; session 2 arrives after.
 	for i := 0; i < 4; i++ {
 		if _, err := q.Push(1, 1, fmt.Sprintf("a%d", i)); err != nil {
@@ -169,7 +169,7 @@ func TestFairQueueInterleavesSessions(t *testing.T) {
 }
 
 func TestFairQueueDeficitWeighting(t *testing.T) {
-	q := NewFairQueue[string](16, 2)
+	q := NewFairQueue[string](16, 2, nil)
 	// Session 1's requests cost 4 units each; session 2's cost 1. With a
 	// quantum of 2, session 2 gets ~4 requests served per expensive one.
 	for i := 0; i < 2; i++ {
@@ -209,7 +209,7 @@ func TestFairQueueDeficitWeighting(t *testing.T) {
 }
 
 func TestFairQueueDropAndClose(t *testing.T) {
-	q := NewFairQueue[int](8, 1)
+	q := NewFairQueue[int](8, 1, nil)
 	for i := 0; i < 3; i++ {
 		if _, err := q.Push(1, 1, i); err != nil {
 			t.Fatal(err)
@@ -247,8 +247,64 @@ func TestFairQueueDropAndClose(t *testing.T) {
 	}
 }
 
+// TestFairQueueAdmittedBeforePop: the admitted callback runs for every
+// accepted item — never for a rejected one — with the session backlog
+// after the push, and it has returned before any consumer can hold the
+// item: a log the callback and the consumers both append to always
+// shows an item's admission before its pop.
+func TestFairQueueAdmittedBeforePop(t *testing.T) {
+	var mu sync.Mutex
+	var log []string
+	record := func(s string) { mu.Lock(); log = append(log, s); mu.Unlock() }
+	q := NewFairQueue[int](2, 1, func(v int, queued int) { record(fmt.Sprintf("admit %d q=%d", v, queued)) })
+	const n = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			v, ok := q.Pop()
+			if !ok {
+				t.Error("queue closed early")
+				return
+			}
+			record(fmt.Sprintf("pop %d", v))
+		}
+	}()
+	for i := 0; i < n; {
+		if _, err := q.Push(1, 1, i); err == nil {
+			i++
+		} else if !errors.Is(err, ErrBusy) {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	admitted := make(map[string]bool)
+	pops := 0
+	for _, e := range log {
+		var v, queued int
+		if _, err := fmt.Sscanf(e, "pop %d", &v); err == nil {
+			pops++
+			if !admitted[fmt.Sprint(v)] {
+				t.Fatalf("item %d popped before its admission was recorded", v)
+			}
+			continue
+		}
+		if _, err := fmt.Sscanf(e, "admit %d q=%d", &v, &queued); err != nil {
+			t.Fatalf("bad log entry %q", e)
+		}
+		if queued < 1 || queued > 2 {
+			t.Errorf("item %d admitted with backlog %d, want 1..2", v, queued)
+		}
+		admitted[fmt.Sprint(v)] = true
+	}
+	if pops != n || len(admitted) != n {
+		t.Errorf("%d pops, %d admissions, want %d each (a rejected push must not be admitted)", pops, len(admitted), n)
+	}
+}
+
 func TestFairQueueConcurrentProducersConsumers(t *testing.T) {
-	q := NewFairQueue[int](64, 1)
+	q := NewFairQueue[int](64, 1, nil)
 	const sessions, perSession = 8, 50
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {

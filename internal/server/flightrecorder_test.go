@@ -11,7 +11,7 @@ import (
 	"sync"
 	"testing"
 
-	"pdcquery/internal/exec"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -26,7 +26,7 @@ func recorderRun(t *testing.T) (*Server, []telemetry.Event, uint64) {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGE, float64(i))}
 		if reply := call(t, conn, transport.Message{
 			Type:    MsgQuery,
-			Payload: EncodeQueryRequest(0, q.Encode()),
+			Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
 		}); reply.Type != MsgQueryResult {
 			t.Fatalf("query %d failed: %s", i, reply.Payload)
 		}
@@ -91,13 +91,13 @@ func TestRecorderCapturesQueryLifecycle(t *testing.T) {
 func TestServeEvents(t *testing.T) {
 	st, meta, oid := testWorld(t)
 	_, conn := testServerCfg(t, Config{
-		ID: 0, N: 1, Store: st, Meta: meta, Strategy: exec.Histogram,
+		ID: 0, N: 1, Store: st, Meta: meta,
 		Clock: telemetry.Frozen(12345),
 	})
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
 	if reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, q.Encode()),
+		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
 	}); reply.Type != MsgQueryResult {
 		t.Fatalf("query failed: %s", reply.Payload)
 	}
@@ -194,21 +194,21 @@ func TestSlowQueryLog(t *testing.T) {
 	st, meta, oid := testWorld(t)
 	var sink slowLogBuffer
 	srv, conn := testServerCfg(t, Config{
-		ID: 0, N: 1, Store: st, Meta: meta, Strategy: exec.Histogram,
+		ID: 0, N: 1, Store: st, Meta: meta,
 		SlowQueryNs: 1,
 		Log:         slog.New(slog.NewJSONHandler(&sink, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
 	if reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, q.Encode()),
+		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
 	}); reply.Type != MsgQueryResult {
 		t.Fatalf("query failed: %s", reply.Payload)
 	}
 	out := sink.String()
 	for _, want := range []string{
 		`"msg":"slow query"`, `"basis":"virtual"`, `"threshold_ns":1`,
-		"query server.0", // the span render
+		"query server.0",                      // the span render
 		"flight recorder:", "kind=query-done", // the ring tail
 	} {
 		if !strings.Contains(out, want) {
@@ -226,14 +226,14 @@ func TestSlowQueryThresholdRespected(t *testing.T) {
 	st, meta, oid := testWorld(t)
 	var sink slowLogBuffer
 	srv, conn := testServerCfg(t, Config{
-		ID: 0, N: 1, Store: st, Meta: meta, Strategy: exec.Histogram,
+		ID: 0, N: 1, Store: st, Meta: meta,
 		SlowQueryNs: 1 << 60,
 		Log:         slog.New(slog.NewJSONHandler(&sink, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	})
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
 	if reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, q.Encode()),
+		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
 	}); reply.Type != MsgQueryResult {
 		t.Fatalf("query failed: %s", reply.Payload)
 	}

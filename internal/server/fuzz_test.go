@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"pdcquery/internal/exec"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
@@ -40,6 +42,41 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if r2.Sel.NHits != r.Sel.NHits || r2.Stats != r.Stats {
+			t.Fatal("round trip drifted")
+		}
+	})
+}
+
+// FuzzDecodeQueryRequest hardens the MsgQuery front end's decoder: any
+// payload either splits into in-range parts that re-encode to the same
+// bytes, or is refused — the reserved bit and a forcing no plan.Force
+// names with the typed ErrBadQueryFlags.
+func FuzzDecodeQueryRequest(f *testing.F) {
+	for force := plan.ForceAuto; force <= plan.ForceFull; force++ {
+		f.Add(EncodeQueryRequest(FlagWantSelection|FlagWantTrace, force, 0, []byte("q")))
+		f.Add(EncodeQueryRequest(FlagWantValues|FlagEpoch, force, 7, []byte("q")))
+	}
+	f.Add([]byte{flagReserved, 'q'})
+	f.Add([]byte{byte(plan.ForceFull+1) << forceShift, 'q'})
+	f.Add([]byte{7<<forceShift | FlagEpoch, 1, 2, 3, 4, 5, 6, 7, 8, 'q'})
+	f.Add([]byte{FlagEpoch, 1, 2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		flags, force, epoch, q, err := DecodeQueryRequest(data)
+		if err != nil {
+			if len(data) > 0 && (data[0]&flagReserved != 0 || data[0]>>forceShift > byte(plan.ForceFull)) &&
+				!errors.Is(err, ErrBadQueryFlags) {
+				t.Fatalf("flags byte %#x refused with %v, want ErrBadQueryFlags", data[0], err)
+			}
+			return
+		}
+		if !force.Valid() || flags&^flagBits != 0 || flags&flagReserved != 0 {
+			t.Fatalf("decoded out-of-range parts: flags %#x force %d", flags, int(force))
+		}
+		if flags&FlagEpoch == 0 && epoch != 0 {
+			t.Fatalf("epoch %d without FlagEpoch", epoch)
+		}
+		if !bytes.Equal(EncodeQueryRequest(flags, force, epoch, q), data) {
 			t.Fatal("round trip drifted")
 		}
 	})

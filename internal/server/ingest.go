@@ -8,18 +8,16 @@ package server
 import (
 	"fmt"
 
-	"pdcquery/internal/sched"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/transport"
-	"pdcquery/internal/vclock"
 )
 
 // handlePutMeta installs a metadata snapshot (cluster import step 1).
-func (s *Server) handlePutMeta(m transport.Message) transport.Message {
+func (s *Server) handlePutMeta(r *request) transport.Message {
 	if !s.cfg.Ingest {
 		return s.errMsg(fmt.Errorf("ingest disabled"))
 	}
-	if err := s.cfg.Meta.Restore(m.Payload); err != nil {
+	if err := s.cfg.Meta.Restore(r.m.Payload); err != nil {
 		return s.errMsg(err)
 	}
 	s.telem.Add("ingest.meta", 1)
@@ -28,19 +26,19 @@ func (s *Server) handlePutMeta(m transport.Message) transport.Message {
 
 // handlePutExtent writes one extent into local storage (cluster import
 // step 2: the importer streams each region's extents to its R owners).
-func (s *Server) handlePutExtent(tok *sched.Token, acct *vclock.Account, m transport.Message) transport.Message {
+func (s *Server) handlePutExtent(r *request) transport.Message {
 	if !s.cfg.Ingest {
 		return s.errMsg(fmt.Errorf("ingest disabled"))
 	}
-	key, data, err := DecodePutExtent(m.Payload)
+	key, data, err := DecodePutExtent(r.m.Payload)
 	if err != nil {
 		return s.errMsg(err)
 	}
-	if err := tok.Err(); err != nil {
+	if err := r.tok.Err(); err != nil {
 		return s.errMsg(err)
 	}
 	// Clone: the payload buffer is transport-owned and reused.
-	s.cfg.Store.WriteOwned(acct, key, simio.PFS, append([]byte(nil), data...))
+	s.cfg.Store.WriteOwned(r.acct, key, simio.PFS, append([]byte(nil), data...))
 	s.telem.Add("ingest.extents", 1)
 	s.telem.Add("ingest.bytes", int64(len(data)))
 	return transport.Message{Type: MsgOK}
@@ -50,11 +48,12 @@ func (s *Server) handlePutExtent(tok *sched.Token, acct *vclock.Account, m trans
 // source: a joining or promoted member pulls from a current owner).
 // Missing keys are reported, not errors — placement says who should
 // own a region, storage says what survived.
-func (s *Server) handleFetchExtents(tok *sched.Token, acct *vclock.Account, m transport.Message) transport.Message {
+func (s *Server) handleFetchExtents(r *request) transport.Message {
+	tok, acct := r.tok, r.acct
 	if !s.cfg.Ingest {
 		return s.errMsg(fmt.Errorf("ingest disabled"))
 	}
-	keys, err := DecodeFetchExtents(m.Payload)
+	keys, err := DecodeFetchExtents(r.m.Payload)
 	if err != nil {
 		return s.errMsg(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -28,7 +29,7 @@ func tracedQuery(t *testing.T) *QueryResponse {
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
 		Trace:   99,
-		Payload: EncodeQueryRequest(FlagWantSelection|FlagWantTrace, q.Encode()),
+		Payload: EncodeQueryRequest(FlagWantSelection|FlagWantTrace, plan.ForceScan, 0, q.Encode()),
 	})
 	if reply.Type != MsgQueryResult {
 		t.Fatalf("reply = %d payload=%s", reply.Type, reply.Payload)
@@ -93,7 +94,7 @@ func TestUntracedQueryHasNoTrace(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 5.0)}
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(FlagWantSelection, q.Encode()),
+		Payload: EncodeQueryRequest(FlagWantSelection, plan.ForceScan, 0, q.Encode()),
 	})
 	qr, err := DecodeQueryResponse(reply.Payload)
 	if err != nil {
@@ -140,7 +141,7 @@ func metricsRun(t *testing.T) []byte {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGE, float64(i))}
 		if reply := call(t, conn, transport.Message{
 			Type:    MsgQuery,
-			Payload: EncodeQueryRequest(0, q.Encode()),
+			Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
 		}); reply.Type != MsgQueryResult {
 			t.Fatalf("query %d failed: %s", i, reply.Payload)
 		}
@@ -177,7 +178,7 @@ func TestServeStats(t *testing.T) {
 	const queries = 4
 	for i := 0; i < queries; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(i))}
-		call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode())})
+		call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())})
 	}
 	reply := call(t, conn, transport.Message{Type: MsgStats})
 	if reply.Type != MsgStatsResult {
@@ -213,7 +214,7 @@ func TestServeStats(t *testing.T) {
 func TestMetricsSurviveDisconnect(t *testing.T) {
 	srv, conn, oid := testServer(t, 0, 1)
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
-	call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode())})
+	call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())})
 
 	// A second connection runs one more query, then disconnects.
 	clientB, serverB := transport.Pipe()
@@ -222,7 +223,7 @@ func TestMetricsSurviveDisconnect(t *testing.T) {
 		srv.Serve(serverB)
 		close(done)
 	}()
-	call(t, clientB, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode())})
+	call(t, clientB, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())})
 	clientB.Send(transport.Message{Type: MsgShutdown})
 	clientB.Close()
 	<-done
@@ -263,7 +264,7 @@ func TestStashEvictionBoundary(t *testing.T) {
 	_, conn, oid := testServer(t, 0, 1)
 	for i := 0; i < 40; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(i%9))}
-		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode()), ReqID: uint64(i + 1)}
+		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()), ReqID: uint64(i + 1)}
 		if err := conn.Send(m); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
@@ -39,11 +41,11 @@ const (
 	MsgEventsResult byte = 17 // server -> client: encoded flight-recorder events
 	// Cluster ingest/transfer messages (accepted only when the server
 	// runs with Config.Ingest; plain deployments reject them).
-	MsgPutMeta      byte = 18 // client -> server: install a metadata snapshot
-	MsgPutExtent    byte = 19 // client -> server: write one extent (key + bytes) to local storage
-	MsgFetchExtents byte = 20 // client -> server: read extents by key (rebalance transfer source)
+	MsgPutMeta       byte = 18 // client -> server: install a metadata snapshot
+	MsgPutExtent     byte = 19 // client -> server: write one extent (key + bytes) to local storage
+	MsgFetchExtents  byte = 20 // client -> server: read extents by key (rebalance transfer source)
 	MsgExtentsResult byte = 21 // server -> client: requested extents' bytes
-	MsgOK           byte = 22 // server -> client: bare acknowledgement
+	MsgOK            byte = 22 // server -> client: bare acknowledgement
 	// Declarative text-query pair: the client ships canonical query
 	// text; the server parses, plans (cost-based, cached), executes,
 	// and answers with a selection/count/histogram per the projection.
@@ -173,46 +175,54 @@ func decodeStats(b []byte) (exec.Stats, []byte, error) {
 	return s, b, nil
 }
 
-// EncodeQueryRequest builds a MsgQuery payload.
-func EncodeQueryRequest(flags byte, encodedQuery []byte) []byte {
-	out := make([]byte, 0, 1+len(encodedQuery))
-	out = append(out, flags)
-	return append(out, encodedQuery...)
-}
+// The forcing of a binary statement rides in the flags byte's three
+// high bits (a plan.Force wire value), so a MsgQuery is exactly as long
+// as it was before statements carried their own forcing. Bit 4 stays
+// reserved.
+const (
+	flagReserved byte = 1 << 4
+	forceShift        = 5
+	flagBits          = 1<<forceShift - 1
+)
 
-// DecodeQueryRequest splits a MsgQuery payload.
-func DecodeQueryRequest(b []byte) (flags byte, encodedQuery []byte, err error) {
-	if len(b) < 1 {
-		return 0, nil, fmt.Errorf("protocol: empty query request")
-	}
-	return b[0], b[1:], nil
-}
+// ErrBadQueryFlags reports a MsgQuery flags byte with the reserved bit
+// set or a forcing value no plan.Force names.
+var ErrBadQueryFlags = errors.New("protocol: bad query flags")
 
-// EncodeQueryRequestEpoch builds an epoch-stamped MsgQuery payload:
-// flags (with FlagEpoch set) | epoch u64 | query.
-func EncodeQueryRequestEpoch(flags byte, epoch uint64, encodedQuery []byte) []byte {
+// EncodeQueryRequest builds a MsgQuery payload:
+// flags+forcing | [epoch u64 when FlagEpoch] | query.
+func EncodeQueryRequest(flags byte, force plan.Force, epoch uint64, encodedQuery []byte) []byte {
 	out := make([]byte, 0, 9+len(encodedQuery))
-	out = append(out, flags|FlagEpoch)
-	out = binary.LittleEndian.AppendUint64(out, epoch)
+	out = append(out, flags&flagBits|byte(force)<<forceShift)
+	if flags&FlagEpoch != 0 {
+		out = binary.LittleEndian.AppendUint64(out, epoch)
+	}
 	return append(out, encodedQuery...)
 }
 
-// DecodeQueryRequestEpoch splits a MsgQuery payload, extracting the
-// placement epoch when FlagEpoch is set (epoch 0 otherwise).
-func DecodeQueryRequestEpoch(b []byte) (flags byte, epoch uint64, encodedQuery []byte, err error) {
+// DecodeQueryRequest splits a MsgQuery payload into its flags (forcing
+// bits cleared), forcing, placement epoch (0 unless FlagEpoch is set)
+// and encoded query.
+func DecodeQueryRequest(b []byte) (flags byte, force plan.Force, epoch uint64, encodedQuery []byte, err error) {
 	if len(b) < 1 {
-		return 0, 0, nil, fmt.Errorf("protocol: empty query request")
+		return 0, 0, 0, nil, fmt.Errorf("protocol: empty query request")
 	}
-	flags = b[0]
+	flags, force = b[0]&flagBits, plan.Force(b[0]>>forceShift)
 	b = b[1:]
+	if flags&flagReserved != 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: reserved bit set", ErrBadQueryFlags)
+	}
+	if !force.Valid() {
+		return 0, 0, 0, nil, fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, int(force))
+	}
 	if flags&FlagEpoch != 0 {
 		if len(b) < 8 {
-			return 0, 0, nil, fmt.Errorf("protocol: truncated query epoch")
+			return 0, 0, 0, nil, fmt.Errorf("protocol: truncated query epoch")
 		}
 		epoch = binary.LittleEndian.Uint64(b)
 		b = b[8:]
 	}
-	return flags, epoch, b, nil
+	return flags, force, epoch, b, nil
 }
 
 // QueryResponse is one server's answer to a MsgQuery.

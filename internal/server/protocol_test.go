@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
@@ -22,17 +24,43 @@ func sampleCost() vclock.Cost {
 		Add(vclock.CostOf(vclock.Network, time.Microsecond))
 }
 
+// TestQueryRequestRoundTrip: every flag combination round-trips under
+// every forcing, and the forcing costs no bytes — the payload is as long
+// as it was before statements carried one (flags byte, optional epoch,
+// query).
 func TestQueryRequestRoundTrip(t *testing.T) {
-	enc := EncodeQueryRequest(FlagWantSelection|FlagWantValues, []byte("querybytes"))
-	flags, q, err := DecodeQueryRequest(enc)
-	if err != nil {
-		t.Fatal(err)
+	for flags := byte(0); flags < flagReserved; flags++ {
+		for force := plan.ForceAuto; force <= plan.ForceFull; force++ {
+			enc := EncodeQueryRequest(flags, force, 42, []byte("querybytes"))
+			wantLen, wantEpoch := 1+len("querybytes"), uint64(0)
+			if flags&FlagEpoch != 0 {
+				wantLen, wantEpoch = wantLen+8, 42
+			}
+			if len(enc) != wantLen {
+				t.Fatalf("flags %#x force %v: %d bytes, want %d", flags, force, len(enc), wantLen)
+			}
+			gotFlags, gotForce, epoch, q, err := DecodeQueryRequest(enc)
+			if err != nil {
+				t.Fatalf("flags %#x force %v: %v", flags, force, err)
+			}
+			if gotFlags != flags || gotForce != force || epoch != wantEpoch || string(q) != "querybytes" {
+				t.Errorf("flags %#x force %v: round trip = %#x %v %d %q", flags, force, gotFlags, gotForce, epoch, q)
+			}
+		}
 	}
-	if flags != (FlagWantSelection|FlagWantValues) || string(q) != "querybytes" {
-		t.Errorf("round trip = %d %q", flags, q)
-	}
-	if _, _, err := DecodeQueryRequest(nil); err == nil {
+	if _, _, _, _, err := DecodeQueryRequest(nil); err == nil {
 		t.Error("empty request accepted")
+	}
+	if _, _, _, _, err := DecodeQueryRequest([]byte{FlagEpoch, 1, 2}); err == nil {
+		t.Error("truncated epoch accepted")
+	}
+	for _, b := range []byte{flagReserved, byte(plan.ForceFull+1) << forceShift, 7 << forceShift} {
+		if _, _, _, _, err := DecodeQueryRequest([]byte{b, 'q'}); !errors.Is(err, ErrBadQueryFlags) {
+			t.Errorf("flags byte %#x: err = %v, want ErrBadQueryFlags", b, err)
+		}
+	}
+	if _, _, _, _, err := DecodeTextQuery(EncodeTextQuery(0, 0, plan.ForceFull+1, "select count where e > 1")); !errors.Is(err, ErrBadQueryFlags) {
+		t.Errorf("text forcing out of range: err = %v, want ErrBadQueryFlags", err)
 	}
 }
 

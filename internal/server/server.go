@@ -23,13 +23,10 @@ import (
 	"time"
 
 	"pdcquery/internal/exec"
-	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
-	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
-	"pdcquery/internal/selection"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/sortstore"
 	"pdcquery/internal/telemetry"
@@ -49,8 +46,6 @@ type Config struct {
 	Meta *metadata.Service
 	// Replicas maps objects to their sorted-replica metadata.
 	Replicas map[object.ID]*sortstore.Replica
-	// Strategy selects the evaluation optimization.
-	Strategy exec.Strategy
 	// CacheBytes bounds the in-memory region cache (the paper limits each
 	// server to 64 GB).
 	CacheBytes int64
@@ -71,10 +66,10 @@ type Config struct {
 	// replies (with a retry-after hint) until the backlog drains. Zero
 	// means DefaultQueueDepth.
 	QueueDepth int
-	// OnQuery, when set, is called after each handled MsgQuery with the
-	// running count of queries this server has served. It is the seam
-	// crash-injection hangs off (cmd/pdc-server's -crash-after exits the
-	// process from it); keep it fast and non-blocking.
+	// OnQuery, when set, is called after each handled statement (MsgQuery
+	// or MsgTextQuery) with the running count this server has served. It
+	// is the seam crash-injection hangs off (cmd/pdc-server's -crash-after
+	// exits the process from it); keep it fast and non-blocking.
 	OnQuery func(served uint64)
 	// RecorderEvents sizes the flight-recorder ring (0 means
 	// telemetry.DefaultRecorderEvents). The recorder is always on; its
@@ -87,12 +82,13 @@ type Config struct {
 	// when a real Clock is installed, virtual cost otherwise — so the
 	// threshold is testable deterministically.
 	SlowQueryNs int64
-	// ClusterAssign, when set, replaces the static mod-N region
-	// assignment: a cluster member derives its share from the placement
-	// view at the request's stamped epoch (internal/cluster wires this).
-	// An epoch mismatch returns an error, which the cluster session
+	// Assign names the regions this server evaluates for a statement on
+	// anchor (and its sorted replica, nil when absent). Required. A
+	// static deployment passes ModNAssign; a cluster member derives its
+	// share from the placement view at the request's stamped epoch, and
+	// an epoch mismatch returns an error, which the cluster session
 	// turns into a view refresh + retry.
-	ClusterAssign func(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error)
+	Assign func(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error)
 	// Ingest accepts the cluster ingest/transfer messages (MsgPutMeta,
 	// MsgPutExtent, MsgFetchExtents). Plain deployments leave it off and
 	// reject them: their store is shared, not per-server.
@@ -180,6 +176,10 @@ type stashEntry struct {
 
 // New constructs a server.
 func New(cfg Config) *Server {
+	if cfg.Assign == nil {
+		//lint:ignore nopanic a missing Assign is a wiring bug caught at construction, before any request exists
+		panic("server: Config.Assign is required")
+	}
 	if cfg.N <= 0 {
 		cfg.N = 1
 	}
@@ -199,30 +199,29 @@ func New(cfg Config) *Server {
 		s.queueDepth = DefaultQueueDepth
 	}
 	s.pool = sched.NewPool(cfg.Workers)
-	s.queue = sched.NewFairQueue[*queuedReq](s.queueDepth, 1)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.rec = telemetry.NewRecorder(cfg.RecorderEvents, cfg.Clock)
+	// EvAdmit is recorded inside the queue's critical section: recorded
+	// after Push returned, a fast dispatcher could pop the request and
+	// record its EvDispatch first, and the event stream of a fixed
+	// workload would depend on goroutine scheduling.
+	s.queue = sched.NewFairQueue(s.queueDepth, 1, func(qr *queuedReq, queued int) {
+		s.rec.Record(telemetry.EvAdmit, 0, int32(cfg.ID), 0, int64(qr.m.ReqID), int64(queued))
+	})
 	s.engine = &exec.Engine{
 		Store: cfg.Store,
 		Acct:  s.acct,
 		Lookup: func(id object.ID) (*object.Object, bool) {
 			return cfg.Meta.Get(id)
 		},
-		Global: func(id object.ID) *histogram.Histogram {
-			if o, ok := cfg.Meta.Get(id); ok {
-				return o.Global
-			}
-			return nil
-		},
 		Replica: func(id object.ID) *sortstore.Replica {
 			return cfg.Replicas[id]
 		},
-		Strategy: cfg.Strategy,
-		Cache:    exec.NewCache(cfg.CacheBytes),
-		Pool:     s.pool,
-		Rec:      s.rec,
-		Clock:    s.clock(),
-		SrvID:    int32(cfg.ID),
+		Cache: exec.NewCache(cfg.CacheBytes),
+		Pool:  s.pool,
+		Rec:   s.rec,
+		Clock: s.clock(),
+		SrvID: int32(cfg.ID),
 	}
 	return s
 }
@@ -303,35 +302,27 @@ func (s *Server) Metrics() *telemetry.Registry {
 // Cache exposes the region cache (inspected by experiments).
 func (s *Server) Cache() *exec.Cache { return s.engine.Cache }
 
-// SetStrategy switches the evaluation strategy (the paper switches via an
-// environment variable before starting servers; deployments switch
-// between experiment runs).
-func (s *Server) SetStrategy(st exec.Strategy) {
-	s.cfg.Strategy = st
-	s.engine.Strategy = st
-}
-
-// assignment derives this server's share of regions for the query's
-// anchor object: region r belongs to server r mod N ("assigned to the
-// servers in a load-balanced fashion", §III-C), and likewise for sorted
-// replica regions.
-// The mapping is offset by the object ID so that single-region objects
-// (e.g. the millions of small BOSS fibers) spread across servers instead
-// of all landing on server 0.
-func (s *Server) assignment(anchor *object.Object, rep *sortstore.Replica) exec.Assignment {
-	var a exec.Assignment
-	n := s.cfg.N
-	start := ((s.cfg.ID-int(uint64(anchor.ID)%uint64(n)))%n + n) % n
-	for r := start; r < len(anchor.Regions); r += n {
-		a.Orig = append(a.Orig, r)
-	}
-	if rep != nil {
-		sStart := ((s.cfg.ID-int(uint64(rep.Key)%uint64(n)))%n + n) % n
-		for r := sStart; r < len(rep.Regions); r += n {
-			a.Sorted = append(a.Sorted, r)
+// ModNAssign is the static deployment's assignment for server id of n:
+// region r belongs to server r mod n ("assigned to the servers in a
+// load-balanced fashion", §III-C), and likewise for sorted replica
+// regions. The mapping is offset by the object ID so that single-region
+// objects (e.g. the millions of small BOSS fibers) spread across servers
+// instead of all landing on server 0. Static placement has no epochs.
+func ModNAssign(id, n int) func(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
+	return func(_ uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
+		var a exec.Assignment
+		start := ((id-int(uint64(anchor.ID)%uint64(n)))%n + n) % n
+		for r := start; r < len(anchor.Regions); r += n {
+			a.Orig = append(a.Orig, r)
 		}
+		if rep != nil {
+			sStart := ((id-int(uint64(rep.Key)%uint64(n)))%n + n) % n
+			for r := sStart; r < len(rep.Regions); r += n {
+				a.Sorted = append(a.Sorted, r)
+			}
+		}
+		return a, nil
 	}
-	return a
 }
 
 // maxStash bounds the per-connection stash of recent query results.
@@ -441,7 +432,7 @@ func (s *Server) serveOne(qr *queuedReq) {
 	s.rec.Record(telemetry.EvDispatch, 0, int32(s.cfg.ID), 0, int64(m.ReqID), queueWait)
 	acct := vclock.NewAccount()
 	tok := sched.NewToken(ss.ctx, acct, time.Duration(m.Deadline))
-	reply := s.handle(ss, tok, acct, m)
+	reply := s.handle(&request{ss: ss, tok: tok, acct: acct, m: m})
 	s.acct.Absorb(acct)
 	reply.ReqID = m.ReqID
 	reply.Trace = m.Trace
@@ -527,9 +518,7 @@ func (s *Server) Serve(conn transport.Conn) error {
 		// section: re-reading SessionLen here would race with dispatchers
 		// popping the request we just pushed.
 		queued, err := s.queue.Push(ss.key, 1, qr)
-		if err == nil {
-			s.rec.Record(telemetry.EvAdmit, 0, int32(s.cfg.ID), 0, int64(m.ReqID), int64(queued))
-		} else {
+		if err != nil {
 			ss.inflight.Done()
 			if errors.Is(err, sched.ErrBusy) {
 				// Admission control: the session's backlog is full.
@@ -575,179 +564,68 @@ func (s *Server) errMsg(err error) transport.Message {
 	return transport.Message{Type: MsgError, Payload: []byte(fmt.Sprintf("server %d: %v", s.cfg.ID, err))}
 }
 
-func (s *Server) handle(ss *session, tok *sched.Token, acct *vclock.Account, m transport.Message) transport.Message {
-	s.telem.Add("msg."+MsgName(m.Type), 1)
-	switch m.Type {
-	case MsgQuery:
-		reply := s.handleQuery(ss, tok, acct, m)
-		if s.cfg.OnQuery != nil {
-			s.cfg.OnQuery(uint64(s.queriesServed.Add(1)))
-		}
-		return reply
-	case MsgTextQuery:
-		reply := s.handleTextQuery(ss, tok, acct, m)
-		if s.cfg.OnQuery != nil {
-			s.cfg.OnQuery(uint64(s.queriesServed.Add(1)))
-		}
-		return reply
-	case MsgGetData:
-		return s.handleGetData(ss, tok, acct, m)
-	case MsgHistogram:
-		return s.handleHistogram(m)
-	case MsgTagQuery:
-		return s.handleTagQuery(acct, m)
-	case MsgStats:
-		return s.handleStats(acct, m)
-	case MsgEvents:
-		events, total := s.rec.SnapshotTotal()
-		return transport.Message{Type: MsgEventsResult, Payload: telemetry.EncodeEvents(events, total)}
-	case MsgMetaSnapshot:
-		snap, err := s.cfg.Meta.Snapshot()
-		if err != nil {
-			return s.errMsg(err)
-		}
-		return transport.Message{Type: MsgMetaResult, Payload: snap}
-	case MsgPutMeta:
-		return s.handlePutMeta(m)
-	case MsgPutExtent:
-		return s.handlePutExtent(tok, acct, m)
-	case MsgFetchExtents:
-		return s.handleFetchExtents(tok, acct, m)
+// request is one admitted message with the state scoped to it: the
+// issuing session, the cancellation token, and the private account its
+// charges land in.
+type request struct {
+	ss   *session
+	tok  *sched.Token
+	acct *vclock.Account
+	m    transport.Message
+}
+
+// handlers is the dispatch table: one entry per client -> server message
+// kind (MsgShutdown ends the session in Serve and never gets here).
+var handlers = map[byte]func(*Server, *request) transport.Message{
+	MsgQuery:        (*Server).handleQuery,
+	MsgTextQuery:    (*Server).handleTextQuery,
+	MsgGetData:      (*Server).handleGetData,
+	MsgHistogram:    (*Server).handleHistogram,
+	MsgTagQuery:     (*Server).handleTagQuery,
+	MsgStats:        (*Server).handleStats,
+	MsgEvents:       (*Server).handleEvents,
+	MsgMetaSnapshot: (*Server).handleMetaSnapshot,
+	MsgPutMeta:      (*Server).handlePutMeta,
+	MsgPutExtent:    (*Server).handlePutExtent,
+	MsgFetchExtents: (*Server).handleFetchExtents,
+}
+
+func (s *Server) handle(r *request) transport.Message {
+	s.telem.Add("msg."+MsgName(r.m.Type), 1)
+	h, ok := handlers[r.m.Type]
+	if !ok {
+		return s.errMsg(fmt.Errorf("unknown message type %d", r.m.Type))
 	}
-	return s.errMsg(fmt.Errorf("unknown message type %d", m.Type))
+	return h(s, r)
+}
+
+func (s *Server) handleQuery(r *request) transport.Message {
+	return s.handleStatement(r, s.queryStatement)
+}
+
+func (s *Server) handleTextQuery(r *request) transport.Message {
+	return s.handleStatement(r, s.textStatement)
 }
 
 // handleStats answers a MsgStats request with the merged telemetry
 // registry. Serving stats is metadata work; its cost is the request
 // account's charge (zero under the current model).
-func (s *Server) handleStats(acct *vclock.Account, m transport.Message) transport.Message {
-	reg := s.Metrics()
-	resp := &StatsResponse{Cost: acct.Cost(), Reg: reg}
+func (s *Server) handleStats(r *request) transport.Message {
+	resp := &StatsResponse{Cost: r.acct.Cost(), Reg: s.Metrics()}
 	return transport.Message{Type: MsgStatsResult, Payload: resp.Encode()}
 }
 
-func (s *Server) handleQuery(ss *session, tok *sched.Token, acct *vclock.Account, m transport.Message) transport.Message {
-	flags, epoch, qbytes, err := DecodeQueryRequestEpoch(m.Payload)
+func (s *Server) handleEvents(*request) transport.Message {
+	events, total := s.rec.SnapshotTotal()
+	return transport.Message{Type: MsgEventsResult, Payload: telemetry.EncodeEvents(events, total)}
+}
+
+func (s *Server) handleMetaSnapshot(*request) transport.Message {
+	snap, err := s.cfg.Meta.Snapshot()
 	if err != nil {
 		return s.errMsg(err)
 	}
-	q, err := query.Decode(qbytes)
-	if err != nil {
-		return s.errMsg(err)
-	}
-	if err := q.Validate(s.cfg.Meta.Get); err != nil {
-		return s.errMsg(err)
-	}
-	ids := q.Root.Objects()
-	anchor, _ := s.cfg.Meta.Get(ids[0])
-	var rep *sortstore.Replica
-	for _, id := range ids {
-		if r := s.cfg.Replicas[id]; r != nil {
-			rep = r
-			break
-		}
-	}
-	var assign exec.Assignment
-	if s.cfg.ClusterAssign != nil {
-		// Cluster mode: the epoch check and the region share come from
-		// one placement-view snapshot, so a rebalance can never split a
-		// query across two views.
-		assign, err = s.cfg.ClusterAssign(epoch, anchor, rep)
-		if err != nil {
-			return s.errMsg(err)
-		}
-	} else {
-		assign = s.assignment(anchor, rep)
-	}
-
-	var span *telemetry.Span
-	// The span is built when the client asked for a trace OR the
-	// slow-query log is armed (the log captures the span of a query that
-	// crossed the threshold); it is only returned on explicit request.
-	wantTrace := flags&FlagWantTrace != 0
-	var wallStart int64
-	if wantTrace || s.cfg.SlowQueryNs > 0 {
-		span = telemetry.NewSpan(telemetry.SpanQuery, fmt.Sprintf("server.%d", s.cfg.ID))
-		span.Trace = telemetry.TraceID(m.Trace)
-		wallStart = s.clock().Now()
-	}
-
-	// Always let the engine capture values it has in hand: that is the
-	// paper's server-side result caching, which the stash serves to later
-	// get-data requests on this request ID (even a count-only reply can be
-	// followed by one). The response only carries the values when the
-	// client explicitly asked for them inline.
-	var phases telemetry.PhaseTimes
-	res, err := s.reqEngine(acct, &phases).EvaluateToken(tok, q, assign, exec.NeedValues, span)
-	if err != nil {
-		if errors.Is(err, sched.ErrDeadline) {
-			s.rec.Record(telemetry.EvDeadline, 0, int32(s.cfg.ID), acct.Cost().Total().Nanoseconds(), int64(m.ReqID), 0)
-		}
-		return s.errMsg(err)
-	}
-	// The budget is a deadline on the reply, not just a cancellation
-	// point: a cost charged by the final read can cross it after the last
-	// region-boundary check, and in virtual time that reply arrives late.
-	if err := tok.Err(); err != nil {
-		if errors.Is(err, sched.ErrDeadline) {
-			s.rec.Record(telemetry.EvDeadline, 0, int32(s.cfg.ID), acct.Cost().Total().Nanoseconds(), int64(m.ReqID), 0)
-		}
-		return s.errMsg(err)
-	}
-	cost := acct.Cost()
-	res.Stats.StorageBytes = acct.Counter("read.bytes")
-
-	ss.put(m.ReqID, &stashEntry{coords: res.Sel.Coords, values: res.Values})
-	ss.reg.Add("query.count", 1)
-	ss.reg.Observe("query.cost_ns", float64(cost.Total()))
-	s.rec.Record(telemetry.EvQueryDone, 0, int32(s.cfg.ID), cost.Total().Nanoseconds(), int64(m.ReqID), int64(res.Sel.NHits))
-
-	if s.cfg.Log != nil {
-		s.cfg.Log.Info("query",
-			"server", s.cfg.ID,
-			"req", m.ReqID,
-			"trace", m.Trace,
-			"strategy", s.cfg.Strategy.String(),
-			"hits", res.Sel.NHits,
-			"cost", cost.Total().String(),
-			"regions_evaluated", res.Stats.RegionsEvaluated,
-			"regions_pruned", res.Stats.RegionsPruned,
-			"storage_bytes", res.Stats.StorageBytes,
-		)
-	}
-
-	resp := &QueryResponse{Cost: cost, Stats: res.Stats, Sel: res.Sel}
-	if span != nil {
-		// The root span's cost is exactly the response's incremental cost;
-		// child spans break it down.
-		span.Cost = cost
-		if wall := s.clock().Now(); wall != 0 || wallStart != 0 {
-			span.WallNanos = wall - wallStart
-		}
-		// No scheduler attributes in the trace: the traced response
-		// payload is part of the modeled wire cost, so span bytes must be
-		// identical at any worker count (worker count is a gauge instead).
-		span.SetInt("hits", int64(res.Sel.NHits))
-		if wantTrace {
-			resp.Trace = span
-		}
-	}
-	if flags&FlagWantSelection == 0 {
-		resp.Sel = selection.NewCount(res.Sel.NHits, res.Sel.Dims)
-	}
-	if flags&FlagWantValues != 0 {
-		resp.Values = res.Values
-	}
-	encStart := s.clock().Now()
-	payload := resp.Encode()
-	if encEnd := s.clock().Now(); encEnd != 0 || encStart != 0 {
-		// Encoding is pure compute with no modeled virtual cost; the
-		// phase is wall-only.
-		phases.Add(telemetry.PhaseEncode, 0, encEnd-encStart)
-	}
-	s.observePhases(ss, &phases)
-	s.maybeLogSlowQuery(ss, m, span, cost, wallStart, res)
-	return transport.Message{Type: MsgQueryResult, Payload: payload}
+	return transport.Message{Type: MsgMetaResult, Payload: snap}
 }
 
 // observePhases folds one request's phase accounting into the session
@@ -819,8 +697,9 @@ func (s *Server) maybeLogSlowQuery(ss *session, m transport.Message, span *telem
 	)
 }
 
-func (s *Server) handleGetData(ss *session, tok *sched.Token, acct *vclock.Account, m transport.Message) transport.Message {
-	req, err := DecodeDataRequest(m.Payload)
+func (s *Server) handleGetData(r *request) transport.Message {
+	ss, tok, acct := r.ss, r.tok, r.acct
+	req, err := DecodeDataRequest(r.m.Payload)
 	if err != nil {
 		return s.errMsg(err)
 	}
@@ -858,7 +737,8 @@ func (s *Server) handleGetData(ss *session, tok *sched.Token, acct *vclock.Accou
 	return transport.Message{Type: MsgDataResult, Payload: resp.Encode()}
 }
 
-func (s *Server) handleHistogram(m transport.Message) transport.Message {
+func (s *Server) handleHistogram(r *request) transport.Message {
+	m := r.m
 	if len(m.Payload) != 8 {
 		return s.errMsg(fmt.Errorf("bad histogram request"))
 	}
@@ -870,8 +750,9 @@ func (s *Server) handleHistogram(m transport.Message) transport.Message {
 	return transport.Message{Type: MsgHistResult, Payload: EncodeHistResult(o.Global)}
 }
 
-func (s *Server) handleTagQuery(acct *vclock.Account, m transport.Message) transport.Message {
-	conds, err := DecodeTagQuery(m.Payload)
+func (s *Server) handleTagQuery(r *request) transport.Message {
+	acct := r.acct
+	conds, err := DecodeTagQuery(r.m.Payload)
 	if err != nil {
 		return s.errMsg(err)
 	}

@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/simio"
@@ -22,7 +22,7 @@ import (
 func testServer(t *testing.T, id, n int) (*Server, transport.Conn, object.ID) {
 	t.Helper()
 	st, meta, oid := testWorld(t)
-	srv, conn := testServerCfg(t, Config{ID: id, N: n, Store: st, Meta: meta, Strategy: exec.Histogram})
+	srv, conn := testServerCfg(t, Config{ID: id, N: n, Store: st, Meta: meta})
 	return srv, conn, oid
 }
 
@@ -30,6 +30,9 @@ func testServer(t *testing.T, id, n int) (*Server, transport.Conn, object.ID) {
 // (for tests that need non-default observability or scheduling config).
 func testServerCfg(t *testing.T, cfg Config) (*Server, transport.Conn) {
 	t.Helper()
+	if cfg.Assign == nil {
+		cfg.Assign = ModNAssign(cfg.ID, cfg.N)
+	}
 	srv := New(cfg)
 	clientSide, serverSide := transport.Pipe()
 	go func() {
@@ -98,7 +101,7 @@ func TestServeQueryAndGetData(t *testing.T) {
 	q := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(FlagWantSelection, q.Encode()),
+		Payload: EncodeQueryRequest(FlagWantSelection, plan.ForceScan, 0, q.Encode()),
 	})
 	if reply.Type != MsgQueryResult {
 		t.Fatalf("reply type = %d payload=%s", reply.Type, reply.Payload)
@@ -142,7 +145,7 @@ func TestServeCountOnly(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGE, 9.0)}
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, q.Encode()),
+		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
 	})
 	qr, err := DecodeQueryResponse(reply.Payload)
 	if err != nil {
@@ -157,8 +160,8 @@ func TestServeErrors(t *testing.T) {
 	_, conn, oid := testServer(t, 0, 1)
 	cases := []transport.Message{
 		{Type: MsgQuery, Payload: nil},
-		{Type: MsgQuery, Payload: EncodeQueryRequest(0, []byte("garbage"))},
-		{Type: MsgQuery, Payload: EncodeQueryRequest(0, (&query.Query{Root: query.Leaf(999, query.OpGT, 0)}).Encode())},
+		{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, []byte("garbage"))},
+		{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, (&query.Query{Root: query.Leaf(999, query.OpGT, 0)}).Encode())},
 		{Type: MsgGetData, Payload: nil},
 		{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, QueryReq: 12345}).Encode()},
 		{Type: MsgHistogram, Payload: []byte{1, 2}},
@@ -221,7 +224,7 @@ func TestTagQuerySharding(t *testing.T) {
 	const n = 4
 	seen := map[object.ID]int{}
 	for id := 0; id < n; id++ {
-		srv := New(Config{ID: id, N: n, Store: st, Meta: meta})
+		srv := New(Config{ID: id, N: n, Store: st, Meta: meta, Assign: ModNAssign(id, n)})
 		clientSide, serverSide := transport.Pipe()
 		go srv.Serve(serverSide)
 		reply := call(t, clientSide, transport.Message{
@@ -250,7 +253,6 @@ func TestTagQuerySharding(t *testing.T) {
 func TestAssignmentPartition(t *testing.T) {
 	// The region assignments of an N-server deployment partition the
 	// region set, for both plain and sorted regions.
-	st := simio.New(simio.DefaultModel())
 	meta := metadata.NewService()
 	cont := meta.CreateContainer("c")
 	o, _ := meta.CreateObject(cont.ID, object.Property{Name: "o", Type: dtype.Float32, Dims: []uint64{1000}})
@@ -260,8 +262,10 @@ func TestAssignmentPartition(t *testing.T) {
 	const n = 3
 	counts := make([]int, len(o.Regions))
 	for id := 0; id < n; id++ {
-		srv := New(Config{ID: id, N: n, Store: st, Meta: meta})
-		a := srv.assignment(o, nil)
+		a, err := ModNAssign(id, n)(0, o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range a.Orig {
 			counts[r]++
 		}
@@ -280,7 +284,7 @@ func TestStashEviction(t *testing.T) {
 	// still does.
 	for i := 0; i < 40; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(i%9))}
-		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode()), ReqID: uint64(i + 1)}
+		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()), ReqID: uint64(i + 1)}
 		if err := conn.Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +323,7 @@ func TestConnectionsHaveIsolatedStashes(t *testing.T) {
 
 	// Client A runs a query under ReqID 77.
 	qa := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
-	if r := call(t, connA, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, qa.Encode())}); r.Type != MsgQueryResult {
+	if r := call(t, connA, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, qa.Encode())}); r.Type != MsgQueryResult {
 		t.Fatalf("query A failed: %s", r.Payload)
 	}
 	// Client B asks for ReqID 77's data without having run a query.
@@ -367,7 +371,7 @@ func TestTextQueryIsNotStashed(t *testing.T) {
 	}
 
 	q := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
-	if r := call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, q.Encode())}); r.Type != MsgQueryResult {
+	if r := call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())}); r.Type != MsgQueryResult {
 		t.Fatalf("binary query failed: %s", r.Payload)
 	}
 	if dreply = call(t, conn, get); dreply.Type != MsgDataResult {

@@ -10,23 +10,25 @@ import (
 	"fmt"
 
 	"pdcquery/internal/histogram"
+	"pdcquery/internal/plan"
 )
 
 // EncodeTextQuery builds a MsgTextQuery payload:
 // flags | [epoch u64 when FlagEpoch] | force u8 | u32 textLen | text.
-func EncodeTextQuery(flags byte, epoch uint64, force byte, text string) []byte {
+func EncodeTextQuery(flags byte, epoch uint64, force plan.Force, text string) []byte {
 	out := make([]byte, 0, 14+len(text))
 	out = append(out, flags)
 	if flags&FlagEpoch != 0 {
 		out = binary.LittleEndian.AppendUint64(out, epoch)
 	}
-	out = append(out, force)
+	out = append(out, byte(force))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(text)))
 	return append(out, text...)
 }
 
-// DecodeTextQuery splits a MsgTextQuery payload.
-func DecodeTextQuery(b []byte) (flags byte, epoch uint64, force byte, text string, err error) {
+// DecodeTextQuery splits a MsgTextQuery payload; a forcing byte no
+// plan.Force names is ErrBadQueryFlags.
+func DecodeTextQuery(b []byte) (flags byte, epoch uint64, force plan.Force, text string, err error) {
 	if len(b) < 1 {
 		return 0, 0, 0, "", fmt.Errorf("protocol: empty text query")
 	}
@@ -42,7 +44,10 @@ func DecodeTextQuery(b []byte) (flags byte, epoch uint64, force byte, text strin
 	if len(b) < 5 {
 		return 0, 0, 0, "", fmt.Errorf("protocol: truncated text query header")
 	}
-	force = b[0]
+	force = plan.Force(b[0])
+	if !force.Valid() {
+		return 0, 0, 0, "", fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, b[0])
+	}
 	n := binary.LittleEndian.Uint32(b[1:])
 	b = b[5:]
 	if uint64(len(b)) != uint64(n) {

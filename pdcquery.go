@@ -22,19 +22,24 @@
 //
 // Four evaluation strategies are available (§III-D): full scan (PDC-F),
 // global-histogram pruning and ordering (PDC-H, the default), bitmap
-// indexes (PDC-HI), and sorted reorganization (PDC-SH). The experiment
-// harness under cmd/pdc-bench regenerates every figure of the paper's
-// evaluation; see DESIGN.md and EXPERIMENTS.md.
+// indexes (PDC-HI), and sorted reorganization (PDC-SH) — plus "auto",
+// which lets the cost-based planner choose per region. A strategy is a
+// forcing the client stamps on each statement, not a server setting:
+// Deployment.SetStrategy (Client.SetForce) for binary queries, the
+// argument of Client.RunText for declarative ones. Every statement,
+// binary or text, then runs the same server path — decode, plan,
+// execute. The experiment harness under cmd/pdc-bench regenerates every
+// figure of the paper's evaluation; see DESIGN.md and EXPERIMENTS.md.
 package pdcquery
 
 import (
 	"pdcquery/internal/client"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
-	"pdcquery/internal/exec"
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
@@ -44,8 +49,8 @@ import (
 // substrate, and a connected client.
 type Deployment = core.Deployment
 
-// Options configures a deployment (server count, strategy, region size,
-// index construction, cost model).
+// Options configures a deployment (server count, region size, index
+// construction, cost model).
 type Options = core.Options
 
 // NewDeployment creates an empty deployment; import objects, then Start.
@@ -63,8 +68,9 @@ type Info = client.Info
 // Future is an in-flight asynchronous query (Client.RunAsync).
 type Future = client.Future
 
-// Plan is a query's evaluation plan (Client.Explain).
-type Plan = client.Plan
+// Plan is a query's evaluation plan (Client.Explain); render it with
+// its Format method.
+type Plan = plan.Plan
 
 // Object model ---------------------------------------------------------------
 
@@ -151,17 +157,21 @@ func NewQuery(root *Node) *Query { return &Query{Root: root} }
 
 // Strategies -----------------------------------------------------------------
 
-// Strategy selects the query evaluation optimization (§III-D).
-type Strategy = exec.Strategy
+// Strategy selects the query evaluation optimization (§III-D): the
+// forcing a statement's plan is built under. Label returns the paper's
+// name for it.
+type Strategy = plan.Force
 
-// The paper's four approaches.
+// The paper's four approaches (ParseStrategy("auto") names the
+// cost-based choice among them).
 const (
-	StrategyFullScan  = exec.FullScan        // PDC-F
-	StrategyHistogram = exec.Histogram       // PDC-H (default)
-	StrategyIndex     = exec.HistogramIndex  // PDC-HI
-	StrategySorted    = exec.SortedHistogram // PDC-SH
+	StrategyFullScan  = plan.ForceFull   // PDC-F
+	StrategyHistogram = plan.ForceScan   // PDC-H (default)
+	StrategyIndex     = plan.ForceBitmap // PDC-HI
+	StrategySorted    = plan.ForceSorted // PDC-SH
 )
 
 // ParseStrategy accepts "PDC-F", "PDC-H", "PDC-HI", "PDC-SH" and plain
-// names ("fullscan", "histogram", "index", "sorted").
-func ParseStrategy(s string) (Strategy, error) { return exec.ParseStrategy(s) }
+// names ("auto", "full", "scan", "bitmap", "sorted", and the older
+// "fullscan", "histogram", "index").
+func ParseStrategy(s string) (Strategy, error) { return plan.ParseForce(s) }

@@ -10,14 +10,16 @@ import (
 // TestPublicAPISurface exercises the root package's re-exports and
 // constructors (the Fig. 1-style facade).
 func TestPublicAPISurface(t *testing.T) {
-	// Strategy parsing round-trips the paper labels.
+	// Strategy parsing round-trips the paper labels and the plain names.
 	for _, s := range []pdcquery.Strategy{
 		pdcquery.StrategyFullScan, pdcquery.StrategyHistogram,
 		pdcquery.StrategyIndex, pdcquery.StrategySorted,
 	} {
-		got, err := pdcquery.ParseStrategy(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
+		for _, name := range []string{s.Label(), s.String()} {
+			got, err := pdcquery.ParseStrategy(name)
+			if err != nil || got != s {
+				t.Errorf("ParseStrategy(%q) = %v, %v", name, got, err)
+			}
 		}
 	}
 	if _, err := pdcquery.ParseStrategy("nope"); err == nil {
