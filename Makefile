@@ -79,6 +79,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryRequest -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzPackedDecode -fuzztime=$(FUZZTIME) ./internal/selection/
+	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=$(FUZZTIME) ./internal/selection/
 
 # One benchmark per paper figure + ablations + throughput benches.
 bench:

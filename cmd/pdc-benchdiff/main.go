@@ -80,10 +80,31 @@ func measureAllocs() map[string]float64 {
 			cb = append(cb, i)
 		}
 	}
-	idst := make([]uint64, 0, min(len(ca), len(cb)))
-	out["selection.IntersectCoords.presized"] = testing.AllocsPerRun(200, func() { idst = selection.IntersectCoords(idst, ca, cb) })
 	mdst := make([]uint64, 0, len(ca)+len(cb))
 	out["selection.MergeCoords.presized"] = testing.AllocsPerRun(200, func() { mdst = selection.MergeCoords(mdst, ca, cb) })
+
+	// The result path over one 8192-element region: every second element
+	// packs as a bitset, every 24th as delta gaps — from a hit list and
+	// from a bitset, into a warm buffer — and both unpack into a
+	// destination that already has the room.
+	var sparse []uint64
+	for i := uint64(0); i < 8192; i += 24 {
+		sparse = append(sparse, i)
+	}
+	for _, coords := range [][]uint64{ca, sparse} {
+		words := make([]uint64, 8192/64)
+		for _, c := range coords {
+			words[c>>6] |= 1 << (c & 63)
+		}
+		chunk := selection.AppendChunkCoords(nil, 0, 8192, coords)
+		out["selection.pack.warm"] += testing.AllocsPerRun(200, func() {
+			chunk = selection.AppendChunkCoords(chunk[:0], 0, 8192, coords)
+			chunk = selection.AppendChunkBits(chunk[:0], 0, 8192, words, uint64(len(coords)))
+		})
+		p := &selection.Packed{NHits: uint64(len(coords)), Dims: []uint64{8192}, Chunks: chunk}
+		udst := make([]uint64, 0, len(coords))
+		out["selection.unpack.presized"] += testing.AllocsPerRun(200, func() { udst, _ = p.Coords(udst) })
+	}
 
 	m := transport.Message{Type: 3, ReqID: 8, Trace: 5, Deadline: 2, Payload: make([]byte, 512)}
 	fbuf := transport.AppendFrame(nil, m)
@@ -95,7 +116,7 @@ func measureAllocs() map[string]float64 {
 
 	// The region kernels over one 64 KiB region: scan into a warm
 	// buffer, probe in place, count, and the index path's whole region
-	// evaluation (as a count and as ids).
+	// evaluation with the packing of its chunk.
 	for name, op := range exec.KernelOps() {
 		out["exec."+name+".warm"] = testing.AllocsPerRun(200, op)
 	}

@@ -728,7 +728,7 @@ func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool) (
 	// Admission-control backoff (if any) delays the whole call.
 	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(len(payload))+busyWait))
 
-	var parts []*selection.Selection
+	parts := make([]*selection.Packed, 0, len(msgs))
 	var hists []*histogram.Histogram
 	var respBytes int
 	for i, m := range msgs {
@@ -747,13 +747,17 @@ func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool) (
 		}
 		res.Info.ServerMax = res.Info.ServerMax.Max(qr.Cost)
 		res.Info.Stats.Add(qr.Stats)
-		respBytes += len(m.Payload)
+		// The model prices the paper's reply, 8 bytes per coordinate: the
+		// packed selection is charged as the flat one it stands for.
+		respBytes += len(m.Payload) - qr.Sel.EncodedLen() + qr.Sel.FlatLen()
 		parts = append(parts, qr.Sel)
 		if traced {
 			res.Traces[i] = qr.Trace
 		}
 	}
-	res.Sel = selection.MergeAll(parts)
+	if res.Sel, err = selection.MergePacked(parts); err != nil {
+		return nil, nil, err
+	}
 	res.Info.NHits = res.Sel.NHits
 	// Servers evaluate in parallel; responses serialize into the client.
 	// The parallel phase cannot beat the shared backend: if the fleet

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"pdcquery/internal/bitindex"
@@ -53,6 +54,14 @@ func BenchmarkProbeKernel(b *testing.B) {
 // and two candidate bins of the region's bitmap index (9.4 KB of index
 // against the 64 KiB of data).
 func regionBench(b *testing.B, s shape) (planned, *query.Query, Assignment, []float32) {
+	e, q, assign, vals := regionFixture(b, s)
+	b.SetBytes(int64(4 * len(vals)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	return e, q, assign, vals
+}
+
+func regionFixture(b testing.TB, s shape) (planned, *query.Query, Assignment, []float32) {
 	const n = 1 << 14
 	energy := workload.GenerateVPIC(n, 1).Vars["Energy"]
 	f := buildFixture(b, []string{"Energy"}, func(_ string, i int) float32 { return energy[i] }, n, n, true, false)
@@ -77,23 +86,22 @@ func regionBench(b *testing.B, s shape) (planned, *query.Query, Assignment, []fl
 	if s == shapeBitmap && (res.Stats.IndexBinsRead != 12 || res.Stats.CandChecks == 0) {
 		b.Fatalf("window touches %d bins with %d candidate checks, want 12 bins and some checks", res.Stats.IndexBinsRead, res.Stats.CandChecks)
 	}
-	b.SetBytes(n * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
 	return e, q, f.fullAssign(), f.data[1]
 }
 
 func benchEvaluate(b *testing.B, s shape, need Need) {
 	e, q, assign, _ := regionBench(b, s)
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(q, assign, need); err != nil {
+		res, err := e.Evaluate(q, assign, need)
+		if err != nil {
 			b.Fatal(err)
 		}
+		res.Release() // as the server does once a text statement's reply is encoded
 	}
 }
 
 // BenchmarkEvalRegionScan is the whole per-region cost of an ids
-// statement — prune, task, scan into scratch, exact-size copy, merge —
+// statement — prune, task, scan into scratch, pack the chunk, merge —
 // which BenchmarkScanKernelFloat32 (a reused out buffer) never showed.
 func BenchmarkEvalRegionScan(b *testing.B) { benchEvaluate(b, shapeScan, NeedCoords) }
 
@@ -104,7 +112,8 @@ func BenchmarkEvalRegionCount(b *testing.B) { benchEvaluate(b, shapeScan, NeedCo
 // BenchmarkEvalRegionIndexIDs and BenchmarkEvalRegionIndexCount are the
 // same statements resolved from the region's bitmap index: twelve bins
 // ORed into the dense bitset, the two boundary bins checked against the
-// data, then the coordinates emitted — or, for the count, a popcount.
+// data, then the bitset packed as the region's chunk — or, for the
+// count, a popcount.
 func BenchmarkEvalRegionIndexIDs(b *testing.B) { benchEvaluate(b, shapeBitmap, NeedCoords) }
 
 func BenchmarkEvalRegionIndexCount(b *testing.B) { benchEvaluate(b, shapeBitmap, NeedCount) }
@@ -124,5 +133,39 @@ func BenchmarkScanCeiling(b *testing.B) {
 			}
 		}
 		ceilingSink = hits
+	}
+}
+
+// TestIDsStatementAllocatesNoCoordinateList: on either access path a
+// single-conjunct ids statement allocates what the count statement does
+// plus its packed chunk — under one byte per hit, where a coordinate
+// list costs eight (the parent allocated two: 40 KB on this region).
+func TestIDsStatementAllocatesNoCoordinateList(t *testing.T) {
+	for _, s := range []shape{shapeBitmap, shapeScan} {
+		e, q, assign, _ := regionFixture(t, s)
+		var hits uint64
+		// The least any evaluation allocates: one that finds its pooled
+		// buffers warm (the race detector makes sync.Pool drop some).
+		bytesPerOp := func(need Need) uint64 {
+			least := ^uint64(0)
+			var before, after runtime.MemStats
+			for i := 0; i < 50; i++ {
+				runtime.ReadMemStats(&before)
+				res, err := e.Evaluate(q, assign, need)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits = res.Sel.NHits
+				res.Release()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		count, ids := bytesPerOp(NeedCount), bytesPerOp(NeedCoords)
+		t.Logf("%v: %d hits; count %d B/op, ids %d B/op", s, hits, count, ids)
+		if ids > count+hits || ids > 6<<10 {
+			t.Errorf("%v: an ids statement of %d hits allocates %d B/op, the count %d: want under a byte per hit more, and 6 KB in all", s, hits, ids, count)
+		}
 	}
 }

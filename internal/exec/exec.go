@@ -31,6 +31,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"pdcquery/internal/bitindex"
@@ -86,10 +87,13 @@ func (s *Stats) Add(o Stats) {
 
 // Result is one server's partial query result.
 type Result struct {
-	Sel   *selection.Selection
+	// Sel is the partial selection in its packed (wire) form: region
+	// tasks write their chunks and nothing on the way to the reply turns
+	// them back into coordinates.
+	Sel   *selection.Packed
 	Stats Stats
 	// Values holds, per object, the matching elements' values encoded in
-	// the object's element type, aligned with Sel.Coords. It is populated
+	// the object's element type, aligned with Sel's coordinates. It is populated
 	// only when the evaluation had the data in hand (scan/probe and sorted
 	// paths) and values were requested — the caching behaviour behind the
 	// paper's get-data results.
@@ -253,9 +257,7 @@ const (
 	// NeedCount asks for the number of hits only. On the scan path
 	// conjuncts of one condition are counted without a hit list and
 	// longer ones keep hits only to probe them; the index path counts
-	// the bits of its result. Result.Sel is count-only unless the
-	// evaluation had to build coordinates anyway (OR dedup, the sorted
-	// path).
+	// the bits of its result. Result.Sel is count-only.
 	NeedCount Need = iota
 	// NeedCoords asks for the matching coordinates.
 	NeedCoords
@@ -387,6 +389,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 	// (IndexOnly) and the result is a single conjunct (OR merging would
 	// misalign values); OR merging also removes duplicates by
 	// coordinate, so a count over several conjuncts still needs them.
+	asked := need
 	switch {
 	case len(conjuncts) > 1:
 		need = NeedCoords
@@ -394,7 +397,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 		need = min(need, NeedCoords)
 	}
 	collect := need == NeedValues
-	var parts []*selection.Selection
+	var parts []*selection.Packed
 	for i, c := range conjuncts {
 		if err := tok.Err(); err != nil {
 			return nil, err
@@ -413,12 +416,38 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 		}
 	}
 	mergeV, mergeW := e.vnow(), e.wnow()
-	res.Sel = selection.MergeAll(parts)
-	if res.Sel == nil {
-		res.Sel = selection.New(nil, anchor.Dims)
+	if res.Sel, err = orConjuncts(parts, anchor, asked); err != nil {
+		return nil, err
 	}
 	e.Phases.Add(telemetry.PhaseMerge, e.vnow()-mergeV, e.wnow()-mergeW)
 	return res, nil
+}
+
+// orConjuncts combines the conjuncts' selections. One conjunct is the
+// answer as it stands; several have to become coordinate lists to be
+// merged with duplicate removal, and the union is packed once, split at
+// the anchor's region boundaries (or only counted, when a count is all
+// that was asked for).
+func orConjuncts(parts []*selection.Packed, anchor *object.Object, asked Need) (*selection.Packed, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	var union []uint64
+	for i, p := range parts {
+		coords, err := p.Coords(nil)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			union = coords
+		} else {
+			union = selection.MergeCoords(nil, union, coords)
+		}
+	}
+	if asked == NeedCount {
+		return selection.PackedCount(uint64(len(union)), anchor.Dims), nil
+	}
+	return selection.Pack(union, anchor.Dims, anchor), nil
 }
 
 // Prunable reports whether a region cannot contain any value in iv,
@@ -472,7 +501,7 @@ func runsElems(runs []localRun) int64 {
 // when the plan chose it and the engine has the replica.
 func (e *Engine) evalConjunct(tok *sched.Token, pl *QueryPlan, ci int, q *query.Query, c query.Conjunct, objs map[object.ID]*object.Object,
 	anchor *object.Object, orig []int, sorted []int, need Need, stats *Stats,
-	cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
+	cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
 
 	cp := &pl.Conjuncts[ci]
 	order, err := cp.order(ci, c)
@@ -481,7 +510,7 @@ func (e *Engine) evalConjunct(tok *sched.Token, pl *QueryPlan, ci int, q *query.
 	}
 	if cp.Sorted {
 		if rep := e.replicaFor(order[0]); rep != nil {
-			return e.evalConjunctSorted(tok, q, c, order, objs, anchor, rep, sorted, need == NeedValues, stats, cs)
+			return e.evalConjunctSorted(tok, q, c, order, objs, anchor, rep, sorted, need, stats, cs)
 		}
 	}
 	return e.evalConjunctScanProbe(tok, cp, pl.Full, q, c, order, objs, anchor, orig, need, stats, cs)
@@ -504,8 +533,32 @@ type regionTaskResult struct {
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
 	nhits   int64
-	coords  []uint64 // absolute, exact-size; nil under NeedCount
+	chunk   *[]byte // the region's packed hits, in a pooled buffer; nil under NeedCount
 	vals    map[object.ID][]float64
+}
+
+// Chunk bytes are written once per statement and read once, by the next
+// stage, so their buffers are recycled: a member answering ids
+// statements otherwise walks through fresh memory at the rate it
+// replies. chunkBufs holds the buffers region tasks pack into (task to
+// merge barrier); streamBufs the concatenated streams (barrier to
+// Result.Release).
+var (
+	chunkBufs  = sync.Pool{New: func() any { return new([]byte) }}
+	streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// Release gives the selection's chunk stream back for a later
+// evaluation to reuse; the selection is empty afterwards. It is for the
+// caller that has encoded its reply and keeps nothing. A result that is
+// kept (the stash) is simply never released.
+func (r *Result) Release() {
+	if cap(r.Sel.Chunks) == 0 {
+		return
+	}
+	stream := r.Sel.Chunks[:0]
+	r.Sel.Chunks = nil
+	streamBufs.Put(&stream)
 }
 
 // compilePreds compiles the conjunct's conditions once, in evaluation
@@ -547,11 +600,11 @@ func replayCondAttrs(cs, log *telemetry.Span) {
 //     on a shadow engine (private account, detached spans) touching only
 //     its own region's extents;
 //  3. a serial merge in region order that adopts spans, replays condition
-//     counters, absorbs shadow accounts, and copies the tasks' coordinates
-//     into a result sized once from their total.
+//     counters, absorbs shadow accounts, and concatenates the tasks'
+//     packed chunks into a stream sized once from their total.
 func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full bool, q *query.Query, c query.Conjunct, order []object.ID,
 	objs map[object.ID]*object.Object, anchor *object.Object, orig []int,
-	need Need, stats *Stats, cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
+	need Need, stats *Stats, cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
 
 	preds, err := compilePreds(c, order, objs)
 	if err != nil {
@@ -640,15 +693,16 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 			}
 		}
 
-		// The task scans and probes in pooled scratch and keeps only an
-		// exact-size copy of what the request needs.
+		// The task evaluates in pooled scratch and keeps only the packed
+		// chunk of its hits — written from the form the access path left
+		// them in, the index path's bitset or the scan path's list.
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
 		base := anchor.LinearStart(r)
-		var hits []uint64
+		var hits, set []uint64
 		var err error
 		if useIndex {
-			hits, res.nhits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, base, taskRuns[i], need, sc, &res.stats, res.condLog)
+			set, res.nhits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, taskRuns[i], sc, &res.stats, res.condLog)
 		} else {
 			hits, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, base, taskRuns[i], need, sc, &res.stats, res.condLog)
 		}
@@ -659,9 +713,18 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 			rs.AddCost(res.acct.Cost())
 		}
 		rs.SetInt("hits", res.nhits)
-		if need >= NeedCoords && len(hits) > 0 {
-			res.coords = make([]uint64, len(hits))
-			copy(res.coords, hits)
+		if need >= NeedCoords && res.nhits > 0 {
+			span := anchor.RegionElems(r)
+			res.chunk = chunkBufs.Get().(*[]byte)
+			if useIndex {
+				*res.chunk = selection.AppendChunkBits((*res.chunk)[:0], base, span, set, uint64(res.nhits))
+				if collect {
+					sc.hits = appendSetBits(sc.hits, set, base, res.nhits)
+					hits = sc.hits
+				}
+			} else {
+				*res.chunk = selection.AppendChunkCoords((*res.chunk)[:0], base, span, hits)
+			}
 		}
 		if len(hits) > 0 && collect {
 			res.vals = make(map[object.ID][]float64, len(order))
@@ -678,12 +741,16 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 	}
 
 	var nhits int64
+	var chunkBytes int
 	for _, res := range results {
 		nhits += res.nhits
+		if res.chunk != nil {
+			chunkBytes += len(*res.chunk)
+		}
 	}
-	var coords []uint64
-	if need >= NeedCoords && nhits > 0 {
-		coords = make([]uint64, nhits)
+	var stream []byte
+	if chunkBytes > 0 {
+		stream = slices.Grow((*streamBufs.Get().(*[]byte))[:0], chunkBytes)[:chunkBytes]
 	}
 	filled := 0
 	var vals map[object.ID][]float64
@@ -716,17 +783,20 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 				vals[id] = append(vals[id], res.vals[id]...)
 			}
 		}
-		filled += copy(coords[filled:], res.coords)
+		if res.chunk != nil {
+			filled += copy(stream[filled:], *res.chunk)
+			chunkBufs.Put(res.chunk)
+		}
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
 	if need == NeedCount {
-		return selection.NewCount(uint64(nhits), anchor.Dims), nil, nil
+		return selection.PackedCount(uint64(nhits), anchor.Dims), nil, nil
 	}
 	var out map[object.ID][]byte
 	if collect {
 		out = encodeValues(order, objs, vals)
 	}
-	return selection.New(coords, anchor.Dims), out, nil
+	return &selection.Packed{NHits: uint64(nhits), Dims: anchor.Dims, Chunks: stream}, out, nil
 }
 
 // evalRegionScan scans the first condition and probes the rest (§III-C:
@@ -785,11 +855,11 @@ func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pre
 // indexes into a dense bitset over the region's elements (sc.acc) and
 // ANDs the conditions word-wise; conditions on regions without an index
 // fall back to scan semantics. The spatial constraint is a range mask
-// on the result. Only then does it materialise what the request needs:
-// a popcount under NeedCount, else absolute coordinates held in sc like
-// evalRegionScan's.
+// on the result. It returns the bitset (held in sc, valid until the
+// scratch is reused) and its popcount, and materialises no coordinate:
+// a count needs none, and the caller packs a chunk from the bits.
 func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []object.ID, preds []pred, objs map[object.ID]*object.Object,
-	r int, base uint64, runs []localRun, need Need, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, int64, error) {
+	r int, runs []localRun, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, int64, error) {
 
 	// Every object of a conjunct shares the region decomposition; a bin
 	// encoded for another element count is refused by the kernel.
@@ -841,11 +911,7 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 		keepRuns(acc, runs, n)
 		nhits = popcount(acc)
 	}
-	if need == NeedCount || nhits == 0 {
-		return nil, nhits, nil
-	}
-	sc.hits = appendSetBits(sc.hits, acc, base, nhits)
-	return sc.hits, nhits, nil
+	return acc, nhits, nil
 }
 
 // evalIndexCondition reads the index directory and only the touched
@@ -958,8 +1024,9 @@ type sortedTaskResult struct {
 // the globally sorted hit list region by region).
 func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Conjunct, order []object.ID,
 	objs map[object.ID]*object.Object, anchor *object.Object, rep *sortstore.Replica,
-	sortedAssign []int, collect bool, stats *Stats, cs *telemetry.Span) (*selection.Selection, map[object.ID][]byte, error) {
+	sortedAssign []int, need Need, stats *Stats, cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
 
+	collect := need == NeedValues
 	keyID := order[0]
 	iv := c[keyID]
 	assigned := make(map[int]bool, len(sortedAssign))
@@ -1162,7 +1229,11 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 	if collect {
 		vals = make(map[object.ID][]float64, len(order))
 	}
-	var coords []uint64
+	// The survivors are walked one original region at a time, in
+	// coordinate order: each region's are packed as its chunk.
+	var nhits uint64
+	var chunks []byte
+	var abs []uint64
 	// Probe the remaining conditions region by region against the
 	// original (unsorted) objects. Only the already-selected locations
 	// are evaluated (§III-C); when they are a small fraction of the
@@ -1237,8 +1308,13 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 					vals[id] = append(vals[id], probed...)
 				}
 			}
-			for _, lidx := range surviving {
-				coords = append(coords, start+lidx)
+			nhits += uint64(len(surviving))
+			if need >= NeedCoords {
+				abs = abs[:0]
+				for _, lidx := range surviving {
+					abs = append(abs, start+lidx)
+				}
+				chunks = selection.AppendChunkCoords(chunks, start, regionElems, abs)
 			}
 		}
 		e.spanCostDone(rs, rsBefore, rsCosted)
@@ -1246,12 +1322,14 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		i = j
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
-	sel := selection.New(coords, anchor.Dims)
+	if need == NeedCount {
+		return selection.PackedCount(nhits, anchor.Dims), nil, nil
+	}
 	var out map[object.ID][]byte
 	if collect {
 		out = encodeValues(order, objs, vals)
 	}
-	return sel, out, nil
+	return &selection.Packed{NHits: nhits, Dims: anchor.Dims, Chunks: chunks}, out, nil
 }
 
 // companionType returns the element type of a companion copy. A missing

@@ -199,6 +199,25 @@ func (f *fixture) truth(q *query.Query) []uint64 {
 
 var allShapes = []shape{shapeFull, shapeScan, shapeBitmap, shapeSorted}
 
+// coordsOf is the one place these tests turn a result's packed selection
+// back into coordinates: it must unpack cleanly into a valid selection of
+// as many hits as it says.
+func coordsOf(t testing.TB, res *Result) []uint64 {
+	t.Helper()
+	coords, err := res.Sel.Coords(nil)
+	if err != nil {
+		t.Fatalf("unpack: %v", err)
+	}
+	if res.Sel.CountOnly {
+		return nil
+	}
+	sel := selection.New(coords, res.Sel.Dims)
+	if err := sel.Validate(); err != nil || sel.NHits != res.Sel.NHits {
+		t.Fatalf("unpacked %d coordinates of %d hits: %v", len(coords), res.Sel.NHits, err)
+	}
+	return coords
+}
+
 func checkQuery(t *testing.T, f *fixture, q *query.Query, label string) {
 	t.Helper()
 	want := f.truth(q)
@@ -208,14 +227,11 @@ func checkQuery(t *testing.T, f *fixture, q *query.Query, label string) {
 		if err != nil {
 			t.Fatalf("%s/%v: %v", label, s, err)
 		}
-		if err := res.Sel.Validate(); err != nil {
-			t.Fatalf("%s/%v: invalid selection: %v", label, s, err)
-		}
 		if int(res.Sel.NHits) != len(want) {
 			t.Errorf("%s/%v: %d hits, want %d", label, s, res.Sel.NHits, len(want))
 			continue
 		}
-		for i, c := range res.Sel.Coords {
+		for i, c := range coordsOf(t, res) {
 			if c != want[i] {
 				t.Errorf("%s/%v: coord %d = %d, want %d", label, s, i, c, want[i])
 				break
@@ -402,7 +418,7 @@ func TestValuesCollection(t *testing.T) {
 				t.Fatalf("%v obj%d: %d value bytes for %d hits", s, id, len(buf), res.Sel.NHits)
 			}
 			vals := dtype.View[float32](buf)
-			for i, c := range res.Sel.Coords {
+			for i, c := range coordsOf(t, res) {
 				if vals[i] != f.data[id][c] {
 					t.Fatalf("%v obj%d: value[%d] = %v, want %v", s, id, i, vals[i], f.data[id][c])
 				}
@@ -419,12 +435,13 @@ func TestExtractValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := e.ExtractValues(nil, 1, res.Sel.Coords)
+	coords := coordsOf(t, res)
+	buf, err := e.ExtractValues(nil, 1, coords)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := dtype.View[float32](buf)
-	for i, c := range res.Sel.Coords {
+	for i, c := range coords {
 		if vals[i] != f.data[1][c] {
 			t.Fatalf("value[%d] = %v, want %v", i, vals[i], f.data[1][c])
 		}
@@ -446,7 +463,7 @@ func TestPartitionedAssignmentsUnionToFullResult(t *testing.T) {
 	want := f.truth(q)
 	for _, s := range allShapes {
 		for _, nsrv := range []int{2, 3, 7} {
-			var parts []*selection.Selection
+			var parts []*selection.Packed
 			for srv := 0; srv < nsrv; srv++ {
 				var assign Assignment
 				for r := srv; r < f.nreg; r += nsrv {
@@ -464,7 +481,12 @@ func TestPartitionedAssignmentsUnionToFullResult(t *testing.T) {
 				}
 				parts = append(parts, res.Sel)
 			}
-			merged := selection.MergeAll(parts)
+			// Region-sliced parts interleave without overlapping; the
+			// sorted path's value-sliced parts overlap and are merged.
+			merged, err := selection.MergePacked(parts)
+			if err != nil {
+				t.Fatalf("%v nsrv=%d: %v", s, nsrv, err)
+			}
 			if int(merged.NHits) != len(want) {
 				t.Errorf("%v nsrv=%d: merged %d hits, want %d", s, nsrv, merged.NHits, len(want))
 				continue

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -173,14 +174,22 @@ func TestIndexPathDifferential(t *testing.T) {
 				}
 			}
 			label := fmt.Sprintf("trial %d query %d (%v in [%d,%d))", trial, k, q.Root, lo, hi)
+			var packed []byte
 			for _, s := range []shape{shapeBitmap, shapeScan} {
 				e, _ := f.engine(s, 0)
 				res, err := e.Evaluate(q, f.assign(), NeedCoords)
 				if err != nil {
 					t.Fatalf("%s %v ids: %v", label, s, err)
 				}
-				if !slices.Equal(res.Sel.Coords, want) {
-					t.Fatalf("%s %v: %d ids, want %d", label, s, len(res.Sel.Coords), len(want))
+				if got := coordsOf(t, res); !slices.Equal(got, want) {
+					t.Fatalf("%s %v: %d ids, want %d", label, s, len(got), len(want))
+				}
+				// The bitset the index path packs from and the hit list the
+				// scan path packs from give the same bytes.
+				if s == shapeBitmap {
+					packed = res.Sel.Chunks
+				} else if !bytes.Equal(res.Sel.Chunks, packed) {
+					t.Fatalf("%s: scan path packed %d bytes, index path %d, not the same", label, len(res.Sel.Chunks), len(packed))
 				}
 				res, err = e.Evaluate(q, f.assign(), NeedCount)
 				if err != nil {
@@ -189,8 +198,8 @@ func TestIndexPathDifferential(t *testing.T) {
 				if res.Sel.NHits != uint64(len(want)) {
 					t.Fatalf("%s %v: count %d, want %d", label, s, res.Sel.NHits, len(want))
 				}
-				if s == shapeBitmap && res.Sel.Coords != nil {
-					t.Fatalf("%s: select count materialised %d coordinates on the index path", label, len(res.Sel.Coords))
+				if !res.Sel.CountOnly || len(res.Sel.Chunks) != 0 {
+					t.Fatalf("%s %v: select count packed %d chunk bytes", label, s, len(res.Sel.Chunks))
 				}
 			}
 		}
@@ -284,7 +293,7 @@ func TestPlanMustCoverQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
-		if !slices.Equal(res.Sel.Coords, want) {
+		if !slices.Equal(coordsOf(t, res), want) {
 			t.Errorf("order %v: wrong answer", order)
 		}
 	}

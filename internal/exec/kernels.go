@@ -12,6 +12,7 @@ import (
 	"pdcquery/internal/object"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
+	"pdcquery/internal/selection"
 	"pdcquery/internal/simio"
 )
 
@@ -371,7 +372,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // KernelOps returns one steady-state call of each region kernel — scan
 // into a warm buffer, probe, count, and the index path's whole region
-// evaluation — over a fixed 64 KiB float32 region. The allocation
+// evaluation with its chunk — over a fixed 64 KiB float32 region. The allocation
 // ratchet (pdc-benchdiff, and this package's tests) runs them under
 // testing.AllocsPerRun and pins all four at zero.
 func KernelOps() map[string]func() {
@@ -392,9 +393,10 @@ func KernelOps() map[string]func() {
 	}
 }
 
-// indexRegionOp is one warm evalRegionIndex of the region, as a count
-// and as ids, for a window whose ends fall on values in the data: nine
-// sure bins and the two boundary bins as candidates.
+// indexRegionOp is one warm evalRegionIndex of the region and the
+// packing of its hits — all an ids statement adds to a count — for a
+// window whose ends fall on values in the data: nine sure bins and the
+// two boundary bins as candidates.
 func indexRegionOp(data []byte, runs []localRun) func() {
 	const id = object.ID(1)
 	o := &object.Object{ID: id, Type: dtype.Float32, Dims: []uint64{runs[0].Len}}
@@ -414,9 +416,9 @@ func indexRegionOp(data []byte, runs []localRun) func() {
 	objs := map[object.ID]*object.Object{id: o}
 	preds, _ := compilePreds(c, order, objs)
 	sc, stats := new(scratch), new(Stats)
+	var chunk []byte
 	return func() {
-		for _, need := range [2]Need{NeedCount, NeedCoords} {
-			_, _, _ = e.evalRegionIndex(nil, c, order, preds, objs, 0, 0, runs, need, sc, stats, nil)
-		}
+		set, nhits, _ := e.evalRegionIndex(nil, c, order, preds, objs, 0, runs, sc, stats, nil)
+		chunk = selection.AppendChunkBits(chunk[:0], 0, runs[0].Len, set, uint64(nhits))
 	}
 }

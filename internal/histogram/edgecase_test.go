@@ -3,6 +3,7 @@ package histogram
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -217,8 +218,9 @@ func TestEstimateFinitePointQueries(t *testing.T) {
 // edges, and ±Inf; all four open/closed combinations; Lo==Hi points)
 // the bounds must bracket the true count and SelectivityBounds must
 // bracket the true fraction. Spectra include uniform, integer-heavy
-// (mass exactly on bin edges), log-skewed, and ±Inf-sprinkled data,
-// built both via Build and via a grid-growing Observe stream.
+// (mass exactly on bin edges), log-skewed, ±Inf-sprinkled and
+// edge-of-float64 data, built both via Build and via a grid-growing
+// Observe stream.
 func TestEstimateBruteForceSeededSpectra(t *testing.T) {
 	rng := rand.New(rand.NewSource(1009))
 	spectra := func(mode, n int) []float64 {
@@ -233,6 +235,19 @@ func TestEstimateBruteForceSeededSpectra(t *testing.T) {
 				vals[i] = math.Exp(rng.Float64()*12 - 4)
 			case 3: // tiny magnitudes around zero
 				vals[i] = (rng.Float64() - 0.5) / 512
+			case 5: // the edge of float64 beside ordinary values and infinities
+				switch rng.Intn(8) {
+				case 0:
+					vals[i] = math.MaxFloat64 * (1 - rng.Float64()/4)
+				case 1:
+					vals[i] = -math.MaxFloat64 * (1 - rng.Float64()/4)
+				case 2:
+					vals[i] = math.Inf(1 - 2*rng.Intn(2))
+				case 3:
+					vals[i] = math.Ldexp(rng.Float64()-0.5, 1021) // either side of the grid limit
+				default:
+					vals[i] = rng.NormFloat64() * 1e150
+				}
 			default: // integers with sprinkled infinities
 				switch rng.Intn(10) {
 				case 0:
@@ -246,8 +261,8 @@ func TestEstimateBruteForceSeededSpectra(t *testing.T) {
 		}
 		return vals
 	}
-	for trial := 0; trial < 400; trial++ {
-		mode := trial % 5
+	for trial := 0; trial < 480; trial++ {
+		mode := trial % 6
 		n := 16 + rng.Intn(200)
 		vals := spectra(mode, n)
 		var h *Histogram
@@ -367,5 +382,57 @@ func TestEncodeDecodeInfinityCounters(t *testing.T) {
 	}
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("decoded invariants: %v", err)
+	}
+}
+
+// Regression: grid arithmetic on boundaries near ±MaxFloat64 overflowed
+// — merging a histogram holding 1.7e308 with one holding -4e174 doubled
+// the width to +Inf and left Start = NaN (found by FuzzHistogramMerge;
+// reachable from a `select hist` reply). Values beyond the grid limit
+// are binned in the edge bin that ends at it, and every invariant holds.
+func TestBuildMergeAtTheEdgeOfFloat64(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b []float64
+		nbin int
+	}{
+		{"fuzz input", []float64{1.7e308, 1e-76}, []float64{-4e174}, 9},
+		{"one build", []float64{1.7e308, -4e174, 1e-76}, nil, 9},
+		{"both ends", []float64{1.7e308, -1.7e308}, nil, 9},
+		{"both ends, one bin", []float64{math.MaxFloat64, -math.MaxFloat64}, []float64{0}, 1},
+		{"beside infinities", []float64{math.MaxFloat64, math.Inf(1), 3}, []float64{-math.MaxFloat64, math.Inf(-1)}, 4},
+		{"at the grid limit", []float64{gridLimit, gridTop, -gridLimit}, []float64{2 * gridLimit, 1}, 16},
+	} {
+		h := Build(tc.a, tc.nbin)
+		if err := h.CheckInvariants(); err != nil {
+			t.Errorf("%s: built: %v", tc.name, err)
+		}
+		h.Merge(Build(tc.b, tc.nbin/2))
+		if err := h.CheckInvariants(); err != nil {
+			t.Errorf("%s: merged: %v", tc.name, err)
+		}
+		vals := append(slices.Clone(tc.a), tc.b...)
+		if math.IsInf(h.Width, 0) || math.IsNaN(h.Start) || h.Total != uint64(len(vals)) {
+			t.Errorf("%s: width %v start %v total %d of %d", tc.name, h.Width, h.Start, h.Total, len(vals))
+		}
+		if _, hi := h.BinRange(h.NumBins() - 1); hi > gridLimit && hi <= h.Max && !math.IsInf(h.Max, 1) {
+			t.Errorf("%s: last bin ends at %v, below the maximum %v it holds", tc.name, hi, h.Max)
+		}
+		pts := append(slices.Clone(vals), gridLimit, -gridLimit, math.MaxFloat64, math.Inf(1), math.Inf(-1), 0)
+		for _, lo := range pts {
+			for _, hi := range pts {
+				for incl := 0; incl < 4 && lo <= hi; incl++ {
+					truth := trueCount(vals, lo, hi, incl&1 == 1, incl&2 == 2)
+					if lower, upper := h.Estimate(lo, hi, incl&1 == 1, incl&2 == 2); lower > truth || upper < truth {
+						t.Errorf("%s: Estimate(%v,%v,%v,%v) = [%d,%d] does not bracket %d", tc.name, lo, hi, incl&1 == 1, incl&2 == 2, lower, upper, truth)
+					}
+				}
+			}
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			if got := h.Quantile(q); math.IsNaN(got) || got < h.Min || got > h.Max {
+				t.Errorf("%s: Quantile(%v) = %v outside [%v, %v]", tc.name, q, got, h.Min, h.Max)
+			}
+		}
 	}
 }

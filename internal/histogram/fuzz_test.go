@@ -29,6 +29,12 @@ func FuzzHistogramMerge(f *testing.F) {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
 	}
 	f.Add(seed, seed[:32], 64)
+	// Width +Inf / Start NaN before the grid was confined to ±2^1020.
+	edge := make([]byte, 0, 24)
+	for _, v := range []float64{1.7e308, 1e-76, -4e174} {
+		edge = binary.LittleEndian.AppendUint64(edge, math.Float64bits(v))
+	}
+	f.Add(edge[:16], edge[16:], 9)
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, nbin int) {
 		ha := Build(valuesFrom(rawA), nbin%512)
 		hb := Build(valuesFrom(rawB), (nbin/2)%512)

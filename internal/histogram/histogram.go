@@ -53,6 +53,27 @@ type Histogram struct {
 	NegInf, PosInf uint64
 }
 
+// gridLimit bounds the bin grid: every bin lies inside [-gridLimit,
+// gridLimit). Grid arithmetic — hi-lo, Start+n*Width, the merged span —
+// adds and subtracts bin boundaries, and with boundaries near
+// ±MaxFloat64 those sums overflow: a width that doubles to +Inf and a
+// start of NaN. Below 2^1020 every such sum of a few boundaries and a
+// width stays finite. A finite value at or beyond the limit is binned
+// with the largest value below it (gridTop), i.e. in the bin that ends
+// at the limit. No grid grows past the limit, so that bin is an edge bin
+// of every histogram it is ever merged into, and an edge bin's range is
+// widened to the exact Min/Max (BinRange): the value stays inside the
+// range its bin reports.
+const gridLimit = 0x1p1020
+
+var gridTop = math.Nextafter(gridLimit, 0)
+
+// onGrid is where v is binned: v itself, or ±gridTop for a finite value
+// at or beyond the grid limit.
+func onGrid(v float64) float64 {
+	return max(-gridTop, min(v, gridTop))
+}
+
 // powFloor rounds w down to the nearest power of two (2^k, k may be
 // negative). It returns 1 for non-positive or non-finite inputs.
 func powFloor(w float64) float64 {
@@ -66,7 +87,7 @@ func powFloor(w float64) float64 {
 // (every 10th element), the reproducible stand-in for the paper's random
 // 10% sample. Small inputs are scanned fully. NaNs and infinities are
 // skipped: the bin grid must be built from finite values (±Inf data is
-// clamped into the edge bins by add).
+// counted off-grid by add), taken where they are binned (onGrid).
 func sampleMinMax(values []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	stride := 10
@@ -78,6 +99,7 @@ func sampleMinMax(values []float64) (lo, hi float64) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
+		v = onGrid(v)
 		if v < lo {
 			lo = v
 		}
@@ -94,6 +116,12 @@ func sampleMinMax(values []float64) (lo, hi float64) {
 // paper accepts this since selectivity estimation does not require an
 // exact bin count. NaN values are ignored. Build returns an empty (zero
 // Total) histogram for empty input.
+//
+// The grid is confined to [-gridLimit, gridLimit) = ±2^1020, where its
+// arithmetic cannot overflow. Finite values beyond that are not an error
+// and are not dropped: they are counted in the edge bin that ends at the
+// limit, whose reported range (BinRange) widens to the exact Min/Max, so
+// Estimate still brackets them and CheckInvariants holds for any input.
 func Build(values []float64, nbin int) *Histogram {
 	if nbin <= 0 {
 		nbin = DefaultBins
@@ -107,7 +135,8 @@ func Build(values []float64, nbin int) *Histogram {
 	}
 	w := powFloor((hi - lo) / float64(nbin))
 	start := math.Floor(lo/w) * w
-	n := int(math.Ceil((hi-start)/w)) + 1
+	// The spare bin beyond hi must not start at the grid limit.
+	n := int(min(math.Ceil((hi-start)/w)+1, (gridLimit-start)/w))
 	if n < 1 {
 		n = 1
 	}
@@ -181,7 +210,10 @@ func (h *Histogram) add(v float64) {
 	// than maxInt bins from the grid straight to int overflows the
 	// conversion (the result is platform-specific, e.g. minInt), which
 	// used to turn the grow amount negative and panic in make.
-	fj := math.Floor((v - h.Start) / h.Width)
+	// Start is a whole number of widths, so the index is the difference of
+	// two whole numbers; (v - Start) / Width would first absorb a v that
+	// is tiny beside Start and put it on the wrong side of a boundary.
+	fj := math.Floor(onGrid(v)/h.Width) - h.Start/h.Width
 	if fj < 0 {
 		grow := -fj
 		if grow > maxGrow {
@@ -238,17 +270,28 @@ func (h *Histogram) NumBins() int { return len(h.Counts) }
 
 // BinRange returns the [lo, hi) boundary of bin i, widened at the edges
 // to the exact observed finite Min/Max should those lie outside the
-// grid. Infinite extrema never widen a bin: infinities are counted
-// off-grid (NegInf/PosInf), and letting a ±Inf boundary into Quantile's
-// interpolation used to produce NaN (-Inf + q·(+Inf) has no value).
+// grid. An infinite extremum widens nothing by itself: infinities are
+// counted off-grid (NegInf/PosInf). Beside one, though, an edge bin at
+// the grid limit — the bin that holds the finite values beyond the
+// limit — covers the rest of the finite range: down to -MaxFloat64, or
+// up to an exclusive +Inf (Quantile keeps that bound out of its
+// interpolation, where -Inf + q·(+Inf) used to produce NaN).
 func (h *Histogram) BinRange(i int) (lo, hi float64) {
 	lo = h.Start + float64(i)*h.Width
 	hi = lo + h.Width
-	if i == 0 && h.Min < lo && !math.IsInf(h.Min, -1) {
-		lo = h.Min
+	if i == 0 && h.Min < lo {
+		if !math.IsInf(h.Min, -1) {
+			lo = h.Min
+		} else if lo <= -gridLimit {
+			lo = -math.MaxFloat64
+		}
 	}
-	if i == len(h.Counts)-1 && h.Max >= hi && !math.IsInf(h.Max, 1) {
-		hi = math.Nextafter(h.Max, math.Inf(1))
+	if i == len(h.Counts)-1 && h.Max >= hi {
+		if !math.IsInf(h.Max, 1) {
+			hi = math.Nextafter(h.Max, math.Inf(1))
+		} else if hi >= gridLimit {
+			hi = math.Inf(1)
+		}
 	}
 	return lo, hi
 }
@@ -283,6 +326,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		next := cum + float64(c)
 		if c > 0 && next >= rank {
 			lo, hi := h.BinRange(i)
+			hi = min(hi, math.MaxFloat64)
 			v := lo + (rank-cum)/float64(c)*(hi-lo)
 			if v < h.Min {
 				v = h.Min
@@ -347,7 +391,7 @@ func (h *Histogram) Merge(o *Histogram) {
 			// multiples of src.Width and w is a multiple of src.Width with
 			// aligned start, the whole source bin lands in one dest bin.
 			lo := src.Start + float64(i)*src.Width
-			j := int(math.Floor((lo - start) / w))
+			j := int(math.Floor(lo/w) - start/w)
 			if j < 0 {
 				j = 0
 			}

@@ -14,7 +14,7 @@ import (
 // HotAllocAnalyzer enforces per-function heap-allocation budgets on the
 // query hot path. It walks the whole-repo call graph from the declared
 // hot roots (HotAllocRoots: exec.Engine.Evaluate*, the wah set
-// operations and iterators, selection merge/intersect, transport frame
+// operations and iterators, selection merge, transport frame
 // encode/decode) and takes a census of allocation sites in every
 // reachable function:
 //
@@ -53,7 +53,6 @@ var HotAllocRoots = []string{
 	"wah.Bitmap.ToIndices*",
 	"wah.Bitmap.Cardinality",
 	"selection.Merge*",
-	"selection.Intersect*",
 	"transport.tcpConn.Send",
 	"transport.tcpConn.Recv",
 	"transport.AppendFrame",

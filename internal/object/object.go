@@ -230,6 +230,14 @@ func (o *Object) RegionOfLinear(idx uint64) int {
 	return lo
 }
 
+// RegionSpan returns the linear extent [base, base+span) of the region
+// holding the row-major linear element index idx (regions tile along
+// the first dimension, so each is one contiguous run).
+func (o *Object) RegionSpan(idx uint64) (base, span uint64) {
+	r := o.RegionOfLinear(idx)
+	return o.LinearStart(r), o.RegionElems(r)
+}
+
 // LinearStart returns the row-major linear index of the first element of
 // region i.
 func (o *Object) LinearStart(i int) uint64 {

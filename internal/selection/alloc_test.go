@@ -14,49 +14,15 @@ func TestCoordKernelsMatch(t *testing.T) {
 	if got := MergeCoords(nil, a, b); !slices.Equal(got, m.Coords) {
 		t.Fatalf("MergeCoords = %v, want %v", got, m.Coords)
 	}
-	in, err := Intersect(New(slices.Clone(a), nil), New(slices.Clone(b), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := IntersectCoords(nil, a, b); !slices.Equal(got, in.Coords) {
-		t.Fatalf("IntersectCoords = %v, want %v", got, in.Coords)
-	}
 	// Dirty reused destinations must not leak stale coords.
 	dst := []uint64{99, 98, 97, 96, 95, 94, 93, 92, 91, 90, 89, 88, 87}
-	if got := IntersectCoords(dst, a, b); !slices.Equal(got, in.Coords) {
-		t.Fatalf("IntersectCoords(dirty dst) = %v, want %v", got, in.Coords)
-	}
 	if got := MergeCoords(dst, a, b); !slices.Equal(got, m.Coords) {
 		t.Fatalf("MergeCoords(dirty dst) = %v, want %v", got, m.Coords)
 	}
 }
 
-// TestIntersectCoordsZeroAlloc pins the AND-combine hot path: with a
-// pre-sized destination the sorted intersection allocates nothing.
-func TestIntersectCoordsZeroAlloc(t *testing.T) {
-	a := make([]uint64, 0, 4096)
-	b := make([]uint64, 0, 4096)
-	for i := uint64(0); i < 4096; i++ {
-		if i%2 == 0 {
-			a = append(a, i)
-		}
-		if i%3 == 0 {
-			b = append(b, i)
-		}
-	}
-	dst := make([]uint64, 0, min(len(a), len(b)))
-	var out []uint64
-	if n := testing.AllocsPerRun(200, func() { out = IntersectCoords(dst, a, b) }); n != 0 {
-		t.Errorf("IntersectCoords with pre-sized dst allocated %.1f/op, want 0", n)
-	}
-	for _, c := range out {
-		if c%6 != 0 {
-			t.Fatalf("intersection contains %d, not a common multiple", c)
-		}
-	}
-}
-
-// TestMergeCoordsZeroAlloc pins the OR-combine hot path the same way.
+// TestMergeCoordsZeroAlloc pins the OR-combine hot path: with a
+// pre-sized destination the sorted union allocates nothing.
 func TestMergeCoordsZeroAlloc(t *testing.T) {
 	a := []uint64{1, 3, 5, 7, 9, 11}
 	b := []uint64{2, 3, 6, 7, 10, 11}

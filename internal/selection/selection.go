@@ -11,7 +11,6 @@ package selection
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"pdcquery/internal/region"
 )
@@ -120,54 +119,6 @@ func MergeAll(ss []*Selection) *Selection {
 		acc = Merge(acc, s)
 	}
 	return acc
-}
-
-// Intersect returns the elements present in both selections (AND).
-// Count-only selections carry no coordinates to intersect; asking for
-// their intersection is an error, not a panic, because selections on the
-// server side come from the wire.
-func Intersect(a, b *Selection) (*Selection, error) {
-	if a == nil || b == nil {
-		return nil, nil
-	}
-	if a.CountOnly || b.CountOnly {
-		return nil, fmt.Errorf("selection: cannot intersect count-only selections")
-	}
-	return New(IntersectCoords(nil, a.Coords, b.Coords), a.Dims), nil
-}
-
-// IntersectCoords writes the sorted intersection of two sorted
-// strictly-increasing coordinate lists into dst[:0] and returns it,
-// growing dst only when its capacity is below the worst case (the
-// shorter input). With a pre-sized dst the intersection is
-// allocation-free.
-func IntersectCoords(dst, a, b []uint64) []uint64 {
-	if cap(dst) < min(len(a), len(b)) {
-		dst = make([]uint64, 0, min(len(a), len(b)))
-	}
-	out := dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// FromUnsorted builds a selection from unordered, possibly duplicated
-// indices (sorting and deduplicating them).
-func FromUnsorted(coords []uint64, dims []uint64) *Selection {
-	slices.Sort(coords)
-	coords = slices.Compact(coords)
-	return New(coords, dims)
 }
 
 // Batches splits the selection into count-preserving chunks of at most

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,49 +92,6 @@ func TestMergeAll(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	a := New([]uint64{1, 3, 5, 7}, dims)
-	b := New([]uint64{3, 4, 7, 9}, dims)
-	x, err := Intersect(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{3, 7}
-	if !reflect.DeepEqual(x.Coords, want) {
-		t.Errorf("Intersect = %v", x.Coords)
-	}
-	if nilSel, err := Intersect(nil, a); err != nil || nilSel != nil {
-		t.Errorf("Intersect with nil = %v, %v", nilSel, err)
-	}
-	empty, err := Intersect(New([]uint64{1}, dims), New([]uint64{2}, dims))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.NHits != 0 {
-		t.Errorf("disjoint intersect = %v", empty.Coords)
-	}
-}
-
-func TestIntersectCountOnlyErrors(t *testing.T) {
-	if _, err := Intersect(NewCount(1, dims), New([]uint64{1}, dims)); err == nil {
-		t.Error("Intersect(count-only) did not error")
-	}
-	if _, err := Intersect(New([]uint64{1}, dims), NewCount(1, dims)); err == nil {
-		t.Error("Intersect(_, count-only) did not error")
-	}
-}
-
-func TestFromUnsorted(t *testing.T) {
-	s := FromUnsorted([]uint64{9, 3, 9, 1, 3}, dims)
-	want := []uint64{1, 3, 9}
-	if !reflect.DeepEqual(s.Coords, want) {
-		t.Errorf("FromUnsorted = %v", s.Coords)
-	}
-	if err := s.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBatches(t *testing.T) {
 	coords := make([]uint64, 10)
 	for i := range coords {
@@ -212,8 +170,8 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestPropertyMergeIsUnion(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
-		a := FromUnsorted(toU64(xs), dims)
-		b := FromUnsorted(toU64(ys), dims)
+		a := New(sortedSet(xs), dims)
+		b := New(sortedSet(ys), dims)
 		m := Merge(a, b)
 		if m.Validate() != nil {
 			return false
@@ -240,10 +198,12 @@ func TestPropertyMergeIsUnion(t *testing.T) {
 	}
 }
 
-func toU64(xs []uint16) []uint64 {
+// sortedSet is xs as sorted, distinct coordinates.
+func sortedSet(xs []uint16) []uint64 {
 	out := make([]uint64, len(xs))
 	for i, x := range xs {
 		out[i] = uint64(x)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -19,17 +19,17 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 	resp := &QueryResponse{
 		Cost:  vclock.CostOf(vclock.Storage, 1000),
 		Stats: exec.Stats{RegionsEvaluated: 3, StorageBytes: 4096},
-		Sel:   selection.New([]uint64{1, 2, 3}, []uint64{100}),
+		Sel:   packedSel([]uint64{1, 2, 3}, []uint64{100}),
 		Values: map[object.ID][]byte{
 			1: {1, 2, 3, 4},
 		},
 	}
 	f.Add(resp.Encode())
-	f.Add((&QueryResponse{Sel: selection.NewCount(9, []uint64{5})}).Encode())
+	f.Add((&QueryResponse{Sel: selection.PackedCount(9, []uint64{5})}).Encode())
 	span := telemetry.NewSpan(telemetry.SpanQuery, "server.0")
 	span.Trace = 7
 	span.Child(telemetry.SpanRegion, "region.0").SetStr("decision", telemetry.DecisionScan)
-	f.Add((&QueryResponse{Sel: selection.NewCount(1, []uint64{5}), Trace: span}).Encode())
+	f.Add((&QueryResponse{Sel: selection.PackedCount(1, []uint64{5}), Trace: span}).Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeQueryResponse(data)
@@ -41,7 +41,7 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if r2.Sel.NHits != r.Sel.NHits || r2.Stats != r.Stats {
+		if r2.Sel.NHits != r.Sel.NHits || !bytes.Equal(r2.Sel.Chunks, r.Sel.Chunks) || r2.Stats != r.Stats {
 			t.Fatal("round trip drifted")
 		}
 	})

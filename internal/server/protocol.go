@@ -227,25 +227,40 @@ func DecodeQueryRequest(b []byte) (flags byte, force plan.Force, epoch uint64, e
 
 // QueryResponse is one server's answer to a MsgQuery.
 type QueryResponse struct {
-	Cost   vclock.Cost // incremental virtual cost of evaluating this request
-	Stats  exec.Stats
-	Sel    *selection.Selection
+	Cost  vclock.Cost // incremental virtual cost of evaluating this request
+	Stats exec.Stats
+	// Sel is the partial selection, packed: the engine's chunk stream
+	// goes into the reply as it is and the client unpacks it.
+	Sel    *selection.Packed
 	Values map[object.ID][]byte
 	// Trace is the server-side span tree, present only when the request
 	// carried FlagWantTrace. Its root cost equals Cost.
 	Trace *telemetry.Span
 }
 
-// Encode serializes the response. Sections are emitted in decode order
-// (cost, stats, selection, values, trace) so the wire layout and the
-// field-access order stay in lockstep (wiresymmetry).
+// Encode serializes the response into one buffer sized for it.
 func (r *QueryResponse) Encode() []byte {
-	out := make([]byte, 0, 32+64+8+64)
+	return r.encode(make([]byte, 0, r.encodedLen()))
+}
+
+// encodedLen is the length encode appends, the trace apart: a traced
+// reply is rare and small, and append grows the buffer for it.
+func (r *QueryResponse) encodedLen() int {
+	n := 32 + 72 + 8 + r.Sel.EncodedLen() + 1 + 1
+	for _, v := range r.Values {
+		n += 16 + len(v)
+	}
+	return n
+}
+
+// encode appends the response to out. Sections are emitted in decode
+// order (cost, stats, selection, values, trace) so the wire layout and
+// the field-access order stay in lockstep (wiresymmetry).
+func (r *QueryResponse) encode(out []byte) []byte {
 	out = encodeCost(out, r.Cost)
 	out = encodeStats(out, r.Stats)
-	selBytes := r.Sel.Encode()
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(selBytes)))
-	out = append(out, selBytes...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(r.Sel.EncodedLen()))
+	out = r.Sel.Encode(out)
 	out = append(out, byte(len(r.Values)))
 	for _, id := range sortedObjIDs(r.Values) {
 		out = binary.LittleEndian.AppendUint64(out, uint64(id))
@@ -294,7 +309,7 @@ func DecodeQueryResponse(b []byte) (*QueryResponse, error) {
 	if uint64(len(b)) < selLen {
 		return nil, fmt.Errorf("protocol: truncated selection")
 	}
-	r.Sel, err = selection.Decode(b[:selLen])
+	r.Sel, err = selection.DecodePacked(b[:selLen])
 	if err != nil {
 		return nil, err
 	}

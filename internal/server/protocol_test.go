@@ -64,6 +64,16 @@ func TestQueryRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// oneRegion is a 1-D element space that is a single region.
+type oneRegion uint64
+
+func (n oneRegion) RegionSpan(uint64) (base, span uint64) { return 0, uint64(n) }
+
+// packedSel packs coords as one chunk over a 1-D element space.
+func packedSel(coords, dims []uint64) *selection.Packed {
+	return selection.Pack(coords, dims, oneRegion(dims[0]))
+}
+
 func TestQueryResponseRoundTrip(t *testing.T) {
 	resp := &QueryResponse{
 		Cost: sampleCost(),
@@ -72,7 +82,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 			ElementsScanned: 1000, Probes: 50, IndexBinsRead: 3,
 			IndexBytesRead: 4096, CandChecks: 2,
 		},
-		Sel: selection.New([]uint64{3, 9, 100}, []uint64{1000}),
+		Sel: packedSel([]uint64{3, 9, 100}, []uint64{1000}),
 		Values: map[object.ID][]byte{
 			2: {1, 2, 3, 4},
 			7: {9, 8},
@@ -88,8 +98,8 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 	if got.Stats != resp.Stats {
 		t.Errorf("stats = %+v", got.Stats)
 	}
-	if got.Sel.NHits != 3 || !reflect.DeepEqual(got.Sel.Coords, resp.Sel.Coords) {
-		t.Errorf("selection = %+v", got.Sel)
+	if coords, err := got.Sel.Coords(nil); err != nil || got.Sel.NHits != 3 || !reflect.DeepEqual(coords, []uint64{3, 9, 100}) {
+		t.Errorf("selection = %+v (%v), err %v", got.Sel, coords, err)
 	}
 	if len(got.Values) != 2 || !reflect.DeepEqual(got.Values[2], resp.Values[2]) || !reflect.DeepEqual(got.Values[7], resp.Values[7]) {
 		t.Errorf("values = %v", got.Values)
@@ -97,7 +107,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 }
 
 func TestQueryResponseCountOnly(t *testing.T) {
-	resp := &QueryResponse{Sel: selection.NewCount(42, []uint64{10})}
+	resp := &QueryResponse{Sel: selection.PackedCount(42, []uint64{10})}
 	got, err := DecodeQueryResponse(resp.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +126,7 @@ func TestQueryResponseTraceRoundTrip(t *testing.T) {
 	rs.SetStr("decision", telemetry.DecisionHistogramPruned)
 	resp := &QueryResponse{
 		Cost:  sampleCost(),
-		Sel:   selection.NewCount(7, []uint64{100}),
+		Sel:   selection.PackedCount(7, []uint64{100}),
 		Trace: span,
 	}
 	got, err := DecodeQueryResponse(resp.Encode())
@@ -207,7 +217,7 @@ func TestMsgName(t *testing.T) {
 }
 
 func TestQueryResponseDecodeErrors(t *testing.T) {
-	resp := &QueryResponse{Sel: selection.New([]uint64{1}, []uint64{10})}
+	resp := &QueryResponse{Sel: packedSel([]uint64{1}, []uint64{10})}
 	enc := resp.Encode()
 	for _, n := range []int{0, 16, 40, 96, len(enc) - 1} {
 		if n >= len(enc) {

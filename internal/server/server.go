@@ -27,6 +27,7 @@ import (
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/sched"
+	"pdcquery/internal/selection"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/sortstore"
 	"pdcquery/internal/telemetry"
@@ -169,8 +170,9 @@ type queuedReq struct {
 
 // stashEntry keeps one query's partial result for subsequent get-data
 // requests (the server-side caching behind §VI-A's get-data numbers).
+// The selection stays packed; a get-data request unpacks it.
 type stashEntry struct {
-	coords []uint64
+	sel    *selection.Packed
 	values map[object.ID][]byte
 }
 
@@ -711,7 +713,9 @@ func (s *Server) handleGetData(r *request) transport.Message {
 		if entry == nil {
 			return s.errMsg(fmt.Errorf("no stashed result for request %d", req.QueryReq))
 		}
-		coords = entry.coords
+		if coords, err = entry.sel.Coords(nil); err != nil {
+			return s.errMsg(err)
+		}
 		if v, ok := entry.values[req.Obj]; ok {
 			// Values were captured during evaluation: a pure memory send.
 			data = v

@@ -361,8 +361,8 @@ func TestTextQueryIsNotStashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Base.Sel.NHits != 99 || len(tr.Base.Sel.Coords) != 99 {
-		t.Fatalf("text query: %d hits, %d coords, want 99", tr.Base.Sel.NHits, len(tr.Base.Sel.Coords))
+	if coords, err := tr.Base.Sel.Coords(nil); err != nil || tr.Base.Sel.NHits != 99 || len(coords) != 99 {
+		t.Fatalf("text query: %d hits, %d coords (err %v), want 99", tr.Base.Sel.NHits, len(coords), err)
 	}
 	get := transport.Message{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, QueryReq: 77}).Encode()}
 	dreply := call(t, conn, get)

@@ -213,7 +213,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 
 	ids := q.Root.Objects()
 	anchor, _ := s.cfg.Meta.Get(ids[0])
-	res := &exec.Result{Sel: selection.NewCount(0, anchor.Dims)}
+	res := &exec.Result{Sel: selection.PackedCount(0, anchor.Dims)}
 	var hist *histogram.Histogram
 	var phases telemetry.PhaseTimes
 	if !st.gated {
@@ -237,7 +237,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 			return fail(err)
 		}
 		if st.low.Projection.Kind == qlang.ProjHist {
-			if hist, err = s.projectHist(eng, tok, st.low, res.Sel.Coords); err != nil {
+			if hist, err = s.projectHist(eng, tok, st.low, res.Sel); err != nil {
 				return fail(err)
 			}
 		}
@@ -253,7 +253,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 	res.Stats.StorageBytes = acct.Counter("read.bytes")
 
 	if !st.text {
-		ss.put(m.ReqID, &stashEntry{coords: res.Sel.Coords, values: res.Values})
+		ss.put(m.ReqID, &stashEntry{sel: res.Sel, values: res.Values})
 	}
 	ss.reg.Add("query.count", 1)
 	ss.reg.Observe("query.cost_ns", float64(cost.Total()))
@@ -290,7 +290,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 		}
 	}
 	if st.flags&FlagWantSelection == 0 {
-		resp.Sel = selection.NewCount(res.Sel.NHits, res.Sel.Dims)
+		resp.Sel = selection.PackedCount(res.Sel.NHits, res.Sel.Dims)
 	}
 	if st.flags&FlagWantValues != 0 {
 		resp.Values = res.Values
@@ -303,6 +303,12 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 	} else {
 		reply.Payload = resp.Encode()
 	}
+	if st.text {
+		// The reply is encoded and a text statement is never stashed.
+		res.Release()
+	}
+	// With query.count beside it, the bytes per reply any member sends.
+	ss.reg.Add("query.reply_bytes", int64(len(reply.Payload)))
 	if encEnd := s.clock().Now(); encEnd != 0 || encStart != 0 {
 		// Encoding is pure compute with no modeled virtual cost; the
 		// phase is wall-only.
@@ -314,8 +320,13 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 }
 
 // projectHist is the hist projection: the server's partial histogram of
-// the projected column's values at the matching coordinates.
-func (s *Server) projectHist(eng *exec.Engine, tok *sched.Token, low *qlang.Lowered, coords []uint64) (*histogram.Histogram, error) {
+// the projected column's values at the matching coordinates — one of
+// the few readers of the coordinates themselves, so it unpacks them.
+func (s *Server) projectHist(eng *exec.Engine, tok *sched.Token, low *qlang.Lowered, sel *selection.Packed) (*histogram.Histogram, error) {
+	coords, err := sel.Coords(nil)
+	if err != nil {
+		return nil, err
+	}
 	vals, err := eng.ExtractValues(tok, low.HistObj, coords)
 	if err != nil {
 		return nil, err

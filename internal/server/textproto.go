@@ -65,21 +65,21 @@ type TextQueryResponse struct {
 }
 
 // Encode serializes the response: u32 baseLen | base | hist marker 0/1
-// | [u32 histLen | hist].
+// | [u32 histLen | hist]. The base is appended in place — its length is
+// written once it is known — so a reply is built in one buffer, sized
+// for everything but a histogram (a hist reply's selection is a count;
+// growing that buffer copies a hundred bytes).
 func (r *TextQueryResponse) Encode() []byte {
-	base := r.Base.Encode()
-	out := make([]byte, 0, 4+len(base)+5)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(base)))
-	out = append(out, base...)
+	out := make([]byte, 4, 4+r.Base.encodedLen()+1)
+	out = r.Base.encode(out)
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
 	if r.Hist == nil {
-		out = append(out, 0)
-	} else {
-		hb := r.Hist.Encode()
-		out = append(out, 1)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(hb)))
-		out = append(out, hb...)
+		return append(out, 0)
 	}
-	return out
+	hb := r.Hist.Encode()
+	out = append(out, 1)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(hb)))
+	return append(out, hb...)
 }
 
 // DecodeTextResult parses a MsgTextResult payload.
