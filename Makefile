@@ -9,19 +9,20 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# Static analysis in one gate: go vet plus the fourteen project
-# invariant checkers (see internal/lint and `pdc-lint -list`):
-# determinism, mutex guarding, protocol exhaustiveness, no panics on
-# request paths, charged request-path I/O, wire symmetry, lock-order
-# acyclicity, cancellation propagation, alias escapes from exported
-# methods (aliasguard), hot-path allocation budgets (hotalloc), and the
-# CFG/dataflow tier — barrier determinism in pooled workers
-# (barrierdet), request-path error propagation (errflow), path-sensitive
-# nilness at charge sites (nilcharge), and lock-hold hygiene (lockhold).
-# One pdc-lint invocation runs all fourteen over a single loaded package
-# set, call graph, and CFG cache; -timing prints the per-analyzer step
-# budget, and the run also fails on stale hotalloc_budget.json entries.
-# Also usable as `go vet -vettool=$$(pwd)/bin/pdc-lint ./...`.
+# Static analysis in one gate: go vet plus the project invariant
+# checkers of internal/lint (`pdc-lint -list` prints the catalog; README
+# has the table): determinism, protocol exhaustiveness, no panics on
+# request paths, wire symmetry, cancellation propagation, alias escapes
+# from exported methods (aliasguard), hot-path allocation budgets
+# (hotalloc), and the CFG/dataflow tier — barrier determinism in pooled
+# workers (barrierdet), request-path error propagation (errflow), charged
+# request-path I/O and path-sensitive nilness at charge sites
+# (nilcharge), and lock order, hold time and guarding from one held-lock
+# analysis (lockset). One pdc-lint invocation runs them all over a single
+# loaded package set, call graph, and CFG cache — the only way to run
+# them, since most need every package at once; -timing prints the
+# per-analyzer step budget, and the run also fails on stale
+# hotalloc_budget.json entries.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pdc-lint -timing ./...

@@ -1,30 +1,19 @@
-// pdc-lint is the repo's multichecker: it runs the fourteen custom
-// invariant analyzers in internal/lint over Go packages — the
-// per-package checkers (nondeterminism, mutexguard, protoexhaustive,
-// nopanic), the call-graph tier (vclockcharge, wiresymmetry, lockorder,
-// ctxpropagate, aliasguard, hotalloc), and the CFG/dataflow tier
-// (barrierdet, errflow, nilcharge, lockhold). All analyzers in one
-// invocation share a single loaded package set, call graph, and CFG
-// cache.
-//
-// Standalone:
+// pdc-lint is the repo's multichecker: it runs the custom invariant
+// analyzers in internal/lint (`pdc-lint -list` prints the catalog) over
+// Go packages. All analyzers in one invocation share a single loaded
+// package set, call graph, and CFG cache, and the whole-program ones see
+// every package at once — which is why this is the only way to run
+// them.
 //
 //	go run ./cmd/pdc-lint ./...
 //	go run ./cmd/pdc-lint -nondeterminism=false ./internal/server
 //	go run ./cmd/pdc-lint -json ./...    # one JSON diagnostic per line
-//	go run ./cmd/pdc-lint -sarif ./...   # one SARIF 2.1.0 log on stdout
 //	go run ./cmd/pdc-lint -timing ./...  # per-analyzer wall time on stderr
 //	go run ./cmd/pdc-lint -list          # print the analyzer catalog
 //
-// Standalone runs that include the hotalloc analyzer also verify the
-// committed allocation budget (internal/lint/hotalloc_budget.json) is
-// not stale: an entry whose function no longer exists fails the run.
-//
-// As a vet tool (unitchecker mode — the go command hands the tool one
-// *.cfg file per package):
-//
-//	go build -o bin/pdc-lint ./cmd/pdc-lint
-//	go vet -vettool=$(pwd)/bin/pdc-lint ./...
+// Runs that include the hotalloc analyzer also verify the committed
+// allocation budget (internal/lint/hotalloc_budget.json) is not stale:
+// an entry whose function no longer exists fails the run.
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 diagnostics found
 // (stale budget entries count as findings).
@@ -42,20 +31,6 @@ import (
 )
 
 func main() {
-	// The go command probes vet tools before using them: -V=full for a
-	// cache key, -flags for the JSON flag inventory. Answer both before
-	// normal flag parsing.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			printFlagsJSON(lint.All())
-			return
-		}
-	}
-
 	analyzers := lint.All()
 	enabled := make(map[string]*bool, len(analyzers))
 	fs := flag.NewFlagSet("pdc-lint", flag.ExitOnError)
@@ -66,13 +41,12 @@ func main() {
 		}
 		enabled[a.Name] = fs.Bool(a.Name, true, doc)
 	}
-	jsonOut := fs.Bool("json", false, "emit one JSON diagnostic per line on stdout (standalone mode)")
-	sarifOut := fs.Bool("sarif", false, "emit one SARIF 2.1.0 log on stdout (standalone mode)")
-	timing := fs.Bool("timing", false, "print per-analyzer wall time on stderr (standalone mode)")
+	jsonOut := fs.Bool("json", false, "emit one JSON diagnostic per line on stdout")
+	timing := fs.Bool("timing", false, "print per-analyzer wall time on stderr")
 	listOut := fs.Bool("list", false, "print the analyzer catalog and exit")
 	hotallocReport := fs.Bool("hotalloc-report", false, "print the hot-path allocation census as budget-file JSON and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: pdc-lint [flags] packages...\n       pdc-lint config.cfg  (go vet -vettool mode)\n")
+		fmt.Fprintf(fs.Output(), "usage: pdc-lint [flags] packages...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -81,10 +55,6 @@ func main() {
 	if *listOut {
 		printCatalog(analyzers)
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "pdc-lint: -json and -sarif are mutually exclusive")
-		os.Exit(1)
 	}
 	var active []*lint.Analyzer
 	for _, a := range analyzers {
@@ -96,13 +66,6 @@ func main() {
 	if len(args) == 0 {
 		fs.Usage()
 		os.Exit(1)
-	}
-
-	// Unitchecker mode: a single JSON config file from `go vet`. The
-	// -json flag is ignored here; the go command owns the output format.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitcheck(args[0], active)
-		return
 	}
 
 	pkgs, err := lint.Load("", args...)
@@ -143,17 +106,7 @@ func main() {
 		}
 	}
 
-	switch {
-	case *sarifOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		// The serialized shape is pinned by the golden test in
-		// internal/lint/sarif_test.go.
-		if err := enc.Encode(lint.ToSARIF(diags, active)); err != nil {
-			fmt.Fprintln(os.Stderr, "pdc-lint:", err)
-			os.Exit(1)
-		}
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		for _, d := range diags {
 			// One object per line so CI can annotate PRs by streaming.
@@ -163,7 +116,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintf(os.Stderr, "%s\n", d)
 		}

@@ -154,7 +154,7 @@ func (c *Catalog) CommittedView() View {
 }
 
 // push is a deferred control-plane send, collected under c.mu and
-// delivered after unlock (lockhold: no transport sends under a mutex).
+// delivered after unlock (lockset: no transport sends under a mutex).
 type push struct {
 	conn transport.Conn
 	msg  transport.Message

@@ -137,7 +137,7 @@ func (s *Session) Invalidate() {
 
 // refresh rebuilds the member client from a fresh committed view. All
 // the network work — view fetch, meta fetch, member dials — happens
-// off the session lock (lockhold: no transport I/O under a mutex); the
+// off the session lock (lockset: no transport I/O under a mutex); the
 // finished state is installed atomically at the end. Two racing
 // refreshes are safe: the loser's client is closed on install and any
 // caller still using it sees a retryable ErrClosed.

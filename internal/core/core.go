@@ -452,10 +452,11 @@ func (d *Deployment) RestartServer(i int) error {
 	if !d.started {
 		return fmt.Errorf("core: not started")
 	}
+	d.mu.Lock()
 	if i < 0 || i >= len(d.servers) {
+		d.mu.Unlock()
 		return fmt.Errorf("core: no server %d", i)
 	}
-	d.mu.Lock()
 	old := d.servers[i]
 	d.mu.Unlock()
 	old.Shutdown()

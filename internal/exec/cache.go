@@ -21,11 +21,12 @@ import (
 // through an immutable-typed value, repo-wide). Concurrent queries on
 // the same region share one buffer safely because nobody can mutate it.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	capacity int64 // set at construction, never written again
+
+	mu    sync.Mutex
+	used  int64
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 	// Lifetime operational counters (monotonic, under mu); surfaced
 	// through Stats into the server registry and /metrics. The cache
 	// itself never records flight-recorder events: recording happens in

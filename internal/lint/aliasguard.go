@@ -62,7 +62,7 @@ func runAliasGuard(p *Pass) error {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || p.InTestFile(fd.Pos()) {
+				if !ok || fd.Body == nil {
 					continue
 				}
 				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)

@@ -10,18 +10,23 @@
 //   - determinism: all time and randomness flows through internal/vclock
 //     and internal/simio, never the wall clock or the global rand source;
 //   - mutex discipline: struct fields declared after a sync.Mutex /
-//     sync.RWMutex field are guarded by it, and methods that touch them
-//     must take the lock.
+//     sync.RWMutex field are guarded by it, and methods touch them only
+//     with the lock held.
 //
 // plus two structural invariants: protocol message kinds must be wired
 // on both the encode and dispatch sides, and server request paths must
 // return errors rather than panic.
 //
-// A second, dataflow tier of analyzers (vclockcharge, wiresymmetry,
-// lockorder, ctxpropagate) reasons across packages over a whole-repo
-// static call graph (see callgraph.go). These set Analyzer.Global and receive every
-// loaded package at once via Pass.Pkgs; Pass.CallGraph lazily builds
-// and shares one graph per run.
+// The per-package checkers (nondeterminism, protoexhaustive, nopanic,
+// wiresymmetry) see one package at a time. The rest set Analyzer.Global
+// and receive every loaded package at once via Pass.Pkgs: they reason
+// across packages over a whole-repo static call graph (callgraph.go,
+// roots.go), and the dataflow tier (lockset, nilcharge, barrierdet,
+// errflow) also over per-function CFGs (cfg.go) with the worklist solver
+// and the one keyed-map lattice of dataflow.go. One graph and one CFG per
+// function body are built lazily and shared by every analyzer of a run.
+// There is one way to run them: Load, NewSession, Session.Run, which is
+// what cmd/pdc-lint and the tests do.
 //
 // Diagnostics can be suppressed with a directive comment on the
 // offending line or the line above it:
@@ -48,9 +53,7 @@ type Analyzer struct {
 	// Global marks analyzers that need the whole package set at once
 	// (call-graph analyses). A global analyzer runs exactly once per
 	// RunAnalyzers call with Pass.Pkgs populated; per-package fields
-	// (Files, Pkg, Info, PkgPath) are left nil/empty. In unitchecker
-	// mode the go command hands the tool one package at a time, so
-	// global analyzers degrade to intra-package analysis there.
+	// (Files, Pkg, Info, PkgPath) are left nil/empty.
 	Global bool
 	// Run inspects a package (or, for Global analyzers, the whole
 	// package set) and reports findings through the pass.
@@ -76,12 +79,20 @@ type Pass struct {
 }
 
 // sharedState caches artifacts that several analyzers in one
-// RunAnalyzers invocation want to reuse: the call graph (vclockcharge,
-// lockorder, barrierdet, errflow, lockhold) and the per-function CFGs
-// the dataflow tier walks.
+// RunAnalyzers invocation want to reuse: the call graph and the
+// per-function CFGs the dataflow tier walks.
 type sharedState struct {
-	graph *CallGraph
-	cfgs  map[string]*CFG
+	graph  *CallGraph
+	bodies map[string][]funcBody
+}
+
+// funcBody is one function body of a declared function, as a CFG: the
+// declaration's own (Lit is nil) or that of a function literal inside
+// it. A literal's body runs wherever its value is called, not where it
+// appears, so each is a graph of its own.
+type funcBody struct {
+	CFG *CFG
+	Lit *ast.FuncLit
 }
 
 // CallGraph returns the static call graph over Pass.Pkgs, building it on
@@ -96,25 +107,28 @@ func (p *Pass) CallGraph() *CallGraph {
 	return p.shared.graph
 }
 
-// CFG returns the control-flow graph of the declared function funcKey
-// (a call-graph key), building it on first use and caching it for the
-// rest of the run. Returns nil when the key is unknown or the function
-// has no body. Function literals are not keyed — analyzers build their
-// CFGs directly with NewCFG on the literal body.
-func (p *Pass) CFG(funcKey string) *CFG {
+// bodies returns the control-flow graphs of the declared function
+// funcKey (a call-graph key): its own body first, then every function
+// literal in it, nested ones included, in source order. They are built
+// on first use and cached for the rest of the run. Returns nil when the
+// key is unknown or the function has no body.
+func (p *Pass) bodies(funcKey string) []funcBody {
 	node := p.CallGraph().Nodes[funcKey]
-	if node == nil || node.Decl == nil || node.Decl.Body == nil {
+	if node == nil || node.Decl.Body == nil {
 		return nil
 	}
-	if p.shared.cfgs == nil {
-		p.shared.cfgs = make(map[string]*CFG)
+	if bs, ok := p.shared.bodies[funcKey]; ok {
+		return bs
 	}
-	if c, ok := p.shared.cfgs[funcKey]; ok {
-		return c
+	bs := []funcBody{{CFG: NewCFG(node.Decl.Body)}}
+	for _, lit := range collectDeclLits(node.Decl.Body) {
+		bs = append(bs, funcBody{CFG: NewCFG(lit.Body), Lit: lit})
 	}
-	c := NewCFG(node.Decl.Body)
-	p.shared.cfgs[funcKey] = c
-	return c
+	if p.shared.bodies == nil {
+		p.shared.bodies = make(map[string][]funcBody)
+	}
+	p.shared.bodies[funcKey] = bs
+	return bs
 }
 
 // Diagnostic is one finding.
@@ -156,37 +170,28 @@ func (p *Pass) ReportAttributed(pos token.Pos, funcKey string, chain []string, f
 	})
 }
 
-// InTestFile reports whether pos lies in a _test.go file; the
-// determinism rules apply only to production code.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // All returns the analyzers shipped with pdc-lint, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
-		MutexGuardAnalyzer,
 		ProtoExhaustiveAnalyzer,
 		NopanicAnalyzer,
-		VclockChargeAnalyzer,
 		WireSymmetryAnalyzer,
-		LockOrderAnalyzer,
 		CtxPropagateAnalyzer,
 		AliasGuardAnalyzer,
 		HotAllocAnalyzer,
 		BarrierDetAnalyzer,
 		ErrFlowAnalyzer,
 		NilChargeAnalyzer,
-		LockHoldAnalyzer,
+		LockSetAnalyzer,
 	}
 }
 
 // Session binds one loaded package set to the expensive artifacts the
-// analyzers derive from it — today the whole-repo call graph — so that
-// several RunAnalyzers-style invocations (one per analyzer, as the
-// repo-clean tests and vet integrations issue them) build the graph once
-// instead of once per invocation.
+// analyzers derive from it — the whole-repo call graph and the CFGs — so
+// that several Run invocations (one per analyzer, as pdc-lint -timing
+// and the repo-clean tests issue them) build them once instead of once
+// per invocation.
 type Session struct {
 	pkgs   []*Package
 	shared *sharedState

@@ -148,7 +148,7 @@ func runBarrierDet(pass *Pass) error {
 	// Find every Pool.Map call site and check its worker function.
 	for _, key := range g.Keys() {
 		n := g.Nodes[key]
-		if n.Decl == nil || n.Decl.Body == nil || pass.InTestFile(n.Decl.Pos()) {
+		if n.Decl.Body == nil {
 			continue
 		}
 		info := n.Pkg.Info
@@ -263,21 +263,12 @@ func (bd *barrierDetWorker) check() {
 	// CFG (nested literals excluded — their calls are conservatively
 	// checked with the facts at the literal's definition point... see
 	// checkSinkCalls).
-	cfg := NewCFG(bd.worker.Body)
-	transfer := func(n ast.Node, fact any) any {
+	res := NewCFG(bd.worker.Body).ForwardFlow(neutralLattice, neutralFacts{}, func(n ast.Node, fact any) any {
 		return bd.neutralizeTransfer(n, fact.(neutralFacts), nil)
-	}
-	res := cfg.ForwardFlow(neutralLattice{}, neutralFacts{}, transfer, nil)
-	for _, b := range cfg.Blocks {
-		in, ok := res.In[b].(neutralFacts)
-		if !ok || isNeutralBottom(in) {
-			continue
-		}
-		fact := in
-		for _, n := range b.Nodes {
-			fact = bd.neutralizeTransfer(n, fact, bd.reportSinkCall)
-		}
-	}
+	}, nil)
+	res.Sweep(func(n ast.Node, fact any) any {
+		return bd.neutralizeTransfer(n, fact.(neutralFacts), bd.reportSinkCall)
+	})
 }
 
 // checkWriteTarget flags writes to captured state (rule 2).
@@ -350,72 +341,20 @@ func (bd *barrierDetWorker) indexUsesWorkerVar(idx ast.Expr) bool {
 }
 
 // neutralFacts maps a worker-local variable to the bitmask of sink
-// kinds neutralized on every path so far (x.Rec = nil → Recorder bit).
-type neutralFacts map[*types.Var]int
+// kinds neutralized on every path so far (x.Rec = nil → Recorder bit):
+// a must-fact, so in-paths intersect.
+type neutralFacts = map[*types.Var]int
 
-var neutralBottomFacts = neutralFacts{nil: -1}
-
-func isNeutralBottom(f neutralFacts) bool { return f[nil] == -1 }
-
-type neutralLattice struct{}
-
-func (neutralLattice) Bottom() any { return neutralBottomFacts }
-
-func (neutralLattice) Join(a, b any) any {
-	as, bs := a.(neutralFacts), b.(neutralFacts)
-	if isNeutralBottom(as) {
-		return bs
-	}
-	if isNeutralBottom(bs) {
-		return as
-	}
-	out := neutralFacts{}
-	for v, m := range as {
-		if bm, ok := bs[v]; ok {
-			if inter := m & bm; inter != 0 {
-				out[v] = inter
-			}
-		}
-	}
-	return out
-}
-
-func (neutralLattice) Equal(a, b any) bool {
-	as, bs := a.(neutralFacts), b.(neutralFacts)
-	if len(as) != len(bs) {
-		return false
-	}
-	for v, m := range as {
-		if bs[v] != m {
-			return false
-		}
-	}
-	return true
-}
+var neutralLattice = MapLattice[*types.Var, int]{JoinValue: func(a, b int) int { return a & b }}
 
 // neutralizeTransfer updates neutralization facts and, when report is
 // non-nil, checks sink-reaching calls against them.
 func (bd *barrierDetWorker) neutralizeTransfer(n ast.Node, in neutralFacts, report func(call *ast.CallExpr, needed, have int)) neutralFacts {
 	info := bd.node.Pkg.Info
-	out := in
-	copied := false
-	set := func(v *types.Var, mask int) {
-		if !copied {
-			c := neutralFacts{}
-			for k, m := range out {
-				c[k] = m
-			}
-			out, copied = c, true
-		}
-		if mask == 0 {
-			delete(out, v)
-		} else {
-			out[v] = mask
-		}
-	}
+	out := factEdit[*types.Var, int]{m: in}
 
 	if report != nil {
-		bd.checkSinkCalls(n, out, report)
+		bd.checkSinkCalls(n, in, report)
 	}
 
 	inspectShallow(n, func(m ast.Node) bool {
@@ -439,22 +378,20 @@ func (bd *barrierDetWorker) neutralizeTransfer(n ast.Node, in neutralFacts, repo
 					continue
 				}
 				if isNilIdent(as.Rhs[i]) {
-					set(v, out[v]|kind)
+					out.set(v, out.m[v]|kind)
 				} else {
-					set(v, out[v]&^kind)
+					out.set(v, out.m[v]&^kind)
 				}
 			case *ast.Ident:
 				// Rebinding the variable discards its neutralization.
 				if v, ok := bd.baseVar(t); ok {
-					if _, had := out[v]; had {
-						set(v, 0)
-					}
+					out.set(v, 0)
 				}
 			}
 		}
 		return true
 	})
-	return out
+	return out.m
 }
 
 // checkSinkCalls flags calls whose callee transitively reaches a

@@ -185,14 +185,23 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 // recvKey returns "pkgpath.TypeName" for a (possibly pointer) named
 // receiver type.
 func recvKey(t types.Type) (string, bool) {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
+	n := namedType(t)
+	if n == nil {
 		return "", false
 	}
 	return n.Obj().Pkg().Path() + "." + n.Obj().Name(), true
+}
+
+// namedType returns the named type t is, or points to, when it is
+// declared in a package (not a builtin like error); nil otherwise.
+func namedType(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n
+	}
+	return nil
 }
 
 // resolveBody walks one function body adding edges to node.Out, and
@@ -293,119 +302,82 @@ func (g *CallGraph) Keys() []string { return append([]string(nil), g.keys...) }
 // NodeFor returns the node for a declared *types.Func, or nil.
 func (g *CallGraph) NodeFor(fn *types.Func) *CallNode { return g.Nodes[FuncKey(fn)] }
 
-// Reachable returns the set of node keys reachable from roots
-// (including the roots themselves), following all edges.
-func (g *CallGraph) Reachable(roots []string) map[string]bool {
-	seen := make(map[string]bool)
-	var queue []string
-	for _, r := range roots {
-		if g.Nodes[r] != nil && !seen[r] {
-			seen[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		n := g.Nodes[k]
-		if n == nil {
-			continue
-		}
-		for _, e := range n.Out {
-			if !seen[e.CalleeKey] && g.Nodes[e.CalleeKey] != nil {
-				seen[e.CalleeKey] = true
-				queue = append(queue, e.CalleeKey)
-			}
-		}
-	}
-	return seen
-}
-
-// RootAttribution maps every reachable node to the first root (in the
-// given order) that reaches it, for readable diagnostics.
-func (g *CallGraph) RootAttribution(roots []string) map[string]string {
-	attr := make(map[string]string)
-	for _, r := range roots {
-		if g.Nodes[r] == nil {
-			continue
-		}
-		if _, ok := attr[r]; !ok {
-			attr[r] = r
-		}
-		queue := []string{r}
-		for len(queue) > 0 {
-			k := queue[0]
-			queue = queue[1:]
-			n := g.Nodes[k]
-			if n == nil {
-				continue
-			}
-			for _, e := range n.Out {
-				if g.Nodes[e.CalleeKey] == nil {
-					continue
-				}
-				if _, ok := attr[e.CalleeKey]; !ok {
-					attr[e.CalleeKey] = r
-					queue = append(queue, e.CalleeKey)
-				}
-			}
-		}
-	}
-	return attr
-}
-
-// RootPaths maps every reachable node to one shortest call path from the
-// first root (in the given order) that reaches it, root first and the
-// node itself last. Roots map to a one-element path. The paths are the
-// "why is this function hot" evidence attached to hotalloc diagnostics.
+// RootPaths is the one reachability walk: it maps every node reachable
+// from roots to a shortest call path from the first root (in the given
+// order) that reaches it, root first and the node itself last. Roots map
+// to a one-element path. Whether a function is reachable is whether it
+// has a path, and the root it is attributed to is path[0]; the whole
+// path is the "why is this function hot" evidence attached to hotalloc
+// diagnostics.
 func (g *CallGraph) RootPaths(roots []string) map[string][]string {
-	parent := make(map[string]string)
-	attr := make(map[string]string)
+	paths := make(map[string][]string)
 	for _, r := range roots {
-		if g.Nodes[r] == nil {
+		if g.Nodes[r] == nil || paths[r] != nil {
 			continue
 		}
-		if _, ok := attr[r]; !ok {
-			attr[r] = r
-		}
+		paths[r] = []string{r}
 		queue := []string{r}
 		for len(queue) > 0 {
 			k := queue[0]
 			queue = queue[1:]
-			n := g.Nodes[k]
-			if n == nil {
-				continue
-			}
-			for _, e := range n.Out {
-				if g.Nodes[e.CalleeKey] == nil {
+			for _, e := range g.Nodes[k].Out {
+				c := e.CalleeKey
+				if g.Nodes[c] == nil || paths[c] != nil {
 					continue
 				}
-				if _, ok := attr[e.CalleeKey]; !ok {
-					attr[e.CalleeKey] = r
-					parent[e.CalleeKey] = k
-					queue = append(queue, e.CalleeKey)
-				}
+				paths[c] = append(paths[k][:len(paths[k]):len(paths[k])], c)
+				queue = append(queue, c)
 			}
 		}
-	}
-	paths := make(map[string][]string, len(attr))
-	for k := range attr {
-		var rev []string
-		for cur := k; ; {
-			rev = append(rev, cur)
-			p, ok := parent[cur]
-			if !ok {
-				break
-			}
-			cur = p
-		}
-		path := make([]string, len(rev))
-		for i, s := range rev {
-			path[len(rev)-1-i] = s
-		}
-		paths[k] = path
 	}
 	return paths
+}
+
+// resolveCalleeKey resolves a call expression to a FuncKey ("" if the
+// callee is dynamic or out of scope).
+func resolveCalleeKey(info *types.Info, call *ast.CallExpr) string {
+	switch fe := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fe].(*types.Func); ok {
+			return FuncKey(fn)
+		}
+	case *ast.SelectorExpr:
+		if s := info.Selections[fe]; s != nil {
+			if m, ok := s.Obj().(*types.Func); ok {
+				return FuncKey(m)
+			}
+		} else if fn, ok := info.Uses[fe.Sel].(*types.Func); ok {
+			return FuncKey(fn)
+		}
+	}
+	return ""
+}
+
+// pkgPathHasSuffix matches a package by its last import-path element(s),
+// so testdata fixtures (path "nilcharge/exec") are treated like the real
+// internal/exec.
+func pkgPathHasSuffix(pkgPath, last string) bool {
+	return pkgPath == last || strings.HasSuffix(pkgPath, "/"+last)
+}
+
+// isNamedFromPkg reports whether t (possibly behind a pointer) is a
+// named type with the given name whose package import path ends in
+// pkgLast.
+func isNamedFromPkg(t types.Type, name, pkgLast string) bool {
+	n := namedType(t)
+	return n != nil && n.Obj().Name() == name && pkgPathHasSuffix(n.Obj().Pkg().Path(), pkgLast)
+}
+
+// namedFromPkg reports whether t (possibly behind a pointer) is a named
+// type declared in one of the packages with exactly these import paths.
+func namedFromPkg(t types.Type, pkgPaths ...string) bool {
+	n := namedType(t)
+	for _, p := range pkgPaths {
+		if n != nil && n.Obj().Pkg().Path() == p {
+			return true
+		}
+	}
+	return false
 }
 
 // ShortKey trims the module prefix from a FuncKey for messages:

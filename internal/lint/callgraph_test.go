@@ -45,11 +45,11 @@ func Lonely() int { return 3 }
 func loadCallgraphFixture(t *testing.T) *lint.CallGraph {
 	t.Helper()
 	dir := linttest.WriteTempFixture(t, "cg", map[string]string{"cg.go": callgraphSrc})
-	pkg, err := lint.LoadDir(dir, "cg")
+	pkgs, err := lint.LoadTree(dir, "cg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lint.NewCallGraph([]*lint.Package{pkg})
+	return lint.NewCallGraph(pkgs)
 }
 
 func hasEdge(g *lint.CallGraph, from, to string, wantDynamic bool) bool {
@@ -94,20 +94,28 @@ func TestCallGraphMethodValue(t *testing.T) {
 	}
 }
 
+// TestCallGraphReachability checks reachability and root attribution as
+// what they are: projections of RootPaths (has a path; path[0]).
 func TestCallGraphReachability(t *testing.T) {
 	g := loadCallgraphFixture(t)
-	seen := g.Reachable([]string{"cg.Top"})
-	for _, want := range []string{"cg.Top", "cg.helper", "cg.Impl.Run", "cg.Other.Run"} {
-		if !seen[want] {
-			t.Errorf("%s should be reachable from cg.Top", want)
+	paths := g.RootPaths([]string{"cg.Lonely", "cg.Top", "cg.helper"})
+	for _, want := range []string{"cg.Top", "cg.helper", "cg.Impl.Run", "cg.Other.Run", "cg.Lonely"} {
+		if paths[want] == nil {
+			t.Errorf("%s should be reachable", want)
 		}
 	}
-	if seen["cg.Lonely"] {
+	if _, ok := g.RootPaths([]string{"cg.Top"})["cg.Lonely"]; ok {
 		t.Error("cg.Lonely must not be reachable from cg.Top")
 	}
-	attr := g.RootAttribution([]string{"cg.Top"})
-	if attr["cg.helper"] != "cg.Top" {
-		t.Errorf("cg.helper attributed to %q, want cg.Top", attr["cg.helper"])
+	// The first root in the given order that reaches a node owns it,
+	// and a root another root already reached stays attributed to that
+	// one.
+	for node, root := range map[string]string{
+		"cg.Lonely": "cg.Lonely", "cg.Top": "cg.Top", "cg.helper": "cg.Top", "cg.Impl.Run": "cg.Top",
+	} {
+		if got := paths[node][0]; got != root {
+			t.Errorf("%s attributed to %q, want %s", node, got, root)
+		}
 	}
 }
 

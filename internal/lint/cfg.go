@@ -22,7 +22,7 @@ import (
 //     panic alike), so analyses treat them as exit-edge effects
 //     rather than placing them in a block. A `defer mu.Unlock()`
 //     therefore leaves the lock held until function exit, which is
-//     exactly the hold-time lockhold must measure.
+//     exactly the hold-time lockset must measure.
 //   - panic: a call to the predeclared `panic` terminates its block
 //     with an edge to Exit (defers still run on that edge).
 //   - function literals: a FuncLit is a value; its body runs wherever
@@ -97,8 +97,8 @@ type cfgBuilder struct {
 	breaks    []branchTarget
 	continues []branchTarget
 
-	labels  map[string]*Block       // label name -> first block of labeled stmt
-	pending map[string][]*Block     // forward gotos awaiting their label
+	labels  map[string]*Block   // label name -> first block of labeled stmt
+	pending map[string][]*Block // forward gotos awaiting their label
 	// pendingLabel carries a label down to the loop/switch/select it
 	// names so labeled break/continue resolve to the right targets.
 	pendingLabel string
@@ -539,4 +539,18 @@ func inspectShallow(n ast.Node, f func(ast.Node) bool) {
 		}
 		return f(m)
 	})
+}
+
+// collectDeclLits gathers every function literal in a declared body,
+// literals nested inside other literals included (CFG.Lits lists only
+// the top-level ones).
+func collectDeclLits(body *ast.BlockStmt) []*ast.FuncLit {
+	var lits []*ast.FuncLit
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		}
+		return true
+	})
+	return lits
 }

@@ -32,14 +32,13 @@ var CtxPropagateAnalyzer = &Analyzer{
 func runCtxPropagate(pass *Pass) error {
 	g := pass.CallGraph()
 
-	roots := selectRoots(g, "ctxpropagate", nil)
-	attr := g.RootAttribution(roots)
+	paths := g.RootPaths(selectRoots(g, rootRules["ctxpropagate"]))
 
 	for _, key := range g.Keys() {
-		root, reachable := attr[key]
-		if !reachable {
+		if paths[key] == nil {
 			continue
 		}
+		root := paths[key][0]
 		n := g.Nodes[key]
 		if n.Decl.Body == nil || pkgPathHasSuffix(n.Pkg.PkgPath, "simio") {
 			continue

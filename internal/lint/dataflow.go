@@ -21,8 +21,10 @@ import "go/ast"
 //     union or intersection joins satisfy this naturally.
 //   - Transfer receives each Block.Nodes entry in execution order
 //     (forward) or reverse (backward) and returns the updated fact.
-//     It must not mutate its input fact in place if the same value
-//     may be shared — copy-on-write keyed containers are the rule.
+//     It must not mutate its input fact in place — the same value is
+//     shared between blocks; write through a factEdit.
+//   - Transfers never see Bottom: unreached code stays unreached, so
+//     the solver carries Bottom through a block without calling them.
 
 // Lattice describes one analysis's abstract domain.
 type Lattice interface {
@@ -33,6 +35,85 @@ type Lattice interface {
 	Join(a, b any) any
 	// Equal reports whether two facts are equal (fixpoint check).
 	Equal(a, b any) bool
+}
+
+// MapLattice is the one domain the analyzers in this package use: a fact
+// is a map[K]V over the tracked things (held locks, variables). The nil
+// map is Bottom, which keeps "unreached" apart from the empty non-nil
+// map, "reached knowing nothing". An absent key holds the zero V; Join
+// is JoinValue key by key and drops zeros, so a zero is never stored and
+// Equal can compare entry for entry. JoinValue must be commutative,
+// associative and idempotent: || over bool is a may-set, && a must-set.
+type MapLattice[K, V comparable] struct {
+	JoinValue func(a, b V) V
+}
+
+func (MapLattice[K, V]) Bottom() any { return map[K]V(nil) }
+
+func (l MapLattice[K, V]) Join(a, b any) any {
+	as, bs := a.(map[K]V), b.(map[K]V)
+	if as == nil {
+		return bs
+	}
+	if bs == nil {
+		return as
+	}
+	var zero V
+	out := make(map[K]V, len(as))
+	for k, av := range as {
+		if v := l.JoinValue(av, bs[k]); v != zero {
+			out[k] = v
+		}
+	}
+	for k, bv := range bs {
+		if _, both := as[k]; !both {
+			if v := l.JoinValue(zero, bv); v != zero {
+				out[k] = v
+			}
+		}
+	}
+	return out
+}
+
+func (MapLattice[K, V]) Equal(a, b any) bool {
+	as, bs := a.(map[K]V), b.(map[K]V)
+	if (as == nil) != (bs == nil) || len(as) != len(bs) {
+		return false
+	}
+	for k, v := range as {
+		if w, ok := bs[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}
+
+// factEdit is how a transfer function writes a MapLattice fact: the
+// first write that changes anything clones the map, so the input — which
+// other blocks still hold — is never mutated, and a transfer that writes
+// nothing returns its input unchanged. Setting the zero V deletes.
+type factEdit[K, V comparable] struct {
+	m      map[K]V
+	cloned bool
+}
+
+func (e *factEdit[K, V]) set(k K, v V) {
+	if e.m[k] == v {
+		return
+	}
+	if !e.cloned {
+		c := make(map[K]V, len(e.m)+1)
+		for k, v := range e.m {
+			c[k] = v
+		}
+		e.m, e.cloned = c, true
+	}
+	var zero V
+	if v == zero {
+		delete(e.m, k)
+	} else {
+		e.m[k] = v
+	}
 }
 
 // NodeTransfer applies one node's effect to the incoming fact and
@@ -49,17 +130,43 @@ type EdgeTransfer func(cond ast.Expr, branch bool, fact any) any
 type FlowResult struct {
 	In  map[*Block]any
 	Out map[*Block]any
+
+	cfg      *CFG
+	lat      Lattice
+	backward bool
+}
+
+// Sweep is the reporting pass after a solve. The fixpoint keeps one fact
+// per block boundary, but a check needs the fact at its own node, so
+// Sweep replays every reached block from its boundary fact: step gets
+// each node with the fact that holds just before it (forward result) or
+// just after it (backward result, nodes in reverse), reports what it
+// finds, and returns the transferred fact like a NodeTransfer.
+func (r *FlowResult) Sweep(step NodeTransfer) {
+	bottom := r.lat.Bottom()
+	for _, b := range r.cfg.Blocks {
+		fact := r.In[b]
+		if r.backward {
+			fact = r.Out[b]
+		}
+		if r.lat.Equal(fact, bottom) {
+			continue
+		}
+		for i, n := range b.Nodes {
+			if r.backward {
+				n = b.Nodes[len(b.Nodes)-1-i]
+			}
+			fact = step(n, fact)
+		}
+	}
 }
 
 // ForwardFlow runs a forward worklist analysis: entry is the fact at
 // function entry; tf is applied to each node in order; ef (optional)
 // refines branch edges.
 func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer, ef EdgeTransfer) *FlowResult {
-	res := &FlowResult{In: make(map[*Block]any, len(c.Blocks)), Out: make(map[*Block]any, len(c.Blocks))}
-	for _, b := range c.Blocks {
-		res.In[b] = lat.Bottom()
-		res.Out[b] = lat.Bottom()
-	}
+	res := c.newFlowResult(lat, false)
+	bottom := lat.Bottom()
 	res.In[c.Entry] = entry
 
 	// Seed the worklist in reverse postorder so most facts settle in
@@ -73,10 +180,10 @@ func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer, ef EdgeTransf
 		}
 		in := res.In[b]
 		if b != c.Entry {
-			in = lat.Bottom()
+			in = bottom
 			for _, p := range b.Preds {
 				f := res.Out[p]
-				if ef != nil && p.Cond != nil && len(p.Succs) >= 2 {
+				if ef != nil && p.Cond != nil && len(p.Succs) >= 2 && !lat.Equal(f, bottom) {
 					f = ef(p.Cond, b == p.Succs[0], f)
 				}
 				in = lat.Join(in, f)
@@ -84,8 +191,10 @@ func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer, ef EdgeTransf
 			res.In[b] = in
 		}
 		out := in
-		for _, n := range b.Nodes {
-			out = tf(n, out)
+		if !lat.Equal(in, bottom) {
+			for _, n := range b.Nodes {
+				out = tf(n, out)
+			}
 		}
 		if !lat.Equal(out, res.Out[b]) {
 			res.Out[b] = out
@@ -101,11 +210,8 @@ func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer, ef EdgeTransf
 // function exit; tf is applied to each node in reverse order. Branch
 // refinement does not apply backward.
 func (c *CFG) BackwardFlow(lat Lattice, exit any, tf NodeTransfer) *FlowResult {
-	res := &FlowResult{In: make(map[*Block]any, len(c.Blocks)), Out: make(map[*Block]any, len(c.Blocks))}
-	for _, b := range c.Blocks {
-		res.In[b] = lat.Bottom()
-		res.Out[b] = lat.Bottom()
-	}
+	res := c.newFlowResult(lat, true)
+	bottom := lat.Bottom()
 	res.Out[c.Exit] = exit
 
 	order := c.reversePostorder()
@@ -122,15 +228,17 @@ func (c *CFG) BackwardFlow(lat Lattice, exit any, tf NodeTransfer) *FlowResult {
 		}
 		out := res.Out[b]
 		if b != c.Exit {
-			out = lat.Bottom()
+			out = bottom
 			for _, s := range b.Succs {
 				out = lat.Join(out, res.In[s])
 			}
 			res.Out[b] = out
 		}
 		in := out
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			in = tf(b.Nodes[i], in)
+		if !lat.Equal(out, bottom) {
+			for i := len(b.Nodes) - 1; i >= 0; i-- {
+				in = tf(b.Nodes[i], in)
+			}
 		}
 		if !lat.Equal(in, res.In[b]) {
 			res.In[b] = in
@@ -138,6 +246,19 @@ func (c *CFG) BackwardFlow(lat Lattice, exit any, tf NodeTransfer) *FlowResult {
 				work.push(p)
 			}
 		}
+	}
+	return res
+}
+
+// newFlowResult seeds every block boundary with Bottom.
+func (c *CFG) newFlowResult(lat Lattice, backward bool) *FlowResult {
+	res := &FlowResult{
+		In: make(map[*Block]any, len(c.Blocks)), Out: make(map[*Block]any, len(c.Blocks)),
+		cfg: c, lat: lat, backward: backward,
+	}
+	bottom := lat.Bottom()
+	for _, b := range c.Blocks {
+		res.In[b], res.Out[b] = bottom, bottom
 	}
 	return res
 }

@@ -42,20 +42,20 @@ var errflowDroppedNames = map[string]bool{
 
 func runErrFlow(pass *Pass) error {
 	g := pass.CallGraph()
-	reach := g.Reachable(selectRoots(g, "errflow", nil))
+	reach := g.RootPaths(selectRoots(g, rootRules["errflow"]))
 	for _, key := range g.Keys() {
-		if !reach[key] {
-			continue
-		}
 		n := g.Nodes[key]
-		if n.Decl == nil || n.Decl.Body == nil || pass.InTestFile(n.Decl.Pos()) {
+		if reach[key] == nil || n.Decl.Body == nil {
 			continue
 		}
 		ef := &errflowFunc{pass: pass, node: n, key: key}
 		ef.checkDropped(n.Decl.Body)
-		ef.checkShadowed(pass.CFG(key), n.Decl.Type, n.Decl.Body)
-		for _, lit := range collectDeclLits(n.Decl.Body) {
-			ef.checkShadowed(NewCFG(lit.Body), lit.Type, lit.Body)
+		for _, b := range pass.bodies(key) {
+			if b.Lit != nil {
+				ef.checkShadowed(b.CFG, b.Lit.Type, b.Lit.Body)
+			} else {
+				ef.checkShadowed(b.CFG, n.Decl.Type, n.Decl.Body)
+			}
 		}
 	}
 	return nil
@@ -117,44 +117,11 @@ func calleeName(call *ast.CallExpr) string {
 
 // --- rule 2: unchecked / shadowed error variables --------------------
 
-// errReadLattice: set of error vars read-before-rewrite on all paths.
-type errReadLattice struct{}
+// errVarSet is the set of error vars read-before-rewrite on all paths
+// to exit: a must-set.
+type errVarSet = map[*types.Var]bool
 
-type errVarSet map[*types.Var]bool
-
-var errReadBottom = errVarSet{nil: true}
-
-func (errReadLattice) Bottom() any { return errReadBottom }
-
-func (errReadLattice) Join(a, b any) any {
-	as, bs := a.(errVarSet), b.(errVarSet)
-	if as[nil] {
-		return bs
-	}
-	if bs[nil] {
-		return as
-	}
-	out := errVarSet{}
-	for v := range as {
-		if bs[v] {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-func (errReadLattice) Equal(a, b any) bool {
-	as, bs := a.(errVarSet), b.(errVarSet)
-	if len(as) != len(bs) {
-		return false
-	}
-	for v := range as {
-		if !bs[v] {
-			return false
-		}
-	}
-	return true
-}
+var errReadLattice = MapLattice[*types.Var, bool]{JoinValue: func(a, b bool) bool { return a && b }}
 
 // checkShadowed runs the backward analysis over one CFG. ftype is the
 // function's signature AST (decl or literal), for named error results;
@@ -162,9 +129,6 @@ func (errReadLattice) Equal(a, b any) bool {
 // var escapes the frame and is observable after exit, so it is never
 // "lost" here.
 func (ef *errflowFunc) checkShadowed(c *CFG, ftype *ast.FuncType, body *ast.BlockStmt) {
-	if c == nil {
-		return
-	}
 	info := ef.node.Pkg.Info
 
 	// Named error results are read by bare returns and at exit (the
@@ -182,45 +146,31 @@ func (ef *errflowFunc) checkShadowed(c *CFG, ftype *ast.FuncType, body *ast.Bloc
 		}
 	}
 
-	transfer := func(n ast.Node, fact any) any {
+	res := c.BackwardFlow(errReadLattice, exit, func(n ast.Node, fact any) any {
 		return ef.errTransfer(n, fact.(errVarSet), named)
-	}
-	res := c.BackwardFlow(errReadLattice{}, exit, transfer)
+	})
 
-	// Report pass: for each def-from-call, the fact *after* the def
-	// must contain the var. Walk each block forward keeping the
-	// backward fact that holds after node i (recomputed by applying
-	// transfers from the block's out-fact upward once, then indexing).
-	for _, b := range c.Blocks {
-		out, ok := res.Out[b].(errVarSet)
-		if !ok || out[nil] {
-			continue
-		}
-		// afterFacts[i] = fact holding just after b.Nodes[i].
-		afterFacts := make([]errVarSet, len(b.Nodes))
-		f := out
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			afterFacts[i] = f
-			f = ef.errTransfer(b.Nodes[i], f, named).(errVarSet)
-		}
-		for i, n := range b.Nodes {
-			for v, pos := range errDefs(info, n) {
-				if v.Pos() < body.Pos() || v.Pos() > body.End() {
-					// Captured from an enclosing scope (or package
-					// level): the value outlives this frame.
-					continue
-				}
-				if !afterFacts[i][v] {
-					ef.pass.ReportAttributed(pos, ef.key, nil,
-						"error assigned to %q is rewritten or lost before being checked on some path (errflow)", v.Name())
-				}
+	// For each def-from-call, the fact *after* the def must contain
+	// the var.
+	res.Sweep(func(n ast.Node, fact any) any {
+		after := fact.(errVarSet)
+		for v, pos := range errDefs(info, n) {
+			if v.Pos() < body.Pos() || v.Pos() > body.End() {
+				// Captured from an enclosing scope (or package
+				// level): the value outlives this frame.
+				continue
+			}
+			if !after[v] {
+				ef.pass.ReportAttributed(pos, ef.key, nil,
+					"error assigned to %q is rewritten or lost before being checked on some path (errflow)", v.Name())
 			}
 		}
-	}
+		return ef.errTransfer(n, after, named)
+	})
 }
 
 // errTransfer is the backward transfer: reads gen, writes kill.
-func (ef *errflowFunc) errTransfer(n ast.Node, after errVarSet, named errVarSet) any {
+func (ef *errflowFunc) errTransfer(n ast.Node, after errVarSet, named errVarSet) errVarSet {
 	info := ef.node.Pkg.Info
 	writes := errWrites(info, n)
 	reads := errReads(info, n)

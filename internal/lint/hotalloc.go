@@ -42,10 +42,7 @@ import (
 // allocation needs a written justification to land.
 var HotAllocAnalyzer = NewHotAllocAnalyzer(embeddedHotAllocBudget(), HotAllocRoots)
 
-// HotAllocRoots are the hot-path entry points, as
-// "<pkg-last-element>.<func-or-Type.Method>" patterns; a trailing *
-// prefix-matches the name part. Matching by package-path suffix keeps
-// the patterns stable across the real module and test fixtures.
+// HotAllocRoots are the hot-path entry points, in the rootRules syntax.
 var HotAllocRoots = []string{
 	"exec.Engine.Evaluate*",
 	"wah.Or*",
@@ -142,8 +139,7 @@ func NewHotAllocAnalyzer(budget []HotAllocEntry, roots []string) *Analyzer {
 
 func runHotAlloc(p *Pass, allowed map[string]int, rootPatterns []string) error {
 	g := p.CallGraph()
-	roots := expandHotRoots(g, rootPatterns)
-	paths := g.RootPaths(roots)
+	paths := g.RootPaths(selectRoots(g, rootPatterns))
 
 	for _, key := range g.Keys() {
 		chain, hot := paths[key]
@@ -151,7 +147,7 @@ func runHotAlloc(p *Pass, allowed map[string]int, rootPatterns []string) error {
 			continue
 		}
 		n := g.Nodes[key]
-		if n.Decl.Body == nil || p.InTestFile(n.Decl.Pos()) {
+		if n.Decl.Body == nil {
 			continue
 		}
 		sites := allocCensus(n.Pkg.Info, n.Decl.Body)
@@ -185,17 +181,14 @@ func runHotAlloc(p *Pass, allowed map[string]int, rootPatterns []string) error {
 // hotalloc_budget.json.
 func HotAllocReport(pkgs []*Package) []HotAllocEntry {
 	g := NewCallGraph(pkgs)
-	roots := expandHotRoots(g, HotAllocRoots)
-	paths := g.RootPaths(roots)
-	fset := pkgFset(pkgs)
+	paths := g.RootPaths(selectRoots(g, HotAllocRoots))
 	var out []HotAllocEntry
 	for _, key := range g.Keys() {
 		if _, hot := paths[key]; !hot {
 			continue
 		}
 		n := g.Nodes[key]
-		if n.Decl.Body == nil ||
-			(fset != nil && strings.HasSuffix(fset.Position(n.Decl.Pos()).Filename, "_test.go")) {
+		if n.Decl.Body == nil {
 			continue
 		}
 		counts := make(map[string]int)
@@ -215,49 +208,6 @@ func HotAllocReport(pkgs []*Package) []HotAllocEntry {
 		}
 	}
 	return out
-}
-
-func pkgFset(pkgs []*Package) *token.FileSet {
-	if len(pkgs) == 0 {
-		return nil
-	}
-	return pkgs[0].Fset
-}
-
-// expandHotRoots resolves the root patterns against the graph's nodes.
-func expandHotRoots(g *CallGraph, patterns []string) []string {
-	var roots []string
-	for _, key := range g.Keys() {
-		n := g.Nodes[key]
-		name := key[strings.LastIndex(key, "/")+1:]
-		// name is "<pkglast>.<Func>" or "<pkglast>.<Type>.<Method>".
-		dot := strings.IndexByte(name, '.')
-		if dot < 0 {
-			continue
-		}
-		pkgLast, rest := name[:dot], name[dot+1:]
-		if !pkgPathHasSuffix(n.Pkg.PkgPath, pkgLast) {
-			continue
-		}
-		for _, pat := range patterns {
-			pdot := strings.IndexByte(pat, '.')
-			if pdot < 0 || pat[:pdot] != pkgLast {
-				continue
-			}
-			prest := pat[pdot+1:]
-			if strings.HasSuffix(prest, "*") {
-				if strings.HasPrefix(rest, strings.TrimSuffix(prest, "*")) {
-					roots = append(roots, key)
-					break
-				}
-			} else if rest == prest {
-				roots = append(roots, key)
-				break
-			}
-		}
-	}
-	sort.Strings(roots)
-	return roots
 }
 
 func shortChain(chain []string) string {

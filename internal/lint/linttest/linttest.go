@@ -1,5 +1,5 @@
 // Package linttest is an analysistest-style harness for the lint
-// package: it loads a fixture package from testdata/src/<name>, runs one
+// package: it loads a fixture tree from testdata/src/<name>, runs one
 // analyzer over it, and compares the diagnostics against "// want"
 // expectations embedded in the fixture source.
 //
@@ -23,17 +23,14 @@ import (
 )
 
 // Run loads testdata/src/<fixture> (relative to the calling test's
-// directory), applies the analyzer, and reports any mismatch between
-// produced and expected diagnostics on t.
-//
-// A fixture whose directory contains subdirectories with .go files is
-// loaded as a multi-package tree (lint.LoadTree): each directory is one
-// package importable by the others under "<fixture>/<relative-path>".
-// Flat fixtures load as a single package as before.
+// directory) with lint.LoadTree — each directory holding .go files is
+// one package, importable by the others under
+// "<fixture>/<relative-path>" — applies the analyzer, and reports any
+// mismatch between produced and expected diagnostics on t.
 func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(fixture))
-	pkgs, err := loadFixture(dir, fixture)
+	pkgs, err := lint.LoadTree(dir, fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
@@ -77,32 +74,6 @@ type want struct {
 }
 
 var wantMarker = regexp.MustCompile(`\bwant\s+(.*)$`)
-
-// loadFixture picks the loader by fixture shape: tree fixtures (any
-// subdirectory holding .go files) load as multiple packages.
-func loadFixture(dir, fixture string) ([]*lint.Package, error) {
-	tree := false
-	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if strings.HasSuffix(p, ".go") && filepath.Dir(p) != dir {
-			tree = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if tree {
-		return lint.LoadTree(dir, fixture)
-	}
-	pkg, err := lint.LoadDir(dir, fixture)
-	if err != nil {
-		return nil, err
-	}
-	return []*lint.Package{pkg}, nil
-}
 
 // collectWants scans every fixture file's comments for expectations,
 // accumulating into wants.

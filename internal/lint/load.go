@@ -41,6 +41,31 @@ type listEntry struct {
 	Error      *struct{ Err string }
 }
 
+// goList runs `go list -export -deps` on args (flags, then patterns) in
+// dir and decodes its JSON stream.
+func goList(dir string, args []string) ([]listEntry, error) {
+	cmd := exec.Command("go", append([]string{
+		"list", "-export", "-deps",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Incomplete,Error",
+	}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.String())
+	}
+	var entries []listEntry
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var e listEntry
+		if err := dec.Decode(&e); err != nil {
+			return nil, fmt.Errorf("go list: decoding output: %v", err)
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
+}
+
 // Load resolves the patterns with the go command, type-checks every
 // matched (non-dependency) package from source against the export data
 // of its imports, and returns them sorted by import path. dir is the
@@ -49,29 +74,14 @@ type listEntry struct {
 // Only non-test files are loaded: the invariants pdc-lint enforces
 // apply to production code, and test files are free to use wall time.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Incomplete,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	entries, err := goList(dir, append([]string{"-e"}, patterns...))
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, err
 	}
-
 	exports := make(map[string]string)
 	var targets []*listEntry
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var e listEntry
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %v", err)
-		}
+	for i := range entries {
+		e := &entries[i]
 		if e.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", e.ImportPath, e.Error.Err)
 		}
@@ -79,20 +89,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			exports[e.ImportPath] = e.Export
 		}
 		if !e.DepOnly && len(e.GoFiles) > 0 {
-			ee := e
-			targets = append(targets, &ee)
+			targets = append(targets, e)
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, func(path string) (string, error) {
-		f, ok := exports[path]
-		if !ok {
-			return "", fmt.Errorf("lint: no export data for %q", path)
-		}
-		return f, nil
-	})
+	imp := newExportImporter(fset, exports)
 
 	var pkgs []*Package
 	for _, t := range targets {
@@ -111,84 +114,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads a single package from the .go files directly inside dir
-// (used by linttest for testdata fixtures, which live outside the module
-// build graph). pkgPath becomes the package's import path for scope
-// checks. Fixture imports must resolve through the toolchain (stdlib);
-// fixtures cannot import each other.
-func LoadDir(dir, pkgPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var filenames []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			filenames = append(filenames, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(filenames) == 0 {
-		return nil, fmt.Errorf("lint: no .go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	// First parse pass just to gather the imports to resolve.
-	imports := make(map[string]bool)
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err == nil && p != "unsafe" {
-				imports[p] = true
-			}
-		}
-	}
-	exports := make(map[string]string)
-	if len(imports) > 0 {
-		args := []string{"list", "-deps", "-export", "-json=ImportPath,Export"}
-		for p := range imports {
-			args = append(args, p)
-		}
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list (fixture imports): %v\n%s", err, stderr.String())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var e listEntry
-			if err := dec.Decode(&e); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			if e.Export != "" {
-				exports[e.ImportPath] = e.Export
-			}
-		}
-	}
-	imp := newExportImporter(fset, func(path string) (string, error) {
-		f, ok := exports[path]
-		if !ok {
-			return "", fmt.Errorf("lint: fixture import %q has no export data", path)
-		}
-		return f, nil
-	})
-	return typecheck(fset, pkgPath, filenames, imp)
-}
-
-// LoadTree loads a multi-package fixture: every directory under root
-// (including root itself) that contains .go files becomes one package
-// whose import path is rootPkgPath plus the directory's relative path.
-// Fixture packages may import each other by those paths (resolved from
-// the already-type-checked packages) and the stdlib (resolved through
-// the toolchain's export data). Packages are returned sorted by import
-// path; all share one FileSet so cross-package diagnostics compare.
+// LoadTree is the fixture loader (fixtures live outside the module build
+// graph): every directory under root (including root itself) that
+// contains .go files becomes one package whose import path is
+// rootPkgPath plus the directory's relative path, so a flat directory is
+// a one-package tree. Fixture packages may import each other by those
+// paths (resolved from the already-type-checked packages) and the stdlib
+// (resolved through the toolchain's export data). Packages are returned
+// sorted by import path; all share one FileSet so cross-package
+// diagnostics compare.
 func LoadTree(root, rootPkgPath string) ([]*Package, error) {
 	type fixturePkg struct {
 		path    string
@@ -259,27 +193,16 @@ func LoadTree(root, rootPkgPath string) ([]*Package, error) {
 
 	exports := make(map[string]string)
 	if len(stdlib) > 0 {
-		args := []string{"list", "-deps", "-export", "-json=ImportPath,Export"}
+		var imports []string
 		for p := range stdlib {
-			args = append(args, p)
+			imports = append(imports, p)
 		}
-		sort.Strings(args[4:])
-		cmd := exec.Command("go", args...)
-		cmd.Dir = root
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
+		sort.Strings(imports)
+		entries, err := goList(root, imports)
 		if err != nil {
-			return nil, fmt.Errorf("go list (fixture imports): %v\n%s", err, stderr.String())
+			return nil, err
 		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var e listEntry
-			if err := dec.Decode(&e); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
+		for _, e := range entries {
 			if e.Export != "" {
 				exports[e.ImportPath] = e.Export
 			}
@@ -288,14 +211,8 @@ func LoadTree(root, rootPkgPath string) ([]*Package, error) {
 
 	local := make(map[string]*types.Package)
 	imp := &treeImporter{
-		local: local,
-		fallback: newExportImporter(fset, func(path string) (string, error) {
-			f, ok := exports[path]
-			if !ok {
-				return "", fmt.Errorf("lint: fixture import %q has no export data", path)
-			}
-			return f, nil
-		}),
+		local:    local,
+		fallback: newExportImporter(fset, exports),
 	}
 
 	// Type-check in dependency order (fixture imports form a DAG).
@@ -391,47 +308,20 @@ func typecheck(fset *token.FileSet, pkgPath string, filenames []string, imp type
 	}, nil
 }
 
-// TypecheckFiles parses and type-checks the given files as one package
-// (unitchecker mode: the file list and importer come from the go
-// command's vet config).
-func TypecheckFiles(fset *token.FileSet, pkgPath string, filenames []string, imp types.Importer) (*Package, error) {
-	return typecheck(fset, pkgPath, filenames, imp)
-}
-
-// NewVetImporter builds an importer from a vet config's ImportMap
-// (source import path -> canonical package path) and PackageFile
-// (canonical package path -> export data file).
-func NewVetImporter(fset *token.FileSet, importMap, packageFile map[string]string) types.Importer {
-	return newExportImporter(fset, func(path string) (string, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
-		f, ok := packageFile[path]
-		if !ok {
-			return "", fmt.Errorf("lint: vet config has no export data for %q", path)
-		}
-		return f, nil
-	})
-}
-
-// exportImporter resolves imports from gc export data files located by
-// the resolve callback (either `go list -export` output or a vet config's
-// PackageFile map).
+// exportImporter resolves imports from the gc export data files that
+// `go list -export` reported (import path -> file).
 type exportImporter struct {
-	gc      types.ImporterFrom
-	resolve func(path string) (string, error)
+	gc types.ImporterFrom
 }
 
-func newExportImporter(fset *token.FileSet, resolve func(path string) (string, error)) types.Importer {
-	ei := &exportImporter{resolve: resolve}
-	ei.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, err := resolve(path)
-		if err != nil {
-			return nil, err
+func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return &exportImporter{gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(f)
-	}).(types.ImporterFrom)
-	return ei
+	}).(types.ImporterFrom)}
 }
 
 func (ei *exportImporter) Import(path string) (*types.Package, error) {

@@ -4,28 +4,49 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"strings"
 )
 
-// NilChargeAnalyzer upgrades vclockcharge's "not a literal nil at the
-// call site" to real path-sensitive nilness: a `*vclock.Account` or
-// `*sched.Token` must be provably non-nil on *every* CFG path that
+// NilChargeAnalyzer is the one account analysis: every place a
+// `*vclock.Account` or `*sched.Token` is charged, dereferenced or handed
+// to storage is visited once, with path-sensitive nilness in hand.
+//
+// A tracked pointer must be provably non-nil on *every* CFG path that
 // reaches a charge or deref of it. The engine's discipline is to guard
 // with `if e.Acct != nil { ... }` — the analyzer learns those guards
 // through branch-edge refinement and flags the paths the guard misses.
-//
 // Facts track locals, parameters, and one-level field paths (`x.f`)
 // rooted at a local. A method whose body begins by checking its
 // receiver against nil (the sched.Token idiom: `if t == nil { ... }`)
 // is nil-safe and never a sink; vclock.Account methods lock the
 // receiver's mutex immediately, so a nil receiver is a panic and every
-// call site must dominate a non-nil proof. Store-I/O account arguments
-// reuse vclockcharge's aggregate-charging (framecharges) exemption.
+// call site must dominate a non-nil proof.
+//
+// The account argument of a simio.Store I/O entry point (Read, ReadAll,
+// ReadRanges, Write, WriteOwned, Migrate) is the other sink, and the
+// cost-accounting invariant behind every number in EXPERIMENTS.md: the
+// evaluation IS the cost model, so an uncharged simio read silently
+// deflates the reported cost of a strategy without failing any test. A
+// *variable* that may be nil there is a finding anywhere. A *literal*
+// nil is visible intent ("no accounting here", like `_ =` for errors)
+// and legal off the request path — the ground-truth oracle, offline
+// baselines — but a finding in any function reachable from the request
+// roots (exec.Evaluate*, server.handle*). Either way a frame that calls
+// Account.Charge or Account.ChargeCost itself is exempt: it reads
+// uncharged and aggregate-charges locally, the sanctioned batch pattern
+// of exec.Engine's full-scan preload.
 var NilChargeAnalyzer = &Analyzer{
 	Name:   "nilcharge",
-	Doc:    "require *vclock.Account/*sched.Token to be non-nil on all paths reaching a charge or deref",
+	Doc:    "*vclock.Account/*sched.Token are non-nil on all paths reaching a charge or deref, and request-path simio I/O is charged to one",
 	Global: true,
 	Run:    runNilCharge,
+}
+
+// storeIOMethods are the simio.Store entry points that move bytes.
+var storeIOMethods = map[string]bool{
+	"Read": true, "ReadAll": true, "ReadRanges": true,
+	"Write": true, "WriteOwned": true, "Migrate": true,
 }
 
 type nilFact int8
@@ -59,70 +80,63 @@ type nilPath struct {
 	field *types.Var
 }
 
-type nilFacts map[nilPath]nilFact
+// nilFacts holds the tracked paths something is known about; an absent
+// path is nilUnknown.
+type nilFacts = map[nilPath]nilFact
 
-var nilBottomFacts = nilFacts{nilPath{}: -1}
-
-type nilLattice struct{}
-
-func (nilLattice) Bottom() any { return nilBottomFacts }
-
-func isNilBottom(f nilFacts) bool { return f[nilPath{}] == -1 }
-
-func (nilLattice) Join(a, b any) any {
-	as, bs := a.(nilFacts), b.(nilFacts)
-	if isNilBottom(as) {
-		return bs
-	}
-	if isNilBottom(bs) {
-		return as
-	}
-	out := nilFacts{}
-	for p, f := range as {
-		out[p] = joinNilFact(f, bs[p])
-	}
-	for p, f := range bs {
-		if _, ok := as[p]; !ok {
-			out[p] = joinNilFact(nilUnknown, f)
-		}
-	}
-	// Unknown entries carry no information; drop them to keep Equal cheap.
-	for p, f := range out {
-		if f == nilUnknown {
-			delete(out, p)
-		}
-	}
-	return out
-}
-
-func (nilLattice) Equal(a, b any) bool {
-	as, bs := a.(nilFacts), b.(nilFacts)
-	if len(as) != len(bs) {
-		return false
-	}
-	for p, f := range as {
-		if bs[p] != f {
-			return false
-		}
-	}
-	return true
-}
+var nilLattice = MapLattice[nilPath, nilFact]{JoinValue: joinNilFact}
 
 func runNilCharge(pass *Pass) error {
 	g := pass.CallGraph()
 	safe := nilSafeMethods(g)
+	requestPaths := g.RootPaths(selectRoots(g, rootRules["nilcharge"]))
 	for _, key := range g.Keys() {
 		n := g.Nodes[key]
-		if n.Decl == nil || n.Decl.Body == nil || pass.InTestFile(n.Decl.Pos()) {
+		if n.Decl.Body == nil {
 			continue
 		}
-		nc := &nilChargeFunc{pass: pass, node: n, key: key, safe: safe}
-		nc.check(pass.CFG(key))
-		for _, lit := range collectDeclLits(n.Decl.Body) {
-			nc.check(NewCFG(lit.Body))
+		nc := &nilChargeFunc{pass: pass, node: n, key: key, safe: safe, requestPath: requestPaths[key]}
+		for _, b := range pass.bodies(key) {
+			res := b.CFG.ForwardFlow(nilLattice, nilFacts{}, func(n ast.Node, f any) any {
+				return nc.apply(n, f.(nilFacts), false)
+			}, nc.refineEdge)
+			res.Sweep(func(n ast.Node, f any) any {
+				return nc.apply(n, f.(nilFacts), true)
+			})
 		}
 	}
 	return nil
+}
+
+// framecharges reports whether the function body calls Charge or
+// ChargeCost on a vclock.Account — the marker of an aggregate-charging
+// frame.
+func framecharges(n *CallNode) bool {
+	info := n.Pkg.Info
+	charges := false
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		call, ok := node.(*ast.CallExpr)
+		if !ok || charges {
+			return !charges
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		s := info.Selections[sel]
+		if s == nil || s.Kind() != types.MethodVal {
+			return true
+		}
+		m := s.Obj().(*types.Func)
+		if m.Name() != "Charge" && m.Name() != "ChargeCost" {
+			return true
+		}
+		if isNamedFromPkg(s.Recv(), "Account", "vclock") {
+			charges = true
+		}
+		return true
+	})
+	return charges
 }
 
 // nilSafeMethods scans every method on a tracked type and records the
@@ -181,26 +195,9 @@ type nilChargeFunc struct {
 	node *CallNode
 	key  string
 	safe map[string]bool
-}
-
-func (nc *nilChargeFunc) check(c *CFG) {
-	if c == nil {
-		return
-	}
-	transfer := func(n ast.Node, fact any) any {
-		return nc.apply(n, fact.(nilFacts), false)
-	}
-	res := c.ForwardFlow(nilLattice{}, nilFacts{}, transfer, nc.refineEdge)
-	for _, b := range c.Blocks {
-		in, ok := res.In[b].(nilFacts)
-		if !ok || isNilBottom(in) {
-			continue
-		}
-		fact := in
-		for _, n := range b.Nodes {
-			fact = nc.apply(n, fact, true)
-		}
-	}
+	// requestPath is the call path from a request root to the function
+	// (nil off the request path).
+	requestPath []string
 }
 
 // pathOf resolves an expression to a tracked path: a plain local/param
@@ -265,31 +262,17 @@ func (nc *nilChargeFunc) exprFact(e ast.Expr, facts nilFacts) nilFact {
 // using the incoming facts.
 func (nc *nilChargeFunc) apply(n ast.Node, in nilFacts, report bool) nilFacts {
 	info := nc.node.Pkg.Info
-	out := in
-	copied := false
-	set := func(p nilPath, f nilFact) {
-		if !copied {
-			c := nilFacts{}
-			for k, v := range out {
-				c[k] = v
-			}
-			out, copied = c, true
-		}
-		if f == nilUnknown {
-			delete(out, p)
-		} else {
-			out[p] = f
-		}
-	}
+	out := factEdit[nilPath, nilFact]{m: in}
+	set := out.set
 	killBaseFields := func(v *types.Var) {
-		for p := range out {
+		for p := range out.m {
 			if p.base == v && p.field != nil {
 				set(p, nilUnknown)
 			}
 		}
 	}
 	killBase := func(v *types.Var) {
-		for p := range out {
+		for p := range out.m {
 			if p.base == v {
 				set(p, nilUnknown)
 			}
@@ -341,7 +324,7 @@ func (nc *nilChargeFunc) apply(n ast.Node, in nilFacts, report bool) nilFacts {
 			// Evaluate all RHS facts before applying (parallel assignment).
 			rhsFacts := make([]nilFact, len(s.Rhs))
 			for i := range s.Rhs {
-				rhsFacts[i] = nc.exprFact(s.Rhs[i], out)
+				rhsFacts[i] = nc.exprFact(s.Rhs[i], out.m)
 			}
 			for i, lhs := range s.Lhs {
 				nc.assign(lhs, rhsFacts[i], set, killBaseFields)
@@ -366,7 +349,7 @@ func (nc *nilChargeFunc) apply(n ast.Node, in nilFacts, report bool) nilFacts {
 				var f nilFact
 				switch {
 				case i < len(vs.Values):
-					f = nc.exprFact(vs.Values[i], out)
+					f = nc.exprFact(vs.Values[i], out.m)
 				case len(vs.Values) == 0 && vs.Type != nil:
 					// `var x *Account` zero value is nil.
 					if tv, ok := info.Defs[name].(*types.Var); ok && trackedNilPtr(tv.Type()) {
@@ -388,7 +371,7 @@ func (nc *nilChargeFunc) apply(n ast.Node, in nilFacts, report bool) nilFacts {
 			}
 		}
 	}
-	return out
+	return out.m
 }
 
 // assign updates the fact of a tracked LHS path; assigning to a base
@@ -416,22 +399,8 @@ func (nc *nilChargeFunc) assign(lhs ast.Expr, f nilFact, set func(nilPath, nilFa
 // refineEdge narrows facts along the true/false edges of nil checks,
 // including through &&, || and ! composition.
 func (nc *nilChargeFunc) refineEdge(cond ast.Expr, branch bool, fact any) any {
-	facts, ok := fact.(nilFacts)
-	if !ok || isNilBottom(facts) {
-		return fact
-	}
-	out := facts
-	copied := false
-	set := func(p nilPath, f nilFact) {
-		if !copied {
-			c := nilFacts{}
-			for k, v := range out {
-				c[k] = v
-			}
-			out, copied = c, true
-		}
-		out[p] = f
-	}
+	out := factEdit[nilPath, nilFact]{m: fact.(nilFacts)}
+	set := out.set
 	var walk func(e ast.Expr, b bool)
 	walk = func(e ast.Expr, b bool) {
 		switch e := ast.Unparen(e).(type) {
@@ -479,11 +448,11 @@ func (nc *nilChargeFunc) refineEdge(cond ast.Expr, branch bool, fact any) any {
 		}
 	}
 	walk(cond, branch)
-	return out
+	return out.m
 }
 
-// reportSinks flags derefs of possibly-nil tracked values under the
-// incoming facts: method calls on non-nil-safe methods, and store-I/O
+// reportSinks flags the two sinks under the incoming facts: method calls
+// on a possibly-nil receiver of a non-nil-safe method, and store-I/O
 // account arguments outside aggregate-charging frames.
 func (nc *nilChargeFunc) reportSinks(n ast.Node, facts nilFacts) {
 	info := nc.node.Pkg.Info
@@ -508,14 +477,14 @@ func (nc *nilChargeFunc) reportSinks(n ast.Node, facts nilFacts) {
 		if trackedNilPtr(s.Recv()) || trackedNilPtrElem(s.Recv()) {
 			key := FuncKey(mfn)
 			if !nc.safe[key] {
-				if f := nc.recvFact(sel.X, facts); f == nilIsNil || f == nilMaybe {
+				if f := nc.exprFact(sel.X, facts); f == nilIsNil || f == nilMaybe {
 					nc.pass.ReportAttributed(call.Pos(), nc.key, nil,
 						"%s called on %s %s receiver; guard the path with a nil check (nilcharge)",
 						mfn.Name(), nilFactName(f), typeShort(s.Recv()))
 				}
 			}
 		}
-		// Sink 2: store I/O with a possibly-nil *vclock.Account argument.
+		// Sink 2: store I/O with a nil or possibly-nil account argument.
 		if storeIOMethods[mfn.Name()] && isNamedFromPkg(s.Recv(), "Store", "simio") && !framecharges(nc.node) {
 			sig, ok := mfn.Type().(*types.Signature)
 			if !ok {
@@ -525,13 +494,13 @@ func (nc *nilChargeFunc) reportSinks(n ast.Node, facts nilFacts) {
 				if !trackedNilPtr(sig.Params().At(i).Type()) {
 					continue
 				}
-				if isNilIdent(ast.Unparen(call.Args[i])) {
-					// A literal nil argument is visible intent
-					// ("no accounting here"), like `_ =` for errors;
-					// the defect is a *variable* nil on some path.
-					continue
-				}
-				if f := nc.exprFact(call.Args[i], facts); f == nilIsNil || f == nilMaybe {
+				if isNilIdent(call.Args[i]) {
+					if nc.requestPath != nil {
+						nc.pass.ReportAttributed(call.Pos(), nc.key, nc.requestPath,
+							"uncharged simio I/O on a request path: Store.%s called with a nil *vclock.Account in %s (reachable from %s); pass the account or aggregate-charge in this frame",
+							mfn.Name(), ShortKey(nc.key), ShortKey(nc.requestPath[0]))
+					}
+				} else if f := nc.exprFact(call.Args[i], facts); f == nilIsNil || f == nilMaybe {
 					nc.pass.ReportAttributed(call.Args[i].Pos(), nc.key, nil,
 						"%s account argument to %s; guard the path or pass a literal nil for unaccounted I/O (nilcharge)",
 						nilFactName(f), mfn.Name())
@@ -540,11 +509,6 @@ func (nc *nilChargeFunc) reportSinks(n ast.Node, facts nilFacts) {
 		}
 		return true
 	})
-}
-
-// recvFact evaluates the receiver expression's nilness.
-func (nc *nilChargeFunc) recvFact(e ast.Expr, facts nilFacts) nilFact {
-	return nc.exprFact(e, facts)
 }
 
 // trackedNilPtrElem also accepts the bare named type (method sets of
@@ -569,7 +533,7 @@ func typeShort(t types.Type) string {
 	}
 	if n, ok := t.(*types.Named); ok {
 		if n.Obj().Pkg() != nil {
-			return shortPkg(n.Obj().Pkg().Path()) + "." + n.Obj().Name()
+			return path.Base(n.Obj().Pkg().Path()) + "." + n.Obj().Name()
 		}
 		return n.Obj().Name()
 	}

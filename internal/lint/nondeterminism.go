@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -88,9 +87,6 @@ func runNondeterminism(pass *Pass) error {
 	}
 	var found []finding
 	for id, obj := range pass.Info.Uses {
-		if pass.InTestFile(id.Pos()) {
-			continue
-		}
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			continue
@@ -127,14 +123,4 @@ func runNondeterminism(pass *Pass) error {
 		pass.Reportf(f.pos, "nondeterministic call %s in production code; %s", f.what, f.hint)
 	}
 	return nil
-}
-
-// identIsPkgFunc is kept for mutexguard and protoexhaustive: it reports
-// whether the identifier resolves to the given object.
-func usesObject(pass *Pass, e ast.Expr, obj types.Object) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return pass.Info.Uses[id] == obj
 }

@@ -24,11 +24,11 @@ import "time"
 func Now() time.Time { return time.Now() }
 `,
 	})
-	pkg, err := lint.LoadDir(dir, "x/internal/vclock")
+	pkgs, err := lint.LoadTree(dir, "x/internal/vclock")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, []*lint.Analyzer{lint.NondeterminismAnalyzer})
+	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{lint.NondeterminismAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ import "os"
 func LogN() string { return os.Getenv("PDCQ_LOGN") }
 `,
 	})
-	pkg, err := lint.LoadDir(dir, "x/internal/bench")
+	pkgs, err := lint.LoadTree(dir, "x/internal/bench")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, []*lint.Analyzer{lint.NondeterminismAnalyzer})
+	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{lint.NondeterminismAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ func mustAligned(n int) {
 }
 `,
 	})
-	pkg, err := lint.LoadDir(dir, "x/internal/wah")
+	pkgs, err := lint.LoadTree(dir, "x/internal/wah")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, []*lint.Analyzer{lint.NopanicAnalyzer})
+	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{lint.NopanicAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package server exercises lockhold: storage I/O, transport sends, and
-// blocking channel sends on CFG paths between Lock and Unlock.
+// Package server exercises lockset's hold rule: storage I/O, transport
+// sends, and blocking channel sends on CFG paths between Lock and Unlock.
 package server
 
 import (
@@ -9,13 +9,14 @@ import (
 	"lockhold/transport"
 )
 
-// Server guards its state with mu.
+// Server guards its stats with mu; the handles above it are set once at
+// construction.
 type Server struct {
-	mu    sync.Mutex
 	store *simio.Store
 	conn  *transport.Conn
-	stats map[string]int64
 	ch    chan int
+	mu    sync.Mutex
+	stats map[string]int64
 }
 
 // flush is a helper that reaches storage; holding mu across it is the
@@ -103,6 +104,6 @@ func (s *Server) GoodLitFreshHeldSet(key uint64) func() []byte {
 func (s *Server) IgnoredSend(m transport.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//lint:ignore lockhold bounded peer buffer; the receiver never takes mu
+	//lint:ignore lockset bounded peer buffer; the receiver never takes mu
 	return s.conn.Send(m)
 }

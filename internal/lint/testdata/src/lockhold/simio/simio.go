@@ -1,5 +1,5 @@
 // Package simio mirrors internal/simio's Store: the I/O methods are
-// lockhold sinks for its callers, and the package itself is exempt.
+// hold-rule sinks for its callers, and the package itself is exempt.
 package simio
 
 // Store is the storage backend.

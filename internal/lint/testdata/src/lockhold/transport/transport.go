@@ -1,5 +1,5 @@
 // Package transport mirrors internal/transport's conn: Send is a
-// lockhold sink for its callers, and the package itself is exempt.
+// hold-rule sink for its callers, and the package itself is exempt.
 package transport
 
 // Message is one frame.

@@ -1,4 +1,4 @@
-// Package lockorder exercises the lockorder analyzer: the global
+// Package lockorder exercises lockset's order rule: the global
 // mutex-acquisition-order graph must be acyclic.
 package lockorder
 
@@ -80,7 +80,7 @@ func handoff() {
 func lockBASuppressed() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	//lint:ignore lockorder startup-only path, never concurrent with lockAB
+	//lint:ignore lockset startup-only path, never concurrent with lockAB
 	a.mu.Lock()
 	a.n++
 	a.mu.Unlock()

@@ -1,5 +1,5 @@
-// Package mutexguard exercises the position-after-mutex convention
-// checker.
+// Package mutexguard exercises lockset's guard rule, the
+// position-after-mutex convention.
 package mutexguard
 
 import "sync"
@@ -22,21 +22,61 @@ func (c *counter) Inc() { // locks: fine
 }
 
 func (c *counter) Peek() int {
-	return c.n // want `counter\.n is guarded by "mu" .* method Peek never locks it`
+	return c.n // want `counter\.n is guarded by "mu" .* method Peek touches it without holding the lock`
 }
 
 func (c *counter) bump(k string) {
-	c.hot[k]++ // want `counter\.hot is guarded by "mu" .* method bump never locks it`
-	c.n++      // want `counter\.n is guarded by "mu" .* method bump never locks it`
+	c.hot[k]++ // want `counter\.hot is guarded by "mu" .* method bump touches it without holding the lock`
+	c.n++      // want `counter\.n is guarded by "mu" .* method bump touches it without holding the lock`
 }
 
 // incLocked is exempt by naming convention: the caller holds the lock.
 func (c *counter) incLocked() { c.n++ }
 
 func (c *counter) excused() int {
-	//lint:ignore mutexguard single-writer phase before serving starts
+	//lint:ignore lockset single-writer phase before serving starts
 	return c.n
 }
+
+// The next three take the lock somewhere in the method — all a rule that
+// only asks "does the method mention the mutex" can see — but not where
+// the field is touched.
+
+func (c *counter) afterUnlock() int {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	return c.n // want `counter\.n is guarded by "mu" .* method afterUnlock touches it without holding the lock`
+}
+
+func (c *counter) oneBranch(add bool) int {
+	if add {
+		c.mu.Lock()
+		c.n++
+		c.mu.Unlock()
+	}
+	return c.n // want `counter\.n is guarded by "mu" .* method oneBranch touches it without holding the lock`
+}
+
+// spawn holds the lock, but the literal runs on another goroutine, after
+// spawn has returned and released it.
+func (c *counter) spawn() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	go func() {
+		c.n++ // want `counter\.n is guarded by "mu" .* method spawn touches it without holding the lock`
+	}()
+}
+
+// pool's wg sits after the mutex but synchronizes itself: fields typed
+// from sync or sync/atomic are not guarded.
+type pool struct {
+	mu   sync.Mutex
+	idle int
+	wg   sync.WaitGroup
+}
+
+func (p *pool) Wait() { p.wg.Wait() }
 
 // rwstate uses an RWMutex; same rules.
 type rwstate struct {
@@ -51,7 +91,7 @@ func (s *rwstate) Len() int {
 }
 
 func (s *rwstate) Raw() []int {
-	return s.rows // want `rwstate\.rows is guarded by "mu" .* method Raw never locks it`
+	return s.rows // want `rwstate\.rows is guarded by "mu" .* method Raw touches it without holding the lock`
 }
 
 // unguarded has no mutex at all: nothing to check.

@@ -1,4 +1,5 @@
-// Package exec exercises vclockcharge from an Evaluate* request root.
+// Package exec exercises nilcharge's request-path rule from an Evaluate*
+// request root.
 package exec
 
 import (
@@ -39,7 +40,7 @@ func (e *Engine) preload(keys []uint64) {
 // scanSuppressed shows the escape hatch: the directive names the
 // analyzer and gives a reason.
 func (e *Engine) scanSuppressed(key uint64) {
-	//lint:ignore vclockcharge oracle comparison read, charged by the harness
+	//lint:ignore nilcharge oracle comparison read, charged by the harness
 	e.Store.ReadAll(nil, key)
 }
 

@@ -1,5 +1,5 @@
-// Package server exercises vclockcharge from a handle* request root,
-// including multi-hop reachability through a helper.
+// Package server exercises nilcharge's request-path rule from a handle*
+// request root, including multi-hop reachability through a helper.
 package server
 
 import "vclockcharge/simio"

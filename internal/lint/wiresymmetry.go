@@ -45,8 +45,8 @@ const (
 
 func runWireSymmetry(pass *Pass) error {
 	// Index package-level declarations.
-	funcs := make(map[string]*ast.FuncDecl)          // package functions by name
-	local := make(map[types.Object]*ast.FuncDecl)    // every decl, for inlining
+	funcs := make(map[string]*ast.FuncDecl)       // package functions by name
+	local := make(map[types.Object]*ast.FuncDecl) // every decl, for inlining
 	methods := make(map[*types.TypeName]map[string]*ast.FuncDecl)
 	var typeNames []*types.TypeName
 	for _, f := range pass.Files {
@@ -91,7 +91,7 @@ func runWireSymmetry(pass *Pass) error {
 	}
 
 	type pair struct {
-		subject *types.TypeName
+		subject  *types.TypeName
 		enc, dec *ast.FuncDecl
 	}
 	var pairs []pair
@@ -445,8 +445,8 @@ func (w *wireWalker) selectorEvent(sel *ast.SelectorExpr, marks *bodyMarks) {
 		return
 	}
 	field, ok := s.Obj().(*types.Var)
-	if !ok || fieldTypeIsSync(field) {
-		return
+	if !ok || namedFromPkg(field.Type(), "sync") {
+		return // mutexes et al are not wire data
 	}
 	switch w.mode {
 	case wireEncode:
@@ -478,17 +478,4 @@ func (w *wireWalker) compositeEvents(cl *ast.CompositeLit) {
 			w.events = append(w.events, fieldEvent{st.Field(i).Name(), elt.Pos(), false})
 		}
 	}
-}
-
-// fieldTypeIsSync reports whether the field's type comes from package
-// sync (mutexes et al are not wire data).
-func fieldTypeIsSync(v *types.Var) bool {
-	t := v.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-		return n.Obj().Pkg().Path() == "sync"
-	}
-	return false
 }

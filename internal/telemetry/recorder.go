@@ -246,8 +246,9 @@ const maxRecorderEvents = 1 << 20
 // Record on a nil recorder is a no-op, so instrumented code needs no
 // configuration to stay correct.
 type Recorder struct {
+	clock Clock // set at construction, never written again
+
 	mu    sync.Mutex
-	clock Clock
 	buf   []Event
 	total uint64
 }
