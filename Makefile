@@ -49,14 +49,16 @@ race:
 # Scheduler stress under the race detector: concurrent sessions vs the
 # brute-force oracle, admission-control overload, worker-count
 # determinism, busy-retry, and async-lifetime leak checks. A separate CI
-# step so scheduler interleaving failures are attributable at a glance.
+# step so scheduler interleaving failures are attributable at a glance;
+# each pattern is listed first, so the log shows which tests it still
+# names.
+STRESS_CORE = TestConcurrentSessionsStress|TestOverloadBusyReplies|TestWorkerCountDeterminism
+STRESS_CLIENT = TestBusyRetry|TestQueryBudgetEndToEnd|TestRunAsyncReapedOnClose|TestClosedClientReturnsError
 stress:
-	$(GO) test -race -count=2 -run \
-		'TestConcurrentSessionsStress|TestOverloadBusyReplies|TestWorkerCountDeterminism' \
-		./internal/core/
-	$(GO) test -race -count=2 -run \
-		'TestBusyRetry|TestQueryBudgetEndToEnd|TestRunAsyncReapedOnClose|TestClosedClientReturnsError' \
-		./internal/client/
+	$(GO) test -list '$(STRESS_CORE)' ./internal/core/
+	$(GO) test -race -count=2 -run '$(STRESS_CORE)' ./internal/core/
+	$(GO) test -list '$(STRESS_CLIENT)' ./internal/client/
+	$(GO) test -race -count=2 -run '$(STRESS_CLIENT)' ./internal/client/
 	$(GO) test -race -count=2 -run 'Test' ./internal/sched/
 
 # Chaos soak: CHAOS_SEEDS seeded fault schedules (drop/corrupt/storage

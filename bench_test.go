@@ -213,11 +213,10 @@ func BenchmarkQueryThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			d.SetStrategy(strat)
 			q := pdcquery.NewQuery(pdcquery.Between(energy, 2.1, 2.2, false, false))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Client().RunCount(q); err != nil {
+				if _, err := d.Client().RunCount(q, strat); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -247,7 +246,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := d.Client().RunCount(q); err != nil {
+			if _, err := d.Client().RunCount(q, pdcquery.StrategyHistogram); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -272,7 +271,7 @@ func BenchmarkGetDataThroughput(b *testing.B) {
 	}
 	defer d.Close()
 	q := pdcquery.NewQuery(pdcquery.QueryCreate(o.ID, pdcquery.OpGT, 1.5))
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, pdcquery.StrategyHistogram)
 	if err != nil {
 		b.Fatal(err)
 	}

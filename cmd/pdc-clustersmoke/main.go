@@ -30,6 +30,7 @@ import (
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
@@ -75,7 +76,7 @@ func main() {
 
 	corpus := func(stage string) {
 		for i, q := range queries {
-			out, err := s.Run(q)
+			out, err := s.Run(q, plan.ForceScan)
 			if err != nil {
 				log.Fatalf("cluster-smoke: %s: query %d: %v", stage, i, err)
 			}

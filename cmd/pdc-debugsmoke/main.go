@@ -26,8 +26,7 @@ import (
 	"time"
 
 	"pdcquery/internal/client"
-	"pdcquery/internal/object"
-	"pdcquery/internal/query"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
 )
@@ -68,18 +67,7 @@ func main() {
 	if err := cli.SyncMeta(); err != nil {
 		log.Fatalf("debug-smoke: sync meta: %v", err)
 	}
-	meta := cli.Meta()
-	root, err := query.Parse("Energy > 2.0", func(name string) (object.ID, bool) {
-		o, ok := meta.GetByName(name)
-		if !ok {
-			return 0, false
-		}
-		return o.ID, true
-	})
-	if err != nil {
-		log.Fatalf("debug-smoke: parse query: %v", err)
-	}
-	res, err := cli.Run(&query.Query{Root: root})
+	res, err := cli.RunText("select ids where Energy > 2.0", plan.ForceScan)
 	if err != nil {
 		log.Fatalf("debug-smoke: query: %v", err)
 	}

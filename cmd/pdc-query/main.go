@@ -1,83 +1,73 @@
 // pdc-query is an interactive client for a fleet of pdc-server daemons:
-// it parses a textual query, broadcasts it, and prints the hit count,
-// modeled times, and optionally the matching data of one object.
+// it sends one declarative statement (package qlang has the grammar) and
+// prints the hit count and modeled times, then what the statement's own
+// text asks for — the matching indices of `select ids`, the quantiles of
+// `select hist(col, n)`, the plan of `explain …`, the plan with actuals
+// and the span tree of `explain analyze …` — and optionally the matching
+// data of one object.
 //
-//	pdc-query -servers 127.0.0.1:7100,127.0.0.1:7101 \
-//	          -query "Energy > 2.0 and 100 < x and x < 200" \
-//	          -data Energy -limit 10
+//	pdc-query run -servers 127.0.0.1:7100,127.0.0.1:7101 \
+//	          -data Energy -limit 10 \
+//	          "select ids where Energy > 2.0 and 100 < x < 200"
 //
 // Against a cluster deployment (pdc-server -catalog / -join), pass the
 // catalog instead of a server list; the committed view supplies the
-// members and the query is stamped with the placement epoch:
+// members and the statement is stamped with the placement epoch:
 //
-//	pdc-query -catalog 127.0.0.1:7000 -query "Energy > 2.0"
+//	pdc-query run -catalog 127.0.0.1:7000 "select count where Energy > 2.0"
 //
 // Subcommands:
 //
-//	pdc-query run "select count where ..."      execute a declarative
-//	                                            statement through the
-//	                                            cost-based planner
-//	                                            (-force pins the strategy,
-//	                                            here and in -query mode)
-//	pdc-query explain "select ... where ..."    print the plan without
-//	                                            executing ("explain
-//	                                            analyze select ..." runs
-//	                                            it and adds actuals)
-//	pdc-query trace -servers ... -query "..."   run the query traced and
-//	                                            print the plan with
-//	                                            actuals plus the span tree
-//	pdc-query stats -servers ...                print the fleet's merged
-//	                                            telemetry registry
-//	                                            (Prometheus text format)
-//	pdc-query top -servers ...                  one-shot health dashboard:
-//	                                            fleet counters, phase
-//	                                            latency quantiles, and a
-//	                                            per-server table
-//	pdc-query events -servers ...               dump every server's
-//	                                            flight-recorder ring
+//	pdc-query run "select count where ..."   execute one statement; -force
+//	                                         pins the strategy (default:
+//	                                         the cost-based planner)
+//	pdc-query stats -servers ...             print the fleet's merged
+//	                                         telemetry registry
+//	                                         (Prometheus text format)
+//	pdc-query top -servers ...               one-shot health dashboard:
+//	                                         fleet counters, phase
+//	                                         latency quantiles, and a
+//	                                         per-server table
+//	pdc-query events -servers ...            dump every server's
+//	                                         flight-recorder ring
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"pdcquery/internal/client"
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/dtype"
+	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/qlang"
-	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
 )
 
 func main() {
-	mode := ""
-	args := os.Args[1:]
-	if len(args) > 0 && (args[0] == "trace" || args[0] == "stats" || args[0] == "top" || args[0] == "events" ||
-		args[0] == "run" || args[0] == "explain") {
-		mode = args[0]
-		args = args[1:]
-	}
 	servers := flag.String("servers", "127.0.0.1:7100", "comma-separated server addresses")
 	catalog := flag.String("catalog", "", "cluster mode: resolve the serving members from this catalog address instead of -servers")
-	qstr := flag.String("query", "", "query text, e.g. \"Energy > 2.0 and x < 200\"")
-	dataObj := flag.String("data", "", "also fetch the matching values of this object")
-	limit := flag.Int("limit", 10, "print at most this many matches")
-	countOnly := flag.Bool("count", false, "only report the number of hits")
-	explain := flag.Bool("explain", false, "print the evaluation plan (condition order + selectivity estimates) and exit")
-	forceStr := flag.String("force", "", "pin the evaluation strategy: full, scan, bitmap, sorted or a paper label (PDC-F, PDC-H, PDC-HI, PDC-SH); auto is cost-based. Default: auto for run/explain statements, scan (PDC-H) for -query")
-	flag.CommandLine.Parse(args)
-	queryless := mode == "stats" || mode == "top" || mode == "events" ||
-		mode == "run" || mode == "explain"
-	if *qstr == "" && !queryless {
-		fmt.Fprintln(os.Stderr, "pdc-query: -query is required")
+	dataObj := flag.String("data", "", "run: also fetch the matching values of this object (needs a 'select ids' statement)")
+	limit := flag.Int("limit", 10, "run: print at most this many matches")
+	forceStr := flag.String("force", "", "run: pin the evaluation strategy: full, scan, bitmap, sorted or a paper label (PDC-F, PDC-H, PDC-HI, PDC-SH); the default, auto, is cost-based")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: pdc-query run [flags] \"<statement>\" | pdc-query stats|top|events [flags]")
+		flag.PrintDefaults()
+	}
+	if len(os.Args) < 2 || !slices.Contains([]string{"run", "stats", "top", "events"}, os.Args[1]) {
+		flag.Usage()
 		os.Exit(2)
 	}
+	mode := os.Args[1]
+	flag.CommandLine.Parse(os.Args[2:])
 
 	var cli *client.Client
 	if *catalog != "" {
@@ -146,113 +136,25 @@ func main() {
 	if err := cli.SyncMeta(); err != nil {
 		fatal(err)
 	}
-	meta := cli.Meta()
 	force, err := plan.ParseForce(*forceStr)
 	if err != nil {
 		fatal(err)
 	}
-
-	if mode == "run" || mode == "explain" {
-		text := strings.TrimSpace(strings.Join(flag.CommandLine.Args(), " "))
-		if text == "" {
-			text = *qstr
-		}
-		if text == "" {
-			fatal(fmt.Errorf("%s mode needs a statement, e.g. pdc-query %s 'select count where Energy > 2'", mode, mode))
-		}
-		if mode == "explain" && !strings.HasPrefix(strings.ToLower(strings.TrimSpace(text)), "explain") {
-			text = "explain " + text
-		}
-		res, err := cli.RunText(text, force)
-		if err != nil {
-			fatal(err)
-		}
-		printTextResult(res, *limit)
-		return
+	text := strings.TrimSpace(strings.Join(flag.CommandLine.Args(), " "))
+	if text == "" {
+		fatal(fmt.Errorf("run needs a statement, e.g. pdc-query run 'select count where Energy > 2'"))
 	}
-
-	root, err := query.Parse(*qstr, func(name string) (object.ID, bool) {
-		o, ok := meta.GetByName(name)
-		if !ok {
-			return 0, false
-		}
-		return o.ID, true
-	})
-	if err != nil {
-		fatal(err)
-	}
-	q := &query.Query{Root: root}
-	if *forceStr != "" {
-		cli.SetForce(force)
-	}
-
-	if mode == "trace" {
-		a, err := cli.ExplainAnalyze(q)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(a.Explain)
-		fmt.Println()
-		fmt.Print(a.Res.Trace().Render(true))
-		return
-	}
-
-	if *explain {
-		pl, err := cli.Explain(q)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(pl.Format(*qstr))
-		return
-	}
-
-	if *countOnly {
-		res, err := cli.RunCount(q)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("hits: %d\nmodeled query time: %v (server max %v)\n",
-			res.Sel.NHits, res.Info.Elapsed.Total(), res.Info.ServerMax.Total())
-		return
-	}
-
-	res, err := cli.Run(q)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("hits: %d\nmodeled query time: %v (server max %v)\n",
-		res.Sel.NHits, res.Info.Elapsed.Total(), res.Info.ServerMax.Total())
-	fmt.Printf("regions: %d evaluated, %d pruned, %d sorted; %d elements scanned\n",
-		res.Info.Stats.RegionsEvaluated, res.Info.Stats.RegionsPruned,
-		res.Info.Stats.SortedRegions, res.Info.Stats.ElementsScanned)
-
-	show := int(res.Sel.NHits)
-	if show > *limit {
-		show = *limit
-	}
+	var st client.Statement
+	var data *object.Object
 	if *dataObj == "" {
-		for i := 0; i < show; i++ {
-			fmt.Printf("  match[%d] at index %d\n", i, res.Sel.Coords[i])
-		}
-		return
+		st = client.Text(text)
+	} else if st, data, err = prepare(cli.Meta(), text, *dataObj); err != nil {
+		fatal(err)
 	}
-	o, ok := meta.GetByName(*dataObj)
-	if !ok {
-		fatal(fmt.Errorf("unknown object %q", *dataObj))
-	}
-	data, info, err := res.GetData(o.ID)
+	res, err := cli.Do(context.Background(), st, client.Options{Force: force})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("modeled get-data time: %v (%d bytes)\n", info.Elapsed.Total(), len(data))
-	for i := 0; i < show; i++ {
-		fmt.Printf("  %s[%d] = %g\n", *dataObj, res.Sel.Coords[i], dtype.At(o.Type, data, i))
-	}
-}
-
-// printTextResult renders a text-query outcome: the EXPLAIN text when
-// the statement asked for it, then the projection's answer.
-func printTextResult(res *client.TextResult, limit int) {
 	if res.Explain != "" {
 		fmt.Print(res.Explain)
 		if res.Sel == nil {
@@ -260,26 +162,63 @@ func printTextResult(res *client.TextResult, limit int) {
 			return
 		}
 		fmt.Println()
+		fmt.Print(res.Trace().Render(true))
 	}
 	fmt.Printf("hits: %d\nmodeled query time: %v (server max %v)\n",
 		res.Sel.NHits, res.Info.Elapsed.Total(), res.Info.ServerMax.Total())
-	switch res.Statement.Projection.Kind {
-	case qlang.ProjIDs:
-		show := int(res.Sel.NHits)
-		if show > limit {
-			show = limit
+	fmt.Printf("regions: %d evaluated, %d pruned, %d sorted; %d elements scanned\n",
+		res.Info.Stats.RegionsEvaluated, res.Info.Stats.RegionsPruned,
+		res.Info.Stats.SortedRegions, res.Info.Stats.ElementsScanned)
+	show := min(len(res.Sel.Coords), *limit)
+	switch {
+	case data != nil:
+		vals, info, err := res.GetData(data.ID)
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Printf("modeled get-data time: %v (%d bytes)\n", info.Elapsed.Total(), len(vals))
 		for i := 0; i < show; i++ {
-			fmt.Printf("  match[%d] at index %d\n", i, res.Sel.Coords[i])
+			fmt.Printf("  %s[%d] = %g\n", data.Name, res.Sel.Coords[i], dtype.At(data.Type, vals, i))
 		}
-	case qlang.ProjHist:
+	case res.Hist != nil:
 		h := res.Hist
 		fmt.Printf("hist(%s): %d values, min %g max %g\n",
 			res.Statement.Projection.Col, h.Total, h.Min, h.Max)
 		for _, q := range []float64{0.25, 0.5, 0.75, 0.95} {
 			fmt.Printf("  p%02.0f = %g\n", 100*q, h.Quantile(q))
 		}
+	default:
+		for i := 0; i < show; i++ {
+			fmt.Printf("  match[%d] at index %d\n", i, res.Sel.Coords[i])
+		}
 	}
+}
+
+// prepare lowers a `select ids` statement against the metadata into the
+// prepared form: only a prepared statement's result is stashed on the
+// servers, which is what a get-data of obj answers from.
+func prepare(meta *metadata.Service, text, obj string) (client.Statement, *object.Object, error) {
+	o, ok := meta.GetByName(obj)
+	if !ok {
+		return client.Statement{}, nil, fmt.Errorf("unknown object %q", obj)
+	}
+	parsed, err := qlang.Parse(text)
+	if err != nil {
+		return client.Statement{}, nil, err
+	}
+	if parsed.Projection.Kind != qlang.ProjIDs {
+		return client.Statement{}, nil, fmt.Errorf("-data needs a `select ids` statement")
+	}
+	low, err := parsed.Lower(meta.IDByName)
+	if err != nil {
+		return client.Statement{}, nil, err
+	}
+	if len(low.Tags) != 0 {
+		return client.Statement{}, nil, fmt.Errorf("-data does not take tag conditions")
+	}
+	st := client.Prepared(low.Query, qlang.ProjIDs)
+	st.Explain, st.Analyze = parsed.Explain, parsed.Analyze
+	return st, o, nil
 }
 
 // printTop renders a one-shot health dashboard from the fleet's

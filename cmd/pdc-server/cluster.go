@@ -6,7 +6,7 @@
 //	pdc-server -join 127.0.0.1:7000 -addr 127.0.0.1:7101 &
 //	pdc-server -join 127.0.0.1:7000 -addr 127.0.0.1:7102 &
 //	pdc-server -join 127.0.0.1:7000 -addr 127.0.0.1:7103 &
-//	pdc-query -catalog 127.0.0.1:7000 -query "Energy > 2.0"
+//	pdc-query run -catalog 127.0.0.1:7000 "select count where Energy > 2.0"
 //
 // Members start empty: a client imports a dataset through the catalog
 // (see cluster.Session.Import and cmd/pdc-clustersmoke), which writes

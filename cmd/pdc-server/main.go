@@ -8,7 +8,7 @@
 //
 //	pdc-server -addr 127.0.0.1:7100 -id 0 -n 2 &
 //	pdc-server -addr 127.0.0.1:7101 -id 1 -n 2 &
-//	pdc-query -servers 127.0.0.1:7100,127.0.0.1:7101 -query "Energy > 2.0"
+//	pdc-query run -servers 127.0.0.1:7100,127.0.0.1:7101 "select count where Energy > 2.0"
 package main
 
 import (

@@ -31,7 +31,7 @@ func Example() {
 
 	// 99 < temperature <= 99.5
 	q := pdcquery.NewQuery(pdcquery.Between(obj.ID, 99, 99.5, false, true))
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, pdcquery.StrategyHistogram)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 	// A low threshold on purpose: the result is "too large" relative to
 	// the batch size, the case PDCquery_get_data_batch exists for.
 	q := pdcquery.NewQuery(pdcquery.QueryCreate(obj.ID, pdcquery.OpGT, 0.5))
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, pdcquery.StrategyHistogram)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func main() {
 	var hits, total uint64
 	for _, id := range matched {
 		q := pdcquery.NewQuery(pdcquery.Between(id, 0, 20, false, false))
-		res, err := d.Client().RunCount(q)
+		res, err := d.Client().RunCount(q, pdcquery.StrategyHistogram)
 		if err != nil {
 			log.Fatal(err)
 		}

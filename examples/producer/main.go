@@ -63,7 +63,7 @@ func main() {
 	// because each region's histogram was built at write time.
 	mid := float64(len(obj.Regions) / 2)
 	q := pdcquery.NewQuery(pdcquery.Between(obj.ID, mid, mid+0.5, false, false))
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, pdcquery.StrategyHistogram)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 
 	// "signal > 99.5" — built with the PDCquery_create/and equivalents.
 	q := pdcquery.NewQuery(pdcquery.QueryCreate(obj.ID, pdcquery.OpGT, 99.5))
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, pdcquery.StrategyHistogram)
 	if err != nil {
 		log.Fatal(err)
 	}

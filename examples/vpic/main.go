@@ -63,9 +63,8 @@ func main() {
 		pdcquery.StrategyFullScan, pdcquery.StrategyHistogram,
 		pdcquery.StrategyIndex, pdcquery.StrategySorted,
 	} {
-		d.SetStrategy(s)
 		d.ResetCaches()
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, s)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,14 +35,13 @@ func AblationAggregation(c Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	defer d.Close()
-	d.SetStrategy(plan.ForceBitmap)
 	q := &query.Query{Root: query.Between(ids.Energy, 2.1, 2.4, false, false)}
 
 	var rows []AblationRow
 	for _, agg := range []bool{true, false} {
 		d.Store().SetAggregate(agg)
 		d.ResetCaches()
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceBitmap)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +96,7 @@ func AblationGlobalHistogram(c Config) ([]AblationRow, error) {
 		q := &query.Query{Root: query.And(
 			query.Leaf(ids["Energy"], query.OpGT, 0.5),
 			query.Between(ids["y"], -3, 3, false, false))}
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceScan)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -133,9 +132,8 @@ func AblationSorted(c Config) ([]AblationRow, error) {
 
 	var rows []AblationRow
 	for _, name := range []string{"PDC-H", "PDC-SH"} {
-		d.SetStrategy(pdcStrategies[name])
 		d.ResetCaches()
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, pdcStrategies[name])
 		if err != nil {
 			return nil, err
 		}
@@ -179,9 +177,8 @@ func AblationCompanions(c Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.SetStrategy(plan.ForceSorted)
 		q := workload.MultiObjectQueries(ids.Energy, ids.X, ids.Y, ids.Z)[0]
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceSorted)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -216,7 +213,6 @@ func AblationTiering(c Config) ([]AblationRow, error) {
 		return nil, err
 	}
 	defer d.Close()
-	d.SetStrategy(plan.ForceScan)
 	q := &query.Query{Root: query.Between(ids.Energy, 2.1, 2.4, false, false)}
 
 	var rows []AblationRow
@@ -227,7 +223,7 @@ func AblationTiering(c Config) ([]AblationRow, error) {
 			}
 		}
 		d.ResetCaches()
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceScan)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -136,7 +137,7 @@ func concurrentOnce(v *workload.VPIC, c Config, regionBytes int64, workers int) 
 	// servers, so the per-session sum would differ from run to run; warm,
 	// every call costs the same whoever issues it.
 	for _, q := range queries {
-		if _, err := sessions[0].RunCount(q); err != nil {
+		if _, err := sessions[0].RunCount(q, plan.ForceScan); err != nil {
 			return ConcurrentRow{}, 0, err
 		}
 	}
@@ -157,7 +158,7 @@ func concurrentOnce(v *workload.VPIC, c Config, regionBytes int64, workers int) 
 			t := &tallies[si]
 			for r := 0; r < rounds; r++ {
 				for qi, q := range queries {
-					res, err := cl.RunCount(q)
+					res, err := cl.RunCount(q, plan.ForceScan)
 					switch {
 					case err == nil:
 						t.completed++

@@ -9,6 +9,7 @@ import (
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/fault"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
 	"pdcquery/internal/workload"
@@ -133,7 +134,7 @@ func faultsOnce(v *workload.VPIC, c Config, regionBytes int64, inj *fault.Inject
 	start := telemetry.Wall.Now()
 	for r := 0; r < faultsRounds; r++ {
 		for _, q := range queries {
-			res, err := d.Client().RunCount(q)
+			res, err := d.Client().RunCount(q, plan.ForceScan)
 			if err != nil {
 				t.typed++
 				continue

@@ -76,11 +76,10 @@ func Fig3Run(c Config) ([]Fig3Row, error) {
 		// The four PDC approaches, each from a cold start.
 		for _, name := range Approaches[1:] {
 			strat := pdcStrategies[name]
-			d.SetStrategy(strat)
 			// Cold pass: every query starts with empty caches.
 			for k, q := range queries {
 				d.ResetCaches()
-				res, err := d.Client().RunCount(q)
+				res, err := d.Client().RunCount(q, strat)
 				if err != nil {
 					d.Close()
 					return nil, err
@@ -91,7 +90,7 @@ func Fig3Run(c Config) ([]Fig3Row, error) {
 			d.ResetCaches()
 			var queryTimes []time.Duration
 			for k, q := range queries {
-				res, err := d.Client().Run(q)
+				res, err := d.Client().Run(q, strat)
 				if err != nil {
 					d.Close()
 					return nil, err

@@ -56,11 +56,10 @@ func Fig4Run(c Config) ([]Fig4Row, error) {
 
 	for _, name := range Approaches[1:] {
 		strat := pdcStrategies[name]
-		d.SetStrategy(strat)
 		d.ResetCaches()
 		var times []time.Duration
 		for k, q := range queries {
-			res, err := d.Client().Run(q)
+			res, err := d.Client().Run(q, strat)
 			if err != nil {
 				return nil, err
 			}

@@ -98,7 +98,6 @@ func Fig5Run(c Config) ([]Fig5Row, error) {
 		// (each object's single region is owned by one server), so the
 		// parallel elapsed is the slowest server's account delta.
 		for _, name := range []string{"PDC-H", "PDC-HI"} {
-			d.SetStrategy(pdcStrategies[name])
 			d.ResetCaches()
 
 			matched, tagInfo, err := d.Client().QueryTag(tagConds)
@@ -113,7 +112,7 @@ func Fig5Run(c Config) ([]Fig5Row, error) {
 			var wire time.Duration
 			for _, id := range matched {
 				q := &query.Query{Root: query.Between(id, lo, 20, false, false)}
-				res, err := d.Client().RunCount(q)
+				res, err := d.Client().RunCount(q, pdcStrategies[name])
 				if err != nil {
 					return nil, err
 				}

@@ -39,9 +39,8 @@ func Fig6Run(c Config) ([]Fig6Row, error) {
 		q := workload.Fig6Query(ids.Energy, ids.X, ids.Y, ids.Z)
 		row := Fig6Row{Servers: nsrv, Time: make(map[string]time.Duration)}
 		for _, name := range fig6Approaches {
-			d.SetStrategy(pdcStrategies[name])
 			d.ResetCaches()
-			res, err := d.Client().Run(q)
+			res, err := d.Client().Run(q, pdcStrategies[name])
 			if err != nil {
 				d.Close()
 				return nil, err

@@ -11,6 +11,7 @@ import (
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/workload"
@@ -117,7 +118,7 @@ func scaleoutOne(c Config, p int, src *core.Deployment, queries []*query.Query, 
 	row := ScaleoutRow{Members: p, Queries: len(queries)}
 	var total time.Duration
 	for i, q := range queries {
-		res, err := s.Run(q)
+		res, err := s.Run(q, plan.ForceScan)
 		if err != nil {
 			return ScaleoutRow{}, fmt.Errorf("query %d: %w", i, err)
 		}

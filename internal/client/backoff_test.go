@@ -122,7 +122,7 @@ func TestBusyRetryDeadServerTerminal(t *testing.T) {
 		serverSide.Close() // the server is gone; no further replies
 	}()
 
-	_, _, _, err := c.broadcastCtx(context.Background(), server.MsgTagQuery, func(int) []byte { return nil })
+	_, _, _, err := c.call(context.Background(), server.MsgTagQuery, allServers, func(int) []byte { return nil })
 	<-done
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("want ErrServerDown, got %v", err)
@@ -171,12 +171,79 @@ func TestCallTimeoutWedgedServer(t *testing.T) {
 	defer serverSide.Close()
 	c.SetCallTimeout(30 * time.Millisecond)
 
-	_, _, _, err := c.broadcastCtx(context.Background(), server.MsgTagQuery, func(int) []byte { return nil })
+	_, _, _, err := c.call(context.Background(), server.MsgTagQuery, allServers, func(int) []byte { return nil })
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded in chain, got %v", err)
+	}
+}
+
+// TestGetHistogramCallTimeout: the unicast call runs the same lifecycle
+// as a broadcast, so a wedged owner is bounded by SetCallTimeout too.
+// GetHistogram used to carry its own copy of the loop, which selected on
+// the reply channel and Close only and hung here.
+func TestGetHistogramCallTimeout(t *testing.T) {
+	c, serverSide := newBackoffClient(t)
+	defer serverSide.Close()
+	c.SetCallTimeout(30 * time.Millisecond)
+
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetHistogram(1)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("want ErrTimeout wrapping DeadlineExceeded, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("GetHistogram against a wedged server still blocked after 2s with a 30ms call timeout")
+	}
+}
+
+// sendFailConn is a connection that looks healthy — its reader blocks in
+// Recv — but refuses every Send: a peer that vanished between calls.
+type sendFailConn struct{ transport.Conn }
+
+func (sendFailConn) Send(transport.Message) error { return errors.New("write: broken pipe") }
+
+// TestGetHistogramRedialOnSendError: a Send that fails on a connection
+// not yet known dead is recorded, redialled and resent when SetRedial is
+// installed, and is a typed ServerDownError when it is not — never the
+// raw transport error the old private loop returned.
+func TestGetHistogramRedialOnSendError(t *testing.T) {
+	serve := func(conn transport.Conn) {
+		for {
+			m, err := conn.Recv()
+			if err != nil || m.Type == server.MsgShutdown {
+				return
+			}
+			conn.Send(transport.Message{Type: server.MsgHistResult, ReqID: m.ReqID, Payload: server.EncodeHistResult(nil)})
+		}
+	}
+	for _, redial := range []bool{true, false} {
+		clientSide, serverSide := transport.Pipe()
+		c := New([]transport.Conn{sendFailConn{clientSide}}, nil)
+		if redial {
+			c.SetRedial(func(int) (transport.Conn, error) {
+				cs, ss := transport.Pipe()
+				go serve(ss)
+				return cs, nil
+			})
+		}
+		_, _, err := c.GetHistogram(1)
+		var down *ServerDownError
+		switch {
+		case redial && err != nil:
+			t.Errorf("with redial installed the send failure must be masked, got %v", err)
+		case !redial && (!errors.As(err, &down) || down.Srv != 0):
+			t.Errorf("without redial want ServerDownError for server 0, got %v", err)
+		}
+		serverSide.Close()
+		c.Close()
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
-	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -73,7 +72,6 @@ const (
 // Client talks to an N-server PDC deployment.
 type Client struct {
 	conns []transport.Conn
-	meta  *metadata.Service
 	// sharedBW models the aggregate backend bandwidth (bytes/s) of the
 	// shared file system: when a query's fleet-wide storage traffic
 	// exceeds what the slowest server alone accounts for, the backend is
@@ -95,12 +93,14 @@ type Client struct {
 	// (SetRecorder); nil is fine — Record is nil-safe.
 	rec *telemetry.Recorder
 
-	// closeCtx ends at Close and unblocks every in-flight broadcast and
-	// async query, so background aggregators cannot outlive the client.
+	// closeCtx ends at Close and unblocks every in-flight call and
+	// async statement, so background aggregators cannot outlive the client.
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// meta is the client's metadata view; SyncMeta replaces it.
+	meta    *metadata.Service
 	nextReq uint64
 	pending map[uint64]chan reply
 	// downErr[i] records why server i's connection died (nil = healthy).
@@ -113,7 +113,7 @@ type Client struct {
 	// held across the blocking dial, so it cannot be mu itself.
 	redial   func(srv int) (transport.Conn, error)
 	redialMu sync.Mutex
-	// callTimeout bounds each broadcast in wall-clock time (0 = none).
+	// callTimeout bounds each call in wall-clock time (0 = none).
 	// It is the client's defense against a server that is reachable but
 	// silent: the call fails with ErrTimeout instead of hanging.
 	callTimeout time.Duration
@@ -125,8 +125,6 @@ type Client struct {
 	// query never spans two placements.
 	epoch    uint64
 	useEpoch bool
-	// force is the forcing stamped on every binary query (SetForce).
-	force plan.Force
 	// router, when set, overrides the static region→server mapping for
 	// get-data requests (cluster mode routes each region to its
 	// placement primary instead of region mod N).
@@ -153,7 +151,6 @@ func New(conns []transport.Conn, meta *metadata.Service) *Client {
 		meta:        meta,
 		sleeper:     telemetry.NoSleep,
 		busyRetries: busyMaxRetries,
-		force:       plan.ForceScan,
 		nextReq:     1,
 		pending:     make(map[uint64]chan reply),
 		downErr:     make([]error, len(conns)),
@@ -243,7 +240,7 @@ func (c *Client) SetRedial(redial func(srv int) (transport.Conn, error)) {
 	c.mu.Unlock()
 }
 
-// SetCallTimeout bounds every subsequent broadcast in wall-clock time:
+// SetCallTimeout bounds every subsequent call in wall-clock time:
 // a call that outlives d fails with an error matching ErrTimeout (and
 // context.DeadlineExceeded). Zero disables the bound. This is the
 // client's guarantee that a dead-but-undetected server cannot hang a
@@ -262,16 +259,6 @@ func (c *Client) SetEpoch(epoch uint64) {
 	c.mu.Lock()
 	c.epoch = epoch
 	c.useEpoch = true
-	c.mu.Unlock()
-}
-
-// SetForce sets the forcing stamped on every subsequent binary query
-// (Run, RunCount, RunTraced, RunAsync and Explain): cost-based or one
-// of the paper's four strategies. The default is plan.ForceScan, the
-// paper's default PDC-H. Text statements carry their own (RunText).
-func (c *Client) SetForce(f plan.Force) {
-	c.mu.Lock()
-	c.force = f
 	c.mu.Unlock()
 }
 
@@ -372,7 +359,11 @@ func (c *Client) wire(n int) time.Duration {
 func (c *Client) NumServers() int { return len(c.conns) }
 
 // Meta returns the client's metadata view.
-func (c *Client) Meta() *metadata.Service { return c.meta }
+func (c *Client) Meta() *metadata.Service {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.meta
+}
 
 // Close sends shutdown to every server and closes the connections.
 func (c *Client) Close() error {
@@ -395,20 +386,24 @@ func (c *Client) Close() error {
 	return errors.Join(errs...)
 }
 
-// broadcast sends one message to every server (payload may differ per
-// server via perServer) and collects all replies, indexed by server.
-// The returned duration is the modeled busy-retry wait (zero unless a
-// server's admission control pushed back).
-func (c *Client) broadcast(t byte, perServer func(i int) []byte) (uint64, []transport.Message, time.Duration, error) {
-	return c.broadcastCtx(context.Background(), t, perServer)
-}
+// allServers addresses a call to every server.
+const allServers = -1
 
-// broadcastCtx is broadcast with cancellation: if ctx ends first, the
-// call returns ctx's error and late replies are dropped. Busy replies
-// are retried with capped exponential backoff against the rejecting
-// server only; the accumulated backoff is returned so callers can fold
-// it into the modeled elapsed time.
-func (c *Client) broadcastCtx(ctx context.Context, t byte, perServer func(i int) []byte) (uint64, []transport.Message, time.Duration, error) {
+// call is the one request lifecycle every client operation runs: it
+// sends one message (perServer gives each server's payload) to every
+// server — or, when only >= 0, to that server alone — and collects the
+// replies, indexed by server. If ctx or the SetCallTimeout bound
+// ends first the call returns that error and late replies are dropped;
+// a lost connection is redialled and the request resent (SetRedial) or
+// surfaces as ServerDownError; busy replies are retried with capped
+// exponential backoff against the rejecting server only, and the
+// accumulated backoff is returned so callers can fold it into the
+// modeled elapsed time.
+func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i int) []byte) (uint64, []transport.Message, time.Duration, error) {
+	lo, hi := 0, len(c.conns)
+	if only >= 0 {
+		lo, hi = only, only+1
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -471,7 +466,7 @@ func (c *Client) broadcastCtx(ctx context.Context, t byte, perServer func(i int)
 		}
 		return nil
 	}
-	for i := range c.conns {
+	for i := lo; i < hi; i++ {
 		if err := sendRecover(i); err != nil {
 			return 0, nil, 0, err
 		}
@@ -481,7 +476,7 @@ func (c *Client) broadcastCtx(ctx context.Context, t byte, perServer func(i int)
 	attempts := make([]int, len(c.conns))
 	redials := make([]int, len(c.conns))
 	var busyWait time.Duration
-	for n := 0; n < len(c.conns); {
+	for n := lo; n < hi; {
 		var r reply
 		select {
 		case r = <-ch:
@@ -495,9 +490,9 @@ func (c *Client) broadcastCtx(ctx context.Context, t byte, perServer func(i int)
 			return 0, nil, busyWait, ErrClosed
 		}
 		if r.down {
-			if got[r.srv] {
-				// That server already answered; its connection dying
-				// afterwards is the next call's problem.
+			if got[r.srv] || r.srv < lo || r.srv >= hi {
+				// That server already answered (or was never asked); its
+				// connection dying is the next call's problem.
 				continue
 			}
 			if redials[r.srv] >= maxRedials {
@@ -619,231 +614,25 @@ func (c *Client) busyInterrupt(srv int) error {
 	return nil
 }
 
-// QueryResult is a completed query: the merged selection plus what is
-// needed to retrieve the matching data.
-type QueryResult struct {
-	Sel  *selection.Selection
-	Info Info
-	// TraceID identifies the query's trace (the request ID); zero unless
-	// the query ran via RunTraced.
-	TraceID telemetry.TraceID
-	// Traces holds each server's span tree, indexed by server rank; nil
-	// unless the query ran via RunTraced.
-	Traces []*telemetry.Span
-
-	client *Client
-	reqID  uint64
-}
-
-// Trace assembles the per-server span trees under a single client-side
-// root whose cost is the modeled end-to-end elapsed time (servers run in
-// parallel, so the root cost is not the sum of its children). Returns
-// nil when the query was not traced.
-func (r *QueryResult) Trace() *telemetry.Span {
-	if r.Traces == nil {
-		return nil
-	}
-	root := telemetry.NewSpan(telemetry.SpanQuery, "client")
-	root.Trace = r.TraceID
-	root.Cost = r.Info.Elapsed
-	root.SetInt("hits", int64(r.Info.NHits))
-	root.SetInt("servers", int64(len(r.Traces)))
-	for _, t := range r.Traces {
-		if t != nil {
-			root.Adopt(t)
-		}
-	}
-	return root
-}
-
-// Run executes the query, returning the merged selection
-// (PDCquery_get_selection semantics: hit count plus locations).
-func (c *Client) Run(q *query.Query) (*QueryResult, error) {
-	return c.run(context.Background(), q, server.FlagWantSelection)
-}
-
-// RunContext is Run with cancellation: if ctx ends before every server
-// has answered, the call returns ctx's error (servers finish their
-// evaluation; the late responses are discarded).
-func (c *Client) RunContext(ctx context.Context, q *query.Query) (*QueryResult, error) {
-	return c.run(ctx, q, server.FlagWantSelection)
-}
-
-// RunCount executes the query for the hit count only
-// (PDCquery_get_nhits): servers do full evaluation but transfer no
-// locations.
-func (c *Client) RunCount(q *query.Query) (*QueryResult, error) {
-	return c.run(context.Background(), q, 0)
-}
-
-// RunCountContext is RunCount with cancellation.
-func (c *Client) RunCountContext(ctx context.Context, q *query.Query) (*QueryResult, error) {
-	return c.run(ctx, q, 0)
-}
-
-// RunTraced is Run with per-query tracing: every server records a span
-// tree of its evaluation (conjuncts, regions, per-region decisions) and
-// returns it with the response. The result's Traces/Trace expose them.
-func (c *Client) RunTraced(q *query.Query) (*QueryResult, error) {
-	return c.run(context.Background(), q, server.FlagWantSelection|server.FlagWantTrace)
-}
-
-// RunTracedContext is RunTraced with cancellation.
-func (c *Client) RunTracedContext(ctx context.Context, q *query.Query) (*QueryResult, error) {
-	return c.run(ctx, q, server.FlagWantSelection|server.FlagWantTrace)
-}
-
-func (c *Client) run(ctx context.Context, q *query.Query, flags byte) (*QueryResult, error) {
-	if c.meta != nil {
-		if err := q.Validate(c.meta.Get); err != nil {
-			return nil, err
-		}
-	}
-	c.mu.Lock()
-	useEpoch, epoch, force := c.useEpoch, c.epoch, c.force
-	c.mu.Unlock()
-	if useEpoch {
-		flags |= server.FlagEpoch
-	}
-	payload := server.EncodeQueryRequest(flags, force, epoch, q.Encode())
-	res, _, err := c.ask(ctx, server.MsgQuery, payload, flags&server.FlagWantTrace != 0)
-	return res, err
-}
-
-// ask broadcasts one statement (binary or text) to every server and
-// folds the partial answers into the merged selection, the servers'
-// partial histograms (hist projections only) and the modeled end-to-end
-// profile.
-func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool) (*QueryResult, []*histogram.Histogram, error) {
-	reqID, msgs, busyWait, err := c.broadcastCtx(ctx, t, func(int) []byte { return payload })
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &QueryResult{client: c, reqID: reqID}
-	if traced {
-		res.TraceID = telemetry.TraceID(reqID)
-		res.Traces = make([]*telemetry.Span, len(msgs))
-	}
-	// Broadcast cost: the request goes out to all servers concurrently.
-	// Admission-control backoff (if any) delays the whole call.
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(len(payload))+busyWait))
-
-	parts := make([]*selection.Packed, 0, len(msgs))
-	var hists []*histogram.Histogram
-	var respBytes int
-	for i, m := range msgs {
-		var qr *server.QueryResponse
-		if m.Type == server.MsgTextResult {
-			tr, err := server.DecodeTextResult(m.Payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			qr = &tr.Base
-			if tr.Hist != nil {
-				hists = append(hists, tr.Hist)
-			}
-		} else if qr, err = server.DecodeQueryResponse(m.Payload); err != nil {
-			return nil, nil, err
-		}
-		res.Info.ServerMax = res.Info.ServerMax.Max(qr.Cost)
-		res.Info.Stats.Add(qr.Stats)
-		// The model prices the paper's reply, 8 bytes per coordinate: the
-		// packed selection is charged as the flat one it stands for.
-		respBytes += len(m.Payload) - qr.Sel.EncodedLen() + qr.Sel.FlatLen()
-		parts = append(parts, qr.Sel)
-		if traced {
-			res.Traces[i] = qr.Trace
-		}
-	}
-	if res.Sel, err = selection.MergePacked(parts); err != nil {
-		return nil, nil, err
-	}
-	res.Info.NHits = res.Sel.NHits
-	// Servers evaluate in parallel; responses serialize into the client.
-	// The parallel phase cannot beat the shared backend: if the fleet
-	// moved more storage bytes than the slowest server's own time covers
-	// at the aggregate bandwidth, the backend saturation is the floor.
-	res.Info.Elapsed = res.Info.Elapsed.Add(res.Info.ServerMax)
-	if c.sharedBW > 0 && res.Info.Stats.StorageBytes > 0 {
-		floor := time.Duration(float64(res.Info.Stats.StorageBytes) / c.sharedBW * 1e9)
-		if extra := floor - res.Info.ServerMax.Total(); extra > 0 {
-			res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Storage, extra))
-		}
-	}
-	// Responses arrive concurrently: one wire latency, serialized bytes.
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(respBytes)))
-	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Compute, time.Duration(res.Sel.NHits)*mergeCostPerHit))
-	return res, hists, nil
-}
-
-// Future is an in-flight asynchronous query (§III-C: "a client can
-// either block and wait for the query result or continue to other tasks
-// while the servers are processing"). Wait blocks until completion;
-// Done is closed when the result is ready.
-type Future struct {
-	done chan struct{}
-	res  *QueryResult
-	err  error
-}
-
-// Done is closed once the result is available.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Wait blocks until the query completes and returns its result.
-func (f *Future) Wait() (*QueryResult, error) {
-	<-f.done
-	return f.res, f.err
-}
-
-// RunAsync starts the query and returns immediately; the broadcast and
-// aggregation happen in the background (the paper's non-blocking client
-// mode). The background goroutine is owned by the client: Close unblocks
-// and reaps it even if the Future is abandoned, so async queries cannot
-// leak.
-func (c *Client) RunAsync(q *query.Query) *Future {
-	return c.RunAsyncContext(context.Background(), q)
-}
-
-// RunAsyncContext is RunAsync with cancellation: if ctx ends before the
-// servers answer, the Future completes with ctx's error.
-func (c *Client) RunAsyncContext(ctx context.Context, q *query.Query) *Future {
-	f := &Future{done: make(chan struct{})}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		f.err = ErrClosed
-		close(f.done)
-		return f
-	}
-	// Registering on the client's WaitGroup under the same lock that
-	// Close takes before waiting makes Close reap this goroutine.
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go func() {
-		defer c.wg.Done()
-		defer close(f.done)
-		f.res, f.err = c.run(ctx, q, server.FlagWantSelection)
-	}()
-	return f
-}
-
 // GetData retrieves the matching elements' values of obj into a buffer in
 // selection order (PDCquery_get_data). The returned Info models the
 // retrieval cost.
-func (r *QueryResult) GetData(obj object.ID) ([]byte, *Info, error) {
+func (r *Result) GetData(obj object.ID) ([]byte, *Info, error) {
+	if r.Sel == nil {
+		return nil, nil, errNotExecuted
+	}
 	req := (&server.DataRequest{Obj: obj, QueryReq: r.reqID}).Encode()
-	_, msgs, busyWait, err := r.client.broadcast(server.MsgGetData, func(int) []byte { return req })
+	_, msgs, busyWait, err := r.client.call(context.Background(), server.MsgGetData, allServers, func(int) []byte { return req })
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &Info{NHits: r.Sel.NHits}
 	info.Elapsed = info.Elapsed.Add(vclock.CostOf(vclock.Network, r.client.wire(len(req))+busyWait))
 
-	o, elemSize, err := r.client.objectInfo(obj)
+	_, elemSize, err := r.client.objectInfo(obj)
 	if err != nil {
 		return nil, nil, err
 	}
-	_ = o
 	type part struct {
 		coords []uint64
 		data   []byte
@@ -893,15 +682,17 @@ func (r *QueryResult) GetData(obj object.ID) ([]byte, *Info, error) {
 // GetDataBatch streams the matching values of obj in batches of at most
 // batchSize hits (PDCquery_get_data_batch), for results too large to hold
 // in memory at once. fn receives each batch's selection and values.
-func (r *QueryResult) GetDataBatch(obj object.ID, batchSize uint64, fn func(batch *selection.Selection, data []byte) error) (*Info, error) {
+func (r *Result) GetDataBatch(obj object.ID, batchSize uint64, fn func(batch *selection.Selection, data []byte) error) (*Info, error) {
+	if r.Sel == nil {
+		return nil, errNotExecuted
+	}
 	if r.Sel.CountOnly {
 		return nil, fmt.Errorf("client: GetDataBatch needs a selection; use Run, not RunCount")
 	}
-	_, elemSize, err := r.client.objectInfo(obj)
+	o, elemSize, err := r.client.objectInfo(obj)
 	if err != nil {
 		return nil, err
 	}
-	o, _ := r.client.meta.Get(obj)
 	info := &Info{NHits: r.Sel.NHits}
 	n := r.client.NumServers()
 	batches, err := r.Sel.Batches(batchSize)
@@ -920,7 +711,7 @@ func (r *QueryResult) GetDataBatch(obj object.ID, batchSize uint64, fn func(batc
 			}
 			groups[srv] = append(groups[srv], coord)
 		}
-		_, msgs, busyWait, err := r.client.broadcast(server.MsgGetData, func(i int) []byte {
+		_, msgs, busyWait, err := r.client.call(context.Background(), server.MsgGetData, allServers, func(i int) []byte {
 			return (&server.DataRequest{Obj: obj, Coords: groups[i]}).Encode()
 		})
 		if err != nil {
@@ -966,10 +757,11 @@ func searchU64(s []uint64, v uint64) int {
 }
 
 func (c *Client) objectInfo(id object.ID) (*object.Object, int, error) {
-	if c.meta == nil {
-		return nil, 0, fmt.Errorf("client: no metadata; call SyncMeta first")
+	meta := c.Meta()
+	if meta == nil {
+		return nil, 0, errNoMeta
 	}
-	o, ok := c.meta.Get(id)
+	o, ok := meta.Get(id)
 	if !ok {
 		return nil, 0, fmt.Errorf("client: object %d not found", id)
 	}
@@ -980,98 +772,19 @@ func (c *Client) objectInfo(id object.ID) (*object.Object, int, error) {
 // (PDCquery_get_histogram): the PDC system builds it automatically at
 // import, so this is a metadata-only call.
 func (c *Client) GetHistogram(obj object.ID) (*histogram.Histogram, *Info, error) {
-	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], uint64(obj))
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(obj))
 	// The histogram lives on the owning server; ask just that one.
 	owner := metadata.OwnerOf(obj, len(c.conns))
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	deadline := uint64(c.budget)
-	maxRetries := c.busyRetries
-	req := c.nextReq
-	c.nextReq++
-	ch := make(chan reply, maxRetries+4+maxRedials)
-	c.pending[req] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, req)
-		c.mu.Unlock()
-	}()
-	send := func() error {
-		c.mu.Lock()
-		conn := c.conns[owner]
-		down := c.downErr[owner]
-		c.mu.Unlock()
-		if down != nil {
-			if err := c.ensureConn(owner); err != nil {
-				return err
-			}
-			c.mu.Lock()
-			conn = c.conns[owner]
-			c.mu.Unlock()
-		}
-		return conn.Send(transport.Message{Type: server.MsgHistogram, ReqID: req, Deadline: deadline, Payload: payload[:]})
-	}
-	if err := send(); err != nil {
+	_, msgs, busyWait, err := c.call(context.Background(), server.MsgHistogram, owner, func(int) []byte { return payload })
+	if err != nil {
 		return nil, nil, err
 	}
-	attempts := make([]int, len(c.conns))
-	redials := 0
-	var busyWait time.Duration
-	var r reply
-	for {
-		select {
-		case r = <-ch:
-		case <-c.closeCtx.Done():
-			return nil, nil, ErrClosed
-		}
-		if r.down {
-			if r.srv != owner {
-				continue
-			}
-			if redials >= maxRedials {
-				c.mu.Lock()
-				cause := c.downErr[owner]
-				c.mu.Unlock()
-				if errors.Is(cause, ErrClosed) {
-					return nil, nil, ErrClosed
-				}
-				if cause == nil {
-					cause = errors.New("connection lost repeatedly")
-				}
-				return nil, nil, &ServerDownError{Srv: owner, Cause: cause}
-			}
-			redials++
-			if err := send(); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if r.msg.Type != server.MsgBusy {
-			break
-		}
-		wait, err := c.busyBackoff(r, attempts, maxRetries)
-		if err != nil {
-			return nil, nil, err
-		}
-		busyWait += wait
-		if err := send(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if r.msg.Type == server.MsgError {
-		return nil, nil, fmt.Errorf("client: %s", r.msg.Payload)
-	}
-	h, err := server.DecodeHistResult(r.msg.Payload)
+	h, err := server.DecodeHistResult(msgs[owner].Payload)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &Info{}
-	info.Elapsed = vclock.CostOf(vclock.Network, 2*c.wire(len(r.msg.Payload))+busyWait)
+	info.Elapsed = vclock.CostOf(vclock.Network, 2*c.wire(len(msgs[owner].Payload))+busyWait)
 	return h, info, nil
 }
 
@@ -1079,7 +792,7 @@ func (c *Client) GetHistogram(obj object.ID) (*histogram.Histogram, *Info, error
 // matching objects it owns; the client unions the shards.
 func (c *Client) QueryTag(conds []metadata.TagCond) ([]object.ID, *Info, error) {
 	payload := server.EncodeTagQuery(conds)
-	_, msgs, busyWait, err := c.broadcast(server.MsgTagQuery, func(int) []byte { return payload })
+	_, msgs, busyWait, err := c.call(context.Background(), server.MsgTagQuery, allServers, func(int) []byte { return payload })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1113,10 +826,11 @@ func (c *Client) QueryTag(conds []metadata.TagCond) ([]object.ID, *Info, error) 
 // bound for multi-term or multi-object queries, since histograms carry no
 // joint distribution).
 func (c *Client) EstimateNHits(q *query.Query) (lower, upper uint64, err error) {
-	if c.meta == nil {
-		return 0, 0, fmt.Errorf("client: no metadata; call SyncMeta first")
+	meta := c.Meta()
+	if meta == nil {
+		return 0, 0, errNoMeta
 	}
-	if err := q.Validate(c.meta.Get); err != nil {
+	if err := q.Validate(meta.Get); err != nil {
 		return 0, 0, err
 	}
 	conjuncts, err := query.Normalize(q.Root)
@@ -1131,7 +845,7 @@ func (c *Client) EstimateNHits(q *query.Query) (lower, upper uint64, err error) 
 		termLower := uint64(0)
 		single := len(conj) == 1
 		for id, iv := range conj {
-			o, _ := c.meta.Get(id)
+			o, _ := meta.Get(id)
 			if o.Global == nil {
 				return 0, 0, fmt.Errorf("client: object %d has no global histogram", id)
 			}
@@ -1150,7 +864,7 @@ func (c *Client) EstimateNHits(q *query.Query) (lower, upper uint64, err error) 
 	}
 	// The union of conjuncts cannot exceed the object size.
 	ids := q.Root.Objects()
-	if o, ok := c.meta.Get(ids[0]); ok {
+	if o, ok := meta.Get(ids[0]); ok {
 		if n := o.NumElems(); upper > n {
 			upper = n
 		}
@@ -1168,7 +882,7 @@ func (c *Client) EstimateNHits(q *query.Query) (lower, upper uint64, err error) 
 // merges them all — an exact merge, since cost distributions are
 // mergeable histograms.
 func (c *Client) ServerStats() (perServer []*telemetry.Registry, merged *telemetry.Registry, err error) {
-	_, msgs, _, err := c.broadcast(server.MsgStats, func(int) []byte { return nil })
+	_, msgs, _, err := c.call(context.Background(), server.MsgStats, allServers, func(int) []byte { return nil })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1190,7 +904,7 @@ func (c *Client) ServerStats() (perServer []*telemetry.Registry, merged *telemet
 // each server's lifetime count of recorded events (which exceeds the
 // snapshot length once the ring has wrapped).
 func (c *Client) ServerEvents() (events [][]telemetry.Event, totals []uint64, err error) {
-	_, msgs, _, err := c.broadcast(server.MsgEvents, func(int) []byte { return nil })
+	_, msgs, _, err := c.call(context.Background(), server.MsgEvents, allServers, func(int) []byte { return nil })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1211,7 +925,7 @@ func (c *Client) ServerEvents() (events [][]telemetry.Event, totals []uint64, er
 // the client's metadata view (for TCP deployments where the client does
 // not share memory with the servers).
 func (c *Client) SyncMeta() error {
-	_, msgs, _, err := c.broadcast(server.MsgMetaSnapshot, func(int) []byte { return nil })
+	_, msgs, _, err := c.call(context.Background(), server.MsgMetaSnapshot, allServers, func(int) []byte { return nil })
 	if err != nil {
 		return err
 	}
@@ -1219,6 +933,8 @@ func (c *Client) SyncMeta() error {
 	if err := svc.Restore(msgs[0].Payload); err != nil {
 		return err
 	}
+	c.mu.Lock()
 	c.meta = svc
+	c.mu.Unlock()
 	return nil
 }

@@ -6,19 +6,31 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pdcquery/internal/client"
+	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/transport"
 )
+
+var bg = context.Background()
+
+// prepared is q as a `select ids` statement: what Run hands to Do.
+func prepared(q *query.Query) client.Statement { return client.Prepared(q, qlang.ProjIDs) }
 
 func deploy(t *testing.T, n int, servers int) (*core.Deployment, object.ID) {
 	t.Helper()
@@ -51,7 +63,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			lo := float64(g * 10)
 			q := &query.Query{Root: query.Between(oid, lo, lo+5, false, false)}
-			res, err := d.Client().Run(q)
+			res, err := d.Client().Run(q, plan.ForceScan)
 			if err != nil {
 				errs <- err
 				return
@@ -83,7 +95,7 @@ func TestServerErrorPropagates(t *testing.T) {
 	// Corrupt the store so evaluation fails server-side.
 	d.Store().Delete(object.ExtentKey(1, 0))
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, -1)}
-	if _, err := d.Client().Run(q); err == nil {
+	if _, err := d.Client().Run(q, plan.ForceScan); err == nil {
 		t.Error("server-side failure not propagated")
 	}
 }
@@ -115,7 +127,7 @@ func TestQueriesAfterClose(t *testing.T) {
 	cli := d.Client()
 	d.Close()
 	q := &query.Query{Root: query.Leaf(o.ID, query.OpGT, 0)}
-	if _, err := cli.Run(q); err == nil {
+	if _, err := cli.Run(q, plan.ForceScan); err == nil {
 		t.Error("query after Close succeeded")
 	}
 }
@@ -123,7 +135,7 @@ func TestQueriesAfterClose(t *testing.T) {
 func TestInfoBreakdown(t *testing.T) {
 	d, oid := deploy(t, 20000, 4)
 	q := &query.Query{Root: query.Between(oid, 10, 20, false, false)}
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +158,7 @@ func TestRunAsync(t *testing.T) {
 	for i := range futures {
 		lo := float64(i * 10)
 		q := &query.Query{Root: query.Between(oid, lo, lo+20, false, false)}
-		futures[i] = d.Client().RunAsync(q)
+		futures[i] = d.Client().DoAsync(bg, prepared(q), client.Options{Force: plan.ForceScan})
 	}
 	for i, f := range futures {
 		select {
@@ -198,7 +210,7 @@ func TestClientFullAPISurface(t *testing.T) {
 	cli := d.Client()
 
 	q := &query.Query{Root: query.Between(o.ID, 50, 60, false, false)}
-	res, err := cli.Run(q)
+	res, err := cli.Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +252,10 @@ func TestClientFullAPISurface(t *testing.T) {
 	if err != nil || res.Sel.NHits < lo || res.Sel.NHits > hi {
 		t.Errorf("EstimateNHits = [%d, %d], truth %d, %v", lo, hi, res.Sel.NHits, err)
 	}
-	if _, err := cli.Explain(q); err != nil {
-		t.Errorf("Explain: %v", err)
+	st := prepared(q)
+	st.Explain = true
+	if ex, err := cli.Do(bg, st, client.Options{}); err != nil || ex.Plan == nil || ex.Sel != nil {
+		t.Errorf("explain = %+v, %v; want a plan and no execution", ex, err)
 	}
 	// SyncMeta replaces the view with a server snapshot.
 	if err := cli.SyncMeta(); err != nil {
@@ -250,24 +264,54 @@ func TestClientFullAPISurface(t *testing.T) {
 	if cli.Meta().NumObjects() != 1 {
 		t.Errorf("synced objects = %d", cli.Meta().NumObjects())
 	}
+
+	// The surface holds one statement entry and cannot silently re-grow:
+	// a statement goes in through Do (the client's async twin aside), the
+	// Run* names are its three fixed spellings, and the per-variant
+	// twins, Explain* and the client-wide forcing stay gone.
+	gone := regexp.MustCompile(`^Run.*Context$|^Explain|^SetForce$`)
+	statement := reflect.TypeOf(client.Statement{})
+	for typ, entries := range map[reflect.Type]string{
+		reflect.TypeOf(cli):                "Do DoAsync",
+		reflect.TypeOf(&cluster.Session{}): "Do",
+	} {
+		var takes []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			if gone.MatchString(m.Name) {
+				t.Errorf("%v exports %s again", typ, m.Name)
+			}
+			if strings.HasPrefix(m.Name, "Run") && !slices.Contains([]string{"Run", "RunCount", "RunText"}, m.Name) {
+				t.Errorf("%v exports a new way to run a statement: %s", typ, m.Name)
+			}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				if m.Type.In(j) == statement {
+					takes = append(takes, m.Name)
+				}
+			}
+		}
+		if got := strings.Join(takes, " "); got != entries {
+			t.Errorf("%v takes a Statement in %q, want exactly %q", typ, got, entries)
+		}
+	}
 }
 
 func TestRunContext(t *testing.T) {
 	d, oid := deploy(t, 20000, 4)
 	q := &query.Query{Root: query.Between(oid, 10, 20, false, false)}
 	// Normal completion under a live context.
-	res, err := d.Client().RunContext(context.Background(), q)
+	res, err := d.Client().Do(bg, prepared(q), client.Options{Force: plan.ForceScan})
 	if err != nil || res.Sel.NHits == 0 {
-		t.Fatalf("RunContext = %v, %v", res, err)
+		t.Fatalf("Do = %v, %v", res, err)
 	}
 	// A pre-cancelled context fails fast.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.Client().RunCountContext(ctx, q); err == nil {
+	if _, err := d.Client().Do(ctx, client.Prepared(q, qlang.ProjCount), client.Options{Force: plan.ForceScan}); err == nil {
 		t.Error("cancelled context accepted")
 	}
 	// The client remains usable after a cancelled call.
-	res2, err := d.Client().Run(q)
+	res2, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil || res2.Sel.NHits != res.Sel.NHits {
 		t.Errorf("client broken after cancellation: %v, %v", res2, err)
 	}

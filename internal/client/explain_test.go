@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"pdcquery/internal/client"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/workload"
 
@@ -34,18 +36,29 @@ func vpicClient(t *testing.T, n int) (*core.Deployment, map[string]object.ID) {
 	return d, ids
 }
 
+// explain plans q under PDC-H without executing it.
+func explain(d *core.Deployment, q *query.Query) (*plan.Plan, error) {
+	st := prepared(q)
+	st.Explain = true
+	res, err := d.Client().Do(bg, st, client.Options{Force: plan.ForceScan})
+	if err != nil {
+		return nil, err
+	}
+	return res.Plan, nil
+}
+
 func TestExplainOrdersBySelectivity(t *testing.T) {
 	d, ids := vpicClient(t, 20000)
 	// The last multi-object query: x is the most selective condition.
 	q := workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])[5]
-	plan, err := d.Client().Explain(q)
+	pl, err := explain(d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Conjuncts) != 1 || len(plan.Conjuncts[0].Conds) != 4 {
-		t.Fatalf("plan shape = %v", plan)
+	if len(pl.Conjuncts) != 1 || len(pl.Conjuncts[0].Conds) != 4 {
+		t.Fatalf("plan shape = %v", pl)
 	}
-	conds := plan.Conjuncts[0].Conds
+	conds := pl.Conjuncts[0].Conds
 	if conds[0].Name != "x" {
 		t.Errorf("first condition = %s, want x (most selective)", conds[0].Name)
 	}
@@ -57,7 +70,7 @@ func TestExplainOrdersBySelectivity(t *testing.T) {
 	}
 	// The driving condition's row estimate bounds the real count from
 	// above (an AND can only shrink it).
-	res, err := d.Client().RunCount(q)
+	res, err := d.Client().RunCount(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +78,7 @@ func TestExplainOrdersBySelectivity(t *testing.T) {
 		t.Errorf("truth %d above the driving condition's estimate %d", res.Sel.NHits, conds[0].EstUpper)
 	}
 	// Rendering mentions every object and the estimate.
-	s := plan.Format(q.Root.String())
+	s := pl.Format(q.Root.String())
 	for _, want := range []string{"Energy", "x", "y", "z", "est rows"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("plan string missing %q:\n%s", want, s)
@@ -78,17 +91,17 @@ func TestExplainOr(t *testing.T) {
 	q := &query.Query{Root: query.Or(
 		query.Between(ids["Energy"], 2.1, 2.2, false, false),
 		query.Leaf(ids["x"], query.OpLT, 10))}
-	plan, err := d.Client().Explain(q)
+	pl, err := explain(d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Conjuncts) != 2 {
-		t.Fatalf("or plan terms = %d", len(plan.Conjuncts))
+	if len(pl.Conjuncts) != 2 {
+		t.Fatalf("or plan terms = %d", len(pl.Conjuncts))
 	}
-	if s := plan.Format(q.Root.String()); !strings.Contains(s, "conjunct 1:") {
+	if s := pl.Format(q.Root.String()); !strings.Contains(s, "conjunct 1:") {
 		t.Errorf("rendered plan missing the second term:\n%s", s)
 	}
-	if _, err := d.Client().Explain(&query.Query{Root: query.Leaf(999, query.OpGT, 0)}); err == nil {
+	if _, err := explain(d, &query.Query{Root: query.Leaf(999, query.OpGT, 0)}); err == nil {
 		t.Error("explain of unknown object succeeded")
 	}
 }

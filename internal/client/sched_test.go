@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pdcquery/internal/client"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/server"
@@ -127,11 +128,11 @@ func TestQueryBudgetEndToEnd(t *testing.T) {
 		query.Between(oid, 30, 40, false, false),
 	)}
 	cl.SetQueryBudget(1 * time.Nanosecond)
-	if _, err := cl.Run(q); err == nil || !strings.Contains(err.Error(), "deadline") {
+	if _, err := cl.Run(q, plan.ForceScan); err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("1ns budget: err = %v, want virtual-deadline error", err)
 	}
 	cl.SetQueryBudget(0)
-	res, err := cl.Run(q)
+	res, err := cl.Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatalf("after clearing budget: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestRunAsyncReapedOnClose(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, 0)}
 	futures := make([]*client.Future, 8)
 	for i := range futures {
-		futures[i] = cl.RunAsync(q)
+		futures[i] = cl.DoAsync(bg, prepared(q), client.Options{Force: plan.ForceScan})
 	}
 	cl.Close()
 	for i, f := range futures {
@@ -165,8 +166,8 @@ func TestRunAsyncReapedOnClose(t *testing.T) {
 		}
 	}
 	// Starting after Close fails fast instead of spawning anything.
-	if _, err := cl.RunAsync(q).Wait(); err == nil {
-		t.Error("RunAsync after Close returned a nil error")
+	if _, err := cl.DoAsync(bg, prepared(q), client.Options{Force: plan.ForceScan}).Wait(); err == nil {
+		t.Error("DoAsync after Close returned a nil error")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
@@ -185,7 +186,7 @@ func TestClosedClientReturnsError(t *testing.T) {
 	cl := client.New([]transport.Conn{clientSide}, nil)
 	cl.Close()
 	q := &query.Query{Root: query.Leaf(1, query.OpGT, 0)}
-	if res, err := cl.Run(q); err == nil {
+	if res, err := cl.Run(q, plan.ForceScan); err == nil {
 		t.Fatalf("Run on closed client: res=%v with nil error", res)
 	}
 	if _, _, err := cl.QueryTag(nil); err == nil {

@@ -1,0 +1,365 @@
+// The statement path, client side: a Statement — declarative text or a
+// prepared condition tree — enters Do, which lowers it (text only),
+// plans it (EXPLAIN only), broadcasts it with the call's forcing and
+// merges the partial answers: selections for ids, counts for count,
+// mergeable histograms for hist. Every server plans the statement for
+// itself against the same replicated metadata, so all derive the plan
+// EXPLAIN shows.
+package client
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"pdcquery/internal/histogram"
+	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
+	"pdcquery/internal/query"
+	"pdcquery/internal/selection"
+	"pdcquery/internal/server"
+	"pdcquery/internal/telemetry"
+	"pdcquery/internal/vclock"
+)
+
+var (
+	errNoMeta      = errors.New("client: no metadata; call SyncMeta first")
+	errNotExecuted = errors.New("client: the statement was not executed (plain EXPLAIN)")
+)
+
+// Statement is what Do runs: a condition tree plus how much of the
+// answer is wanted, built from text or from a prepared query.
+type Statement struct {
+	// Explain asks for the plan instead of the answer; Analyze (which
+	// implies it) also runs the statement, traced, and pairs the plan's
+	// estimates with what the servers observed. Text sets both from the
+	// statement's own prefix.
+	Explain, Analyze bool
+
+	parsed *qlang.Query // a text statement; Do lowers it against the metadata
+	text   string       // its canonical form: what travels, and keys the servers' plan caches
+	query  *query.Query // a prepared statement
+	kind   qlang.ProjKind
+	err    error
+}
+
+// Text parses a declarative statement (package qlang has the grammar).
+// A parse error is returned by Do.
+func Text(src string) Statement {
+	parsed, err := qlang.Parse(src)
+	if err != nil {
+		return Statement{err: err}
+	}
+	return Statement{Explain: parsed.Explain, Analyze: parsed.Analyze, parsed: parsed, text: parsed.CacheKey()}
+}
+
+// Prepared wraps an already built condition tree with a count or ids
+// projection. It travels in binary form, is not parsed anywhere, and is
+// the only kind of statement whose result the servers stash for
+// Result.GetData.
+func Prepared(q *query.Query, kind qlang.ProjKind) Statement {
+	return Statement{query: q, kind: kind}
+}
+
+// Options is how one call runs a statement.
+type Options struct {
+	// Force pins the servers' choice of access paths to one of the
+	// paper's strategies; the zero value, plan.ForceAuto, is cost-based.
+	Force plan.Force
+	// Trace has every server record a span tree of its evaluation
+	// (conjuncts, regions, per-region decisions) and return it.
+	Trace bool
+}
+
+// Result is a completed statement.
+type Result struct {
+	// Statement is the parsed form of a text statement and Text its
+	// canonical rendering, explain prefix stripped; nil and empty for a
+	// prepared one.
+	Statement *qlang.Query
+	Text      string
+	// Sel is the merged selection (count-only unless the projection was
+	// ids). Nil for plain EXPLAIN, which does not execute.
+	Sel *selection.Selection
+	// Hist is the merged value histogram of a hist projection.
+	Hist *histogram.Histogram
+	// Plan is the plan of an EXPLAIN / EXPLAIN ANALYZE statement, derived
+	// here exactly as each server derives it; Explain is its rendering,
+	// with per-condition actuals after ANALYZE.
+	Plan    *plan.Plan
+	Explain string
+	// Info models the call's execution profile (zero for plain EXPLAIN).
+	Info Info
+	// TraceID identifies the statement's trace (the request ID) and
+	// Traces holds each server's span tree, indexed by rank; zero and nil
+	// unless the call was traced (Options.Trace, EXPLAIN ANALYZE).
+	TraceID telemetry.TraceID
+	Traces  []*telemetry.Span
+
+	client *Client
+	reqID  uint64
+}
+
+// Trace assembles the per-server span trees under a single client-side
+// root whose cost is the modeled end-to-end elapsed time (servers run in
+// parallel, so the root cost is not the sum of its children). Returns
+// nil when the statement was not traced.
+func (r *Result) Trace() *telemetry.Span {
+	if r.Traces == nil {
+		return nil
+	}
+	root := telemetry.NewSpan(telemetry.SpanQuery, "client")
+	root.Trace = r.TraceID
+	root.Cost = r.Info.Elapsed
+	root.SetInt("hits", int64(r.Info.NHits))
+	root.SetInt("servers", int64(len(r.Traces)))
+	for _, t := range r.Traces {
+		if t != nil {
+			root.Adopt(t)
+		}
+	}
+	return root
+}
+
+// Do runs one statement. If ctx ends before every server has answered,
+// the call returns ctx's error (servers finish their evaluation; the
+// late responses are discarded).
+func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, error) {
+	if st.err != nil {
+		return nil, st.err
+	}
+	c.mu.Lock()
+	meta, useEpoch, epoch := c.meta, c.useEpoch, c.epoch
+	c.mu.Unlock()
+	res := &Result{Statement: st.parsed, Text: st.text, client: c}
+	q, kind := st.query, st.kind
+	switch {
+	case st.parsed != nil:
+		if meta == nil {
+			return nil, errNoMeta
+		}
+		low, err := st.parsed.Lower(meta.IDByName)
+		if err != nil {
+			return nil, err
+		}
+		q, kind = low.Query, low.Projection.Kind
+	case kind == qlang.ProjHist:
+		return nil, fmt.Errorf("client: a prepared statement projects count or ids, not hist")
+	case meta != nil:
+		if err := q.Validate(meta.Get); err != nil {
+			return nil, err
+		}
+	}
+	label := st.text
+	if st.Explain || st.Analyze {
+		// Only an explain statement reads the plan; every server plans
+		// (and caches) for itself.
+		if meta == nil {
+			return nil, errNoMeta
+		}
+		if st.parsed == nil {
+			label = q.Root.String()
+		}
+		var err error
+		if res.Plan, err = plan.Build(meta, q, o.Force); err != nil {
+			return nil, err
+		}
+		if !st.Analyze {
+			// Plain EXPLAIN: metadata only, no execution.
+			res.Explain = res.Plan.Format(label)
+			return res, nil
+		}
+	}
+
+	traced := o.Trace || st.Analyze
+	var flags byte
+	if kind == qlang.ProjIDs {
+		flags |= server.FlagWantSelection
+	}
+	if traced {
+		flags |= server.FlagWantTrace
+	}
+	if useEpoch {
+		flags |= server.FlagEpoch
+	}
+	var hists []*histogram.Histogram
+	var err error
+	if st.parsed != nil {
+		hists, err = c.ask(ctx, server.MsgTextQuery, server.EncodeTextQuery(flags, epoch, o.Force, st.text), traced, res)
+	} else {
+		hists, err = c.ask(ctx, server.MsgQuery, server.EncodeQueryRequest(flags, o.Force, epoch, q.Encode()), traced, res)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if kind == qlang.ProjHist {
+		res.Hist = histogram.MergeAll(hists)
+	}
+	if st.Analyze {
+		res.Explain = res.Plan.FormatAnalyze(label, traceActuals(res.Traces))
+	}
+	return res, nil
+}
+
+// Run executes a prepared query for the merged selection
+// (PDCquery_get_selection semantics: hit count plus locations).
+func (c *Client) Run(q *query.Query, f plan.Force) (*Result, error) {
+	return c.Do(context.Background(), Prepared(q, qlang.ProjIDs), Options{Force: f})
+}
+
+// RunCount executes a prepared query for the hit count only
+// (PDCquery_get_nhits): servers do full evaluation but transfer no
+// locations.
+func (c *Client) RunCount(q *query.Query, f plan.Force) (*Result, error) {
+	return c.Do(context.Background(), Prepared(q, qlang.ProjCount), Options{Force: f})
+}
+
+// RunText parses and executes a declarative statement.
+func (c *Client) RunText(text string, f plan.Force) (*Result, error) {
+	return c.Do(context.Background(), Text(text), Options{Force: f})
+}
+
+// ask broadcasts one encoded statement to every server and folds the
+// partial answers into res: the merged selection and the modeled
+// end-to-end profile. It returns the servers' partial histograms (hist
+// projections only).
+func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool, res *Result) ([]*histogram.Histogram, error) {
+	reqID, msgs, busyWait, err := c.call(ctx, t, allServers, func(int) []byte { return payload })
+	if err != nil {
+		return nil, err
+	}
+	res.reqID = reqID
+	if traced {
+		res.TraceID = telemetry.TraceID(reqID)
+		res.Traces = make([]*telemetry.Span, len(msgs))
+	}
+	// Broadcast cost: the request goes out to all servers concurrently.
+	// Admission-control backoff (if any) delays the whole call.
+	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(len(payload))+busyWait))
+
+	parts := make([]*selection.Packed, 0, len(msgs))
+	var hists []*histogram.Histogram
+	var respBytes int
+	for i, m := range msgs {
+		var qr *server.QueryResponse
+		if m.Type == server.MsgTextResult {
+			tr, err := server.DecodeTextResult(m.Payload)
+			if err != nil {
+				return nil, err
+			}
+			qr = &tr.Base
+			if tr.Hist != nil {
+				hists = append(hists, tr.Hist)
+			}
+		} else if qr, err = server.DecodeQueryResponse(m.Payload); err != nil {
+			return nil, err
+		}
+		res.Info.ServerMax = res.Info.ServerMax.Max(qr.Cost)
+		res.Info.Stats.Add(qr.Stats)
+		// The model prices the paper's reply, 8 bytes per coordinate: the
+		// packed selection is charged as the flat one it stands for.
+		respBytes += len(m.Payload) - qr.Sel.EncodedLen() + qr.Sel.FlatLen()
+		parts = append(parts, qr.Sel)
+		if traced {
+			res.Traces[i] = qr.Trace
+		}
+	}
+	if res.Sel, err = selection.MergePacked(parts); err != nil {
+		return nil, err
+	}
+	res.Info.NHits = res.Sel.NHits
+	// Servers evaluate in parallel; responses serialize into the client.
+	// The parallel phase cannot beat the shared backend: if the fleet
+	// moved more storage bytes than the slowest server's own time covers
+	// at the aggregate bandwidth, the backend saturation is the floor.
+	res.Info.Elapsed = res.Info.Elapsed.Add(res.Info.ServerMax)
+	if c.sharedBW > 0 && res.Info.Stats.StorageBytes > 0 {
+		floor := time.Duration(float64(res.Info.Stats.StorageBytes) / c.sharedBW * 1e9)
+		if extra := floor - res.Info.ServerMax.Total(); extra > 0 {
+			res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Storage, extra))
+		}
+	}
+	// Responses arrive concurrently: one wire latency, serialized bytes.
+	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(respBytes)))
+	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Compute, time.Duration(res.Sel.NHits)*mergeCostPerHit))
+	return hists, nil
+}
+
+// traceActuals builds the EXPLAIN ANALYZE actuals lookup from the
+// servers' span trees: for conjunct ci and condition object id, the
+// summed in/out element counts across all servers. Conjunct indices are
+// stable across servers: they come from the same query.Normalize order.
+func traceActuals(traces []*telemetry.Span) plan.Actuals {
+	return func(ci int, id object.ID) (in, out int64, ok bool) {
+		name := fmt.Sprintf("conjunct.%d", ci)
+		inKey := fmt.Sprintf("cond.%d.in", id)
+		outKey := fmt.Sprintf("cond.%d.out", id)
+		for _, t := range traces {
+			if t == nil {
+				continue
+			}
+			t.Walk(func(s *telemetry.Span) {
+				if s.Kind != telemetry.SpanConjunct || s.Name != name {
+					return
+				}
+				if v, found := s.Int(inKey); found {
+					in += v
+					ok = true
+				}
+				if v, found := s.Int(outKey); found {
+					out += v
+					ok = true
+				}
+			})
+		}
+		return in, out, ok
+	}
+}
+
+// Future is an in-flight asynchronous statement (§III-C: "a client can
+// either block and wait for the query result or continue to other tasks
+// while the servers are processing"). Wait blocks until completion;
+// Done is closed when the result is ready.
+type Future struct {
+	done chan struct{}
+	res  *Result
+	err  error
+}
+
+// Done is closed once the result is available.
+func (f *Future) Done() <-chan struct{} { return f.done }
+
+// Wait blocks until the statement completes and returns its result.
+func (f *Future) Wait() (*Result, error) {
+	<-f.done
+	return f.res, f.err
+}
+
+// DoAsync is Do without the wait: it returns immediately and the
+// broadcast and aggregation happen in the background (the paper's
+// non-blocking client mode); if ctx ends before the servers answer, the
+// Future completes with ctx's error. The background goroutine is owned
+// by the client: Close unblocks and reaps it even if the Future is
+// abandoned, so async statements cannot leak.
+func (c *Client) DoAsync(ctx context.Context, st Statement, o Options) *Future {
+	f := &Future{done: make(chan struct{})}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		f.err = ErrClosed
+		close(f.done)
+		return f
+	}
+	// Registering on the client's WaitGroup under the same lock that
+	// Close takes before waiting makes Close reap this goroutine.
+	c.wg.Add(1)
+	c.mu.Unlock()
+	go func() {
+		defer c.wg.Done()
+		defer close(f.done)
+		f.res, f.err = c.Do(ctx, st, o)
+	}()
+	return f
+}

@@ -16,12 +16,12 @@ import (
 
 // analyzedActual sums a condition's observed in/out counts across all
 // server traces (mirroring the renderer's aggregation).
-func analyzedActual(t *testing.T, a *client.Analyzed, ci int, cond plan.CondPlan) (in, out int64) {
+func analyzedActual(t *testing.T, a *client.Result, ci int, cond plan.CondPlan) (in, out int64) {
 	t.Helper()
 	name := fmt.Sprintf("conjunct.%d", ci)
 	inKey := fmt.Sprintf("cond.%d.in", cond.Obj)
 	outKey := fmt.Sprintf("cond.%d.out", cond.Obj)
-	for _, tr := range a.Res.Traces {
+	for _, tr := range a.Traces {
 		if tr == nil {
 			continue
 		}
@@ -43,7 +43,7 @@ func analyzedActual(t *testing.T, a *client.Analyzed, ci int, cond plan.CondPlan
 func TestRunTraced(t *testing.T) {
 	d, oid := deploy(t, 10000, 4)
 	q := &query.Query{Root: query.Between(oid, 10, 20, false, false)}
-	res, err := d.Client().RunTraced(q)
+	res, err := d.Client().Do(bg, prepared(q), client.Options{Force: plan.ForceScan, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRunTraced(t *testing.T) {
 		t.Errorf("client root cost %v != elapsed %v", root.Cost, res.Info.Elapsed)
 	}
 	// Untraced runs carry no trace.
-	plain, err := d.Client().Run(q)
+	plain, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunTracedDeterministic(t *testing.T) {
 	run := func() []byte {
 		d, oid := deploy(t, 5000, 2)
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, 50)}
-		res, err := d.Client().RunTraced(q)
+		res, err := d.Client().Do(bg, prepared(q), client.Options{Force: plan.ForceScan, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestServerStats(t *testing.T) {
 	const queries = 3
 	for i := 0; i < queries; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(10*i))}
-		if _, err := d.Client().Run(q); err != nil {
+		if _, err := d.Client().Run(q, plan.ForceScan); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,11 +166,13 @@ func TestExplainAnalyze(t *testing.T) {
 		query.Leaf(ids["Energy"], query.OpGT, 2.0),
 		query.Leaf(ids["x"], query.OpLT, 100),
 	)}
-	a, err := d.Client().ExplainAnalyze(q)
+	st := prepared(q)
+	st.Analyze = true
+	a, err := d.Client().Do(bg, st, client.Options{Force: plan.ForceScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Plan == nil || a.Res == nil || a.Res.Traces == nil {
+	if a.Plan == nil || a.Traces == nil {
 		t.Fatal("analyze missing plan or traced result")
 	}
 	s := a.Explain
@@ -192,8 +194,8 @@ func TestExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Res.Info.NHits < lo || a.Res.Info.NHits > hi {
-		t.Errorf("actual %d outside estimate [%d, %d]", a.Res.Info.NHits, lo, hi)
+	if a.Info.NHits < lo || a.Info.NHits > hi {
+		t.Errorf("actual %d outside estimate [%d, %d]", a.Info.NHits, lo, hi)
 	}
 }
 
@@ -205,7 +207,7 @@ func TestServerEvents(t *testing.T) {
 	const queries = 2
 	for i := 0; i < queries; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(10*i))}
-		if _, err := d.Client().Run(q); err != nil {
+		if _, err := d.Client().Run(q, plan.ForceScan); err != nil {
 			t.Fatal(err)
 		}
 	}

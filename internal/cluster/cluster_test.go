@@ -18,6 +18,7 @@ import (
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/workload"
@@ -81,7 +82,7 @@ func startCluster(t *testing.T, src *core.Deployment, n, r int) (*cluster.Local,
 func runCorpus(t *testing.T, s *cluster.Session, queries []*query.Query, truths []*selection.Selection) {
 	t.Helper()
 	for i, q := range queries {
-		out, err := s.Run(q)
+		out, err := s.Run(q, plan.ForceScan)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

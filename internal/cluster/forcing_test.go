@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -12,20 +13,51 @@ import (
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/vclock"
 	"pdcquery/internal/workload"
 )
 
-// harness is what the forcing-equivalence check needs of a deployment,
+// harness is what the forcing-equivalence checks need of a deployment,
 // so the static core.Deployment and a cluster.Local run the same check.
 type harness struct {
-	setForce func(plan.Force)
-	run      func(*query.Query) (*client.QueryResult, error)
-	runText  func(string, plan.Force) (*client.TextResult, error)
+	do      func(context.Context, client.Statement, client.Options) (*client.Result, error)
+	run     func(*query.Query, plan.Force) (*client.Result, error)
+	runText func(string, plan.Force) (*client.Result, error)
 	// reset makes the next statement cold: empty region caches, zeroed
 	// accounts (prepared plans stay).
 	reset func()
+}
+
+// harnesses imports src into a fresh three-member cluster and returns
+// both deployments behind the one interface.
+func harnesses(t *testing.T, src *core.Deployment, workers int) map[string]harness {
+	t.Helper()
+	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 3, R: 2, Seed: 42, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	s, err := l.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.Import(src); err != nil {
+		t.Fatal(err)
+	}
+	cli := src.Client()
+	return map[string]harness{
+		"core": {cli.Do, cli.Run, cli.RunText, src.ResetCaches},
+		"cluster": {s.Do, s.Run, s.RunText, func() {
+			for _, id := range l.MemberIDs() {
+				srv := l.Member(id).Server()
+				srv.Cache().Clear()
+				srv.Account().Reset()
+			}
+		}},
+	}
 }
 
 // fullSource is a started deployment with every access path built
@@ -59,8 +91,8 @@ func fullSource(t *testing.T, workers int) *core.Deployment {
 }
 
 // TestForcingEquivalence: a binary query is the prepared form of the
-// text statement with the same condition. Under every forcing, Run
-// under SetForce(f) and RunText(…, f) return byte-identical encoded
+// text statement with the same condition. Under every forcing, Run(q, f)
+// and RunText(…, f) return byte-identical encoded
 // selections and identical Stats, and the slowest server's cost differs
 // by exactly the modeled prepare charge only a statement that arrived
 // as text pays (plan build on a cold plan cache, one lookup on a warm
@@ -82,42 +114,14 @@ func TestForcingEquivalence(t *testing.T) {
 	forcings := []plan.Force{plan.ForceFull, plan.ForceScan, plan.ForceBitmap, plan.ForceSorted, plan.ForceAuto}
 	for _, workers := range []int{0, 1, 4, 16} {
 		src := fullSource(t, workers)
-		l, err := cluster.StartLocal(cluster.LocalOptions{Members: 3, R: 2, Seed: 42, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(l.Close)
-		s, err := l.Session()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		if err := s.Import(src); err != nil {
-			t.Fatal(err)
-		}
-		scli, err := s.Client()
-		if err != nil {
-			t.Fatal(err)
-		}
-		harnesses := map[string]harness{
-			"core": {src.SetStrategy, src.Client().Run, src.Client().RunText, src.ResetCaches},
-			"cluster": {scli.SetForce, s.Run, s.RunText, func() {
-				for _, id := range l.MemberIDs() {
-					srv := l.Member(id).Server()
-					srv.Cache().Clear()
-					srv.Account().Reset()
-				}
-			}},
-		}
-		for name, h := range harnesses {
+		for name, h := range harnesses(t, src, workers) {
 			for _, st := range statements {
 				text := "select ids where " + st.where
 				q := lowerAgainst(t, src.Meta().GetByName, text)
 				for _, f := range forcings {
 					label := fmt.Sprintf("workers %d %s %q force=%v", workers, name, st.where, f)
-					h.setForce(f)
 					h.reset()
-					bin, err := h.run(q)
+					bin, err := h.run(q, f)
 					if err != nil {
 						t.Fatalf("%s: binary: %v", label, err)
 					}
@@ -145,6 +149,56 @@ func TestForcingEquivalence(t *testing.T) {
 						} else if got != want {
 							t.Errorf("%s: text server cost %v, want binary %v + prepare %v", label, got, bin.Info.ServerMax, prepare)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDoIsTheOnlyPath: the named calls are spellings of Do, and a
+// statement's spelling does not change its answer. For every forcing,
+// on the static deployment and through Session.Do on a cluster, the
+// prepared and the text form of one statement — entered through Do and
+// through the Run / RunText wrappers — return byte-identical encoded
+// selections and equal Stats, and the count forms agree on the hits.
+func TestDoIsTheOnlyPath(t *testing.T) {
+	ctx := context.Background()
+	src := fullSource(t, 4)
+	for name, h := range harnesses(t, src, 4) {
+		for _, where := range []string{"Energy > 2 and x < 100", "Energy < 0.5 or 2.9 < Energy < 3.1"} {
+			q := lowerAgainst(t, src.Meta().GetByName, "select ids where "+where)
+			for _, f := range []plan.Force{plan.ForceFull, plan.ForceScan, plan.ForceBitmap, plan.ForceSorted, plan.ForceAuto} {
+				o := client.Options{Force: f}
+				calls := []struct {
+					spelling string
+					call     func() (*client.Result, error)
+				}{
+					{"Do(Prepared)", func() (*client.Result, error) { return h.do(ctx, client.Prepared(q, qlang.ProjIDs), o) }},
+					{"Do(Text)", func() (*client.Result, error) { return h.do(ctx, client.Text("select ids where "+where), o) }},
+					{"Run", func() (*client.Result, error) { return h.run(q, f) }},
+					{"RunText", func() (*client.Result, error) { return h.runText("select ids where "+where, f) }},
+				}
+				var first *client.Result
+				for _, c := range calls {
+					h.reset()
+					res, err := c.call()
+					if err != nil {
+						t.Fatalf("%s %q force=%v %s: %v", name, where, f, c.spelling, err)
+					}
+					if first == nil {
+						first = res
+						continue
+					}
+					if !bytes.Equal(res.Sel.Encode(), first.Sel.Encode()) || res.Info.Stats != first.Info.Stats {
+						t.Errorf("%s %q force=%v: %s differs from %s: %d vs %d hits, stats\n%+v\n%+v", name, where, f,
+							c.spelling, calls[0].spelling, res.Sel.NHits, first.Sel.NHits, res.Info.Stats, first.Info.Stats)
+					}
+				}
+				for _, st := range []client.Statement{client.Prepared(q, qlang.ProjCount), client.Text("select count where " + where)} {
+					res, err := h.do(ctx, st, o)
+					if err != nil || !res.Sel.CountOnly || res.Sel.NHits != first.Sel.NHits {
+						t.Errorf("%s %q force=%v: count = %+v, %v; want %d hits and no coordinates", name, where, f, res, err, first.Sel.NHits)
 					}
 				}
 			}

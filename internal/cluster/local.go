@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,11 +137,7 @@ func (l *Local) MemberIDs() []MemberID {
 	for id := range l.members {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -319,40 +321,32 @@ func (s *Session) call(fn func(cli *client.Client) error) error {
 	return fmt.Errorf("cluster: giving up after %d attempts: %w", s.opts.MaxAttempts, lastErr)
 }
 
-// Run executes a query with selection transfer (PDCquery_get_sel_obj
-// against the cluster).
-func (s *Session) Run(q *query.Query) (*client.QueryResult, error) {
-	var res *client.QueryResult
-	err := s.call(func(cli *client.Client) error {
-		var err error
-		res, err = cli.Run(q)
+// Do runs one statement against the cluster under the refresh-and-retry
+// loop: a rebalance under the call invalidates the view, and the retry
+// runs against the new epoch's members.
+func (s *Session) Do(ctx context.Context, st client.Statement, o client.Options) (*client.Result, error) {
+	var res *client.Result
+	err := s.call(func(cli *client.Client) (err error) {
+		res, err = cli.Do(ctx, st, o)
 		return err
 	})
 	return res, err
 }
 
-// RunCount executes a query for the hit count only.
-func (s *Session) RunCount(q *query.Query) (*client.QueryResult, error) {
-	var res *client.QueryResult
-	err := s.call(func(cli *client.Client) error {
-		var err error
-		res, err = cli.RunCount(q)
-		return err
-	})
-	return res, err
+// Run executes a prepared query with selection transfer
+// (PDCquery_get_sel_obj against the cluster).
+func (s *Session) Run(q *query.Query, f plan.Force) (*client.Result, error) {
+	return s.Do(context.Background(), client.Prepared(q, qlang.ProjIDs), client.Options{Force: f})
 }
 
-// RunText executes a declarative text query against the cluster with
-// the session's epoch-refresh retry loop: a rebalance under the query
-// invalidates the view, and the retry replans against the new epoch.
-func (s *Session) RunText(text string, force plan.Force) (*client.TextResult, error) {
-	var res *client.TextResult
-	err := s.call(func(cli *client.Client) error {
-		var err error
-		res, err = cli.RunText(text, force)
-		return err
-	})
-	return res, err
+// RunCount executes a prepared query for the hit count only.
+func (s *Session) RunCount(q *query.Query, f plan.Force) (*client.Result, error) {
+	return s.Do(context.Background(), client.Prepared(q, qlang.ProjCount), client.Options{Force: f})
+}
+
+// RunText parses and executes a declarative statement.
+func (s *Session) RunText(text string, f plan.Force) (*client.Result, error) {
+	return s.Do(context.Background(), client.Text(text), client.Options{Force: f})
 }
 
 // QueryTag runs a metadata tag query across the cluster.

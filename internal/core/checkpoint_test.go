@@ -37,14 +37,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		{Root: query.Between(ids["Energy"], 2.1, 2.5, false, false)},
 		workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])[1],
 	} {
-		want, err := d.Client().RunCount(q)
+		want, err := d.Client().RunCount(q, plan.ForceSorted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range []plan.Force{plan.ForceScan, plan.ForceBitmap, plan.ForceSorted} {
-			d2.SetStrategy(s)
 			d2.ResetCaches()
-			got, err := d2.Client().RunCount(q)
+			got, err := d2.Client().RunCount(q, s)
 			if err != nil {
 				t.Fatalf("%v: %v", s, err)
 			}

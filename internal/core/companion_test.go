@@ -36,7 +36,6 @@ func companionDeployment(t *testing.T, n int) (*Deployment, map[string]object.ID
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d.SetStrategy(plan.ForceSorted)
 	t.Cleanup(func() { d.Close() })
 	return d, ids
 }
@@ -49,7 +48,7 @@ func TestCompanionQueriesMatchTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceSorted)
 		if err != nil {
 			t.Fatalf("query %d: %v", k, err)
 		}
@@ -68,7 +67,7 @@ func TestCompanionGetData(t *testing.T) {
 	d, ids := companionDeployment(t, 20000)
 	v := workload.GenerateVPIC(20000, 42)
 	q := workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])[1]
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, plan.ForceSorted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestCompanionMixedConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, plan.ForceSorted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,6 @@ func TestCompanionReducesOriginalRegionReads(t *testing.T) {
 		if err := d.Start(); err != nil {
 			t.Fatal(err)
 		}
-		d.SetStrategy(plan.ForceSorted)
 		return d, ids
 	}
 
@@ -149,7 +147,7 @@ func TestCompanionReducesOriginalRegionReads(t *testing.T) {
 		d, ids := build(withCompanions)
 		defer d.Close()
 		q := workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])[0]
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceSorted)
 		if err != nil {
 			t.Fatal(err)
 		}

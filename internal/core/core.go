@@ -8,8 +8,8 @@
 // the simulated PFS with per-region histograms, optional bitmap indexes,
 // and optional sorted replicas), then Start it and query through
 // Client(). Server count and cost model are configurable per experiment
-// run; the evaluation strategy is a forcing the client stamps on each
-// statement (SetStrategy).
+// run; the evaluation strategy is a forcing that rides on each call
+// (client.Options.Force).
 package core
 
 import (
@@ -24,7 +24,6 @@ import (
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
-	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
@@ -477,12 +476,6 @@ func (d *Deployment) Servers() []*server.Server {
 	defer d.mu.Unlock()
 	return append([]*server.Server(nil), d.servers...)
 }
-
-// SetStrategy switches the evaluation strategy between experiment runs
-// (the paper restarts servers with a different environment variable;
-// here the client stamps the forcing on each query — see
-// client.SetForce). Valid after Start.
-func (d *Deployment) SetStrategy(f plan.Force) { d.cli.SetForce(f) }
 
 // ResetCaches clears every server's region cache and virtual-time
 // account, giving each experiment run a cold start.

@@ -14,9 +14,10 @@ import (
 	"pdcquery/internal/workload"
 )
 
-// vpicDeployment imports a small VPIC dataset and starts the system
-// under the given strategy (default PDC-H; PDC-SH also builds the Energy
-// sorted replica).
+// vpicDeployment imports a small VPIC dataset and starts the system,
+// laid out for the strategy its test will run statements under (PDC-SH
+// builds the Energy sorted replica; the strategy itself rides on each
+// call).
 func vpicDeployment(t *testing.T, n int, opts Options, strategy ...plan.Force) (*Deployment, map[string]object.ID) {
 	t.Helper()
 	force := plan.ForceScan
@@ -44,18 +45,17 @@ func vpicDeployment(t *testing.T, n int, opts Options, strategy ...plan.Force) (
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d.SetStrategy(force)
 	t.Cleanup(func() { d.Close() })
 	return d, ids
 }
 
-func checkAgainstTruth(t *testing.T, d *Deployment, q *query.Query, label string) {
+func checkAgainstTruth(t *testing.T, d *Deployment, q *query.Query, f plan.Force, label string) {
 	t.Helper()
 	want, err := d.GroundTruth(q)
 	if err != nil {
 		t.Fatalf("%s: truth: %v", label, err)
 	}
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, f)
 	if err != nil {
 		t.Fatalf("%s: run: %v", label, err)
 	}
@@ -85,11 +85,11 @@ func TestEndToEndAllStrategies(t *testing.T) {
 				}
 			}
 			for _, q := range workload.SingleObjectQueries(ids["Energy"])[:4] {
-				checkAgainstTruth(t, d, q, s.String())
+				checkAgainstTruth(t, d, q, s, s.String())
 			}
 			qs := workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])
-			checkAgainstTruth(t, d, qs[0], s.String()+"/multi0")
-			checkAgainstTruth(t, d, qs[5], s.String()+"/multi5")
+			checkAgainstTruth(t, d, qs[0], s, s.String()+"/multi0")
+			checkAgainstTruth(t, d, qs[5], s, s.String()+"/multi5")
 		})
 	}
 }
@@ -97,11 +97,11 @@ func TestEndToEndAllStrategies(t *testing.T) {
 func TestRunCountMatchesRun(t *testing.T) {
 	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, RegionBytes: 8 << 10})
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 1.5)}
-	full, err := d.Client().Run(q)
+	full, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := d.Client().RunCount(q)
+	cnt, err := d.Client().RunCount(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGetDataAllStrategies(t *testing.T) {
 			}, s)
 			v := workload.GenerateVPIC(25000, 42)
 			q := &query.Query{Root: query.Between(ids["Energy"], 1.5, 2.5, false, false)}
-			res, err := d.Client().Run(q)
+			res, err := d.Client().Run(q, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestGetDataBatch(t *testing.T) {
 	d, ids := vpicDeployment(t, 20000, Options{Servers: 3, RegionBytes: 8 << 10})
 	v := workload.GenerateVPIC(20000, 42)
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 1.0)}
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestGetDataBatch(t *testing.T) {
 		}
 	}
 	// Count-only results cannot be batched.
-	cnt, err := d.Client().RunCount(q)
+	cnt, err := d.Client().RunCount(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestScalabilityConsistency(t *testing.T) {
 	for _, nsrv := range []int{1, 2, 8, 16} {
 		d, ids := vpicDeployment(t, 20000, Options{Servers: nsrv, RegionBytes: 4 << 10})
 		q := workload.MultiObjectQueries(ids["Energy"], ids["x"], ids["y"], ids["z"])[2]
-		res, err := d.Client().Run(q)
+		res, err := d.Client().Run(q, plan.ForceScan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestRegionConstraintEndToEnd(t *testing.T) {
 	d, ids := vpicDeployment(t, 15000, Options{Servers: 3, RegionBytes: 4 << 10})
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 1.0)}
 	q.SetRegion(region.New([]uint64{3000}, []uint64{5000}))
-	checkAgainstTruth(t, d, q, "constrained")
+	checkAgainstTruth(t, d, q, plan.ForceScan, "constrained")
 }
 
 func TestGetHistogram(t *testing.T) {
@@ -294,7 +294,7 @@ func TestTCPDeployment(t *testing.T) {
 		Servers: 3, RegionBytes: 4 << 10, TCP: true,
 	})
 	q := &query.Query{Root: query.Between(ids["Energy"], 1.0, 2.0, false, false)}
-	checkAgainstTruth(t, d, q, "tcp")
+	checkAgainstTruth(t, d, q, plan.ForceScan, "tcp")
 	// SyncMeta over the wire.
 	if err := d.Client().SyncMeta(); err != nil {
 		t.Fatal(err)
@@ -307,13 +307,12 @@ func TestTCPDeployment(t *testing.T) {
 func TestStrategySwitchAndCacheReset(t *testing.T) {
 	d, ids := vpicDeployment(t, 10000, Options{Servers: 2, RegionBytes: 4 << 10}, plan.ForceFull)
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 2.0)}
-	r1, err := d.Client().Run(q)
+	r1, err := d.Client().Run(q, plan.ForceFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetStrategy(plan.ForceScan)
 	d.ResetCaches()
-	r2, err := d.Client().Run(q)
+	r2, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +367,7 @@ func TestQueryValidationErrorPropagates(t *testing.T) {
 	d, ids := vpicDeployment(t, 5000, Options{Servers: 2, RegionBytes: 4 << 10})
 	_ = ids
 	q := &query.Query{Root: query.Leaf(12345, query.OpGT, 0)}
-	if _, err := d.Client().Run(q); err == nil {
+	if _, err := d.Client().Run(q, plan.ForceScan); err == nil {
 		t.Error("query on unknown object succeeded")
 	}
 }
@@ -379,7 +378,7 @@ func TestManyQueriesSequentially(t *testing.T) {
 	d, ids := vpicDeployment(t, 30000, Options{Servers: 4, RegionBytes: 8 << 10})
 	var prev uint64 = 1 << 62
 	for k, q := range workload.SingleObjectQueries(ids["Energy"]) {
-		res, err := d.Client().RunCount(q)
+		res, err := d.Client().RunCount(q, plan.ForceScan)
 		if err != nil {
 			t.Fatalf("query %d: %v", k, err)
 		}

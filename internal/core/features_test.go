@@ -22,7 +22,7 @@ func TestMigrateObjectToBurstBuffer(t *testing.T) {
 
 	// Cold query from the PFS tier.
 	d.ResetCaches()
-	resPFS, err := d.Client().Run(q)
+	resPFS, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMigrateObjectToBurstBuffer(t *testing.T) {
 		}
 	}
 	d.ResetCaches()
-	resBB, err := d.Client().Run(q)
+	resBB, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEstimateNHitsBracketsTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cli.RunCount(q)
+		res, err := cli.RunCount(q, plan.ForceScan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestEstimateNHitsMultiObjectAndOr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := cli.RunCount(q)
+	res, _ := cli.RunCount(q, plan.ForceScan)
 	if res.Sel.NHits < lower || res.Sel.NHits > upper {
 		t.Errorf("multi: truth %d outside [%d, %d]", res.Sel.NHits, lower, upper)
 	}
@@ -105,7 +105,7 @@ func TestEstimateNHitsMultiObjectAndOr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ = cli.RunCount(or)
+	res, _ = cli.RunCount(or, plan.ForceScan)
 	if res.Sel.NHits < lower || res.Sel.NHits > upper {
 		t.Errorf("or: truth %d outside [%d, %d]", res.Sel.NHits, lower, upper)
 	}
@@ -120,7 +120,7 @@ func TestEstimateNHitsMultiObjectAndOr(t *testing.T) {
 	if lower != 0 {
 		t.Errorf("constrained lower = %d, want 0", lower)
 	}
-	res, _ = cli.RunCount(cq)
+	res, _ = cli.RunCount(cq, plan.ForceScan)
 	if res.Sel.NHits > upper {
 		t.Errorf("constrained: truth %d above upper %d", res.Sel.NHits, upper)
 	}
@@ -163,7 +163,7 @@ func TestTwoDimensionalObjectEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,8 @@ func TestTwoDimensionalObjectEndToEnd(t *testing.T) {
 	}
 	// Every strategy handles the 2-D constraint identically.
 	for _, s := range []plan.Force{plan.ForceFull, plan.ForceBitmap, plan.ForceSorted} {
-		d.SetStrategy(s)
 		d.ResetCaches()
-		r2, err := d.Client().Run(q)
+		r2, err := d.Client().Run(q, s)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -182,7 +181,6 @@ func TestTwoDimensionalObjectEndToEnd(t *testing.T) {
 			t.Errorf("%v: 2-D query %d hits, want %d", s, r2.Sel.NHits, want.NHits)
 		}
 	}
-	d.SetStrategy(plan.ForceScan)
 	d.ResetCaches()
 	if want.NHits == 0 {
 		t.Fatal("test query selected nothing; choose different windows")
@@ -221,7 +219,7 @@ func TestGetDataAfterOrQuery(t *testing.T) {
 	q := &query.Query{Root: query.Or(
 		query.Between(ids["Energy"], 2.1, 2.3, false, false),
 		query.Between(ids["Energy"], 3.0, 3.4, false, false))}
-	res, err := d.Client().Run(q)
+	res, err := d.Client().Run(q, plan.ForceScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestDeploymentStats(t *testing.T) {
 		t.Fatalf("pre-query stats = %+v", s)
 	}
 	q := &query.Query{Root: query.Between(ids["Energy"], 2.1, 2.5, false, false)}
-	if _, err := d.Client().Run(q); err != nil {
+	if _, err := d.Client().Run(q, plan.ForceScan); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
@@ -278,7 +276,7 @@ func TestDeploymentStats(t *testing.T) {
 	}
 	// A repeat of the same query hits the cache.
 	before := s.CacheHits
-	if _, err := d.Client().Run(q); err != nil {
+	if _, err := d.Client().Run(q, plan.ForceScan); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().CacheHits <= before {

@@ -27,7 +27,7 @@ func TestRecorderWorkerCountDeterminism(t *testing.T) {
 					BuildIndex: true, Workers: workers,
 				}, strat)
 				for _, q := range workload.SingleObjectQueries(ids["Energy"])[:4] {
-					if _, err := d.Client().Run(q); err != nil {
+					if _, err := d.Client().Run(q, strat); err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
 				}

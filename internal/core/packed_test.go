@@ -87,7 +87,7 @@ func newTapped(t *testing.T) *tapped {
 
 // run answers the statement under f, holds the answer to the oracle and
 // returns it with the selection each server sent.
-func (tp *tapped) run(t *testing.T, f plan.Force) (*client.TextResult, []*selection.Packed) {
+func (tp *tapped) run(t *testing.T, f plan.Force) (*client.Result, []*selection.Packed) {
 	t.Helper()
 	res, err := tp.d.Client().RunText(tappedText, f)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/workload"
@@ -110,7 +111,7 @@ func TestProcessDeployment(t *testing.T) {
 	}
 	corpus := func(stage string) {
 		for i, q := range queries {
-			out, err := s.Run(q)
+			out, err := s.Run(q, plan.ForceScan)
 			if err != nil {
 				t.Fatalf("%s: query %d: %v", stage, i, err)
 			}
@@ -216,7 +217,7 @@ func TestProcessDrain(t *testing.T) {
 		t.Fatalf("verify after drain: %v", err)
 	}
 	for i, q := range queries {
-		out, err := s.Run(q)
+		out, err := s.Run(q, plan.ForceScan)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"pdcquery/internal/client"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -36,7 +38,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				}, strat)
 				var o outcome
 				for _, q := range workload.SingleObjectQueries(ids["Energy"])[:4] {
-					res, err := d.Client().RunTraced(q)
+					res, err := d.Client().Do(context.Background(), client.Prepared(q, qlang.ProjIDs), client.Options{Force: strat, Trace: true})
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -125,7 +127,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			wg.Add(1)
 			go func(cl *client.Client, idx int) {
 				defer wg.Done()
-				res, err := cl.Run(qs[idx])
+				res, err := cl.Run(qs[idx], plan.ForceScan)
 				if err != nil {
 					errCh <- err
 					return
@@ -156,7 +158,10 @@ func TestConcurrentSessionsStress(t *testing.T) {
 // (never silently drop a request), and the client's backoff must let at
 // least part of the burst complete with oracle-correct results.
 func TestOverloadBusyReplies(t *testing.T) {
-	d, ids := vpicDeployment(t, 20000, Options{
+	// Large enough that one full scan outlasts the burst's arrival even
+	// on a loaded machine: at 20000 elements a slow-starting burst could
+	// be served one by one and never meet a full queue.
+	d, ids := vpicDeployment(t, 200000, Options{
 		Servers: 1, RegionBytes: 8 << 10,
 		Workers: 1, QueueDepth: 1,
 	}, plan.ForceFull)
@@ -172,7 +177,7 @@ func TestOverloadBusyReplies(t *testing.T) {
 	const burst = 24
 	futures := make([]*client.Future, burst)
 	for i := range futures {
-		futures[i] = cl.RunAsync(q)
+		futures[i] = cl.DoAsync(context.Background(), client.Prepared(q, qlang.ProjIDs), client.Options{Force: plan.ForceFull})
 	}
 	var completed, rejectedAfterRetries int
 	done := make(chan struct{})

@@ -62,11 +62,11 @@ func TestWritePathMatchesImport(t *testing.T) {
 	// Identical answers through every strategy-relevant artifact.
 	for _, w := range [][2]float64{{42, 43}, {0, 5}, {99, 100}} {
 		q := &query.Query{Root: query.Between(1, w[0], w[1], false, false)}
-		want, err := dRef.Client().RunCount(&query.Query{Root: query.Between(oRef.ID, w[0], w[1], false, false)})
+		want, err := dRef.Client().RunCount(&query.Query{Root: query.Between(oRef.ID, w[0], w[1], false, false)}, plan.ForceScan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.Client().RunCount(q)
+		got, err := d.Client().RunCount(q, plan.ForceScan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +79,12 @@ func TestWritePathMatchesImport(t *testing.T) {
 		t.Errorf("finalized global histogram = %+v", o.Global)
 	}
 	// The index strategy works on written regions too.
-	d.SetStrategy(plan.ForceBitmap)
 	d.ResetCaches()
-	got, err := d.Client().RunCount(&query.Query{Root: query.Between(o.ID, 42, 43, false, false)})
+	got, err := d.Client().RunCount(&query.Query{Root: query.Between(o.ID, 42, 43, false, false)}, plan.ForceBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := dRef.Client().RunCount(&query.Query{Root: query.Between(oRef.ID, 42, 43, false, false)})
+	want, _ := dRef.Client().RunCount(&query.Query{Root: query.Between(oRef.ID, 42, 43, false, false)}, plan.ForceScan)
 	if got.Sel.NHits != want.Sel.NHits {
 		t.Errorf("index strategy on written object: %d hits, want %d", got.Sel.NHits, want.Sel.NHits)
 	}

@@ -11,6 +11,7 @@ import (
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -25,6 +26,10 @@ import (
 // masked by recovery, or missed the query) or fails with a recognized,
 // typed error. A selection that differs from the oracle is a wrong
 // answer and fails the run, naming the seed for replay.
+
+// chaosForce is the forcing every chaos statement runs under: PDC-H,
+// the paper's default.
+const chaosForce = plan.ForceScan
 
 // ChaosOptions sizes the deployment and workload a plan runs against.
 type ChaosOptions struct {
@@ -189,7 +194,7 @@ func RunChaos(plan Plan, opts ChaosOptions) (*ChaosResult, error) {
 
 	res := &ChaosResult{Errors: make([]error, len(queries))}
 	for i, q := range queries {
-		out, err := d.Client().Run(q)
+		out, err := d.Client().Run(q, chaosForce)
 		if err != nil {
 			if !typedError(err) {
 				return nil, fmt.Errorf("chaos seed %d: query %d: unrecognized error (invariant: typed or masked): %w", plan.Seed, i, err)
@@ -271,7 +276,7 @@ func RunCrashRecovery(seed uint64, opts ChaosOptions) error {
 	}
 	baseline := make([][]byte, len(queries))
 	for i, q := range queries {
-		out, err := d.Client().Run(q)
+		out, err := d.Client().Run(q, chaosForce)
 		if err != nil {
 			return fmt.Errorf("crash seed %d: baseline query %d: %w", seed, i, err)
 		}
@@ -297,7 +302,7 @@ func RunCrashRecovery(seed uint64, opts ChaosOptions) error {
 		return fmt.Errorf("crash seed %d: restart: %w", seed, err)
 	}
 	for i, q := range queries {
-		out, err := d2.Client().Run(q)
+		out, err := d2.Client().Run(q, chaosForce)
 		if err != nil {
 			return fmt.Errorf("crash seed %d: recovered query %d: %w", seed, i, err)
 		}

@@ -62,10 +62,10 @@ func clusterTypedError(err error) bool {
 	}
 	msg := err.Error()
 	for _, pat := range []string{
-		"cluster:",        // session/member typed errors (incl. giving up)
-		"catalog:",        // catalog error replies
-		"epoch mismatch",  // placement moved under the call
-		"not serving at",  // member ahead of or behind the stamped epoch
+		"cluster:",       // session/member typed errors (incl. giving up)
+		"catalog:",       // catalog error replies
+		"epoch mismatch", // placement moved under the call
+		"not serving at", // member ahead of or behind the stamped epoch
 		"no serving members",
 	} {
 		if strings.Contains(msg, pat) {
@@ -79,10 +79,10 @@ func clusterTypedError(err error) bool {
 type clusterAction int
 
 const (
-	actNone clusterAction = iota
-	actKill               // crash a member concurrently with the query
-	actJoin               // add a member (rebalance + extent transfer)
-	actDrain              // gracefully retire a member
+	actNone  clusterAction = iota
+	actKill                // crash a member concurrently with the query
+	actJoin                // add a member (rebalance + extent transfer)
+	actDrain               // gracefully retire a member
 	numClusterActions
 )
 
@@ -178,7 +178,7 @@ func RunClusterChaos(seed uint64, opts ClusterChaosOptions) (*ClusterChaosResult
 			alive--
 		}
 
-		out, err := s.Run(q)
+		out, err := s.Run(q, chaosForce)
 		if err != nil {
 			if !clusterTypedError(err) {
 				return nil, fmt.Errorf("cluster chaos seed %d: query %d: unrecognized error (invariant: typed or masked): %w", seed, i, err)
@@ -213,7 +213,7 @@ func RunClusterChaos(seed uint64, opts ClusterChaosOptions) (*ClusterChaosResult
 		return nil, fmt.Errorf("cluster chaos seed %d: settled verify: %w", seed, err)
 	}
 	for i, q := range queries {
-		out, err := s.Run(q)
+		out, err := s.Run(q, chaosForce)
 		if err != nil {
 			return nil, fmt.Errorf("cluster chaos seed %d: settled query %d: %w", seed, i, err)
 		}

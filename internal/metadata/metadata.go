@@ -175,6 +175,15 @@ func (s *Service) GetByName(name string) (*object.Object, bool) {
 	return s.objects[id], true
 }
 
+// IDByName resolves an object name to its ID: the resolver a text
+// statement is lowered with (qlang.Query.Lower).
+func (s *Service) IDByName(name string) (object.ID, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	id, ok := s.byName[name]
+	return id, ok
+}
+
 // Objects returns all objects sorted by ID.
 func (s *Service) Objects() []*object.Object {
 	s.mu.RLock()

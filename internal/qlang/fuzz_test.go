@@ -13,6 +13,8 @@ func FuzzParseQuery(f *testing.F) {
 		`explain analyze select hist(Energy, 32) where tag run = "a" and Energy <= 1e6`,
 		"select count where ((x > 1 and y < 2) or x = 0) and y >= 1",
 		"select count where 5 < x",
+		"select count where 2.1 < Energy < 2.2",
+		"select count where 1 < 2 < 3",
 		`select count where tag k = "v \" w"`,
 		"select count where tag A=\"\t\\n\"", // a raw tab and a backslash the lexer keeps
 		"select hist(c, 65536) where c = 0.5e-3",

@@ -222,7 +222,9 @@ func (p *parser) parseAnd() (Expr, *ParseError) {
 }
 
 // parseTerm := '(' parseOr ')' | tag ident '=' string
-//            | number cmpOp ident | ident (cmpOp number | between number and number)
+//
+//	| number cmpOp ident [cmpOp number]
+//	| ident (cmpOp number | between number and number)
 func (p *parser) parseTerm() (Expr, *ParseError) {
 	switch {
 	case p.tok.kind == tokLParen:
@@ -270,7 +272,21 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 		if err != nil {
 			return nil, err
 		}
-		return &Cmp{Col: col, Op: flipOp(op), Value: v}, nil
+		first := &Cmp{Col: col, Op: flipOp(op), Value: v}
+		if !p.cmpOpNext() {
+			return first, nil
+		}
+		// The paper's chained range `2.1 < Energy < 2.2`: the AND of its
+		// two halves, and rendered as that.
+		op2, err := p.parseCmpOp()
+		if err != nil {
+			return nil, err
+		}
+		hi, err := p.parseNumber("chained comparison bound")
+		if err != nil {
+			return nil, err
+		}
+		return &Logic{Left: first, Right: &Cmp{Col: col, Op: op2, Value: hi}}, nil
 	case p.tok.kind == tokIdent:
 		col, err := p.parseName("column")
 		if err != nil {
@@ -307,6 +323,11 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 		return &Cmp{Col: col, Op: op, Value: v}, nil
 	}
 	return nil, errAt(p.src, p.tok.pos, "expected a condition, found %q", p.tokText())
+}
+
+// cmpOpNext reports whether the lookahead is a comparison operator.
+func (p *parser) cmpOpNext() bool {
+	return p.tok.kind >= tokLT && p.tok.kind <= tokEQ
 }
 
 // parseCmpOp consumes a comparison operator.

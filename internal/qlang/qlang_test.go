@@ -86,6 +86,51 @@ func TestParseValueFirstComparisonFlips(t *testing.T) {
 	}
 }
 
+func TestParseChainedComparison(t *testing.T) {
+	// The paper's range notation is the AND of its two halves.
+	for _, c := range []struct {
+		src      string
+		lo, hi   query.Op
+		rendered string
+	}{
+		{"select count where 2.1 < Energy < 2.2", query.OpGT, query.OpLT, "select count where (Energy > 2.1 and Energy < 2.2)"},
+		{"select count where 2.1 <= Energy < 2.2", query.OpGE, query.OpLT, "select count where (Energy >= 2.1 and Energy < 2.2)"},
+		{"select count where 2.1 < Energy <= 2.2", query.OpGT, query.OpLE, "select count where (Energy > 2.1 and Energy <= 2.2)"},
+	} {
+		q := mustParse(t, c.src)
+		l, ok := q.Where.(*Logic)
+		if !ok || l.Or {
+			t.Fatalf("%q: top node %T, want the AND of two comparisons", c.src, q.Where)
+		}
+		lo, hi := l.Left.(*Cmp), l.Right.(*Cmp)
+		if lo.Col != "Energy" || lo.Op != c.lo || lo.Value != 2.1 || hi.Col != "Energy" || hi.Op != c.hi || hi.Value != 2.2 {
+			t.Errorf("%q desugared to %+v, %+v", c.src, lo, hi)
+		}
+		if got := q.Render(); got != c.rendered {
+			t.Errorf("%q renders %q, want %q", c.src, got, c.rendered)
+		}
+		if got := mustParse(t, c.rendered).Render(); got != c.rendered {
+			t.Errorf("desugared form %q is not a parse fixed point: %q", c.rendered, got)
+		}
+	}
+	// A chain is one term: it composes with connectives.
+	q := mustParse(t, "select ids where 2.1 < Energy < 2.2 and -90 < y < 0 or x = 1")
+	if top, ok := q.Where.(*Logic); !ok || !top.Or {
+		t.Errorf("chains under and/or parsed to %s", q.Render())
+	}
+	for _, c := range []struct{ src, want string }{
+		{"select count where 1 < 2 < 3", "expected column name"},
+		{"select count where 2.1 < Energy <", "expected chained comparison bound"},
+		{"select count where 2.1 < Energy < x", "expected chained comparison bound"},
+		{"select count where Energy > 2 < 3", "unexpected trailing input"},
+	} {
+		var pe *ParseError
+		if _, err := Parse(c.src); !errors.As(err, &pe) || !strings.Contains(pe.Msg, c.want) || pe.Col < 1 {
+			t.Errorf("Parse(%q) = %v, want a positional error containing %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestParseBetween(t *testing.T) {
 	q := mustParse(t, "select count where x between 1.5 and 9 and y > 0")
 	top, ok := q.Where.(*Logic)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pdcquery/internal/object"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 )
 
@@ -11,14 +12,18 @@ import (
 // evaluator plans against.
 func Example() {
 	names := map[string]object.ID{"Energy": 1, "x": 2}
-	root, err := query.Parse("2.1 < Energy < 2.2 and 100 < x < 200", func(s string) (object.ID, bool) {
+	parsed, err := qlang.Parse("select ids where 2.1 < Energy < 2.2 and 100 < x < 200")
+	if err != nil {
+		panic(err)
+	}
+	low, err := parsed.Lower(func(s string) (object.ID, bool) {
 		id, ok := names[s]
 		return id, ok
 	})
 	if err != nil {
 		panic(err)
 	}
-	conjuncts, _ := query.Normalize(root)
+	conjuncts, _ := query.Normalize(low.Query.Root)
 	for _, c := range conjuncts {
 		for _, id := range c.ObjectsSorted() {
 			fmt.Printf("obj%d in %s\n", id, c[id])

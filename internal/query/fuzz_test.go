@@ -3,7 +3,6 @@ package query
 import (
 	"testing"
 
-	"pdcquery/internal/object"
 	"pdcquery/internal/region"
 )
 
@@ -42,34 +41,5 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Normalization must not panic on any decodable tree.
 		_, _ = Normalize(q.Root)
-	})
-}
-
-// FuzzParse hardens the textual parser.
-func FuzzParse(f *testing.F) {
-	for _, s := range []string{
-		"Energy > 2.0",
-		"Energy > 2.0 and 100 < x and x < 200",
-		"(a > 1 or b < 2) and c = 3",
-		"((((", "1 2 3", "and and", "x >", ">", "",
-	} {
-		f.Add(s)
-	}
-	resolve := func(name string) (object.ID, bool) {
-		switch name {
-		case "Energy", "x", "a", "b", "c":
-			return object.ID(len(name)), true
-		}
-		return 0, false
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		n, err := Parse(s, resolve)
-		if err != nil {
-			return
-		}
-		if n == nil {
-			t.Fatal("nil tree without error")
-		}
-		_ = n.String()
 	})
 }

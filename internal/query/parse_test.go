@@ -1,10 +1,15 @@
-package query
+// The where-clause corpus of the old bare-condition parser, driven
+// through the one grammar: `select ids where <s>` parsed and lowered by
+// qlang must build the same condition trees.
+package query_test
 
 import (
 	"strings"
 	"testing"
 
 	"pdcquery/internal/object"
+	"pdcquery/internal/qlang"
+	"pdcquery/internal/query"
 )
 
 var testNames = map[string]object.ID{"Energy": 1, "x": 2, "y": 3, "z": 4}
@@ -14,27 +19,40 @@ func resolveTest(name string) (object.ID, bool) {
 	return id, ok
 }
 
-func mustParse(t *testing.T, s string) *Node {
-	t.Helper()
-	n, err := Parse(s, resolveTest)
+// parseWhere parses and lowers a bare where clause.
+func parseWhere(s string, resolve func(string) (object.ID, bool)) (*query.Node, error) {
+	parsed, err := qlang.Parse("select ids where " + s)
 	if err != nil {
-		t.Fatalf("Parse(%q): %v", s, err)
+		return nil, err
+	}
+	low, err := parsed.Lower(resolve)
+	if err != nil {
+		return nil, err
+	}
+	return low.Query.Root, nil
+}
+
+func mustParse(t *testing.T, s string) *query.Node {
+	t.Helper()
+	n, err := parseWhere(s, resolveTest)
+	if err != nil {
+		t.Fatalf("parse %q: %v", s, err)
 	}
 	return n
 }
 
 func TestParseSimple(t *testing.T) {
 	n := mustParse(t, "Energy > 2.0")
-	if n.Kind != KindLeaf || n.Obj != 1 || n.Op != OpGT || n.Value != 2.0 {
+	if n.Kind != query.KindLeaf || n.Obj != 1 || n.Op != query.OpGT || n.Value != 2.0 {
 		t.Errorf("parsed %+v", n)
 	}
 }
 
 func TestParseAllOperators(t *testing.T) {
-	for s, op := range map[string]Op{
-		"Energy > 1": OpGT, "Energy >= 1": OpGE,
-		"Energy < 1": OpLT, "Energy <= 1": OpLE,
-		"Energy = 1": OpEQ, "Energy == 1": OpEQ,
+	for s, op := range map[string]query.Op{
+		"Energy > 1": query.OpGT, "Energy >= 1": query.OpGE,
+		"Energy < 1": query.OpLT, "Energy <= 1": query.OpLE,
+		"Energy = 1": query.OpEQ, "Energy == 1": query.OpEQ,
 	} {
 		if n := mustParse(t, s); n.Op != op {
 			t.Errorf("%q parsed op %v, want %v", s, n.Op, op)
@@ -45,17 +63,17 @@ func TestParseAllOperators(t *testing.T) {
 func TestParseAndOrPrecedence(t *testing.T) {
 	// AND binds tighter than OR.
 	n := mustParse(t, "Energy > 5 or x > 100 and y < 0")
-	if n.Kind != KindOr {
+	if n.Kind != query.KindOr {
 		t.Fatalf("root = %v, want OR", n.Kind)
 	}
-	if n.Right.Kind != KindAnd {
+	if n.Right.Kind != query.KindAnd {
 		t.Errorf("right = %v, want AND", n.Right.Kind)
 	}
 }
 
 func TestParseParens(t *testing.T) {
 	n := mustParse(t, "(Energy > 5 or x > 100) and y < 0")
-	if n.Kind != KindAnd || n.Left.Kind != KindOr {
+	if n.Kind != query.KindAnd || n.Left.Kind != query.KindOr {
 		t.Errorf("parenthesized parse wrong: %s", n)
 	}
 }
@@ -64,7 +82,7 @@ func TestParseReversedComparison(t *testing.T) {
 	// The paper writes "2.1 < Energy < 2.2"-style bounds; each half can be
 	// given in either direction.
 	n := mustParse(t, "2.1 < Energy and Energy < 2.2")
-	cs, err := Normalize(n)
+	cs, err := query.Normalize(n)
 	if err != nil || len(cs) != 1 {
 		t.Fatal(err)
 	}
@@ -73,7 +91,7 @@ func TestParseReversedComparison(t *testing.T) {
 		t.Errorf("interval = %v", iv)
 	}
 	n = mustParse(t, "100 >= x")
-	if n.Obj != 2 || n.Op != OpLE || n.Value != 100 {
+	if n.Obj != 2 || n.Op != query.OpLE || n.Value != 100 {
 		t.Errorf("flipped parse = %+v", n)
 	}
 }
@@ -84,7 +102,7 @@ func TestParsePaperQuery(t *testing.T) {
 	if len(ids) != 4 {
 		t.Fatalf("objects = %v", ids)
 	}
-	cs, err := Normalize(n)
+	cs, err := query.Normalize(n)
 	if err != nil || len(cs) != 1 {
 		t.Fatal(err)
 	}
@@ -102,7 +120,7 @@ func TestParseNegativeNumbers(t *testing.T) {
 
 func TestParseCaseInsensitiveConnectives(t *testing.T) {
 	n := mustParse(t, "Energy > 1 AND x < 2 OR y = 3")
-	if n.Kind != KindOr || n.Left.Kind != KindAnd {
+	if n.Kind != query.KindOr || n.Left.Kind != query.KindAnd {
 		t.Errorf("case-insensitive parse wrong: %s", n)
 	}
 }
@@ -121,8 +139,8 @@ func TestParseErrors(t *testing.T) {
 		"Energy > 2 2",
 	}
 	for _, s := range cases {
-		if _, err := Parse(s, resolveTest); err == nil {
-			t.Errorf("Parse(%q) succeeded", s)
+		if _, err := parseWhere(s, resolveTest); err == nil {
+			t.Errorf("parse %q succeeded", s)
 		}
 	}
 }
@@ -140,7 +158,7 @@ func TestParseRoundTripThroughString(t *testing.T) {
 func TestParseChainedComparison(t *testing.T) {
 	// The paper's range notation desugars to an AND of two leaves.
 	n := mustParse(t, "2.1 < Energy < 2.2")
-	cs, err := Normalize(n)
+	cs, err := query.Normalize(n)
 	if err != nil || len(cs) != 1 {
 		t.Fatal(err)
 	}
@@ -150,7 +168,7 @@ func TestParseChainedComparison(t *testing.T) {
 	}
 	// Inclusive bounds chain too.
 	n = mustParse(t, "100 <= x <= 200")
-	cs, _ = Normalize(n)
+	cs, _ = query.Normalize(n)
 	iv = cs[0][2]
 	if !iv.Contains(100) || !iv.Contains(200) || iv.Contains(201) {
 		t.Errorf("inclusive chain = %v", iv)
@@ -161,11 +179,43 @@ func TestParseChainedComparison(t *testing.T) {
 		t.Errorf("objects = %d", got)
 	}
 	// A number in the middle is rejected.
-	if _, err := Parse("2.1 < 5 < 2.2", resolveTest); err == nil {
+	if _, err := parseWhere("2.1 < 5 < 2.2", resolveTest); err == nil {
 		t.Error("numeric middle accepted")
 	}
 	// Truncated chain is rejected.
-	if _, err := Parse("2.1 < Energy <", resolveTest); err == nil {
+	if _, err := parseWhere("2.1 < Energy <", resolveTest); err == nil {
 		t.Error("truncated chain accepted")
 	}
+}
+
+// FuzzParse hardens the where-clause grammar: whatever parses and
+// lowers yields a printable, normalizable tree.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"Energy > 2.0",
+		"Energy > 2.0 and 100 < x and x < 200",
+		"(a > 1 or b < 2) and c = 3",
+		"2.1 < Energy < 2.2",
+		"((((", "1 2 3", "and and", "x >", ">", "",
+	} {
+		f.Add(s)
+	}
+	resolve := func(name string) (object.ID, bool) {
+		switch name {
+		case "Energy", "x", "a", "b", "c":
+			return object.ID(len(name)), true
+		}
+		return 0, false
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := parseWhere(s, resolve)
+		if err != nil {
+			return
+		}
+		if n == nil {
+			t.Fatal("nil tree without error")
+		}
+		_ = n.String()
+		_, _ = query.Normalize(n)
+	})
 }

@@ -17,19 +17,20 @@
 //		pdcquery.QueryCreate(energy.ID, pdcquery.OpGT, 2.1),
 //		pdcquery.QueryCreate(energy.ID, pdcquery.OpLT, 2.2)))
 //
-//	res, _ := d.Client().Run(q)        // PDCquery_get_selection
-//	data, _, _ := res.GetData(energy.ID) // PDCquery_get_data
+//	res, _ := d.Client().Run(q, pdcquery.StrategyHistogram) // PDCquery_get_selection
+//	data, _, _ := res.GetData(energy.ID)                    // PDCquery_get_data
 //
 // Four evaluation strategies are available (§III-D): full scan (PDC-F),
-// global-histogram pruning and ordering (PDC-H, the default), bitmap
-// indexes (PDC-HI), and sorted reorganization (PDC-SH) — plus "auto",
-// which lets the cost-based planner choose per region. A strategy is a
-// forcing the client stamps on each statement, not a server setting:
-// Deployment.SetStrategy (Client.SetForce) for binary queries, the
-// argument of Client.RunText for declarative ones. Every statement,
-// binary or text, then runs the same server path — decode, plan,
-// execute. The experiment harness under cmd/pdc-bench regenerates every
-// figure of the paper's evaluation; see DESIGN.md and EXPERIMENTS.md.
+// global-histogram pruning and ordering (PDC-H), bitmap indexes
+// (PDC-HI), and sorted reorganization (PDC-SH) — plus "auto", which lets
+// the cost-based planner choose per region. A strategy is not a server
+// or client setting: it rides on each call, as the last argument of
+// Run / RunCount / RunText or as RunOptions.Force of Client.Do, the one
+// entry they all wrap. Do takes a Statement — declarative Text or a
+// Prepared condition tree — and whatever its spelling it runs the same
+// path on every server: decode, plan, execute. The experiment harness
+// under cmd/pdc-bench regenerates every figure of the paper's
+// evaluation; see DESIGN.md and EXPERIMENTS.md.
 package pdcquery
 
 import (
@@ -40,6 +41,7 @@ import (
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
@@ -59,17 +61,38 @@ func NewDeployment(opts Options) *Deployment { return core.NewDeployment(opts) }
 // Client is the application-facing library (the paper's PDC client).
 type Client = client.Client
 
-// QueryResult is a completed query with its merged selection.
-type QueryResult = client.QueryResult
+// Statement is what Client.Do and Client.DoAsync run.
+type Statement = client.Statement
+
+// Text parses a declarative statement (`select count|ids|hist(col, n)
+// where …`, optionally prefixed by `explain [analyze]`).
+func Text(src string) Statement { return client.Text(src) }
+
+// Prepared wraps a condition tree: ids asks for the matching locations
+// (PDCquery_get_selection) rather than the hit count alone
+// (PDCquery_get_nhits).
+func Prepared(q *Query, ids bool) Statement {
+	if ids {
+		return client.Prepared(q, qlang.ProjIDs)
+	}
+	return client.Prepared(q, qlang.ProjCount)
+}
+
+// RunOptions is how one Do call runs its statement: under which
+// Strategy (Force), and whether the servers trace it.
+type RunOptions = client.Options
+
+// Result is a completed statement: merged selection, histogram, plan.
+type Result = client.Result
 
 // Info reports the modeled execution profile of a client call.
 type Info = client.Info
 
-// Future is an in-flight asynchronous query (Client.RunAsync).
+// Future is an in-flight asynchronous statement (Client.DoAsync).
 type Future = client.Future
 
-// Plan is a query's evaluation plan (Client.Explain); render it with
-// its Format method.
+// Plan is a statement's evaluation plan (Result.Plan after an explain
+// statement); render it with its Format method.
 type Plan = plan.Plan
 
 // Object model ---------------------------------------------------------------
@@ -162,11 +185,12 @@ func NewQuery(root *Node) *Query { return &Query{Root: root} }
 // name for it.
 type Strategy = plan.Force
 
-// The paper's four approaches (ParseStrategy("auto") names the
-// cost-based choice among them).
+// The paper's four approaches, and the cost-based choice among them
+// (the zero Strategy).
 const (
+	StrategyAuto      = plan.ForceAuto
 	StrategyFullScan  = plan.ForceFull   // PDC-F
-	StrategyHistogram = plan.ForceScan   // PDC-H (default)
+	StrategyHistogram = plan.ForceScan   // PDC-H
 	StrategyIndex     = plan.ForceBitmap // PDC-HI
 	StrategySorted    = plan.ForceSorted // PDC-SH
 )
