@@ -100,8 +100,11 @@ bench-diff:
 bench-seed:
 	$(GO) run ./cmd/pdc-benchdiff -write
 
-# CI smoke alias: the ratchet is cheap enough to run on every push.
+# CI smoke: the ratchet, then every benchmark once. A benchmark checks
+# its fixture before it times anything (hit counts against the oracle,
+# bins touched), so one iteration is enough to keep them from rotting.
 bench-smoke: bench-diff
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Observability smoke: boot a real pdc-server daemon, run a query, then
 # scrape /metrics (strict text-exposition parse, expected series),

@@ -114,9 +114,10 @@ func measureAllocs() map[string]float64 {
 	c.Put("region", make([]byte, 4096))
 	out["exec.Cache.Get.hit"] = testing.AllocsPerRun(200, func() { c.Get("region") })
 
-	// The region kernels over one 64 KiB region: scan into a warm
-	// buffer, probe in place, count, and the index path's whole region
-	// evaluation with the packing of its chunk.
+	// The region kernels over one 64 KiB region: the first-condition
+	// mark into a warm bitset (countRegion), a probe in place, and the
+	// scan and index paths' whole region evaluations with the packing of
+	// their chunks (scanRegion, indexRegion).
 	for name, op := range exec.KernelOps() {
 		out["exec."+name+".warm"] = testing.AllocsPerRun(200, op)
 	}

@@ -166,9 +166,9 @@ func main() {
 	}
 	fmt.Printf("hits: %d\nmodeled query time: %v (server max %v)\n",
 		res.Sel.NHits, res.Info.Elapsed.Total(), res.Info.ServerMax.Total())
-	fmt.Printf("regions: %d evaluated, %d pruned, %d sorted; %d elements scanned\n",
+	fmt.Printf("regions: %d evaluated, %d pruned, %d sorted; %d elements scanned, %d index bins read\n",
 		res.Info.Stats.RegionsEvaluated, res.Info.Stats.RegionsPruned,
-		res.Info.Stats.SortedRegions, res.Info.Stats.ElementsScanned)
+		res.Info.Stats.SortedRegions, res.Info.Stats.ElementsScanned, res.Info.Stats.IndexBinsRead)
 	show := min(len(res.Sel.Coords), *limit)
 	switch {
 	case data != nil:

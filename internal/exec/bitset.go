@@ -5,13 +5,20 @@ import (
 	"slices"
 )
 
-// The index path holds a region's matches as a dense bitset: bit i%64
-// of word i/64 is local element i. These are its word loops; the one
-// that fills it from an encoded bin is wah.OrEncodedInto.
+// Both access paths hold a region's matches as a dense bitset: bit i%64
+// of word i/64 is local element i. These are its word loops; the ones
+// that fill it are pred.mark (from raw data) and wah.OrEncodedInto (from
+// an encoded bin).
+
+// sized returns buf resized to n words, its contents left as they are:
+// for a bitset pred.mark is about to overwrite.
+func sized(buf []uint64, n int) []uint64 {
+	return slices.Grow(buf[:0], n)[:n]
+}
 
 // zeroed returns buf resized to n words, all zero.
 func zeroed(buf []uint64, n int) []uint64 {
-	buf = slices.Grow(buf[:0], n)[:n]
+	buf = sized(buf, n)
 	clear(buf)
 	return buf
 }
@@ -57,6 +64,12 @@ func clearRange(ws []uint64, lo, hi uint64) {
 	ws[i] &^= first
 	clear(ws[i+1 : j])
 	ws[j] &^= last
+}
+
+// coversRegion reports whether the runs are the whole n-element region,
+// i.e. there is no spatial constraint to apply.
+func coversRegion(runs []localRun, n uint64) bool {
+	return len(runs) == 1 && runs[0].Start == 0 && runs[0].Len >= n
 }
 
 // keepRuns clears every bit of the n-bit set ws outside the sorted,

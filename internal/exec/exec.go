@@ -694,17 +694,16 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		}
 
 		// The task evaluates in pooled scratch and keeps only the packed
-		// chunk of its hits — written from the form the access path left
-		// them in, the index path's bitset or the scan path's list.
+		// chunk of its hits, written from the region bitset either access
+		// path leaves its answer in.
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
-		base := anchor.LinearStart(r)
-		var hits, set []uint64
+		var set []uint64
 		var err error
 		if useIndex {
 			set, res.nhits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, taskRuns[i], sc, &res.stats, res.condLog)
 		} else {
-			hits, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, base, taskRuns[i], need, sc, &res.stats, res.condLog)
+			set, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, taskRuns[i], sc, &res.stats, res.condLog)
 		}
 		if err != nil {
 			return err
@@ -714,22 +713,15 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		}
 		rs.SetInt("hits", res.nhits)
 		if need >= NeedCoords && res.nhits > 0 {
-			span := anchor.RegionElems(r)
+			base := anchor.LinearStart(r)
 			res.chunk = chunkBufs.Get().(*[]byte)
-			if useIndex {
-				*res.chunk = selection.AppendChunkBits((*res.chunk)[:0], base, span, set, uint64(res.nhits))
-				if collect {
-					sc.hits = appendSetBits(sc.hits, set, base, res.nhits)
-					hits = sc.hits
+			*res.chunk = selection.AppendChunkBits((*res.chunk)[:0], base, anchor.RegionElems(r), set, uint64(res.nhits))
+			if collect {
+				sc.hits = appendSetBits(sc.hits, set, base, res.nhits)
+				res.vals = make(map[object.ID][]float64, len(order))
+				if err := te.collectRegionValues(tok, order, objs, r, base, sc.hits, res.vals); err != nil {
+					return err
 				}
-			} else {
-				*res.chunk = selection.AppendChunkCoords((*res.chunk)[:0], base, span, hits)
-			}
-		}
-		if len(hits) > 0 && collect {
-			res.vals = make(map[object.ID][]float64, len(order))
-			if err := te.collectRegionValues(tok, order, objs, r, base, hits, res.vals); err != nil {
-				return err
 			}
 		}
 		results[i] = res
@@ -799,34 +791,42 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 	return &selection.Packed{NHits: uint64(nhits), Dims: anchor.Dims, Chunks: stream}, out, nil
 }
 
-// evalRegionScan scans the first condition and probes the rest (§III-C:
-// only already selected locations are evaluated for subsequent
-// conditions). The hits are absolute coordinates (base + local index)
-// held in sc, valid until the scratch is reused; under NeedCount a
-// single-condition conjunct is counted without a hit list at all.
+// evalRegionScan marks the first condition into the region bitset
+// (sc.acc) and probes the rest (§III-C: only already selected locations
+// are evaluated for subsequent conditions). The spatial constraint is a
+// range mask on the mark. A single condition's bitset is the answer; for
+// a longer conjunct the survivors are extracted once as local indices,
+// probed as a list, and written back. It returns the bitset (held in sc,
+// valid until the scratch is reused) and its popcount, as
+// evalRegionIndex does.
 func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pred, objs map[object.ID]*object.Object,
-	r int, base uint64, runs []localRun, need Need, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, int64, error) {
+	r int, runs []localRun, sc *scratch, stats *Stats, cs *telemetry.Span) ([]uint64, int64, error) {
 
 	first := objs[order[0]]
 	data, err := e.readRegion(first, r)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := runsElems(runs)
-	var hits []uint64
-	var nhits int64
-	if need == NeedCount && len(order) == 1 {
-		nhits = preds[0].count(data, runs)
-	} else {
-		sc.hits = preds[0].scan(data, runs, base, sc.hits[:0])
-		hits, nhits = sc.hits, int64(len(sc.hits))
+	n := first.Regions[r].Region.NumElems()
+	sc.acc = sized(sc.acc, wah.DenseWords(n))
+	acc := sc.acc
+	nhits := preds[0].mark(data, n, acc)
+	if !coversRegion(runs, n) {
+		keepRuns(acc, runs, n)
+		nhits = popcount(acc)
 	}
-	stats.ElementsScanned += n
-	condIn(cs, order[0], n)
+	scanned := runsElems(runs)
+	stats.ElementsScanned += scanned
+	condIn(cs, order[0], scanned)
 	condOut(cs, order[0], nhits)
 	if e.Acct != nil {
-		e.Acct.Charge(vclock.Compute, computeCost(n, scanNsPerElem))
+		e.Acct.Charge(vclock.Compute, computeCost(scanned, scanNsPerElem))
 	}
+	if len(order) == 1 || nhits == 0 {
+		return acc, nhits, nil
+	}
+	sc.hits = appendSetBits(sc.hits, acc, 0, nhits)
+	hits := sc.hits
 	for k, id := range order[1:] {
 		if err := tok.Err(); err != nil {
 			return nil, 0, err
@@ -844,11 +844,12 @@ func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pre
 		if e.Acct != nil {
 			e.Acct.Charge(vclock.Compute, computeCost(int64(len(hits)), probeNsPerElem))
 		}
-		hits = preds[k+1].probe(data, base, hits)
-		nhits = int64(len(hits))
-		condOut(cs, id, nhits)
+		hits = preds[k+1].probe(data, 0, hits)
+		condOut(cs, id, int64(len(hits)))
 	}
-	return hits, nhits, nil
+	clear(acc)
+	setBits(acc, hits)
+	return acc, int64(len(hits)), nil
 }
 
 // evalRegionIndex resolves every condition from the per-region bitmap
@@ -888,12 +889,11 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 			if err != nil {
 				return nil, 0, err
 			}
-			sc.hits = preds[k].scan(data, []localRun{{Start: 0, Len: n}}, 0, sc.hits[:0])
+			preds[k].mark(data, n, dst)
 			stats.ElementsScanned += int64(n)
 			if e.Acct != nil {
 				e.Acct.Charge(vclock.Compute, computeCost(int64(n), scanNsPerElem))
 			}
-			setBits(dst, sc.hits)
 		} else if err := e.evalIndexCondition(o, r, n, c[id], preds[k], sc, dst, stats); err != nil {
 			return nil, 0, err
 		}
@@ -907,7 +907,7 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 			return nil, 0, nil // AND short-circuit
 		}
 	}
-	if len(runs) != 1 || runs[0].Start != 0 || runs[0].Len < n {
+	if !coversRegion(runs, n) {
 		keepRuns(acc, runs, n)
 		nhits = popcount(acc)
 	}

@@ -132,6 +132,10 @@ func between(id object.ID, iv query.Interval) *query.Node {
 // with open and closed ends, with and without a spatial constraint, one
 // region without an index, the directory in metadata and in storage,
 // and conjuncts of one to three conditions (some of which short-circuit).
+// Fixed cases then take the bulk statements' densities (4, 20 and 57 %
+// of the first condition's object), alone and as the first of three
+// conditions, under spatial constraints whose runs start and end
+// mid-word.
 func TestIndexPathDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	types := []dtype.Type{dtype.Float32, dtype.Float64, dtype.Int32}
@@ -143,65 +147,102 @@ func TestIndexPathDifferential(t *testing.T) {
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			ids = ids[:1+rng.Intn(3)]
 			conds := map[object.ID]query.Interval{}
-			var root *query.Node
 			for ci, id := range ids {
 				iv := f.randInterval(rng, id)
 				if ci > 0 && rng.Intn(5) == 0 {
 					iv = query.Interval{Lo: 1e9, Hi: 2e9} // no hit: short-circuits
 				}
 				conds[id] = iv
-				if root == nil {
-					root = between(id, iv)
-				} else {
-					root = query.And(root, between(id, iv))
-				}
 			}
-			q := &query.Query{Root: root}
 			lo, hi := 0, n
 			if rng.Intn(2) == 0 {
 				lo = rng.Intn(n)
 				hi = lo + 1 + rng.Intn(n-lo)
-				q.SetRegion(region.New([]uint64{uint64(lo)}, []uint64{uint64(hi - lo)}))
 			}
-			var want []uint64
-			for i := lo; i < hi; i++ {
-				ok := true
-				for id, iv := range conds {
-					ok = ok && iv.Contains(f.vals[id][i])
-				}
-				if ok {
-					want = append(want, uint64(i))
-				}
-			}
-			label := fmt.Sprintf("trial %d query %d (%v in [%d,%d))", trial, k, q.Root, lo, hi)
-			var packed []byte
-			for _, s := range []shape{shapeBitmap, shapeScan} {
-				e, _ := f.engine(s, 0)
-				res, err := e.Evaluate(q, f.assign(), NeedCoords)
-				if err != nil {
-					t.Fatalf("%s %v ids: %v", label, s, err)
-				}
-				if got := coordsOf(t, res); !slices.Equal(got, want) {
-					t.Fatalf("%s %v: %d ids, want %d", label, s, len(got), len(want))
-				}
-				// The bitset the index path packs from and the hit list the
-				// scan path packs from give the same bytes.
-				if s == shapeBitmap {
-					packed = res.Sel.Chunks
-				} else if !bytes.Equal(res.Sel.Chunks, packed) {
-					t.Fatalf("%s: scan path packed %d bytes, index path %d, not the same", label, len(res.Sel.Chunks), len(packed))
-				}
-				res, err = e.Evaluate(q, f.assign(), NeedCount)
-				if err != nil {
-					t.Fatalf("%s %v count: %v", label, s, err)
-				}
-				if res.Sel.NHits != uint64(len(want)) {
-					t.Fatalf("%s %v: count %d, want %d", label, s, res.Sel.NHits, len(want))
-				}
-				if !res.Sel.CountOnly || len(res.Sel.Chunks) != 0 {
-					t.Fatalf("%s %v: select count packed %d chunk bytes", label, s, len(res.Sel.Chunks))
+			checkPathsAgree(t, f, ids, conds, lo, hi, fmt.Sprintf("trial %d query %d", trial, k))
+		}
+	}
+
+	// Regions of 1000 elements: 15 words and 40 bits, the last region's
+	// index missing. Both constraints start and end inside a word, one
+	// within a region and one across two.
+	f := buildTypedFixture(rng, types, 4000, 1000, map[int]bool{2: true}, true)
+	above := func(id object.ID, share float64) query.Interval {
+		vals := slices.DeleteFunc(slices.Clone(f.vals[id]), math.IsNaN)
+		slices.Sort(vals)
+		return query.Interval{Lo: vals[int(float64(len(vals))*(1-share))], Hi: math.Inf(1)}
+	}
+	for _, share := range []float64{0.04, 0.20, 0.57} {
+		for _, ids := range [][]object.ID{{1}, {1, 2, 3}} {
+			conds := map[object.ID]query.Interval{1: above(1, share), 2: above(2, 0.8), 3: above(3, 0.9)}
+			for id := range conds {
+				if !slices.Contains(ids, id) {
+					delete(conds, id)
 				}
 			}
+			for _, w := range [][2]int{{0, 4000}, {130, 900}, {1037, 2979}} {
+				label := fmt.Sprintf("%.0f %% of object 1, %d conditions, [%d,%d)", 100*share, len(ids), w[0], w[1])
+				checkPathsAgree(t, f, ids, conds, w[0], w[1], label)
+			}
+		}
+	}
+}
+
+// checkPathsAgree runs the conjunct of conds over elements [lo, hi) of
+// f on the index, scan and full-scan paths, as ids and as a count: every
+// answer is the plain Contains loop's, and the three packed chunk
+// streams are the same bytes.
+func checkPathsAgree(t *testing.T, f *typedFixture, ids []object.ID, conds map[object.ID]query.Interval, lo, hi int, label string) {
+	t.Helper()
+	var root *query.Node
+	for _, id := range ids {
+		if root == nil {
+			root = between(id, conds[id])
+		} else {
+			root = query.And(root, between(id, conds[id]))
+		}
+	}
+	q := &query.Query{Root: root}
+	if lo != 0 || hi != f.n {
+		q.SetRegion(region.New([]uint64{uint64(lo)}, []uint64{uint64(hi - lo)}))
+	}
+	var want []uint64
+	for i := lo; i < hi; i++ {
+		ok := true
+		for id, iv := range conds {
+			ok = ok && iv.Contains(f.vals[id][i])
+		}
+		if ok {
+			want = append(want, uint64(i))
+		}
+	}
+	label = fmt.Sprintf("%s (%v in [%d,%d))", label, q.Root, lo, hi)
+	var packed []byte
+	for _, s := range []shape{shapeBitmap, shapeScan, shapeFull} {
+		e, _ := f.engine(s, 0)
+		res, err := e.Evaluate(q, f.assign(), NeedCoords)
+		if err != nil {
+			t.Fatalf("%s %v ids: %v", label, s, err)
+		}
+		if got := coordsOf(t, res); !slices.Equal(got, want) {
+			t.Fatalf("%s %v: %d ids, want %d", label, s, len(got), len(want))
+		}
+		// Every path packs from its region bitset: the same set gives the
+		// same bytes.
+		if s == shapeBitmap {
+			packed = res.Sel.Chunks
+		} else if !bytes.Equal(res.Sel.Chunks, packed) {
+			t.Fatalf("%s: %v packed %d bytes, the index path %d, not the same", label, s, len(res.Sel.Chunks), len(packed))
+		}
+		res, err = e.Evaluate(q, f.assign(), NeedCount)
+		if err != nil {
+			t.Fatalf("%s %v count: %v", label, s, err)
+		}
+		if res.Sel.NHits != uint64(len(want)) {
+			t.Fatalf("%s %v: count %d, want %d", label, s, res.Sel.NHits, len(want))
+		}
+		if !res.Sel.CountOnly || len(res.Sel.Chunks) != 0 {
+			t.Fatalf("%s %v: select count packed %d chunk bytes", label, s, len(res.Sel.Chunks))
 		}
 	}
 }

@@ -3,7 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -14,6 +14,7 @@ import (
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/simio"
+	"pdcquery/internal/wah"
 )
 
 // localRun is a contiguous run of local element indices [Start, Start+Len)
@@ -25,17 +26,17 @@ type localRun struct {
 
 // pred is a query.Interval compiled for one element type. The methods
 // are the engine's only per-element loops: every path that tests values
-// against a condition (scan, probe, index candidate check, sorted
-// companion filter, rest-probe) goes through one of them, and all of
-// them agree with iv.Contains(float64(v)) on every v of the type.
+// against a condition (first-condition scan, probe, index candidate
+// check, sorted companion filter, rest-probe) goes through one of them,
+// and all of them agree with iv.Contains(float64(v)) on every v of the
+// type.
 type pred interface {
-	// scan appends base+i for every element i of the runs that satisfies
-	// the condition. out is grown once to the runs' worst case, so a warm
-	// buffer makes the call allocation-free.
-	scan(data []byte, runs []localRun, base uint64, out []uint64) []uint64
-	// count returns how many elements of the runs satisfy the condition
-	// without materialising them.
-	count(data []byte, runs []localRun) int64
+	// mark writes the condition over elements [0, n) of a region as whole
+	// words of a dense bitset: bit i%64 of dst[i/64] is set when element
+	// i satisfies it. Every word of dst is overwritten — bits at and
+	// beyond n, elements a short buffer lacks, and the slack word come
+	// back zero — so dst needs no clearing, and the popcount is returned.
+	mark(data []byte, n uint64, dst []uint64) int64
 	// probe filters hits (coordinates offset by base) in place, keeping
 	// those whose element satisfies the condition — the paper's AND
 	// refinement: only already selected locations are evaluated for
@@ -231,46 +232,45 @@ func b2i(b bool) int {
 	return 0
 }
 
-// clip bounds a run to the buffer (a short extent never panics).
-func clip[E any](vals []E, run localRun) (start, end uint64) {
-	n := uint64(len(vals))
-	start, end = min(run.Start, n), min(run.Start+run.Len, n)
-	return start, end
-}
+// The mark kernels build a region's words one at a time, walking each
+// word's 64 elements from the last to the first in groups of eight:
+// every element shifts the word up by one and enters its verdict at bit
+// 0, so the first element ends at bit 0 and no shift depends on the
+// position. The groups are unrolled, and no branch depends on the data.
+// A short last word takes the same test one element at a time.
 
-func (b bounds[E]) scan(data []byte, runs []localRun, base uint64, out []uint64) []uint64 {
+func (b bounds[E]) mark(data []byte, n uint64, dst []uint64) int64 {
 	vals := dtype.View[E](data)
-	out = slices.Grow(out, int(runsElems(runs)))
+	vals = vals[:min(n, uint64(len(vals)))]
 	lo, hi := b.lo, b.hi
-	for _, run := range runs {
-		start, end := clip(vals, run)
-		// Branch-free compaction: the coordinate is stored at every
-		// element and the cursor advances by the compare result, so a
-		// hit costs the same as a miss and nothing is mispredicted.
-		k := len(out)
-		buf := out[:k+int(end-start)]
-		coord := base + start
-		for _, v := range vals[start:end] {
-			buf[k] = coord
-			k += b2i(v >= lo) & b2i(v <= hi)
-			coord++
+	full := len(vals) >> 6
+	for k := range dst[:full] {
+		v := (*[64]E)(vals[k<<6:])
+		var w uint64
+		for g := 56; g >= 0; g -= 8 {
+			e := (*[8]E)(v[g:])
+			w = w<<1 | uint64(b2i(e[7] >= lo)&b2i(e[7] <= hi))
+			w = w<<1 | uint64(b2i(e[6] >= lo)&b2i(e[6] <= hi))
+			w = w<<1 | uint64(b2i(e[5] >= lo)&b2i(e[5] <= hi))
+			w = w<<1 | uint64(b2i(e[4] >= lo)&b2i(e[4] <= hi))
+			w = w<<1 | uint64(b2i(e[3] >= lo)&b2i(e[3] <= hi))
+			w = w<<1 | uint64(b2i(e[2] >= lo)&b2i(e[2] <= hi))
+			w = w<<1 | uint64(b2i(e[1] >= lo)&b2i(e[1] <= hi))
+			w = w<<1 | uint64(b2i(e[0] >= lo)&b2i(e[0] <= hi))
 		}
-		out = buf[:k]
+		dst[k] = w
 	}
-	return out
-}
-
-func (b bounds[E]) count(data []byte, runs []localRun) int64 {
-	vals := dtype.View[E](data)
-	lo, hi := b.lo, b.hi
-	var n int
-	for _, run := range runs {
-		start, end := clip(vals, run)
-		for _, v := range vals[start:end] {
-			n += b2i(v >= lo) & b2i(v <= hi)
+	k := full
+	if tail := vals[full<<6:]; len(tail) > 0 {
+		var w uint64
+		for i, v := range tail {
+			w |= uint64(b2i(v >= lo)&b2i(v <= hi)) << i
 		}
+		dst[k] = w
+		k++
 	}
-	return int64(n)
+	clear(dst[k:])
+	return popcount(dst[:k])
 }
 
 func (b bounds[E]) probe(data []byte, base uint64, hits []uint64) []uint64 {
@@ -293,38 +293,54 @@ func (b bounds[E]) at(data []byte, i int) bool {
 // The span kernels repeat the bounds loops with the one-compare test.
 // They are written out rather than shared: a test handed in as a type
 // parameter is called through the generic dictionary, not inlined, which
-// costs more than the compare it wraps.
+// costs more than the compare it wraps. mark takes the test as the
+// borrow of width - (u-lo), 1 exactly when u lies outside the span
+// (exact at every width: both operands fit in 64 bits), and feeds it
+// straight into the add that shifts the word, w+w+borrow, so an element
+// costs a subtract and an add-with-carry: the word collects the misses
+// and is inverted once.
 
-func (s span[U]) scan(data []byte, runs []localRun, base uint64, out []uint64) []uint64 {
+func (s span[U]) mark(data []byte, n uint64, dst []uint64) int64 {
 	vals := dtype.View[U](data)
-	out = slices.Grow(out, int(runsElems(runs)))
-	lo, width := s.lo, s.width
-	for _, run := range runs {
-		start, end := clip(vals, run)
-		k := len(out)
-		buf := out[:k+int(end-start)]
-		coord := base + start
-		for _, v := range vals[start:end] {
-			buf[k] = coord
-			k += b2i(v-lo <= width)
-			coord++
+	vals = vals[:min(n, uint64(len(vals)))]
+	lo, width := s.lo, uint64(s.width)
+	full := len(vals) >> 6
+	for k := range dst[:full] {
+		v := (*[64]U)(vals[k<<6:])
+		var miss uint64
+		for g := 56; g >= 0; g -= 8 {
+			e := (*[8]U)(v[g:])
+			_, m := bits.Sub64(width, uint64(e[7]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[6]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[5]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[4]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[3]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[2]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[1]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
+			_, m = bits.Sub64(width, uint64(e[0]-lo), 0)
+			miss, _ = bits.Add64(miss, miss, m)
 		}
-		out = buf[:k]
+		dst[k] = ^miss
 	}
-	return out
-}
-
-func (s span[U]) count(data []byte, runs []localRun) int64 {
-	vals := dtype.View[U](data)
-	lo, width := s.lo, s.width
-	var n int
-	for _, run := range runs {
-		start, end := clip(vals, run)
-		for _, v := range vals[start:end] {
-			n += b2i(v-lo <= width)
+	k := full
+	if tail := vals[full<<6:]; len(tail) > 0 {
+		var w uint64
+		for i, v := range tail {
+			_, m := bits.Sub64(width, uint64(v-lo), 0)
+			w |= (m ^ 1) << i
 		}
+		dst[k] = w
+		k++
 	}
-	return int64(n)
+	clear(dst[k:])
+	return popcount(dst[:k])
 }
 
 func (s span[U]) probe(data []byte, base uint64, hits []uint64) []uint64 {
@@ -343,24 +359,26 @@ func (s span[U]) at(data []byte, i int) bool {
 	return dtype.View[U](data)[i]-s.lo <= s.width
 }
 
-func (never) scan(_ []byte, _ []localRun, _ uint64, out []uint64) []uint64 { return out }
-func (never) count([]byte, []localRun) int64                               { return 0 }
-func (never) probe(_ []byte, _ uint64, hits []uint64) []uint64             { return hits[:0] }
-func (never) at([]byte, int) bool                                          { return false }
+func (never) mark(_ []byte, _ uint64, dst []uint64) int64      { clear(dst); return 0 }
+func (never) probe(_ []byte, _ uint64, hits []uint64) []uint64 { return hits[:0] }
+func (never) at([]byte, int) bool                              { return false }
 
 // scratch is the per-task working memory. A region task takes one from
-// the pool, evaluates into it, copies out an exact-size result, and puts
-// it back, so the worst-case hit buffer (8 B per scanned element) and
-// the index path's bitsets are paid once per worker rather than once per
-// region. Nothing carries state between tasks — every use starts from
-// hits[:0], a zeroed bitset or an emptied list — so which task gets
-// which scratch cannot affect any result.
+// the pool, evaluates into it, packs its chunk out of it, and puts it
+// back, so the region bitsets and the hit lists are paid once per worker
+// rather than once per region. Nothing carries state between tasks —
+// every use starts from hits[:0], a bitset mark overwrites or one zeroed
+// first, or an emptied list — so which task gets which scratch cannot
+// affect any result.
 type scratch struct {
+	// Local (or, for value collection, absolute) indices: the survivors
+	// a later condition probes, the index path's boundary candidates, the
+	// coordinates values are read at.
 	hits []uint64
-	// The index path's dense bitsets over one region's elements,
-	// wah.DenseWords(n) words each (1/32 of the region's bytes for 4-byte
-	// elements): the conjunct's running AND, the condition being
-	// resolved, and its boundary candidates.
+	// Dense bitsets over one region's elements, wah.DenseWords(n) words
+	// each (1/32 of the region's bytes for 4-byte elements): the region's
+	// answer on either access path, and on the index path the condition
+	// being resolved and its boundary candidates.
 	acc, cur, cand []uint64
 	// One index condition's touched bins and their reads.
 	sure, cands []int
@@ -370,40 +388,44 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// KernelOps returns one steady-state call of each region kernel — scan
-// into a warm buffer, probe, count, and the index path's whole region
-// evaluation with its chunk — over a fixed 64 KiB float32 region. The allocation
-// ratchet (pdc-benchdiff, and this package's tests) runs them under
-// testing.AllocsPerRun and pins all four at zero.
+// KernelOps returns one steady-state call of each region kernel over a
+// fixed 64 KiB float32 region: the first-condition mark into a warm
+// bitset (all a one-condition count does), a probe, and the scan and
+// index paths' whole region evaluations with the packing of their
+// chunks. The allocation ratchet (pdc-benchdiff, and this package's
+// tests) runs them under testing.AllocsPerRun and pins all four at zero.
 func KernelOps() map[string]func() {
 	vals := make([]float32, 1<<14)
 	for i := range vals {
 		vals[i] = float32(i%1000) / 10
 	}
 	data := dtype.Bytes(vals)
-	runs := []localRun{{Start: 0, Len: uint64(len(vals))}}
+	n := uint64(len(vals))
 	p, _ := compile(dtype.Float32, query.Interval{Lo: 20, Hi: 60})
-	out := p.scan(data, runs, 0, nil)
-	hits := make([]uint64, len(out))
+	set := make([]uint64, wah.DenseWords(n))
+	hits := appendSetBits(nil, set, 0, p.mark(data, n, set))
+	probed := make([]uint64, len(hits))
+	scanRegion, indexRegion := regionOps(data, n)
 	return map[string]func(){
-		"scanRegion":  func() { out = p.scan(data, runs, 0, out[:0]) },
-		"probeRegion": func() { p.probe(data, 0, hits[:copy(hits, out)]) },
-		"countRegion": func() { p.count(data, runs) },
-		"indexRegion": indexRegionOp(data, runs),
+		"scanRegion":  scanRegion,
+		"probeRegion": func() { p.probe(data, 0, probed[:copy(probed, hits)]) },
+		"countRegion": func() { p.mark(data, n, set) },
+		"indexRegion": indexRegion,
 	}
 }
 
-// indexRegionOp is one warm evalRegionIndex of the region and the
-// packing of its hits — all an ids statement adds to a count — for a
-// window whose ends fall on values in the data: nine sure bins and the
-// two boundary bins as candidates.
-func indexRegionOp(data []byte, runs []localRun) func() {
+// regionOps are one warm evalRegionScan and one warm evalRegionIndex of
+// an n-element region, each with the packing of its hits — all an ids
+// statement adds to a count — for a window whose ends fall on values in
+// the data: to the index, nine sure bins and the two boundary bins as
+// candidates.
+func regionOps(data []byte, n uint64) (scan, index func()) {
 	const id = object.ID(1)
-	o := &object.Object{ID: id, Type: dtype.Float32, Dims: []uint64{runs[0].Len}}
+	o := &object.Object{ID: id, Type: dtype.Float32, Dims: []uint64{n}}
 	st := simio.New(simio.DefaultModel())
 	x := bitindex.Build(o.Type, data, bitindex.DefaultPrecision)
 	rm := object.RegionMeta{
-		Region:    region.Split1D(runs[0].Len, runs[0].Len)[0],
+		Region:    region.Split1D(n, n)[0],
 		ExtentKey: object.ExtentKey(id, 0), IndexKey: object.IndexExtentKey(id, 0),
 		IndexBins: len(x.Bins), IndexDir: x.Directory(),
 	}
@@ -415,10 +437,13 @@ func indexRegionOp(data []byte, runs []localRun) func() {
 	order := []object.ID{id}
 	objs := map[object.ID]*object.Object{id: o}
 	preds, _ := compilePreds(c, order, objs)
+	runs := []localRun{{Start: 0, Len: n}}
 	sc, stats := new(scratch), new(Stats)
 	var chunk []byte
-	return func() {
-		set, nhits, _ := e.evalRegionIndex(nil, c, order, preds, objs, 0, runs, sc, stats, nil)
-		chunk = selection.AppendChunkBits(chunk[:0], 0, runs[0].Len, set, uint64(nhits))
+	pack := func(set []uint64, nhits int64, _ error) {
+		chunk = selection.AppendChunkBits(chunk[:0], 0, n, set, uint64(nhits))
 	}
+	scan = func() { pack(e.evalRegionScan(nil, order, preds, objs, 0, runs, sc, stats, nil)) }
+	index = func() { pack(e.evalRegionIndex(nil, c, order, preds, objs, 0, runs, sc, stats, nil)) }
+	return scan, index
 }

@@ -11,9 +11,10 @@ import (
 // Packed is a selection in the form it travels in: the hit count, the
 // object dimensions, and — unless it is count-only — the coordinates as
 // an ascending stream of per-region chunks. A server's region task
-// writes its chunk from whatever it holds (a dense bitset on the index
-// path, a hit list on the scan path), the merge barrier concatenates
-// chunks in region order, and the reply carries the bytes as they are;
+// writes its chunk from the dense bitset either access path leaves its
+// answer in (a producer holding a coordinate list packs from that), the
+// merge barrier concatenates chunks in region order, and the reply
+// carries the bytes as they are;
 // coordinates become a []uint64 again only at the consumer (the client,
 // or the few server paths that read values at them).
 //
@@ -122,7 +123,9 @@ func AppendChunkBits(dst []byte, base, span uint64, words []uint64, nhits uint64
 
 // AppendChunkCoords appends the chunk of region [base, base+span) whose
 // matches are coords: sorted, distinct, absolute, all inside the region.
-// It writes the bytes AppendChunkBits writes for the same set.
+// It writes the bytes AppendChunkBits writes for the same set. It is for
+// producers that hold coordinates rather than a bitset: the sorted
+// replica's survivors and Pack.
 func AppendChunkCoords(dst []byte, base, span uint64, coords []uint64) []byte {
 	nhits := uint64(len(coords))
 	if nhits == 0 {
