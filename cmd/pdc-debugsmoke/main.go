@@ -81,6 +81,7 @@ func main() {
 	}
 	for _, want := range []string{
 		"query_count", "cache_hits", "cache_misses",
+		"plan_cache_hits", "plan_cache_misses", "plan_cache_evictions",
 		"recorder_capacity", "recorder_events",
 		"phase_region_exec_vns", "phase_merge_vns",
 		"runtime_goroutines", "runtime_heap_bytes",

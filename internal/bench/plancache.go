@@ -40,7 +40,7 @@ const planCacheRounds = 3
 
 // planCacheCorpus is the text-statement corpus: every projection and a
 // mix of single- and multi-object shapes, so each statement exercises
-// the parser, the planner, and the cache key normalization.
+// the client's lowering, the planner, and the plan cache's key.
 var planCacheCorpus = []string{
 	"select count where Energy > 2",
 	"select count where Energy between 1 and 2.5",
@@ -51,9 +51,10 @@ var planCacheCorpus = []string{
 }
 
 // PlanCacheRun measures the prepared-plan cache: the same declarative
-// corpus replayed over one deployment. The first round pays the full
-// parse+plan cost at every server; repeats hit the LRU and pay one
-// lookup. Modeled time is virtual-clock, so the rows are deterministic.
+// corpus replayed over one deployment under auto, the forcing that pays
+// the prepare charge. The first round pays the full plan cost at every
+// server; repeats hit the LRU and pay one lookup. Modeled time is
+// virtual-clock, so the rows are deterministic.
 func PlanCacheRun(c Config) ([]PlanCacheRow, error) {
 	n := 1 << c.LogN
 	v := workload.GenerateVPIC(n, c.Seed)
@@ -97,9 +98,9 @@ func PlanCacheRun(c Config) ([]PlanCacheRow, error) {
 		}
 		row.TimeNs = int64(total)
 		for _, s := range d.Servers() {
-			h, m := s.PlanCacheStats()
-			row.CacheHits += h
-			row.CacheMisses += m
+			reg := s.Metrics()
+			row.CacheHits += uint64(reg.Counter("plan.cache_hits"))
+			row.CacheMisses += uint64(reg.Counter("plan.cache_misses"))
 		}
 		rows = append(rows, row)
 	}

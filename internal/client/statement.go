@@ -1,10 +1,10 @@
 // The statement path, client side: a Statement — declarative text or a
 // prepared condition tree — enters Do, which lowers it (text only),
-// plans it (EXPLAIN only), broadcasts it with the call's forcing and
-// merges the partial answers: selections for ids, counts for count,
-// mergeable histograms for hist. Every server plans the statement for
-// itself against the same replicated metadata, so all derive the plan
-// EXPLAIN shows.
+// plans it (EXPLAIN only), broadcasts the lowered statement with the
+// call's forcing and merges the partial answers: selections for ids,
+// counts for count, mergeable histograms for hist. Every server plans
+// the statement for itself against the same replicated metadata, so all
+// derive the plan EXPLAIN shows.
 package client
 
 import (
@@ -38,10 +38,9 @@ type Statement struct {
 	// statement's own prefix.
 	Explain, Analyze bool
 
-	parsed *qlang.Query // a text statement; Do lowers it against the metadata
-	text   string       // its canonical form: what travels, and keys the servers' plan caches
-	query  *query.Query // a prepared statement
-	kind   qlang.ProjKind
+	parsed *qlang.Query   // a text statement; Do lowers it against the metadata
+	text   string         // its canonical form, explain prefix stripped
+	low    *qlang.Lowered // a prepared statement: lowered already
 	err    error
 }
 
@@ -52,15 +51,15 @@ func Text(src string) Statement {
 	if err != nil {
 		return Statement{err: err}
 	}
-	return Statement{Explain: parsed.Explain, Analyze: parsed.Analyze, parsed: parsed, text: parsed.CacheKey()}
+	return Statement{Explain: parsed.Explain, Analyze: parsed.Analyze, parsed: parsed, text: parsed.Bare()}
 }
 
 // Prepared wraps an already built condition tree with a count or ids
-// projection. It travels in binary form, is not parsed anywhere, and is
-// the only kind of statement whose result the servers stash for
-// Result.GetData.
+// projection (the servers refuse hist, which needs a column and bins).
+// It travels exactly as a text statement lowers to, and is the only kind
+// whose result the servers keep for Result.GetData.
 func Prepared(q *query.Query, kind qlang.ProjKind) Statement {
-	return Statement{query: q, kind: kind}
+	return Statement{low: &qlang.Lowered{Query: q, Projection: qlang.Projection{Kind: kind}}}
 }
 
 // Options is how one call runs a statement.
@@ -134,21 +133,18 @@ func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, erro
 	meta, useEpoch, epoch := c.meta, c.useEpoch, c.epoch
 	c.mu.Unlock()
 	res := &Result{Statement: st.parsed, Text: st.text, client: c}
-	q, kind := st.query, st.kind
+	low := st.low
 	switch {
 	case st.parsed != nil:
 		if meta == nil {
 			return nil, errNoMeta
 		}
-		low, err := st.parsed.Lower(meta.IDByName)
-		if err != nil {
+		var err error
+		if low, err = st.parsed.Lower(meta.IDByName); err != nil {
 			return nil, err
 		}
-		q, kind = low.Query, low.Projection.Kind
-	case kind == qlang.ProjHist:
-		return nil, fmt.Errorf("client: a prepared statement projects count or ids, not hist")
 	case meta != nil:
-		if err := q.Validate(meta.Get); err != nil {
+		if err := low.Query.Validate(meta.Get); err != nil {
 			return nil, err
 		}
 	}
@@ -160,10 +156,10 @@ func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, erro
 			return nil, errNoMeta
 		}
 		if st.parsed == nil {
-			label = q.Root.String()
+			label = low.Query.Root.String()
 		}
 		var err error
-		if res.Plan, err = plan.Build(meta, q, o.Force); err != nil {
+		if res.Plan, err = plan.Build(meta, low.Query, o.Force); err != nil {
 			return nil, err
 		}
 		if !st.Analyze {
@@ -175,8 +171,10 @@ func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, erro
 
 	traced := o.Trace || st.Analyze
 	var flags byte
-	if kind == qlang.ProjIDs {
-		flags |= server.FlagWantSelection
+	if st.parsed == nil {
+		// The one difference between the spellings: a prepared result is
+		// kept for GetData.
+		flags |= server.FlagKeep
 	}
 	if traced {
 		flags |= server.FlagWantTrace
@@ -184,17 +182,11 @@ func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, erro
 	if useEpoch {
 		flags |= server.FlagEpoch
 	}
-	var hists []*histogram.Histogram
-	var err error
-	if st.parsed != nil {
-		hists, err = c.ask(ctx, server.MsgTextQuery, server.EncodeTextQuery(flags, epoch, o.Force, st.text), traced, res)
-	} else {
-		hists, err = c.ask(ctx, server.MsgQuery, server.EncodeQueryRequest(flags, o.Force, epoch, q.Encode()), traced, res)
-	}
+	hists, err := c.ask(ctx, server.EncodeQueryRequest(flags, o.Force, epoch, low), traced, res)
 	if err != nil {
 		return nil, err
 	}
-	if kind == qlang.ProjHist {
+	if low.Projection.Kind == qlang.ProjHist {
 		res.Hist = histogram.MergeAll(hists)
 	}
 	if st.Analyze {
@@ -223,10 +215,10 @@ func (c *Client) RunText(text string, f plan.Force) (*Result, error) {
 
 // ask broadcasts one encoded statement to every server and folds the
 // partial answers into res: the merged selection and the modeled
-// end-to-end profile. It returns the servers' partial histograms (hist
-// projections only).
-func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool, res *Result) ([]*histogram.Histogram, error) {
-	reqID, msgs, busyWait, err := c.call(ctx, t, allServers, func(int) []byte { return payload })
+// end-to-end profile. It returns the servers' partial histograms, nil
+// where a server sent none.
+func (c *Client) ask(ctx context.Context, payload []byte, traced bool, res *Result) ([]*histogram.Histogram, error) {
+	reqID, msgs, busyWait, err := c.call(ctx, server.MsgQuery, allServers, func(int) []byte { return payload })
 	if err != nil {
 		return nil, err
 	}
@@ -243,19 +235,11 @@ func (c *Client) ask(ctx context.Context, t byte, payload []byte, traced bool, r
 	var hists []*histogram.Histogram
 	var respBytes int
 	for i, m := range msgs {
-		var qr *server.QueryResponse
-		if m.Type == server.MsgTextResult {
-			tr, err := server.DecodeTextResult(m.Payload)
-			if err != nil {
-				return nil, err
-			}
-			qr = &tr.Base
-			if tr.Hist != nil {
-				hists = append(hists, tr.Hist)
-			}
-		} else if qr, err = server.DecodeQueryResponse(m.Payload); err != nil {
+		qr, err := server.DecodeQueryResponse(m.Payload)
+		if err != nil {
 			return nil, err
 		}
+		hists = append(hists, qr.Hist)
 		res.Info.ServerMax = res.Info.ServerMax.Max(qr.Cost)
 		res.Info.Stats.Add(qr.Stats)
 		// The model prices the paper's reply, 8 bytes per coordinate: the

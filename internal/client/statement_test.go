@@ -20,12 +20,12 @@ import (
 	"pdcquery/internal/transport"
 )
 
-// TestDoSendsTheSameBytes pins the wire form of both kinds of
-// statement: a prepared one is the MsgQuery EncodeQueryRequest builds
-// (forcing in the flag bits), a text one the MsgTextQuery
-// EncodeTextQuery builds around the canonical text, both stamped with
-// the epoch, and every call — GetHistogram too — takes the next request
-// ID, which doubles as the trace ID.
+// TestDoSendsTheSameBytes pins the wire form of both spellings of a
+// statement: each is the MsgQuery EncodeQueryRequest builds from the
+// lowered statement (forcing in the flag bits), stamped with the epoch;
+// a prepared one also sets FlagKeep and a text one carries its tags and
+// hist projection in the statement section. Every call — GetHistogram
+// too — takes the next request ID, which doubles as the trace ID.
 func TestDoSendsTheSameBytes(t *testing.T) {
 	meta := metadata.NewService()
 	o, err := meta.CreateObject(meta.CreateContainer("c").ID, object.Property{Name: "v", Type: dtype.Float32, Dims: []uint64{100}})
@@ -61,6 +61,10 @@ func TestDoSendsTheSameBytes(t *testing.T) {
 			_, err := cli.RunText("explain analyze select count where v = 1", plan.ForceSorted)
 			return err
 		},
+		func() error {
+			_, err := cli.RunText(`select hist(v, 8) where v > 1 and tag run = "x"`, plan.ForceScan)
+			return err
+		},
 		func() error { _, _, err := cli.GetHistogram(o.ID); return err },
 	}
 	for i, call := range calls {
@@ -71,15 +75,24 @@ func TestDoSendsTheSameBytes(t *testing.T) {
 	cli.Close()
 	<-done
 
-	const sel, trace, epoch = server.FlagWantSelection, server.FlagWantTrace, server.FlagEpoch
+	const keep, trace, epoch = server.FlagKeep, server.FlagWantTrace, server.FlagEpoch
+	ids := qlang.Projection{Kind: qlang.ProjIDs}
 	want := []struct {
 		typ     byte
 		payload []byte
 	}{
-		{server.MsgQuery, server.EncodeQueryRequest(sel|trace|epoch, plan.ForceBitmap, 9, q.Encode())},
-		{server.MsgQuery, server.EncodeQueryRequest(epoch, plan.ForceScan, 9, q.Encode())},
-		{server.MsgTextQuery, server.EncodeTextQuery(sel|epoch, 9, plan.ForceAuto, "select ids where (v > 2.1 and v < 2.2)")},
-		{server.MsgTextQuery, server.EncodeTextQuery(trace|epoch, 9, plan.ForceSorted, "select count where v = 1")},
+		{server.MsgQuery, server.EncodeQueryRequest(keep|trace|epoch, plan.ForceBitmap, 9, &qlang.Lowered{Query: q, Projection: ids})},
+		{server.MsgQuery, server.EncodeQueryRequest(keep|epoch, plan.ForceScan, 9, &qlang.Lowered{Query: q})},
+		// The chained range lowers to the prepared statement's tree: the
+		// text spelling differs from it by the keep bit alone.
+		{server.MsgQuery, server.EncodeQueryRequest(epoch, plan.ForceAuto, 9, &qlang.Lowered{Query: q, Projection: ids})},
+		{server.MsgQuery, server.EncodeQueryRequest(trace|epoch, plan.ForceSorted, 9, &qlang.Lowered{Query: &query.Query{Root: query.Leaf(o.ID, query.OpEQ, 1)}})},
+		{server.MsgQuery, server.EncodeQueryRequest(epoch, plan.ForceScan, 9, &qlang.Lowered{
+			Query:      &query.Query{Root: query.Leaf(o.ID, query.OpGT, 1)},
+			Tags:       []metadata.TagCond{{Key: "run", Value: "x"}},
+			Projection: qlang.Projection{Kind: qlang.ProjHist, Bins: 8},
+			HistObj:    o.ID,
+		})},
 		{server.MsgHistogram, []byte{byte(o.ID), 0, 0, 0, 0, 0, 0, 0}},
 	}
 	if len(frames) != len(want) {
@@ -95,8 +108,8 @@ func TestDoSendsTheSameBytes(t *testing.T) {
 	}
 }
 
-// TestGetDataNotStashed: only a prepared statement's result is stashed
-// on the servers. Get-data on a text statement's result is the servers'
+// TestGetDataNotStashed: only a prepared statement's result is kept on
+// the servers. Get-data on a text statement's result is the servers'
 // "no stashed result" error, and on a plain EXPLAIN — which never ran —
 // a typed client error; neither panics on the missing request.
 func TestGetDataNotStashed(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"pdcquery/internal/client"
 	"pdcquery/internal/cluster"
@@ -15,7 +14,6 @@ import (
 	"pdcquery/internal/plan"
 	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
-	"pdcquery/internal/vclock"
 	"pdcquery/internal/workload"
 )
 
@@ -90,26 +88,25 @@ func fullSource(t *testing.T, workers int) *core.Deployment {
 	return d
 }
 
-// TestForcingEquivalence: a binary query is the prepared form of the
-// text statement with the same condition. Under every forcing, Run(q, f)
-// and RunText(…, f) return byte-identical encoded
-// selections and identical Stats, and the slowest server's cost differs
-// by exactly the modeled prepare charge only a statement that arrived
-// as text pays (plan build on a cold plan cache, one lookup on a warm
-// one) — at any worker count, on the static deployment and on a
-// cluster.
+// TestForcingEquivalence: a prepared query and the text statement with
+// the same condition are one wire statement. Under every forcing,
+// Run(q, f) and RunText(…, f) return byte-identical encoded selections
+// and identical Stats, and — planned from the one plan-cache entry both
+// spellings key, and charged the prepare cost by the same rule (auto
+// pays, a forced statement does not) — equal slowest-server cost, apart
+// from the stash's value collection: the prepared result is kept for
+// get-data, so a single-conjunct statement outside bitmap also collects
+// values, and there the text cost is only bounded above. At any worker
+// count, on the static deployment and on a cluster.
 func TestForcingEquivalence(t *testing.T) {
 	statements := []struct {
 		where string
-		conds int
-		// collects: a single-conjunct binary query has its values
-		// collected for the stash (except under bitmap, which never
-		// reads raw data for them); the text statement cannot be
-		// stashed and skips that work, so it is only bounded above.
+		// collects: a kept single-conjunct statement collects values
+		// (except under bitmap, which never reads raw data for them).
 		collects bool
 	}{
-		{"Energy > 2 and x < 100", 2, true},
-		{"Energy < 0.5 or Energy > 3", 2, false},
+		{"Energy > 2 and x < 100", true},
+		{"Energy < 0.5 or Energy > 3", false},
 	}
 	forcings := []plan.Force{plan.ForceFull, plan.ForceScan, plan.ForceBitmap, plan.ForceSorted, plan.ForceAuto}
 	for _, workers := range []int{0, 1, 4, 16} {
@@ -120,35 +117,33 @@ func TestForcingEquivalence(t *testing.T) {
 				q := lowerAgainst(t, src.Meta().GetByName, text)
 				for _, f := range forcings {
 					label := fmt.Sprintf("workers %d %s %q force=%v", workers, name, st.where, f)
+					// Build the plan once, so both runs below hit it.
+					if _, err := h.run(q, f); err != nil {
+						t.Fatalf("%s: warm-up: %v", label, err)
+					}
 					h.reset()
 					bin, err := h.run(q, f)
 					if err != nil {
-						t.Fatalf("%s: binary: %v", label, err)
+						t.Fatalf("%s: prepared: %v", label, err)
 					}
-					for _, prepare := range []time.Duration{
-						10*time.Microsecond + time.Duration(st.conds)*2*time.Microsecond, // plan built
-						1 * time.Microsecond, // plan cached
-					} {
-						h.reset()
-						txt, err := h.runText(text, f)
-						if err != nil {
-							t.Fatalf("%s: text: %v", label, err)
+					h.reset()
+					txt, err := h.runText(text, f)
+					if err != nil {
+						t.Fatalf("%s: text: %v", label, err)
+					}
+					if !bytes.Equal(bin.Sel.Encode(), txt.Sel.Encode()) {
+						t.Fatalf("%s: selections differ (%d vs %d hits)", label, bin.Sel.NHits, txt.Sel.NHits)
+					}
+					if bin.Info.Stats != txt.Info.Stats {
+						t.Errorf("%s: stats differ:\nprepared %+v\ntext     %+v", label, bin.Info.Stats, txt.Info.Stats)
+					}
+					got, want := txt.Info.ServerMax, bin.Info.ServerMax
+					if st.collects && f != plan.ForceBitmap {
+						if got.Total() > want.Total() {
+							t.Errorf("%s: text server cost %v above prepared %v", label, got, want)
 						}
-						if !bytes.Equal(bin.Sel.Encode(), txt.Sel.Encode()) {
-							t.Fatalf("%s: selections differ (%d vs %d hits)", label, bin.Sel.NHits, txt.Sel.NHits)
-						}
-						if bin.Info.Stats != txt.Info.Stats {
-							t.Errorf("%s: stats differ:\nbinary %+v\ntext   %+v", label, bin.Info.Stats, txt.Info.Stats)
-						}
-						want := bin.Info.ServerMax.Add(vclock.CostOf(vclock.Meta, prepare))
-						got := txt.Info.ServerMax
-						if st.collects && f != plan.ForceBitmap {
-							if got.Total() > want.Total() {
-								t.Errorf("%s: text server cost %v above binary %v + prepare %v", label, got, bin.Info.ServerMax, prepare)
-							}
-						} else if got != want {
-							t.Errorf("%s: text server cost %v, want binary %v + prepare %v", label, got, bin.Info.ServerMax, prepare)
-						}
+					} else if got != want {
+						t.Errorf("%s: text server cost %v, want prepared %v", label, got, want)
 					}
 				}
 			}

@@ -7,29 +7,30 @@ import (
 
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/server"
 	"pdcquery/internal/transport"
 )
 
-// packedReply sends one text statement straight to a server and returns
-// the selection section of its reply as it is on the wire.
+// packedReply sends one statement straight to a server and returns the
+// selection section of its reply as it is on the wire.
 func packedReply(t *testing.T, srv *server.Server, payload []byte) *selection.Packed {
 	t.Helper()
 	cli, peer := transport.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(peer) }()
-	if err := cli.Send(transport.Message{Type: server.MsgTextQuery, ReqID: 1, Payload: payload}); err != nil {
+	if err := cli.Send(transport.Message{Type: server.MsgQuery, ReqID: 1, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := cli.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Type != server.MsgTextResult {
+	if reply.Type != server.MsgQueryResult {
 		t.Fatalf("reply %s: %s", server.MsgName(reply.Type), reply.Payload)
 	}
-	tr, err := server.DecodeTextResult(reply.Payload)
+	qr, err := server.DecodeQueryResponse(reply.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func packedReply(t *testing.T, srv *server.Server, payload []byte) *selection.Pa
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	return tr.Base.Sel
+	return qr.Sel
 }
 
 // TestPackedBytesIndependentOfPath: one coordinate set over one region
@@ -81,8 +82,8 @@ func TestPackedBytesIndependentOfPath(t *testing.T) {
 			flags   byte
 			epoch   uint64
 		}{
-			"core":    {servers: src.Servers(), flags: server.FlagWantSelection},
-			"cluster": {flags: server.FlagWantSelection | server.FlagEpoch, epoch: view.Epoch},
+			"core":    {servers: src.Servers()},
+			"cluster": {flags: server.FlagEpoch, epoch: view.Epoch},
 		}
 		cl := deployments["cluster"]
 		for _, id := range l.MemberIDs() {
@@ -91,7 +92,8 @@ func TestPackedBytesIndependentOfPath(t *testing.T) {
 		deployments["cluster"] = cl
 		for name, d := range deployments {
 			for _, text := range statements {
-				truth, err := src.GroundTruth(lowerAgainst(t, src.Meta().GetByName, text))
+				low := &qlang.Lowered{Query: lowerAgainst(t, src.Meta().GetByName, text), Projection: qlang.Projection{Kind: qlang.ProjIDs}}
+				truth, err := src.GroundTruth(low.Query)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +102,7 @@ func TestPackedBytesIndependentOfPath(t *testing.T) {
 					var sections [][]byte
 					var parts []*selection.Packed
 					for _, srv := range d.servers {
-						p := packedReply(t, srv, server.EncodeTextQuery(d.flags, d.epoch, f, text))
+						p := packedReply(t, srv, server.EncodeQueryRequest(d.flags, f, d.epoch, low))
 						parts = append(parts, p)
 						sections = append(sections, p.Encode(nil))
 					}

@@ -9,6 +9,7 @@ import (
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/server"
 	"pdcquery/internal/transport"
@@ -16,8 +17,8 @@ import (
 	"pdcquery/internal/workload"
 )
 
-// tapConn keeps the last text reply each server sent, as the client's
-// connection received it.
+// tapConn keeps the last statement reply each server sent, as the
+// client's connection received it.
 type tapConn struct {
 	transport.Conn
 	srv  int
@@ -27,7 +28,7 @@ type tapConn struct {
 
 func (c *tapConn) Recv() (transport.Message, error) {
 	m, err := c.Conn.Recv()
-	if err == nil && m.Type == server.MsgTextResult {
+	if err == nil && m.Type == server.MsgQueryResult {
 		c.mu.Lock()
 		c.last[c.srv] = m.Payload
 		c.mu.Unlock()
@@ -41,6 +42,7 @@ func (c *tapConn) Recv() (transport.Message, error) {
 type tapped struct {
 	d      *Deployment
 	energy *object.Object
+	low    *qlang.Lowered
 	truth  *selection.Selection
 	mu     sync.Mutex
 	last   map[int][]byte
@@ -78,6 +80,7 @@ func newTapped(t *testing.T) *tapped {
 	t.Cleanup(func() { d.Close() })
 	tp.d = d
 	_, q := lowerText(t, d, tappedText)
+	tp.low = &qlang.Lowered{Query: q, Projection: qlang.Projection{Kind: qlang.ProjIDs}}
 	var err error
 	if tp.truth, err = d.GroundTruth(q); err != nil {
 		t.Fatal(err)
@@ -98,11 +101,11 @@ func (tp *tapped) run(t *testing.T, f plan.Force) (*client.Result, []*selection.
 	}
 	parts := make([]*selection.Packed, 2)
 	for srv := range parts {
-		tr, err := server.DecodeTextResult(tp.last[srv])
+		qr, err := server.DecodeQueryResponse(tp.last[srv])
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts[srv] = tr.Base.Sel
+		parts[srv] = qr.Sel
 	}
 	return res, parts
 }
@@ -179,7 +182,7 @@ func TestModeledWirePricesFlatSelection(t *testing.T) {
 			}
 			flatReplies += len(tp.last[srv]) - p.EncodedLen() + len(flat)
 		}
-		request := server.EncodeTextQuery(server.FlagWantSelection, 0, f, res.Text)
+		request := server.EncodeQueryRequest(0, f, 0, tp.low)
 		if got, want := res.Info.Elapsed.Part(vclock.Network), transport.WireCost(len(request))+transport.WireCost(flatReplies); got != want {
 			t.Errorf("%v: modeled network time %v, want %v for %d flat reply bytes", f, got, want, flatReplies)
 		}

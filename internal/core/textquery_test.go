@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"pdcquery/internal/client"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
@@ -167,6 +169,35 @@ func TestTextQueryHistProjection(t *testing.T) {
 	}
 }
 
+// TestTextQueryHistShapeMismatch: a hist projection over an object of
+// another shape than the statement's is a typed error from the members.
+// A member used to read the shorter object at the longer one's
+// coordinates and spin, and the call timed out.
+func TestTextQueryHistShapeMismatch(t *testing.T) {
+	d := NewDeployment(Options{Servers: 2, RegionBytes: 1 << 10, CallTimeout: 3 * time.Second})
+	c := d.CreateContainer("c")
+	for name, n := range map[string]int{"big": 4000, "small": 1000} {
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = float32(i % 100)
+		}
+		if _, err := d.ImportObject(c.ID, object.Property{Name: name, Type: dtype.Float32, Dims: []uint64{uint64(n)}}, dtype.Bytes(vals)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	if _, err := d.Client().RunText("select hist(small, 8) where big > 50", plan.ForceScan); err == nil || !strings.Contains(err.Error(), "bad statement") {
+		t.Fatalf("hist of a shorter object: %v, want a bad-statement error", err)
+	}
+	res, err := d.Client().RunText("select hist(big, 8) where big > 50", plan.ForceScan)
+	if err != nil || res.Hist == nil || res.Hist.Total != 40*49 {
+		t.Fatalf("hist of the statement's own object: %+v, %v", res, err)
+	}
+}
+
 func TestTextQueryTagGating(t *testing.T) {
 	d, ids := textDeployment(t, 10000)
 	if err := d.Meta().AddTag(ids["Energy"], "run", "vpic-7"); err != nil {
@@ -222,30 +253,31 @@ func TestTextQueryExplain(t *testing.T) {
 	}
 }
 
+// planCacheCounts sums the fleet's plan-cache counters as /metrics
+// exposes them.
+func planCacheCounts(d *Deployment) (hits, misses int64) {
+	for _, s := range d.Servers() {
+		reg := s.Metrics()
+		hits += reg.Counter("plan.cache_hits")
+		misses += reg.Counter("plan.cache_misses")
+	}
+	return hits, misses
+}
+
 func TestTextQueryPlanCache(t *testing.T) {
 	d, ids := textDeployment(t, 10000)
 	text := "select count where Energy > 2"
 	if _, err := d.Client().RunText(text, plan.ForceAuto); err != nil {
 		t.Fatal(err)
 	}
-	var hits0, misses0 uint64
-	for _, s := range d.Servers() {
-		h, m := s.PlanCacheStats()
-		hits0 += h
-		misses0 += m
-	}
+	hits0, misses0 := planCacheCounts(d)
 	if misses0 == 0 {
 		t.Fatal("first run must miss the plan cache")
 	}
 	if _, err := d.Client().RunText(text, plan.ForceAuto); err != nil {
 		t.Fatal(err)
 	}
-	var hits1, misses1 uint64
-	for _, s := range d.Servers() {
-		h, m := s.PlanCacheStats()
-		hits1 += h
-		misses1 += m
-	}
+	hits1, misses1 := planCacheCounts(d)
 	if hits1 <= hits0 {
 		t.Error("repeat run must hit the plan cache")
 	}
@@ -259,13 +291,39 @@ func TestTextQueryPlanCache(t *testing.T) {
 	if _, err := d.Client().RunText(text, plan.ForceAuto); err != nil {
 		t.Fatal(err)
 	}
-	var misses2 uint64
-	for _, s := range d.Servers() {
-		_, m := s.PlanCacheStats()
-		misses2 += m
-	}
-	if misses2 <= misses1 {
+	if _, misses2 := planCacheCounts(d); misses2 <= misses1 {
 		t.Error("metadata mutation must invalidate cached plans")
+	}
+}
+
+// TestTextAndPreparedShareOnePlan: both spellings of a statement travel
+// as one lowered statement and key one plan-cache entry, so the prepared
+// twin of a text statement — and then its count form, and the text again
+// — hits the plan the text built, on every server.
+func TestTextAndPreparedShareOnePlan(t *testing.T) {
+	d, _ := textDeployment(t, 10000)
+	text := "select ids where Energy > 2 and x < 100"
+	_, q := lowerText(t, d, text)
+	if _, err := d.Client().RunText(text, plan.ForceAuto); err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := planCacheCounts(d)
+	if misses0 != int64(len(d.Servers())) {
+		t.Fatalf("the text statement missed %d times, want once per server", misses0)
+	}
+	for _, run := range []func() (*client.Result, error){
+		func() (*client.Result, error) { return d.Client().Run(q, plan.ForceAuto) },
+		func() (*client.Result, error) { return d.Client().RunCount(q, plan.ForceAuto) },
+		func() (*client.Result, error) { return d.Client().RunText(text, plan.ForceAuto) },
+	} {
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, misses := planCacheCounts(d)
+	if misses != misses0 || hits-hits0 != 3*int64(len(d.Servers())) {
+		t.Errorf("plan cache after the twins: %d hits, %d misses; want %d hits, %d misses",
+			hits, misses, hits0+3*int64(len(d.Servers())), misses0)
 	}
 }
 

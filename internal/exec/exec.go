@@ -29,6 +29,7 @@ package exec
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -1444,15 +1445,26 @@ func encodeValues(order []object.ID, objs map[object.ID]*object.Object, vals map
 	return out
 }
 
-// ExtractValues reads the values of an object at the given sorted
+// ErrCoords reports coordinates ExtractValues cannot read: one outside
+// the object, or one below its predecessor.
+var ErrCoords = errors.New("exec: bad coordinates")
+
+// ExtractValues reads the values of an object at the given ascending
 // absolute coordinates, returning them concatenated in coordinate order.
 // Regions already warm in the cache are served from memory — this is the
-// get-data path (§III-E, §VI-A). tok cancels between regions; nil never
-// cancels.
+// get-data path (§III-E, §VI-A), whose requests name the coordinates, so
+// unsorted or out-of-range ones are ErrCoords. tok cancels between
+// regions; nil never cancels.
 func (e *Engine) ExtractValues(tok *sched.Token, id object.ID, coords []uint64) ([]byte, error) {
 	o, ok := e.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("exec: object %d not found", id)
+	}
+	n := o.NumElems()
+	for i, c := range coords {
+		if c >= n || (i > 0 && c < coords[i-1]) {
+			return nil, fmt.Errorf("%w: coordinate %d at position %d of object %d (%d elements, ascending order)", ErrCoords, c, i, id, n)
+		}
 	}
 	elemSize := o.Type.Size()
 	out := make([]byte, len(coords)*elemSize)

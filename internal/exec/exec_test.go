@@ -2,10 +2,12 @@ package exec
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"pdcquery/internal/bitindex"
 	"pdcquery/internal/dtype"
@@ -452,6 +454,34 @@ func TestExtractValues(t *testing.T) {
 	}
 	if _, err := e.ExtractValues(nil, 99, nil); err == nil {
 		t.Error("ExtractValues of unknown object succeeded")
+	}
+}
+
+// TestExtractValuesRejectsBadCoords: coordinates come from outside (a
+// get-data request names them), so one past the object's end and a
+// descending pair are the typed ErrCoords. The first used to spin the
+// region loop forever, the second to slice out of range.
+func TestExtractValuesRejectsBadCoords(t *testing.T) {
+	f := buildFixture(t, []string{"energy"}, vpicLike, 1000, 100, false, false)
+	e, _ := f.engine(shapeScan)
+	for _, coords := range [][]uint64{{5000}, {999, 1000}, {600, 5}} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.ExtractValues(nil, 1, coords)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrCoords) {
+				t.Errorf("coords %v: err = %v, want ErrCoords", coords, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("coords %v: ExtractValues did not return", coords)
+		}
+	}
+	// Equal neighbours are ascending: the same element read twice.
+	if buf, err := e.ExtractValues(nil, 1, []uint64{7, 7, 999}); err != nil || len(buf) != 12 {
+		t.Errorf("coords {7, 7, 999}: %d bytes, %v", len(buf), err)
 	}
 }
 

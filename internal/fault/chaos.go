@@ -27,9 +27,13 @@ import (
 // typed error. A selection that differs from the oracle is a wrong
 // answer and fails the run, naming the seed for replay.
 
-// chaosForce is the forcing every chaos statement runs under: PDC-H,
-// the paper's default.
-const chaosForce = plan.ForceScan
+// chaosForce is statement i's forcing under a seed, drawn over all five
+// — auto included, so cost-based plans and the plan cache run under
+// faults too. It is a pure function of (seed, i): a seed replays.
+func chaosForce(seed uint64, i int) plan.Force {
+	z := (seed<<8 + uint64(i) + 1) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the high bits mix
+	return plan.Force((z >> 32) % uint64(plan.ForceFull+1))
+}
 
 // ChaosOptions sizes the deployment and workload a plan runs against.
 type ChaosOptions struct {
@@ -194,7 +198,7 @@ func RunChaos(plan Plan, opts ChaosOptions) (*ChaosResult, error) {
 
 	res := &ChaosResult{Errors: make([]error, len(queries))}
 	for i, q := range queries {
-		out, err := d.Client().Run(q, chaosForce)
+		out, err := d.Client().Run(q, chaosForce(plan.Seed, i))
 		if err != nil {
 			if !typedError(err) {
 				return nil, fmt.Errorf("chaos seed %d: query %d: unrecognized error (invariant: typed or masked): %w", plan.Seed, i, err)
@@ -276,7 +280,7 @@ func RunCrashRecovery(seed uint64, opts ChaosOptions) error {
 	}
 	baseline := make([][]byte, len(queries))
 	for i, q := range queries {
-		out, err := d.Client().Run(q, chaosForce)
+		out, err := d.Client().Run(q, chaosForce(seed, i))
 		if err != nil {
 			return fmt.Errorf("crash seed %d: baseline query %d: %w", seed, i, err)
 		}
@@ -302,7 +306,7 @@ func RunCrashRecovery(seed uint64, opts ChaosOptions) error {
 		return fmt.Errorf("crash seed %d: restart: %w", seed, err)
 	}
 	for i, q := range queries {
-		out, err := d2.Client().Run(q, chaosForce)
+		out, err := d2.Client().Run(q, chaosForce(seed, i))
 		if err != nil {
 			return fmt.Errorf("crash seed %d: recovered query %d: %w", seed, i, err)
 		}

@@ -178,7 +178,7 @@ func RunClusterChaos(seed uint64, opts ClusterChaosOptions) (*ClusterChaosResult
 			alive--
 		}
 
-		out, err := s.Run(q, chaosForce)
+		out, err := s.Run(q, chaosForce(seed, i))
 		if err != nil {
 			if !clusterTypedError(err) {
 				return nil, fmt.Errorf("cluster chaos seed %d: query %d: unrecognized error (invariant: typed or masked): %w", seed, i, err)
@@ -213,7 +213,7 @@ func RunClusterChaos(seed uint64, opts ClusterChaosOptions) (*ClusterChaosResult
 		return nil, fmt.Errorf("cluster chaos seed %d: settled verify: %w", seed, err)
 	}
 	for i, q := range queries {
-		out, err := s.Run(q, chaosForce)
+		out, err := s.Run(q, chaosForce(seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("cluster chaos seed %d: settled query %d: %w", seed, i, err)
 		}

@@ -5,18 +5,24 @@ import (
 	"sync"
 )
 
-// Cache is the prepared-plan LRU: canonical query text → built plan,
-// valid only for the (epoch, metadata generation) pair it was built
-// against. A hit under a different epoch or generation is treated as a
-// miss and evicted — rebalances and metadata mutations invalidate
-// without any explicit flush.
+// Cache is the prepared-plan LRU: statement key → built plan, valid only
+// for the (epoch, metadata generation) pair it was built against. A hit
+// under a different epoch or generation is treated as a miss and evicted
+// — rebalances and metadata mutations invalidate without any explicit
+// flush.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recent
 	byKey map[string]*list.Element
 
-	hits, misses uint64
+	stats CacheStats
+}
+
+// CacheStats is a snapshot of the cache's lifetime counters. Evictions
+// counts plans dropped to make room; a stale plan is counted as a miss.
+type CacheStats struct {
+	Hits, Misses, Evictions int64
 }
 
 type cacheEntry struct {
@@ -41,7 +47,7 @@ func (c *Cache) Get(key string, epoch, gen uint64) (*Plan, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses++
+		c.stats.Misses++
 		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
@@ -49,11 +55,11 @@ func (c *Cache) Get(key string, epoch, gen uint64) (*Plan, bool) {
 		// Stale: the world changed under the plan.
 		c.ll.Remove(el)
 		delete(c.byKey, key)
-		c.misses++
+		c.stats.Misses++
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits++
+	c.stats.Hits++
 	return ent.plan, true
 }
 
@@ -75,6 +81,7 @@ func (c *Cache) Put(key string, epoch, gen uint64, p *Plan) {
 		}
 		c.ll.Remove(back)
 		delete(c.byKey, back.Value.(*cacheEntry).key)
+		c.stats.Evictions++
 	}
 	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, epoch: epoch, gen: gen, plan: p})
 }
@@ -86,9 +93,9 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Stats returns cumulative hit/miss counts.
-func (c *Cache) Stats() (hits, misses uint64) {
+// Stats snapshots the lifetime counters.
+func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.stats
 }

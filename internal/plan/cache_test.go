@@ -50,9 +50,10 @@ func TestCacheStats(t *testing.T) {
 	c.Get("a", 1, 1)
 	c.Get("a", 1, 1)
 	c.Get("nope", 1, 1)
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = %d/%d, want 2/1", hits, misses)
+	c.Put("b", 1, 1, &Plan{})
+	c.Put("c", 1, 1, &Plan{}) // evicts "a"
+	if got, want := c.Stats(), (CacheStats{Hits: 2, Misses: 1, Evictions: 1}); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
 }
 

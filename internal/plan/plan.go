@@ -24,8 +24,8 @@ import (
 // Force is the one strategy vocabulary: how a statement's access paths
 // are chosen. ForceAuto lets the cost model decide; the other four are
 // the paper's evaluation strategies (§III-D). The values are the wire
-// encoding (MsgTextQuery's forcing byte, MsgQuery's forcing bits), so
-// new forcings are appended.
+// encoding (the forcing bits of a MsgQuery's flags byte), so new
+// forcings are appended.
 type Force int
 
 // Forcings.

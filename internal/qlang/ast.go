@@ -18,6 +18,10 @@ const (
 	ProjHist
 )
 
+// MaxHistBins bounds a hist projection's bin count: the parser and a
+// member decoding a lowered statement hold it to the same range.
+const MaxHistBins = 1 << 16
+
 // Projection is the select clause.
 type Projection struct {
 	Kind ProjKind
@@ -135,8 +139,8 @@ func (l *Logic) render(b *strings.Builder) {
 // Render produces the canonical text of the statement: lowercase
 // keywords, single spaces, shortest float forms, fully parenthesized
 // logic. Rendering then reparsing yields a structurally identical
-// query, and render∘parse∘render is a fixed point — the property the
-// plan-cache key and FuzzParseQuery rely on.
+// query, and render∘parse∘render is a fixed point — the property
+// FuzzParseQuery holds.
 func (q *Query) Render() string {
 	var b strings.Builder
 	if q.Explain {
@@ -165,10 +169,9 @@ func (q *Query) Render() string {
 	return b.String()
 }
 
-// CacheKey is the normalized text that keys the prepared-plan cache:
-// the canonical rendering with the explain prefix stripped, so
-// `EXPLAIN q` and `q` share one cached plan.
-func (q *Query) CacheKey() string {
+// Bare is the canonical rendering with the explain prefix stripped:
+// the statement `EXPLAIN q` explains, spelled as q.
+func (q *Query) Bare() string {
 	bare := *q
 	bare.Explain = false
 	bare.Analyze = false

@@ -157,8 +157,8 @@ func (p *parser) parseProjection() (Projection, *ParseError) {
 			return Projection{}, errAt(p.src, p.tok.pos, "expected bin count, found %q", p.tokText())
 		}
 		bins := int(p.tok.num)
-		if float64(bins) != p.tok.num || bins <= 0 || bins > 1<<16 {
-			return Projection{}, errAt(p.src, p.tok.pos, "hist bins must be a positive integer ≤ 65536, got %s", p.tok.text)
+		if float64(bins) != p.tok.num || bins <= 0 || bins > MaxHistBins {
+			return Projection{}, errAt(p.src, p.tok.pos, "hist bins must be a positive integer ≤ %d, got %s", MaxHistBins, p.tok.text)
 		}
 		if err := p.advance(); err != nil {
 			return Projection{}, err

@@ -55,8 +55,8 @@ func TestParseExplain(t *testing.T) {
 	if !q.Explain || !q.Analyze {
 		t.Errorf("explain analyze flags = %v/%v, want true/true", q.Explain, q.Analyze)
 	}
-	if q.CacheKey() != "select count where x > 1" {
-		t.Errorf("CacheKey = %q, must strip the explain prefix", q.CacheKey())
+	if q.Bare() != "select count where x > 1" {
+		t.Errorf("Bare = %q, must strip the explain prefix", q.Bare())
 	}
 }
 

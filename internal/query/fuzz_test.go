@@ -1,14 +1,15 @@
 package query
 
 import (
+	"bytes"
 	"testing"
 
 	"pdcquery/internal/region"
 )
 
 // FuzzDecode hardens the wire decoder against corrupt broadcasts: it must
-// return an error or a tree that re-encodes and decodes stably — never
-// panic.
+// return an error or a tree that re-encodes to the same bytes and decodes
+// stably — never panic.
 func FuzzDecode(f *testing.F) {
 	seeds := []*Query{
 		{Root: Leaf(1, OpGT, 2.0)},
@@ -30,8 +31,12 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successfully decoded query must round-trip exactly.
+		// A successfully decoded query must round-trip exactly: the
+		// encoding is canonical, so a statement's bytes key one plan.
 		enc := q.Encode()
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("re-encoding drifted: %x vs %x", enc, data)
+		}
 		q2, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

@@ -454,6 +454,9 @@ func Decode(b []byte) (*Query, error) {
 	}
 	q := &Query{}
 	pos := 1
+	if b[pos] > 1 { // Encode writes 0 or 1: a decoded query re-encodes to its bytes
+		return nil, fmt.Errorf("query: bad constraint marker %d", b[pos])
+	}
 	if b[pos] == 1 {
 		pos++
 		if pos >= len(b) {

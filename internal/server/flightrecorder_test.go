@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -26,7 +27,7 @@ func recorderRun(t *testing.T) (*Server, []telemetry.Event, uint64) {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGE, float64(i))}
 		if reply := call(t, conn, transport.Message{
 			Type:    MsgQuery,
-			Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
+			Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)),
 		}); reply.Type != MsgQueryResult {
 			t.Fatalf("query %d failed: %s", i, reply.Payload)
 		}
@@ -97,7 +98,7 @@ func TestServeEvents(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
 	if reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)),
 	}); reply.Type != MsgQueryResult {
 		t.Fatalf("query failed: %s", reply.Payload)
 	}
@@ -201,7 +202,7 @@ func TestSlowQueryLog(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
 	if reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)),
 	}); reply.Type != MsgQueryResult {
 		t.Fatalf("query failed: %s", reply.Payload)
 	}
@@ -233,7 +234,7 @@ func TestSlowQueryThresholdRespected(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
 	if reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)),
 	}); reply.Type != MsgQueryResult {
 		t.Fatalf("query failed: %s", reply.Payload)
 	}

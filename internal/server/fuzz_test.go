@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"pdcquery/internal/exec"
+	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
-	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
+	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
@@ -20,12 +22,10 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 		Cost:  vclock.CostOf(vclock.Storage, 1000),
 		Stats: exec.Stats{RegionsEvaluated: 3, StorageBytes: 4096},
 		Sel:   packedSel([]uint64{1, 2, 3}, []uint64{100}),
-		Values: map[object.ID][]byte{
-			1: {1, 2, 3, 4},
-		},
 	}
 	f.Add(resp.Encode())
 	f.Add((&QueryResponse{Sel: selection.PackedCount(9, []uint64{5})}).Encode())
+	f.Add((&QueryResponse{Sel: selection.PackedCount(3, []uint64{100}), Hist: histogram.Build([]float64{0.5, 2, 9}, 8)}).Encode())
 	span := telemetry.NewSpan(telemetry.SpanQuery, "server.0")
 	span.Trace = 7
 	span.Child(telemetry.SpanRegion, "region.0").SetStr("decision", telemetry.DecisionScan)
@@ -41,42 +41,50 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if r2.Sel.NHits != r.Sel.NHits || !bytes.Equal(r2.Sel.Chunks, r.Sel.Chunks) || r2.Stats != r.Stats {
+		if r2.Sel.NHits != r.Sel.NHits || !bytes.Equal(r2.Sel.Chunks, r.Sel.Chunks) || r2.Stats != r.Stats || (r2.Hist == nil) != (r.Hist == nil) {
 			t.Fatal("round trip drifted")
 		}
 	})
 }
 
-// FuzzDecodeQueryRequest hardens the MsgQuery front end's decoder: any
-// payload either splits into in-range parts that re-encode to the same
-// bytes, or is refused — the reserved bit and a forcing no plan.Force
-// names with the typed ErrBadQueryFlags.
+// FuzzDecodeQueryRequest hardens the one statement decoder: any payload
+// either decodes to in-range parts that re-encode to exactly its bytes —
+// statement section (tags, hist projection) and keep bit included — or
+// is refused, a forcing no plan.Force names with the typed
+// ErrBadQueryFlags.
 func FuzzDecodeQueryRequest(f *testing.F) {
+	q := &query.Query{Root: query.Or(query.Leaf(1, query.OpGT, 2), query.Between(2, -1, 1, true, false))}
+	tags := []metadata.TagCond{{Key: "run", Value: "vpic-7"}, {Key: "", Value: "\x00"}}
+	hist := qlang.Projection{Kind: qlang.ProjHist, Bins: 16}
 	for force := plan.ForceAuto; force <= plan.ForceFull; force++ {
-		f.Add(EncodeQueryRequest(FlagWantSelection|FlagWantTrace, force, 0, []byte("q")))
-		f.Add(EncodeQueryRequest(FlagWantValues|FlagEpoch, force, 7, []byte("q")))
+		f.Add(EncodeQueryRequest(FlagWantTrace, force, 0, &qlang.Lowered{Query: q, Projection: qlang.Projection{Kind: qlang.ProjIDs}}))
+		f.Add(EncodeQueryRequest(FlagKeep|FlagEpoch, force, 7, &qlang.Lowered{Query: q}))
+		f.Add(EncodeQueryRequest(FlagEpoch, force, 9, &qlang.Lowered{Query: q, Tags: tags, Projection: hist, HistObj: 2}))
 	}
-	f.Add([]byte{flagReserved, 'q'})
+	f.Add(EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, &qlang.Lowered{Query: q, Tags: tags, Projection: qlang.Projection{Kind: qlang.ProjIDs}}))
 	f.Add([]byte{byte(plan.ForceFull+1) << forceShift, 'q'})
 	f.Add([]byte{7<<forceShift | FlagEpoch, 1, 2, 3, 4, 5, 6, 7, 8, 'q'})
+	f.Add([]byte{FlagStatement, 0, 0, 1, 0})
 	f.Add([]byte{FlagEpoch, 1, 2})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flags, force, epoch, q, err := DecodeQueryRequest(data)
+		r, err := DecodeQueryRequest(data)
 		if err != nil {
-			if len(data) > 0 && (data[0]&flagReserved != 0 || data[0]>>forceShift > byte(plan.ForceFull)) &&
-				!errors.Is(err, ErrBadQueryFlags) {
+			if len(data) > 0 && data[0]>>forceShift > byte(plan.ForceFull) && !errors.Is(err, ErrBadQueryFlags) {
 				t.Fatalf("flags byte %#x refused with %v, want ErrBadQueryFlags", data[0], err)
 			}
 			return
 		}
-		if !force.Valid() || flags&^flagBits != 0 || flags&flagReserved != 0 {
-			t.Fatalf("decoded out-of-range parts: flags %#x force %d", flags, int(force))
+		if !r.Force.Valid() || r.Flags&^flagBits != 0 {
+			t.Fatalf("decoded out-of-range parts: flags %#x force %d", r.Flags, int(r.Force))
 		}
-		if flags&FlagEpoch == 0 && epoch != 0 {
-			t.Fatalf("epoch %d without FlagEpoch", epoch)
+		if r.Flags&FlagEpoch == 0 && r.Epoch != 0 {
+			t.Fatalf("epoch %d without FlagEpoch", r.Epoch)
 		}
-		if !bytes.Equal(EncodeQueryRequest(flags, force, epoch, q), data) {
+		if p := r.Stmt.Projection; p.Kind == qlang.ProjHist && (p.Bins < 1 || p.Bins > qlang.MaxHistBins) {
+			t.Fatalf("hist bins %d decoded", p.Bins)
+		}
+		if !bytes.Equal(EncodeQueryRequest(r.Flags, r.Force, r.Epoch, r.Stmt), data) {
 			t.Fatal("round trip drifted")
 		}
 	})

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -29,7 +30,7 @@ func tracedQuery(t *testing.T) *QueryResponse {
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
 		Trace:   99,
-		Payload: EncodeQueryRequest(FlagWantSelection|FlagWantTrace, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep|FlagWantTrace, plan.ForceScan, 0, prepared(q, qlang.ProjIDs)),
 	})
 	if reply.Type != MsgQueryResult {
 		t.Fatalf("reply = %d payload=%s", reply.Type, reply.Payload)
@@ -94,7 +95,7 @@ func TestUntracedQueryHasNoTrace(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 5.0)}
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(FlagWantSelection, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjIDs)),
 	})
 	qr, err := DecodeQueryResponse(reply.Payload)
 	if err != nil {
@@ -141,7 +142,7 @@ func metricsRun(t *testing.T) []byte {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGE, float64(i))}
 		if reply := call(t, conn, transport.Message{
 			Type:    MsgQuery,
-			Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
+			Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)),
 		}); reply.Type != MsgQueryResult {
 			t.Fatalf("query %d failed: %s", i, reply.Payload)
 		}
@@ -178,7 +179,7 @@ func TestServeStats(t *testing.T) {
 	const queries = 4
 	for i := 0; i < queries; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(i))}
-		call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())})
+		call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount))})
 	}
 	reply := call(t, conn, transport.Message{Type: MsgStats})
 	if reply.Type != MsgStatsResult {
@@ -214,7 +215,7 @@ func TestServeStats(t *testing.T) {
 func TestMetricsSurviveDisconnect(t *testing.T) {
 	srv, conn, oid := testServer(t, 0, 1)
 	q := &query.Query{Root: query.Leaf(oid, query.OpGT, 2.0)}
-	call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())})
+	call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount))})
 
 	// A second connection runs one more query, then disconnects.
 	clientB, serverB := transport.Pipe()
@@ -223,7 +224,7 @@ func TestMetricsSurviveDisconnect(t *testing.T) {
 		srv.Serve(serverB)
 		close(done)
 	}()
-	call(t, clientB, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())})
+	call(t, clientB, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount))})
 	clientB.Send(transport.Message{Type: MsgShutdown})
 	clientB.Close()
 	<-done
@@ -264,7 +265,7 @@ func TestStashEvictionBoundary(t *testing.T) {
 	_, conn, oid := testServer(t, 0, 1)
 	for i := 0; i < 40; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(i%9))}
-		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()), ReqID: uint64(i + 1)}
+		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)), ReqID: uint64(i + 1)}
 		if err := conn.Send(m); err != nil {
 			t.Fatal(err)
 		}

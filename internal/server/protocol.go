@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"pdcquery/internal/exec"
@@ -15,6 +14,8 @@ import (
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
+	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
@@ -46,11 +47,6 @@ const (
 	MsgFetchExtents  byte = 20 // client -> server: read extents by key (rebalance transfer source)
 	MsgExtentsResult byte = 21 // server -> client: requested extents' bytes
 	MsgOK            byte = 22 // server -> client: bare acknowledgement
-	// Declarative text-query pair: the client ships canonical query
-	// text; the server parses, plans (cost-based, cached), executes,
-	// and answers with a selection/count/histogram per the projection.
-	MsgTextQuery  byte = 23 // client -> server: run a qlang text query
-	MsgTextResult byte = 24 // server -> client: text query answer
 )
 
 // MsgName returns a short stable name for a message type, used as the
@@ -101,18 +97,19 @@ func MsgName(t byte) string {
 		return "extents_result"
 	case MsgOK:
 		return "ok"
-	case MsgTextQuery:
-		return "text_query"
-	case MsgTextResult:
-		return "text_result"
 	}
 	return fmt.Sprintf("unknown_%d", t)
 }
 
 // Query request flags.
 const (
+	// FlagWantSelection marks an ids projection: the reply carries the
+	// selection, not only its count.
 	FlagWantSelection byte = 1 << 0
-	FlagWantValues    byte = 1 << 1
+	// FlagKeep asks the server to keep the result for a later get-data on
+	// the request ID (client.Prepared sets it). It is all a server learns
+	// of how the statement was spelled.
+	FlagKeep byte = 1 << 1
 	// FlagWantTrace asks the server to record and return a per-query trace
 	// span tree in the response.
 	FlagWantTrace byte = 1 << 2
@@ -121,6 +118,9 @@ const (
 	// epoch does not match their installed view, so a query is never
 	// evaluated under two placements at once.
 	FlagEpoch byte = 1 << 3
+	// FlagStatement marks a statement section before the query: tag
+	// conditions and the hist projection.
+	FlagStatement byte = 1 << 4
 )
 
 // encodeCost packs a cost breakdown as four u64 nanosecond counts.
@@ -175,54 +175,124 @@ func decodeStats(b []byte) (exec.Stats, []byte, error) {
 	return s, b, nil
 }
 
-// The forcing of a binary statement rides in the flags byte's three
-// high bits (a plan.Force wire value), so a MsgQuery is exactly as long
-// as it was before statements carried their own forcing. Bit 4 stays
-// reserved.
+// The forcing rides in the flags byte's three high bits (a plan.Force
+// wire value), so it costs a request no bytes.
 const (
-	flagReserved byte = 1 << 4
-	forceShift        = 5
-	flagBits          = 1<<forceShift - 1
+	forceShift = 5
+	flagBits   = 1<<forceShift - 1
 )
 
-// ErrBadQueryFlags reports a MsgQuery flags byte with the reserved bit
-// set or a forcing value no plan.Force names.
+// ErrBadQueryFlags reports a MsgQuery flags byte whose forcing value no
+// plan.Force names.
 var ErrBadQueryFlags = errors.New("protocol: bad query flags")
 
-// EncodeQueryRequest builds a MsgQuery payload:
-// flags+forcing | [epoch u64 when FlagEpoch] | query.
-func EncodeQueryRequest(flags byte, force plan.Force, epoch uint64, encodedQuery []byte) []byte {
-	out := make([]byte, 0, 9+len(encodedQuery))
+// ErrBadStatement reports a MsgQuery statement a server cannot run as
+// sent: a malformed statement section, or a hist projection whose
+// object, shape or bin count does not fit the statement.
+var ErrBadStatement = errors.New("protocol: bad statement")
+
+// EncodeQueryRequest builds a MsgQuery payload from a lowered statement:
+// flags+forcing | [epoch u64] | [statement section] | encoded query. The
+// section — tags in EncodeTagQuery's layout, then a hist marker 0, or 1
+// | u64 object | u32 bins — precedes the query, which query.Decode reads
+// to the end. The statement sets FlagWantSelection and FlagStatement.
+func EncodeQueryRequest(flags byte, force plan.Force, epoch uint64, st *qlang.Lowered) []byte {
+	flags &^= FlagWantSelection | FlagStatement
+	if st.Projection.Kind == qlang.ProjIDs {
+		flags |= FlagWantSelection
+	}
+	hist := st.Projection.Kind == qlang.ProjHist
+	if hist || len(st.Tags) > 0 {
+		flags |= FlagStatement
+	}
+	q := st.Query.Encode()
+	out := make([]byte, 0, 9+len(q))
 	out = append(out, flags&flagBits|byte(force)<<forceShift)
 	if flags&FlagEpoch != 0 {
 		out = binary.LittleEndian.AppendUint64(out, epoch)
 	}
-	return append(out, encodedQuery...)
+	if flags&FlagStatement != 0 {
+		out = encodeTags(out, st.Tags)
+		if hist {
+			out = append(out, 1)
+			out = binary.LittleEndian.AppendUint64(out, uint64(st.HistObj))
+			out = binary.LittleEndian.AppendUint32(out, uint32(st.Projection.Bins))
+		} else {
+			out = append(out, 0)
+		}
+	}
+	return append(out, q...)
 }
 
-// DecodeQueryRequest splits a MsgQuery payload into its flags (forcing
-// bits cleared), forcing, placement epoch (0 unless FlagEpoch is set)
-// and encoded query.
-func DecodeQueryRequest(b []byte) (flags byte, force plan.Force, epoch uint64, encodedQuery []byte, err error) {
+// QueryRequest is a decoded MsgQuery payload.
+type QueryRequest struct {
+	// Flags has the forcing bits cleared; Epoch is 0 unless FlagEpoch.
+	Flags byte
+	Force plan.Force
+	Epoch uint64
+	// Stmt is the lowered statement. Its projection is ids under
+	// FlagWantSelection, hist when the section says so, count otherwise;
+	// a hist projection names its object by ID only.
+	Stmt *qlang.Lowered
+	// Query is Stmt.Query's encoding as it arrived.
+	Query []byte
+}
+
+// DecodeQueryRequest parses a MsgQuery payload. A forcing no plan.Force
+// names is ErrBadQueryFlags; a section that is empty, names an unknown
+// projection, asks for ids and hist at once, or has a bin count outside
+// 1..qlang.MaxHistBins is ErrBadStatement.
+func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
 	if len(b) < 1 {
-		return 0, 0, 0, nil, fmt.Errorf("protocol: empty query request")
+		return nil, fmt.Errorf("protocol: empty query request")
 	}
-	flags, force = b[0]&flagBits, plan.Force(b[0]>>forceShift)
+	r := &QueryRequest{Flags: b[0] & flagBits, Force: plan.Force(b[0] >> forceShift), Stmt: &qlang.Lowered{}}
 	b = b[1:]
-	if flags&flagReserved != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: reserved bit set", ErrBadQueryFlags)
+	if !r.Force.Valid() {
+		return nil, fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, int(r.Force))
 	}
-	if !force.Valid() {
-		return 0, 0, 0, nil, fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, int(force))
-	}
-	if flags&FlagEpoch != 0 {
+	if r.Flags&FlagEpoch != 0 {
 		if len(b) < 8 {
-			return 0, 0, 0, nil, fmt.Errorf("protocol: truncated query epoch")
+			return nil, fmt.Errorf("protocol: truncated query epoch")
 		}
-		epoch = binary.LittleEndian.Uint64(b)
+		r.Epoch = binary.LittleEndian.Uint64(b)
 		b = b[8:]
 	}
-	return flags, force, epoch, b, nil
+	if r.Flags&FlagWantSelection != 0 {
+		r.Stmt.Projection.Kind = qlang.ProjIDs
+	}
+	if r.Flags&FlagStatement != 0 {
+		var err error
+		if r.Stmt.Tags, b, err = decodeTags(b); err != nil {
+			return nil, err
+		}
+		switch {
+		case len(b) < 1 || b[0] == 1 && len(b) < 13:
+			return nil, fmt.Errorf("protocol: truncated statement projection")
+		case b[0] > 1:
+			return nil, fmt.Errorf("%w: unknown projection %d", ErrBadStatement, b[0])
+		case b[0] == 0 && len(r.Stmt.Tags) == 0:
+			return nil, fmt.Errorf("%w: empty statement section", ErrBadStatement)
+		case b[0] == 0:
+			b = b[1:]
+		case r.Flags&FlagWantSelection != 0:
+			return nil, fmt.Errorf("%w: ids and hist projections at once", ErrBadStatement)
+		default:
+			bins := binary.LittleEndian.Uint32(b[9:])
+			if bins < 1 || bins > qlang.MaxHistBins {
+				return nil, fmt.Errorf("%w: hist bins %d outside 1..%d", ErrBadStatement, bins, qlang.MaxHistBins)
+			}
+			r.Stmt.Projection = qlang.Projection{Kind: qlang.ProjHist, Bins: int(bins)}
+			r.Stmt.HistObj = object.ID(binary.LittleEndian.Uint64(b[1:]))
+			b = b[13:]
+		}
+	}
+	q, err := query.Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	r.Stmt.Query, r.Query = q, b
+	return r, nil
 }
 
 // QueryResponse is one server's answer to a MsgQuery.
@@ -231,8 +301,10 @@ type QueryResponse struct {
 	Stats exec.Stats
 	// Sel is the partial selection, packed: the engine's chunk stream
 	// goes into the reply as it is and the client unpacks it.
-	Sel    *selection.Packed
-	Values map[object.ID][]byte
+	Sel *selection.Packed
+	// Hist is the server's partial histogram of a hist projection's
+	// values; nil for every other projection.
+	Hist *histogram.Histogram
 	// Trace is the server-side span tree, present only when the request
 	// carried FlagWantTrace. Its root cost equals Cost.
 	Trace *telemetry.Span
@@ -243,50 +315,60 @@ func (r *QueryResponse) Encode() []byte {
 	return r.encode(make([]byte, 0, r.encodedLen()))
 }
 
-// encodedLen is the length encode appends, the trace apart: a traced
-// reply is rare and small, and append grows the buffer for it.
-func (r *QueryResponse) encodedLen() int {
-	n := 32 + 72 + 8 + r.Sel.EncodedLen() + 1 + 1
-	for _, v := range r.Values {
-		n += 16 + len(v)
-	}
-	return n
-}
-
 // encode appends the response to out. Sections are emitted in decode
-// order (cost, stats, selection, values, trace) so the wire layout and
-// the field-access order stay in lockstep (wiresymmetry).
+// order (cost, stats, selection, hist, trace) so the wire layout and the
+// field-access order stay in lockstep (wiresymmetry).
 func (r *QueryResponse) encode(out []byte) []byte {
 	out = encodeCost(out, r.Cost)
 	out = encodeStats(out, r.Stats)
 	out = binary.LittleEndian.AppendUint64(out, uint64(r.Sel.EncodedLen()))
 	out = r.Sel.Encode(out)
-	out = append(out, byte(len(r.Values)))
-	for _, id := range sortedObjIDs(r.Values) {
-		out = binary.LittleEndian.AppendUint64(out, uint64(id))
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(r.Values[id])))
-		out = append(out, r.Values[id]...)
+	var hb, tb []byte
+	if r.Hist != nil {
+		hb = r.Hist.Encode()
 	}
-	if r.Trace == nil {
-		out = append(out, 0)
-	} else {
+	if r.Trace != nil {
 		// The protocol encoding is the deterministic one: wall-clock span
 		// fields never cross the wire.
-		tb := r.Trace.Encode(false)
-		out = append(out, 1)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(tb)))
-		out = append(out, tb...)
+		tb = r.Trace.Encode(false)
 	}
-	return out
+	return appendOptional(appendOptional(out, hb), tb)
 }
 
-func sortedObjIDs(m map[object.ID][]byte) []object.ID {
-	out := make([]object.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// encodedLen is the length Encode appends, histogram and trace apart:
+// either is rare and small, and append grows the buffer for it.
+func (r *QueryResponse) encodedLen() int {
+	return 32 + 72 + 8 + r.Sel.EncodedLen() + 1 + 1
+}
+
+// appendOptional appends an optional section: 0 when body is nil, else
+// 1 | u32 length | body.
+func appendOptional(out, body []byte) []byte {
+	if body == nil {
+		return append(out, 0)
 	}
-	slices.Sort(out)
-	return out
+	out = append(out, 1)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+	return append(out, body...)
+}
+
+// decodeOptional splits what appendOptional wrote off b: the body (nil
+// when absent) and the bytes after it.
+func decodeOptional(b []byte, what string) (body, rest []byte, err error) {
+	if len(b) < 1 {
+		return nil, nil, fmt.Errorf("protocol: truncated %s marker", what)
+	}
+	switch b[0] {
+	case 0:
+		return nil, b[1:], nil
+	case 1:
+		if len(b) < 5 || uint64(len(b)-5) < uint64(binary.LittleEndian.Uint32(b[1:])) {
+			return nil, nil, fmt.Errorf("protocol: truncated %s", what)
+		}
+		n := 5 + int(binary.LittleEndian.Uint32(b[1:]))
+		return b[5:n], b[n:], nil
+	}
+	return nil, nil, fmt.Errorf("protocol: bad %s marker %d", what, b[0])
 }
 
 // DecodeQueryResponse parses a MsgQueryResult payload.
@@ -314,49 +396,22 @@ func DecodeQueryResponse(b []byte) (*QueryResponse, error) {
 		return nil, err
 	}
 	b = b[selLen:]
-	if len(b) < 1 {
-		return nil, fmt.Errorf("protocol: truncated value count")
+	var body []byte
+	if body, b, err = decodeOptional(b, "hist"); err != nil {
+		return nil, err
 	}
-	nvals := int(b[0])
-	b = b[1:]
-	if nvals > 0 {
-		r.Values = make(map[object.ID][]byte, nvals)
-	}
-	for i := 0; i < nvals; i++ {
-		if len(b) < 16 {
-			return nil, fmt.Errorf("protocol: truncated value header")
-		}
-		id := object.ID(binary.LittleEndian.Uint64(b))
-		n := binary.LittleEndian.Uint64(b[8:])
-		b = b[16:]
-		if uint64(len(b)) < n {
-			return nil, fmt.Errorf("protocol: truncated value bytes")
-		}
-		r.Values[id] = b[:n]
-		b = b[n:]
-	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("protocol: truncated trace marker")
-	}
-	hasTrace := b[0]
-	b = b[1:]
-	if hasTrace == 1 {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("protocol: truncated trace length")
-		}
-		tn := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint64(len(b)) < uint64(tn) {
-			return nil, fmt.Errorf("protocol: truncated trace")
-		}
-		var err error
-		r.Trace, err = telemetry.DecodeSpan(b[:tn])
-		if err != nil {
+	if body != nil {
+		if r.Hist, err = histogram.Decode(body); err != nil {
 			return nil, err
 		}
-		b = b[tn:]
-	} else if hasTrace != 0 {
-		return nil, fmt.Errorf("protocol: bad trace marker %d", hasTrace)
+	}
+	if body, b, err = decodeOptional(b, "trace"); err != nil {
+		return nil, err
+	}
+	if body != nil {
+		if r.Trace, err = telemetry.DecodeSpan(body); err != nil {
+			return nil, err
+		}
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("protocol: %d trailing bytes in query response", len(b))
@@ -465,7 +520,14 @@ func DecodeDataResponse(b []byte) (*DataResponse, error) {
 
 // EncodeTagQuery serializes tag conditions.
 func EncodeTagQuery(conds []metadata.TagCond) []byte {
-	out := []byte{byte(len(conds))}
+	return encodeTags(nil, conds)
+}
+
+// encodeTags appends tag conditions: u8 count | per condition u32 key
+// length | key | u32 value length | value. A statement section carries
+// its tags the same way.
+func encodeTags(out []byte, conds []metadata.TagCond) []byte {
+	out = append(out, byte(len(conds)))
 	for _, c := range conds {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.Key)))
 		out = append(out, c.Key...)
@@ -477,36 +539,43 @@ func EncodeTagQuery(conds []metadata.TagCond) []byte {
 
 // DecodeTagQuery parses a MsgTagQuery payload.
 func DecodeTagQuery(b []byte) ([]metadata.TagCond, error) {
+	conds, rest, err := decodeTags(b)
+	if err == nil && len(rest) != 0 {
+		return nil, fmt.Errorf("protocol: trailing bytes in tag query")
+	}
+	return conds, err
+}
+
+// decodeTags parses what encodeTags appends and returns the bytes after
+// it.
+func decodeTags(b []byte) ([]metadata.TagCond, []byte, error) {
 	if len(b) < 1 {
-		return nil, fmt.Errorf("protocol: empty tag query")
+		return nil, nil, fmt.Errorf("protocol: empty tag query")
 	}
 	n := int(b[0])
 	b = b[1:]
 	conds := make([]metadata.TagCond, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < 4 {
-			return nil, fmt.Errorf("protocol: truncated tag key length")
+			return nil, nil, fmt.Errorf("protocol: truncated tag key length")
 		}
 		kl := binary.LittleEndian.Uint32(b)
 		b = b[4:]
 		if uint64(len(b)) < uint64(kl)+4 {
-			return nil, fmt.Errorf("protocol: truncated tag key")
+			return nil, nil, fmt.Errorf("protocol: truncated tag key")
 		}
 		k := string(b[:kl])
 		b = b[kl:]
 		vl := binary.LittleEndian.Uint32(b)
 		b = b[4:]
 		if uint64(len(b)) < uint64(vl) {
-			return nil, fmt.Errorf("protocol: truncated tag value")
+			return nil, nil, fmt.Errorf("protocol: truncated tag value")
 		}
 		v := string(b[:vl])
 		b = b[vl:]
 		conds = append(conds, metadata.TagCond{Key: k, Value: v})
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("protocol: trailing bytes in tag query")
-	}
-	return conds, nil
+	return conds, b, nil
 }
 
 // EncodeTagResult serializes matching IDs with the lookup cost.

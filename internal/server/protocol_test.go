@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,8 @@ import (
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
+	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
@@ -25,42 +29,70 @@ func sampleCost() vclock.Cost {
 }
 
 // TestQueryRequestRoundTrip: every flag combination round-trips under
-// every forcing, and the forcing costs no bytes — the payload is as long
-// as it was before statements carried one (flags byte, optional epoch,
-// query).
+// every forcing, for each projection with and without tags. A count or
+// ids statement without tags carries no section and the forcing costs no
+// bytes: its payload is the flags byte, the optional epoch and the
+// query.
 func TestQueryRequestRoundTrip(t *testing.T) {
-	for flags := byte(0); flags < flagReserved; flags++ {
+	q := &query.Query{Root: query.Between(3, 1, 2, false, true)}
+	qb := q.Encode()
+	tags := []metadata.TagCond{{Key: "run", Value: "vpic-7"}}
+	hist := qlang.Projection{Kind: qlang.ProjHist, Bins: 32}
+	stmts := []*qlang.Lowered{
+		{Query: q},
+		{Query: q, Projection: qlang.Projection{Kind: qlang.ProjIDs}},
+		{Query: q, Tags: tags},
+		{Query: q, Tags: tags, Projection: qlang.Projection{Kind: qlang.ProjIDs}},
+		{Query: q, Projection: hist, HistObj: 4},
+		{Query: q, Tags: tags, Projection: hist, HistObj: 4},
+	}
+	for _, flags := range []byte{0, FlagKeep, FlagWantTrace, FlagEpoch, FlagKeep | FlagWantTrace | FlagEpoch} {
 		for force := plan.ForceAuto; force <= plan.ForceFull; force++ {
-			enc := EncodeQueryRequest(flags, force, 42, []byte("querybytes"))
-			wantLen, wantEpoch := 1+len("querybytes"), uint64(0)
-			if flags&FlagEpoch != 0 {
-				wantLen, wantEpoch = wantLen+8, 42
-			}
-			if len(enc) != wantLen {
-				t.Fatalf("flags %#x force %v: %d bytes, want %d", flags, force, len(enc), wantLen)
-			}
-			gotFlags, gotForce, epoch, q, err := DecodeQueryRequest(enc)
-			if err != nil {
-				t.Fatalf("flags %#x force %v: %v", flags, force, err)
-			}
-			if gotFlags != flags || gotForce != force || epoch != wantEpoch || string(q) != "querybytes" {
-				t.Errorf("flags %#x force %v: round trip = %#x %v %d %q", flags, force, gotFlags, gotForce, epoch, q)
+			for i, st := range stmts {
+				enc := EncodeQueryRequest(flags, force, 42, st)
+				r, err := DecodeQueryRequest(enc)
+				if err != nil {
+					t.Fatalf("flags %#x force %v statement %d: %v", flags, force, i, err)
+				}
+				wantEpoch := uint64(0)
+				if flags&FlagEpoch != 0 {
+					wantEpoch = 42
+				}
+				if r.Flags&^(FlagWantSelection|FlagStatement) != flags || r.Force != force || r.Epoch != wantEpoch || !bytes.Equal(r.Query, qb) {
+					t.Errorf("flags %#x force %v statement %d: round trip = %#x %v %d %x", flags, force, i, r.Flags, r.Force, r.Epoch, r.Query)
+				}
+				if got := r.Stmt; got.Projection != st.Projection || got.HistObj != st.HistObj || !slices.Equal(got.Tags, st.Tags) || got.Query.Root.String() != q.Root.String() {
+					t.Errorf("flags %#x force %v statement %d: statement = %+v, want %+v", flags, force, i, got, st)
+				}
+				if want := 1 + len(qb); len(st.Tags) == 0 && st.Projection.Kind != qlang.ProjHist {
+					if flags&FlagEpoch != 0 {
+						want += 8
+					}
+					if len(enc) != want {
+						t.Errorf("flags %#x force %v statement %d: %d bytes, want %d", flags, force, i, len(enc), want)
+					}
+				}
 			}
 		}
 	}
-	if _, _, _, _, err := DecodeQueryRequest(nil); err == nil {
+	if _, err := DecodeQueryRequest(nil); err == nil {
 		t.Error("empty request accepted")
 	}
-	if _, _, _, _, err := DecodeQueryRequest([]byte{FlagEpoch, 1, 2}); err == nil {
+	if _, err := DecodeQueryRequest([]byte{FlagEpoch, 1, 2}); err == nil {
 		t.Error("truncated epoch accepted")
 	}
-	for _, b := range []byte{flagReserved, byte(plan.ForceFull+1) << forceShift, 7 << forceShift} {
-		if _, _, _, _, err := DecodeQueryRequest([]byte{b, 'q'}); !errors.Is(err, ErrBadQueryFlags) {
+	for _, b := range []byte{byte(plan.ForceFull+1) << forceShift, 7 << forceShift} {
+		if _, err := DecodeQueryRequest(append([]byte{b}, qb...)); !errors.Is(err, ErrBadQueryFlags) {
 			t.Errorf("flags byte %#x: err = %v, want ErrBadQueryFlags", b, err)
 		}
 	}
-	if _, _, _, _, err := DecodeTextQuery(EncodeTextQuery(0, 0, plan.ForceFull+1, "select count where e > 1")); !errors.Is(err, ErrBadQueryFlags) {
-		t.Errorf("text forcing out of range: err = %v, want ErrBadQueryFlags", err)
+	for name, head := range map[string][]byte{
+		"empty section": {FlagStatement, 0, 0},
+		"ids and hist":  {FlagStatement | FlagWantSelection, 0, 1, 4, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0},
+	} {
+		if _, err := DecodeQueryRequest(append(head, qb...)); !errors.Is(err, ErrBadStatement) {
+			t.Errorf("%s: err = %v, want ErrBadStatement", name, err)
+		}
 	}
 }
 
@@ -82,11 +114,8 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 			ElementsScanned: 1000, Probes: 50, IndexBinsRead: 3,
 			IndexBytesRead: 4096, CandChecks: 2,
 		},
-		Sel: packedSel([]uint64{3, 9, 100}, []uint64{1000}),
-		Values: map[object.ID][]byte{
-			2: {1, 2, 3, 4},
-			7: {9, 8},
-		},
+		Sel:  packedSel([]uint64{3, 9, 100}, []uint64{1000}),
+		Hist: histogram.Build([]float64{1, 2, 3}, 4),
 	}
 	got, err := DecodeQueryResponse(resp.Encode())
 	if err != nil {
@@ -101,8 +130,14 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 	if coords, err := got.Sel.Coords(nil); err != nil || got.Sel.NHits != 3 || !reflect.DeepEqual(coords, []uint64{3, 9, 100}) {
 		t.Errorf("selection = %+v (%v), err %v", got.Sel, coords, err)
 	}
-	if len(got.Values) != 2 || !reflect.DeepEqual(got.Values[2], resp.Values[2]) || !reflect.DeepEqual(got.Values[7], resp.Values[7]) {
-		t.Errorf("values = %v", got.Values)
+	if got.Hist == nil || !bytes.Equal(got.Hist.Encode(), resp.Hist.Encode()) {
+		t.Errorf("hist = %+v", got.Hist)
+	}
+	// Without a histogram the slot is one zero byte, the encoding every
+	// count and ids reply had before replies could carry one.
+	withHist, without := resp.Encode(), (&QueryResponse{Cost: resp.Cost, Stats: resp.Stats, Sel: resp.Sel}).Encode()
+	if want := len(without) + 4 + len(resp.Hist.Encode()); len(withHist) != want {
+		t.Errorf("reply with a histogram is %d bytes, want %d", len(withHist), want)
 	}
 }
 
@@ -112,7 +147,7 @@ func TestQueryResponseCountOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Sel.CountOnly || got.Sel.NHits != 42 || got.Values != nil {
+	if !got.Sel.CountOnly || got.Sel.NHits != 42 || got.Hist != nil {
 		t.Errorf("count-only round trip = %+v", got)
 	}
 }
@@ -145,8 +180,8 @@ func TestQueryResponseTraceRoundTrip(t *testing.T) {
 	// A corrupted trace marker is rejected.
 	enc := resp.Encode()
 	markerAt := -1
-	// The marker byte follows the values section; for this response (no
-	// values) it is the first byte after the selection.
+	// The marker byte follows the hist section; for this response (no
+	// histogram) it is the second byte after the selection.
 	base := (&QueryResponse{Cost: resp.Cost, Sel: resp.Sel}).Encode()
 	markerAt = len(base) - 1
 	bad := append([]byte(nil), enc...)

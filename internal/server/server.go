@@ -67,10 +67,11 @@ type Config struct {
 	// replies (with a retry-after hint) until the backlog drains. Zero
 	// means DefaultQueueDepth.
 	QueueDepth int
-	// OnQuery, when set, is called after each handled statement (MsgQuery
-	// or MsgTextQuery) with the running count this server has served. It
-	// is the seam crash-injection hangs off (cmd/pdc-server's -crash-after
-	// exits the process from it); keep it fast and non-blocking.
+	// OnQuery, when set, is called after each handled statement (every
+	// MsgQuery, text or prepared) with the running count this server has
+	// served. It is the seam crash-injection hangs off (cmd/pdc-server's
+	// -crash-after exits the process from it); keep it fast and
+	// non-blocking.
 	OnQuery func(served uint64)
 	// RecorderEvents sizes the flight-recorder ring (0 means
 	// telemetry.DefaultRecorderEvents). The recorder is always on; its
@@ -125,9 +126,8 @@ type Server struct {
 	// Metrics merges everything into the server-wide view.
 	telem *telemetry.Registry
 
-	// planCache is the prepared-plan LRU for text queries: canonical
-	// query text + forcing → cost-based plan, invalidated by placement
-	// epoch or metadata generation change.
+	// planCache is the prepared-plan LRU: encoded query + forcing →
+	// plan, invalidated by placement epoch or metadata generation change.
 	planCache *plan.Cache
 
 	// rec is the always-on flight recorder: admission, dispatch,
@@ -287,6 +287,11 @@ func (s *Server) Metrics() *telemetry.Registry {
 	out.Add("cache.hits", cs.Hits)
 	out.Add("cache.misses", cs.Misses)
 	out.Add("cache.evictions", cs.Evictions)
+	// The prepared-plan LRU's counters, the same way.
+	ps := s.planCache.Stats()
+	out.Add("plan.cache_hits", ps.Hits)
+	out.Add("plan.cache_misses", ps.Misses)
+	out.Add("plan.cache_evictions", ps.Evictions)
 	// Flight-recorder occupancy: how much history the ring holds and how
 	// much it has ever seen (the difference is dropped history).
 	out.SetGauge("recorder.capacity", float64(s.rec.Cap()))
@@ -579,8 +584,7 @@ type request struct {
 // handlers is the dispatch table: one entry per client -> server message
 // kind (MsgShutdown ends the session in Serve and never gets here).
 var handlers = map[byte]func(*Server, *request) transport.Message{
-	MsgQuery:        (*Server).handleQuery,
-	MsgTextQuery:    (*Server).handleTextQuery,
+	MsgQuery:        (*Server).handleStatement,
 	MsgGetData:      (*Server).handleGetData,
 	MsgHistogram:    (*Server).handleHistogram,
 	MsgTagQuery:     (*Server).handleTagQuery,
@@ -599,14 +603,6 @@ func (s *Server) handle(r *request) transport.Message {
 		return s.errMsg(fmt.Errorf("unknown message type %d", r.m.Type))
 	}
 	return h(s, r)
-}
-
-func (s *Server) handleQuery(r *request) transport.Message {
-	return s.handleStatement(r, s.queryStatement)
-}
-
-func (s *Server) handleTextQuery(r *request) transport.Message {
-	return s.handleStatement(r, s.textStatement)
 }
 
 // handleStats answers a MsgStats request with the merged telemetry

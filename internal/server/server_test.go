@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/simio"
@@ -80,15 +82,35 @@ func testWorld(t *testing.T) (*simio.Store, *metadata.Service, object.ID) {
 	return st, meta, o.ID
 }
 
+// prepared is q as client.Prepared lowers it: no tags, a count or ids
+// projection.
+func prepared(q *query.Query, kind qlang.ProjKind) *qlang.Lowered {
+	return &qlang.Lowered{Query: q, Projection: qlang.Projection{Kind: kind}}
+}
+
 func call(t *testing.T, c transport.Conn, m transport.Message) transport.Message {
 	t.Helper()
 	m.ReqID = 77
 	if err := c.Send(m); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.Recv()
-	if err != nil {
+	got := make(chan transport.Message, 1)
+	failed := make(chan error, 1)
+	go func() {
+		reply, err := c.Recv()
+		if err != nil {
+			failed <- err
+			return
+		}
+		got <- reply
+	}()
+	var reply transport.Message
+	select {
+	case reply = <-got:
+	case err := <-failed:
 		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no reply to a %s request within 10s", MsgName(m.Type))
 	}
 	if reply.ReqID != 77 {
 		t.Fatalf("reply reqID = %d", reply.ReqID)
@@ -101,7 +123,7 @@ func TestServeQueryAndGetData(t *testing.T) {
 	q := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(FlagWantSelection, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjIDs)),
 	})
 	if reply.Type != MsgQueryResult {
 		t.Fatalf("reply type = %d payload=%s", reply.Type, reply.Payload)
@@ -145,7 +167,7 @@ func TestServeCountOnly(t *testing.T) {
 	q := &query.Query{Root: query.Leaf(oid, query.OpGE, 9.0)}
 	reply := call(t, conn, transport.Message{
 		Type:    MsgQuery,
-		Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()),
+		Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)),
 	})
 	qr, err := DecodeQueryResponse(reply.Payload)
 	if err != nil {
@@ -160,8 +182,8 @@ func TestServeErrors(t *testing.T) {
 	_, conn, oid := testServer(t, 0, 1)
 	cases := []transport.Message{
 		{Type: MsgQuery, Payload: nil},
-		{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, []byte("garbage"))},
-		{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, (&query.Query{Root: query.Leaf(999, query.OpGT, 0)}).Encode())},
+		{Type: MsgQuery, Payload: append([]byte{byte(plan.ForceScan) << forceShift}, "garbage"...)},
+		{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(&query.Query{Root: query.Leaf(999, query.OpGT, 0)}, qlang.ProjCount))},
 		{Type: MsgGetData, Payload: nil},
 		{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, QueryReq: 12345}).Encode()},
 		{Type: MsgHistogram, Payload: []byte{1, 2}},
@@ -284,7 +306,7 @@ func TestStashEviction(t *testing.T) {
 	// still does.
 	for i := 0; i < 40; i++ {
 		q := &query.Query{Root: query.Leaf(oid, query.OpGT, float64(i%9))}
-		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode()), ReqID: uint64(i + 1)}
+		m := transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(q, qlang.ProjCount)), ReqID: uint64(i + 1)}
 		if err := conn.Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +345,7 @@ func TestConnectionsHaveIsolatedStashes(t *testing.T) {
 
 	// Client A runs a query under ReqID 77.
 	qa := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
-	if r := call(t, connA, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, qa.Encode())}); r.Type != MsgQueryResult {
+	if r := call(t, connA, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceScan, 0, prepared(qa, qlang.ProjCount))}); r.Type != MsgQueryResult {
 		t.Fatalf("query A failed: %s", r.Payload)
 	}
 	// Client B asks for ReqID 77's data without having run a query.
@@ -344,25 +366,32 @@ func TestConnectionsHaveIsolatedStashes(t *testing.T) {
 	}
 }
 
-// A text statement leaves nothing in the stash: the text API hands its
-// caller no request ID, so a get-data naming one can only be a confused
-// client, and it gets the same typed error as any unknown request —
-// while a binary query on the same connection is still served from it.
+// A text statement leaves nothing in the stash: it travels as the
+// statement it lowers to, without FlagKeep, because the text API hands
+// its caller no request ID a get-data could name. A get-data naming one
+// gets the same typed error as any unknown request — while the same
+// statement sent with FlagKeep, as client.Prepared sends it, is served
+// from the stash.
 func TestTextQueryIsNotStashed(t *testing.T) {
 	_, conn, oid := testServer(t, 0, 1)
-	reply := call(t, conn, transport.Message{
-		Type:    MsgTextQuery,
-		Payload: EncodeTextQuery(FlagWantSelection, 0, 0, "select ids where energy > 1 and energy < 2"),
-	})
-	if reply.Type != MsgTextResult {
-		t.Fatalf("text reply = %d payload=%s", reply.Type, reply.Payload)
-	}
-	tr, err := DecodeTextResult(reply.Payload)
+	parsed, err := qlang.Parse("select ids where energy > 1 and energy < 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coords, err := tr.Base.Sel.Coords(nil); err != nil || tr.Base.Sel.NHits != 99 || len(coords) != 99 {
-		t.Fatalf("text query: %d hits, %d coords (err %v), want 99", tr.Base.Sel.NHits, len(coords), err)
+	low, err := parsed.Lower(func(string) (object.ID, bool) { return oid, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceAuto, 0, low)})
+	if reply.Type != MsgQueryResult {
+		t.Fatalf("text reply = %d payload=%s", reply.Type, reply.Payload)
+	}
+	qr, err := DecodeQueryResponse(reply.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coords, err := qr.Sel.Coords(nil); err != nil || qr.Sel.NHits != 99 || len(coords) != 99 {
+		t.Fatalf("text query: %d hits, %d coords (err %v), want 99", qr.Sel.NHits, len(coords), err)
 	}
 	get := transport.Message{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, QueryReq: 77}).Encode()}
 	dreply := call(t, conn, get)
@@ -370,11 +399,76 @@ func TestTextQueryIsNotStashed(t *testing.T) {
 		t.Fatalf("get-data after a text statement: type %d payload %q, want MsgError containing %q", dreply.Type, dreply.Payload, want)
 	}
 
-	q := &query.Query{Root: query.Between(oid, 1.0, 2.0, false, false)}
-	if r := call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(0, plan.ForceScan, 0, q.Encode())}); r.Type != MsgQueryResult {
-		t.Fatalf("binary query failed: %s", r.Payload)
+	if r := call(t, conn, transport.Message{Type: MsgQuery, Payload: EncodeQueryRequest(FlagKeep, plan.ForceAuto, 0, low)}); r.Type != MsgQueryResult {
+		t.Fatalf("kept query failed: %s", r.Payload)
 	}
 	if dreply = call(t, conn, get); dreply.Type != MsgDataResult {
-		t.Fatalf("get-data after a binary query: %s", dreply.Payload)
+		t.Fatalf("get-data after a kept query: %s", dreply.Payload)
+	}
+}
+
+// TestGetDataOutOfRangeCoords: a get-data naming a coordinate past the
+// object's end is a typed error reply. The server used to spin on it and
+// never answer.
+func TestGetDataOutOfRangeCoords(t *testing.T) {
+	_, conn, oid := testServer(t, 0, 1)
+	reply := call(t, conn, transport.Message{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, Coords: []uint64{5000}}).Encode()})
+	if reply.Type != MsgError || !strings.Contains(string(reply.Payload), "bad coordinates") {
+		t.Fatalf("reply %s %q, want a bad-coordinates error", MsgName(reply.Type), reply.Payload)
+	}
+}
+
+// TestGetDataDescendingCoords: a get-data naming coordinates out of
+// order is a typed error reply, and the server keeps serving. It used to
+// slice out of range and take the process down.
+func TestGetDataDescendingCoords(t *testing.T) {
+	_, conn, oid := testServer(t, 0, 1)
+	reply := call(t, conn, transport.Message{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, Coords: []uint64{600, 5}}).Encode()})
+	if reply.Type != MsgError || !strings.Contains(string(reply.Payload), "bad coordinates") {
+		t.Fatalf("reply %s %q, want a bad-coordinates error", MsgName(reply.Type), reply.Payload)
+	}
+	reply = call(t, conn, transport.Message{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, Coords: []uint64{5, 600}}).Encode()})
+	if reply.Type != MsgDataResult {
+		t.Fatalf("ascending coordinates after the refusal: %s %q", MsgName(reply.Type), reply.Payload)
+	}
+}
+
+// TestStatementValidation: what a server no longer derives itself it
+// checks, each failure a typed ErrBadStatement reply — a hist object that
+// does not exist or has another shape than the statement's objects, a
+// bin count outside 1..qlang.MaxHistBins, an unknown projection.
+func TestStatementValidation(t *testing.T) {
+	srv, conn, oid := testServer(t, 0, 1)
+	short, err := srv.cfg.Meta.CreateObject(srv.cfg.Meta.CreateContainer("s").ID, object.Property{
+		Name: "short", Type: dtype.Float32, Dims: []uint64{10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := func(obj object.ID, bins int) []byte {
+		return EncodeQueryRequest(0, plan.ForceScan, 0, &qlang.Lowered{
+			Query:      &query.Query{Root: query.Leaf(oid, query.OpGT, 5)},
+			Projection: qlang.Projection{Kind: qlang.ProjHist, Bins: bins},
+			HistObj:    obj,
+		})
+	}
+	unknown := hist(oid, 8)
+	unknown[1+1] = 2 // the projection marker, after the flags and an empty tag list
+	for name, payload := range map[string][]byte{
+		"missing object":     hist(999, 8),
+		"shape mismatch":     hist(short.ID, 8),
+		"zero bins":          hist(oid, 0),
+		"too many bins":      hist(oid, qlang.MaxHistBins+1),
+		"unknown projection": unknown,
+	} {
+		reply := call(t, conn, transport.Message{Type: MsgQuery, Payload: payload})
+		if reply.Type != MsgError || !strings.Contains(string(reply.Payload), ErrBadStatement.Error()) {
+			t.Errorf("%s: reply %s %q, want %q", name, MsgName(reply.Type), reply.Payload, ErrBadStatement)
+		}
+	}
+	reply := call(t, conn, transport.Message{Type: MsgQuery, Payload: hist(oid, qlang.MaxHistBins)})
+	qr, err := DecodeQueryResponse(reply.Payload)
+	if err != nil || qr.Hist == nil || qr.Hist.Total != qr.Sel.NHits || qr.Sel.NHits != 499 {
+		t.Fatalf("hist of the statement's own object: %s %q, %v", MsgName(reply.Type), reply.Payload, err)
 	}
 }

@@ -1,12 +1,13 @@
-// The statement path: every query a server evaluates — a binary
-// MsgQuery or a text MsgTextQuery — is decoded by its per-kind front
-// end into a statement, and from there runs the one sequence
-// validate → plan → assign → execute → project → epilogue.
+// The statement path: every query a server evaluates arrives as one
+// MsgQuery — a statement its client already lowered, whichever way it was
+// spelled — and runs the one sequence
+// decode → validate → plan → assign → execute → project → epilogue.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"pdcquery/internal/dtype"
@@ -15,7 +16,6 @@ import (
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/qlang"
-	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/sortstore"
@@ -27,12 +27,12 @@ import (
 // DefaultPlanCacheSize bounds the prepared-plan LRU per server.
 const DefaultPlanCacheSize = 64
 
-// Modeled metadata-service charges for preparing a statement that
-// arrived as text. A cache miss pays the full cost-model walk (per
-// condition); a hit pays one lookup. Both are deterministic functions of
-// the query, so virtual time stays byte-identical across runs and worker
-// counts. A binary query is the prepared form already — its client
-// lowered and stamped it — so it is planned through the same LRU but
+// Modeled metadata-service charges for preparing a statement the planner
+// prices — one whose forcing is auto. A cache miss pays the full
+// cost-model walk (per condition); a hit pays one lookup. Both are
+// deterministic functions of the query, so virtual time stays
+// byte-identical across runs and worker counts. A forced statement names
+// its access paths itself: it is planned through the same LRU but
 // charged nothing.
 const (
 	planHitCost      = 1 * time.Microsecond
@@ -48,86 +48,54 @@ func planBuildCost(p *plan.Plan) time.Duration {
 	return planBuildBase + time.Duration(n)*planBuildPerCond
 }
 
-// statement is what a front end makes of a request payload: everything
-// the shared path needs to answer it.
+// statement is a decoded request and what the front end derived from
+// it: everything the path needs to answer it.
 type statement struct {
-	// low is the lowered statement; a binary query is one with a count
-	// projection and no tags.
-	low   *qlang.Lowered
-	force plan.Force
-	flags byte
-	epoch uint64
+	*QueryRequest
 	// need is how much of the answer the reply (or a later get-data on
 	// it) can use.
 	need exec.Need
-	// planKey keys the prepared-plan LRU (the forcing included).
+	// planKey keys the prepared-plan LRU: the encoded query and the
+	// forcing, so both spellings of a statement share one plan.
 	planKey string
-	// text marks a statement that arrived as text: it pays the modeled
-	// prepare charge, is answered in the text envelope, and is never
-	// stashed (the text API hands out no request ID a get-data could
-	// name).
-	text bool
 	// gated marks a statement whose tag conditions exclude an object it
 	// reads: the answer is empty without evaluating anything.
 	gated bool
 }
 
-// queryStatement is the MsgQuery front end: the payload is the prepared
-// form, with the forcing in the flags byte.
-func (s *Server) queryStatement(r *request) (*statement, error) {
-	flags, force, epoch, qbytes, err := DecodeQueryRequest(r.m.Payload)
+// decodeStatement is the one front end. It checks what a server no
+// longer derives itself — the objects and the hist projection's shape —
+// sets the need from the statement, and closes the tag gate.
+func (s *Server) decodeStatement(r *request) (*statement, error) {
+	req, err := DecodeQueryRequest(r.m.Payload)
 	if err != nil {
 		return nil, err
 	}
-	q, err := query.Decode(qbytes)
-	if err != nil {
+	low := req.Stmt
+	if err := low.Query.Validate(s.cfg.Meta.Get); err != nil {
 		return nil, err
 	}
-	return &statement{
-		low: &qlang.Lowered{Query: q}, force: force, flags: flags, epoch: epoch,
-		// Always let the engine capture values it has in hand: that is
-		// the paper's server-side result caching, which the stash serves
-		// to later get-data requests on this request ID (even a
-		// count-only reply can be followed by one). The response only
-		// carries the values when the client asked for them inline.
-		need: exec.NeedValues,
-		// NUL never starts a canonical text, so the two key spaces are
-		// disjoint.
-		planKey: "\x00" + string(qbytes) + "|" + force.String(),
-	}, nil
-}
-
-// textStatement is the MsgTextQuery front end: parse the declarative
-// text, resolve names against the metadata, and close the tag gate.
-func (s *Server) textStatement(r *request) (*statement, error) {
-	flags, epoch, force, text, err := DecodeTextQuery(r.m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	parsed, err := qlang.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	low, err := parsed.Lower(func(name string) (object.ID, bool) {
-		o, ok := s.cfg.Meta.GetByName(name)
-		if !ok {
-			return 0, false
+	if low.Projection.Kind == qlang.ProjHist {
+		// The projection reads the hist object at the anchor's
+		// coordinates, so it must exist and have the anchor's shape.
+		anchor, _ := s.cfg.Meta.Get(low.Query.Root.Objects()[0])
+		if ho, ok := s.cfg.Meta.Get(low.HistObj); !ok || !slices.Equal(ho.Dims, anchor.Dims) {
+			return nil, fmt.Errorf("%w: hist object %d is missing or not shaped %v like the statement's objects", ErrBadStatement, low.HistObj, anchor.Dims)
 		}
-		return o.ID, true
-	})
-	if err != nil {
-		return nil, err
 	}
 	st := &statement{
-		low: low, force: force, flags: flags, epoch: epoch,
+		QueryRequest: req,
 		// What the statement can use decides what the engine
-		// materialises: ids are returned and hist reads values at the
-		// coordinates; a count needs neither.
+		// materialises: a kept result captures the values it has in hand
+		// (the paper's server-side result caching, which the stash serves
+		// to later get-data requests on this request ID); ids are returned
+		// and hist reads values at the coordinates; a count needs neither.
 		need:    exec.NeedCount,
-		planKey: parsed.CacheKey() + "|" + force.String(),
-		text:    true,
+		planKey: string(req.Query) + "|" + req.Force.String(),
 	}
-	if flags&FlagWantSelection != 0 || low.Projection.Kind == qlang.ProjHist {
+	if req.Flags&FlagKeep != 0 {
+		st.need = exec.NeedValues
+	} else if low.Projection.Kind != qlang.ProjCount {
 		st.need = exec.NeedCoords
 	}
 	st.gated = s.tagGated(r.acct, low)
@@ -157,15 +125,15 @@ func (s *Server) tagGated(acct *vclock.Account, low *qlang.Lowered) bool {
 // the exact (placement epoch, metadata generation) it was built against.
 func (s *Server) prepare(acct *vclock.Account, st *statement) (*plan.Plan, error) {
 	gen := s.cfg.Meta.Gen()
-	pl, hit := s.planCache.Get(st.planKey, st.epoch, gen)
+	pl, hit := s.planCache.Get(st.planKey, st.Epoch, gen)
 	if !hit {
 		var err error
-		if pl, err = plan.Build(s.cfg.Meta, st.low.Query, st.force); err != nil {
+		if pl, err = plan.Build(s.cfg.Meta, st.Stmt.Query, st.Force); err != nil {
 			return nil, err
 		}
-		s.planCache.Put(st.planKey, st.epoch, gen, pl)
+		s.planCache.Put(st.planKey, st.Epoch, gen, pl)
 	}
-	if st.text {
+	if st.Force == plan.ForceAuto {
 		if hit {
 			acct.Charge(vclock.Meta, planHitCost)
 		} else {
@@ -175,22 +143,18 @@ func (s *Server) prepare(acct *vclock.Account, st *statement) (*plan.Plan, error
 	return pl, nil
 }
 
-// handleStatement answers one statement. Everything after the front end
-// is written once, for both kinds.
-func (s *Server) handleStatement(r *request, front func(*request) (*statement, error)) transport.Message {
+// handleStatement answers one MsgQuery.
+func (s *Server) handleStatement(r *request) transport.Message {
 	if s.cfg.OnQuery != nil {
 		// Counts every statement handed to the server, answered or
 		// refused, before its reply leaves.
 		defer func() { s.cfg.OnQuery(uint64(s.queriesServed.Add(1))) }()
 	}
-	st, err := front(r)
+	st, err := s.decodeStatement(r)
 	if err != nil {
 		return s.errMsg(err)
 	}
-	q := st.low.Query
-	if err := q.Validate(s.cfg.Meta.Get); err != nil {
-		return s.errMsg(err)
-	}
+	q := st.Stmt.Query
 	ss, tok, acct, m := r.ss, r.tok, r.acct, r.m
 	fail := func(err error) transport.Message {
 		if errors.Is(err, sched.ErrDeadline) {
@@ -203,7 +167,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 	// The span is built when the client asked for a trace OR the
 	// slow-query log is armed (the log captures the span of a query that
 	// crossed the threshold); it is only returned on explicit request.
-	wantTrace := st.flags&FlagWantTrace != 0
+	wantTrace := st.Flags&FlagWantTrace != 0
 	var wallStart int64
 	if wantTrace || s.cfg.SlowQueryNs > 0 {
 		span = telemetry.NewSpan(telemetry.SpanQuery, fmt.Sprintf("server.%d", s.cfg.ID))
@@ -228,7 +192,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 				break
 			}
 		}
-		assign, err := s.cfg.Assign(st.epoch, anchor, rep)
+		assign, err := s.cfg.Assign(st.Epoch, anchor, rep)
 		if err != nil {
 			return s.errMsg(err)
 		}
@@ -236,8 +200,8 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 		if res, err = eng.EvaluateToken(tok, q, &pl.Exec, assign, st.need, span); err != nil {
 			return fail(err)
 		}
-		if st.low.Projection.Kind == qlang.ProjHist {
-			if hist, err = s.projectHist(eng, tok, st.low, res.Sel); err != nil {
+		if st.Stmt.Projection.Kind == qlang.ProjHist {
+			if hist, err = s.projectHist(eng, tok, st.Stmt, res.Sel); err != nil {
 				return fail(err)
 			}
 		}
@@ -252,7 +216,8 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 	cost := acct.Cost()
 	res.Stats.StorageBytes = acct.Counter("read.bytes")
 
-	if !st.text {
+	keep := st.Flags&FlagKeep != 0
+	if keep {
 		ss.put(m.ReqID, &stashEntry{sel: res.Sel, values: res.Values})
 	}
 	ss.reg.Add("query.count", 1)
@@ -264,7 +229,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 			"server", s.cfg.ID,
 			"req", m.ReqID,
 			"trace", m.Trace,
-			"strategy", st.force.Label(),
+			"strategy", st.Force.Label(),
 			"hits", res.Sel.NHits,
 			"cost", cost.Total().String(),
 			"regions_evaluated", res.Stats.RegionsEvaluated,
@@ -273,7 +238,7 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 		)
 	}
 
-	resp := QueryResponse{Cost: cost, Stats: res.Stats, Sel: res.Sel}
+	resp := QueryResponse{Cost: cost, Stats: res.Stats, Sel: res.Sel, Hist: hist}
 	if span != nil {
 		// The root span's cost is exactly the response's incremental cost;
 		// child spans break it down.
@@ -289,22 +254,13 @@ func (s *Server) handleStatement(r *request, front func(*request) (*statement, e
 			resp.Trace = span
 		}
 	}
-	if st.flags&FlagWantSelection == 0 {
+	if st.Flags&FlagWantSelection == 0 {
 		resp.Sel = selection.PackedCount(res.Sel.NHits, res.Sel.Dims)
 	}
-	if st.flags&FlagWantValues != 0 {
-		resp.Values = res.Values
-	}
 	encStart := s.clock().Now()
-	reply := transport.Message{Type: MsgQueryResult}
-	if st.text {
-		reply.Type = MsgTextResult
-		reply.Payload = (&TextQueryResponse{Base: resp, Hist: hist}).Encode()
-	} else {
-		reply.Payload = resp.Encode()
-	}
-	if st.text {
-		// The reply is encoded and a text statement is never stashed.
+	reply := transport.Message{Type: MsgQueryResult, Payload: resp.Encode()}
+	if !keep {
+		// The reply is encoded and nothing else holds the result.
 		res.Release()
 	}
 	// With query.count beside it, the bytes per reply any member sends.
@@ -337,10 +293,4 @@ func (s *Server) projectHist(eng *exec.Engine, tok *sched.Token, low *qlang.Lowe
 		fv[i] = dtype.At(ho.Type, vals, i)
 	}
 	return histogram.Build(fv, low.Projection.Bins), nil
-}
-
-// PlanCacheStats exposes the prepared-plan LRU's hit/miss counters
-// (read by the plancache benchmark figure and tests).
-func (s *Server) PlanCacheStats() (hits, misses uint64) {
-	return s.planCache.Stats()
 }
