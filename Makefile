@@ -61,12 +61,15 @@ stress:
 	$(GO) test -race -count=2 -run '$(STRESS_CLIENT)' ./internal/client/
 	$(GO) test -race -count=2 -run 'Test' ./internal/sched/
 
-# Chaos soak: CHAOS_SEEDS seeded fault schedules (drop/corrupt/storage
-# faults at deterministic operation counts) against the brute-force
-# oracle, plus the pinned corpus and the checkpoint crash-recovery
-# round-trip. Invariant: zero wrong answers — every fault is masked by
-# recovery or surfaces as a typed error. A failing seed replays exactly;
-# pin it in internal/fault/corpus_test.go.
+# Chaos soak: CHAOS_SEEDS seeded transport/storage fault schedules
+# against a single-process deployment and CLUSTER_SEEDS seeded
+# kill/join/drain schedules against a local cluster, plus the pinned
+# corpus and the checkpoint crash-recovery round-trip. Every statement
+# (seeded forcing, text or prepared, count or ids) is checked against the
+# brute-force oracle: zero wrong answers — every fault is masked by
+# recovery or surfaces as a typed error — and every fired fault is
+# audited against the flight recorders. A failing seed replays; pin it
+# in internal/fault/corpus_test.go.
 CHAOS_SEEDS ?= 64
 CLUSTER_SEEDS ?= 32
 chaos:
@@ -106,8 +109,11 @@ bench-seed:
 # CI smoke: the ratchet, then every benchmark once. A benchmark checks
 # its fixture before it times anything (hit counts against the oracle,
 # bins touched), so one iteration is enough to keep them from rotting.
+# The fault-recovery experiment runs once too: it fails on a faulted
+# answer that differs from the clean run's or an untyped error.
 bench-smoke: bench-diff
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) run ./cmd/pdc-bench -fig none -faults -logn 14 -servers 4
 
 # Observability smoke: boot a real pdc-server daemon, run a query, then
 # scrape /metrics (strict text-exposition parse, expected series),

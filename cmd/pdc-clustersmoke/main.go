@@ -1,9 +1,10 @@
 // pdc-clustersmoke is the end-to-end smoke test of the multi-process
 // cluster: it boots a real pdc-server catalog plus three pdc-server
 // member processes over TCP, imports a dataset through the catalog with
-// R=2 replication, and answers a pinned query corpus byte-identically
-// to an in-process brute-force oracle — including while one member is
-// SIGKILLed mid-corpus and a replacement joins and pulls its regions.
+// R=2 replication, and answers the chaos harness's seeded statements
+// exactly as an in-process brute-force oracle does — including while one
+// member is SIGKILLed mid-corpus and a replacement joins and pulls its
+// regions.
 // It finishes by scraping the catalog's and members' /metrics,
 // validating the exposition strictly, and probing one member's
 // /debug/pprof.
@@ -17,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -28,13 +28,8 @@ import (
 	"time"
 
 	"pdcquery/internal/core"
-	"pdcquery/internal/dtype"
-	"pdcquery/internal/object"
-	"pdcquery/internal/plan"
-	"pdcquery/internal/query"
-	"pdcquery/internal/selection"
+	"pdcquery/internal/fault"
 	"pdcquery/internal/telemetry"
-	"pdcquery/internal/workload"
 )
 
 func main() {
@@ -47,7 +42,10 @@ func main() {
 
 	// The oracle: an in-proc deployment holding the same dataset. Ground
 	// truth comes from clean brute-force reads before the cluster exists.
-	src, queries, truths := buildSource(*particles)
+	src, oracle, err := fault.Source(*particles, core.Options{Servers: 2})
+	if err != nil {
+		log.Fatalf("cluster-smoke: oracle: %v", err)
+	}
 
 	p, err := core.StartProcessDeployment(core.ProcessOptions{
 		BinPath: *serverBin,
@@ -74,18 +72,13 @@ func main() {
 	}
 	log.Printf("cluster-smoke: imported %d objects with R=2", len(src.Meta().Objects()))
 
+	// One pass over the paper's fifteen windows, drawn (forcing, spelling,
+	// projection) and checked as the chaos harness does; no error allowed.
 	corpus := func(stage string) {
-		for i, q := range queries {
-			out, err := s.Run(q, plan.ForceScan)
-			if err != nil {
-				log.Fatalf("cluster-smoke: %s: query %d: %v", stage, i, err)
-			}
-			if !bytes.Equal(out.Sel.Encode(), truths[i].Encode()) {
-				log.Fatalf("cluster-smoke: %s: query %d: WRONG ANSWER (%d hits, oracle %d)",
-					stage, i, out.Sel.NHits, truths[i].NHits)
-			}
+		if _, err := oracle.Pass(s, 42, 15, true); err != nil {
+			log.Fatalf("cluster-smoke: %s: %v", stage, err)
 		}
-		log.Printf("cluster-smoke: %s: %d queries byte-identical to oracle", stage, len(queries))
+		log.Printf("cluster-smoke: %s: 15 statements exact against the oracle", stage)
 	}
 	corpus("baseline")
 
@@ -137,34 +130,6 @@ func main() {
 	log.Print("cluster-smoke: survivor /debug/pprof OK")
 
 	fmt.Println("cluster-smoke: PASS")
-}
-
-// buildSource imports the VPIC dataset into an in-proc deployment and
-// oracles the query corpus.
-func buildSource(particles int) (*core.Deployment, []*query.Query, []*selection.Selection) {
-	d := core.NewDeployment(core.Options{Servers: 2, RegionBytes: 8 << 10})
-	c := d.CreateContainer("cluster-smoke")
-	v := workload.GenerateVPIC(particles, 42)
-	ids := make(map[string]object.ID)
-	for _, name := range workload.VPICNames {
-		o, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(particles)},
-		}, dtype.Bytes(v.Vars[name]))
-		if err != nil {
-			log.Fatalf("cluster-smoke: import %s: %v", name, err)
-		}
-		ids[name] = o.ID
-	}
-	queries := workload.SingleObjectQueries(ids["Energy"])
-	truths := make([]*selection.Selection, len(queries))
-	for i, q := range queries {
-		sel, err := d.GroundTruth(q)
-		if err != nil {
-			log.Fatalf("cluster-smoke: ground truth %d: %v", i, err)
-		}
-		truths[i] = sel
-	}
-	return d, queries, truths
 }
 
 // checkMetrics scrapes one process's /metrics, insists the exposition

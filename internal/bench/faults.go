@@ -18,10 +18,12 @@ import (
 // FaultsRow summarizes the recovery-overhead experiment: the same query
 // batch against two identical deployments, one clean and one with a
 // seeded schedule of connection drops that the client's redial path must
-// mask. Recovery is pure wall-clock work (redial + resend are not
-// modeled operations), so the modeled totals must agree exactly when
-// every fault is masked — that equality is checked, not assumed — and
-// the wall-time delta is the measured recovery overhead.
+// mask: each statement must return the clean run's hit count or fail
+// with an error of the chaos vocabulary (fault.Typed). Recovery is
+// pure wall-clock work (redial + resend are not modeled operations), so
+// the modeled totals must agree exactly when every fault is masked — that
+// equality is checked, not assumed — and the wall-time delta is the
+// measured recovery overhead.
 type FaultsRow struct {
 	Queries      int     `json:"queries"`
 	Masked       int     `json:"masked"`
@@ -58,20 +60,20 @@ func FaultsRun(c Config) (*FaultsRow, error) {
 	v := workload.GenerateVPIC(n, c.Seed)
 	regionBytes := RegionSweep(n, c.RegionSteps)[0].Bytes
 
-	clean, err := faultsOnce(v, c, regionBytes, nil)
+	clean, err := faultsOnce(v, c, regionBytes, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
 	}
 	plan := faultsPlan(c.Seed, c.Servers)
 	inj := fault.NewInjector(plan)
-	faulted, err := faultsOnce(v, c, regionBytes, inj)
+	faulted, err := faultsOnce(v, c, regionBytes, inj, clean)
 	if err != nil {
 		return nil, fmt.Errorf("faulted run (seed %d): %w", plan.Seed, err)
 	}
 
 	row := &FaultsRow{
-		Queries:      clean.queries,
-		Masked:       faulted.completed,
+		Queries:      len(clean.hits),
+		Masked:       len(faulted.hits) - faulted.typed,
 		Typed:        faulted.typed,
 		FaultsFired:  len(inj.Fired()),
 		CleanModSec:  clean.modeled,
@@ -95,14 +97,16 @@ func FaultsRun(c Config) (*FaultsRow, error) {
 
 // faultsTally is one run's outcome.
 type faultsTally struct {
-	queries, completed, typed int
-	modeled                   float64
-	wall                      float64
+	hits    []uint64 // per statement; 0 for a typed failure
+	typed   int
+	modeled float64
+	wall    float64
 }
 
-// faultsOnce runs the batch against a fresh deployment; a non-nil
-// injector arms the transport seams (with redial enabled) before Start.
-func faultsOnce(v *workload.VPIC, c Config, regionBytes int64, inj *fault.Injector) (*faultsTally, error) {
+// faultsOnce runs the batch against a fresh deployment. The faulted run
+// (inj, clean set) arms the transport seams, redial on, and checks each
+// statement against clean; the clean run allows no error.
+func faultsOnce(v *workload.VPIC, c Config, regionBytes int64, inj *fault.Injector, clean *faultsTally) (*faultsTally, error) {
 	model := scaledModel(v.N)
 	d := core.NewDeployment(core.Options{
 		Servers:     c.Servers,
@@ -130,16 +134,24 @@ func faultsOnce(v *workload.VPIC, c Config, regionBytes int64, inj *fault.Inject
 	}
 
 	queries := workload.SingleObjectQueries(o.ID)
-	t := &faultsTally{queries: faultsRounds * len(queries)}
+	t := &faultsTally{}
 	start := telemetry.Wall.Now()
 	for r := 0; r < faultsRounds; r++ {
 		for _, q := range queries {
+			i := len(t.hits)
 			res, err := d.Client().RunCount(q, plan.ForceScan)
 			if err != nil {
+				if clean == nil || !fault.Typed(err) {
+					return nil, fmt.Errorf("statement %d: %w", i, err)
+				}
 				t.typed++
+				t.hits = append(t.hits, 0)
 				continue
 			}
-			t.completed++
+			if clean != nil && res.Sel.NHits != clean.hits[i] {
+				return nil, fmt.Errorf("statement %d: WRONG ANSWER: %d hits, clean run %d", i, res.Sel.NHits, clean.hits[i])
+			}
+			t.hits = append(t.hits, res.Sel.NHits)
 			t.modeled += res.Info.Elapsed.Total().Seconds()
 		}
 	}

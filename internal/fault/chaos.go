@@ -2,16 +2,22 @@ package fault
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"pdcquery/internal/client"
+	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
+	"pdcquery/internal/qlang"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -21,60 +27,63 @@ import (
 )
 
 // The chaos harness: run a seeded fault plan against a small deployment
-// and enforce the zero-wrong-answers invariant — every query either
-// returns exactly the brute-force oracle's selection (the fault was
-// masked by recovery, or missed the query) or fails with a recognized,
-// typed error. A selection that differs from the oracle is a wrong
-// answer and fails the run, naming the seed for replay.
+// and enforce the zero-wrong-answers invariant — every statement either
+// returns exactly the brute-force oracle's answer (the fault was masked
+// by recovery, or missed it) or fails with a typed error. Anything else
+// fails the run, naming the seed. RunChaos, RunCrashRecovery and
+// RunClusterChaos set up different deployments and share the statements,
+// the check and the audit.
 
-// chaosForce is statement i's forcing under a seed, drawn over all five
-// — auto included, so cost-based plans and the plan cache run under
-// faults too. It is a pure function of (seed, i): a seed replays.
-func chaosForce(seed uint64, i int) plan.Force {
-	z := (seed<<8 + uint64(i) + 1) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the high bits mix
-	return plan.Force((z >> 32) % uint64(plan.ForceFull+1))
-}
+// Particles is the VPIC dataset size every chaos run imports.
+const Particles = 6000
 
-// ChaosOptions sizes the deployment and workload a plan runs against.
-type ChaosOptions struct {
-	// Servers is the deployment size (default 2).
+// Options sizes a chaos run; zero fields take withDefaults' values.
+type Options struct {
+	// Servers is the deployment size: single-process servers (default
+	// 2) or initial cluster members (default 3).
 	Servers int
-	// Particles is the VPIC dataset size (default 6000).
-	Particles int
-	// Queries is the number of queries issued (default 8; the workload
-	// cycles through the single-object query set).
+	// Queries is the number of statements (default 8, cluster 12).
 	Queries int
-	// Budget is the virtual-time deadline stamped on every query
-	// (default 250ms): injected tier slowdowns blow it deterministically.
+	// Budget is the virtual-time deadline stamped on every statement
+	// (default 250ms), which injected tier slowdowns blow. Read only by
+	// the single-process deployment: a cluster session has no such seam.
 	Budget time.Duration
-	// Redial enables the client's reconnection path (default true via
-	// DefaultChaosOptions; without it every DropConn is terminal for the
-	// query that hits it — still typed, never wrong).
+	// Redial enables the client's reconnection path (without it a
+	// DropConn is terminal for its statement: typed, never wrong). Read
+	// only by the single-process deployment: a session fails over instead.
 	Redial bool
 }
 
-// DefaultChaosOptions returns the standard chaos configuration.
-func DefaultChaosOptions() ChaosOptions {
-	return ChaosOptions{Servers: 2, Particles: 6000, Queries: 8, Budget: 250 * time.Millisecond, Redial: true}
+// withDefaults fills o's zero fields for a single-process or a cluster
+// run — the one place chaos defaults live.
+func (o Options) withDefaults(cluster bool) Options {
+	servers, queries := 2, 8
+	if cluster {
+		servers, queries = 3, 12
+	}
+	o.Servers = cmp.Or(o.Servers, servers)
+	o.Queries = cmp.Or(o.Queries, queries)
+	o.Budget = cmp.Or(o.Budget, 250*time.Millisecond)
+	return o
 }
 
-// ChaosResult summarizes one plan's run.
-type ChaosResult struct {
-	// Masked counts queries that returned the exact oracle selection.
-	Masked int
-	// Typed counts queries that failed with a recognized typed error.
-	Typed int
+// Result summarizes one run.
+type Result struct {
+	// Masked counts statements answered exactly as the oracle answers;
+	// Typed those that failed with a typed error.
+	Masked, Typed int
 	// Fired is the fault schedule that actually triggered.
 	Fired []Event
-	// Errors holds the typed errors, in query order (nil for successes).
+	// Errors holds the typed errors in statement order (nil: masked).
 	Errors []error
 }
 
-// typedError reports whether err belongs to the recognized terminal
-// vocabulary: injected faults surfacing directly, client-level typed
-// errors, scheduler verdicts, server error replies, and protocol decode
-// failures from structurally damaged frames.
-func typedError(err error) bool {
+// Typed reports whether err is in the one error vocabulary a faulted
+// statement may fail with: an injected fault surfacing directly, the
+// client's and the scheduler's typed errors, a server's error reply (the
+// fail-soft path for garbled requests, injected storage errors, deadline
+// aborts and shutdown races) and a reply the client could not decode.
+func Typed(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -88,161 +97,288 @@ func typedError(err error) bool {
 		}
 	}
 	msg := err.Error()
-	for _, pat := range []string{
-		"client: server ", // a server error reply (MsgError) — the fail-soft
-		//                    path for garbled requests, injected storage
-		//                    errors, deadline aborts, and shutdown races
-		"fault: injected", // injected error surfacing directly
-		"deadline",        // virtual-deadline abort
-		"protocol:",       // decode failure of a corrupted reply frame
-		"selection:",      // decode failure inside a corrupted selection
-		"transport:",      // torn/corrupt frame surfaced by the transport
-		"shutting down",   // request raced a server shutdown
-		"connection",      // terminal connection error
-		"unexpected EOF",  // truncated payload section
-		"EOF",             // connection closed mid-conversation
-	} {
-		if strings.Contains(msg, pat) {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(msg, "client: server ") || strings.Contains(msg, "protocol:")
 }
 
-// chaosDeployment builds, imports, and oracles a small VPIC deployment.
-// It returns the deployment (not yet started), the query workload, and
-// the per-query oracle selections (computed before any fault seam is
-// armed, on uncharged reads).
-func chaosDeployment(opts ChaosOptions) (*core.Deployment, []*query.Query, []*selection.Selection, error) {
-	d := core.NewDeployment(core.Options{
-		Servers: opts.Servers,
-		// Small regions so queries touch several extents per server.
-		RegionBytes: 8 << 10,
-		Redial:      opts.Redial,
-		CallTimeout: 10 * time.Second,
-	})
+// Oracle is the chaos workload's ground truth: the paper's fifteen
+// single-object Energy windows and each one's brute-force selection.
+type Oracle struct {
+	queries []*query.Query
+	truths  []*selection.Selection
+}
+
+// Source imports a VPIC dataset of particles into a deployment sized by
+// o (not started; small regions, so statements touch several extents per
+// server) and computes the oracle from clean reads, before any fault seam
+// is armed.
+func Source(particles int, o core.Options) (*core.Deployment, *Oracle, error) {
+	o.RegionBytes = 8 << 10
+	d := core.NewDeployment(o)
 	c := d.CreateContainer("chaos")
-	v := workload.GenerateVPIC(opts.Particles, 42)
-	ids := make(map[string]object.ID)
+	v := workload.GenerateVPIC(particles, 42)
+	or := &Oracle{}
 	for _, name := range workload.VPICNames {
-		o, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(opts.Particles)},
+		obj, err := d.ImportObject(c.ID, object.Property{
+			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(particles)},
 		}, dtype.Bytes(v.Vars[name]))
 		if err != nil {
-			return nil, nil, nil, err
+			d.Close()
+			return nil, nil, err
 		}
-		ids[name] = o.ID
+		if name == "Energy" {
+			or.queries = workload.SingleObjectQueries(obj.ID)
+		}
 	}
-	base := workload.SingleObjectQueries(ids["Energy"])
-	queries := make([]*query.Query, opts.Queries)
-	for i := range queries {
-		queries[i] = base[i%len(base)]
-	}
-	truths := make([]*selection.Selection, len(queries))
-	for i, q := range queries {
+	for _, q := range or.queries {
 		truth, err := d.GroundTruth(q)
 		if err != nil {
-			return nil, nil, nil, err
+			d.Close()
+			return nil, nil, err
 		}
-		truths[i] = truth
+		or.truths = append(or.truths, truth)
 	}
-	return d, queries, truths, nil
+	return d, or, nil
 }
 
-// RunChaos executes plan against a fresh deployment and enforces the
-// invariant. The returned error is non-nil only on an invariant
-// violation (wrong answer, unrecognized error, or a hang would have
-// tripped the call timeout) or a harness failure; injected faults that
-// surface as typed errors are part of the expected outcome and land in
-// ChaosResult.Typed.
-func RunChaos(plan Plan, opts ChaosOptions) (*ChaosResult, error) {
-	if opts.Servers <= 0 {
-		opts.Servers = 2
-	}
-	if opts.Particles <= 0 {
-		opts.Particles = 6000
-	}
-	if opts.Queries <= 0 {
-		opts.Queries = 8
-	}
-	if opts.Budget <= 0 {
-		opts.Budget = 250 * time.Millisecond
-	}
-	inj := NewInjector(plan)
-	reg := telemetry.NewRegistry()
-	inj.SetRegistry(reg)
-	// The injector gets its own flight recorder so the completeness gate
-	// below can audit it: nothing else records here, so the ring holds
-	// exactly the EvFault sequence. Capacity is sized from the plan — a
-	// scheduled event fires at most once, so len(Schedule) plus headroom
-	// can never wrap, no matter how large the plan (a wrapped ring would
-	// drop history and fail the audit spuriously).
-	rec := telemetry.NewRecorder(2*len(plan.Schedule)+64, nil)
-	inj.SetRecorder(rec)
+// stmt is statement i of a seeded run: its forcing, its spelling (text
+// or prepared) and its projection (count or ids).
+type stmt struct {
+	i           int
+	force       plan.Force
+	text, count bool
+}
 
-	d, queries, truths, err := chaosDeployment(opts)
+func (s stmt) String() string {
+	return fmt.Sprintf("statement %d (%s, text=%t, count=%t)", s.i, s.force, s.text, s.count)
+}
+
+// draw is one pure function of (seed, i), so a seed replays. The forcing
+// is drawn over all five, auto included, so cost-based plans and the
+// plan cache run under faults too.
+func draw(seed uint64, i int) stmt {
+	z := (seed<<8 + uint64(i) + 1) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the high bits mix
+	force := plan.Force((z >> 32) % uint64(plan.ForceFull+1))
+	return stmt{i: i, force: force, text: z>>30&1 == 1, count: z>>31&1 == 1}
+}
+
+// Doer runs a statement: a *client.Client or a *cluster.Session.
+type Doer interface {
+	Do(ctx context.Context, st client.Statement, o client.Options) (*client.Result, error)
+}
+
+// statement draws statement i of seed's run, runs it through do, checks
+// it and tallies it into res. It asks window i mod 15; the text spelling
+// is the paper's chained range, which lowers to exactly the window's
+// prepared tree, so one truth serves both spellings.
+func (or *Oracle) statement(do Doer, seed uint64, i int, res *Result) error {
+	s := draw(seed, i)
+	q := or.queries[i%len(or.queries)]
+	kind, proj := qlang.ProjIDs, "ids"
+	if s.count {
+		kind, proj = qlang.ProjCount, "count"
+	}
+	st := client.Prepared(q, kind)
+	if s.text {
+		st = client.Text(fmt.Sprintf("select %s where %g < Energy < %g", proj, q.Root.Left.Value, q.Root.Right.Value))
+	}
+	out, err := do.Do(context.Background(), st, client.Options{Force: s.force})
+	typed, err := or.check(s, out, err)
 	if err != nil {
-		return nil, fmt.Errorf("chaos seed %d: setup: %w", plan.Seed, err)
+		return err
 	}
-	defer d.Close()
-	// Arm the seams only after the oracle pass: ground truth must come
-	// from clean reads, and oracle traffic must not advance seam ops.
-	d.SetWrapConn(func(srv int, c transport.Conn) transport.Conn {
-		return inj.WrapConn(fmt.Sprintf("conn.%d", srv), c)
-	})
-	d.Store().SetAccessHook(inj.StoreHook("store"))
-	if err := d.Start(); err != nil {
-		return nil, fmt.Errorf("chaos seed %d: start: %w", plan.Seed, err)
-	}
-	d.Client().SetQueryBudget(opts.Budget)
-
-	res := &ChaosResult{Errors: make([]error, len(queries))}
-	for i, q := range queries {
-		out, err := d.Client().Run(q, chaosForce(plan.Seed, i))
-		if err != nil {
-			if !typedError(err) {
-				return nil, fmt.Errorf("chaos seed %d: query %d: unrecognized error (invariant: typed or masked): %w", plan.Seed, i, err)
-			}
-			res.Typed++
-			res.Errors[i] = err
-			continue
-		}
-		if !bytes.Equal(out.Sel.Encode(), truths[i].Encode()) {
-			return nil, fmt.Errorf("chaos seed %d: query %d: WRONG ANSWER: %d hits, oracle %d", plan.Seed, i, out.Sel.NHits, truths[i].NHits)
-		}
+	res.Errors = append(res.Errors, typed)
+	if typed != nil {
+		res.Typed++
+	} else {
 		res.Masked++
 	}
-	res.Fired = inj.Fired()
-	// Observability-completeness gate: the flight recorder is itself
-	// oracle-verified. Every fault the injector fired must appear in the
-	// ring as an EvFault event, in firing order, carrying the same kind,
-	// seam target, and operation count — a recorder that drops or garbles
-	// fault events fails the chaos run even when every answer was right.
-	if err := auditFaultEvents(res.Fired, rec); err != nil {
-		return nil, fmt.Errorf("chaos seed %d: %w", plan.Seed, err)
+	return nil
+}
+
+// check is the one oracle check: ids must be byte-identical to the
+// oracle's selection, a count must be count-only with the oracle's hit
+// count, and an error must be in the vocabulary (returned as typed).
+// Anything else is an invariant violation.
+func (or *Oracle) check(s stmt, res *client.Result, err error) (typed, violation error) {
+	if err != nil {
+		if !Typed(err) {
+			return nil, fmt.Errorf("%s: unrecognized error (invariant: typed or masked): %w", s, err)
+		}
+		return err, nil
+	}
+	truth := or.truths[s.i%len(or.truths)]
+	if s.count && (!res.Sel.CountOnly || res.Sel.NHits != truth.NHits) ||
+		!s.count && !bytes.Equal(res.Sel.Encode(), truth.Encode()) {
+		return nil, fmt.Errorf("%s: WRONG ANSWER: %d hits (count-only %t), oracle %d", s, res.Sel.NHits, res.Sel.CountOnly, truth.NHits)
+	}
+	return nil, nil
+}
+
+// Pass runs statements 0..n-1 of seed's run against do. The error is
+// non-nil only on an invariant violation; typed errors land in the
+// Result, and clean requires there are none.
+func (or *Oracle) Pass(do Doer, seed uint64, n int, clean bool) (*Result, error) {
+	res := &Result{}
+	for i := 0; i < n; i++ {
+		if err := or.statement(do, seed, i, res); err != nil {
+			return nil, err
+		}
+		if clean && res.Errors[i] != nil {
+			return nil, fmt.Errorf("statement %d on a clean pass: %w", i, res.Errors[i])
+		}
 	}
 	return res, nil
 }
 
-// auditFaultEvents checks the flight-recorder ring against the
-// injector's fired list (the completeness half of the chaos invariant).
-func auditFaultEvents(fired []Event, rec *telemetry.Recorder) error {
-	events, total := rec.SnapshotTotal()
-	if total > uint64(len(events)) {
-		// The ring wrapped: history was overwritten, so a count mismatch
-		// below would be a sizing bug in the harness, not a recorder that
-		// dropped events. Name the real problem.
-		return fmt.Errorf("audit ring wrapped: %d events recorded into a %d-slot ring; size the recorder from the plan", total, rec.Cap())
+// nameSeed prefixes a failed run's error with the run and its seed.
+func nameSeed(err *error, run string, seed uint64) {
+	if *err != nil {
+		*err = fmt.Errorf("%s seed %d: %w", run, seed, *err)
 	}
-	var evs []telemetry.Event
-	for _, e := range events {
-		if e.Kind == telemetry.EvFault {
-			evs = append(evs, e)
+}
+
+// RunChaos executes plan against a fresh single-process deployment. The
+// error is non-nil only on an invariant violation (wrong answer,
+// unrecognized error — a hang trips the call timeout — or an audit gap)
+// or a harness failure; typed errors land in Result.Typed.
+func RunChaos(p Plan, opts Options) (_ *Result, err error) {
+	defer nameSeed(&err, "chaos", p.Seed)
+	opts = opts.withDefaults(false)
+	inj := NewInjector(p)
+	d, or, err := Source(Particles, core.Options{Servers: opts.Servers, Redial: opts.Redial, CallTimeout: 10 * time.Second})
+	if err != nil {
+		return nil, fmt.Errorf("setup: %w", err)
+	}
+	defer d.Close()
+	d.SetWrapConn(func(srv int, c transport.Conn) transport.Conn {
+		return inj.WrapConn(fmt.Sprintf("conn.%d", srv), c)
+	})
+	d.Store().SetAccessHook(inj.StoreHook(storeSeam))
+	if err := d.Start(); err != nil {
+		return nil, fmt.Errorf("start: %w", err)
+	}
+	d.Client().SetQueryBudget(opts.Budget)
+	res, err := or.Pass(d.Client(), p.Seed, opts.Queries, false)
+	if err != nil {
+		return nil, err
+	}
+	res.Fired = inj.Fired()
+	return res, auditFaultEvents(inj, nil, 0, nil)
+}
+
+// RunClusterChaos executes plan against a fresh local cluster of
+// opts.Servers members holding the oracle dataset. Each statement slot
+// steps the member seam and fires what it schedules — a kill (no goodbye,
+// racing the slot's statement from a goroutine), a join (rebalance with
+// extent transfer) or a drain — runs the statement, and lets the fault
+// settle before the next slot: the schedule is a sequence of
+// single-failure episodes, as the no-data-loss argument for the cluster's
+// default R=2 needs. The settled cluster must then hold every replica its
+// placement assigns and answer every statement exactly. The error is
+// non-nil only on an invariant violation or a harness failure.
+func RunClusterChaos(p Plan, opts Options) (_ *Result, err error) {
+	defer nameSeed(&err, "cluster chaos", p.Seed)
+	opts = opts.withDefaults(true)
+	inj := NewInjector(p)
+	d, or, err := Source(Particles, core.Options{Servers: 2})
+	if err != nil {
+		return nil, fmt.Errorf("setup: %w", err)
+	}
+	defer d.Close()
+	l, err := cluster.StartLocal(cluster.LocalOptions{Members: opts.Servers, Seed: p.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("start: %w", err)
+	}
+	defer l.Close()
+	// A patient session: kills commit a new view in member/catalog
+	// goroutines, so retries pace on wall time instead of spinning through
+	// their attempt budget before failover lands.
+	s, err := cluster.DialSession(cluster.SessionOptions{
+		Net:         l.Net(),
+		CatalogAddr: l.CatalogAddr(),
+		MaxAttempts: 40,
+		RetryWait:   2 * time.Millisecond,
+		Sleeper:     telemetry.WallSleep,
+		Clock:       telemetry.Wall,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
+	defer s.Close()
+	if err := s.Import(d); err != nil {
+		return nil, fmt.Errorf("import: %w", err)
+	}
+	cat, targets := l.Catalog().Recorder(), []int32(nil)
+	_, boot := cat.SnapshotTotal()
+	res, alive := &Result{}, opts.Servers
+	var kills sync.WaitGroup
+	defer kills.Wait() // no crash outlives the run, even a failed one
+	for i := 0; i < opts.Queries; i++ {
+		for _, ev := range inj.step(memberSeam) {
+			ids := l.MemberIDs()
+			victim := ids[ev.Arg%uint64(len(ids))]
+			switch ev.Kind {
+			case KillMember:
+				kills.Add(1)
+				go func() {
+					defer kills.Done()
+					_ = l.Crash(victim) // a victim already gone fails the settle below
+				}()
+				alive--
+			case JoinMember:
+				m, err := l.AddMember()
+				if err != nil {
+					return nil, fmt.Errorf("join: %w", err)
+				}
+				victim = m.ID()
+				alive++
+			case DrainMember:
+				if err := l.Drain(victim, 10*time.Second); err != nil {
+					return nil, fmt.Errorf("drain member %d: %w", victim, err)
+				}
+				alive--
+			}
+			targets = append(targets, int32(victim))
+		}
+		if err := or.statement(s, p.Seed, i, res); err != nil {
+			return nil, err
+		}
+		kills.Wait()
+		if err := l.WaitMembers(alive, 10*time.Second); err != nil {
+			return nil, fmt.Errorf("settle after statement %d: %w", i, err)
 		}
 	}
-	if len(evs) != len(fired) {
-		return fmt.Errorf("observability gap: %d faults fired but %d flight-recorder events", len(fired), len(evs))
+	res.Fired = inj.Fired()
+	s.Invalidate()
+	if err := s.Verify(d); err != nil {
+		return nil, fmt.Errorf("settled verify: %w", err)
 	}
+	if _, err := or.Pass(s, p.Seed, opts.Queries, true); err != nil {
+		return nil, fmt.Errorf("settled: %w", err)
+	}
+	return res, auditFaultEvents(inj, cat, boot, targets)
+}
+
+// auditFaultEvents is the completeness half of the invariant: a recorder
+// that drops or garbles a fault fails the run even when every answer was
+// right. Every fault inj fired must be counted in its registry and be in
+// its ring as an EvFault, in order, with the same kind, seam target and
+// operation count. With a catalog ring cat (its events from sequence
+// number boot on), every fired membership fault must also be there, in
+// order, naming its target: a kill as EvMemberDown of the victim by
+// report or broken connection, a drain as EvMemberDown by drain, a join
+// as EvMemberJoin of the joiner.
+func auditFaultEvents(inj *Injector, cat *telemetry.Recorder, boot uint64, targets []int32) error {
+	fired := inj.Fired()
+	evs, err := recorded(inj.rec, 0, telemetry.EvFault)
+	if err != nil {
+		return err
+	}
+	if len(evs) != len(fired) || inj.reg.Counter("fault.injected") != int64(len(fired)) {
+		return fmt.Errorf("observability gap: %d faults fired but %d flight-recorder events, %d counted",
+			len(fired), len(evs), inj.reg.Counter("fault.injected"))
+	}
+	var members []Event
 	for i, f := range fired {
 		e := evs[i]
 		srv, dir := seamTarget(f.Seam)
@@ -250,69 +386,85 @@ func auditFaultEvents(fired []Event, rec *telemetry.Recorder) error {
 			return fmt.Errorf("observability mismatch at fault %d: fired %s at %s op %d, recorded code=%d srv=%d dir=%d op=%d",
 				i, f.Kind, f.Seam, f.Count, e.Code, e.Srv, e.B, e.A)
 		}
+		if f.Seam == memberSeam {
+			members = append(members, f)
+		}
+	}
+	if cat == nil {
+		return nil
+	}
+	if evs, err = recorded(cat, boot, telemetry.EvMemberDown, telemetry.EvMemberJoin); err != nil {
+		return err
+	}
+	if len(evs) != len(members) {
+		return fmt.Errorf("observability gap: %d membership faults fired but %d catalog member events", len(members), len(evs))
+	}
+	for i, f := range members {
+		e, want := evs[i], []int64{telemetry.DownReasonReport, telemetry.DownReasonConn}
+		if f.Kind == DrainMember {
+			want = []int64{telemetry.DownReasonDrain}
+		}
+		if e.Srv != targets[i] || (f.Kind == JoinMember) != (e.Kind == telemetry.EvMemberJoin) ||
+			e.Kind == telemetry.EvMemberDown && !slices.Contains(want, e.B) {
+			return fmt.Errorf("observability mismatch at membership fault %d: fired %s of member %d at slot %d, catalog recorded %s of member %d (B=%d)",
+				i, f.Kind, targets[i], f.Count, e.Kind, e.Srv, e.B)
+		}
 	}
 	return nil
 }
 
-// RunCrashRecovery exercises the persistence half of the fault story:
-// a deployment serves a prefix of the workload, checkpoints (metadata +
-// replicas + every extent, core.SaveCheckpoint), then "crashes". A
-// second deployment restores from the checkpoint alone and must serve
-// the full workload with byte-identical selections. seed only labels
-// errors (the scenario itself is fully deterministic).
-func RunCrashRecovery(seed uint64, opts ChaosOptions) error {
-	if opts.Servers <= 0 {
-		opts.Servers = 2
+// recorded returns rec's events of the given kinds from sequence number
+// boot on. A ring that wrapped over them is a sizing error in the
+// harness, not a recorder that dropped events, and is named as such.
+func recorded(rec *telemetry.Recorder, boot uint64, kinds ...telemetry.EventKind) ([]telemetry.Event, error) {
+	events, total := rec.SnapshotTotal()
+	if total-boot > uint64(len(events)) {
+		return nil, fmt.Errorf("audit ring wrapped: %d events recorded into a %d-slot ring", total-boot, rec.Cap())
 	}
-	if opts.Particles <= 0 {
-		opts.Particles = 6000
+	var out []telemetry.Event
+	for _, e := range events {
+		if e.Seq >= boot && slices.Contains(kinds, e.Kind) {
+			out = append(out, e)
+		}
 	}
-	if opts.Queries <= 0 {
-		opts.Queries = 8
-	}
-	d, queries, _, err := chaosDeployment(opts)
+	return out, nil
+}
+
+// RunCrashRecovery exercises the persistence half of the fault story: a
+// deployment serves the workload, checkpoints (core.SaveCheckpoint) and
+// "crashes"; a second deployment restores from the checkpoint bytes alone
+// and serves it again. Both passes must answer every statement exactly.
+// seed draws the statements.
+func RunCrashRecovery(seed uint64, opts Options) (err error) {
+	defer nameSeed(&err, "crash", seed)
+	opts = opts.withDefaults(false)
+	d, or, err := Source(Particles, core.Options{Servers: opts.Servers, Redial: opts.Redial, CallTimeout: 10 * time.Second})
 	if err != nil {
-		return fmt.Errorf("crash seed %d: setup: %w", seed, err)
+		return fmt.Errorf("setup: %w", err)
 	}
 	defer d.Close()
 	if err := d.Start(); err != nil {
-		return fmt.Errorf("crash seed %d: start: %w", seed, err)
+		return fmt.Errorf("start: %w", err)
 	}
-	baseline := make([][]byte, len(queries))
-	for i, q := range queries {
-		out, err := d.Client().Run(q, chaosForce(seed, i))
-		if err != nil {
-			return fmt.Errorf("crash seed %d: baseline query %d: %w", seed, i, err)
-		}
-		baseline[i] = out.Sel.Encode()
+	if _, err := or.Pass(d.Client(), seed, opts.Queries, true); err != nil {
+		return fmt.Errorf("before checkpoint: %w", err)
 	}
-	// Checkpoint mid-service (after the first half of the workload ran:
-	// caches are warm, stashes populated — none of which may leak into
-	// the checkpoint, which holds only the persistent state).
+	// Caches are warm and stashes populated now; none of it may leak into
+	// the checkpoint, which holds only the persistent state.
 	var ckpt bytes.Buffer
 	if err := d.SaveCheckpoint(&ckpt); err != nil {
-		return fmt.Errorf("crash seed %d: checkpoint: %w", seed, err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	// Crash: the first deployment is gone. Recover a fresh one from the
-	// checkpoint bytes alone and re-serve everything.
-	d2, err := core.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), core.Options{
-		Servers: opts.Servers,
-	})
+	d2, err := core.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), core.Options{Servers: opts.Servers})
 	if err != nil {
-		return fmt.Errorf("crash seed %d: restore: %w", seed, err)
+		return fmt.Errorf("restore: %w", err)
 	}
 	defer d2.Close()
 	if err := d2.Start(); err != nil {
-		return fmt.Errorf("crash seed %d: restart: %w", seed, err)
+		return fmt.Errorf("restart: %w", err)
 	}
-	for i, q := range queries {
-		out, err := d2.Client().Run(q, chaosForce(seed, i))
-		if err != nil {
-			return fmt.Errorf("crash seed %d: recovered query %d: %w", seed, i, err)
-		}
-		if !bytes.Equal(out.Sel.Encode(), baseline[i]) {
-			return fmt.Errorf("crash seed %d: query %d: selection diverged after checkpoint recovery", seed, i)
-		}
+	if _, err := or.Pass(d2.Client(), seed, opts.Queries, true); err != nil {
+		return fmt.Errorf("after recovery: %w", err)
 	}
 	return nil
 }

@@ -3,13 +3,16 @@ package fault
 import (
 	"flag"
 	"testing"
-	"time"
 )
 
 // chaosSeeds is the soak width: `make chaos` runs the suite with
 // -chaos-seeds 64 (or more). The default keeps `go test ./...` fast
 // while still exercising every fault kind.
 var chaosSeeds = flag.Int("chaos-seeds", 8, "number of seeded fault schedules TestChaosSoak runs")
+
+// soakOptions is the single-process soak configuration: the defaults,
+// with the client's redial path on.
+func soakOptions() Options { return Options{Redial: true}.withDefaults(false) }
 
 // TestChaosSoak is the randomized soak: for each seed, derive a fault
 // plan, run it against a fresh deployment, and enforce zero wrong
@@ -19,7 +22,7 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short")
 	}
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	for seed := uint64(1); seed <= uint64(*chaosSeeds); seed++ {
 		plan := RandomPlan(seed, PlanConfig{Servers: opts.Servers, Events: 5, MaxOp: 12})
 		res, err := RunChaos(plan, opts)
@@ -35,9 +38,10 @@ func TestChaosSoak(t *testing.T) {
 
 // TestChaosCrashRecovery runs the checkpoint/restore half of the soak:
 // a deployment serves, checkpoints, "crashes", and a restore from the
-// checkpoint bytes must re-serve byte-identical selections.
+// checkpoint bytes must answer every statement exactly as the oracle
+// does, as the first deployment did.
 func TestChaosCrashRecovery(t *testing.T) {
-	if err := RunCrashRecovery(1, DefaultChaosOptions()); err != nil {
+	if err := RunCrashRecovery(1, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -46,7 +50,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // produces the same outcome split — the property that makes a failing
 // seed a usable replay.
 func TestChaosReplayDeterminism(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	opts.Queries = 6
 	plan := RandomPlan(7, PlanConfig{Servers: opts.Servers, Events: 3})
 	a, err := RunChaos(plan, opts)
@@ -67,7 +71,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 
 // TestRandomPlanDeterministic: same seed, same plan — byte for byte.
 func TestRandomPlanDeterministic(t *testing.T) {
-	cfg := PlanConfig{Servers: 4, Events: 5, SlowNs: uint64(time.Second)}
+	cfg := PlanConfig{Servers: 4, Events: 5}
 	a := RandomPlan(99, cfg)
 	b := RandomPlan(99, cfg)
 	if len(a.Schedule) != len(b.Schedule) {
@@ -77,5 +81,22 @@ func TestRandomPlanDeterministic(t *testing.T) {
 		if a.Schedule[i] != b.Schedule[i] {
 			t.Fatalf("event %d differs: %+v vs %+v", i, a.Schedule[i], b.Schedule[i])
 		}
+	}
+}
+
+// TestChaosDrawCoversEveryStatementShape: over a soak's worth of seeds
+// the one draw reaches every forcing under both spellings and both
+// projections, so no statement shape sits outside the oracle gate.
+func TestChaosDrawCoversEveryStatementShape(t *testing.T) {
+	seen := map[stmt]bool{}
+	for seed := uint64(1); seed <= 64; seed++ {
+		for i := 0; i < 12; i++ {
+			s := draw(seed, i)
+			s.i = 0
+			seen[s] = true
+		}
+	}
+	if len(seen) != 5*2*2 {
+		t.Fatalf("the draw reached %d of the 20 (forcing, spelling, projection) shapes", len(seen))
 	}
 }

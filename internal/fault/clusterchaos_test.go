@@ -2,7 +2,11 @@ package fault
 
 import (
 	"flag"
+	"reflect"
+	"strings"
 	"testing"
+
+	"pdcquery/internal/telemetry"
 )
 
 // clusterSeeds is the cluster soak width: `make chaos` runs it with
@@ -10,25 +14,126 @@ import (
 // while still exercising kill, join, and drain episodes.
 var clusterSeeds = flag.Int("cluster-seeds", 6, "number of seeded membership-fault schedules TestClusterChaos runs")
 
+// clusterPlan is the cluster soak's plan for a seed: one membership
+// draw per statement slot.
+func clusterPlan(seed uint64, opts Options) Plan {
+	return RandomPlan(seed, PlanConfig{Members: opts.Servers, MaxOp: uint64(opts.Queries)})
+}
+
+// kinds counts fired events by kind.
+func kinds(fired []Event) map[Kind]int {
+	n := map[Kind]int{}
+	for _, ev := range fired {
+		n[ev.Kind]++
+	}
+	return n
+}
+
 // TestClusterChaos is the membership soak: for each seed, boot a local
-// cluster, import the oracle dataset, and interleave the corpus with
-// member kills (some mid-query), joins, and drains. Zero wrong answers:
-// every query is byte-identical to the oracle or a typed error, and the
-// settled cluster must hold all replicas and answer the corpus clean.
+// cluster, import the oracle dataset, and interleave the statements with
+// the plan's member kills (racing the statement), joins, and drains.
+// Zero wrong answers: every statement matches the oracle or is a typed
+// error, every fault is audited against the catalog's recorder, and the
+// settled cluster must hold all replicas and answer every statement.
 func TestClusterChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster chaos skipped in -short")
 	}
-	opts := DefaultClusterChaosOptions()
+	opts := Options{}.withDefaults(true)
 	for seed := uint64(1); seed <= uint64(*clusterSeeds); seed++ {
-		res, err := RunClusterChaos(seed, opts)
+		res, err := RunClusterChaos(clusterPlan(seed, opts), opts)
 		if err != nil {
-			t.Fatalf("seed %d: %v (replay: RunClusterChaos(%d, ...))", seed, err, seed)
+			t.Fatalf("seed %d: %v (replay: RunClusterChaos(RandomPlan(%d, ...), ...))", seed, err, seed)
 		}
 		if res.Masked+res.Typed != opts.Queries {
 			t.Fatalf("seed %d: %d masked + %d typed != %d queries", seed, res.Masked, res.Typed, opts.Queries)
 		}
+		n := kinds(res.Fired)
 		t.Logf("seed %d: %d masked, %d typed; %d kills, %d joins, %d drains",
-			seed, res.Masked, res.Typed, res.Kills, res.Joins, res.Drains)
+			seed, res.Masked, res.Typed, n[KillMember], n[JoinMember], n[DrainMember])
+	}
+}
+
+// TestClusterChaosReplay: the same membership plan fires the same faults
+// and gives the same outcome split.
+func TestClusterChaosReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster chaos skipped in -short")
+	}
+	opts := Options{Queries: 6}.withDefaults(true)
+	plan := clusterPlan(3, opts)
+	a, err := RunClusterChaos(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunClusterChaos(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Fired) == 0 || !reflect.DeepEqual(a.Fired, b.Fired) {
+		t.Fatalf("replay fired %v, then %v", a.Fired, b.Fired)
+	}
+	if a.Masked != b.Masked || a.Typed != b.Typed {
+		t.Fatalf("replay diverged: %d/%d vs %d/%d", a.Masked, a.Typed, b.Masked, b.Typed)
+	}
+}
+
+// TestRandomPlanMembershipFeasible: over 1 000 seeds, a cluster schedule
+// never takes the live members below the floor or above the ceiling,
+// fires at most once per slot, and replays byte-identically.
+func TestRandomPlanMembershipFeasible(t *testing.T) {
+	for seed := uint64(0); seed < 1000; seed++ {
+		cfg := PlanConfig{Members: 2 + int(seed%5), MaxOp: 12}
+		p := RandomPlan(seed, cfg)
+		if !reflect.DeepEqual(p, RandomPlan(seed, cfg)) {
+			t.Fatalf("seed %d: plan differs on replay", seed)
+		}
+		alive, last := cfg.Members, uint64(0)
+		for _, ev := range p.Schedule {
+			if ev.Seam != memberSeam || ev.Count <= last || ev.Count > cfg.MaxOp {
+				t.Fatalf("seed %d: event %+v out of slot order", seed, ev)
+			}
+			last = ev.Count
+			switch ev.Kind {
+			case KillMember, DrainMember:
+				if ev.Arg >= uint64(alive) {
+					t.Fatalf("seed %d: victim %d of %d live members", seed, ev.Arg, alive)
+				}
+				alive--
+			case JoinMember:
+				alive++
+			default:
+				t.Fatalf("seed %d: %s in a cluster schedule", seed, ev.Kind)
+			}
+			if alive < minMembers || alive > maxMembers {
+				t.Fatalf("seed %d: schedule reaches %d live members", seed, alive)
+			}
+		}
+	}
+}
+
+// TestAuditMissingMemberJoin: a catalog ring that lacks the EvMemberJoin
+// of a fired join fails the audit as an observability gap, even though
+// the injector's own ring is complete.
+func TestAuditMissingMemberJoin(t *testing.T) {
+	inj := NewInjector(Plan{Schedule: []Event{
+		{Seam: memberSeam, Count: 1, Kind: JoinMember},
+		{Seam: memberSeam, Count: 2, Kind: KillMember},
+	}})
+	inj.step(memberSeam)
+	inj.step(memberSeam)
+	targets := []int32{3, 1} // the joiner, then the victim
+	cat := telemetry.NewRecorder(16, nil)
+	cat.Record(telemetry.EvMemberJoin, 0, 0, 0, 1, 1) // boot
+	_, boot := cat.SnapshotTotal()
+	cat.Record(telemetry.EvMemberDown, uint8(telemetry.DownReasonConn), 1, 0, 3, telemetry.DownReasonConn)
+	if err := auditFaultEvents(inj, cat, boot, targets); err == nil || !strings.Contains(err.Error(), "observability gap") {
+		t.Fatalf("audit of a ring missing the join: %v", err)
+	}
+	cat = telemetry.NewRecorder(16, nil)
+	cat.Record(telemetry.EvMemberJoin, 0, 3, 0, 2, 4)
+	cat.Record(telemetry.EvMemberDown, uint8(telemetry.DownReasonConn), 1, 0, 3, telemetry.DownReasonConn)
+	if err := auditFaultEvents(inj, cat, 0, targets); err != nil {
+		t.Fatalf("audit of the complete ring: %v", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // runCorpusPlan runs one pinned plan with the standard options.
-func runCorpusPlan(t *testing.T, plan Plan, opts ChaosOptions) *ChaosResult {
+func runCorpusPlan(t *testing.T, plan Plan, opts Options) *Result {
 	t.Helper()
 	res, err := RunChaos(plan, opts)
 	if err != nil {
@@ -26,7 +26,7 @@ func runCorpusPlan(t *testing.T, plan Plan, opts ChaosOptions) *ChaosResult {
 // be rejected fail-soft by the server — typed error reply, session
 // survives, and every other query still returns the oracle answer.
 func TestCorpusCorruptRequest(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	plan := Plan{Seed: 1001, Schedule: []Event{
 		{Seam: "conn.0.send", Count: 2, Kind: CorruptRequest},
 	}}
@@ -42,7 +42,7 @@ func TestCorpusCorruptRequest(t *testing.T) {
 // TestCorpusCorruptReply: a truncated reply payload must fail decoding
 // at the client as a typed error, never decode into a wrong selection.
 func TestCorpusCorruptReply(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	plan := Plan{Seed: 1002, Schedule: []Event{
 		{Seam: "conn.1.recv", Count: 3, Kind: CorruptReply},
 	}}
@@ -56,7 +56,7 @@ func TestCorpusCorruptReply(t *testing.T) {
 // connection is recovered transparently — the request is resent on a
 // fresh session and every query returns the oracle answer.
 func TestCorpusDropConnMasked(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	plan := Plan{Seed: 1003, Schedule: []Event{
 		{Seam: "conn.0.send", Count: 2, Kind: DropConn},
 		{Seam: "conn.1.recv", Count: 5, Kind: DropConn},
@@ -74,7 +74,7 @@ func TestCorpusDropConnMasked(t *testing.T) {
 // TestCorpusDropConnNoRedialTyped: the same drop without redial is a
 // deterministic typed terminal error (ErrServerDown), not a hang.
 func TestCorpusDropConnNoRedialTyped(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	opts.Redial = false
 	plan := Plan{Seed: 1004, Schedule: []Event{
 		{Seam: "conn.0.send", Count: 2, Kind: DropConn},
@@ -97,7 +97,7 @@ func TestCorpusDropConnNoRedialTyped(t *testing.T) {
 // TestCorpusStorageErr: an injected storage read error must surface as
 // a typed server error reply for the query that hit it.
 func TestCorpusStorageErr(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	plan := Plan{Seed: 1005, Schedule: []Event{
 		{Seam: "store", Count: 1, Kind: StorageErr},
 	}}
@@ -111,7 +111,7 @@ func TestCorpusStorageErr(t *testing.T) {
 // must blow the virtual deadline deterministically — the delayed reply
 // becomes a typed deadline error, not a wrong or late answer.
 func TestCorpusSlowReadDeadline(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	opts.Budget = 50 * time.Millisecond
 	plan := Plan{Seed: 1006, Schedule: []Event{
 		{Seam: "store", Count: 1, Kind: SlowRead, Arg: uint64(time.Hour)},
@@ -125,7 +125,7 @@ func TestCorpusSlowReadDeadline(t *testing.T) {
 // TestCorpusMultiFault: several faults across seams in one plan — the
 // split may vary by plan but the invariant may not.
 func TestCorpusMultiFault(t *testing.T) {
-	opts := DefaultChaosOptions()
+	opts := soakOptions()
 	plan := Plan{Seed: 1007, Schedule: []Event{
 		{Seam: "conn.0.send", Count: 3, Kind: CorruptRequest},
 		{Seam: "conn.1.send", Count: 5, Kind: DropConn},
@@ -135,4 +135,61 @@ func TestCorpusMultiFault(t *testing.T) {
 	if res.Masked+res.Typed != opts.Queries {
 		t.Fatalf("outcome split %d+%d != %d", res.Masked, res.Typed, opts.Queries)
 	}
+}
+
+// runClusterPlan runs one pinned membership plan against a local cluster
+// and insists every statement was masked: a settled R=2 cluster loses no
+// extent to one fault, and the session fails over rather than erring.
+func runClusterPlan(t *testing.T, plan Plan, opts Options) *Result {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("cluster chaos skipped in -short")
+	}
+	opts = opts.withDefaults(true)
+	res, err := RunClusterChaos(plan, opts)
+	if err != nil {
+		t.Fatalf("plan seed %d: %v", plan.Seed, err)
+	}
+	if res.Masked != opts.Queries || len(res.Fired) != len(plan.Schedule) {
+		t.Fatalf("want all %d statements masked and %d faults fired, got %d masked / %d typed, %d fired (errors: %v)",
+			opts.Queries, len(plan.Schedule), res.Masked, res.Typed, len(res.Fired), res.Errors)
+	}
+	return res
+}
+
+// TestCorpusMemberKillMidStatement: a member crashes while the slot's
+// statement is in flight. The session reports it, refreshes and retries
+// against the promoted replicas; the catalog records the victim down.
+func TestCorpusMemberKillMidStatement(t *testing.T) {
+	runClusterPlan(t, Plan{Seed: 2001, Schedule: []Event{
+		{Seam: memberSeam, Count: 2, Kind: KillMember, Arg: 1},
+	}}, Options{})
+}
+
+// TestCorpusMemberDrain: a graceful drain hands the member's regions to
+// the survivors before the view without it commits.
+func TestCorpusMemberDrain(t *testing.T) {
+	runClusterPlan(t, Plan{Seed: 2002, Schedule: []Event{
+		{Seam: memberSeam, Count: 3, Kind: DrainMember, Arg: 0},
+	}}, Options{})
+}
+
+// TestCorpusMemberJoinThenKill: a joiner pulls its regions, then is
+// itself killed (Arg 3 of four live members in ID order): the regions it
+// took over must still have their second copy.
+func TestCorpusMemberJoinThenKill(t *testing.T) {
+	runClusterPlan(t, Plan{Seed: 2003, Schedule: []Event{
+		{Seam: memberSeam, Count: 1, Kind: JoinMember},
+		{Seam: memberSeam, Count: 4, Kind: KillMember, Arg: 3},
+	}}, Options{})
+}
+
+// TestCorpusMemberKillAtFloor: a two-member cluster — the floor
+// RandomPlan keeps — loses one member. With R=2 both held every region,
+// so the survivor answers everything alone; this is the last kill a
+// schedule may draw without risking the only copy.
+func TestCorpusMemberKillAtFloor(t *testing.T) {
+	runClusterPlan(t, Plan{Seed: 2004, Schedule: []Event{
+		{Seam: memberSeam, Count: 2, Kind: KillMember, Arg: 0},
+	}}, Options{Servers: 2})
 }

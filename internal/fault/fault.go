@@ -1,8 +1,8 @@
 // Package fault is a seeded, deterministic fault-injection subsystem for
-// the PDC deployment's two I/O seams: the client↔server transport
-// (drop a connection, corrupt a delimited frame, tear a frame mid-write)
-// and the simio storage substrate (read errors, tier slowdowns that blow
-// virtual-time deadlines).
+// three fault families: the client↔server transport (drop a connection,
+// corrupt a delimited frame), the simio storage substrate (read errors,
+// tier slowdowns that blow virtual-time deadlines) and cluster
+// membership (kill, join or drain a member).
 //
 // Faults are driven by a Plan — a seed plus an explicit schedule of
 // events, each pinned to the Nth operation at a named seam — so any
@@ -12,16 +12,15 @@
 // failing seeds live in corpus_test.go as replayable regressions.
 //
 // The invariant the chaos harness enforces on top: an injected fault is
-// either masked by recovery (redial + resend, checkpoint restart) or
-// surfaces as a typed error — never a wrong answer.
+// either masked by recovery (redial + resend, failover, checkpoint
+// restart) or surfaces as a typed error — never a wrong answer.
 package fault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -63,22 +62,30 @@ const (
 	// deadline blow it deterministically and fail with the scheduler's
 	// deadline error; undeadlined queries just get slower.
 	SlowRead
-	numKinds
+	// KillMember crashes a cluster member with no goodbye, racing the
+	// slot's statement: the session fails over to the replicas.
+	KillMember
+	// JoinMember adds a member: the catalog rebalances and the joiner
+	// pulls its regions before the new view commits.
+	JoinMember
+	// DrainMember retires a member gracefully through the catalog.
+	DrainMember
 )
+
+// The seams the deployments step: "store" for every storage read and,
+// in the cluster harness, "member" once per statement slot.
+const (
+	storeSeam  = "store"
+	memberSeam = "member"
+)
+
+var kindNames = [...]string{"dropconn", "corrupt-request", "corrupt-reply", "storage-err", "slow-read",
+	"kill-member", "join-member", "drain-member"}
 
 // String names the kind for telemetry counters and logs.
 func (k Kind) String() string {
-	switch k {
-	case DropConn:
-		return "dropconn"
-	case CorruptRequest:
-		return "corrupt-request"
-	case CorruptReply:
-		return "corrupt-reply"
-	case StorageErr:
-		return "storage-err"
-	case SlowRead:
-		return "slow-read"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -86,13 +93,16 @@ func (k Kind) String() string {
 // Event schedules one fault: Kind fires on the Count-th operation
 // (1-based) at seam Seam. Seams are named by the wrapping call sites:
 // WrapConn(seam) counts sends at seam+".send" and receives at
-// seam+".recv"; StoreHook(seam) counts storage reads at seam.
+// seam+".recv"; StoreHook(seam) counts storage reads at seam; the
+// cluster harness counts statement slots at "member".
 type Event struct {
 	Seam  string
 	Count uint64
 	Kind  Kind
 	// Arg is kind-specific: for SlowRead, the injected delay in
-	// nanoseconds. Unused otherwise.
+	// nanoseconds; for KillMember and DrainMember, the victim's index
+	// among the live members in ID order (mod their count). Unused
+	// otherwise.
 	Arg uint64
 }
 
@@ -109,61 +119,43 @@ type Plan struct {
 // one seam is strictly ordered, so a seam driven by a single goroutine
 // (a connection direction, a serial evaluation) replays exactly.
 type Injector struct {
+	plan Plan
+	reg  *telemetry.Registry // set at construction, never written again
+	rec  *telemetry.Recorder
+
 	mu    sync.Mutex
-	plan  Plan
 	ops   map[string]uint64
 	fired []Event
-	reg   *telemetry.Registry
-	rec   *telemetry.Recorder
 }
 
 // NewInjector returns an injector for plan with no faults fired yet.
+// Every fired fault bumps its registry's "fault.injected" and
+// "fault.injected.<kind>" and records an EvFault in its own flight
+// recorder (Code=kind, Srv=server rank or -1, A=operation count at the
+// seam, B=seam direction), which the chaos audit checks against Fired():
+// nothing else records there, and a ring sized from the plan never wraps,
+// since a scheduled event fires at most once.
 func NewInjector(plan Plan) *Injector {
-	return &Injector{plan: plan, ops: make(map[string]uint64)}
-}
-
-// SetRegistry installs a telemetry registry; every fired fault bumps
-// "fault.injected" and "fault.injected.<kind>".
-func (in *Injector) SetRegistry(reg *telemetry.Registry) {
-	in.mu.Lock()
-	in.reg = reg
-	in.mu.Unlock()
-}
-
-// SetRecorder installs a flight recorder; every fired fault records an
-// EvFault event (Code=kind, Srv=server rank or -1 for the storage seam,
-// A=operation count at the seam, B=seam direction). The chaos harness's
-// observability-completeness gate audits these events against Fired().
-func (in *Injector) SetRecorder(rec *telemetry.Recorder) {
-	in.mu.Lock()
-	in.rec = rec
-	in.mu.Unlock()
+	return &Injector{plan: plan, ops: make(map[string]uint64),
+		reg: telemetry.NewRegistry(), rec: telemetry.NewRecorder(2*len(plan.Schedule)+64, nil)}
 }
 
 // seamTarget decomposes a seam name into the recorder's (Srv, direction)
 // pair: "conn.<rank>.send"/".recv" map to the rank and transport
-// direction, anything else is the shared storage seam.
+// direction, "member" to the membership seam, anything else is the
+// shared storage seam.
 func seamTarget(seam string) (srv int32, dir int64) {
-	if rest, ok := strings.CutPrefix(seam, "conn."); ok {
-		if num, ok := strings.CutSuffix(rest, ".send"); ok {
-			if v, err := strconv.Atoi(num); err == nil {
-				return int32(v), telemetry.SeamSend
-			}
-		}
-		if num, ok := strings.CutSuffix(rest, ".recv"); ok {
-			if v, err := strconv.Atoi(num); err == nil {
-				return int32(v), telemetry.SeamRecv
-			}
-		}
+	var rank int32
+	var d string
+	switch n, _ := fmt.Sscanf(seam, "conn.%d.%s", &rank, &d); {
+	case seam == memberSeam:
+		return -1, telemetry.SeamMember
+	case n == 2 && d == "send":
+		return rank, telemetry.SeamSend
+	case n == 2 && d == "recv":
+		return rank, telemetry.SeamRecv
 	}
 	return -1, telemetry.SeamStore
-}
-
-// Plan returns the injector's plan (for error messages naming the seed).
-func (in *Injector) Plan() Plan {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.plan
 }
 
 // Fired returns the events that have fired so far, in firing order.
@@ -185,10 +177,8 @@ func (in *Injector) step(seam string) []Event {
 		if ev.Seam == seam && ev.Count == n {
 			hits = append(hits, ev)
 			in.fired = append(in.fired, ev)
-			if in.reg != nil {
-				in.reg.Add("fault.injected", 1)
-				in.reg.Add("fault.injected."+ev.Kind.String(), 1)
-			}
+			in.reg.Add("fault.injected", 1)
+			in.reg.Add("fault.injected."+ev.Kind.String(), 1)
 			srv, dir := seamTarget(ev.Seam)
 			in.rec.Record(telemetry.EvFault, uint8(ev.Kind), srv, 0, int64(n), dir)
 		}
@@ -285,58 +275,83 @@ func (in *Injector) StoreHook(seam string) simio.AccessHook {
 type PlanConfig struct {
 	// Servers is the deployment size (seams conn.0 … conn.N-1).
 	Servers int
+	// Members, when positive, makes this a cluster config: membership
+	// faults for a cluster that starts with Members members, at most one
+	// per slot; Servers and Events are unused.
+	Members int
 	// Events is the number of faults to schedule (default 3).
 	Events int
-	// MaxOp bounds the operation index events attach to (default 24).
+	// MaxOp bounds the operation index events attach to (default 24); in
+	// a cluster config, the number of statement slots.
 	MaxOp uint64
-	// SlowNs is the SlowRead delay in nanoseconds (default 1s: far past
-	// any query budget the harness sets).
-	SlowNs uint64
-	// StoreSeam names the storage seam (default "store").
-	StoreSeam string
 }
+
+// slowReadNs is the delay a drawn SlowRead injects: 1s, far past any
+// statement budget the harness sets.
+const slowReadNs = uint64(time.Second)
+
+// Bounds on the live members of a cluster schedule: kills and drains
+// keep at least minMembers, so a settled R=2 cluster never loses the last
+// copy of an extent, and joins stop at maxMembers.
+const (
+	minMembers = 2
+	maxMembers = 6
+)
 
 // RandomPlan derives a fault schedule deterministically from seed: the
 // same seed and config always produce the same plan. Kinds, seams, and
 // operation indexes are drawn from a seeded PRNG.
 func RandomPlan(seed uint64, cfg PlanConfig) Plan {
-	if cfg.Servers <= 0 {
-		cfg.Servers = 1
-	}
 	if cfg.Events <= 0 {
 		cfg.Events = 3
 	}
-	if cfg.MaxOp == 0 {
-		cfg.MaxOp = 24
-	}
-	if cfg.SlowNs == 0 {
-		cfg.SlowNs = uint64(time.Second)
-	}
-	if cfg.StoreSeam == "" {
-		cfg.StoreSeam = "store"
-	}
+	cfg.Servers = max(cfg.Servers, 1)
+	cfg.MaxOp = cmp.Or(cfg.MaxOp, 24)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	p := Plan{Seed: seed}
+	if cfg.Members > 0 {
+		return memberPlan(rng, p, cfg)
+	}
 	for i := 0; i < cfg.Events; i++ {
-		kind := Kind(rng.Intn(int(numKinds)))
+		kind := Kind(rng.Intn(int(KillMember))) // the transport and storage kinds
 		ev := Event{Kind: kind, Count: 1 + uint64(rng.Int63n(int64(cfg.MaxOp)))}
 		srv := rng.Intn(cfg.Servers)
 		switch kind {
 		case DropConn:
-			dir := ".send"
-			if rng.Intn(2) == 1 {
-				dir = ".recv"
-			}
-			ev.Seam = fmt.Sprintf("conn.%d%s", srv, dir)
+			ev.Seam = fmt.Sprintf("conn.%d.%s", srv, [2]string{"send", "recv"}[rng.Intn(2)])
 		case CorruptRequest:
 			ev.Seam = fmt.Sprintf("conn.%d.send", srv)
 		case CorruptReply:
 			ev.Seam = fmt.Sprintf("conn.%d.recv", srv)
 		case StorageErr:
-			ev.Seam = cfg.StoreSeam
+			ev.Seam = storeSeam
 		case SlowRead:
-			ev.Seam = cfg.StoreSeam
-			ev.Arg = cfg.SlowNs
+			ev.Seam, ev.Arg = storeSeam, slowReadNs
+		}
+		p.Schedule = append(p.Schedule, ev)
+	}
+	return p
+}
+
+// memberPlan draws a cluster schedule: each statement slot draws none, a
+// kill, a join or a drain, and keeps the fault only while the schedule
+// stays within [minMembers, maxMembers] live members.
+func memberPlan(rng *rand.Rand, p Plan, cfg PlanConfig) Plan {
+	alive := cfg.Members
+	for slot := uint64(1); slot <= cfg.MaxOp; slot++ {
+		draw := rng.Intn(4) // none, kill, join, drain
+		if draw == 0 {
+			continue
+		}
+		ev := Event{Seam: memberSeam, Count: slot, Kind: KillMember + Kind(draw-1)}
+		switch {
+		case ev.Kind == JoinMember && alive < maxMembers:
+			alive++
+		case (ev.Kind == KillMember || ev.Kind == DrainMember) && alive > minMembers:
+			ev.Arg = uint64(rng.Intn(alive))
+			alive--
+		default:
+			continue
 		}
 		p.Schedule = append(p.Schedule, ev)
 	}

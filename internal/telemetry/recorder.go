@@ -69,7 +69,7 @@ const (
 	// EvFault: the fault injector fired a scheduled event.
 	// Code=fault kind, Srv=server rank (-1 for the storage seam),
 	// A=operation count at the seam, B=seam direction (SeamSend,
-	// SeamRecv, or SeamStore).
+	// SeamRecv, SeamStore, or SeamMember).
 	EvFault
 	// EvRedial: the client re-established a server connection.
 	// Srv=server rank.
@@ -113,6 +113,7 @@ const (
 	SeamSend int64 = iota
 	SeamRecv
 	SeamStore
+	SeamMember
 )
 
 // String names the kind for the /debug/events dump and the CLI.
