@@ -48,7 +48,9 @@ race:
 
 # Scheduler stress under the race detector: concurrent sessions vs the
 # brute-force oracle, admission-control overload, worker-count
-# determinism, busy-retry, and async-lifetime leak checks. A separate CI
+# determinism, busy-retry, async-lifetime leak checks, and the region-task
+# pool's guarantees (shared bound, lowest-index error, cancellation, the
+# caller working, helpers stopping on Close) twenty times over. A separate CI
 # step so scheduler interleaving failures are attributable at a glance;
 # each pattern is listed first, so the log shows which tests it still
 # names.
@@ -60,6 +62,7 @@ stress:
 	$(GO) test -list '$(STRESS_CLIENT)' ./internal/client/
 	$(GO) test -race -count=2 -run '$(STRESS_CLIENT)' ./internal/client/
 	$(GO) test -race -count=2 -run 'Test' ./internal/sched/
+	$(GO) test -race -count=20 -run 'TestPool' ./internal/sched/
 
 # Chaos soak: CHAOS_SEEDS seeded transport/storage fault schedules
 # against a single-process deployment and CLUSTER_SEEDS seeded

@@ -1,8 +1,10 @@
 // Command pdc-benchdiff is the repository's performance ratchet: it
 // measures a fixed set of deterministic figures — allocations per
-// operation for the hot kernels the zero-alloc sweep pinned, and modeled
-// virtual-time query latencies from the Fig. 3 harness — and compares
-// them against the committed baseline in BENCH_seed.json.
+// operation for the hot kernels the zero-alloc sweep pinned and for a
+// whole warm statement (stmt.*: client, transport and members of an
+// in-process cluster together), and modeled virtual-time query latencies
+// from the Fig. 3 harness — and compares them against the committed
+// baseline in BENCH_seed.json.
 //
 // Both figure families are deterministic by construction (AllocsPerRun
 // over fixed inputs; virtual-clock times from the cost model), so the
@@ -28,10 +30,16 @@ import (
 	"time"
 
 	"pdcquery/internal/bench"
+	"pdcquery/internal/cluster"
+	"pdcquery/internal/core"
+	"pdcquery/internal/dtype"
 	"pdcquery/internal/exec"
+	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/transport"
 	"pdcquery/internal/wah"
+	"pdcquery/internal/workload"
 )
 
 // Baseline is the committed shape of BENCH_seed.json.
@@ -125,6 +133,64 @@ func measureAllocs() map[string]float64 {
 	return out
 }
 
+// stmtAllocStatements are the statement rows: one fixed statement per
+// projection, a narrow Energy window like the wall-clock benchmark's
+// point workload.
+var stmtAllocStatements = []struct{ name, text string }{
+	{"stmt.count.warm", "select count where Energy between 3.01 and 3.03"},
+	{"stmt.ids.warm", "select ids where Energy between 3.01 and 3.03"},
+	{"stmt.hist.warm", "select hist(x, 8) where Energy between 3.01 and 3.03"},
+}
+
+// measureStmtAllocs counts the whole process's heap allocations per warm
+// statement: Session.RunText on a two-member cluster.Local (R=2, 4
+// workers per member) over 2^18 VPIC particles in 8 KiB regions — 128
+// regions per object, the benchmark's decomposition — client, transport
+// and both members included.
+func measureStmtAllocs(out map[string]float64) error {
+	const particles = 1 << 18
+	src := core.NewDeployment(core.Options{Servers: 1, RegionBytes: 8 << 10, BuildIndex: true})
+	defer src.Close()
+	c := src.CreateContainer("stmt-allocs")
+	v := workload.GenerateVPIC(particles, 41)
+	for _, name := range workload.VPICNames {
+		if _, err := src.ImportObject(c.ID, object.Property{
+			Name: name, Type: dtype.Float32, Dims: []uint64{particles},
+		}, dtype.Bytes(v.Vars[name])); err != nil {
+			return fmt.Errorf("import %s: %w", name, err)
+		}
+	}
+	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 2, R: 2, Seed: 41, Workers: 4})
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+	s, err := l.Session()
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	if err := s.Import(src); err != nil {
+		return err
+	}
+	for _, st := range stmtAllocStatements {
+		var runErr error
+		run := func() {
+			if _, err := s.RunText(st.text, plan.ForceAuto); err != nil {
+				runErr = err
+			}
+		}
+		for range 20 {
+			run() // warm the plan caches, region caches and pools
+		}
+		out[st.name] = testing.AllocsPerRun(100, run)
+		if runErr != nil {
+			return fmt.Errorf("%s: %w", st.name, runErr)
+		}
+	}
+	return nil
+}
+
 // measureModeled runs the Fig. 3 harness at a small fixed scale and sums
 // the modeled (virtual-clock) query time per approach. Virtual time is
 // deterministic, so these figures catch cost-model and evaluation-path
@@ -198,6 +264,10 @@ func main() {
 	flag.Parse()
 
 	allocs := measureAllocs()
+	if err := measureStmtAllocs(allocs); err != nil {
+		fmt.Fprintf(os.Stderr, "pdc-benchdiff: statement figures: %v\n", err)
+		os.Exit(1)
+	}
 	modeled, err := measureModeled()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pdc-benchdiff: modeled figures: %v\n", err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"log/slog"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,8 +79,9 @@ func newViewState(v View, place *Placement) *viewState {
 }
 
 // share returns the regions of obj (decomposed into nregions regions)
-// that member id is primary for. The result is a copy: the engine sorts
-// its assignment, and the memo is shared by every concurrent query.
+// that member id is primary for, in ascending order. The result is the
+// memo itself, shared by every concurrent query: exec.Assignment.Orig is
+// read-only by contract.
 func (vs *viewState) share(id MemberID, obj object.ID, nregions int) []int {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -95,7 +95,7 @@ func (vs *viewState) share(id MemberID, obj object.ID, nregions int) []int {
 		}
 		vs.shares[obj] = sh
 	}
-	return slices.Clone(sh.orig)
+	return sh.orig
 }
 
 // Member is one cluster data server: an embedded query server over a

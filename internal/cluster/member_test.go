@@ -21,7 +21,7 @@ func primaryShare(p *Placement, id MemberID, obj object.ID, nregions int) []int 
 }
 
 // The memoised region share is per installed view: repeated queries at
-// one epoch get equal, private copies; a join installs a new view, and
+// one epoch share one read-only slice; a join installs a new view, and
 // the share under it follows the new placement, not the memo.
 func TestMemberAssignMemoPerEpoch(t *testing.T) {
 	l, err := StartLocal(LocalOptions{Members: 2, R: 2, Seed: 42})
@@ -41,13 +41,14 @@ func TestMemberAssignMemoPerEpoch(t *testing.T) {
 	if !slices.Equal(a1.Orig, want1) {
 		t.Fatalf("share at epoch %d = %v, want %v", v1.Epoch, a1.Orig, want1)
 	}
-	// The caller owns what it gets: scribbling on it must not reach the
-	// memo the next query reads.
-	for i := range a1.Orig {
-		a1.Orig[i] = -1
-	}
-	if again, _ := m.assign(v1.Epoch, anchor, nil); !slices.Equal(again.Orig, want1) {
+	// Assignment.Orig is read-only, so the next query gets the memo
+	// itself rather than a copy of it.
+	again, _ := m.assign(v1.Epoch, anchor, nil)
+	if !slices.Equal(again.Orig, want1) {
 		t.Fatalf("second query at epoch %d = %v, want %v", v1.Epoch, again.Orig, want1)
+	}
+	if len(want1) > 0 && &again.Orig[0] != &a1.Orig[0] {
+		t.Fatalf("second query at epoch %d got a copy of the share, want the memo", v1.Epoch)
 	}
 	// Same object re-imported with fewer regions: the memo is keyed on
 	// the decomposition too.

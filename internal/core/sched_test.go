@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,40 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPrunedByIsDeterministic: a region that more than one condition of
+// a conjunct prunes is attributed to the first of them in plan order, so
+// a traced statement whose every region both conditions prune renders
+// the same span bytes on every run (the attribution once came from
+// ranging over the conjunct's map).
+func TestPrunedByIsDeterministic(t *testing.T) {
+	d, _ := vpicDeployment(t, 30000, Options{Servers: 2, RegionBytes: 8 << 10, Workers: 4})
+	const text = "select count where Energy between 1000 and 2000 and x between 1e9 and 2e9"
+	var first []byte
+	for run := 0; run < 50; run++ {
+		res, err := d.Client().Do(context.Background(), client.Text(text), client.Options{Force: plan.ForceScan, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc []byte
+		pruned := 0
+		for _, s := range res.Traces {
+			s.Trace = 0 // the request ID, which differs per run
+			enc = append(enc, s.Encode(false)...)
+			pruned += strings.Count(s.Render(false), telemetry.DecisionHistogramPruned)
+		}
+		if run == 0 {
+			if pruned == 0 {
+				t.Fatalf("no region was histogram-pruned; the statement shows nothing:\n%s", res.Trace().Render(false))
+			}
+			first = enc
+			continue
+		}
+		if !bytes.Equal(enc, first) {
+			t.Fatalf("run %d: span bytes differ from run 0:\n%s", run, res.Trace().Render(false))
+		}
 	}
 }
 

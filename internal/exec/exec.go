@@ -51,7 +51,9 @@ import (
 
 // Assignment names the regions this server evaluates: original region
 // indices (shared by all same-shaped objects) and sorted-replica region
-// indices for the sorted-replica path.
+// indices for the sorted-replica path. Orig is in ascending order and
+// read-only: the engine walks it in place, and an assigner may hand the
+// same slice to every statement.
 type Assignment struct {
 	Orig   []int
 	Sorted []int
@@ -172,6 +174,12 @@ func (e *Engine) wnow() int64 {
 	return e.Clock.Now()
 }
 
+// The cache counters, interned once.
+var (
+	cacheHitsCounter   = vclock.Intern("cache.hits")
+	cacheMissesCounter = vclock.Intern("cache.misses")
+)
+
 // readRegion returns a region's raw bytes as an immutable shared view,
 // going through the LRU cache. Cache hits are charged at memory-tier
 // cost.
@@ -188,13 +196,13 @@ func (e *Engine) readExtent(key string) (dtype.ROBytes, error) {
 			if e.Acct != nil {
 				m := e.Store.Model()
 				e.Acct.ChargeCost(m.ReadCost(simio.Memory, int64(len(data))))
-				e.Acct.Count("cache.hits", 1)
+				e.Acct.CountID(cacheHitsCounter, 1)
 			}
 			e.noteCache(telemetry.EvCacheHit, int64(len(data)), 1)
 			return data, nil
 		}
 		if e.Acct != nil {
-			e.Acct.Count("cache.misses", 1)
+			e.Acct.CountID(cacheMissesCounter, 1)
 		}
 	}
 	data, err := e.Store.ReadAll(e.Acct, key)
@@ -333,8 +341,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 			return nil, fmt.Errorf("exec: objects %d and %d have different region decompositions", anchor.ID, o.ID)
 		}
 	}
-	orig := append([]int(nil), assign.Orig...)
-	slices.Sort(orig)
+	orig := assign.Orig
 	if span != nil {
 		span.SetStr("strategy", pl.Label)
 		span.SetInt("conjuncts", int64(len(conjuncts)))
@@ -376,10 +383,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 			if loaded && e.Acct != nil {
 				m := e.Store.Model()
 				e.Acct.ChargeCost(m.ReadCost(tier, bytes))
-				e.Acct.Count("read.ops", 1)
-				e.Acct.Count("read.bytes", bytes)
-				e.Acct.Count("read.ops."+tier.String(), 1)
-				e.Acct.Count("read.bytes."+tier.String(), bytes)
+				simio.CountRead(e.Acct, tier, 1, bytes)
 			}
 		}
 		e.spanCostDone(ps, before, costed)
@@ -403,7 +407,10 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 		if err := tok.Err(); err != nil {
 			return nil, err
 		}
-		cs := span.Child(telemetry.SpanConjunct, fmt.Sprintf("conjunct.%d", i))
+		var cs *telemetry.Span
+		if span != nil {
+			cs = span.Child(telemetry.SpanConjunct, fmt.Sprintf("conjunct.%d", i))
+		}
 		before, costed := e.spanCost(cs)
 		sel, vals, err := e.evalConjunct(tok, pl, i, q, c, objs, anchor, orig, assign.Sorted, need, &res.Stats, cs)
 		if err != nil {
@@ -469,13 +476,11 @@ func Prunable(rm *object.RegionMeta, iv query.Interval) bool {
 }
 
 // constraintRuns returns the local element runs of region r that fall
-// inside the query constraint (all of the region when unconstrained), or
-// ok=false when the constraint excludes the region entirely.
+// inside the query constraint cons, or ok=false when the constraint
+// excludes the region entirely. An unconstrained statement takes no runs:
+// its region tasks cover their whole region.
 func constraintRuns(o *object.Object, r int, cons *region.Region) ([]localRun, bool) {
 	rr := o.Regions[r].Region
-	if cons == nil {
-		return []localRun{{Start: 0, Len: rr.NumElems()}}, true
-	}
 	sub, ok := region.Intersect(rr, *cons)
 	if !ok {
 		return nil, false
@@ -524,18 +529,44 @@ func (e *Engine) replicaFor(id object.ID) *sortstore.Replica {
 	return e.Replica(id)
 }
 
-// regionTaskResult carries everything one region-evaluation task produced
-// on its shadow engine. The merge phase folds results back in region
-// order, so the query's output never depends on task interleaving.
+// regionTaskResult is one region-evaluation task: the region and its
+// constraint runs the prune pass handed it, and everything the task
+// produced on its shadow engine. The merge phase folds results back in
+// region order, so the query's output never depends on task
+// interleaving.
 type regionTaskResult struct {
+	r       int
+	runs    []localRun      // the constraint's runs; nil when the statement has no constraint
 	span    *telemetry.Span // detached region span (nil when untraced)
 	condLog *telemetry.Span // private condition-selectivity log
-	acct    *vclock.Account // shadow account (nil when the engine has none)
+	acct    vclock.Account  // shadow account (unused when the engine has none)
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
 	nhits   int64
 	chunk   *[]byte // the region's packed hits, in a pooled buffer; nil under NeedCount
 	vals    map[object.ID][]float64
+}
+
+// pruneCond is one condition of a conjunct as the prune pass reads it:
+// its interval and its object's region metadata, hoisted out of the
+// conjunct map in plan order.
+type pruneCond struct {
+	id      object.ID
+	iv      query.Interval
+	regions []object.RegionMeta
+}
+
+// prunedRegion is a histogram-pruned region's pre-built span, kept only
+// when the statement is traced.
+type prunedRegion struct {
+	r    int
+	span *telemetry.Span
+}
+
+// survivor is a region the prune pass kept, with its constraint runs.
+type survivor struct {
+	r    int
+	runs []localRun
 }
 
 // Chunk bytes are written once per statement and read once, by the next
@@ -595,8 +626,9 @@ func replayCondAttrs(cs, log *telemetry.Span) {
 // a single output byte:
 //
 //  1. a serial pruning pass in region order — histogram/min-max pruning
-//     reads only metadata, and the pass records the per-region outcome so
-//     the merge can rebuild the exact serial span sequence;
+//     reads only metadata; a surviving region costs one slot of the
+//     pass's stack list, a pruned one nothing unless the statement is
+//     traced, when its span is built for the merge to adopt in place;
 //  2. a fan-out of the surviving regions over the worker pool, each task
 //     on a shadow engine (private account, detached spans) touching only
 //     its own region's extents;
@@ -612,51 +644,56 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		return nil, nil, err
 	}
 	collect := need == NeedValues
-	type regionEntry struct {
-		r      int
-		pruned *telemetry.Span // non-nil: histogram-pruned, span pre-built
-		task   int             // else: index into taskRegions
-	}
-	var entries []regionEntry
-	var taskRegions []int
-	var taskRuns [][]localRun
-	pruneV, pruneW := e.vnow(), e.wnow()
-	for _, r := range orig {
-		runs, ok := constraintRuns(anchor, r, q.Constraint)
-		if !ok {
-			continue // outside the spatial constraint
+
+	// The pass reads each condition's interval and region metadata in
+	// plan order, hoisted out of the conjunct map once, so a region more
+	// than one condition could prune is attributed to the first of them.
+	// Full scan prunes nothing.
+	var condBuf [4]pruneCond
+	conds := condBuf[:0]
+	if !full {
+		for _, id := range order {
+			conds = append(conds, pruneCond{id: id, iv: c[id], regions: objs[id].Regions})
 		}
-		// Region pruning via histogram min/max (not for full scan).
-		if !full {
-			pruned := false
-			for id, iv := range c {
-				if Prunable(&objs[id].Regions[r], iv) {
-					var ps *telemetry.Span
-					if cs != nil {
-						ps = telemetry.NewSpan(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
-						ps.SetStr("decision", telemetry.DecisionHistogramPruned)
-						ps.SetInt("by", int64(id))
-					}
-					entries = append(entries, regionEntry{r: r, pruned: ps, task: -1})
-					pruned = true
-					break
-				}
+	}
+	var survBuf [64]survivor
+	surv := survBuf[:0]
+	var pruned []prunedRegion // traced statements only
+	pruneV, pruneW := e.vnow(), e.wnow()
+regions:
+	for _, r := range orig {
+		var runs []localRun
+		if q.Constraint != nil {
+			var ok bool
+			if runs, ok = constraintRuns(anchor, r, q.Constraint); !ok {
+				continue // outside the spatial constraint
 			}
-			if pruned {
-				stats.RegionsPruned++
+		}
+		for k := range conds {
+			pc := &conds[k]
+			if !Prunable(&pc.regions[r], pc.iv) {
 				continue
 			}
+			stats.RegionsPruned++
+			if cs != nil {
+				ps := telemetry.NewSpan(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
+				ps.SetStr("decision", telemetry.DecisionHistogramPruned)
+				ps.SetInt("by", int64(pc.id))
+				pruned = append(pruned, prunedRegion{r: r, span: ps})
+			}
+			continue regions
 		}
-		entries = append(entries, regionEntry{r: r, task: len(taskRegions)})
-		taskRegions = append(taskRegions, r)
-		taskRuns = append(taskRuns, runs)
+		surv = append(surv, survivor{r: r, runs: runs})
 	}
 	e.Phases.Add(telemetry.PhasePrune, e.vnow()-pruneV, e.wnow()-pruneW)
 
-	results := make([]*regionTaskResult, len(taskRegions))
+	results := make([]regionTaskResult, len(surv))
+	for i, s := range surv {
+		results[i].r, results[i].runs = s.r, s.runs
+	}
 	runTask := func(i int) error {
-		r := taskRegions[i]
-		res := &regionTaskResult{}
+		res := &results[i]
+		r := res.r
 		te := *e
 		te.Pool = nil // region tasks never fan out again
 		// Tasks run concurrently: recording or phase accounting from here
@@ -667,8 +704,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		te.Phases = nil
 		te.cacheEv = &res.cacheEv
 		if e.Acct != nil {
-			res.acct = vclock.NewAccount()
-			te.Acct = res.acct
+			te.Acct = &res.acct
 		}
 		if cs != nil {
 			res.span = telemetry.NewSpan(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
@@ -676,6 +712,13 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		}
 		rs := res.span
 		res.stats.RegionsEvaluated++
+		// An unconstrained task covers its whole region: one run, built
+		// here instead of by the prune pass.
+		runs := res.runs
+		if runs == nil {
+			whole := [1]localRun{{Start: 0, Len: anchor.RegionElems(r)}}
+			runs = whole[:]
+		}
 
 		useIndex := cp.Regions[r] == ChoiceProbe
 
@@ -702,14 +745,14 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		var set []uint64
 		var err error
 		if useIndex {
-			set, res.nhits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, taskRuns[i], sc, &res.stats, res.condLog)
+			set, res.nhits, err = te.evalRegionIndex(tok, c, order, preds, objs, r, runs, sc, &res.stats, res.condLog)
 		} else {
-			set, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, taskRuns[i], sc, &res.stats, res.condLog)
+			set, res.nhits, err = te.evalRegionScan(tok, order, preds, objs, r, runs, sc, &res.stats, res.condLog)
 		}
 		if err != nil {
 			return err
 		}
-		if res.acct != nil {
+		if e.Acct != nil {
 			rs.AddCost(res.acct.Cost())
 		}
 		rs.SetInt("hits", res.nhits)
@@ -725,20 +768,19 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 				}
 			}
 		}
-		results[i] = res
 		return nil
 	}
 	execV, execW := e.vnow(), e.wnow()
-	if err := e.Pool.Map(tok, len(taskRegions), runTask); err != nil {
+	if err := e.Pool.Map(tok, len(results), runTask); err != nil {
 		return nil, nil, err
 	}
 
 	var nhits int64
 	var chunkBytes int
-	for _, res := range results {
-		nhits += res.nhits
-		if res.chunk != nil {
-			chunkBytes += len(*res.chunk)
+	for i := range results {
+		nhits += results[i].nhits
+		if results[i].chunk != nil {
+			chunkBytes += len(*results[i].chunk)
 		}
 	}
 	var stream []byte
@@ -750,16 +792,18 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 	if collect {
 		vals = make(map[object.ID][]float64, len(order))
 	}
-	for _, en := range entries {
-		if en.task < 0 {
-			cs.Adopt(en.pruned)
-			continue
+	// Pruned spans (traced only) are adopted between the task spans, so
+	// the conjunct's children stay in region order.
+	p := 0
+	for i := range results {
+		res := &results[i]
+		for ; p < len(pruned) && pruned[p].r < res.r; p++ {
+			cs.Adopt(pruned[p].span)
 		}
-		res := results[en.task]
 		cs.Adopt(res.span)
 		replayCondAttrs(cs, res.condLog)
 		if e.Acct != nil {
-			e.Acct.Absorb(res.acct)
+			e.Acct.Absorb(&res.acct)
 		}
 		stats.Add(res.stats)
 		// Recorded at the merge barrier (absorb order is region order), so
@@ -767,7 +811,7 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 		// stamp is the account total after this region's absorb. Cache
 		// traffic the task accumulated flushes here for the same reason.
 		e.flushCacheTraffic(&res.cacheEv)
-		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(en.r), res.nhits)
+		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(res.r), res.nhits)
 		if res.nhits == 0 {
 			continue
 		}
@@ -780,6 +824,9 @@ func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full 
 			filled += copy(stream[filled:], *res.chunk)
 			chunkBufs.Put(res.chunk)
 		}
+	}
+	for ; p < len(pruned); p++ {
+		cs.Adopt(pruned[p].span)
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
 	if need == NeedCount {
@@ -1011,7 +1058,7 @@ type shHit struct {
 type sortedTaskResult struct {
 	span    *telemetry.Span
 	condLog *telemetry.Span
-	acct    *vclock.Account
+	acct    vclock.Account // shadow account (unused when the engine has none)
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
 	hits    []shHit
@@ -1084,8 +1131,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		te.Phases = nil
 		te.cacheEv = &res.cacheEv
 		if e.Acct != nil {
-			res.acct = vclock.NewAccount()
-			te.Acct = res.acct
+			te.Acct = &res.acct
 		}
 		if cs != nil {
 			res.span = telemetry.NewSpan(telemetry.SpanSortedRegion, fmt.Sprintf("sorted.%d", s))
@@ -1101,7 +1147,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		// cost is the shadow account's whole accumulation, matching the
 		// serial path's spanCost delta across the region body.
 		finish := func(matched int) {
-			if res.acct != nil {
+			if e.Acct != nil {
 				ss.AddCost(res.acct.Cost())
 			}
 			ss.SetInt("matched", int64(matched))
@@ -1217,7 +1263,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		cs.Adopt(res.span)
 		replayCondAttrs(cs, res.condLog)
 		if e.Acct != nil {
-			e.Acct.Absorb(res.acct)
+			e.Acct.Absorb(&res.acct)
 		}
 		stats.Add(res.stats)
 		e.flushCacheTraffic(&res.cacheEv)

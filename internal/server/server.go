@@ -85,7 +85,9 @@ type Config struct {
 	// threshold is testable deterministically.
 	SlowQueryNs int64
 	// Assign names the regions this server evaluates for a statement on
-	// anchor (and its sorted replica, nil when absent). Required. A
+	// anchor (and its sorted replica, nil when absent), Orig ascending;
+	// the engine never writes the assignment, so an assigner may return
+	// a memoised one to every statement. Required. A
 	// static deployment passes ModNAssign; a cluster member derives its
 	// share from the placement view at the request's stamped epoch, and
 	// an epoch mismatch returns an error, which the cluster session
@@ -434,7 +436,7 @@ func (s *Server) serveOne(qr *queuedReq) {
 		}
 		// Queue wait is pure wall time: requests accrue no virtual cost
 		// while queued, so the phase has no _vns twin.
-		ss.reg.Observe("phase.queue_wait_ns", float64(queueWait))
+		ss.reg.Observe(telemetry.PhaseWallMetric(telemetry.PhaseQueueWait), float64(queueWait))
 	}
 	s.rec.Record(telemetry.EvDispatch, 0, int32(s.cfg.ID), 0, int64(m.ReqID), queueWait)
 	acct := vclock.NewAccount()
@@ -553,14 +555,20 @@ func (s *Server) Serve(conn transport.Conn) error {
 
 // Shutdown stops the dispatcher pool: running evaluations are cancelled,
 // the fair queue closes (already-admitted requests still drain and get
-// replies), and the method returns once every dispatcher has exited. It
-// is idempotent and composes with connection teardown in any order;
-// Serve loops answer requests arriving afterwards with error frames.
+// replies), and the method returns once every dispatcher has exited and
+// the region-task pool's helpers have stopped. It is idempotent and
+// composes with connection teardown in any order; Serve loops answer
+// requests arriving afterwards with error frames.
 func (s *Server) Shutdown() {
 	s.shutdownOnce.Do(func() {
 		s.baseCancel()
 		s.queue.Close()
+		// No dispatcher starts after this, and a Serve starting them now
+		// finishes its dwg.Add calls first: an Add racing the Wait below
+		// is a WaitGroup misuse.
+		s.dispatchOnce.Do(func() {})
 		s.dwg.Wait()
+		s.pool.Close()
 	})
 }
 
@@ -633,13 +641,13 @@ func (s *Server) handleMetaSnapshot(*request) transport.Message {
 // real clock is installed, so goldens stay byte-identical.
 func (s *Server) observePhases(ss *session, p *telemetry.PhaseTimes) {
 	for _, ph := range [...]int{telemetry.PhasePrune, telemetry.PhaseRegionExec, telemetry.PhaseMerge} {
-		ss.reg.Observe("phase."+telemetry.PhaseName(ph)+"_vns", float64(p.VNanos[ph]))
+		ss.reg.Observe(telemetry.PhaseVNanosMetric(ph), float64(p.VNanos[ph]))
 	}
 	if s.clock().Now() == 0 {
 		return
 	}
 	for _, ph := range [...]int{telemetry.PhasePrune, telemetry.PhaseRegionExec, telemetry.PhaseMerge, telemetry.PhaseEncode} {
-		ss.reg.Observe("phase."+telemetry.PhaseName(ph)+"_ns", float64(p.WallNanos[ph]))
+		ss.reg.Observe(telemetry.PhaseWallMetric(ph), float64(p.WallNanos[ph]))
 	}
 }
 

@@ -232,7 +232,7 @@ func (s *Store) applyHook(h AccessHook, a *vclock.Account, op, key string, tier 
 	extra, err := h(op, key, tier, n)
 	if extra > 0 && a != nil {
 		a.ChargeCost(vclock.CostOf(vclock.Storage, extra))
-		a.Count("fault.slow.ops", 1)
+		a.CountID(faultSlowCounter, 1)
 	}
 	if err != nil {
 		return fmt.Errorf("simio: %s %q: %w", op, key, err)
@@ -251,7 +251,7 @@ func (s *Store) Write(a *vclock.Account, key string, tier Tier, data []byte) {
 	s.mu.Unlock()
 	if a != nil {
 		a.ChargeCost(model.WriteCost(tier, int64(len(data))))
-		countRW(a, "write", tier, 1, int64(len(data)))
+		countRW(a, opWrite, tier, 1, int64(len(data)))
 	}
 }
 
@@ -265,18 +265,59 @@ func (s *Store) WriteOwned(a *vclock.Account, key string, tier Tier, data []byte
 	s.mu.Unlock()
 	if a != nil {
 		a.ChargeCost(model.WriteCost(tier, int64(len(data))))
-		countRW(a, "write", tier, 1, int64(len(data)))
+		countRW(a, opWrite, tier, 1, int64(len(data)))
 	}
+}
+
+// Access kinds of the counter table.
+const (
+	opRead = iota
+	opWrite
+	numOps
+)
+
+// rwCounter holds one access kind's counter IDs: the aggregate pair
+// ("read.ops", "read.bytes") and the per-tier pairs ("read.ops.pfs", ...).
+type rwCounter struct {
+	ops, bytes         vclock.CounterID
+	tierOps, tierBytes [numTiers]vclock.CounterID
+}
+
+// rwCounters is the [op][tier] counter table, interned once so an access
+// builds no name.
+var rwCounters = func() (t [numOps]rwCounter) {
+	for op, name := range [numOps]string{opRead: "read", opWrite: "write"} {
+		t[op].ops = vclock.Intern(name + ".ops")
+		t[op].bytes = vclock.Intern(name + ".bytes")
+		for tier := Tier(0); tier < numTiers; tier++ {
+			t[op].tierOps[tier] = vclock.Intern(name + ".ops." + tier.String())
+			t[op].tierBytes[tier] = vclock.Intern(name + ".bytes." + tier.String())
+		}
+	}
+	return t
+}()
+
+// faultSlowCounter counts fault-injected slowdowns on the read path,
+// interned once like the table.
+var faultSlowCounter = vclock.Intern("fault.slow.ops")
+
+// CountRead records a read of the given operations and bytes from tier t
+// on a's aggregate and per-tier counters — what the store counts for its
+// own reads, for a caller that charges a read it performed some other
+// way.
+func CountRead(a *vclock.Account, t Tier, ops, bytes int64) {
+	countRW(a, opRead, t, ops, bytes)
 }
 
 // countRW records an access on both the aggregate counters ("read.ops",
 // "read.bytes") and the per-tier ones ("read.ops.pfs", ...), so telemetry
 // can break read traffic down by storage tier.
-func countRW(a *vclock.Account, op string, t Tier, ops, bytes int64) {
-	a.Count(op+".ops", ops)
-	a.Count(op+".bytes", bytes)
-	a.Count(op+".ops."+t.String(), ops)
-	a.Count(op+".bytes."+t.String(), bytes)
+func countRW(a *vclock.Account, op int, t Tier, ops, bytes int64) {
+	c := &rwCounters[op]
+	a.CountID(c.ops, ops)
+	a.CountID(c.bytes, bytes)
+	a.CountID(c.tierOps[t], ops)
+	a.CountID(c.tierBytes[t], bytes)
 }
 
 // Read returns the bytes [off, off+n) of extent key, charging the modeled
@@ -300,7 +341,7 @@ func (s *Store) Read(a *vclock.Account, key string, off, n int64) (dtype.ROBytes
 	}
 	if a != nil {
 		a.ChargeCost(model.ReadCost(e.tier, n))
-		countRW(a, "read", e.tier, 1, n)
+		countRW(a, opRead, e.tier, 1, n)
 	}
 	return e.data[off : off+n], nil
 }
@@ -373,7 +414,7 @@ func (s *Store) ReadRanges(dst []dtype.ROBytes, a *vclock.Account, key string, r
 		d += time.Duration(float64(bytes) / bw * 1e9)
 	}
 	a.ChargeCost(vclock.CostOf(vclock.Storage, d))
-	countRW(a, "read", e.tier, ops, bytes)
+	countRW(a, opRead, e.tier, ops, bytes)
 	return out, nil
 }
 

@@ -188,6 +188,24 @@ func PhaseName(p int) string {
 	return fmt.Sprintf("phase%d", p)
 }
 
+// phaseMetrics holds every phase's distribution names, built once:
+// "phase.<name>_vns" (virtual time) and "phase.<name>_ns" (wall time).
+var phaseMetrics = func() (t [NumPhases]struct{ vns, ns string }) {
+	for p := range t {
+		t[p].vns = "phase." + PhaseName(p) + "_vns"
+		t[p].ns = "phase." + PhaseName(p) + "_ns"
+	}
+	return t
+}()
+
+// PhaseVNanosMetric returns the registry name of phase p's virtual-time
+// distribution.
+func PhaseVNanosMetric(p int) string { return phaseMetrics[p].vns }
+
+// PhaseWallMetric returns the registry name of phase p's wall-time
+// distribution.
+func PhaseWallMetric(p int) string { return phaseMetrics[p].ns }
+
 // PhaseTimes accumulates one request's per-phase latency in both time
 // bases: VNanos is deterministic virtual time (account deltas at phase
 // barriers — identical at any worker count because barriers are where

@@ -1,6 +1,10 @@
 package vclock
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -172,5 +176,120 @@ func TestCounterSnapshot(t *testing.T) {
 	}
 	if got := NewAccount().CounterSnapshot(); len(got) != 0 {
 		t.Errorf("empty account CounterSnapshot = %v", got)
+	}
+}
+
+// refAccount is the map-backed account the slot array replaced: the
+// reference the scripted mix is checked against.
+type refAccount struct {
+	cost Cost
+	ops  map[string]int64
+}
+
+func (r *refAccount) snapshot() string {
+	names := make([]string, 0, len(r.ops))
+	for n := range r.ops {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	s := r.cost.String()
+	for _, n := range names {
+		s += fmt.Sprintf(" %s=%d", n, r.ops[n])
+	}
+	return s
+}
+
+// A seeded mix of Count, zero counts, Charge, Absorb and Reset over more
+// names than an account holds inline: CounterSnapshot, Snapshot and
+// Counter agree with a map after every step.
+func TestAccountMatchesMapReference(t *testing.T) {
+	names := make([]string, 3*inlineCounters/2)
+	for i := range names {
+		names[i] = fmt.Sprintf("mix.%02d", i)
+	}
+	rng := rand.New(rand.NewSource(29))
+	accts := [2]*Account{NewAccount(), NewAccount()}
+	refs := [2]*refAccount{{ops: map[string]int64{}}, {ops: map[string]int64{}}}
+	for step := 0; step < 4000; step++ {
+		k := rng.Intn(2)
+		a, r := accts[k], refs[k]
+		switch op := rng.Intn(20); {
+		case op < 12:
+			name := names[rng.Intn(len(names))]
+			n := int64(rng.Intn(5)) // a zero count still lists the name
+			a.Count(name, n)
+			r.ops[name] += n
+		case op < 15:
+			d := time.Duration(rng.Intn(1000))
+			a.Charge(Storage, d)
+			r.cost = r.cost.Add(CostOf(Storage, d))
+		case op < 19:
+			o, ro := accts[1-k], refs[1-k]
+			a.Absorb(o)
+			r.cost = r.cost.Add(ro.cost)
+			for n, v := range ro.ops {
+				r.ops[n] += v
+			}
+		default:
+			a.Reset()
+			r.cost, r.ops = Cost{}, map[string]int64{}
+		}
+		if got := a.CounterSnapshot(); !maps.Equal(got, r.ops) {
+			t.Fatalf("step %d: CounterSnapshot = %v, want %v", step, got, r.ops)
+		}
+		if got, want := a.Snapshot(), r.snapshot(); got != want {
+			t.Fatalf("step %d: Snapshot = %q, want %q", step, got, want)
+		}
+		name := names[rng.Intn(len(names))]
+		if got := a.Counter(name); got != r.ops[name] {
+			t.Fatalf("step %d: Counter(%s) = %d, want %d", step, name, got, r.ops[name])
+		}
+	}
+}
+
+// A warm Count and an Absorb allocate nothing.
+func TestAccountCountAndAbsorbAllocateNothing(t *testing.T) {
+	id := Intern("read.ops")
+	a, o := NewAccount(), NewAccount()
+	o.Count("read.ops", 1)
+	o.Count("read.bytes", 4096)
+	if n := testing.AllocsPerRun(100, func() { a.CountID(id, 1) }); n != 0 {
+		t.Errorf("CountID: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Count("read.bytes", 8) }); n != 0 {
+		t.Errorf("Count: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Absorb(o) }); n != 0 {
+		t.Errorf("Absorb: %v allocs/op, want 0", n)
+	}
+}
+
+// Count and Absorb race-free on shared accounts: the totals are exact.
+func TestAccountCountAbsorbConcurrent(t *testing.T) {
+	dst, src := NewAccount(), NewAccount()
+	src.Count("race.src", 1)
+	const rounds = 500
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				dst.Count("race.dst", 1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				dst.Absorb(src)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := dst.Counter("race.dst"); got != 4*rounds {
+		t.Errorf("race.dst = %d, want %d", got, 4*rounds)
+	}
+	if got := dst.Counter("race.src"); got != 4*rounds {
+		t.Errorf("race.src = %d, want %d", got, 4*rounds)
 	}
 }
