@@ -84,6 +84,8 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzWAHRoundTrip -fuzztime=$(FUZZTIME) ./internal/wah/
 	$(GO) test -run=^$$ -fuzz=FuzzOrEncodedInto -fuzztime=$(FUZZTIME) ./internal/wah/
+	$(GO) test -run=^$$ -fuzz=FuzzFromIndicesMatchesReference -fuzztime=$(FUZZTIME) ./internal/wah/
+	$(GO) test -run=^$$ -fuzz=FuzzBuildMatchesReference -fuzztime=$(FUZZTIME) ./internal/bitindex/
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/

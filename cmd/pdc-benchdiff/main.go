@@ -1,8 +1,9 @@
 // Command pdc-benchdiff is the repository's performance ratchet: it
 // measures a fixed set of deterministic figures — allocations per
-// operation for the hot kernels the zero-alloc sweep pinned and for a
-// whole warm statement (stmt.*: client, transport and members of an
-// in-process cluster together), and modeled virtual-time query latencies
+// operation for the hot kernels the zero-alloc sweep pinned, for the
+// import's bitmap-index build over one region, and for a whole warm
+// statement (stmt.*: client, transport and members of an in-process
+// cluster together), and modeled virtual-time query latencies
 // from the Fig. 3 harness — and compares them against the committed
 // baseline in BENCH_seed.json.
 //
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"pdcquery/internal/bench"
+	"pdcquery/internal/bitindex"
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
@@ -129,6 +131,13 @@ func measureAllocs() map[string]float64 {
 	for name, op := range exec.KernelOps() {
 		out["exec."+name+".warm"] = testing.AllocsPerRun(200, op)
 	}
+
+	// The import's index build over one 64 KiB VPIC Energy region: per
+	// bin an encoder's words and its bitmap, no per-bin position list.
+	energy := dtype.Bytes(workload.GenerateVPIC(1<<21, 7).Vars["Energy"][:16384])
+	out["bitindex.build.warm"] = testing.AllocsPerRun(20, func() {
+		bitindex.Build(dtype.Float32, energy, bitindex.DefaultPrecision)
+	})
 
 	return out
 }

@@ -70,22 +70,16 @@ func binStep(lo, hi float64, precision int) float64 {
 
 // Build constructs the index over a raw region buffer of the given element
 // type. NaN elements are never indexed and never match queries.
+//
+// The region is read twice: once for its range, which fixes the bin grid,
+// and once to stream every element into its bin's WAH encoder with the
+// bin's count and extrema beside it. Elements arrive in position order,
+// so each encoder sees strictly increasing positions and emits whole
+// groups; no per-bin position list is built.
 func Build(t dtype.Type, data []byte, precision int) *Index {
-	n := t.Count(len(data))
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		v := dtype.At(t, data, i)
-		if math.IsNaN(v) {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	x := &Index{N: uint64(n)}
+	// dtype.MinMax skips NaN: every comparison with it is false.
+	lo, hi := dtype.MinMax(t, data)
+	x := &Index{N: uint64(t.Count(len(data)))}
 	if math.IsInf(lo, 1) {
 		x.Step, x.Base = 1, 0
 		return x
@@ -98,38 +92,36 @@ func Build(t dtype.Type, data []byte, precision int) *Index {
 	}
 	x.Step, x.Base = step, base
 
-	type binAcc struct {
-		idx      []uint64
-		min, max float64
-	}
 	accs := make([]binAcc, nbins)
 	for i := range accs {
 		accs[i].min = math.Inf(1)
 		accs[i].max = math.Inf(-1)
 	}
-	for i := 0; i < n; i++ {
-		v := dtype.At(t, data, i)
-		if math.IsNaN(v) {
-			continue
-		}
-		j := int(math.Floor((v - base) / step))
-		if j < 0 {
-			j = 0
-		}
-		if j >= nbins {
-			j = nbins - 1
-		}
-		a := &accs[j]
-		a.idx = append(a.idx, uint64(i))
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
+	switch t {
+	case dtype.Float32:
+		binElems(accs, dtype.View[float32](data), base, step)
+	case dtype.Float64:
+		binElems(accs, dtype.View[float64](data), base, step)
+	case dtype.Int8:
+		binElems(accs, dtype.View[int8](data), base, step)
+	case dtype.Int16:
+		binElems(accs, dtype.View[int16](data), base, step)
+	case dtype.Int32:
+		binElems(accs, dtype.View[int32](data), base, step)
+	case dtype.Int64:
+		binElems(accs, dtype.View[int64](data), base, step)
+	case dtype.Uint8:
+		binElems(accs, dtype.View[uint8](data), base, step)
+	case dtype.Uint16:
+		binElems(accs, dtype.View[uint16](data), base, step)
+	case dtype.Uint32:
+		binElems(accs, dtype.View[uint32](data), base, step)
+	case dtype.Uint64:
+		binElems(accs, dtype.View[uint64](data), base, step)
 	}
-	for j, a := range accs {
-		if len(a.idx) == 0 {
+	for j := range accs {
+		a := &accs[j]
+		if a.count == 0 {
 			continue
 		}
 		x.Bins = append(x.Bins, Bin{
@@ -137,11 +129,48 @@ func Build(t dtype.Type, data []byte, precision int) *Index {
 			Hi:    base + float64(j+1)*step,
 			Min:   a.min,
 			Max:   a.max,
-			Count: uint64(len(a.idx)),
-			Bits:  wah.FromIndices(a.idx, uint64(n)),
+			Count: a.count,
+			Bits:  a.enc.Finish(x.N),
 		})
 	}
 	return x
+}
+
+// binAcc accumulates one bin during Build.
+type binAcc struct {
+	enc      wah.Encoder
+	count    uint64
+	min, max float64
+}
+
+// binElems streams a region's elements into the bins of the grid
+// (base, step) that accs spans: the value's bin gets its position, its
+// count and its extrema. Values below or above the grid clamp into the
+// first or last bin.
+func binElems[E dtype.Native](accs []binAcc, vals []E, base, step float64) {
+	last := len(accs) - 1
+	for i, e := range vals {
+		v := float64(e)
+		if v != v { // NaN
+			continue
+		}
+		j := int(math.Floor((v - base) / step))
+		if j < 0 {
+			j = 0
+		}
+		if j > last {
+			j = last
+		}
+		a := &accs[j]
+		a.enc.Set(uint64(i))
+		a.count++
+		if v < a.min {
+			a.min = v
+		}
+		if v > a.max {
+			a.max = v
+		}
+	}
 }
 
 // pred reports how a bin relates to the range predicate using the bin's

@@ -29,10 +29,13 @@ import (
 // span several extents (and therefore several placement owners).
 func newSource(t *testing.T, particles int) (*core.Deployment, []*query.Query, []*selection.Selection) {
 	t.Helper()
-	d := core.NewDeployment(core.Options{
-		Servers:     2,
-		RegionBytes: 8 << 10,
-	})
+	return newSourceWith(t, particles, core.Options{Servers: 2, RegionBytes: 8 << 10})
+}
+
+// newSourceWith is newSource on a deployment with the given options.
+func newSourceWith(t *testing.T, particles int, opts core.Options) (*core.Deployment, []*query.Query, []*selection.Selection) {
+	t.Helper()
+	d := core.NewDeployment(opts)
 	c := d.CreateContainer("cluster-e2e")
 	v := workload.GenerateVPIC(particles, 42)
 	ids := make(map[string]object.ID)
@@ -81,14 +84,20 @@ func startCluster(t *testing.T, src *core.Deployment, n, r int) (*cluster.Local,
 // byte-identical agreement with the oracle.
 func runCorpus(t *testing.T, s *cluster.Session, queries []*query.Query, truths []*selection.Selection) {
 	t.Helper()
+	runCorpusForced(t, s, plan.ForceScan, queries, truths)
+}
+
+// runCorpusForced is runCorpus on the given access path.
+func runCorpusForced(t *testing.T, s *cluster.Session, f plan.Force, queries []*query.Query, truths []*selection.Selection) {
+	t.Helper()
 	for i, q := range queries {
-		out, err := s.Run(q, plan.ForceScan)
+		out, err := s.Run(q, f)
 		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
+			t.Fatalf("%v query %d: %v", f, i, err)
 		}
 		if !bytes.Equal(out.Sel.Encode(), truths[i].Encode()) {
-			t.Fatalf("query %d: cluster answer differs from oracle (%d vs %d hits)",
-				i, out.Sel.NHits, truths[i].NHits)
+			t.Fatalf("%v query %d: cluster answer differs from oracle (%d vs %d hits)",
+				f, i, out.Sel.NHits, truths[i].NHits)
 		}
 	}
 }

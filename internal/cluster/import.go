@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/server"
@@ -66,34 +68,150 @@ func (s *Session) Import(src Source) error {
 		}
 	}
 
-	// Step 2: each region's extents go to its R owners (primary first).
-	acct := vclock.NewAccount()
+	// Step 2: each region's extents go to its R owners, every member fed
+	// at once over its own connection.
+	queues := make(map[MemberID][]*importExtent, len(v.Members))
 	for _, o := range src.Meta().Objects() {
 		for i := range o.Regions {
 			rm := &o.Regions[i]
-			keys := make([]string, 0, 2)
-			if rm.ExtentKey != "" {
-				keys = append(keys, rm.ExtentKey)
-			}
-			if rm.IndexKey != "" {
-				keys = append(keys, rm.IndexKey)
-			}
 			owners := place.OwnerIDs(o.ID, i)
-			for _, key := range keys {
-				data, err := src.Store().ReadAll(acct, key)
-				if err != nil {
-					return fmt.Errorf("cluster: import read %s: %w", key, err)
+			for _, key := range [...]string{rm.ExtentKey, rm.IndexKey} {
+				if key == "" {
+					continue
 				}
-				payload := server.EncodePutExtent(key, data)
+				e := &importExtent{key: key}
+				e.unacked.Store(int32(len(owners)))
 				for _, owner := range owners {
-					if err := importCall(conns[owner], server.MsgPutExtent, payload); err != nil {
-						return fmt.Errorf("cluster: put extent %s to member %d: %w", key, owner, err)
-					}
+					queues[owner] = append(queues[owner], e)
 				}
 			}
 		}
 	}
+	store, acct := src.Store(), vclock.NewAccount()
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		firstErr error
+	)
+	for _, mi := range v.Members {
+		wg.Add(1)
+		go func(id MemberID, conn transport.Conn) {
+			defer wg.Done()
+			if err := feedMember(conn, queues[id], store, acct); err != nil {
+				failOnce.Do(func() {
+					firstErr = fmt.Errorf("cluster: import to member %d: %w", id, err)
+					// Unblock the other streams: their Send or Recv fails
+					// on the closed connection, and only this error counts.
+					for _, c := range conns {
+						_ = c.Close()
+					}
+				})
+			}
+		}(mi.ID, conns[mi.ID])
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
 	s.Invalidate()
+	return nil
+}
+
+// importWindow is how many put-extent requests the importer keeps
+// outstanding on one member connection. It stays below the member's
+// admission depth (server.DefaultQueueDepth), so a member with the
+// default depth never pushes back; a shallower one answers MsgBusy,
+// which feedMember absorbs.
+const importWindow = 8
+
+// importExtent is one extent on its way to its R owners. The first owner
+// stream to reach it reads and encodes it; the others share that
+// payload, which is dropped once every owner has acknowledged it.
+type importExtent struct {
+	key     string
+	once    sync.Once
+	payload []byte
+	err     error
+	unacked atomic.Int32 // owners yet to acknowledge
+}
+
+// load returns the extent's put-extent payload, reading it on first use.
+func (e *importExtent) load(store *simio.Store, acct *vclock.Account) ([]byte, error) {
+	e.once.Do(func() {
+		data, err := store.ReadAll(acct, e.key)
+		if err != nil {
+			e.err = fmt.Errorf("read %s: %w", e.key, err)
+			return
+		}
+		e.payload = server.EncodePutExtent(e.key, data)
+	})
+	return e.payload, e.err
+}
+
+// acked records one owner's acknowledgement; the last frees the payload.
+func (e *importExtent) acked() {
+	if e.unacked.Add(-1) == 0 {
+		e.payload = nil
+	}
+}
+
+// feedMember streams one member's extents over its connection with up
+// to importWindow requests outstanding, matching acks by request ID. A
+// MsgBusy reply (the member's admission queue is full) is not an error:
+// the extent is resent, but only after an outstanding request has been
+// acknowledged — or at once when none is left, since the member's queue
+// is then empty. The first MsgError or transport error ends the stream.
+func feedMember(conn transport.Conn, exts []*importExtent, store *simio.Store, acct *vclock.Account) error {
+	inflight := make(map[uint64]*importExtent, importWindow)
+	var (
+		retry []*importExtent // busy-rejected, resent before new extents
+		next  int
+		reqID uint64
+		hold  bool // a busy reply arrived since the last ack
+	)
+	for next < len(exts) || len(retry) > 0 || len(inflight) > 0 {
+		for len(inflight) < importWindow && !(hold && len(inflight) > 0) {
+			var e *importExtent
+			if len(retry) > 0 {
+				e, retry = retry[0], retry[1:]
+			} else if next < len(exts) {
+				e = exts[next]
+				next++
+			} else {
+				break
+			}
+			payload, err := e.load(store, acct)
+			if err != nil {
+				return err
+			}
+			reqID++
+			if err := conn.Send(transport.Message{Type: server.MsgPutExtent, ReqID: reqID, Payload: payload}); err != nil {
+				return fmt.Errorf("put extent %s: %w", e.key, err)
+			}
+			inflight[reqID] = e
+		}
+		reply, err := conn.Recv()
+		if err != nil {
+			return err
+		}
+		e, ok := inflight[reply.ReqID]
+		if !ok {
+			return fmt.Errorf("reply %s to unknown request %d", server.MsgName(reply.Type), reply.ReqID)
+		}
+		delete(inflight, reply.ReqID)
+		switch reply.Type {
+		case server.MsgOK:
+			e.acked()
+			hold = false
+		case server.MsgBusy:
+			retry = append(retry, e)
+			hold = true
+		case server.MsgError:
+			return fmt.Errorf("put extent %s: %s", e.key, reply.Payload)
+		default:
+			return fmt.Errorf("put extent %s: unexpected reply %s", e.key, server.MsgName(reply.Type))
+		}
+	}
 	return nil
 }
 

@@ -212,11 +212,39 @@ func Put(t Type, data []byte, i int, v float64) {
 
 // MinMax returns the minimum and maximum element of data as float64.
 // It returns (+Inf, -Inf) for empty data so that merging is a no-op.
+// NaN elements are skipped: every comparison with NaN is false.
 func MinMax(t Type, data []byte) (lo, hi float64) {
+	switch t {
+	case Float32:
+		return minMax(View[float32](data))
+	case Float64:
+		return minMax(View[float64](data))
+	case Int8:
+		return minMax(View[int8](data))
+	case Int16:
+		return minMax(View[int16](data))
+	case Int32:
+		return minMax(View[int32](data))
+	case Int64:
+		return minMax(View[int64](data))
+	case Uint8:
+		return minMax(View[uint8](data))
+	case Uint16:
+		return minMax(View[uint16](data))
+	case Uint32:
+		return minMax(View[uint32](data))
+	case Uint64:
+		return minMax(View[uint64](data))
+	}
+	return math.Inf(1), math.Inf(-1)
+}
+
+// minMax is MinMax over typed elements, each widened to float64 before
+// it is compared.
+func minMax[E Native](vals []E) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	n := t.Count(len(data))
-	for i := 0; i < n; i++ {
-		v := At(t, data, i)
+	for _, e := range vals {
+		v := float64(e)
 		if v < lo {
 			lo = v
 		}

@@ -37,7 +37,10 @@ func (s *Server) handlePutExtent(r *request) transport.Message {
 	if err := r.tok.Err(); err != nil {
 		return s.errMsg(err)
 	}
-	// Clone: the payload buffer is transport-owned and reused.
+	// Copy. Over TCP the payload is this frame's own buffer, but the
+	// in-process pipe transport hands over the sender's slice, and the
+	// cluster importer sends one payload to all of an extent's R owners:
+	// storing data as is would share it with the other owners' stores.
 	s.cfg.Store.WriteOwned(r.acct, key, simio.PFS, append([]byte(nil), data...))
 	s.telem.Add("ingest.extents", 1)
 	s.telem.Add("ingest.bytes", int64(len(data)))

@@ -223,10 +223,58 @@ func (bd *Builder) Build() *Bitmap {
 	return bm
 }
 
+// Encoder builds a bitmap from strictly increasing set-bit positions a
+// group at a time: it ORs each bit into the literal of the group it falls
+// in, and only when a position crosses into a later group does it emit
+// the held group and the all-zero groups skipped over. Groups go through
+// the Builder's own appendGroup and appendFill, so the words are exactly
+// the ones appending the same bits one at a time produces. The zero value
+// is ready to use.
+type Encoder struct {
+	bd   Builder
+	base uint64 // first bit position of the held group
+	lit  uint32 // set bits of the held group
+}
+
+// Set marks bit i. Positions must be strictly increasing; Set does not
+// check (FromIndices does), and a position at or below a previous one
+// corrupts the bitmap.
+func (e *Encoder) Set(i uint64) {
+	if d := i - e.base; d < groupBits {
+		e.lit |= 1 << d
+		return
+	}
+	e.advance(i)
+}
+
+// advance emits the held group and the zero groups between it and the
+// group holding bit i, then holds that group with bit i set.
+func (e *Encoder) advance(i uint64) {
+	e.bd.appendGroup(e.lit)
+	g := i / groupBits
+	e.bd.appendFill(false, g-e.base/groupBits-1)
+	e.base = g * groupBits
+	e.lit = 1 << (i - e.base)
+}
+
+// Finish returns the bitmap of nbits bits holding the positions set so
+// far, all of which must be below nbits. The encoder is reset.
+func (e *Encoder) Finish(nbits uint64) *Bitmap {
+	if groups := (nbits + groupBits - 1) / groupBits; groups > 0 {
+		// The held group is the last one with a set bit (or group 0);
+		// zero groups pad out to the bitmap's length.
+		e.bd.appendGroup(e.lit)
+		e.bd.appendFill(false, groups-e.base/groupBits-1)
+	}
+	bm := &Bitmap{words: e.bd.words, nbits: nbits}
+	*e = Encoder{}
+	return bm
+}
+
 // FromIndices builds a bitmap of nbits bits with the given sorted set-bit
 // indices. It panics if indices are unsorted, duplicated, or out of range.
 func FromIndices(indices []uint64, nbits uint64) *Bitmap {
-	var bd Builder
+	var e Encoder
 	var pos uint64
 	for _, i := range indices {
 		if i < pos {
@@ -235,12 +283,10 @@ func FromIndices(indices []uint64, nbits uint64) *Bitmap {
 		if i >= nbits {
 			panic(fmt.Sprintf("wah: index %d out of range %d", i, nbits))
 		}
-		bd.AppendRun(false, i-pos)
-		bd.AppendBit(true)
+		e.Set(i)
 		pos = i + 1
 	}
-	bd.AppendRun(false, nbits-pos)
-	return bd.Build()
+	return e.Finish(nbits)
 }
 
 // Empty returns an all-zero bitmap of nbits bits.
