@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test benchmark-check cover race fuzz stress chaos bench bench-diff bench-seed bench-smoke debug-smoke cluster-smoke cluster-test hotalloc-report figures verify examples clean
+.PHONY: all build lint test benchmark-check cover race fuzz stress chaos bench bench-diff bench-seed bench-smoke debug-smoke cluster-smoke cluster-test figures verify examples clean
 
 all: build lint test
 
@@ -12,17 +12,18 @@ build:
 # Static analysis in one gate: go vet plus the project invariant
 # checkers of internal/lint (`pdc-lint -list` prints the catalog; README
 # has the table): determinism, protocol exhaustiveness, no panics on
-# request paths, wire symmetry, cancellation propagation, alias escapes
-# from exported methods (aliasguard), hot-path allocation budgets
-# (hotalloc), and the CFG/dataflow tier — barrier determinism in pooled
-# workers (barrierdet), request-path error propagation (errflow), charged
-# request-path I/O and path-sensitive nilness at charge sites
+# request paths, cancellation propagation, alias escapes from exported
+# methods (aliasguard), the CFG/dataflow tier — barrier determinism in
+# pooled workers (barrierdet), request-path error propagation (errflow),
+# charged request-path I/O and path-sensitive nilness at charge sites
 # (nilcharge), and lock order, hold time and guarding from one held-lock
-# analysis (lockset). One pdc-lint invocation runs them all over a single
-# loaded package set, call graph, and CFG cache — the only way to run
-# them, since most need every package at once; -timing prints the
-# per-analyzer step budget, and the run also fails on stale
-# hotalloc_budget.json entries.
+# analysis (lockset) — and //lint:ignore directives that name no
+# analyzer (lintignore). One pdc-lint invocation runs them all over a
+# single loaded package set, call graph, and CFG cache — the only way to
+# run them, since most need every package at once; -timing prints the
+# per-analyzer step budget. Allocation growth is pdc-benchdiff's to
+# catch (bench-diff below), and wire-codec symmetry each codec's
+# TestWireRoundTrip's.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pdc-lint -timing ./...
@@ -100,10 +101,12 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Performance ratchet: deterministic allocs/op (hot kernels) and modeled
-# virtual-time figures vs the committed BENCH_seed.json baseline. Fails
-# on >10% allocs/op (any alloc for zero-pinned kernels) or >15% modeled
-# wall-clock regression. Deterministic by construction, so CI runs it.
+# Performance ratchet and the one allocation gate: deterministic
+# allocs/op (hot kernels, the index build, and whole warm statements on
+# every access path) and modeled virtual-time figures vs the committed
+# BENCH_seed.json baseline. Every figure must equal its committed value:
+# higher fails as a regression, lower fails until bench-seed takes it.
+# Deterministic by construction, so CI runs it.
 bench-diff:
 	$(GO) run ./cmd/pdc-benchdiff
 
@@ -141,11 +144,6 @@ cluster-smoke:
 cluster-test:
 	$(GO) test -race -count=1 -run 'TestProcess' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCluster|TestCatalog|TestPlacement' ./internal/cluster/
-
-# Regenerate the hot-path allocation census (the shape the committed
-# internal/lint/hotalloc_budget.json entries are drawn from).
-hotalloc-report:
-	$(GO) run ./cmd/pdc-lint -hotalloc-report ./...
 
 # Regenerate every figure of the paper's evaluation (modeled times).
 figures:

@@ -1,22 +1,22 @@
-// Command pdc-benchdiff is the repository's performance ratchet: it
-// measures a fixed set of deterministic figures — allocations per
-// operation for the hot kernels the zero-alloc sweep pinned, for the
-// import's bitmap-index build over one region, and for a whole warm
-// statement (stmt.*: client, transport and members of an in-process
-// cluster together), and modeled virtual-time query latencies
-// from the Fig. 3 harness — and compares them against the committed
-// baseline in BENCH_seed.json.
+// Command pdc-benchdiff is the repository's performance ratchet and its
+// one allocation gate: it measures a fixed set of deterministic figures
+// — allocations per operation for the hot kernels the zero-alloc sweep
+// pinned, for the import's bitmap-index build over one region, and for a
+// whole warm statement (stmt.*: client, transport and members together,
+// on every access path), and modeled virtual-time query latencies from
+// the Fig. 3 harness — and compares them against the committed baseline
+// in BENCH_seed.json.
 //
 // Both figure families are deterministic by construction (AllocsPerRun
-// over fixed inputs; virtual-clock times from the cost model), so the
-// gate runs in CI without noise margins for machine speed. It fails when
-// an allocs/op figure regresses by more than 10% (any allocation at all
-// for figures pinned at zero) or a modeled latency regresses by more
-// than 15%.
+// over fixed inputs; virtual-clock times from the cost model), so every
+// figure must equal its committed value. A higher figure is a
+// regression; a lower one fails too, until `make bench-seed` takes it,
+// so an improvement tightens the ratchet instead of leaving slack
+// behind it.
 //
 // Usage:
 //
-//	pdc-benchdiff            compare against BENCH_seed.json, exit 1 on regression
+//	pdc-benchdiff            compare against BENCH_seed.json, exit 1 on any difference
 //	pdc-benchdiff -write     re-measure and rewrite the baseline
 //	pdc-benchdiff -baseline p  use a different baseline path
 package main
@@ -55,19 +55,11 @@ type Baseline struct {
 	ModeledNs map[string]int64 `json:"modeled_ns"`
 }
 
-const (
-	// allocSlack tolerates a 10% allocs/op increase; a zero baseline
-	// tolerates nothing (those kernels are pinned allocation-free).
-	allocSlack = 1.10
-	// timeSlack tolerates a 15% modeled wall-clock increase.
-	timeSlack = 1.15
-
-	baselineNote = "deterministic perf baseline; regenerate with `make bench-seed` (go run ./cmd/pdc-benchdiff -write)"
-)
+const baselineNote = "deterministic perf baseline; regenerate with `make bench-seed` (go run ./cmd/pdc-benchdiff -write)"
 
 // measureAllocs runs the pinned hot kernels under testing.AllocsPerRun
-// with warm, pre-sized buffers — the steady-state regime the hotalloc
-// budget and the zero-alloc tests describe.
+// with warm, pre-sized buffers — the steady-state regime the zero-alloc
+// tests describe.
 func measureAllocs() map[string]float64 {
 	out := map[string]float64{}
 
@@ -151,25 +143,78 @@ var stmtAllocStatements = []struct{ name, text string }{
 	{"stmt.hist.warm", "select hist(x, 8) where Energy between 3.01 and 3.03"},
 }
 
-// measureStmtAllocs counts the whole process's heap allocations per warm
-// statement: Session.RunText on a two-member cluster.Local (R=2, 4
-// workers per member) over 2^18 VPIC particles in 8 KiB regions — 128
-// regions per object, the benchmark's decomposition — client, transport
-// and both members included.
-func measureStmtAllocs(out map[string]float64) error {
-	const particles = 1 << 18
-	src := core.NewDeployment(core.Options{Servers: 1, RegionBytes: 8 << 10, BuildIndex: true})
-	defer src.Close()
-	c := src.CreateContainer("stmt-allocs")
-	v := workload.GenerateVPIC(particles, 41)
+// stmtPathRows run the count statement under the forcings the cluster
+// rows never reach (the planner picks neither for that window), over
+// TCP connections rather than pipes. Each row first checks from the
+// statement's Stats that it took its path, so it can never quietly
+// measure another.
+var stmtPathRows = []struct {
+	name  string
+	force plan.Force
+	took  func(exec.Stats) bool
+}{
+	{"stmt.count.sorted.tcp.warm", plan.ForceSorted, func(s exec.Stats) bool { return s.SortedRegions > 0 }},
+	{"stmt.count.full.tcp.warm", plan.ForceFull, func(s exec.Stats) bool {
+		return s.RegionsPruned == 0 && s.RegionsEvaluated == stmtParticles*4/stmtRegionBytes
+	}},
+}
+
+const (
+	// stmtParticles VPIC particles in stmtRegionBytes regions: 128
+	// regions per object, the wall-clock benchmark's decomposition.
+	stmtParticles   = 1 << 18
+	stmtRegionBytes = 8 << 10
+	stmtSeed        = 41
+)
+
+// importVPIC imports every VPIC variable of the statement rows' dataset
+// into d and returns the Energy object's ID.
+func importVPIC(d *core.Deployment) (object.ID, error) {
+	c := d.CreateContainer("stmt-allocs")
+	v := workload.GenerateVPIC(stmtParticles, stmtSeed)
+	var energy object.ID
 	for _, name := range workload.VPICNames {
-		if _, err := src.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{particles},
-		}, dtype.Bytes(v.Vars[name])); err != nil {
-			return fmt.Errorf("import %s: %w", name, err)
+		o, err := d.ImportObject(c.ID, object.Property{
+			Name: name, Type: dtype.Float32, Dims: []uint64{stmtParticles},
+		}, dtype.Bytes(v.Vars[name]))
+		if err != nil {
+			return 0, fmt.Errorf("import %s: %w", name, err)
+		}
+		if name == "Energy" {
+			energy = o.ID
 		}
 	}
-	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 2, R: 2, Seed: 41, Workers: 4})
+	return energy, nil
+}
+
+// warmAllocs runs a statement 20 times to warm the plan caches, region
+// caches and pools, then counts the heap allocations of one more.
+func warmAllocs(run func() error) (float64, error) {
+	var runErr error
+	f := func() {
+		if err := run(); err != nil {
+			runErr = err
+		}
+	}
+	for range 20 {
+		f()
+	}
+	n := testing.AllocsPerRun(100, f)
+	return n, runErr
+}
+
+// measureStmtAllocs counts the whole process's heap allocations per warm
+// statement, client, transport and members included. The stmt.*.warm
+// rows run Session.RunText on a two-member cluster.Local (R=2, 4 workers
+// per member); the stmtPathRows run Client.RunText on a two-server TCP
+// core.Deployment (4 workers per server) with Energy's sorted replica.
+func measureStmtAllocs(out map[string]float64) error {
+	src := core.NewDeployment(core.Options{Servers: 1, RegionBytes: stmtRegionBytes, BuildIndex: true})
+	defer src.Close()
+	if _, err := importVPIC(src); err != nil {
+		return err
+	}
+	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 2, R: 2, Seed: stmtSeed, Workers: 4})
 	if err != nil {
 		return err
 	}
@@ -183,19 +228,47 @@ func measureStmtAllocs(out map[string]float64) error {
 		return err
 	}
 	for _, st := range stmtAllocStatements {
-		var runErr error
-		run := func() {
-			if _, err := s.RunText(st.text, plan.ForceAuto); err != nil {
-				runErr = err
-			}
+		n, err := warmAllocs(func() error {
+			_, err := s.RunText(st.text, plan.ForceAuto)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", st.name, err)
 		}
-		for range 20 {
-			run() // warm the plan caches, region caches and pools
+		out[st.name] = n
+	}
+
+	d := core.NewDeployment(core.Options{
+		Servers: 2, TCP: true, BuildIndex: true, Workers: 4, RegionBytes: stmtRegionBytes,
+	})
+	defer d.Close()
+	energy, err := importVPIC(d)
+	if err != nil {
+		return err
+	}
+	if err := d.BuildSortedReplica(energy); err != nil {
+		return err
+	}
+	if err := d.Start(); err != nil {
+		return err
+	}
+	text := stmtAllocStatements[0].text
+	for _, row := range stmtPathRows {
+		res, err := d.Client().RunText(text, row.force)
+		if err != nil {
+			return fmt.Errorf("%s: %w", row.name, err)
 		}
-		out[st.name] = testing.AllocsPerRun(100, run)
-		if runErr != nil {
-			return fmt.Errorf("%s: %w", st.name, runErr)
+		if !row.took(res.Info.Stats) {
+			return fmt.Errorf("%s: the statement did not take its path: %+v", row.name, res.Info.Stats)
 		}
+		n, err := warmAllocs(func() error {
+			_, err := d.Client().RunText(text, row.force)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", row.name, err)
+		}
+		out[row.name] = n
 	}
 	return nil
 }
@@ -235,36 +308,52 @@ func measureModeled() (map[string]int64, error) {
 	return out, nil
 }
 
-// compare checks cur against base under the given slack factor (zero
-// baselines tolerate nothing) and returns formatted table rows plus the
-// regressions found. Figures present in only one side are regressions
-// too: the baseline must be regenerated deliberately, not drift.
-func compare[N int64 | float64](kind string, base, cur map[string]N, slack float64, rows *[]string, regressions *[]string) {
+// compare checks cur against base and returns one formatted table row
+// per figure plus the failures found. Every figure must equal its
+// committed value: a higher one is a regression, a lower one must be
+// taken into the baseline, and a figure on one side only means the
+// baseline is stale. All three are fixed with `make bench-seed`, after
+// the change that moved the figure is meant.
+func compare[N int64 | float64](kind string, base, cur map[string]N) (rows, failures []string) {
 	names := make([]string, 0, len(base))
 	for n := range base {
 		names = append(names, n)
 	}
+	for n := range cur {
+		if _, ok := base[n]; !ok {
+			names = append(names, n)
+		}
+	}
 	sort.Strings(names)
 	for _, name := range names {
-		b := base[name]
-		c, ok := cur[name]
-		if !ok {
-			*regressions = append(*regressions, fmt.Sprintf("%s %q: in baseline but not measured (stale baseline? run -write)", kind, name))
-			continue
+		b, inBase := base[name]
+		c, inCur := cur[name]
+		var failure string
+		switch {
+		case !inCur:
+			failure = "in the baseline but not measured: a stale baseline, rewrite it with `make bench-seed`"
+		case !inBase:
+			failure = "measured but not in the baseline: adopt it with `make bench-seed`"
+		case c > b:
+			failure = fmt.Sprintf("%v -> %v: REGRESSION", b, c)
+		case c < b:
+			failure = fmt.Sprintf("%v -> %v: better than the baseline; take it with `make bench-seed` so the ratchet holds it", b, c)
 		}
-		limit := N(float64(b) * slack)
 		status := "ok"
-		if float64(c) > float64(limit)+1e-9 {
-			status = "REGRESSION"
-			*regressions = append(*regressions, fmt.Sprintf("%s %q: %v -> %v (limit %v)", kind, name, b, c, limit))
+		if failure != "" {
+			status = "DIFFERS"
+			failures = append(failures, fmt.Sprintf("%s %q: %s", kind, name, failure))
 		}
-		*rows = append(*rows, fmt.Sprintf("  %-38s base=%-12v cur=%-12v %s", name, b, c, status))
-	}
-	for name := range cur {
-		if _, ok := base[name]; !ok {
-			*regressions = append(*regressions, fmt.Sprintf("%s %q: measured but missing from baseline (run -write to adopt it)", kind, name))
+		bs, cs := fmt.Sprint(b), fmt.Sprint(c)
+		if !inBase {
+			bs = "-"
 		}
+		if !inCur {
+			cs = "-"
+		}
+		rows = append(rows, fmt.Sprintf("  %-38s base=%-12s cur=%-12s %s", name, bs, cs, status))
 	}
+	return rows, failures
 }
 
 func main() {
@@ -309,21 +398,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	var rows, regressions []string
-	compare("allocs/op", bl.AllocsPerOp, allocs, allocSlack, &rows, &regressions)
-	compare("modeled-ns", bl.ModeledNs, modeled, timeSlack, &rows, &regressions)
+	rows, failures := compare("allocs/op", bl.AllocsPerOp, allocs)
+	mrows, mfailures := compare("modeled-ns", bl.ModeledNs, modeled)
+	rows, failures = append(rows, mrows...), append(failures, mfailures...)
 
-	fmt.Printf("pdc-benchdiff vs %s (allocs slack %+.0f%%, modeled slack %+.0f%%):\n",
-		*path, (allocSlack-1)*100, (timeSlack-1)*100)
+	fmt.Printf("pdc-benchdiff vs %s (every figure must equal the baseline):\n", *path)
 	for _, r := range rows {
 		fmt.Println(r)
 	}
-	if len(regressions) > 0 {
-		fmt.Println("\nregressions:")
-		for _, r := range regressions {
+	if len(failures) > 0 {
+		fmt.Println("\ndifferences:")
+		for _, r := range failures {
 			fmt.Println("  " + r)
 		}
 		os.Exit(1)
 	}
-	fmt.Println("all figures within budget")
+	fmt.Println("all figures equal the baseline")
 }

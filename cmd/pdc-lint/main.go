@@ -11,12 +11,7 @@
 //	go run ./cmd/pdc-lint -timing ./...  # per-analyzer wall time on stderr
 //	go run ./cmd/pdc-lint -list          # print the analyzer catalog
 //
-// Runs that include the hotalloc analyzer also verify the committed
-// allocation budget (internal/lint/hotalloc_budget.json) is not stale:
-// an entry whose function no longer exists fails the run.
-//
-// Exit status: 0 clean, 1 usage or load failure, 2 diagnostics found
-// (stale budget entries count as findings).
+// Exit status: 0 clean, 1 usage or load failure, 2 diagnostics found.
 package main
 
 import (
@@ -44,7 +39,6 @@ func main() {
 	jsonOut := fs.Bool("json", false, "emit one JSON diagnostic per line on stdout")
 	timing := fs.Bool("timing", false, "print per-analyzer wall time on stderr")
 	listOut := fs.Bool("list", false, "print the analyzer catalog and exit")
-	hotallocReport := fs.Bool("hotalloc-report", false, "print the hot-path allocation census as budget-file JSON and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: pdc-lint [flags] packages...\n")
 		fs.PrintDefaults()
@@ -73,37 +67,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pdc-lint:", err)
 		os.Exit(1)
 	}
-	if *hotallocReport {
-		// The census in hotalloc_budget.json shape: pipe through jq (or
-		// edit by hand) to prune into the committed budget.
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(lint.HotAllocReport(pkgs)); err != nil {
-			fmt.Fprintln(os.Stderr, "pdc-lint:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	// One session for the whole run: the call graph and CFG cache are
-	// built once and shared by every analyzer — and by the budget
-	// staleness check afterwards.
-	session := lint.NewSession(pkgs)
-	diags, err := runActive(session, active, *timing)
+	// built once and shared by every analyzer.
+	diags, err := runActive(lint.NewSession(pkgs), active, *timing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pdc-lint:", err)
 		os.Exit(1)
-	}
-
-	// Budget hygiene rides along whenever hotalloc itself runs: entries
-	// naming functions that no longer exist fail the run so renames
-	// can't leave justification orphans behind.
-	failures := len(diags)
-	if *enabled["hotalloc"] {
-		for _, e := range lint.StaleHotAllocBudget(pkgs, session.Graph(), lint.HotAllocBudget()) {
-			fmt.Fprintf(os.Stderr, "pdc-lint: stale budget entry: %s (%s) no longer exists; delete it from internal/lint/hotalloc_budget.json\n", e.Func, e.Kind)
-			failures++
-		}
 	}
 
 	if *jsonOut {
@@ -121,8 +90,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s\n", d)
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "pdc-lint: %d finding(s)\n", failures)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "pdc-lint: %d finding(s)\n", len(diags))
 		os.Exit(2)
 	}
 }

@@ -268,8 +268,7 @@ func DirectorySize(nbins int) int64 {
 
 // Encode serializes the index: header, directory, then bitmap blobs.
 // It is single-pass in wire order — header fields first, then one visit
-// per bin that fills the bin's directory entry and appends its blob —
-// so the field-access order matches Decode's (wiresymmetry).
+// per bin that fills the bin's directory entry and appends its blob.
 func (x *Index) Encode() []byte {
 	out := make([]byte, DirectorySize(len(x.Bins)))
 	binary.LittleEndian.PutUint32(out[0:4], encMagic)

@@ -63,8 +63,7 @@ func CatMsgName(t byte) string {
 }
 
 // Encode serializes a view: epoch u64 | seed u64 | r u16 | count u16,
-// then per member id u32 | addr-len u16 | addr bytes. Sections are
-// emitted in decode order (wiresymmetry).
+// then per member id u32 | addr-len u16 | addr bytes.
 func (v View) Encode() []byte {
 	n := 8 + 8 + 2 + 2 + 6*len(v.Members)
 	for i := 0; i < len(v.Members); i++ {
@@ -151,8 +150,7 @@ type HelloResult struct {
 }
 
 // Encode serializes a HelloResult: id u32 | view-len u32 | view |
-// meta bytes (rest). Sections are emitted in decode order
-// (wiresymmetry).
+// meta bytes (rest).
 func (h HelloResult) Encode() []byte {
 	buf := make([]byte, 0, 8+len(h.Meta))
 	var u32 [4]byte
@@ -195,7 +193,7 @@ type Prepare struct {
 }
 
 // Encode serializes a Prepare: source-len u32 | source view | pending
-// view (rest). Sections are emitted in decode order (wiresymmetry).
+// view (rest).
 func (p Prepare) Encode() []byte {
 	sb := p.Source.Encode()
 	pb := p.Pending.Encode()

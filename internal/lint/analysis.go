@@ -18,7 +18,7 @@
 // return errors rather than panic.
 //
 // The per-package checkers (nondeterminism, protoexhaustive, nopanic,
-// wiresymmetry) see one package at a time. The rest set Analyzer.Global
+// lintignore) see one package at a time. The rest set Analyzer.Global
 // and receive every loaded package at once via Pass.Pkgs: they reason
 // across packages over a whole-repo static call graph (callgraph.go,
 // roots.go), and the dataflow tier (lockset, nilcharge, barrierdet,
@@ -176,14 +176,13 @@ func All() []*Analyzer {
 		NondeterminismAnalyzer,
 		ProtoExhaustiveAnalyzer,
 		NopanicAnalyzer,
-		WireSymmetryAnalyzer,
 		CtxPropagateAnalyzer,
 		AliasGuardAnalyzer,
-		HotAllocAnalyzer,
 		BarrierDetAnalyzer,
 		ErrFlowAnalyzer,
 		NilChargeAnalyzer,
 		LockSetAnalyzer,
+		IgnoreAnalyzer,
 	}
 }
 
@@ -205,19 +204,12 @@ func NewSession(pkgs []*Package) *Session {
 // Graph returns the session's cached whole-repo call graph, building it
 // on first use. It is the same graph the session's Global analyzers
 // share via Pass.CallGraph, so callers that need graph-level facts after
-// a Run (the hotalloc budget staleness check, for one) pay nothing
-// extra.
+// a Run (TestRepoRootRulesMatch, for one) pay nothing extra.
 func (s *Session) Graph() *CallGraph {
 	if s.shared.graph == nil {
 		s.shared.graph = NewCallGraph(s.pkgs)
 	}
 	return s.shared.graph
-}
-
-// Packages returns the package set the session was created over (a
-// fresh slice — appends by the caller cannot disturb the session).
-func (s *Session) Packages() []*Package {
-	return append([]*Package(nil), s.pkgs...)
 }
 
 // RunAnalyzers applies each per-package analyzer to each package and
@@ -326,14 +318,8 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, ignorePrefix))
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					// A directive without a reason is ignored (the reason
-					// is mandatory, like staticcheck's).
+				names := directiveNames(c)
+				if names == nil {
 					continue
 				}
 				pos := fset.Position(c.Pos())
@@ -342,7 +328,7 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 				if startsLine(fset, f, c) {
 					line = pos.Line + 1
 				}
-				for _, name := range strings.Split(fields[0], ",") {
+				for _, name := range names {
 					key := fmt.Sprintf("%s:%d", pos.Filename, line)
 					if ig.byAnalyzer[name] == nil {
 						ig.byAnalyzer[name] = make(map[string]bool)
@@ -353,6 +339,52 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 		}
 	}
 	return ig
+}
+
+// directiveNames returns the analyzer names a //lint:ignore comment
+// lists, or nil when c is no directive. A directive without a reason is
+// no directive: the reason is mandatory, like staticcheck's.
+func directiveNames(c *ast.Comment) []string {
+	rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
+	if !ok {
+		return nil
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 2 {
+		return nil
+	}
+	return strings.Split(fields[0], ",")
+}
+
+// IgnoreAnalyzer reports //lint:ignore directives that name an analyzer
+// All() does not have: a retired or misspelled name suppresses nothing,
+// and left behind it reads as if it did.
+var IgnoreAnalyzer = &Analyzer{
+	Name: "lintignore",
+	Doc:  "//lint:ignore directives must name analyzers of the catalog",
+}
+
+// The analyzer's Run reads All(), which lists the analyzer itself, so it
+// is bound here rather than in the declaration.
+func init() { IgnoreAnalyzer.Run = runIgnoreCheck }
+
+func runIgnoreCheck(pass *Pass) error {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	for _, f := range pass.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range directiveNames(c) {
+					if !known[name] {
+						pass.Reportf(c.Pos(), "//lint:ignore names %q, which no analyzer of the catalog has", name)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // startsLine reports whether the comment is the first token on its line

@@ -307,8 +307,8 @@ func (g *CallGraph) NodeFor(fn *types.Func) *CallNode { return g.Nodes[FuncKey(f
 // order) that reaches it, root first and the node itself last. Roots map
 // to a one-element path. Whether a function is reachable is whether it
 // has a path, and the root it is attributed to is path[0]; the whole
-// path is the "why is this function hot" evidence attached to hotalloc
-// diagnostics.
+// path is the "why is this on a request path" evidence attached to
+// nilcharge diagnostics.
 func (g *CallGraph) RootPaths(roots []string) map[string][]string {
 	paths := make(map[string][]string)
 	for _, r := range roots {

@@ -320,3 +320,33 @@ func namedErrResults(info *types.Info, ftype *ast.FuncType) errVarSet {
 	}
 	return out
 }
+
+func isErrorType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Name() == "error" && n.Obj().Pkg() == nil {
+		return true
+	}
+	if iface, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == "Error" {
+				return true
+			}
+		}
+		return false
+	}
+	// Concrete error types (returned as *FrameError etc.) guard failure
+	// branches the same way: anything with an Error() string method.
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Error")
+	f, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := f.Type().(*types.Signature)
+	if sig.Params().Len() != 0 || sig.Results().Len() != 1 {
+		return false
+	}
+	b, ok := sig.Results().At(0).Type().Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}

@@ -9,9 +9,9 @@ package lint
 //   - message: the human-readable finding;
 //   - func: the call-graph FuncKey of the enclosing function, when the
 //     analyzer reasons per function (omitted otherwise);
-//   - chain: for root-attributed findings (hotalloc, nilcharge's
-//     request-path rule), the call path from the declared root to func,
-//     root first (omitted otherwise).
+//   - chain: for root-attributed findings (nilcharge's request-path
+//     rule), the call path from the declared root to func, root first
+//     (omitted otherwise).
 type JSONDiagnostic struct {
 	File     string   `json:"file"`
 	Line     int      `json:"line"`

@@ -14,12 +14,12 @@ import (
 func TestJSONDiagnosticSchema(t *testing.T) {
 	d := lint.Diagnostic{
 		Pos:      token.Position{Filename: "internal/exec/exec.go", Line: 42, Column: 7},
-		Analyzer: "hotalloc",
-		Message:  "unbudgeted make",
-		FuncKey:  "pdcquery/internal/exec.Engine.evalRegionScan",
+		Analyzer: "nilcharge",
+		Message:  "uncharged simio I/O on a request path",
+		FuncKey:  "pdcquery/internal/exec.Engine.readRegion",
 		Chain: []string{
 			"pdcquery/internal/exec.Engine.Evaluate",
-			"pdcquery/internal/exec.Engine.evalRegionScan",
+			"pdcquery/internal/exec.Engine.readRegion",
 		},
 	}
 	b, err := json.Marshal(lint.ToJSON(d))
@@ -34,12 +34,12 @@ func TestJSONDiagnosticSchema(t *testing.T) {
 		"file":     "internal/exec/exec.go",
 		"line":     float64(42),
 		"col":      float64(7),
-		"analyzer": "hotalloc",
-		"message":  "unbudgeted make",
-		"func":     "pdcquery/internal/exec.Engine.evalRegionScan",
+		"analyzer": "nilcharge",
+		"message":  "uncharged simio I/O on a request path",
+		"func":     "pdcquery/internal/exec.Engine.readRegion",
 		"chain": []any{
 			"pdcquery/internal/exec.Engine.Evaluate",
-			"pdcquery/internal/exec.Engine.evalRegionScan",
+			"pdcquery/internal/exec.Engine.readRegion",
 		},
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -539,3 +539,8 @@ func typeShort(t types.Type) string {
 	}
 	return t.String()
 }
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
+}

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"strings"
 	"testing"
 
 	"pdcquery/internal/lint"
@@ -59,28 +58,5 @@ func LogN() string { return os.Getenv("PDCQ_LOGN") }
 	}
 	if len(diags) != 0 {
 		t.Fatalf("internal/bench should be env-exempt, got %v", diags)
-	}
-}
-
-// TestRepoIsDeterministic runs the analyzer over the real production
-// packages: the tree must stay clean.
-func TestRepoIsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module")
-	}
-	pkgs, err := lint.Load("..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{lint.NondeterminismAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []string
-	for _, d := range diags {
-		msgs = append(msgs, d.String())
-	}
-	if len(msgs) > 0 {
-		t.Errorf("nondeterminism crept into production code:\n%s", strings.Join(msgs, "\n"))
 	}
 }

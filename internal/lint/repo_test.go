@@ -11,10 +11,8 @@ import (
 )
 
 // repoSession loads the production tree once per test binary and shares
-// one lint.Session across every repo-clean test, so the whole-repo call
-// graph the global analyzers need is built a single time instead of once
-// per analyzer (the "cache the call graph between lint invocations"
-// behaviour make lint and CI rely on).
+// one lint.Session between the repo-wide tests, so the whole-repo call
+// graph is built a single time.
 var repoSession = struct {
 	once sync.Once
 	s    *lint.Session
@@ -40,11 +38,12 @@ func loadRepoSession(t *testing.T) *lint.Session {
 	return repoSession.s
 }
 
-// requireRepoClean asserts the analyzers report nothing on the
-// production packages.
-func requireRepoClean(t *testing.T, analyzers ...*lint.Analyzer) {
-	t.Helper()
-	diags, err := loadRepoSession(t).Run(analyzers)
+// TestRepoCleanAllAnalyzers is the gate: the full catalog must report
+// nothing on the production tree, matching what make lint and CI
+// enforce. It is the only repo-wide run of the analyzers; each message
+// names its analyzer.
+func TestRepoCleanAllAnalyzers(t *testing.T) {
+	diags, err := loadRepoSession(t).Run(lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +54,6 @@ func requireRepoClean(t *testing.T, analyzers ...*lint.Analyzer) {
 	if len(msgs) > 0 {
 		t.Errorf("analyzers must be clean on the repo:\n%s", strings.Join(msgs, "\n"))
 	}
-}
-
-// TestRepoCleanAllAnalyzers is the gate: the full catalog must pass over
-// the production tree, matching what make lint and CI enforce. Each
-// message names its analyzer.
-func TestRepoCleanAllAnalyzers(t *testing.T) {
-	requireRepoClean(t, lint.All()...)
 }
 
 // TestCatalogDocumented holds README's analyzer table to the catalog:

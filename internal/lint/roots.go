@@ -16,10 +16,9 @@ var requestRoots = []string{"exec.Evaluate*", "server.handle*"}
 // with a Type in front only the methods of that receiver. nilcharge
 // walks the request path; ctxpropagate adds the scheduler API that
 // carries the request's cancellation state; errflow the whole serving
-// and calling surface an error can cross; hotalloc has its own list of
-// kernels. Roots are picked by name, so a rename can leave a rule
-// matching nothing and the analyzer silently checking less:
-// TestRepoRootRulesMatch holds every rule to the module.
+// and calling surface an error can cross. Roots are picked by name, so a
+// rename can leave a rule matching nothing and the analyzer silently
+// checking less: TestRepoRootRulesMatch holds every rule to the module.
 var rootRules = map[string][]string{
 	"nilcharge":    requestRoots,
 	"ctxpropagate": append([]string{"sched.[A-Z]*"}, requestRoots...),
@@ -28,7 +27,6 @@ var rootRules = map[string][]string{
 		"transport.Send", "transport.Recv", "transport.Close",
 		"client.[A-Z]*", "core.[A-Z]*",
 	}, requestRoots...),
-	"hotalloc": HotAllocRoots,
 }
 
 // ruleSelects is the one root-pattern matcher.

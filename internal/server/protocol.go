@@ -316,8 +316,7 @@ func (r *QueryResponse) Encode() []byte {
 }
 
 // encode appends the response to out. Sections are emitted in decode
-// order (cost, stats, selection, hist, trace) so the wire layout and the
-// field-access order stay in lockstep (wiresymmetry).
+// order: cost, stats, selection, hist, trace.
 func (r *QueryResponse) encode(out []byte) []byte {
 	out = encodeCost(out, r.Cost)
 	out = encodeStats(out, r.Stats)
@@ -646,9 +645,8 @@ type BusyResponse struct {
 	Queued       uint32
 }
 
-// Encode serializes the response. Fields are emitted in decode order
-// (retry-after, queued) so the wire layout and the field-access order
-// stay in lockstep (wiresymmetry).
+// Encode serializes the response. Fields are emitted in decode order:
+// retry-after, queued.
 func (r *BusyResponse) Encode() []byte {
 	out := binary.LittleEndian.AppendUint64(nil, r.RetryAfterNs)
 	return binary.LittleEndian.AppendUint32(out, r.Queued)

@@ -48,7 +48,6 @@ func (t Tier) String() string {
 	case PFS:
 		return "pfs"
 	}
-	//lint:ignore hotalloc unreachable for defined tiers; debug fallback only
 	return fmt.Sprintf("Tier(%d)", int(t))
 }
 

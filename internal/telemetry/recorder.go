@@ -16,8 +16,8 @@ import (
 //
 // The design constraints, in order:
 //
-//   - Zero heap allocations on record. Record is reachable from the
-//     exec hot roots (the hotalloc analyzer walks there), so the ring
+//   - Zero heap allocations on record. Record is on every statement's
+//     path (the stmt.* rows of pdc-benchdiff count it), so the ring
 //     is preallocated at construction, events are fixed-size structs of
 //     integer fields, and recording is a locked slot write. A
 //     testing.AllocsPerRun test pins 0 allocs/op.
@@ -290,9 +290,8 @@ func NewRecorder(n int, clock Clock) *Recorder {
 }
 
 // Record appends one event to the ring, overwriting the oldest entry
-// when full. It performs no heap allocation — the hotalloc analyzer
-// walks here from the exec roots, and a testing.AllocsPerRun test pins
-// 0 allocs/op.
+// when full. It performs no heap allocation: a testing.AllocsPerRun
+// test pins 0 allocs/op.
 func (r *Recorder) Record(kind EventKind, code uint8, srv int32, vns, a, b int64) {
 	if r == nil {
 		return
