@@ -10,3 +10,10 @@ import (
 func TestAliasGuard(t *testing.T) {
 	linttest.Run(t, lint.AliasGuardAnalyzer, "aliasguard")
 }
+
+// TestRepoNoAliasEscapes runs aliasguard over the real tree: no
+// exported method may leak a writable alias of receiver-owned state,
+// and nothing may write through a //lint:immutable type.
+func TestRepoNoAliasEscapes(t *testing.T) {
+	requireRepoClean(t, lint.AliasGuardAnalyzer)
+}

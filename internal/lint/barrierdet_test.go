@@ -12,6 +12,12 @@ func TestBarrierDet(t *testing.T) {
 	linttest.Run(t, lint.BarrierDetAnalyzer, "barrierdet")
 }
 
+// TestRepoBarrierDeterminism runs barrierdet over the real tree: every
+// pooled worker must confine its effects to per-task aggregates.
+func TestRepoBarrierDeterminism(t *testing.T) {
+	requireRepoClean(t, lint.BarrierDetAnalyzer)
+}
+
 // TestBarrierDetCatchesPooledRecord pins the PR 7 regression: a direct
 // Recorder.Record inside a Pool.Map worker task must fail the lint. The
 // fixture's BadDirectRecord reproduces exactly the bug shape (cache

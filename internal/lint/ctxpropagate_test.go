@@ -10,3 +10,10 @@ import (
 func TestCtxPropagate(t *testing.T) {
 	linttest.Run(t, lint.CtxPropagateAnalyzer, "ctxpropagate")
 }
+
+// TestRepoPropagatesCancellation runs ctxpropagate over the real tree:
+// every request-path function that spawns goroutines or loops over
+// storage I/O must thread and use a context or scheduler token.
+func TestRepoPropagatesCancellation(t *testing.T) {
+	requireRepoClean(t, lint.CtxPropagateAnalyzer)
+}

@@ -10,3 +10,9 @@ import (
 func TestErrFlow(t *testing.T) {
 	linttest.Run(t, lint.ErrFlowAnalyzer, "errflow")
 }
+
+// TestRepoErrorsFlow runs errflow over the real tree: no request-path
+// error may be dropped or shadowed.
+func TestRepoErrorsFlow(t *testing.T) {
+	requireRepoClean(t, lint.ErrFlowAnalyzer)
+}

@@ -57,3 +57,11 @@ func (b box) Leak() int { return b.v }
 		t.Fatalf("want exactly the Leak finding, got %v", diags)
 	}
 }
+
+// TestRepoLockOrder runs lockset over the real tree: the global
+// mutex-acquisition graph must stay acyclic, no lock may be held across
+// storage I/O or a send, and guarded fields are touched under their
+// mutex.
+func TestRepoLockOrder(t *testing.T) {
+	requireRepoClean(t, lint.LockSetAnalyzer)
+}

@@ -19,3 +19,10 @@ func TestNilCharge(t *testing.T) {
 func TestVclockCharge(t *testing.T) {
 	linttest.Run(t, lint.NilChargeAnalyzer, "vclockcharge")
 }
+
+// TestRepoNilCharges runs nilcharge over the real tree: accounts and
+// tokens must be provably non-nil wherever they are charged or deref'd,
+// and every simio touch on a request path must be charged.
+func TestRepoNilCharges(t *testing.T) {
+	requireRepoClean(t, lint.NilChargeAnalyzer)
+}

@@ -60,3 +60,9 @@ func LogN() string { return os.Getenv("PDCQ_LOGN") }
 		t.Fatalf("internal/bench should be env-exempt, got %v", diags)
 	}
 }
+
+// TestRepoIsDeterministic runs the analyzer over the real production
+// packages: the tree must stay clean.
+func TestRepoIsDeterministic(t *testing.T) {
+	requireRepoClean(t, lint.NondeterminismAnalyzer)
+}

@@ -38,12 +38,11 @@ func loadRepoSession(t *testing.T) *lint.Session {
 	return repoSession.s
 }
 
-// TestRepoCleanAllAnalyzers is the gate: the full catalog must report
-// nothing on the production tree, matching what make lint and CI
-// enforce. It is the only repo-wide run of the analyzers; each message
-// names its analyzer.
-func TestRepoCleanAllAnalyzers(t *testing.T) {
-	diags, err := loadRepoSession(t).Run(lint.All())
+// requireRepoClean asserts the analyzers report nothing on the
+// production packages.
+func requireRepoClean(t *testing.T, analyzers ...*lint.Analyzer) {
+	t.Helper()
+	diags, err := loadRepoSession(t).Run(analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +53,13 @@ func TestRepoCleanAllAnalyzers(t *testing.T) {
 	if len(msgs) > 0 {
 		t.Errorf("analyzers must be clean on the repo:\n%s", strings.Join(msgs, "\n"))
 	}
+}
+
+// TestRepoCleanAllAnalyzers is the gate: the full catalog must report
+// nothing on the production tree, matching what make lint and CI
+// enforce. Each message names its analyzer.
+func TestRepoCleanAllAnalyzers(t *testing.T) {
+	requireRepoClean(t, lint.All()...)
 }
 
 // TestCatalogDocumented holds README's analyzer table to the catalog:
