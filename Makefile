@@ -49,13 +49,14 @@ race:
 
 # Scheduler stress under the race detector: concurrent sessions vs the
 # brute-force oracle, admission-control overload, worker-count
-# determinism, busy-retry, async-lifetime leak checks, and the region-task
+# determinism, the parallel import against its per-region reference,
+# busy-retry, async-lifetime leak checks, and the region-task
 # pool's guarantees (shared bound, lowest-index error, cancellation, the
 # caller working, helpers stopping on Close) twenty times over. A separate CI
 # step so scheduler interleaving failures are attributable at a glance;
 # each pattern is listed first, so the log shows which tests it still
 # names.
-STRESS_CORE = TestConcurrentSessionsStress|TestOverloadBusyReplies|TestWorkerCountDeterminism
+STRESS_CORE = TestConcurrentSessionsStress|TestOverloadBusyReplies|TestWorkerCountDeterminism|TestImportMatchesReference
 STRESS_CLIENT = TestBusyRetry|TestQueryBudgetEndToEnd|TestRunAsyncReapedOnClose|TestClosedClientReturnsError
 stress:
 	$(GO) test -list '$(STRESS_CORE)' ./internal/core/

@@ -127,8 +127,9 @@ func measureAllocs() map[string]float64 {
 	// The import's index build over one 64 KiB VPIC Energy region: per
 	// bin an encoder's words and its bitmap, no per-bin position list.
 	energy := dtype.Bytes(workload.GenerateVPIC(1<<21, 7).Vars["Energy"][:16384])
+	lo, hi := dtype.MinMax(dtype.Float32, energy)
 	out["bitindex.build.warm"] = testing.AllocsPerRun(20, func() {
-		bitindex.Build(dtype.Float32, energy, bitindex.DefaultPrecision)
+		bitindex.Build(dtype.Float32, energy, lo, hi, bitindex.DefaultPrecision)
 	})
 
 	return out

@@ -18,15 +18,16 @@ func benchData(n int) []byte {
 
 func BenchmarkBuild(b *testing.B) {
 	data := benchData(1 << 18)
+	lo, hi := dtype.MinMax(dtype.Float32, data)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(dtype.Float32, data, 2)
+		Build(dtype.Float32, data, lo, hi, 2)
 	}
 }
 
 func BenchmarkEvaluateSelective(b *testing.B) {
-	x := Build(dtype.Float32, benchData(1<<18), 2)
+	x := buildOf(dtype.Float32, benchData(1<<18), 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Evaluate(8.0, 9.0, false, false)
@@ -34,7 +35,7 @@ func BenchmarkEvaluateSelective(b *testing.B) {
 }
 
 func BenchmarkEncodeDecode(b *testing.B) {
-	x := Build(dtype.Float32, benchData(1<<16), 2)
+	x := buildOf(dtype.Float32, benchData(1<<16), 2)
 	enc := x.Encode()
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()

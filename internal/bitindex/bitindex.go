@@ -71,14 +71,15 @@ func binStep(lo, hi float64, precision int) float64 {
 // Build constructs the index over a raw region buffer of the given element
 // type. NaN elements are never indexed and never match queries.
 //
-// The region is read twice: once for its range, which fixes the bin grid,
-// and once to stream every element into its bin's WAH encoder with the
-// bin's count and extrema beside it. Elements arrive in position order,
-// so each encoder sees strictly increasing positions and emits whole
-// groups; no per-bin position list is built.
-func Build(t dtype.Type, data []byte, precision int) *Index {
-	// dtype.MinMax skips NaN: every comparison with it is false.
-	lo, hi := dtype.MinMax(t, data)
+// lo and hi are the region's extrema exactly as dtype.MinMax(t, data)
+// returns them (NaN skipped; +Inf, -Inf when no element is a number):
+// they fix the bin grid, and the import already holds them for the
+// region's metadata, so the build takes them instead of reading the
+// region a second time. Build then streams every element into its bin's
+// WAH encoder with the bin's count and extrema beside it. Elements
+// arrive in position order, so each encoder sees strictly increasing
+// positions and emits whole groups; no per-bin position list is built.
+func Build(t dtype.Type, data []byte, lo, hi float64, precision int) *Index {
 	x := &Index{N: uint64(t.Count(len(data)))}
 	if math.IsInf(lo, 1) {
 		x.Step, x.Base = 1, 0

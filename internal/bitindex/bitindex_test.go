@@ -11,6 +11,13 @@ import (
 	"pdcquery/internal/wah"
 )
 
+// buildOf builds the index over data with the extrema the import would
+// pass in.
+func buildOf(t dtype.Type, data []byte, precision int) *Index {
+	lo, hi := dtype.MinMax(t, data)
+	return Build(t, data, lo, hi, precision)
+}
+
 // equalIdx compares index slices treating nil and empty as equal.
 func equalIdx(a, b []uint64) bool {
 	if len(a) != len(b) {
@@ -62,7 +69,7 @@ func randVals(rng *rand.Rand, n int, scale, off float64) []float32 {
 func TestBuildBinStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vals := randVals(rng, 10000, 8, 0) // range ~8 -> step 0.1 at precision 2
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	if x.N != 10000 {
 		t.Fatalf("N = %d", x.N)
 	}
@@ -93,7 +100,7 @@ func TestEvaluateExactOnAlignedBoundaries(t *testing.T) {
 	// resolve without candidates when no element equals the boundary.
 	rng := rand.New(rand.NewSource(2))
 	vals := randVals(rng, 50000, 4, 0)
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	sure, cands := x.Evaluate(2.1, 2.2, false, false)
 	if len(cands) != 0 {
 		t.Errorf("aligned boundaries produced %d candidate bins", len(cands))
@@ -107,7 +114,7 @@ func TestEvaluateExactOnAlignedBoundaries(t *testing.T) {
 func TestEvaluateUnalignedBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := randVals(rng, 20000, 10, -5)
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	for _, q := range []struct{ lo, hi float64 }{
 		{-1.234, 2.345}, {0.001, 0.002}, {-5, 5}, {4.99, 5.01}, {-6, -4.5},
 	} {
@@ -123,7 +130,7 @@ func TestEvaluateBoundaryValueInData(t *testing.T) {
 	// Data containing the exact boundary value forces a candidate check,
 	// which must distinguish strict from inclusive predicates.
 	vals := []float32{1.0, 2.0, 2.0, 3.0, 4.0}
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 
 	got := resolve(x, vals, 2.0, 4.0, false, false) // 2 < v < 4
 	if want := []uint64{3}; !reflect.DeepEqual(got, want) {
@@ -137,7 +144,7 @@ func TestEvaluateBoundaryValueInData(t *testing.T) {
 
 func TestEqualityQuery(t *testing.T) {
 	vals := []float32{1.5, 2.5, 2.5, 3.5}
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	got := resolve(x, vals, 2.5, 2.5, true, true) // v == 2.5
 	if want := []uint64{1, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("equality: got %v, want %v", got, want)
@@ -145,7 +152,7 @@ func TestEqualityQuery(t *testing.T) {
 }
 
 func TestEmptyAndConstantData(t *testing.T) {
-	x := Build(dtype.Float32, nil, 2)
+	x := buildOf(dtype.Float32, nil, 2)
 	if x.N != 0 || len(x.Bins) != 0 {
 		t.Errorf("empty index: N=%d bins=%d", x.N, len(x.Bins))
 	}
@@ -155,7 +162,7 @@ func TestEmptyAndConstantData(t *testing.T) {
 	}
 
 	vals := []float32{7, 7, 7}
-	x = Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x = buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	got := resolve(x, vals, 6, 8, true, true)
 	if len(got) != 3 {
 		t.Errorf("constant data: %d hits, want 3", len(got))
@@ -168,7 +175,7 @@ func TestEmptyAndConstantData(t *testing.T) {
 
 func TestNaNNeverMatches(t *testing.T) {
 	vals := []float32{1, float32(math.NaN()), 3}
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	got := resolve(x, vals, math.Inf(-1), math.Inf(1), false, false)
 	if want := []uint64{0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("NaN handling: got %v, want %v", got, want)
@@ -177,7 +184,7 @@ func TestNaNNeverMatches(t *testing.T) {
 
 func TestIntegerData(t *testing.T) {
 	vals := []int32{10, 20, 30, 40, 50}
-	x := Build(dtype.Int32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Int32, dtype.Bytes(vals), 2)
 	sure, cands := x.Evaluate(15, 45, true, true)
 	if len(cands) > 0 {
 		got := x.CheckCandidates(dtype.Int32, dtype.Bytes(vals), cands, 15, 45, true, true)
@@ -191,7 +198,7 @@ func TestIntegerData(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	vals := randVals(rng, 5000, 6, 1)
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	enc := x.Encode()
 	got, err := Decode(enc)
 	if err != nil {
@@ -214,7 +221,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDirectoryPartialRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := randVals(rng, 20000, 8, 0)
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	enc := x.Encode()
 
 	// A query reads only the directory prefix first...
@@ -258,7 +265,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("bad magic accepted")
 	}
 	vals := []float32{1, 2, 3}
-	enc := Build(dtype.Float32, dtype.Bytes(vals), 2).Encode()
+	enc := buildOf(dtype.Float32, dtype.Bytes(vals), 2).Encode()
 	if _, err := DecodeDirectory(enc[:33]); err == nil {
 		t.Error("truncated directory accepted")
 	}
@@ -270,7 +277,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestSizeBytesMatchesEncoded(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vals := randVals(rng, 3000, 5, 0)
-	x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+	x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 	if got, want := x.SizeBytes(), int64(len(x.Encode())); got != want {
 		t.Errorf("SizeBytes = %d, encoded length = %d", got, want)
 	}
@@ -280,7 +287,7 @@ func TestPropertyResolveMatchesTruth(t *testing.T) {
 	f := func(seed int64, loF, wF float64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vals := randVals(rng, 800, 20, -10)
-		x := Build(dtype.Float32, dtype.Bytes(vals), 2)
+		x := buildOf(dtype.Float32, dtype.Bytes(vals), 2)
 		lo := math.Mod(math.Abs(loF), 25) - 12
 		hi := lo + math.Mod(math.Abs(wF), 8)
 		got := resolve(x, vals, lo, hi, true, false)

@@ -20,14 +20,15 @@ func BenchmarkIndexBuild(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			// The fixture: a region of this size indexes into a handful
 			// of bins, each of them non-empty.
-			x := bitindex.Build(dtype.Float32, data, bitindex.DefaultPrecision)
+			lo, hi := dtype.MinMax(dtype.Float32, data)
+			x := bitindex.Build(dtype.Float32, data, lo, hi, bitindex.DefaultPrecision)
 			if x.N != elems || len(x.Bins) < 2 {
 				b.Fatalf("%s: %d elements in %d bins", name, x.N, len(x.Bins))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bitindex.Build(dtype.Float32, data, bitindex.DefaultPrecision)
+				bitindex.Build(dtype.Float32, data, lo, hi, bitindex.DefaultPrecision)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
 		})

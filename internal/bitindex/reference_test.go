@@ -110,7 +110,8 @@ func bitByBit(idx []uint64, nbits uint64) *wah.Bitmap {
 // checkBuild fails unless Build and the reference encode the same bytes.
 func checkBuild(t *testing.T, name string, typ dtype.Type, data []byte, precision int) {
 	t.Helper()
-	got := bitindex.Build(typ, data, precision).Encode()
+	lo, hi := dtype.MinMax(typ, data)
+	got := bitindex.Build(typ, data, lo, hi, precision).Encode()
 	want := buildReference(typ, data, precision).Encode()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: Build encodes %d bytes that differ from the reference's %d", name, len(got), len(want))
@@ -222,7 +223,8 @@ func TestBuildMatchesReferenceRandom(t *testing.T) {
 // lists (the two-pass build made 262).
 func TestBuildAllocs(t *testing.T) {
 	energy := dtype.Bytes(workload.GenerateVPIC(1<<21, 7).Vars["Energy"][:16384])
-	if got := testing.AllocsPerRun(5, func() { bitindex.Build(dtype.Float32, energy, bitindex.DefaultPrecision) }); got > 140 {
+	lo, hi := dtype.MinMax(dtype.Float32, energy)
+	if got := testing.AllocsPerRun(5, func() { bitindex.Build(dtype.Float32, energy, lo, hi, bitindex.DefaultPrecision) }); got > 140 {
 		t.Errorf("Build on one 64 KiB Energy region: %v allocs, want <= 140", got)
 	}
 }

@@ -14,6 +14,6 @@ import (
 // on — dropped on one side, or swapped with a neighbour — fails here.
 func TestWireRoundTrip(t *testing.T) {
 	vals := randVals(rand.New(rand.NewSource(4)), 5000, 6, 1)
-	wiretest.RoundTrip(t, []*Index{Build(dtype.Float32, dtype.Bytes(vals), 2)},
+	wiretest.RoundTrip(t, []*Index{buildOf(dtype.Float32, dtype.Bytes(vals), 2)},
 		func(x *Index) (*Index, error) { return Decode(x.Encode()) })
 }

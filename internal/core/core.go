@@ -182,55 +182,44 @@ func (d *Deployment) CreateContainer(name string) *object.Container {
 // exact min/max plus a mergeable histogram; the global histogram is the
 // merge of the region histograms (§IV). With Options.BuildIndex a bitmap
 // index is built and stored per region.
+//
+// The regions are summarized in parallel (see importWidth) and then
+// written serially in region order, so the stored bytes, the metadata
+// and the import's charges are those of a one-region-at-a-time import.
+// Everything that can fail is checked before the object is registered:
+// a failed import leaves its name free for a retry.
 func (d *Deployment) ImportObject(cid object.ContainerID, prop object.Property, data []byte) (*object.Object, error) {
 	if d.started {
 		return nil, fmt.Errorf("core: cannot import after Start")
 	}
-	o, err := d.meta.CreateObject(cid, prop)
+	shape, err := d.layout(prop)
 	if err != nil {
 		return nil, err
 	}
-	if got, want := int64(len(data)), o.ByteSize(); got != want {
+	if got, want := int64(len(data)), shape.ByteSize(); got != want {
 		return nil, fmt.Errorf("core: object %q: %d data bytes, want %d", prop.Name, got, want)
 	}
-	elemSize := o.Type.Size()
+	elemSize := uint64(shape.Type.Size())
+	rowBytes := shape.NumElems() / shape.Dims[0] * elemSize
+	raws := make([][]byte, len(shape.Regions))
+	for i, rm := range shape.Regions {
+		lo := rm.Region.Offset[0] * rowBytes
+		raws[i] = data[lo : lo+rm.Region.NumElems()*elemSize]
+	}
+	o, err := d.register(cid, prop, shape.Regions)
+	if err != nil {
+		return nil, err
+	}
+	sums := d.summarizeAll(o.Type, raws)
 	var hists []*histogram.Histogram
-	for i, r := range object.Partition(o.Dims, o.Type, d.opts.RegionBytes) {
-		start := r.Offset[0]
-		rowElems := uint64(1)
-		for _, dd := range o.Dims[1:] {
-			rowElems *= dd
-		}
-		lo := start * rowElems * uint64(elemSize)
-		hi := lo + r.NumElems()*uint64(elemSize)
-		raw := data[lo:hi]
-		key := object.ExtentKey(o.ID, i)
-		d.store.Write(d.importAcct, key, simio.PFS, raw)
-		mn, mx := dtype.MinMax(o.Type, raw)
-		rm := object.RegionMeta{
-			Index: i, Region: r, ExtentKey: key, Tier: simio.PFS,
-			Min: mn, Max: mx,
-		}
-		if !d.opts.DisableHistograms {
-			h := histogram.BuildBytes(o.Type, raw, d.opts.HistBins)
-			rm.Hist = h
+	for i := range sums {
+		d.storeRegion(o, i, &sums[i])
+		if h := sums[i].hist; h != nil {
 			hists = append(hists, h)
 		}
-		if d.opts.BuildIndex {
-			x := bitindex.Build(o.Type, raw, d.opts.IndexPrecision)
-			xkey := object.IndexExtentKey(o.ID, i)
-			d.store.Write(d.importAcct, xkey, simio.PFS, x.Encode())
-			rm.IndexKey = xkey
-			rm.IndexBins = len(x.Bins)
-			rm.IndexDir = x.Directory()
-		}
-		o.Regions = append(o.Regions, rm)
 	}
 	if !d.opts.DisableHistograms {
 		o.Global = histogram.MergeAll(hists)
-	}
-	if err := o.CheckRegionCover(); err != nil {
-		return nil, err
 	}
 	return o, nil
 }

@@ -63,7 +63,7 @@ func buildFixture(t testing.TB, names []string, gen func(name string, i int) flo
 				Min: mn, Max: mx, Hist: h,
 			}
 			if withIndex {
-				x := bitindex.Build(o.Type, raw, 2)
+				x := bitindex.Build(o.Type, raw, mn, mx, 2)
 				xkey := object.IndexExtentKey(id, ri)
 				f.st.Write(nil, xkey, simio.PFS, x.Encode())
 				rm.IndexKey = xkey

@@ -63,7 +63,7 @@ func buildTypedFixture(rng *rand.Rand, types []dtype.Type, n int, regionElems ui
 				Min: mn, Max: mx, Hist: histogram.BuildBytes(typ, part, 32),
 			}
 			if !noIndex[ri] {
-				x := bitindex.Build(typ, part, 2)
+				x := bitindex.Build(typ, part, mn, mx, 2)
 				rm.IndexKey = object.IndexExtentKey(id, ri)
 				rm.IndexBins = len(x.Bins)
 				f.st.Write(nil, rm.IndexKey, simio.PFS, x.Encode())

@@ -423,7 +423,8 @@ func regionOps(data []byte, n uint64) (scan, index func()) {
 	const id = object.ID(1)
 	o := &object.Object{ID: id, Type: dtype.Float32, Dims: []uint64{n}}
 	st := simio.New(simio.DefaultModel())
-	x := bitindex.Build(o.Type, data, bitindex.DefaultPrecision)
+	lo, hi := dtype.MinMax(o.Type, data)
+	x := bitindex.Build(o.Type, data, lo, hi, bitindex.DefaultPrecision)
 	rm := object.RegionMeta{
 		Region:    region.Split1D(n, n)[0],
 		ExtentKey: object.ExtentKey(id, 0), IndexKey: object.IndexExtentKey(id, 0),
