@@ -89,12 +89,15 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFromIndicesMatchesReference -fuzztime=$(FUZZTIME) ./internal/wah/
 	$(GO) test -run=^$$ -fuzz=FuzzBuildMatchesReference -fuzztime=$(FUZZTIME) ./internal/bitindex/
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
+	$(GO) test -run=^$$ -fuzz=FuzzBuildBytesMatchesBuild -fuzztime=$(FUZZTIME) ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/
 	$(GO) test -run=^$$ -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryRequest -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryResponse -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeDataRequest -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeFetchExtents -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeExtentsResult -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzPackedDecode -fuzztime=$(FUZZTIME) ./internal/selection/
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=$(FUZZTIME) ./internal/selection/
 

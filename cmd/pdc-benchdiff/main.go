@@ -36,6 +36,7 @@ import (
 	"pdcquery/internal/core"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/exec"
+	"pdcquery/internal/histogram"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/selection"
@@ -131,6 +132,14 @@ func measureAllocs() map[string]float64 {
 	out["bitindex.build.warm"] = testing.AllocsPerRun(20, func() {
 		bitindex.Build(dtype.Float32, energy, lo, hi, bitindex.DefaultPrecision)
 	})
+	// The rest of that region's summary: its histogram, read typed from
+	// the bytes (the Histogram and its counts), and its index's encoding
+	// into one buffer sized up front.
+	out["histogram.build.warm"] = testing.AllocsPerRun(20, func() {
+		histogram.BuildBytes(dtype.Float32, energy, histogram.DefaultBins)
+	})
+	x := bitindex.Build(dtype.Float32, energy, lo, hi, bitindex.DefaultPrecision)
+	out["bitindex.encode.warm"] = testing.AllocsPerRun(20, func() { x.Encode() })
 
 	return out
 }

@@ -269,9 +269,10 @@ func DirectorySize(nbins int) int64 {
 
 // Encode serializes the index: header, directory, then bitmap blobs.
 // It is single-pass in wire order — header fields first, then one visit
-// per bin that fills the bin's directory entry and appends its blob.
+// per bin that fills the bin's directory entry and appends its blob —
+// into one buffer sized up front.
 func (x *Index) Encode() []byte {
-	out := make([]byte, DirectorySize(len(x.Bins)))
+	out := make([]byte, DirectorySize(len(x.Bins)), x.SizeBytes())
 	binary.LittleEndian.PutUint32(out[0:4], encMagic)
 	binary.LittleEndian.PutUint32(out[4:8], uint32(len(x.Bins)))
 	binary.LittleEndian.PutUint64(out[8:16], x.N)
@@ -280,15 +281,14 @@ func (x *Index) Encode() []byte {
 	off := headerSize
 	for i := range x.Bins {
 		b := &x.Bins[i]
-		blob := b.Bits.Encode()
 		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(b.Lo))
 		binary.LittleEndian.PutUint64(out[off+8:], math.Float64bits(b.Hi))
 		binary.LittleEndian.PutUint64(out[off+16:], math.Float64bits(b.Min))
 		binary.LittleEndian.PutUint64(out[off+24:], math.Float64bits(b.Max))
 		binary.LittleEndian.PutUint64(out[off+32:], b.Count)
-		binary.LittleEndian.PutUint64(out[off+40:], uint64(len(blob)))
+		binary.LittleEndian.PutUint64(out[off+40:], uint64(b.Bits.EncodedSize()))
 		off += binMetaLen + 8
-		out = append(out, blob...)
+		out = b.Bits.AppendEncode(out)
 	}
 	return out
 }
@@ -303,7 +303,7 @@ func (x *Index) Directory() *Directory {
 	blobOff := DirectorySize(len(x.Bins))
 	for i := range x.Bins {
 		b := &x.Bins[i]
-		blobLen := int64(b.Bits.SizeBytes()) + 12 // wah.Encode header
+		blobLen := int64(b.Bits.EncodedSize())
 		d.Bins[i] = DirBin{
 			Lo: b.Lo, Hi: b.Hi, Min: b.Min, Max: b.Max,
 			Count: b.Count, BlobOff: blobOff, BlobLen: blobLen,
@@ -402,7 +402,7 @@ func Decode(b []byte) (*Index, error) {
 func (x *Index) SizeBytes() int64 {
 	n := DirectorySize(len(x.Bins))
 	for i := range x.Bins {
-		n += int64(x.Bins[i].Bits.SizeBytes()) + 12
+		n += int64(x.Bins[i].Bits.EncodedSize())
 	}
 	return n
 }

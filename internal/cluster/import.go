@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/server"
@@ -68,9 +67,10 @@ func (s *Session) Import(src Source) error {
 		}
 	}
 
-	// Step 2: each region's extents go to its R owners, every member fed
+	// Step 2: each region's extents go to its R owners. Every member
+	// gets its own extents, in region order and in frames of its own, fed
 	// at once over its own connection.
-	queues := make(map[MemberID][]*importExtent, len(v.Members))
+	keys := make(map[MemberID][]string, len(v.Members))
 	for _, o := range src.Meta().Objects() {
 		for i := range o.Regions {
 			rm := &o.Regions[i]
@@ -79,10 +79,8 @@ func (s *Session) Import(src Source) error {
 				if key == "" {
 					continue
 				}
-				e := &importExtent{key: key}
-				e.unacked.Store(int32(len(owners)))
 				for _, owner := range owners {
-					queues[owner] = append(queues[owner], e)
+					keys[owner] = append(keys[owner], key)
 				}
 			}
 		}
@@ -97,7 +95,8 @@ func (s *Session) Import(src Source) error {
 		wg.Add(1)
 		go func(id MemberID, conn transport.Conn) {
 			defer wg.Done()
-			if err := feedMember(conn, queues[id], store, acct); err != nil {
+			frames := &importFrames{store: store, acct: acct, keys: keys[id]}
+			if err := feedMember(conn, frames); err != nil {
 				failOnce.Do(func() {
 					firstErr = fmt.Errorf("cluster: import to member %d: %w", id, err)
 					// Unblock the other streams: their Send or Recv fails
@@ -117,102 +116,122 @@ func (s *Session) Import(src Source) error {
 	return nil
 }
 
-// importWindow is how many put-extent requests the importer keeps
-// outstanding on one member connection. It stays below the member's
-// admission depth (server.DefaultQueueDepth), so a member with the
-// default depth never pushes back; a shallower one answers MsgBusy,
-// which feedMember absorbs.
-const importWindow = 8
+// importFrameBytes bounds the extents of one import frame (its payload
+// adds a 4-byte count). A member keeps each frame it receives as the
+// storage of the extents in it, so the bound sets the unit of the
+// member's extent memory as well as of the wire. At 1 MiB a frame holds
+// about fifteen 64 KiB regions: few enough frames that per-message costs
+// vanish, and a window of them stays a few MiB per member. An extent
+// larger than the bound travels alone.
+const importFrameBytes = 1 << 20
 
-// importExtent is one extent on its way to its R owners. The first owner
-// stream to reach it reads and encodes it; the others share that
-// payload, which is dropped once every owner has acknowledged it.
-type importExtent struct {
-	key     string
-	once    sync.Once
-	payload []byte
-	err     error
-	unacked atomic.Int32 // owners yet to acknowledge
+// importWindow is how many frames the importer keeps outstanding on one
+// member connection. It stays below the member's admission depth
+// (server.DefaultQueueDepth), so a member with the default depth never
+// pushes back; a shallower one answers MsgBusy, which feedMember absorbs.
+const importWindow = 4
+
+// importFrames cuts one member's extents, in order, into frames of at
+// most importFrameBytes.
+type importFrames struct {
+	store   *simio.Store
+	acct    *vclock.Account
+	keys    []string
+	next    int
+	pending *server.Extent // read, but did not fit the previous frame
 }
 
-// load returns the extent's put-extent payload, reading it on first use.
-func (e *importExtent) load(store *simio.Store, acct *vclock.Account) ([]byte, error) {
-	e.once.Do(func() {
-		data, err := store.ReadAll(acct, e.key)
-		if err != nil {
-			e.err = fmt.Errorf("read %s: %w", e.key, err)
-			return
+func (f *importFrames) done() bool { return f.pending == nil && f.next == len(f.keys) }
+
+// take returns the next frame's extents, views of the source store's
+// bytes: the frame itself is encoded at each send, so a frame that was
+// sent is never sent again, and the member may keep it.
+func (f *importFrames) take() ([]server.Extent, error) {
+	var exts []server.Extent
+	size := 0
+	for {
+		if f.pending == nil {
+			if f.next == len(f.keys) {
+				return exts, nil
+			}
+			key := f.keys[f.next]
+			data, err := f.store.ReadAll(f.acct, key)
+			if err != nil {
+				return nil, fmt.Errorf("read %s: %w", key, err)
+			}
+			f.next++
+			f.pending = &server.Extent{Key: key, Present: true, Data: data}
 		}
-		e.payload = server.EncodePutExtent(e.key, data)
-	})
-	return e.payload, e.err
-}
-
-// acked records one owner's acknowledgement; the last frees the payload.
-func (e *importExtent) acked() {
-	if e.unacked.Add(-1) == 0 {
-		e.payload = nil
+		n := server.ExtentSizeBound(*f.pending)
+		if len(exts) > 0 && size+n > importFrameBytes {
+			return exts, nil
+		}
+		exts = append(exts, *f.pending)
+		size += n
+		f.pending = nil
 	}
 }
 
-// feedMember streams one member's extents over its connection with up
-// to importWindow requests outstanding, matching acks by request ID. A
+// feedMember streams one member's frames over its connection with up to
+// importWindow frames outstanding, matching acks by request ID. A
 // MsgBusy reply (the member's admission queue is full) is not an error:
-// the extent is resent, but only after an outstanding request has been
-// acknowledged — or at once when none is left, since the member's queue
-// is then empty. The first MsgError or transport error ends the stream.
-func feedMember(conn transport.Conn, exts []*importExtent, store *simio.Store, acct *vclock.Account) error {
-	inflight := make(map[uint64]*importExtent, importWindow)
+// the frame's extents are encoded and sent again, but only after an
+// outstanding frame has been acknowledged — or at once when none is
+// left, since the member's queue is then empty. The first MsgError or
+// transport error ends the stream.
+func feedMember(conn transport.Conn, frames *importFrames) error {
+	inflight := make(map[uint64][]server.Extent, importWindow)
 	var (
-		retry []*importExtent // busy-rejected, resent before new extents
-		next  int
+		retry [][]server.Extent // busy-rejected, resent before new frames
 		reqID uint64
 		hold  bool // a busy reply arrived since the last ack
 	)
-	for next < len(exts) || len(retry) > 0 || len(inflight) > 0 {
+	for !frames.done() || len(retry) > 0 || len(inflight) > 0 {
 		for len(inflight) < importWindow && !(hold && len(inflight) > 0) {
-			var e *importExtent
+			var exts []server.Extent
 			if len(retry) > 0 {
-				e, retry = retry[0], retry[1:]
-			} else if next < len(exts) {
-				e = exts[next]
-				next++
+				exts, retry = retry[0], retry[1:]
+			} else if !frames.done() {
+				var err error
+				if exts, err = frames.take(); err != nil {
+					return err
+				}
 			} else {
 				break
 			}
-			payload, err := e.load(store, acct)
-			if err != nil {
-				return err
-			}
 			reqID++
-			if err := conn.Send(transport.Message{Type: server.MsgPutExtent, ReqID: reqID, Payload: payload}); err != nil {
-				return fmt.Errorf("put extent %s: %w", e.key, err)
+			if err := conn.Send(transport.Message{Type: server.MsgPutExtents, ReqID: reqID, Payload: server.EncodeExtentsResult(exts)}); err != nil {
+				return fmt.Errorf("put %s: %w", frameName(exts), err)
 			}
-			inflight[reqID] = e
+			inflight[reqID] = exts
 		}
 		reply, err := conn.Recv()
 		if err != nil {
 			return err
 		}
-		e, ok := inflight[reply.ReqID]
+		exts, ok := inflight[reply.ReqID]
 		if !ok {
 			return fmt.Errorf("reply %s to unknown request %d", server.MsgName(reply.Type), reply.ReqID)
 		}
 		delete(inflight, reply.ReqID)
 		switch reply.Type {
 		case server.MsgOK:
-			e.acked()
 			hold = false
 		case server.MsgBusy:
-			retry = append(retry, e)
+			retry = append(retry, exts)
 			hold = true
 		case server.MsgError:
-			return fmt.Errorf("put extent %s: %s", e.key, reply.Payload)
+			return fmt.Errorf("put %s: %s", frameName(exts), reply.Payload)
 		default:
-			return fmt.Errorf("put extent %s: unexpected reply %s", e.key, server.MsgName(reply.Type))
+			return fmt.Errorf("put %s: unexpected reply %s", frameName(exts), server.MsgName(reply.Type))
 		}
 	}
 	return nil
+}
+
+// frameName names a frame in errors by its extent count and first key.
+func frameName(exts []server.Extent) string {
+	return fmt.Sprintf("%d extents from %s", len(exts), exts[0].Key)
 }
 
 // importCall is one synchronous request/ack on a member connection

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
@@ -13,6 +14,7 @@ import (
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/server"
+	"pdcquery/internal/simio"
 	"pdcquery/internal/transport"
 )
 
@@ -34,11 +36,16 @@ func TestClusterImportReplicatedIndexed(t *testing.T) {
 	runCorpusForced(t, s, plan.ForceBitmap, queries, truths)
 }
 
+// multiFrameParticles sizes the import tests that need a member to get
+// several frames: 3.5 MiB of data over seven variables, of which each
+// of three members owns two thirds.
+const multiFrameParticles = 1 << 17
+
 // TestClusterImportQueueDepthOne imports into members whose admission
 // queue holds one request: the importer's window overruns it, the members
 // answer MsgBusy, and the import still lands every extent.
 func TestClusterImportQueueDepthOne(t *testing.T) {
-	src, queries, truths := newIndexedSource(t, 20000)
+	src, queries, truths := newIndexedSource(t, multiFrameParticles)
 	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 1, R: 2, Seed: 42})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
@@ -100,7 +107,7 @@ func waitInstalled(t *testing.T, l *cluster.Local, ms []*cluster.Member, n int) 
 }
 
 // failingNet dials through to the local network, but the connections it
-// opens to addr corrupt the k-th put-extent request, which the member
+// opens to addr corrupt the k-th put-extents frame, which the member
 // then rejects with MsgError.
 type failingNet struct {
 	cluster.Network
@@ -123,25 +130,25 @@ type failingConn struct {
 }
 
 func (c *failingConn) Send(m transport.Message) error {
-	if m.Type == server.MsgPutExtent && c.net.sent.Add(1) == c.net.k {
-		m.Payload = []byte{0xff} // shorter than its own key-length prefix
+	if m.Type == server.MsgPutExtents && c.net.sent.Add(1) == c.net.k {
+		m.Payload = []byte{0xff} // shorter than its own extent count
 	}
 	return c.Conn.Send(m)
 }
 
-// TestClusterImportMemberError has one member reject its fifth extent:
+// TestClusterImportMemberError has one member reject its second frame:
 // Import returns that member's error, and every goroutine the import
 // started has exited by then or soon after (member-side session loops
 // wind down when their connections close).
 func TestClusterImportMemberError(t *testing.T) {
-	src, _, _ := newIndexedSource(t, 20000)
+	src, _, _ := newIndexedSource(t, multiFrameParticles)
 	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 3, R: 2, Seed: 42})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
 	}
 	t.Cleanup(l.Close)
 	victim := l.MemberIDs()[1]
-	fnet := &failingNet{Network: l.Net(), addr: l.Member(victim).Addr(), k: 5}
+	fnet := &failingNet{Network: l.Net(), addr: l.Member(victim).Addr(), k: 2}
 	s, err := cluster.DialSession(cluster.SessionOptions{Net: fnet, CatalogAddr: l.CatalogAddr()})
 	if err != nil {
 		t.Fatalf("session: %v", err)
@@ -169,7 +176,7 @@ func TestClusterImportMemberError(t *testing.T) {
 	if err == nil {
 		t.Fatal("import succeeded although a member rejected an extent")
 	}
-	if !strings.Contains(err.Error(), "truncated put-extent") {
+	if !strings.Contains(err.Error(), "truncated extents result") {
 		t.Errorf("import error %q does not carry the member's rejection", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -178,5 +185,48 @@ func TestClusterImportMemberError(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > base {
 		t.Errorf("%d goroutines after the failed import, %d before", g, base)
+	}
+}
+
+// TestClusterStoredExtentsAligned checks that a member stores every
+// extent 8-aligned although it keeps the received frame as the extent's
+// storage: after an import, and on a joiner whose every extent came in
+// the rebalance's transfer frames. Typed views (float64, uint64) over
+// the stored bytes are then aligned.
+func TestClusterStoredExtentsAligned(t *testing.T) {
+	src, _, _ := newIndexedSource(t, 20000)
+	l, _ := startCluster(t, src, 3, 2)
+	for _, id := range l.MemberIDs() {
+		requireAligned(t, "import", l.Member(id).Store())
+	}
+	m, err := l.AddMember()
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if err := l.WaitMembers(4, 5*time.Second); err != nil {
+		t.Fatalf("wait after join: %v", err)
+	}
+	if got := m.Server().Metrics().Counter("cluster.transfers"); got == 0 {
+		t.Fatal("joiner recorded no transfers")
+	}
+	requireAligned(t, "rebalance", m.Store())
+}
+
+// requireAligned fails on any extent of store whose bytes do not start
+// at an 8-aligned address.
+func requireAligned(t *testing.T, when string, store *simio.Store) {
+	t.Helper()
+	keys := store.Keys()
+	if len(keys) == 0 {
+		t.Fatalf("after %s: member stores no extents", when)
+	}
+	for _, key := range keys {
+		b, err := store.ReadAll(nil, key)
+		if err != nil {
+			t.Fatalf("after %s: read %s: %v", when, key, err)
+		}
+		if len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
+			t.Errorf("after %s: extent %s starts at address %#x, not 8-aligned", when, key, uintptr(unsafe.Pointer(&b[0])))
+		}
 	}
 }

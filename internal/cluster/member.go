@@ -488,22 +488,18 @@ func (m *Member) fetchFrom(p Prepare, src MemberID, keys []string) {
 			m.reg.Add("cluster.transfer.errors", 1)
 			return
 		}
-		exts, err := server.DecodeExtentsResult(reply.Payload)
+		// No request token: a transfer runs on the member's own behalf,
+		// and only its connection's end cuts it short.
+		stored, missing, n, err := server.InstallExtents(nil, m.store, m.acct, reply.Payload)
 		if err != nil {
 			m.reg.Add("cluster.transfer.errors", 1)
 			return
 		}
-		for _, e := range exts {
-			if !e.Present {
-				m.reg.Add("cluster.transfer.unsourced", 1)
-				continue
-			}
-			// Recv allocates payloads per frame, so the extent slice is
-			// safe to hand to the store without copying.
-			m.store.WriteOwned(m.acct, e.Key, simio.PFS, e.Data)
-			regions++
-			bytes += int64(len(e.Data))
+		if missing > 0 {
+			m.reg.Add("cluster.transfer.unsourced", missing)
 		}
+		regions += stored
+		bytes += n
 	}
 	if regions > 0 {
 		m.srv.Recorder().Record(telemetry.EvTransfer, 0, int32(src), 0, regions, bytes)

@@ -88,14 +88,14 @@ func powFloor(w float64) float64 {
 // 10% sample. Small inputs are scanned fully. NaNs and infinities are
 // skipped: the bin grid must be built from finite values (±Inf data is
 // counted off-grid by add), taken where they are binned (onGrid).
-func sampleMinMax(values []float64) (lo, hi float64) {
+func sampleMinMax[E dtype.Native](values []E) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	stride := 10
 	if len(values) < 100 {
 		stride = 1
 	}
 	for i := 0; i < len(values); i += stride {
-		v := values[i]
+		v := float64(values[i])
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
@@ -123,6 +123,42 @@ func sampleMinMax(values []float64) (lo, hi float64) {
 // limit, whose reported range (BinRange) widens to the exact Min/Max, so
 // Estimate still brackets them and CheckInvariants holds for any input.
 func Build(values []float64, nbin int) *Histogram {
+	return build(values, nbin)
+}
+
+// BuildBytes builds a histogram directly over a raw region buffer of the
+// given element type. Each element is read as its own type and widened
+// to float64 as dtype.At widens it, so the result is Build's over the
+// widened values, byte for byte, without materializing them.
+func BuildBytes(t dtype.Type, data []byte, nbin int) *Histogram {
+	switch t {
+	case dtype.Float32:
+		return build(dtype.View[float32](data), nbin)
+	case dtype.Float64:
+		return build(dtype.View[float64](data), nbin)
+	case dtype.Int8:
+		return build(dtype.View[int8](data), nbin)
+	case dtype.Int16:
+		return build(dtype.View[int16](data), nbin)
+	case dtype.Int32:
+		return build(dtype.View[int32](data), nbin)
+	case dtype.Int64:
+		return build(dtype.View[int64](data), nbin)
+	case dtype.Uint8:
+		return build(dtype.View[uint8](data), nbin)
+	case dtype.Uint16:
+		return build(dtype.View[uint16](data), nbin)
+	case dtype.Uint32:
+		return build(dtype.View[uint32](data), nbin)
+	case dtype.Uint64:
+		return build(dtype.View[uint64](data), nbin)
+	}
+	return build([]float64(nil), nbin)
+}
+
+// build is Build over elements of any native type, each widened to
+// float64.
+func build[E dtype.Native](values []E, nbin int) *Histogram {
 	if nbin <= 0 {
 		nbin = DefaultBins
 	}
@@ -147,24 +183,41 @@ func Build(values []float64, nbin int) *Histogram {
 		Min:    math.Inf(1),
 		Max:    math.Inf(-1),
 	}
-	for _, v := range values {
-		if math.IsNaN(v) {
-			continue
-		}
-		h.add(v)
-	}
+	addAll(h, values)
 	return h
 }
 
-// BuildBytes builds a histogram directly over a raw region buffer of the
-// given element type.
-func BuildBytes(t dtype.Type, data []byte, nbin int) *Histogram {
-	n := t.Count(len(data))
-	values := make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = dtype.At(t, data, i)
+// addAll adds every non-NaN value to h in order, exactly as a loop of
+// add would. The common case, a finite value that lands on the current
+// grid, runs inline with the grid's offset in widths hoisted and the
+// totals in locals; anything else (an infinity, a value off the grid)
+// goes through add, after which the grid is reloaded.
+func addAll[E dtype.Native](h *Histogram, values []E) {
+	counts, width, off := h.Counts, h.Width, h.Start/h.Width
+	total, lo, hi := h.Total, h.Min, h.Max
+	for _, e := range values {
+		v := float64(e)
+		if v != v { // NaN
+			continue
+		}
+		fj := math.Floor(onGrid(v)/width) - off
+		if fj >= 0 && fj < float64(len(counts)) && !math.IsInf(v, 0) {
+			counts[int(fj)]++
+			total++
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+			continue
+		}
+		h.Total, h.Min, h.Max = total, lo, hi
+		h.add(v)
+		counts, width, off = h.Counts, h.Width, h.Start/h.Width
+		total, lo, hi = h.Total, h.Min, h.Max
 	}
-	return Build(values, nbin)
+	h.Total, h.Min, h.Max = total, lo, hi
 }
 
 // maxGrow bounds grid extension for extreme outliers; beyond it a value

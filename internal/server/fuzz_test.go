@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"pdcquery/internal/exec"
 	"pdcquery/internal/histogram"
@@ -155,6 +157,79 @@ func FuzzDecodeTagQuery(f *testing.F) {
 		}
 		if len(conds2) != len(conds) {
 			t.Fatal("round trip drifted")
+		}
+	})
+}
+
+// TestExtentCodecsRefuseUnpayableCounts feeds both extent decoders a
+// bare count of 2^32-1 and nothing else: the count must be refused
+// against the payload's length, not used to size an allocation (it
+// once ended a member with "runtime: out of memory").
+func TestExtentCodecsRefuseUnpayableCounts(t *testing.T) {
+	payload := []byte{0xff, 0xff, 0xff, 0xff}
+	if _, err := DecodeFetchExtents(payload); err == nil {
+		t.Error("DecodeFetchExtents accepted a count its payload cannot hold")
+	}
+	if _, err := DecodeExtentsResult(payload); err == nil {
+		t.Error("DecodeExtentsResult accepted a count its payload cannot hold")
+	}
+}
+
+// TestExtentsResultDataAligned checks the padding rule: every extent's
+// bytes start at an 8-aligned payload offset, whatever the key lengths.
+func TestExtentsResultDataAligned(t *testing.T) {
+	var exts []Extent
+	for kl := range 9 {
+		exts = append(exts, Extent{Key: strings.Repeat("k", kl), Present: true, Data: make([]byte, 3+kl)})
+	}
+	payload := EncodeExtentsResult(exts)
+	got, err := DecodeExtentsResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uintptr(unsafe.Pointer(&payload[0]))
+	for _, e := range got {
+		if off := uintptr(unsafe.Pointer(&e.Data[0])) - base; off%8 != 0 {
+			t.Errorf("extent %q data at payload offset %d", e.Key, off)
+		}
+	}
+}
+
+// FuzzDecodeFetchExtents hardens the fetch request decoder: no payload
+// panics it, and any payload it accepts re-encodes to the same bytes.
+func FuzzDecodeFetchExtents(f *testing.F) {
+	f.Add(EncodeFetchExtents([]string{"obj/1/r0", "obj/1/x0"}))
+	f.Add(EncodeFetchExtents(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys, err := DecodeFetchExtents(data)
+		if err != nil {
+			return
+		}
+		if re := EncodeFetchExtents(keys); !bytes.Equal(re, data) {
+			t.Fatalf("accepted % x, re-encoded % x", data, re)
+		}
+	})
+}
+
+// FuzzDecodeExtentsResult hardens the decoder of both extent-carrying
+// frames (MsgPutExtents, MsgExtentsResult): no payload panics it, and
+// any payload it accepts re-encodes to the same bytes, so the present
+// flag and the padding have one spelling each.
+func FuzzDecodeExtentsResult(f *testing.F) {
+	f.Add(EncodeExtentsResult([]Extent{
+		{Key: "obj/1/r0", Present: true, Data: []byte{1, 2, 3, 4}},
+		{Key: "obj/1/x0"},
+	}))
+	f.Add(EncodeExtentsResult(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		exts, err := DecodeExtentsResult(data)
+		if err != nil {
+			return
+		}
+		if re := EncodeExtentsResult(exts); !bytes.Equal(re, data) {
+			t.Fatalf("accepted % x, re-encoded % x", data, re)
 		}
 	})
 }

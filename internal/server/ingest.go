@@ -8,8 +8,10 @@ package server
 import (
 	"fmt"
 
+	"pdcquery/internal/sched"
 	"pdcquery/internal/simio"
 	"pdcquery/internal/transport"
+	"pdcquery/internal/vclock"
 )
 
 // handlePutMeta installs a metadata snapshot (cluster import step 1).
@@ -24,27 +26,53 @@ func (s *Server) handlePutMeta(r *request) transport.Message {
 	return transport.Message{Type: MsgOK}
 }
 
-// handlePutExtent writes one extent into local storage (cluster import
-// step 2: the importer streams each region's extents to its R owners).
-func (s *Server) handlePutExtent(r *request) transport.Message {
+// handlePutExtents stores a frame of extents (cluster import step 2: the
+// importer sends each member its own extents, a frame at a time).
+func (s *Server) handlePutExtents(r *request) transport.Message {
 	if !s.cfg.Ingest {
 		return s.errMsg(fmt.Errorf("ingest disabled"))
 	}
-	key, data, err := DecodePutExtent(r.m.Payload)
+	stored, _, bytes, err := InstallExtents(r.tok, s.cfg.Store, r.acct, r.m.Payload)
 	if err != nil {
 		return s.errMsg(err)
 	}
-	if err := r.tok.Err(); err != nil {
-		return s.errMsg(err)
-	}
-	// Copy. Over TCP the payload is this frame's own buffer, but the
-	// in-process pipe transport hands over the sender's slice, and the
-	// cluster importer sends one payload to all of an extent's R owners:
-	// storing data as is would share it with the other owners' stores.
-	s.cfg.Store.WriteOwned(r.acct, key, simio.PFS, append([]byte(nil), data...))
-	s.telem.Add("ingest.extents", 1)
-	s.telem.Add("ingest.bytes", int64(len(data)))
+	s.telem.Add("ingest.extents", stored)
+	s.telem.Add("ingest.bytes", bytes)
 	return transport.Message{Type: MsgOK}
+}
+
+// InstallExtents is how a cluster member stores extents it received, on
+// import (a MsgPutExtents payload) and on rebalance (a MsgExtentsResult
+// payload) alike. It decodes the whole payload first, so a malformed
+// frame stores nothing, then writes every present extent, charged to
+// acct, until tok is cancelled (a nil tok never is), and reports how
+// many it stored, how many the payload listed as missing, and the bytes
+// it stored.
+//
+// Each extent is stored as a view of payload, not a copy, so the caller
+// hands over a frame that nobody else holds or reuses. Every frame is
+// such a frame: a TCP Recv allocates each payload, and a pipe hands
+// over the sender's slice, which every sender builds for one receiver
+// and drops once it is sent. The codec starts each extent 8-aligned in
+// its frame, so typed views over the stored bytes are aligned.
+func InstallExtents(tok *sched.Token, store *simio.Store, acct *vclock.Account, payload []byte) (stored, missing, bytes int64, err error) {
+	exts, err := DecodeExtentsResult(payload)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for _, e := range exts {
+		if err := tok.Err(); err != nil {
+			return stored, missing, bytes, err
+		}
+		if !e.Present {
+			missing++
+			continue
+		}
+		store.WriteOwned(acct, e.Key, simio.PFS, e.Data)
+		stored++
+		bytes += int64(len(e.Data))
+	}
+	return stored, missing, bytes, nil
 }
 
 // handleFetchExtents reads extents by key (the rebalance transfer

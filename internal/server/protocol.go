@@ -43,7 +43,7 @@ const (
 	// Cluster ingest/transfer messages (accepted only when the server
 	// runs with Config.Ingest; plain deployments reject them).
 	MsgPutMeta       byte = 18 // client -> server: install a metadata snapshot
-	MsgPutExtent     byte = 19 // client -> server: write one extent (key + bytes) to local storage
+	MsgPutExtents    byte = 19 // client -> server: write a frame of extents to local storage
 	MsgFetchExtents  byte = 20 // client -> server: read extents by key (rebalance transfer source)
 	MsgExtentsResult byte = 21 // server -> client: requested extents' bytes
 	MsgOK            byte = 22 // server -> client: bare acknowledgement
@@ -89,8 +89,8 @@ func MsgName(t byte) string {
 		return "events_result"
 	case MsgPutMeta:
 		return "put_meta"
-	case MsgPutExtent:
-		return "put_extent"
+	case MsgPutExtents:
+		return "put_extents"
 	case MsgFetchExtents:
 		return "fetch_extents"
 	case MsgExtentsResult:
@@ -683,28 +683,6 @@ func DecodeHistResult(b []byte) (*histogram.Histogram, error) {
 	return histogram.Decode(b[1:])
 }
 
-// EncodePutExtent builds a MsgPutExtent payload: key-len u16 | key |
-// extent bytes (rest).
-func EncodePutExtent(key string, data []byte) []byte {
-	out := make([]byte, 0, 2+len(key)+len(data))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(key)))
-	out = append(out, key...)
-	return append(out, data...)
-}
-
-// DecodePutExtent parses a MsgPutExtent payload. The returned data
-// aliases the payload buffer.
-func DecodePutExtent(b []byte) (key string, data []byte, err error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("protocol: truncated put-extent")
-	}
-	kl := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+kl {
-		return "", nil, fmt.Errorf("protocol: truncated put-extent key")
-	}
-	return string(b[2 : 2+kl]), b[2+kl:], nil
-}
-
 // EncodeFetchExtents builds a MsgFetchExtents payload: count u32, then
 // per key u16 len + bytes.
 func EncodeFetchExtents(keys []string) []byte {
@@ -728,6 +706,11 @@ func DecodeFetchExtents(b []byte) ([]string, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
+	// Every key takes at least its length prefix: a count the payload
+	// cannot hold is refused before anything is sized by it.
+	if n > len(b)/2 {
+		return nil, fmt.Errorf("protocol: fetch-extents count %d exceeds its %d-byte payload", n, len(b))
+	}
 	keys := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < 2 {
@@ -747,25 +730,44 @@ func DecodeFetchExtents(b []byte) ([]string, error) {
 	return keys, nil
 }
 
-// Extent is one key+bytes pair of a MsgExtentsResult. A missing key is
-// reported with Present=false rather than dropped, so the fetcher can
-// distinguish "source lost it" from a truncated reply.
+// Extent is one key+bytes pair of a MsgPutExtents or MsgExtentsResult
+// frame. A missing key is reported with Present=false rather than
+// dropped, so the fetcher can distinguish "source lost it" from a
+// truncated reply.
 type Extent struct {
 	Key     string
 	Present bool
 	Data    []byte
 }
 
-// EncodeExtentsResult builds a MsgExtentsResult payload: count u32,
-// then per extent u16 key-len | key | present byte | u64 data-len |
-// data.
+// extentHeaderLen is the fixed part of an encoded extent: key length,
+// present flag and data length.
+const extentHeaderLen = 2 + 1 + 8
+
+// extentPad is the zero padding that follows an extent header ending at
+// payload offset off, so that the extent's bytes start 8-aligned.
+func extentPad(off int) int { return -off & 7 }
+
+// ExtentSizeBound bounds the bytes e adds to an extents payload: its
+// header, key, padding and data.
+func ExtentSizeBound(e Extent) int { return extentHeaderLen + len(e.Key) + 7 + len(e.Data) }
+
+// EncodeExtentsResult builds the payload both extent-carrying messages
+// share (MsgPutExtents and MsgExtentsResult): count u32, then per
+// extent u16 key-len | key | present byte | u64 data-len | zero padding
+// to the next multiple of 8 | data. The padding starts every extent's
+// bytes at an 8-aligned payload offset: frames arrive in buffers of
+// their own, so an extent stored as a view of its frame can be read
+// through a typed view (float64, uint64) in place.
 func EncodeExtentsResult(exts []Extent) []byte {
 	n := 4
 	for _, e := range exts {
-		n += 2 + len(e.Key) + 1 + 8 + len(e.Data)
+		n += extentHeaderLen + len(e.Key)
+		n += extentPad(n) + len(e.Data)
 	}
 	out := make([]byte, 0, n)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(exts)))
+	var zeros [7]byte
 	for _, e := range exts {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(e.Key)))
 		out = append(out, e.Key...)
@@ -775,40 +777,65 @@ func EncodeExtentsResult(exts []Extent) []byte {
 			out = append(out, 0)
 		}
 		out = binary.LittleEndian.AppendUint64(out, uint64(len(e.Data)))
+		out = append(out, zeros[:extentPad(len(out))]...)
 		out = append(out, e.Data...)
 	}
 	return out
 }
 
-// DecodeExtentsResult parses a MsgExtentsResult payload. Extent data
-// aliases the payload buffer.
+// DecodeExtentsResult parses a MsgPutExtents or MsgExtentsResult
+// payload. Extent data aliases the payload buffer (capped at its own
+// end, so nothing appends into the next extent).
 func DecodeExtentsResult(b []byte) ([]Extent, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("protocol: truncated extents result")
 	}
 	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
+	// Every extent takes at least its fixed header: a count the payload
+	// cannot hold is refused before anything is sized by it.
+	if n > (len(b)-4)/extentHeaderLen {
+		return nil, fmt.Errorf("protocol: extents count %d exceeds its %d-byte payload", n, len(b))
+	}
 	exts := make([]Extent, 0, n)
+	off := 4
 	for i := 0; i < n; i++ {
-		if len(b) < 2 {
+		if len(b)-off < 2 {
 			return nil, fmt.Errorf("protocol: truncated extent key length")
 		}
-		kl := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl+9 {
+		kl := int(binary.LittleEndian.Uint16(b[off:]))
+		off += 2
+		if len(b)-off < kl+9 {
 			return nil, fmt.Errorf("protocol: truncated extent header")
 		}
-		e := Extent{Key: string(b[:kl]), Present: b[kl] == 1}
-		dl := binary.LittleEndian.Uint64(b[kl+1:])
-		b = b[kl+9:]
-		if uint64(len(b)) < dl {
+		e := Extent{Key: string(b[off : off+kl])}
+		switch b[off+kl] {
+		case 0:
+		case 1:
+			e.Present = true
+		default:
+			return nil, fmt.Errorf("protocol: extent %q has present flag %d", e.Key, b[off+kl])
+		}
+		dl := binary.LittleEndian.Uint64(b[off+kl+1:])
+		off += kl + 9
+		pad := extentPad(off)
+		if len(b)-off < pad {
+			return nil, fmt.Errorf("protocol: truncated extent padding")
+		}
+		for _, z := range b[off : off+pad] {
+			if z != 0 {
+				return nil, fmt.Errorf("protocol: extent %q has nonzero padding", e.Key)
+			}
+		}
+		off += pad
+		if uint64(len(b)-off) < dl {
 			return nil, fmt.Errorf("protocol: truncated extent data")
 		}
-		e.Data = b[:dl]
-		b = b[dl:]
+		end := off + int(dl)
+		e.Data = b[off:end:end]
+		off = end
 		exts = append(exts, e)
 	}
-	if len(b) != 0 {
+	if off != len(b) {
 		return nil, fmt.Errorf("protocol: trailing bytes in extents result")
 	}
 	return exts, nil

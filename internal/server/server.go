@@ -94,7 +94,7 @@ type Config struct {
 	// turns into a view refresh + retry.
 	Assign func(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error)
 	// Ingest accepts the cluster ingest/transfer messages (MsgPutMeta,
-	// MsgPutExtent, MsgFetchExtents). Plain deployments leave it off and
+	// MsgPutExtents, MsgFetchExtents). Plain deployments leave it off and
 	// reject them: their store is shared, not per-server.
 	Ingest bool
 	// ExtraMetrics, when set, is merged into every Metrics snapshot
@@ -600,7 +600,7 @@ var handlers = map[byte]func(*Server, *request) transport.Message{
 	MsgEvents:       (*Server).handleEvents,
 	MsgMetaSnapshot: (*Server).handleMetaSnapshot,
 	MsgPutMeta:      (*Server).handlePutMeta,
-	MsgPutExtent:    (*Server).handlePutExtent,
+	MsgPutExtents:   (*Server).handlePutExtents,
 	MsgFetchExtents: (*Server).handleFetchExtents,
 }
 

@@ -450,13 +450,21 @@ func (b *Bitmap) Test(i uint64) bool {
 
 // Encode serializes the bitmap.
 func (b *Bitmap) Encode() []byte {
-	out := make([]byte, 12+4*len(b.words))
-	binary.LittleEndian.PutUint64(out[0:8], b.nbits)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(len(b.words)))
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint32(out[12+4*i:], w)
+	return b.AppendEncode(make([]byte, 0, b.EncodedSize()))
+}
+
+// EncodedSize is the length of the bitmap's encoding.
+func (b *Bitmap) EncodedSize() int { return 12 + 4*len(b.words) }
+
+// AppendEncode appends the bitmap's encoding to dst: a caller that sized
+// dst with EncodedSize writes several bitmaps into one buffer.
+func (b *Bitmap) AppendEncode(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, b.nbits)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.words)))
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint32(dst, w)
 	}
-	return out
+	return dst
 }
 
 // Decode deserializes a bitmap produced by Encode.
