@@ -11,9 +11,9 @@ build:
 
 # Static analysis in one gate: go vet plus the project invariant
 # checkers of internal/lint (`pdc-lint -list` prints the catalog; README
-# has the table): determinism, protocol exhaustiveness, no panics on
-# request paths, cancellation propagation, alias escapes from exported
-# methods (aliasguard), the CFG/dataflow tier — barrier determinism in
+# has the table): determinism, no panics on request paths, cancellation
+# propagation, alias escapes from exported methods (aliasguard), the
+# CFG/dataflow tier — barrier determinism in
 # pooled workers (barrierdet), request-path error propagation (errflow),
 # charged request-path I/O and path-sensitive nilness at charge sites
 # (nilcharge), and lock order, hold time and guarding from one held-lock

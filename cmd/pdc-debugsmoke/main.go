@@ -13,11 +13,11 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -41,18 +41,21 @@ func main() {
 	// sanctioned clock); the smoke harness measures a live daemon, so
 	// real waiting is its job.
 	deadline := telemetry.Wall.Now() + timeout.Nanoseconds()
-	addr := fmt.Sprintf("127.0.0.1:%d", freePort())
-	metricsAddr := fmt.Sprintf("127.0.0.1:%d", freePort())
 
+	// The daemon binds free ports itself and reports them in its
+	// readiness handshake, so no port is probed ahead of it.
 	cmd := exec.Command(*serverBin,
-		"-addr", addr, "-id", "0", "-n", "1",
+		"-addr", "127.0.0.1:0", "-id", "0", "-n", "1",
 		"-logn", fmt.Sprint(*logn),
-		"-metrics-addr", metricsAddr,
+		"-metrics-addr", "127.0.0.1:0",
 		// A 1ns threshold makes every query a "slow query": the smoke run
 		// exercises the slow-query log path on the daemon's stderr too.
 		"-slow-query", "1ns")
 	cmd.Stderr = os.Stderr
-	cmd.Stdout = os.Stdout
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		log.Fatalf("debug-smoke: stdout pipe: %v", err)
+	}
 	if err := cmd.Start(); err != nil {
 		log.Fatalf("debug-smoke: start %s: %v", *serverBin, err)
 	}
@@ -60,8 +63,18 @@ func main() {
 		cmd.Process.Signal(syscall.SIGTERM)
 		cmd.Wait()
 	}()
+	// A daemon that never finishes its import is killed at the deadline,
+	// which ends the handshake read below.
+	go func() {
+		telemetry.WallSleep.Sleep(*timeout)
+		_ = cmd.Process.Kill()
+	}()
+	addr, metricsAddr := handshake(stdout)
 
-	conn := dialRetry(addr, deadline)
+	conn, err := transport.Dial(addr)
+	if err != nil {
+		log.Fatalf("debug-smoke: dial %s: %v", addr, err)
+	}
 	cli := client.New([]transport.Conn{conn}, nil)
 	defer cli.Close()
 	if err := cli.SyncMeta(); err != nil {
@@ -112,31 +125,30 @@ func main() {
 	fmt.Println("debug-smoke: PASS")
 }
 
-// freePort asks the kernel for an unused TCP port. The tiny window
-// between closing the probe listener and the daemon binding it is
-// acceptable for a smoke harness.
-func freePort() int {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("debug-smoke: probe port: %v", err)
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port
-}
-
-// dialRetry dials the query port until the daemon finishes importing
-// its dataset and starts listening.
-func dialRetry(addr string, deadline int64) transport.Conn {
-	for {
-		conn, err := transport.Dial(addr)
-		if err == nil {
-			return conn
+// handshake reads the daemon's stdout up to its PDC_LISTENING and
+// PDC_METRICS lines and returns the two addresses; every other line is
+// copied to this process's stdout, now and after the handshake.
+func handshake(r io.Reader) (addr, metricsAddr string) {
+	sc := bufio.NewScanner(r)
+	for (addr == "" || metricsAddr == "") && sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "PDC_LISTENING "); ok {
+			addr = rest
+		} else if rest, ok := strings.CutPrefix(line, "PDC_METRICS "); ok {
+			metricsAddr = rest
+		} else {
+			fmt.Println(line)
 		}
-		if telemetry.Wall.Now() > deadline {
-			log.Fatalf("debug-smoke: server never came up on %s: %v", addr, err)
-		}
-		telemetry.WallSleep.Sleep(100 * time.Millisecond)
 	}
+	if addr == "" || metricsAddr == "" {
+		log.Fatalf("debug-smoke: the daemon exited before its PDC_LISTENING and PDC_METRICS lines")
+	}
+	go func() {
+		for sc.Scan() {
+			fmt.Println(sc.Text())
+		}
+	}()
+	return addr, metricsAddr
 }
 
 // httpGet fetches a URL, retrying until the debug listener is up, and

@@ -10,10 +10,8 @@
 //
 // Members start empty: a client imports a dataset through the catalog
 // (see cluster.Session.Import and cmd/pdc-clustersmoke), which writes
-// every region's extents to all R placement owners. Both modes print
-// a `PDC_LISTENING <addr>` handshake line on stdout once they accept
-// connections — the process harness (core.ProcessDeployment) and shell
-// scripts wait for it instead of polling ports.
+// every region's extents to all R placement owners. Like the standalone
+// daemon, both modes print the readiness handshake (announce).
 package main
 
 import (
@@ -72,10 +70,7 @@ func runCatalog(addr string, seed uint64, r int, hbTimeout time.Duration, metric
 		cat.Close()
 	}()
 
-	fmt.Printf("PDC_LISTENING %s\n", l.Addr())
-	if mAddr != "" {
-		fmt.Printf("PDC_METRICS %s\n", mAddr)
-	}
+	announce(l.Addr(), mAddr)
 	log.Printf("pdc-server catalog serving on %s (R=%d, heartbeat timeout %v)", l.Addr(), r, hbTimeout)
 	for {
 		conn, err := l.Accept()
@@ -115,10 +110,7 @@ func runMember(catalogAddr, addr string, workers, queueDepth int, heartbeat time
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 
-	fmt.Printf("PDC_LISTENING %s\n", m.Addr())
-	if mAddr != "" {
-		fmt.Printf("PDC_METRICS %s\n", mAddr)
-	}
+	announce(m.Addr(), mAddr)
 	log.Printf("pdc-server member %d serving on %s (catalog %s)", m.ID(), m.Addr(), catalogAddr)
 	select {
 	case <-m.Done():

@@ -9,6 +9,12 @@
 //	pdc-server -addr 127.0.0.1:7100 -id 0 -n 2 &
 //	pdc-server -addr 127.0.0.1:7101 -id 1 -n 2 &
 //	pdc-query run -servers 127.0.0.1:7100,127.0.0.1:7101 "select count where Energy > 2.0"
+//
+// Every mode (standalone, -catalog, -join) prints a `PDC_LISTENING
+// <addr>` line on stdout once it accepts connections, followed by
+// `PDC_METRICS <addr>` when -metrics-addr is set: the process harness
+// (core.ProcessDeployment), cmd/pdc-debugsmoke and shell scripts wait for
+// it instead of polling ports, so `-addr 127.0.0.1:0` works everywhere.
 package main
 
 import (
@@ -49,7 +55,6 @@ func main() {
 	workers := flag.Int("workers", 4, "region-task workers shared by all sessions (0 or 1 = serial evaluation)")
 	queueDepth := flag.Int("queue-depth", server.DefaultQueueDepth, "admitted requests per session before the server answers busy")
 	checkpoint := flag.String("checkpoint", "", "write a deployment checkpoint here after startup (the persistence a crashed rank is restarted from via -load)")
-	crashAfter := flag.Uint64("crash-after", 0, "fault injection: exit(3) abruptly after serving this many queries (0 disables)")
 	catalogMode := flag.Bool("catalog", false, "run the cluster catalog service instead of a data server")
 	join := flag.String("join", "", "join the cluster at this catalog address as a data member (starts empty; import through the catalog)")
 	clusterR := flag.Int("cluster-r", 2, "catalog mode: replication factor for placements")
@@ -134,27 +139,15 @@ func main() {
 		}
 		cfg.Log = slog.New(slog.NewJSONHandler(os.Stderr, opts))
 	}
-	if *crashAfter > 0 {
-		rank := *id
-		limit := *crashAfter
-		cfg.OnQuery = func(served uint64) {
-			if served >= limit {
-				// A crash, not a shutdown: no teardown, no reply flush —
-				// clients see the connection drop mid-conversation and must
-				// recover via redial against the restarted rank.
-				log.Printf("pdc-server rank %d: injected crash after %d queries", rank, served)
-				os.Exit(3)
-			}
-		}
-	}
 	srv := server.New(cfg)
 
 	l, err := transport.Listen(*addr)
 	if err != nil {
 		log.Fatalf("pdc-server: listen: %v", err)
 	}
+	mAddr := ""
 	if *metricsAddr != "" {
-		serveMetrics(*metricsAddr, fmt.Sprintf("rank %d", *id), srv.Metrics, srv.Recorder)
+		mAddr = serveMetrics(*metricsAddr, fmt.Sprintf("rank %d", *id), srv.Metrics, srv.Recorder)
 	}
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, let in-flight
 	// connections finish their current request loop.
@@ -166,6 +159,7 @@ func main() {
 		l.Close()
 	}()
 
+	announce(l.Addr(), mAddr)
 	log.Printf("pdc-server rank %d/%d serving on %s", *id, *n, l.Addr())
 	var wg sync.WaitGroup
 	for {
@@ -185,4 +179,13 @@ func main() {
 	wg.Wait()
 	srv.Shutdown()
 	log.Printf("pdc-server rank %d: bye", *id)
+}
+
+// announce prints the readiness handshake: the serving address, then the
+// metrics address when one is listening.
+func announce(addr, metricsAddr string) {
+	fmt.Printf("PDC_LISTENING %s\n", addr)
+	if metricsAddr != "" {
+		fmt.Printf("PDC_METRICS %s\n", metricsAddr)
+	}
 }

@@ -77,10 +77,10 @@ type Client struct {
 	// exceeds what the slowest server alone accounts for, the backend is
 	// the bottleneck. Zero disables the floor.
 	sharedBW float64
-	// wireLatency and wireBW parameterize the modeled interconnect
-	// (zero values fall back to the transport defaults).
+	// wireLatency is the modeled interconnect latency (zero falls back
+	// to transport.DefaultLatency); the bandwidth is always
+	// transport.DefaultBW.
 	wireLatency time.Duration
-	wireBW      float64
 
 	// sleeper paces busy-retry backoff in real time. The default NoSleep
 	// returns immediately (the wait still counts in virtual time), so
@@ -127,7 +127,7 @@ type Client struct {
 	useEpoch bool
 	// router, when set, overrides the static region→server mapping for
 	// get-data requests (cluster mode routes each region to its
-	// placement primary instead of region mod N).
+	// placement primary instead of server.ModNOwner).
 	router func(o *object.Object, region int) int
 	budget time.Duration // virtual-time deadline stamped on requests; 0 = none
 	wg     sync.WaitGroup
@@ -212,11 +212,9 @@ func (c *Client) reader(srv int, conn transport.Conn) {
 // saturation floor (deployments pass their cost model's PFS SharedBW).
 func (c *Client) SetSharedBW(bw float64) { c.sharedBW = bw }
 
-// SetWireModel overrides the modeled interconnect parameters (scaled
-// deployments shrink the wire latency together with storage latencies).
-func (c *Client) SetWireModel(latency time.Duration, bw float64) {
-	c.wireLatency, c.wireBW = latency, bw
-}
+// SetWireModel overrides the modeled interconnect latency (scaled
+// deployments shrink it together with storage latencies).
+func (c *Client) SetWireModel(latency time.Duration) { c.wireLatency = latency }
 
 // SetSleeper installs the real-time pacing used between busy retries.
 // The default never sleeps (waits are modeled in virtual time only);
@@ -345,14 +343,11 @@ func (c *Client) SetQueryBudget(d time.Duration) {
 
 // wire returns the modeled cost of moving n payload bytes.
 func (c *Client) wire(n int) time.Duration {
-	lat, bw := c.wireLatency, c.wireBW
+	lat := c.wireLatency
 	if lat == 0 {
 		lat = transport.DefaultLatency
 	}
-	if bw == 0 {
-		bw = transport.DefaultBW
-	}
-	return transport.WireCostWith(lat, bw, n)
+	return transport.WireCostWith(lat, transport.DefaultBW, n)
 }
 
 // NumServers returns the deployment size.
@@ -700,14 +695,16 @@ func (r *Result) GetDataBatch(obj object.ID, batchSize uint64, fn func(batch *se
 		return nil, err
 	}
 	for _, batch := range batches {
-		// Group the batch coords by owning server (region r -> server
-		// r mod N, the same mapping the servers derive).
+		// Group the batch coords by owning server: the router's placement
+		// on a cluster, the servers' own ModNOwner rule otherwise.
 		groups := make([][]uint64, n)
 		for _, coord := range batch.Coords {
 			region := o.RegionOfLinear(coord)
-			srv := region % n
+			var srv int
 			if r.client.router != nil {
 				srv = r.client.router(o, region)
+			} else {
+				srv = server.ModNOwner(uint64(o.ID), region, n)
 			}
 			groups[srv] = append(groups[srv], coord)
 		}

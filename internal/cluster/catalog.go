@@ -63,9 +63,8 @@ type CatalogConfig struct {
 	HeartbeatTimeoutNs int64
 	// Log receives membership transitions (nil = silent).
 	Log *slog.Logger
-	// Registry and Recorder receive cluster.* counters and membership
-	// events; nil values allocate private instances.
-	Registry *telemetry.Registry
+	// Recorder receives membership events; nil allocates a private one.
+	// The cluster.* counters go to the catalog's own registry (Metrics).
 	Recorder *telemetry.Recorder
 }
 
@@ -104,17 +103,13 @@ func NewCatalog(cfg CatalogConfig) *Catalog {
 	if cfg.Clock == nil {
 		cfg.Clock = telemetry.NoClock
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	rec := cfg.Recorder
 	if rec == nil {
 		rec = telemetry.NewRecorder(256, cfg.Clock)
 	}
 	return &Catalog{
 		cfg:     cfg,
-		reg:     reg,
+		reg:     telemetry.NewRegistry(),
 		rec:     rec,
 		members: make(map[MemberID]*catMember),
 		view:    View{Epoch: 1, Seed: cfg.Seed, R: cfg.R},

@@ -18,9 +18,8 @@ type LocalOptions struct {
 	R int
 	// Seed parameterizes placement.
 	Seed uint64
-	// Workers, CacheBytes configure each member's server.
-	Workers    int
-	CacheBytes int64
+	// Workers configures each member's server.
+	Workers int
 	// Model overrides the storage cost model for members.
 	Model *simio.Model
 }
@@ -110,7 +109,6 @@ func (l *Local) AddMember() (*Member, error) {
 		Net:         l.net,
 		CatalogAddr: l.catAddr,
 		Workers:     l.opts.Workers,
-		CacheBytes:  l.opts.CacheBytes,
 		Model:       l.opts.Model,
 	})
 	if err != nil {

@@ -30,9 +30,8 @@ type MemberOptions struct {
 	// ListenAddr is the member's serving endpoint ("" auto-assigns:
 	// a free port under TCP, a generated name under LocalNetwork).
 	ListenAddr string
-	// CacheBytes, Workers, QueueDepth configure the embedded query
-	// server exactly as server.Config does.
-	CacheBytes int64
+	// Workers, QueueDepth configure the embedded query server exactly
+	// as server.Config does.
 	Workers    int
 	QueueDepth int
 	// Model overrides the storage cost model (nil = simio.DefaultModel).
@@ -133,9 +132,6 @@ func StartMember(opts MemberOptions) (*Member, error) {
 	if opts.Net == nil {
 		return nil, fmt.Errorf("cluster: MemberOptions.Net is required")
 	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 1 << 30
-	}
 	if opts.Sleeper == nil {
 		opts.Sleeper = telemetry.NoSleep
 	}
@@ -143,7 +139,6 @@ func StartMember(opts MemberOptions) (*Member, error) {
 	if opts.Model != nil {
 		model = *opts.Model
 	}
-	model.Streams = 1
 
 	m := &Member{
 		opts:  opts,
@@ -210,7 +205,6 @@ func StartMember(opts MemberOptions) (*Member, error) {
 		N:              1,
 		Store:          m.store,
 		Meta:           m.meta,
-		CacheBytes:     opts.CacheBytes,
 		Workers:        opts.Workers,
 		QueueDepth:     opts.QueueDepth,
 		Clock:          opts.Clock,

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"pdcquery/internal/bitindex"
 	"pdcquery/internal/client"
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/histogram"
@@ -42,17 +41,9 @@ type Options struct {
 	// RegionBytes is the region partition size (the paper sweeps 4 MB to
 	// 128 MB). Zero defaults to 4 MB.
 	RegionBytes int64
-	// HistBins is the per-region histogram resolution (50–100 in the
-	// paper). Zero defaults to histogram.DefaultBins.
-	HistBins int
 	// BuildIndex builds a per-region bitmap index for every imported
 	// object (the PDC-HI prerequisite).
 	BuildIndex bool
-	// IndexPrecision is the FastBit-style decimal precision (default 2).
-	IndexPrecision int
-	// CacheBytes bounds each server's region cache (default 1 GiB; the
-	// paper used 64 GB per server).
-	CacheBytes int64
 	// Model overrides the storage cost model (DefaultModel if zero).
 	Model *simio.Model
 	// TCP runs servers behind real TCP loopback connections instead of
@@ -72,10 +63,6 @@ type Options struct {
 	// server.DefaultQueueDepth). Requests beyond it get busy replies that
 	// the client retries with backoff.
 	QueueDepth int
-	// WrapConn, when set, wraps each client-side connection at Start and
-	// on every redial — the seam fault injection uses to interpose on the
-	// transport (see internal/fault).
-	WrapConn func(srv int, c transport.Conn) transport.Conn
 	// Redial enables the client's reconnection path: a connection lost
 	// mid-call is re-established against the same server rank (a fresh
 	// serve session) and the in-flight request is resent. Off by default
@@ -89,6 +76,7 @@ type Options struct {
 // Deployment is a running PDC-Query system.
 type Deployment struct {
 	opts     Options
+	wrapConn func(srv int, c transport.Conn) transport.Conn
 	store    *simio.Store
 	meta     *metadata.Service
 	replicas map[object.ID]*sortstore.Replica
@@ -115,23 +103,10 @@ func NewDeployment(opts Options) *Deployment {
 	if opts.RegionBytes <= 0 {
 		opts.RegionBytes = 4 << 20
 	}
-	if opts.HistBins <= 0 {
-		opts.HistBins = histogram.DefaultBins
-	}
-	if opts.IndexPrecision <= 0 {
-		opts.IndexPrecision = bitindex.DefaultPrecision
-	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 1 << 30
-	}
 	model := simio.DefaultModel()
 	if opts.Model != nil {
 		model = *opts.Model
 	}
-	// Per-read costs are uncontended; the client applies the aggregate
-	// shared-backend floor per query instead (a static division by the
-	// server count would penalize idle servers on selective queries).
-	model.Streams = 1
 	return &Deployment{
 		opts:       opts,
 		store:      simio.New(model),
@@ -144,11 +119,12 @@ func NewDeployment(opts Options) *Deployment {
 // Store exposes the storage substrate (for experiments and tools).
 func (d *Deployment) Store() *simio.Store { return d.store }
 
-// SetWrapConn installs Options.WrapConn after construction. Must be
-// called before Start; the fault harness uses it to arm the transport
-// seam only after its oracle pass.
+// SetWrapConn installs f to wrap each client-side connection at Start
+// and on every redial — the seam fault injection uses to interpose on
+// the transport (see internal/fault). Must be called before Start; the
+// fault harness arms it only after its oracle pass.
 func (d *Deployment) SetWrapConn(f func(srv int, c transport.Conn) transport.Conn) {
-	d.opts.WrapConn = f
+	d.wrapConn = f
 }
 
 // Meta exposes the metadata service.
@@ -323,7 +299,6 @@ func (d *Deployment) newServer(i int) *server.Server {
 		Meta:       d.meta,
 		Replicas:   d.replicas,
 		Assign:     server.ModNAssign(i, d.opts.Servers),
-		CacheBytes: d.opts.CacheBytes,
 		Workers:    d.opts.Workers,
 		QueueDepth: d.opts.QueueDepth,
 	})
@@ -348,7 +323,7 @@ func (d *Deployment) serveConn(i int, conn transport.Conn) {
 }
 
 // dialServer establishes one client-side connection to server rank i
-// (and starts the matching serve session), applying Options.WrapConn.
+// (and starts the matching serve session), applying SetWrapConn's wrapper.
 func (d *Deployment) dialServer(i int) (transport.Conn, error) {
 	var clientSide transport.Conn
 	if d.opts.TCP {
@@ -365,8 +340,8 @@ func (d *Deployment) dialServer(i int) (transport.Conn, error) {
 		clientSide, serverSide = transport.Pipe()
 		d.serveConn(i, serverSide)
 	}
-	if d.opts.WrapConn != nil {
-		clientSide = d.opts.WrapConn(i, clientSide)
+	if d.wrapConn != nil {
+		clientSide = d.wrapConn(i, clientSide)
 	}
 	return clientSide, nil
 }
@@ -417,7 +392,7 @@ func (d *Deployment) Start() error {
 	d.cli = client.New(conns, d.meta)
 	d.cli.SetSharedBW(d.store.Model().Tiers[simio.PFS].SharedBW)
 	if d.opts.WireScale > 0 {
-		d.cli.SetWireModel(time.Duration(float64(transport.DefaultLatency)*d.opts.WireScale), transport.DefaultBW)
+		d.cli.SetWireModel(time.Duration(float64(transport.DefaultLatency) * d.opts.WireScale))
 	}
 	if d.opts.Redial {
 		d.cli.SetRedial(d.dialServer)

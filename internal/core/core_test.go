@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"pdcquery/internal/dtype"
@@ -11,6 +13,8 @@ import (
 	"pdcquery/internal/query"
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
+	"pdcquery/internal/server"
+	"pdcquery/internal/transport"
 	"pdcquery/internal/workload"
 )
 
@@ -202,6 +206,90 @@ func TestGetDataBatch(t *testing.T) {
 	}
 	if _, err := cnt.GetDataBatch(ids["Energy"], 100, func(*selection.Selection, []byte) error { return nil }); err == nil {
 		t.Error("batching a count-only result succeeded")
+	}
+}
+
+// getDataTap records the coordinates of every MsgGetData the client
+// sends its server.
+type getDataTap struct {
+	transport.Conn
+	srv    int
+	mu     *sync.Mutex
+	coords map[int][]uint64
+}
+
+func (c *getDataTap) Send(m transport.Message) error {
+	if m.Type == server.MsgGetData {
+		if dr, err := server.DecodeDataRequest(m.Payload); err == nil {
+			c.mu.Lock()
+			c.coords[c.srv] = append(c.coords[c.srv], dr.Coords...)
+			c.mu.Unlock()
+		}
+	}
+	return c.Conn.Send(m)
+}
+
+// GetDataBatch asks each server only for coordinates in regions that
+// ModNAssign gives it, for objects whose IDs offset the owner rule
+// differently, and gets every value right.
+func TestGetDataBatchRoutesToAssignedServer(t *testing.T) {
+	const n, servers = 4096, 2
+	var mu sync.Mutex
+	coords := map[int][]uint64{}
+	d := NewDeployment(Options{Servers: servers, RegionBytes: 4 << 10})
+	d.SetWrapConn(func(srv int, c transport.Conn) transport.Conn {
+		return &getDataTap{Conn: c, srv: srv, mu: &mu, coords: coords}
+	})
+	c := d.CreateContainer("vpic")
+	v := workload.GenerateVPIC(n, 42)
+	var objs []*object.Object
+	for _, name := range workload.VPICNames[:2] {
+		o, err := d.ImportObject(c.ID, object.Property{Name: name, Type: dtype.Float32, Dims: []uint64{n}}, dtype.Bytes(v.Vars[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	// Every particle: hits in every region.
+	res, err := d.Client().Run(&query.Query{Root: query.Leaf(objs[0].ID, query.OpGT, -1e30)}, plan.ForceScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if len(o.Regions) < 2*servers {
+			t.Fatalf("%s has %d regions, want at least %d", o.Name, len(o.Regions), 2*servers)
+		}
+		clear(coords)
+		var got []float32
+		if _, err := res.GetDataBatch(o.ID, 1000, func(_ *selection.Selection, data []byte) error {
+			got = append(got, dtype.View[float32](data)...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range res.Sel.Coords {
+			if got[i] != v.Vars[o.Name][c] {
+				t.Fatalf("%s: value %d = %v, want %v", o.Name, i, got[i], v.Vars[o.Name][c])
+			}
+		}
+		for srv := range servers {
+			a, err := server.ModNAssign(srv, servers)(0, o, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(coords[srv]) == 0 {
+				t.Errorf("%s (ID %d): server %d was asked for no coordinates", o.Name, o.ID, srv)
+			}
+			for _, c := range coords[srv] {
+				if r := o.RegionOfLinear(c); !slices.Contains(a.Orig, r) {
+					t.Fatalf("%s (ID %d): server %d was asked for coordinate %d of region %d; it is assigned %v", o.Name, o.ID, srv, c, r, a.Orig)
+				}
+			}
+		}
 	}
 }
 

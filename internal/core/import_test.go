@@ -47,11 +47,11 @@ func referenceImport(t *testing.T, model simio.Model, opts Options, prop object.
 		st.Write(acct, rm.ExtentKey, simio.PFS, raw)
 		rm.Min, rm.Max = dtype.MinMax(o.Type, raw)
 		if !opts.DisableHistograms {
-			rm.Hist = histogram.BuildBytes(o.Type, raw, opts.HistBins)
+			rm.Hist = histogram.BuildBytes(o.Type, raw, histogram.DefaultBins)
 			hists = append(hists, rm.Hist)
 		}
 		if opts.BuildIndex {
-			x := bitindex.Build(o.Type, raw, rm.Min, rm.Max, opts.IndexPrecision)
+			x := bitindex.Build(o.Type, raw, rm.Min, rm.Max, bitindex.DefaultPrecision)
 			rm.IndexKey = object.IndexExtentKey(o.ID, i)
 			st.Write(acct, rm.IndexKey, simio.PFS, x.Encode())
 			rm.IndexBins, rm.IndexDir = len(x.Bins), x.Directory()

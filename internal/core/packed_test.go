@@ -56,10 +56,10 @@ func newTapped(t *testing.T) *tapped {
 	t.Helper()
 	const n = 12000
 	tp := &tapped{last: map[int][]byte{}}
-	d := NewDeployment(Options{Servers: 2, RegionBytes: 8 << 10, BuildIndex: true,
-		WrapConn: func(srv int, c transport.Conn) transport.Conn {
-			return &tapConn{Conn: c, srv: srv, mu: &tp.mu, last: tp.last}
-		}})
+	d := NewDeployment(Options{Servers: 2, RegionBytes: 8 << 10, BuildIndex: true})
+	d.SetWrapConn(func(srv int, c transport.Conn) transport.Conn {
+		return &tapConn{Conn: c, srv: srv, mu: &tp.mu, last: tp.last}
+	})
 	c := d.CreateContainer("vpic")
 	v := workload.GenerateVPIC(n, 42)
 	for _, name := range workload.VPICNames {

@@ -40,19 +40,23 @@ type ProcessOptions struct {
 	R int
 	// Seed parameterizes placement.
 	Seed uint64
-	// Heartbeat is the member beat interval (default 100ms); the catalog
-	// declares silence longer than HeartbeatTimeout (default 1s) a death.
-	Heartbeat        time.Duration
-	HeartbeatTimeout time.Duration
-	// StartTimeout bounds each child's listen handshake (default 30s): a
-	// child that neither prints PDC_LISTENING nor exits is killed.
-	StartTimeout time.Duration
 	// Metrics starts each child's HTTP metrics listener on a free port
 	// (read the address back with MetricsAddr).
 	Metrics bool
 	// Stderr receives the children's stderr (nil = discard).
 	Stderr io.Writer
 }
+
+// Process-cluster timing. Members beat every processHeartbeat; the
+// catalog declares silence longer than processHeartbeatTimeout a death.
+// processStartTimeout bounds each child's listen handshake (a child that
+// neither prints PDC_LISTENING nor exits is killed) and the wait for the
+// committed view to include the initial members.
+const (
+	processHeartbeat        = 100 * time.Millisecond
+	processHeartbeatTimeout = time.Second
+	processStartTimeout     = 30 * time.Second
+)
 
 // child is one spawned pdc-server process.
 type child struct {
@@ -74,21 +78,12 @@ func StartProcessDeployment(opts ProcessOptions) (*ProcessDeployment, error) {
 	if opts.R <= 0 {
 		opts.R = 2
 	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 100 * time.Millisecond
-	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = time.Second
-	}
-	if opts.StartTimeout <= 0 {
-		opts.StartTimeout = 30 * time.Second
-	}
 	p := &ProcessDeployment{opts: opts}
 	cat, err := p.spawn(
 		"-catalog", "-addr", "127.0.0.1:0",
 		"-seed", fmt.Sprint(opts.Seed),
 		"-cluster-r", fmt.Sprint(opts.R),
-		"-heartbeat-timeout", opts.HeartbeatTimeout.String(),
+		"-heartbeat-timeout", processHeartbeatTimeout.String(),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("core: start catalog: %w", err)
@@ -101,7 +96,7 @@ func StartProcessDeployment(opts ProcessOptions) (*ProcessDeployment, error) {
 			return nil, err
 		}
 	}
-	if err := p.WaitMembers(opts.Members, opts.StartTimeout); err != nil {
+	if err := p.WaitMembers(opts.Members, processStartTimeout); err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -158,7 +153,7 @@ func (p *ProcessDeployment) spawn(args ...string) (*child, error) {
 	watchdogDone := make(chan struct{})
 	defer close(watchdogDone)
 	go func() {
-		for waited := time.Duration(0); waited < p.opts.StartTimeout; waited += 50 * time.Millisecond {
+		for waited := time.Duration(0); waited < processStartTimeout; waited += 50 * time.Millisecond {
 			select {
 			case <-watchdogDone:
 				return
@@ -181,7 +176,7 @@ func (p *ProcessDeployment) spawn(args ...string) (*child, error) {
 func (p *ProcessDeployment) Spawn() (string, error) {
 	c, err := p.spawn(
 		"-join", p.catalogAddr, "-addr", "127.0.0.1:0",
-		"-heartbeat", p.opts.Heartbeat.String(),
+		"-heartbeat", processHeartbeat.String(),
 	)
 	if err != nil {
 		return "", fmt.Errorf("core: spawn member: %w", err)

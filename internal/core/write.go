@@ -121,10 +121,10 @@ func (d *Deployment) summarize(t dtype.Type, raw []byte) regionSummary {
 	s := regionSummary{extent: bytes.Clone(raw)}
 	s.min, s.max = dtype.MinMax(t, raw)
 	if !d.opts.DisableHistograms {
-		s.hist = histogram.BuildBytes(t, raw, d.opts.HistBins)
+		s.hist = histogram.BuildBytes(t, raw, histogram.DefaultBins)
 	}
 	if d.opts.BuildIndex {
-		x := bitindex.Build(t, raw, s.min, s.max, d.opts.IndexPrecision)
+		x := bitindex.Build(t, raw, s.min, s.max, bitindex.DefaultPrecision)
 		s.index, s.bins, s.dir = x.Encode(), len(x.Bins), x.Directory()
 	}
 	return s

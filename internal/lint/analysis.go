@@ -13,12 +13,11 @@
 //     sync.RWMutex field are guarded by it, and methods touch them only
 //     with the lock held.
 //
-// plus two structural invariants: protocol message kinds must be wired
-// on both the encode and dispatch sides, and server request paths must
-// return errors rather than panic.
+// plus one structural invariant: server request paths must return
+// errors rather than panic.
 //
-// The per-package checkers (nondeterminism, protoexhaustive, nopanic,
-// lintignore) see one package at a time. The rest set Analyzer.Global
+// The per-package checkers (nondeterminism, nopanic, lintignore) see one
+// package at a time. The rest set Analyzer.Global
 // and receive every loaded package at once via Pass.Pkgs: they reason
 // across packages over a whole-repo static call graph (callgraph.go,
 // roots.go), and the dataflow tier (lockset, nilcharge, barrierdet,
@@ -174,7 +173,6 @@ func (p *Pass) ReportAttributed(pos token.Pos, funcKey string, chain []string, f
 func All() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
-		ProtoExhaustiveAnalyzer,
 		NopanicAnalyzer,
 		CtxPropagateAnalyzer,
 		AliasGuardAnalyzer,

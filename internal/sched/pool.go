@@ -111,24 +111,29 @@ type mapJob struct {
 
 var mapJobs = sync.Pool{New: func() any { return new(mapJob) }}
 
-// run claims indices until they run out or the token errs, holding a
-// semaphore slot around each task.
+// run claims indices until they run out or the token errs.
 func (j *mapJob) run() {
 	for j.tok.Err() == nil {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.n {
 			return
 		}
-		j.sem <- struct{}{}
-		err := j.fn(i)
-		<-j.sem
-		if err != nil {
-			j.mu.Lock()
-			if i < j.errAt {
-				j.errAt, j.err = i, err
-			}
-			j.mu.Unlock()
+		j.runOne(i)
+	}
+}
+
+// runOne runs task i holding a semaphore slot and keeps its error if it
+// is the lowest-index one so far.
+func (j *mapJob) runOne(i int) {
+	j.sem <- struct{}{}
+	err := j.fn(i)
+	<-j.sem
+	if err != nil {
+		j.mu.Lock()
+		if i < j.errAt {
+			j.errAt, j.err = i, err
 		}
+		j.mu.Unlock()
 	}
 }
 
@@ -136,9 +141,10 @@ func (j *mapJob) run() {
 // lowest-index error (or the token's error when cancellation preempted
 // remaining tasks). On a nil pool, a single-task fan-out, or a
 // single-worker pool it runs serially in index order on the calling
-// goroutine. Otherwise the calling goroutine claims tasks from an ordered
-// cursor itself, after offering the job to at most min(Workers, n)-1
-// idle helpers; every running task holds a global semaphore slot — but
+// goroutine. Otherwise the calling goroutine claims index 0 before it
+// offers the job to at most min(Workers, n)-1 idle helpers, so it always
+// runs at least one task, then claims more from the same ordered cursor
+// as they do; every running task holds a global semaphore slot — but
 // which goroutine runs which index is deliberately unobservable: fn must
 // confine its effects to per-index state.
 //
@@ -163,7 +169,8 @@ func (p *Pool) Map(tok *Token, n int, fn func(i int) error) error {
 
 	j := mapJobs.Get().(*mapJob)
 	j.sem, j.tok, j.n, j.fn = p.sem, tok, n, fn
-	j.next.Store(0)
+	// Index 0 is the caller's before any helper can see the job.
+	j.next.Store(1)
 	j.mu.Lock()
 	j.errAt, j.err = n, nil
 	j.mu.Unlock()
@@ -177,7 +184,10 @@ offer:
 			break offer
 		}
 	}
-	j.run()
+	if tok.Err() == nil {
+		j.runOne(0)
+		j.run()
+	}
 	j.joined.Wait()
 	// Deterministic error selection: the lowest-index failure wins, so
 	// the reported error does not depend on goroutine interleaving.

@@ -47,9 +47,6 @@ type Config struct {
 	Meta *metadata.Service
 	// Replicas maps objects to their sorted-replica metadata.
 	Replicas map[object.ID]*sortstore.Replica
-	// CacheBytes bounds the in-memory region cache (the paper limits each
-	// server to 64 GB).
-	CacheBytes int64
 	// Log, when set, receives a structured record per handled query
 	// (cmd/pdc-server wires it; simulated deployments leave it nil).
 	Log *slog.Logger
@@ -67,12 +64,6 @@ type Config struct {
 	// replies (with a retry-after hint) until the backlog drains. Zero
 	// means DefaultQueueDepth.
 	QueueDepth int
-	// OnQuery, when set, is called after each handled statement (every
-	// MsgQuery, text or prepared) with the running count this server has
-	// served. It is the seam crash-injection hangs off (cmd/pdc-server's
-	// -crash-after exits the process from it); keep it fast and
-	// non-blocking.
-	OnQuery func(served uint64)
 	// RecorderEvents sizes the flight-recorder ring (0 means
 	// telemetry.DefaultRecorderEvents). The recorder is always on; its
 	// overhead is one locked slot write per event.
@@ -111,6 +102,11 @@ type Config struct {
 // leaves QueueDepth zero.
 const DefaultQueueDepth = 16
 
+// cacheBytes bounds each server's in-memory region cache. The paper
+// limits each server to 64 GB; one fixed budget scaled to this
+// reproduction's datasets stands in for it on every deployment.
+const cacheBytes = 1 << 30
+
 // busyRetryStep is the deterministic retry-after hint unit: a rejected
 // request is told to wait one step per request queued ahead of it.
 const busyRetryStep = 100 * time.Microsecond
@@ -143,16 +139,15 @@ type Server struct {
 	// Serve call and stop in Shutdown. These are immutable after New or
 	// internally synchronized, so they sit above smu: only the session
 	// set below needs the server mutex.
-	pool          *sched.Pool
-	queue         *sched.FairQueue[*queuedReq]
-	queueDepth    int
-	sessKey       atomic.Uint64
-	queriesServed atomic.Int64
-	dispatchOnce  sync.Once
-	dwg           sync.WaitGroup
-	shutdownOnce  sync.Once
-	baseCtx       context.Context
-	baseCancel    context.CancelFunc
+	pool         *sched.Pool
+	queue        *sched.FairQueue[*queuedReq]
+	queueDepth   int
+	sessKey      atomic.Uint64
+	dispatchOnce sync.Once
+	dwg          sync.WaitGroup
+	shutdownOnce sync.Once
+	baseCtx      context.Context
+	baseCancel   context.CancelFunc
 
 	smu      sync.Mutex
 	sessions map[*session]struct{}
@@ -187,9 +182,6 @@ func New(cfg Config) *Server {
 	if cfg.N <= 0 {
 		cfg.N = 1
 	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = 1 << 30
-	}
 	s := &Server{
 		cfg:       cfg,
 		acct:      vclock.NewAccount(),
@@ -221,7 +213,7 @@ func New(cfg Config) *Server {
 		Replica: func(id object.ID) *sortstore.Replica {
 			return cfg.Replicas[id]
 		},
-		Cache: exec.NewCache(cfg.CacheBytes),
+		Cache: exec.NewCache(cacheBytes),
 		Pool:  s.pool,
 		Rec:   s.rec,
 		Clock: s.clock(),
@@ -311,24 +303,34 @@ func (s *Server) Metrics() *telemetry.Registry {
 // Cache exposes the region cache (inspected by experiments).
 func (s *Server) Cache() *exec.Cache { return s.engine.Cache }
 
+// ModNOwner is the static deployment's owner rule: region r of the
+// object (or sorted replica) keyed key belongs to server (r + key) mod n
+// of n — "assigned to the servers in a load-balanced fashion" (§III-C).
+// The key offset spreads single-region objects (e.g. the millions of
+// small BOSS fibers) across servers instead of landing all of them on
+// server 0. The servers' ModNAssign and the client's get-data routing
+// both read it.
+func ModNOwner(key uint64, r, n int) int {
+	return int((key%uint64(n) + uint64(r)) % uint64(n))
+}
+
 // ModNAssign is the static deployment's assignment for server id of n:
-// region r belongs to server r mod n ("assigned to the servers in a
-// load-balanced fashion", §III-C), and likewise for sorted replica
-// regions. The mapping is offset by the object ID so that single-region
-// objects (e.g. the millions of small BOSS fibers) spread across servers
-// instead of all landing on server 0. Static placement has no epochs.
+// the regions, and the sorted replica regions, that ModNOwner gives it.
+// Static placement has no epochs.
 func ModNAssign(id, n int) func(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
-	return func(_ uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
-		var a exec.Assignment
-		start := ((id-int(uint64(anchor.ID)%uint64(n)))%n + n) % n
-		for r := start; r < len(anchor.Regions); r += n {
-			a.Orig = append(a.Orig, r)
-		}
-		if rep != nil {
-			sStart := ((id-int(uint64(rep.Key)%uint64(n)))%n + n) % n
-			for r := sStart; r < len(rep.Regions); r += n {
-				a.Sorted = append(a.Sorted, r)
+	share := func(key uint64, nregions int) []int {
+		var out []int
+		for r := range nregions {
+			if ModNOwner(key, r, n) == id {
+				out = append(out, r)
 			}
+		}
+		return out
+	}
+	return func(_ uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
+		a := exec.Assignment{Orig: share(uint64(anchor.ID), len(anchor.Regions))}
+		if rep != nil {
+			a.Sorted = share(uint64(rep.Key), len(rep.Regions))
 		}
 		return a, nil
 	}

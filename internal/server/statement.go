@@ -145,11 +145,6 @@ func (s *Server) prepare(acct *vclock.Account, st *statement) (*plan.Plan, error
 
 // handleStatement answers one MsgQuery.
 func (s *Server) handleStatement(r *request) transport.Message {
-	if s.cfg.OnQuery != nil {
-		// Counts every statement handed to the server, answered or
-		// refused, before its reply leaves.
-		defer func() { s.cfg.OnQuery(uint64(s.queriesServed.Add(1))) }()
-	}
 	st, err := s.decodeStatement(r)
 	if err != nil {
 		return s.errMsg(err)

@@ -7,7 +7,7 @@
 // live on any layer of the memory/storage hierarchy (§II). This package
 // models three tiers (memory, burst buffer, parallel file system) with
 // per-operation latency, per-stream bandwidth, and a shared backend
-// bandwidth cap that creates contention when many servers stream at once.
+// bandwidth that caps what all servers together can stream at once.
 // Costs are charged to a vclock.Account instead of sleeping, so experiments
 // are deterministic and fast while preserving the two drivers behind every
 // result in the paper: bytes touched and number of non-contiguous
@@ -61,18 +61,16 @@ type TierParams struct {
 	ReadBW  float64
 	WriteBW float64
 	// SharedBW caps the aggregate backend bandwidth across all concurrent
-	// streams (0 means uncapped). With S concurrent streams the effective
-	// per-stream bandwidth is min(ReadBW, SharedBW/S).
+	// streams (0 means uncapped). The store never applies it: per-read
+	// costs are uncontended, and the client charges the aggregate
+	// shared-backend floor per query instead (a static division by the
+	// server count would penalize idle servers on selective queries).
 	SharedBW float64
 }
 
 // Model is the full cost model for a Store.
 type Model struct {
 	Tiers [numTiers]TierParams
-	// Streams is the number of concurrent readers assumed for contention
-	// (typically the number of PDC servers in the experiment). Zero or one
-	// means no contention.
-	Streams int
 	// AggGap is the maximum gap in bytes between two requested ranges for
 	// them to be merged into one operation by ReadRanges when aggregation
 	// is on. Wasted gap bytes are still charged for transfer.
@@ -80,10 +78,6 @@ type Model struct {
 	// Aggregate enables small-read merging (the PDC read path). The
 	// HDF5-F baseline runs with Aggregate=false.
 	Aggregate bool
-	// BWFactor scales effective bandwidth; the paper attributes ~2x of
-	// PDC-F's advantage over HDF5-F to better data distribution across
-	// storage devices, modeled as BWFactor 1.0 (PDC) vs 0.5 (HDF5 path).
-	BWFactor float64
 }
 
 // DefaultModel returns a cost model loosely calibrated to a Cori-class
@@ -102,46 +96,17 @@ func DefaultModel() Model {
 		ReadLatency: 2 * time.Millisecond, WriteLatency: 3 * time.Millisecond,
 		ReadBW: 1.5e9, WriteBW: 1.2e9, SharedBW: 96e9,
 	}
-	m.Streams = 1
 	m.AggGap = 256 << 10
 	m.Aggregate = true
-	m.BWFactor = 1.0
 	return m
 }
 
-// effReadBW returns the effective per-stream read bandwidth for a tier.
-func (m *Model) effReadBW(t Tier) float64 {
-	p := m.Tiers[t]
-	bw := p.ReadBW
-	if p.SharedBW > 0 && m.Streams > 1 {
-		if shared := p.SharedBW / float64(m.Streams); shared < bw {
-			bw = shared
-		}
-	}
-	if m.BWFactor > 0 {
-		bw *= m.BWFactor
-	}
-	return bw
-}
-
-func (m *Model) effWriteBW(t Tier) float64 {
-	p := m.Tiers[t]
-	bw := p.WriteBW
-	if p.SharedBW > 0 && m.Streams > 1 {
-		if shared := p.SharedBW / float64(m.Streams); shared < bw {
-			bw = shared
-		}
-	}
-	if m.BWFactor > 0 {
-		bw *= m.BWFactor
-	}
-	return bw
-}
-
-// ReadCost returns the modeled cost of one read of n bytes from tier t.
+// ReadCost returns the modeled cost of one read of n bytes from tier t:
+// the tier's latency plus n bytes at its uncontended per-stream
+// bandwidth.
 func (m *Model) ReadCost(t Tier, n int64) vclock.Cost {
 	d := m.Tiers[t].ReadLatency
-	if bw := m.effReadBW(t); bw > 0 && n > 0 {
+	if bw := m.Tiers[t].ReadBW; bw > 0 && n > 0 {
 		d += time.Duration(float64(n) / bw * 1e9)
 	}
 	return vclock.CostOf(vclock.Storage, d)
@@ -150,7 +115,7 @@ func (m *Model) ReadCost(t Tier, n int64) vclock.Cost {
 // WriteCost returns the modeled cost of one write of n bytes to tier t.
 func (m *Model) WriteCost(t Tier, n int64) vclock.Cost {
 	d := m.Tiers[t].WriteLatency
-	if bw := m.effWriteBW(t); bw > 0 && n > 0 {
+	if bw := m.Tiers[t].WriteBW; bw > 0 && n > 0 {
 		d += time.Duration(float64(n) / bw * 1e9)
 	}
 	return vclock.CostOf(vclock.Storage, d)
@@ -195,14 +160,6 @@ func (s *Store) Model() Model {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.model
-}
-
-// SetStreams updates the contention stream count (number of concurrent
-// server readers for the current experiment).
-func (s *Store) SetStreams(n int) {
-	s.mu.Lock()
-	s.model.Streams = n
-	s.mu.Unlock()
 }
 
 // SetAggregate toggles read aggregation.
@@ -409,7 +366,7 @@ func (s *Store) ReadRanges(dst []dtype.ROBytes, a *vclock.Account, key string, r
 	}
 	var d time.Duration
 	d = time.Duration(ops) * model.Tiers[e.tier].ReadLatency
-	if bw := model.effReadBW(e.tier); bw > 0 {
+	if bw := model.Tiers[e.tier].ReadBW; bw > 0 {
 		d += time.Duration(float64(bytes) / bw * 1e9)
 	}
 	a.ChargeCost(vclock.CostOf(vclock.Storage, d))

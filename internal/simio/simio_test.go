@@ -9,9 +9,7 @@ import (
 )
 
 func testModel() Model {
-	m := DefaultModel()
-	m.Streams = 1
-	return m
+	return DefaultModel()
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -66,7 +64,6 @@ func TestReadErrors(t *testing.T) {
 func TestCostLatencyPlusBandwidth(t *testing.T) {
 	m := testModel()
 	m.Tiers[PFS] = TierParams{ReadLatency: time.Millisecond, ReadBW: 1e9}
-	m.BWFactor = 1
 	s := New(m)
 	s.Write(nil, "e", PFS, make([]byte, 1e6))
 	a := vclock.NewAccount()
@@ -79,50 +76,6 @@ func TestCostLatencyPlusBandwidth(t *testing.T) {
 	}
 	if a.Counter("read.ops") != 1 || a.Counter("read.bytes") != 1e6 {
 		t.Errorf("counters = %s", a.Snapshot())
-	}
-}
-
-func TestContentionCapsBandwidth(t *testing.T) {
-	m := testModel()
-	m.Tiers[PFS] = TierParams{ReadBW: 10e9, SharedBW: 20e9}
-	s := New(m)
-	s.Write(nil, "e", PFS, make([]byte, 1e6))
-
-	read := func(streams int) time.Duration {
-		s.SetStreams(streams)
-		a := vclock.NewAccount()
-		if _, err := s.ReadAll(a, "e"); err != nil {
-			t.Fatal(err)
-		}
-		return a.Cost().Total()
-	}
-	t1 := read(1)   // 10 GB/s per stream
-	t64 := read(64) // shared 20/64 GB/s per stream
-	if t64 <= t1 {
-		t.Errorf("contention not applied: 1 stream %v vs 64 streams %v", t1, t64)
-	}
-	// 64 streams: effective bw = 20e9/64 = 0.3125e9 -> 32x slower than 10e9.
-	if ratio := float64(t64) / float64(t1); ratio < 30 || ratio > 34 {
-		t.Errorf("contention ratio = %.1f, want ~32", ratio)
-	}
-}
-
-func TestBWFactorSlowsReads(t *testing.T) {
-	m := testModel()
-	m.Tiers[PFS] = TierParams{ReadBW: 1e9}
-	s := New(m)
-	s.Write(nil, "e", PFS, make([]byte, 1e6))
-	a1 := vclock.NewAccount()
-	s.ReadAll(a1, "e")
-
-	m.BWFactor = 0.5
-	s2 := New(m)
-	s2.Write(nil, "e", PFS, make([]byte, 1e6))
-	a2 := vclock.NewAccount()
-	s2.ReadAll(a2, "e")
-
-	if a2.Cost().Total() <= a1.Cost().Total() {
-		t.Errorf("BWFactor 0.5 not slower: %v vs %v", a2.Cost().Total(), a1.Cost().Total())
 	}
 }
 
