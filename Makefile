@@ -15,13 +15,15 @@ build:
 # propagation, alias escapes from exported methods (aliasguard), the
 # CFG/dataflow tier — barrier determinism in
 # pooled workers (barrierdet), request-path error propagation (errflow),
-# charged request-path I/O and path-sensitive nilness at charge sites
-# (nilcharge), and lock order, hold time and guarding from one held-lock
-# analysis (lockset) — and //lint:ignore directives that name no
-# analyzer (lintignore). One pdc-lint invocation runs them all over a
-# single loaded package set, call graph, and CFG cache — the only way to
-# run them, since most need every package at once; -timing prints the
-# per-analyzer step budget. Allocation growth is pdc-benchdiff's to
+# and lock order, hold time and guarding from one held-lock analysis
+# (lockset) — and //lint:ignore directives that name no analyzer
+# (lintignore). Accounts need no analyzer: they are required above
+# internal/simio, so a forgotten one panics in the first test that runs
+# the path, and bench-diff's modeled rows catch an uncharged store call.
+# One pdc-lint invocation runs them all over a single loaded package
+# set, call graph, and CFG cache — the only way to run them, since most
+# need every package at once; -timing prints the per-analyzer step
+# budget. Allocation growth is pdc-benchdiff's to
 # catch (bench-diff below), and wire-codec symmetry each codec's
 # TestWireRoundTrip's.
 lint:

@@ -177,15 +177,15 @@ const (
 	stmtSeed        = 41
 )
 
-// importVPIC imports every VPIC variable of the statement rows' dataset
-// into d and returns the Energy object's ID.
-func importVPIC(d *core.Deployment) (object.ID, error) {
-	c := d.CreateContainer("stmt-allocs")
-	v := workload.GenerateVPIC(stmtParticles, stmtSeed)
+// importVPIC imports every VPIC variable of a particles-long dataset
+// generated from seed into d and returns the Energy object's ID.
+func importVPIC(d *core.Deployment, particles int, seed uint64) (object.ID, error) {
+	c := d.CreateContainer("vpic")
+	v := workload.GenerateVPIC(particles, seed)
 	var energy object.ID
 	for _, name := range workload.VPICNames {
 		o, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{stmtParticles},
+			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(particles)},
 		}, dtype.Bytes(v.Vars[name]))
 		if err != nil {
 			return 0, fmt.Errorf("import %s: %w", name, err)
@@ -221,7 +221,7 @@ func warmAllocs(run func() error) (float64, error) {
 func measureStmtAllocs(out map[string]float64) error {
 	src := core.NewDeployment(core.Options{Servers: 1, RegionBytes: stmtRegionBytes, BuildIndex: true})
 	defer src.Close()
-	if _, err := importVPIC(src); err != nil {
+	if _, err := importVPIC(src, stmtParticles, stmtSeed); err != nil {
 		return err
 	}
 	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 2, R: 2, Seed: stmtSeed, Workers: 4})
@@ -252,7 +252,7 @@ func measureStmtAllocs(out map[string]float64) error {
 		Servers: 2, TCP: true, BuildIndex: true, Workers: 4, RegionBytes: stmtRegionBytes,
 	})
 	defer d.Close()
-	energy, err := importVPIC(d)
+	energy, err := importVPIC(d, stmtParticles, stmtSeed)
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,63 @@ func measureModeled() (map[string]int64, error) {
 		out["plancache.logn16.cold"] = pcRows[0].TimeNs
 		out["plancache.logn16.warm"] = pcRows[len(pcRows)-1].TimeNs
 	}
-	return out, nil
+	return out, measureClusterModeled(out)
+}
+
+// Cluster figures: the storage the cluster charges for an import and
+// for one join. They are the only modeled figures that reach the
+// ingest and transfer handlers, so an extent written or fetched without
+// an account shows here and nowhere else.
+const (
+	clusterParticles = 1 << 16
+	clusterSeed      = 42
+)
+
+// measureClusterModeled imports a VPIC dataset into a two-member,
+// R=2 cluster.Local and records the members' summed charges as
+// cluster.import; it then adds a third member and records what the join
+// added as rebalance.join (the joiner's installs and the owners'
+// fetches).
+func measureClusterModeled(out map[string]int64) error {
+	src := core.NewDeployment(core.Options{Servers: 1, RegionBytes: stmtRegionBytes, BuildIndex: true})
+	defer src.Close()
+	if _, err := importVPIC(src, clusterParticles, clusterSeed); err != nil {
+		return err
+	}
+	l, err := cluster.StartLocal(cluster.LocalOptions{Members: 2, R: 2, Seed: clusterSeed, Workers: 4})
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+	s, err := l.Session()
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	if err := s.Import(src); err != nil {
+		return err
+	}
+	imported := clusterCharged(l)
+	out["cluster.import"] = int64(imported)
+	if _, err := l.AddMember(); err != nil {
+		return err
+	}
+	if err := l.WaitMembers(3, 10*time.Second); err != nil {
+		return err
+	}
+	out["rebalance.join"] = int64(clusterCharged(l) - imported)
+	return nil
+}
+
+// clusterCharged sums every running member's server and transfer
+// accounts.
+func clusterCharged(l *cluster.Local) time.Duration {
+	var total time.Duration
+	for _, id := range l.MemberIDs() {
+		m := l.Member(id)
+		total += m.Server().Account().Cost().Total() + m.TransferAccount().Cost().Total()
+	}
+	return total
 }
 
 // compare checks cur against base and returns one formatted table row

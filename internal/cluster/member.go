@@ -252,6 +252,11 @@ func (m *Member) Server() *server.Server { return m.srv }
 // transfer effects through it).
 func (m *Member) Store() *simio.Store { return m.store }
 
+// TransferAccount is the account the member charges the extents it
+// installs from a rebalance transfer. What it serves — imports, fetches
+// for other members, queries — is charged to its server's Account.
+func (m *Member) TransferAccount() *vclock.Account { return m.acct }
+
 // installView swaps the placement snapshot and refreshes the membership
 // gauges the server's Metrics merges in.
 func (m *Member) installView(v View) {

@@ -123,7 +123,10 @@ func computeCost(n int64, nsPerElem float64) time.Duration {
 // Engine evaluates queries over one server's assigned regions.
 type Engine struct {
 	Store *simio.Store
-	Acct  *vclock.Account
+	// Acct is charged every virtual cost the evaluation spends and is
+	// required: the engine never tests it for nil, so a forgotten account
+	// panics on the first charge instead of zeroing a figure.
+	Acct *vclock.Account
 	// Lookup resolves object metadata (distributed to the server before
 	// evaluation, §III-C).
 	Lookup func(object.ID) (*object.Object, bool)
@@ -159,9 +162,6 @@ type Engine struct {
 // vnow reads the engine account's accumulated virtual time — the
 // deterministic timestamp base for recorded events and phase deltas.
 func (e *Engine) vnow() int64 {
-	if e.Acct == nil {
-		return 0
-	}
 	return e.Acct.Cost().Total().Nanoseconds()
 }
 
@@ -193,17 +193,13 @@ func (e *Engine) readRegion(o *object.Object, r int) (dtype.ROBytes, error) {
 func (e *Engine) readExtent(key string) (dtype.ROBytes, error) {
 	if e.Cache != nil {
 		if data, ok := e.Cache.Get(key); ok {
-			if e.Acct != nil {
-				m := e.Store.Model()
-				e.Acct.ChargeCost(m.ReadCost(simio.Memory, int64(len(data))))
-				e.Acct.CountID(cacheHitsCounter, 1)
-			}
+			m := e.Store.Model()
+			e.Acct.ChargeCost(m.ReadCost(simio.Memory, int64(len(data))))
+			e.Acct.CountID(cacheHitsCounter, 1)
 			e.noteCache(telemetry.EvCacheHit, int64(len(data)), 1)
 			return data, nil
 		}
-		if e.Acct != nil {
-			e.Acct.CountID(cacheMissesCounter, 1)
-		}
+		e.Acct.CountID(cacheMissesCounter, 1)
 	}
 	data, err := e.Store.ReadAll(e.Acct, key)
 	if err != nil {
@@ -279,15 +275,15 @@ const (
 // spanCost captures the account cost before a traced section; done adds
 // the delta to the span. Both are no-ops when the span is nil, so the
 // untraced path never touches the account mutex for tracing.
-func (e *Engine) spanCost(s *telemetry.Span) (before vclock.Cost, enabled bool) {
-	if s == nil || e.Acct == nil {
-		return vclock.Cost{}, false
+func (e *Engine) spanCost(s *telemetry.Span) vclock.Cost {
+	if s == nil {
+		return vclock.Cost{}
 	}
-	return e.Acct.Cost(), true
+	return e.Acct.Cost()
 }
 
-func (e *Engine) spanCostDone(s *telemetry.Span, before vclock.Cost, enabled bool) {
-	if enabled {
+func (e *Engine) spanCostDone(s *telemetry.Span, before vclock.Cost) {
+	if s != nil {
 		s.AddCost(e.Acct.Cost().Sub(before))
 	}
 }
@@ -356,7 +352,7 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 	// one latency per region.
 	if pl.Full {
 		ps := span.Child(telemetry.SpanPhase, "preload")
-		before, costed := e.spanCost(ps)
+		before := e.spanCost(ps)
 		for _, o := range objs {
 			if err := tok.Err(); err != nil {
 				return nil, err
@@ -380,13 +376,13 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 				tier = o.Regions[r].Tier
 				loaded = true
 			}
-			if loaded && e.Acct != nil {
+			if loaded {
 				m := e.Store.Model()
 				e.Acct.ChargeCost(m.ReadCost(tier, bytes))
 				simio.CountRead(e.Acct, tier, 1, bytes)
 			}
 		}
-		e.spanCostDone(ps, before, costed)
+		e.spanCostDone(ps, before)
 	}
 
 	res := &Result{}
@@ -411,12 +407,12 @@ func (e *Engine) EvaluateToken(tok *sched.Token, q *query.Query, pl *QueryPlan, 
 		if span != nil {
 			cs = span.Child(telemetry.SpanConjunct, fmt.Sprintf("conjunct.%d", i))
 		}
-		before, costed := e.spanCost(cs)
+		before := e.spanCost(cs)
 		sel, vals, err := e.evalConjunct(tok, pl, i, q, c, objs, anchor, orig, assign.Sorted, need, &res.Stats, cs)
 		if err != nil {
 			return nil, err
 		}
-		e.spanCostDone(cs, before, costed)
+		e.spanCostDone(cs, before)
 		cs.SetInt("hits", int64(sel.NHits))
 		parts = append(parts, sel)
 		if collect {
@@ -539,7 +535,7 @@ type regionTaskResult struct {
 	runs    []localRun      // the constraint's runs; nil when the statement has no constraint
 	span    *telemetry.Span // detached region span (nil when untraced)
 	condLog *telemetry.Span // private condition-selectivity log
-	acct    vclock.Account  // shadow account (unused when the engine has none)
+	acct    vclock.Account  // shadow account the task charges
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
 	nhits   int64
@@ -703,9 +699,7 @@ regions:
 		te.Rec = nil
 		te.Phases = nil
 		te.cacheEv = &res.cacheEv
-		if e.Acct != nil {
-			te.Acct = &res.acct
-		}
+		te.Acct = &res.acct
 		if cs != nil {
 			res.span = telemetry.NewSpan(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
 			res.condLog = telemetry.NewSpan(telemetry.SpanPhase, "cond")
@@ -752,9 +746,7 @@ regions:
 		if err != nil {
 			return err
 		}
-		if e.Acct != nil {
-			rs.AddCost(res.acct.Cost())
-		}
+		rs.AddCost(res.acct.Cost())
 		rs.SetInt("hits", res.nhits)
 		if need >= NeedCoords && res.nhits > 0 {
 			base := anchor.LinearStart(r)
@@ -802,9 +794,7 @@ regions:
 		}
 		cs.Adopt(res.span)
 		replayCondAttrs(cs, res.condLog)
-		if e.Acct != nil {
-			e.Acct.Absorb(&res.acct)
-		}
+		e.Acct.Absorb(&res.acct)
 		stats.Add(res.stats)
 		// Recorded at the merge barrier (absorb order is region order), so
 		// the sequence is deterministic at any worker count; the vclock
@@ -867,9 +857,7 @@ func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pre
 	stats.ElementsScanned += scanned
 	condIn(cs, order[0], scanned)
 	condOut(cs, order[0], nhits)
-	if e.Acct != nil {
-		e.Acct.Charge(vclock.Compute, computeCost(scanned, scanNsPerElem))
-	}
+	e.Acct.Charge(vclock.Compute, computeCost(scanned, scanNsPerElem))
 	if len(order) == 1 || nhits == 0 {
 		return acc, nhits, nil
 	}
@@ -889,9 +877,7 @@ func (e *Engine) evalRegionScan(tok *sched.Token, order []object.ID, preds []pre
 		}
 		stats.Probes += int64(len(hits))
 		condIn(cs, id, int64(len(hits)))
-		if e.Acct != nil {
-			e.Acct.Charge(vclock.Compute, computeCost(int64(len(hits)), probeNsPerElem))
-		}
+		e.Acct.Charge(vclock.Compute, computeCost(int64(len(hits)), probeNsPerElem))
 		hits = preds[k+1].probe(data, 0, hits)
 		condOut(cs, id, int64(len(hits)))
 	}
@@ -939,9 +925,7 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 			}
 			preds[k].mark(data, n, dst)
 			stats.ElementsScanned += int64(n)
-			if e.Acct != nil {
-				e.Acct.Charge(vclock.Compute, computeCost(int64(n), scanNsPerElem))
-			}
+			e.Acct.Charge(vclock.Compute, computeCost(int64(n), scanNsPerElem))
 		} else if err := e.evalIndexCondition(o, r, n, c[id], preds[k], sc, dst, stats); err != nil {
 			return nil, 0, err
 		}
@@ -1008,9 +992,7 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv qu
 	}
 	// The pooled scratch must not pin extents beyond this call.
 	defer clear(sc.blobs)
-	if e.Acct != nil {
-		e.Acct.Charge(vclock.Compute, time.Duration(blobBytes/1024+1)*decodeCostPerKB)
-	}
+	e.Acct.Charge(vclock.Compute, time.Duration(blobBytes/1024+1)*decodeCostPerKB)
 	for _, blob := range sc.blobs[:len(sure)] {
 		if err := wah.OrEncodedInto(dst, nbits, blob); err != nil {
 			return fmt.Errorf("exec: index %s: %w", rm.IndexKey, err)
@@ -1038,9 +1020,7 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv qu
 		sc.hits = appendSetBits(sc.hits, sc.cand, 0, checks)
 		setBits(dst, p.probe(data, 0, sc.hits))
 		stats.CandChecks += checks
-		if e.Acct != nil {
-			e.Acct.Charge(vclock.Compute, computeCost(checks, candNsPerElem))
-		}
+		e.Acct.Charge(vclock.Compute, computeCost(checks, candNsPerElem))
 	}
 	return nil
 }
@@ -1058,7 +1038,7 @@ type shHit struct {
 type sortedTaskResult struct {
 	span    *telemetry.Span
 	condLog *telemetry.Span
-	acct    vclock.Account // shadow account (unused when the engine has none)
+	acct    vclock.Account // shadow account the task charges
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
 	hits    []shHit
@@ -1130,9 +1110,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		te.Rec = nil
 		te.Phases = nil
 		te.cacheEv = &res.cacheEv
-		if e.Acct != nil {
-			te.Acct = &res.acct
-		}
+		te.Acct = &res.acct
 		if cs != nil {
 			res.span = telemetry.NewSpan(telemetry.SpanSortedRegion, fmt.Sprintf("sorted.%d", s))
 			res.condLog = telemetry.NewSpan(telemetry.SpanPhase, "cond")
@@ -1147,9 +1125,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		// cost is the shadow account's whole accumulation, matching the
 		// serial path's spanCost delta across the region body.
 		finish := func(matched int) {
-			if e.Acct != nil {
-				ss.AddCost(res.acct.Cost())
-			}
+			ss.AddCost(res.acct.Cost())
 			ss.SetInt("matched", int64(matched))
 			results[ti] = res
 		}
@@ -1165,9 +1141,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			finish(0)
 			return nil
 		}
-		if te.Acct != nil {
-			te.Acct.Charge(vclock.Compute, computeCost(int64(hi-lo), probeNsPerElem))
-		}
+		te.Acct.Charge(vclock.Compute, computeCost(int64(hi-lo), probeNsPerElem))
 
 		// Resolve companion conditions first: contiguous co-sorted reads,
 		// no permutation needed for eliminated positions. The extents stay
@@ -1193,9 +1167,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			}
 			res.stats.Probes += int64(len(alive))
 			condIn(res.condLog, cd.id, int64(len(alive)))
-			if te.Acct != nil {
-				te.Acct.Charge(vclock.Compute, computeCost(int64(len(alive)), probeNsPerElem))
-			}
+			te.Acct.Charge(vclock.Compute, computeCost(int64(len(alive)), probeNsPerElem))
 			alive = cd.p.probe(data, 0, alive)
 			condOut(res.condLog, cd.id, int64(len(alive)))
 			if collect {
@@ -1262,9 +1234,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 		res := results[ti]
 		cs.Adopt(res.span)
 		replayCondAttrs(cs, res.condLog)
-		if e.Acct != nil {
-			e.Acct.Absorb(&res.acct)
-		}
+		e.Acct.Absorb(&res.acct)
 		stats.Add(res.stats)
 		e.flushCacheTraffic(&res.cacheEv)
 		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(candidates[ti]), int64(len(res.hits)))
@@ -1313,7 +1283,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 				}
 			}
 		}
-		rsBefore, rsCosted := e.spanCost(rs)
+		rsBefore := e.spanCost(rs)
 		for _, cd := range rests {
 			if len(surviving) == 0 {
 				break
@@ -1321,9 +1291,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			id, o := cd.id, objs[cd.id]
 			stats.Probes += int64(len(surviving))
 			condIn(cs, id, int64(len(surviving)))
-			if e.Acct != nil {
-				e.Acct.Charge(vclock.Compute, computeCost(int64(len(surviving)), probeNsPerElem))
-			}
+			e.Acct.Charge(vclock.Compute, computeCost(int64(len(surviving)), probeNsPerElem))
 			var err error
 			surviving, err = e.probeFilter(o, r, surviving, regionElems, cd.p)
 			if err != nil {
@@ -1364,7 +1332,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 				chunks = selection.AppendChunkCoords(chunks, start, regionElems, abs)
 			}
 		}
-		e.spanCostDone(rs, rsBefore, rsCosted)
+		e.spanCostDone(rs, rsBefore)
 		rs.SetInt("hits", int64(len(surviving)))
 		i = j
 	}
@@ -1399,10 +1367,8 @@ func (e *Engine) probeRead(o *object.Object, r int, local []uint64, regionElems 
 	es := int64(o.Type.Size())
 	key := o.Regions[r].ExtentKey
 	if data, ok := e.Cache.Get(key); ok {
-		if e.Acct != nil {
-			m := e.Store.Model()
-			e.Acct.ChargeCost(m.ReadCost(simio.Memory, int64(len(local))*es))
-		}
+		m := e.Store.Model()
+		e.Acct.ChargeCost(m.ReadCost(simio.Memory, int64(len(local))*es))
 		e.noteCache(telemetry.EvCacheHit, int64(len(data)), 1)
 		return data, nil, nil
 	}

@@ -79,7 +79,7 @@ func buildFixture(t testing.TB, names []string, gen func(name string, i int) flo
 	}
 	if withSorted {
 		o := f.objs[1]
-		rep, err := sortstore.Build(f.st, nil, o, regionElems, simio.PFS)
+		rep, err := sortstore.Build(f.st, vclock.NewAccount(), o, regionElems, simio.PFS)
 		if err != nil {
 			t.Fatal(err)
 		}

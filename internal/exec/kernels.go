@@ -14,6 +14,7 @@ import (
 	"pdcquery/internal/region"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/simio"
+	"pdcquery/internal/vclock"
 	"pdcquery/internal/wah"
 )
 
@@ -433,7 +434,7 @@ func regionOps(data []byte, n uint64) (scan, index func()) {
 	st.Write(nil, rm.ExtentKey, simio.PFS, data)
 	st.Write(nil, rm.IndexKey, simio.PFS, x.Encode())
 	o.Regions = []object.RegionMeta{rm}
-	e := &Engine{Store: st, Cache: NewCache(1 << 20)}
+	e := &Engine{Store: st, Acct: vclock.NewAccount(), Cache: NewCache(1 << 20)}
 	c := query.Conjunct{id: {Lo: 20.5, Hi: 30.5, LoIncl: true, HiIncl: true}}
 	order := []object.ID{id}
 	objs := map[object.ID]*object.Object{id: o}

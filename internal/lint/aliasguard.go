@@ -555,5 +555,5 @@ func (ag *aliasGuard) checkImmutableCall(call *ast.CallExpr) {
 }
 
 func (ag *aliasGuard) report(pos token.Pos, format string, args ...any) {
-	ag.pass.ReportAttributed(pos, ag.key, nil, format, args...)
+	ag.pass.ReportAttributed(pos, ag.key, format, args...)
 }

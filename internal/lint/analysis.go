@@ -20,9 +20,9 @@
 // package at a time. The rest set Analyzer.Global
 // and receive every loaded package at once via Pass.Pkgs: they reason
 // across packages over a whole-repo static call graph (callgraph.go,
-// roots.go), and the dataflow tier (lockset, nilcharge, barrierdet,
-// errflow) also over per-function CFGs (cfg.go) with the worklist solver
-// and the one keyed-map lattice of dataflow.go. One graph and one CFG per
+// roots.go), and the dataflow tier (lockset, barrierdet, errflow) also
+// over per-function CFGs (cfg.go) with the worklist solver and the one
+// keyed-map lattice of dataflow.go. One graph and one CFG per
 // function body are built lazily and shared by every analyzer of a run.
 // There is one way to run them: Load, NewSession, Session.Run, which is
 // what cmd/pdc-lint and the tests do.
@@ -138,9 +138,6 @@ type Diagnostic struct {
 	// FuncKey is the call-graph key of the function the finding is in
 	// (empty for analyzers that do not reason per function).
 	FuncKey string
-	// Chain is the call path from a declared analysis root to FuncKey
-	// (root first), for analyzers that attribute findings to roots.
-	Chain []string
 }
 
 func (d Diagnostic) String() string {
@@ -157,15 +154,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportAttributed records a diagnostic carrying the enclosing function's
-// FuncKey and the root attribution chain that reaches it — the metadata
-// the pdc-lint -json schema exposes for CI tooling.
-func (p *Pass) ReportAttributed(pos token.Pos, funcKey string, chain []string, format string, args ...any) {
+// FuncKey — the metadata the pdc-lint -json schema exposes for CI tooling.
+func (p *Pass) ReportAttributed(pos token.Pos, funcKey, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 		FuncKey:  funcKey,
-		Chain:    chain,
 	})
 }
 
@@ -178,7 +173,6 @@ func All() []*Analyzer {
 		AliasGuardAnalyzer,
 		BarrierDetAnalyzer,
 		ErrFlowAnalyzer,
-		NilChargeAnalyzer,
 		LockSetAnalyzer,
 		IgnoreAnalyzer,
 	}

@@ -244,7 +244,7 @@ func (bd *barrierDetWorker) check() {
 		switch m := m.(type) {
 		case *ast.CallExpr:
 			if kind := telemetrySinkKind(info, m); kind != 0 {
-				bd.pass.ReportAttributed(m.Pos(), bd.key, nil,
+				bd.pass.ReportAttributed(m.Pos(), bd.key,
 					"telemetry %s write inside a Pool.Map worker task; accumulate into the task result and flush at the serial barrier (barrierdet)",
 					sinkKindNames(kind))
 			}
@@ -265,7 +265,7 @@ func (bd *barrierDetWorker) check() {
 	// checkSinkCalls).
 	res := NewCFG(bd.worker.Body).ForwardFlow(neutralLattice, neutralFacts{}, func(n ast.Node, fact any) any {
 		return bd.neutralizeTransfer(n, fact.(neutralFacts), nil)
-	}, nil)
+	})
 	res.Sweep(func(n ast.Node, fact any) any {
 		return bd.neutralizeTransfer(n, fact.(neutralFacts), bd.reportSinkCall)
 	})
@@ -277,13 +277,13 @@ func (bd *barrierDetWorker) checkWriteTarget(lhs ast.Expr) {
 	switch t := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if v, ok := bd.baseVar(t); ok && !bd.workerLocal(v) {
-			bd.pass.ReportAttributed(t.Pos(), bd.key, nil,
+			bd.pass.ReportAttributed(t.Pos(), bd.key,
 				"write to captured variable %q inside a Pool.Map worker task (barrierdet)", v.Name())
 		}
 	case *ast.SelectorExpr:
 		if base, ok := ast.Unparen(t.X).(*ast.Ident); ok {
 			if v, ok := bd.baseVar(base); ok && !bd.workerLocal(v) {
-				bd.pass.ReportAttributed(t.Pos(), bd.key, nil,
+				bd.pass.ReportAttributed(t.Pos(), bd.key,
 					"write to field %s.%s of captured variable inside a Pool.Map worker task (barrierdet)",
 					v.Name(), t.Sel.Name)
 			}
@@ -299,13 +299,13 @@ func (bd *barrierDetWorker) checkWriteTarget(lhs ast.Expr) {
 		}
 		if bt := info.TypeOf(t.X); bt != nil {
 			if _, isMap := bt.Underlying().(*types.Map); isMap {
-				bd.pass.ReportAttributed(t.Pos(), bd.key, nil,
+				bd.pass.ReportAttributed(t.Pos(), bd.key,
 					"write to captured map %q inside a Pool.Map worker task (barrierdet)", v.Name())
 				return
 			}
 		}
 		if !bd.indexUsesWorkerVar(t.Index) {
-			bd.pass.ReportAttributed(t.Pos(), bd.key, nil,
+			bd.pass.ReportAttributed(t.Pos(), bd.key,
 				"write to captured slice %q outside the task's index slot inside a Pool.Map worker task (barrierdet)", v.Name())
 		}
 	}
@@ -430,7 +430,12 @@ func (bd *barrierDetWorker) checkSinkCalls(n ast.Node, facts neutralFacts, repor
 }
 
 func (bd *barrierDetWorker) reportSinkCall(call *ast.CallExpr, needed, have int) {
-	bd.pass.ReportAttributed(call.Pos(), bd.key, nil,
+	bd.pass.ReportAttributed(call.Pos(), bd.key,
 		"call inside a Pool.Map worker task reaches telemetry %s without a dominating nil-out of the receiver's handle; clone the engine and neutralize it (te.Rec = nil) before the call (barrierdet)",
 		sinkKindNames(needed&^have))
+}
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
 }

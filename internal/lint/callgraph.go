@@ -306,9 +306,7 @@ func (g *CallGraph) NodeFor(fn *types.Func) *CallNode { return g.Nodes[FuncKey(f
 // from roots to a shortest call path from the first root (in the given
 // order) that reaches it, root first and the node itself last. Roots map
 // to a one-element path. Whether a function is reachable is whether it
-// has a path, and the root it is attributed to is path[0]; the whole
-// path is the "why is this on a request path" evidence attached to
-// nilcharge diagnostics.
+// has a path, and the root it is attributed to is path[0].
 func (g *CallGraph) RootPaths(roots []string) map[string][]string {
 	paths := make(map[string][]string)
 	for _, r := range roots {
@@ -354,10 +352,16 @@ func resolveCalleeKey(info *types.Info, call *ast.CallExpr) string {
 }
 
 // pkgPathHasSuffix matches a package by its last import-path element(s),
-// so testdata fixtures (path "nilcharge/exec") are treated like the real
-// internal/exec.
+// so testdata fixtures (path "ctxpropagate/exec") are treated like the
+// real internal/exec.
 func pkgPathHasSuffix(pkgPath, last string) bool {
 	return pkgPath == last || strings.HasSuffix(pkgPath, "/"+last)
+}
+
+// storeIOMethods are the simio.Store entry points that move bytes.
+var storeIOMethods = map[string]bool{
+	"Read": true, "ReadAll": true, "ReadRanges": true,
+	"Write": true, "WriteOwned": true, "Migrate": true,
 }
 
 // isNamedFromPkg reports whether t (possibly behind a pointer) is a

@@ -482,7 +482,7 @@ func TestForwardFlowMayVsMust(t *testing.T) {
 `)
 	join := blockOf(t, c, "joinMark")
 
-	may := c.ForwardFlow(markSetLattice{must: false}, markSet{}, markTransfer, nil)
+	may := c.ForwardFlow(markSetLattice{must: false}, markSet{}, markTransfer)
 	in := may.In[join].(markSet)
 	for _, want := range []string{"seenEntry", "seenThen", "seenElse"} {
 		if !in[want] {
@@ -490,7 +490,7 @@ func TestForwardFlowMayVsMust(t *testing.T) {
 		}
 	}
 
-	must := c.ForwardFlow(markSetLattice{must: true}, markSet{}, markTransfer, nil)
+	must := c.ForwardFlow(markSetLattice{must: true}, markSet{}, markTransfer)
 	in = must.In[join].(markSet)
 	if !in["seenEntry"] {
 		t.Fatal("must-analysis join must keep the common fact")
@@ -508,50 +508,15 @@ func TestForwardFlowLoopFixpoint(t *testing.T) {
 	joinMark()
 `)
 	join := blockOf(t, c, "joinMark")
-	must := c.ForwardFlow(markSetLattice{must: true}, markSet{}, markTransfer, nil)
+	must := c.ForwardFlow(markSetLattice{must: true}, markSet{}, markTransfer)
 	in := must.In[join].(markSet)
 	if in["seenLoop"] {
 		t.Fatal("loop body may run zero times; its fact must not be a must-fact after the loop")
 	}
-	may := c.ForwardFlow(markSetLattice{must: false}, markSet{}, markTransfer, nil)
+	may := c.ForwardFlow(markSetLattice{must: false}, markSet{}, markTransfer)
 	in = may.In[join].(markSet)
 	if !in["seenLoop"] {
 		t.Fatal("may-analysis must propagate the loop body fact out")
-	}
-}
-
-func TestForwardFlowEdgeRefinement(t *testing.T) {
-	c := buildCFG(t, `
-	if isNil {
-		trueMark()
-	} else {
-		falseMark()
-	}
-`)
-	trueBlk := blockOf(t, c, "trueMark")
-	falseBlk := blockOf(t, c, "falseMark")
-	ef := func(cond ast.Expr, branch bool, fact any) any {
-		f := fact.(markSet)
-		out := markSet{}
-		for k := range f {
-			out[k] = true
-		}
-		if branch {
-			out["refined-true"] = true
-		} else {
-			out["refined-false"] = true
-		}
-		return out
-	}
-	res := c.ForwardFlow(markSetLattice{must: true}, markSet{}, markTransfer, ef)
-	if !res.In[trueBlk].(markSet)["refined-true"] {
-		t.Fatal("true edge must carry the true refinement")
-	}
-	if res.In[trueBlk].(markSet)["refined-false"] {
-		t.Fatal("true edge must not carry the false refinement")
-	}
-	if !res.In[falseBlk].(markSet)["refined-false"] {
-		t.Fatal("false edge must carry the false refinement")
 	}
 }
 
@@ -582,7 +547,7 @@ func TestCFGUnreachableBlockGetsBottom(t *testing.T) {
 	deadMark()
 `)
 	dead := blockOf(t, c, "deadMark")
-	res := c.ForwardFlow(markSetLattice{must: true}, markSet{"live": true}, markTransfer, nil)
+	res := c.ForwardFlow(markSetLattice{must: true}, markSet{"live": true}, markTransfer)
 	if !isBottomMark(res.In[dead].(markSet)) {
 		t.Fatal("unreachable block must keep the bottom in-fact")
 	}

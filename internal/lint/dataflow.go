@@ -4,11 +4,8 @@ import "go/ast"
 
 // Worklist dataflow solver over the CFGs built in cfg.go.
 //
-// An analyzer supplies a Lattice (the abstract domain), a per-node
-// transfer function, and — for forward analyses — an optional edge
-// transfer that refines facts along the true/false edges of a branch
-// (the hook path-sensitive analyses like nilcharge use to learn from
-// `x == nil` conditions).
+// An analyzer supplies a Lattice (the abstract domain) and a per-node
+// transfer function.
 //
 // Contract:
 //
@@ -120,11 +117,6 @@ func (e *factEdit[K, V]) set(k K, v V) {
 // returns the outgoing fact.
 type NodeTransfer func(n ast.Node, fact any) any
 
-// EdgeTransfer refines the fact flowing from a branch block along its
-// true (branch==true, Succs[0]) or false (Succs[1]) edge. It is only
-// invoked for blocks whose Cond is non-nil.
-type EdgeTransfer func(cond ast.Expr, branch bool, fact any) any
-
 // FlowResult holds the per-block fixpoint facts. In is the fact on
 // block entry, Out on block exit.
 type FlowResult struct {
@@ -162,9 +154,8 @@ func (r *FlowResult) Sweep(step NodeTransfer) {
 }
 
 // ForwardFlow runs a forward worklist analysis: entry is the fact at
-// function entry; tf is applied to each node in order; ef (optional)
-// refines branch edges.
-func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer, ef EdgeTransfer) *FlowResult {
+// function entry; tf is applied to each node in order.
+func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer) *FlowResult {
 	res := c.newFlowResult(lat, false)
 	bottom := lat.Bottom()
 	res.In[c.Entry] = entry
@@ -182,11 +173,7 @@ func (c *CFG) ForwardFlow(lat Lattice, entry any, tf NodeTransfer, ef EdgeTransf
 		if b != c.Entry {
 			in = bottom
 			for _, p := range b.Preds {
-				f := res.Out[p]
-				if ef != nil && p.Cond != nil && len(p.Succs) >= 2 && !lat.Equal(f, bottom) {
-					f = ef(p.Cond, b == p.Succs[0], f)
-				}
-				in = lat.Join(in, f)
+				in = lat.Join(in, res.Out[p])
 			}
 			res.In[b] = in
 		}

@@ -99,7 +99,7 @@ func (ef *errflowFunc) checkDropped(body *ast.BlockStmt) {
 		if callee != "" && ef.pass.CallGraph().Nodes[callee] == nil && !errflowDroppedNames[name] {
 			return true
 		}
-		ef.pass.ReportAttributed(call.Pos(), ef.key, nil,
+		ef.pass.ReportAttributed(call.Pos(), ef.key,
 			"error result of %s dropped; check it or discard explicitly with _ = (errflow)", name)
 		return true
 	})
@@ -161,7 +161,7 @@ func (ef *errflowFunc) checkShadowed(c *CFG, ftype *ast.FuncType, body *ast.Bloc
 				continue
 			}
 			if !after[v] {
-				ef.pass.ReportAttributed(pos, ef.key, nil,
+				ef.pass.ReportAttributed(pos, ef.key,
 					"error assigned to %q is rewritten or lost before being checked on some path (errflow)", v.Name())
 			}
 		}

@@ -8,18 +8,14 @@ package lint
 //   - analyzer: the reporting analyzer's name;
 //   - message: the human-readable finding;
 //   - func: the call-graph FuncKey of the enclosing function, when the
-//     analyzer reasons per function (omitted otherwise);
-//   - chain: for root-attributed findings (nilcharge's request-path
-//     rule), the call path from the declared root to func, root first
-//     (omitted otherwise).
+//     analyzer reasons per function (omitted otherwise).
 type JSONDiagnostic struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	FuncKey  string   `json:"func,omitempty"`
-	Chain    []string `json:"chain,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+	FuncKey  string `json:"func,omitempty"`
 }
 
 // ToJSON converts a Diagnostic to its wire schema.
@@ -31,6 +27,5 @@ func ToJSON(d Diagnostic) JSONDiagnostic {
 		Analyzer: d.Analyzer,
 		Message:  d.Message,
 		FuncKey:  d.FuncKey,
-		Chain:    d.Chain,
 	}
 }

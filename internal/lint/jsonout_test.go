@@ -10,17 +10,13 @@ import (
 )
 
 // TestJSONDiagnosticSchema pins the -json line schema CI tooling parses:
-// field names, omission rules, and the func/chain attribution fields.
+// field names, omission rules, and the func attribution field.
 func TestJSONDiagnosticSchema(t *testing.T) {
 	d := lint.Diagnostic{
 		Pos:      token.Position{Filename: "internal/exec/exec.go", Line: 42, Column: 7},
-		Analyzer: "nilcharge",
-		Message:  "uncharged simio I/O on a request path",
+		Analyzer: "errflow",
+		Message:  "error dropped on a request path",
 		FuncKey:  "pdcquery/internal/exec.Engine.readRegion",
-		Chain: []string{
-			"pdcquery/internal/exec.Engine.Evaluate",
-			"pdcquery/internal/exec.Engine.readRegion",
-		},
 	}
 	b, err := json.Marshal(lint.ToJSON(d))
 	if err != nil {
@@ -34,21 +30,17 @@ func TestJSONDiagnosticSchema(t *testing.T) {
 		"file":     "internal/exec/exec.go",
 		"line":     float64(42),
 		"col":      float64(7),
-		"analyzer": "nilcharge",
-		"message":  "uncharged simio I/O on a request path",
+		"analyzer": "errflow",
+		"message":  "error dropped on a request path",
 		"func":     "pdcquery/internal/exec.Engine.readRegion",
-		"chain": []any{
-			"pdcquery/internal/exec.Engine.Evaluate",
-			"pdcquery/internal/exec.Engine.readRegion",
-		},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("schema mismatch:\n got  %v\n want %v", got, want)
 	}
 
-	// Analyzers without per-function attribution omit func and chain
-	// entirely rather than emitting empty values.
-	d.FuncKey, d.Chain = "", nil
+	// Analyzers without per-function attribution omit func entirely
+	// rather than emitting an empty value.
+	d.FuncKey = ""
 	b, err = json.Marshal(lint.ToJSON(d))
 	if err != nil {
 		t.Fatal(err)
@@ -57,10 +49,8 @@ func TestJSONDiagnosticSchema(t *testing.T) {
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"func", "chain"} {
-		if _, ok := got[k]; ok {
-			t.Errorf("field %q must be omitted when empty, got %v", k, got[k])
-		}
+	if _, ok := got["func"]; ok {
+		t.Errorf("field \"func\" must be omitted when empty, got %v", got["func"])
 	}
 	for _, k := range []string{"file", "line", "col", "analyzer", "message"} {
 		if _, ok := got[k]; !ok {

@@ -148,7 +148,7 @@ func (ls *lockSet) checkFunc(n *CallNode) {
 		lf.nonblock = b.CFG.NonBlock
 		res := b.CFG.ForwardFlow(heldLattice, entry, func(n ast.Node, f any) any {
 			return lf.step(n, f.(heldSet), false)
-		}, nil)
+		})
 		res.Sweep(func(n ast.Node, f any) any {
 			return lf.step(n, f.(heldSet), true)
 		})
@@ -361,7 +361,7 @@ func (lf *lockSetFunc) reportHold(pos token.Pos, what string, held heldSet) {
 	if !lf.holdRule || len(held) == 0 {
 		return
 	}
-	lf.pass.ReportAttributed(pos, lf.node.Key, nil,
+	lf.pass.ReportAttributed(pos, lf.node.Key,
 		"%s while holding %s; release the lock before I/O or sends",
 		what, strings.Join(sortedLocks(held), ", "))
 }
@@ -502,7 +502,7 @@ func (lf *lockSetFunc) checkGuard(sel *ast.SelectorExpr, held heldSet) {
 	if id, ok := sel.X.(*ast.Ident); !ok || lf.node.Pkg.Info.Uses[id] != lf.recv {
 		return
 	}
-	lf.pass.ReportAttributed(sel.Pos(), lf.node.Key, nil,
+	lf.pass.ReportAttributed(sel.Pos(), lf.node.Key,
 		"%s.%s is guarded by %q (declared after it) but method %s touches it without holding the lock",
 		gs.typeName, sel.Sel.Name, gs.mutex, lf.node.Fn.Name())
 }

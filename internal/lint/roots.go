@@ -13,14 +13,13 @@ var requestRoots = []string{"exec.Evaluate*", "server.handle*"}
 // "<pkg>.<glob>" or "<pkg>.<Type>.<glob>": pkg is an import-path suffix
 // (so fixtures can reproduce it); the glob matches the bare name of a
 // function or of a method on any receiver ([A-Z]* is "exported"), and
-// with a Type in front only the methods of that receiver. nilcharge
-// walks the request path; ctxpropagate adds the scheduler API that
-// carries the request's cancellation state; errflow the whole serving
-// and calling surface an error can cross. Roots are picked by name, so a
+// with a Type in front only the methods of that receiver. ctxpropagate
+// walks the request path plus the scheduler API that carries the
+// request's cancellation state; errflow the whole serving and calling
+// surface an error can cross. Roots are picked by name, so a
 // rename can leave a rule matching nothing and the analyzer silently
 // checking less: TestRepoRootRulesMatch holds every rule to the module.
 var rootRules = map[string][]string{
-	"nilcharge":    requestRoots,
 	"ctxpropagate": append([]string{"sched.[A-Z]*"}, requestRoots...),
 	"errflow": append([]string{
 		"server.Serve", "server.serveOne", "server.Shutdown",

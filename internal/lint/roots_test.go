@@ -8,7 +8,7 @@ import (
 )
 
 // TestRepoRootRulesMatch holds every root rule to the real module: the
-// request-path rules of nilcharge, ctxpropagate and errflow are one
+// request-path rules of ctxpropagate and errflow are one
 // table read by one matcher, and each rule must select at least one
 // function. The analyzers pick their
 // roots by name, so a rename — a handler refactor, a moved kernel — can

@@ -206,14 +206,12 @@ func (s *Service) NumObjects() int {
 // TagQuery returns the IDs of objects matching ALL the given tag
 // conditions (the paper's metadata query, e.g. "RADEG=153.17 AND
 // DECDEG=23.06"), in ascending ID order. The cost of the index lookups is
-// charged to a (which may be nil).
+// charged to a, which is required.
 func (s *Service) TagQuery(a *vclock.Account, conds []TagCond) []object.ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if a != nil {
-		a.Charge(vclock.Meta, time.Duration(len(conds)+1)*lookupCost)
-		a.Count("meta.tagquery", 1)
-	}
+	a.Charge(vclock.Meta, time.Duration(len(conds)+1)*lookupCost)
+	a.Count("meta.tagquery", 1)
 	if len(conds) == 0 {
 		return nil
 	}
@@ -244,9 +242,7 @@ func (s *Service) TagQuery(a *vclock.Account, conds []TagCond) []object.ID {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if a != nil {
-		a.Charge(vclock.Meta, time.Duration(len(out))*time.Microsecond/10)
-	}
+	a.Charge(vclock.Meta, time.Duration(len(out))*time.Microsecond/10)
 	return out
 }
 

@@ -124,20 +124,20 @@ func TestTagQueryConjunction(t *testing.T) {
 			want = append(want, o.ID)
 		}
 	}
-	got := s.TagQuery(nil, []TagCond{{"RADEG", "151.00"}, {"DECDEG", "21.00"}})
+	got := s.TagQuery(vclock.NewAccount(), []TagCond{{"RADEG", "151.00"}, {"DECDEG", "21.00"}})
 	if len(got) != len(want) {
 		t.Fatalf("conjunction = %d hits, want %d", len(got), len(want))
 	}
 	// No match at all.
-	if got := s.TagQuery(nil, []TagCond{{"RADEG", "151.00"}, {"DECDEG", "99"}}); len(got) != 0 {
+	if got := s.TagQuery(vclock.NewAccount(), []TagCond{{"RADEG", "151.00"}, {"DECDEG", "99"}}); len(got) != 0 {
 		t.Errorf("impossible conjunction returned %d hits", len(got))
 	}
 	// Unknown key.
-	if got := s.TagQuery(nil, []TagCond{{"NOPE", "1"}}); len(got) != 0 {
+	if got := s.TagQuery(vclock.NewAccount(), []TagCond{{"NOPE", "1"}}); len(got) != 0 {
 		t.Errorf("unknown key returned %d hits", len(got))
 	}
 	// Empty condition list.
-	if got := s.TagQuery(nil, nil); got != nil {
+	if got := s.TagQuery(vclock.NewAccount(), nil); got != nil {
 		t.Errorf("empty conditions returned %v", got)
 	}
 }
@@ -145,16 +145,16 @@ func TestTagQueryConjunction(t *testing.T) {
 func TestAddTagReplaces(t *testing.T) {
 	s, c := newWithContainer(t)
 	o := mkObj(t, s, c.ID, "obj", map[string]string{"k": "v1"})
-	if got := s.TagQuery(nil, []TagCond{{"k", "v1"}}); len(got) != 1 {
+	if got := s.TagQuery(vclock.NewAccount(), []TagCond{{"k", "v1"}}); len(got) != 1 {
 		t.Fatalf("initial tag not indexed: %v", got)
 	}
 	if err := s.AddTag(o.ID, "k", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TagQuery(nil, []TagCond{{"k", "v1"}}); len(got) != 0 {
+	if got := s.TagQuery(vclock.NewAccount(), []TagCond{{"k", "v1"}}); len(got) != 0 {
 		t.Errorf("stale tag still indexed: %v", got)
 	}
-	if got := s.TagQuery(nil, []TagCond{{"k", "v2"}}); len(got) != 1 {
+	if got := s.TagQuery(vclock.NewAccount(), []TagCond{{"k", "v2"}}); len(got) != 1 {
 		t.Errorf("new tag not indexed: %v", got)
 	}
 	if err := s.AddTag(999, "k", "v"); err == nil {
@@ -208,7 +208,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if s2.NumObjects() != 10 {
 		t.Fatalf("restored objects = %d", s2.NumObjects())
 	}
-	if got := s2.TagQuery(nil, []TagCond{{"grp", "1"}}); len(got) != 5 {
+	if got := s2.TagQuery(vclock.NewAccount(), []TagCond{{"grp", "1"}}); len(got) != 5 {
 		t.Errorf("restored tag index: %d hits, want 5", len(got))
 	}
 	// ID allocation continues after the snapshot point.

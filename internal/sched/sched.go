@@ -62,7 +62,8 @@ type Token struct {
 // NewToken builds a token. ctx may be nil (never context-cancelled);
 // budget <= 0 disables the virtual deadline; acct is the account whose
 // accumulated cost the budget is checked against (the per-request
-// account, so concurrent requests cannot charge each other's budgets).
+// account, so concurrent requests cannot charge each other's budgets),
+// required whenever budget > 0.
 func NewToken(ctx context.Context, acct *vclock.Account, budget time.Duration) *Token {
 	return &Token{ctx: ctx, acct: acct, budget: budget}
 }
@@ -91,7 +92,7 @@ func (t *Token) Err() error {
 		default:
 		}
 	}
-	if t.budget > 0 && t.acct != nil && t.acct.Cost().Total() > t.budget {
+	if t.budget > 0 && t.acct.Cost().Total() > t.budget {
 		return ErrDeadline
 	}
 	return nil

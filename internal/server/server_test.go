@@ -178,8 +178,13 @@ func TestServeCountOnly(t *testing.T) {
 	}
 }
 
+// TestServeErrors sends a malformed request of every kind that decodes
+// a payload to an ingest-enabled server: each must be answered with an
+// error frame, none may panic the server.
 func TestServeErrors(t *testing.T) {
-	_, conn, oid := testServer(t, 0, 1)
+	st, meta, oid := testWorld(t)
+	_, conn := testServerCfg(t, Config{N: 1, Store: st, Meta: meta, Ingest: true})
+	tooMany := []byte{0xff, 0xff, 0xff, 0xff} // a count no payload holds
 	cases := []transport.Message{
 		{Type: MsgQuery, Payload: nil},
 		{Type: MsgQuery, Payload: append([]byte{byte(plan.ForceScan) << forceShift}, "garbage"...)},
@@ -188,12 +193,50 @@ func TestServeErrors(t *testing.T) {
 		{Type: MsgGetData, Payload: (&DataRequest{Obj: oid, QueryReq: 12345}).Encode()},
 		{Type: MsgHistogram, Payload: []byte{1, 2}},
 		{Type: MsgTagQuery, Payload: nil},
+		{Type: MsgFetchExtents, Payload: nil},
+		{Type: MsgFetchExtents, Payload: tooMany},
+		{Type: MsgFetchExtents, Payload: EncodeFetchExtents([]string{"key"})[:6]},
+		{Type: MsgPutExtents, Payload: nil},
+		{Type: MsgPutExtents, Payload: tooMany},
+		{Type: MsgPutExtents, Payload: EncodeExtentsResult([]Extent{{Key: "key", Present: true, Data: []byte{1, 2, 3}}})[:12]},
 		{Type: 99},
 	}
 	for i, m := range cases {
 		if reply := call(t, conn, m); reply.Type != MsgError {
 			t.Errorf("case %d: reply type = %d, want error", i, reply.Type)
 		}
+	}
+}
+
+// TestFetchExtentsReadError: a rebalance source whose store read fails
+// must say so. Shipping the failed read as a present, empty extent
+// would install an empty region on the joiner.
+func TestFetchExtentsReadError(t *testing.T) {
+	st, meta, oid := testWorld(t)
+	_, conn := testServerCfg(t, Config{N: 1, Store: st, Meta: meta, Ingest: true})
+	key := object.ExtentKey(oid, 1)
+	fetch := transport.Message{Type: MsgFetchExtents, Payload: EncodeFetchExtents([]string{key})}
+	reply := call(t, conn, fetch)
+	if reply.Type != MsgExtentsResult {
+		t.Fatalf("healthy fetch: reply type = %d, want extents", reply.Type)
+	}
+	if exts, err := DecodeExtentsResult(reply.Payload); err != nil || len(exts) != 1 || !exts[0].Present || len(exts[0].Data) != 250*4 {
+		t.Fatalf("healthy fetch = %+v, %v", exts, err)
+	}
+
+	st.SetAccessHook(func(op, k string, _ simio.Tier, _ int64) (time.Duration, error) {
+		if k == key {
+			return 0, fmt.Errorf("injected %s failure", op)
+		}
+		return 0, nil
+	})
+	reply = call(t, conn, fetch)
+	if reply.Type != MsgError {
+		exts, _ := DecodeExtentsResult(reply.Payload)
+		t.Fatalf("failed read: reply type = %d (%+v), want error", reply.Type, exts)
+	}
+	if !strings.Contains(string(reply.Payload), "injected") {
+		t.Errorf("error reply %q does not carry the read's error", reply.Payload)
 	}
 }
 

@@ -143,6 +143,13 @@ type AccessHook func(op, key string, tier Tier, bytes int64) (time.Duration, err
 
 // Store holds named extents and charges modeled costs for every access.
 // It is safe for concurrent use.
+//
+// Store is the one place a nil account is allowed: every method that
+// takes one skips its charge when it is nil. Uncharged access is for the
+// work outside the modeled figures — brute-force oracles, baselines,
+// snapshots, the full-scan preload (which charges its aggregate
+// afterwards), test fixtures and the wall-clock benchmark's harness.
+// Everything above the store takes a required account.
 type Store struct {
 	mu      sync.RWMutex
 	extents map[string]*extent
@@ -341,9 +348,11 @@ func (s *Store) ReadRanges(dst []dtype.ROBytes, a *vclock.Account, key string, r
 	if a == nil {
 		return out, nil
 	}
-	// Cost accounting: sort a copy of the ranges and merge.
-	sorted := make([]Range, len(ranges))
-	copy(sorted, ranges)
+	// Cost accounting: sort a copy of the ranges and merge. The copy
+	// lives on the stack up to 64 ranges, so the bin reads of a narrow
+	// condition allocate nothing.
+	var buf [64]Range
+	sorted := append(buf[:0], ranges...)
 	slices.SortFunc(sorted, func(x, y Range) int { return cmp.Compare(x.Off, y.Off) })
 	gap := model.AggGap
 	if !model.Aggregate {

@@ -151,8 +151,8 @@ const sortCostPerElemLog = 4 * time.Nanosecond
 // index) pairs ascending (ties broken by original index for determinism),
 // partitions the result into sorted regions of at most regionElems
 // elements, and writes value and permutation extents to the given tier.
-// The read, sort, and write costs are charged to a — this is the paper's
-// offline reorganization cost.
+// The read, sort, and write costs are charged to a, which is required —
+// this is the paper's offline reorganization cost.
 func Build(st *simio.Store, a *vclock.Account, o *object.Object, regionElems uint64, tier simio.Tier) (*Replica, error) {
 	if regionElems == 0 {
 		return nil, fmt.Errorf("sortstore: zero region size")
@@ -188,7 +188,7 @@ func Build(st *simio.Store, a *vclock.Account, o *object.Object, regionElems uin
 			return 1
 		}
 	})
-	if a != nil && n > 1 {
+	if n > 1 {
 		a.Charge(vclock.Compute, time.Duration(float64(n)*math.Log2(float64(n)))*sortCostPerElemLog/1)
 		a.Count("sort.elems", int64(n))
 	}

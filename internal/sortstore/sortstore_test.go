@@ -111,12 +111,12 @@ func TestBuildSortsGlobally(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	st := simio.New(simio.DefaultModel())
 	o := makeObject(t, st, []float32{1, 2, 3}, 2)
-	if _, err := Build(st, nil, o, 0, simio.PFS); err == nil {
+	if _, err := Build(st, vclock.NewAccount(), o, 0, simio.PFS); err == nil {
 		t.Error("zero region size accepted")
 	}
 	// Missing extent.
 	st.Delete(object.ExtentKey(o.ID, 0))
-	if _, err := Build(st, nil, o, 2, simio.PFS); err == nil {
+	if _, err := Build(st, vclock.NewAccount(), o, 2, simio.PFS); err == nil {
 		t.Error("missing extent accepted")
 	}
 }
@@ -264,7 +264,7 @@ func TestAddCompanions(t *testing.T) {
 		}
 		return nil, false
 	}
-	rep, err := Build(st, nil, keyObj, 750, simio.PFS)
+	rep, err := Build(st, vclock.NewAccount(), keyObj, 750, simio.PFS)
 	if err != nil {
 		t.Fatal(err)
 	}
