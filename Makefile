@@ -103,15 +103,18 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzPackedDecode -fuzztime=$(FUZZTIME) ./internal/selection/
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=$(FUZZTIME) ./internal/selection/
 
-# One benchmark per paper figure + ablations + throughput benches.
+# Wall-clock and kernel benchmarks. The paper's figures are modeled, not
+# timed: `pdc-bench` prints them (figures below) and bench-diff gates them.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Performance ratchet and the one allocation gate: deterministic
 # allocs/op (hot kernels, the index build, and whole warm statements on
-# every access path) and modeled virtual-time figures vs the committed
-# BENCH_seed.json baseline. Every figure must equal its committed value:
-# higher fails as a regression, lower fails until bench-seed takes it.
+# every access path) and modeled virtual-time figures (every paper figure,
+# scale-out, plan cache, cluster import and rebalance) vs the committed
+# BENCH_seed.json baseline, the one baseline file. Every figure must
+# equal its committed value: higher fails as a regression, lower fails
+# until bench-seed takes it.
 # Deterministic by construction, so CI runs it.
 bench-diff:
 	$(GO) run ./cmd/pdc-benchdiff
@@ -123,11 +126,14 @@ bench-seed:
 # CI smoke: the ratchet, then every benchmark once. A benchmark checks
 # its fixture before it times anything (hit counts against the oracle,
 # bins touched), so one iteration is enough to keep them from rotting.
-# The fault-recovery experiment runs once too: it fails on a faulted
-# answer that differs from the clean run's or an untyped error.
+# Then pdc-bench runs every figure once at a small scale, printing each
+# table and writing each CSV into a temporary directory, with the
+# fault-recovery experiment: it fails on a faulted answer that differs
+# from the clean run's or an untyped error.
 bench-smoke: bench-diff
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/pdc-bench -fig none -faults -logn 14 -servers 4
+	dir=$$(mktemp -d) && $(GO) run ./cmd/pdc-bench -fig all -faults -logn 14 -servers 4 -boss 1000 -flux 50 -csv $$dir; \
+		rc=$$?; rm -rf $$dir; exit $$rc
 
 # Observability smoke: boot a real pdc-server daemon, run a query, then
 # scrape /metrics (strict text-exposition parse, expected series),

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pdc-bench -fig all                 # every figure + ablations
+//	pdc-bench -fig all                 # every figure, ablations, scaleout, plancache
 //	pdc-bench -fig 3 -logn 22          # Fig. 3 at 4M particles
 //	pdc-bench -fig 6 -servers 64       # scalability sweep
 //	pdc-bench -fig 5 -boss 50000       # BOSS experiment
@@ -25,9 +25,9 @@ import (
 
 func main() {
 	cfg := bench.DefaultConfig()
-	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, ablations, concurrent, scaleout, plancache, or all (scaleout and plancache only by name)")
-	flag.IntVar(&cfg.LogN, "logn", cfg.LogN, "VPIC scale: 2^logn particles")
-	flag.IntVar(&cfg.Servers, "servers", cfg.Servers, "PDC server count for Figs. 3-5")
+	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, ablations, scaleout, plancache, concurrent, or all")
+	flag.IntVar(&cfg.LogN, "logn", cfg.LogN, "VPIC scale: 2^logn particles (10-28)")
+	flag.IntVar(&cfg.Servers, "servers", cfg.Servers, "PDC server count for Figs. 3-5 (1-1024)")
 	flag.IntVar(&cfg.BOSSObjects, "boss", cfg.BOSSObjects, "BOSS object count for Fig. 5")
 	flag.IntVar(&cfg.FluxLen, "flux", cfg.FluxLen, "flux samples per BOSS object")
 	flag.IntVar(&cfg.RegionSteps, "steps", cfg.RegionSteps, "region sizes to sweep in Fig. 3 (max 6)")
@@ -38,6 +38,10 @@ func main() {
 	faults := flag.Bool("faults", false, "also run the fault-recovery overhead experiment (seeded connection drops vs a clean run)")
 	flag.Parse()
 	cfg.Seed = *seed
+	if cfg.LogN < 10 || cfg.LogN > 28 || cfg.Servers < 1 || cfg.Servers > 1024 {
+		fmt.Fprintf(os.Stderr, "pdc-bench: -logn %d -servers %d out of range (want 10-28 and 1-1024)\n", cfg.LogN, cfg.Servers)
+		os.Exit(2)
+	}
 
 	run := func(name string, f func()) {
 		switch *fig {
@@ -94,34 +98,20 @@ func main() {
 		ran = true
 	})
 	run("ablations", func() { fail(bench.Ablations(os.Stdout, cfg)); ran = true })
-	// The scale-out figure boots real clusters (catalog + members), so it
-	// runs only when asked for by name, not under "all".
-	if *fig == "scaleout" {
+	run("scaleout", func() {
 		rows, err := bench.ScaleoutRun(cfg)
 		fail(err)
 		bench.ScaleoutPrint(os.Stdout, rows)
 		writeCSV("scaleout.csv", func(w io.Writer) { bench.ScaleoutCSV(w, rows) })
-		f, err := os.Create("BENCH_scaleout.json")
-		fail(err)
-		fail(bench.ScaleoutJSON(f, rows))
-		fail(f.Close())
-		fmt.Fprintln(os.Stderr, "pdc-bench: wrote BENCH_scaleout.json")
 		ran = true
-	}
-	// The plan-cache figure, like scaleout, runs only by name: it writes
-	// a committed JSON artifact and should be regenerated deliberately.
-	if *fig == "plancache" {
+	})
+	run("plancache", func() {
 		rows, err := bench.PlanCacheRun(cfg)
 		fail(err)
 		bench.PlanCachePrint(os.Stdout, rows)
 		writeCSV("plancache.csv", func(w io.Writer) { bench.PlanCacheCSV(w, rows) })
-		f, err := os.Create("BENCH_plancache.json")
-		fail(err)
-		fail(bench.PlanCacheJSON(f, rows))
-		fail(f.Close())
-		fmt.Fprintln(os.Stderr, "pdc-bench: wrote BENCH_plancache.json")
 		ran = true
-	}
+	})
 	run("concurrent", func() {
 		rows, err := bench.ConcurrentRun(cfg)
 		fail(err)
@@ -135,7 +125,7 @@ func main() {
 		ran = true
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "pdc-bench: unknown figure %q (want 3, 4, 5, 6, ablations, concurrent, scaleout, plancache, or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "pdc-bench: unknown figure %q (want 3, 4, 5, 6, ablations, scaleout, plancache, concurrent, or all)\n", *fig)
 		os.Exit(2)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"pdcquery/internal/core"
-	"pdcquery/internal/dtype"
-	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/simio"
@@ -30,7 +28,7 @@ func AblationAggregation(c Config) ([]AblationRow, error) {
 	n := 1 << c.LogN
 	v := workload.GenerateVPIC(n, c.Seed)
 	rs := bestRegion(n)
-	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, true, false)
+	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, true, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -71,48 +69,50 @@ func AblationGlobalHistogram(c Config) ([]AblationRow, error) {
 
 	var rows []AblationRow
 	for _, disable := range []bool{false, true} {
-		d := core.NewDeployment(core.Options{
-			Servers: c.Servers, RegionBytes: rs.Bytes, DisableHistograms: disable,
-		})
-		cont := d.CreateContainer("vpic")
-		ids := map[string]object.ID{}
-		for _, name := range workload.VPICNames {
-			o, err := d.ImportObject(cont.ID, object.Property{
-				Name: name, Type: dtype.Float32, Dims: []uint64{uint64(n)},
-			}, dtype.Bytes(v.Vars[name]))
-			if err != nil {
-				return nil, err
-			}
-			ids[name] = o.ID
-		}
-		if err := d.Start(); err != nil {
-			return nil, err
-		}
-		// A query where evaluation order matters: the y window is ~1%
-		// selective while Energy > 0.5 keeps ~9% of particles. With the
-		// global histogram the planner evaluates y first and probes few
-		// locations; without it, ID order puts Energy first and the probe
-		// volume grows ~9x.
-		q := &query.Query{Root: query.And(
-			query.Leaf(ids["Energy"], query.OpGT, 0.5),
-			query.Between(ids["y"], -3, 3, false, false))}
-		res, err := d.Client().Run(q, plan.ForceScan)
+		row, err := globalHistogramOnce(v, c.Servers, rs.Bytes, disable)
 		if err != nil {
-			d.Close()
 			return nil, err
 		}
-		variant := "global-histogram"
-		if disable {
-			variant = "minmax-only"
-		}
-		rows = append(rows, AblationRow{
-			Name: "global-histogram", Variant: variant,
-			Time:  res.Info.Elapsed.Total(),
-			Extra: fmt.Sprintf("probes: %d, pruned: %d", res.Info.Stats.Probes, res.Info.Stats.RegionsPruned),
-		})
-		d.Close()
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// globalHistogramOnce runs the ablation's query on one deployment, with
+// or without histograms.
+func globalHistogramOnce(v *workload.VPIC, servers int, regionBytes int64, disable bool) (AblationRow, error) {
+	d := core.NewDeployment(core.Options{
+		Servers: servers, RegionBytes: regionBytes, DisableHistograms: disable,
+	})
+	defer d.Close()
+	ids, err := ImportVPIC(d, v, workload.VPICNames...)
+	if err != nil {
+		return AblationRow{}, err
+	}
+	if err := d.Start(); err != nil {
+		return AblationRow{}, err
+	}
+	// A query where evaluation order matters: the y window is ~1%
+	// selective while Energy > 0.5 keeps ~9% of particles. With the
+	// global histogram the planner evaluates y first and probes few
+	// locations; without it, ID order puts Energy first and the probe
+	// volume grows ~9x.
+	q := &query.Query{Root: query.And(
+		query.Leaf(ids["Energy"], query.OpGT, 0.5),
+		query.Between(ids["y"], -3, 3, false, false))}
+	res, err := d.Client().Run(q, plan.ForceScan)
+	if err != nil {
+		return AblationRow{}, err
+	}
+	variant := "global-histogram"
+	if disable {
+		variant = "minmax-only"
+	}
+	return AblationRow{
+		Name: "global-histogram", Variant: variant,
+		Time:  res.Info.Elapsed.Total(),
+		Extra: fmt.Sprintf("probes: %d, pruned: %d", res.Info.Stats.Probes, res.Info.Stats.RegionsPruned),
+	}, nil
 }
 
 // AblationSorted contrasts PDC-H and PDC-SH on a highly selective
@@ -123,7 +123,7 @@ func AblationSorted(c Config) ([]AblationRow, error) {
 	n := 1 << c.LogN
 	v := workload.GenerateVPIC(n, c.Seed)
 	rs := bestRegion(n)
-	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, false, true)
+	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, false, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -166,14 +166,7 @@ func AblationCompanions(c Config) ([]AblationRow, error) {
 
 	var rows []AblationRow
 	for _, withComp := range []bool{false, true} {
-		var d *core.Deployment
-		var ids vpicIDs
-		var err error
-		if withComp {
-			d, ids, err = deployVPICCompanions(v, c.Servers, rs.Bytes)
-		} else {
-			d, ids, err = deployVPIC(v, c.Servers, rs.Bytes, false, true)
-		}
+		d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, false, true, withComp)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +201,7 @@ func AblationTiering(c Config) ([]AblationRow, error) {
 	n := 1 << c.LogN
 	v := workload.GenerateVPIC(n, c.Seed)
 	rs := bestRegion(n)
-	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, false, false)
+	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, false, false, false)
 	if err != nil {
 		return nil, err
 	}

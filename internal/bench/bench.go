@@ -22,8 +22,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,10 +57,9 @@ type Config struct {
 	Fig6Servers []int
 }
 
-// DefaultConfig returns the default harness parameters, honouring the
-// PDCQ_LOGN and PDCQ_SERVERS environment variables.
+// DefaultConfig returns the default harness parameters.
 func DefaultConfig() Config {
-	c := Config{
+	return Config{
 		LogN:        20,
 		Servers:     64,
 		Seed:        42,
@@ -72,17 +69,6 @@ func DefaultConfig() Config {
 		Concurrency: 4,
 		Fig6Servers: []int{32, 64, 128, 256, 512},
 	}
-	if s := os.Getenv("PDCQ_LOGN"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 10 && v <= 28 {
-			c.LogN = v
-		}
-	}
-	if s := os.Getenv("PDCQ_SERVERS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 1 && v <= 1024 {
-			c.Servers = v
-		}
-	}
-	return c
 }
 
 // Approaches in plot order.
@@ -96,10 +82,8 @@ var pdcStrategies = map[string]plan.Force{
 	"PDC-SH": plan.ForceSorted,
 }
 
-// RegionSweep returns the Fig. 3 region sizes for a dataset of n
-// particles (float32): the object:region ratio spans the same six
-// doublings as the paper's 4MB..128MB on 466GB objects, scaled to the
-// synthetic object size. PaperLabel gives the corresponding paper size.
+// RegionSize is one step of the region-size sweep: its scaled size in
+// bytes and the paper's region size it stands for.
 type RegionSize struct {
 	Bytes      int64
 	PaperLabel string
@@ -110,7 +94,10 @@ type RegionSize struct {
 // at paper scale.
 const regionFloor = 16 << 10
 
-// RegionSweep computes the scaled sweep.
+// RegionSweep returns the Fig. 3 region sizes for a dataset of n
+// particles (float32): the object:region ratio spans the same six
+// doublings as the paper's 4MB..128MB on 466GB objects, scaled to the
+// synthetic object size. PaperLabel gives the corresponding paper size.
 func RegionSweep(n int, steps int) []RegionSize {
 	if steps <= 0 || steps > 6 {
 		steps = 6
@@ -141,6 +128,12 @@ func RegionSweep(n int, steps int) []RegionSize {
 	return out
 }
 
+// scaleFactor is how far the scaled dataset's smallest region falls
+// short of the paper's 4 MB one (at most 1).
+func scaleFactor(n int) float64 {
+	return min(float64(RegionSweep(n, 6)[0].Bytes)/float64(4<<20), 1)
+}
+
 // scaledModel derives the storage cost model for a scaled dataset: the
 // paper's regime is bandwidth-bound (a 4 MB region transfers in ~2.7 ms
 // against a 2 ms operation latency), so per-operation latencies shrink
@@ -148,10 +141,7 @@ func RegionSweep(n int, steps int) []RegionSize {
 // balance. Bandwidths are physical properties and stay unscaled.
 func scaledModel(n int) simio.Model {
 	m := simio.DefaultModel()
-	factor := float64(RegionSweep(n, 6)[0].Bytes) / float64(4<<20)
-	if factor > 1 {
-		factor = 1
-	}
+	factor := scaleFactor(n)
 	for _, tier := range []simio.Tier{simio.BurstBuffer, simio.PFS} {
 		p := m.Tiers[tier]
 		p.ReadLatency = time.Duration(float64(p.ReadLatency) * factor)
@@ -165,92 +155,57 @@ func scaledModel(n int) simio.Model {
 // step), falling back to the last available step on merged sweeps.
 func bestRegion(n int) RegionSize {
 	sweep := RegionSweep(n, 6)
-	idx := 3
-	if idx >= len(sweep) {
-		idx = len(sweep) - 1
+	return sweep[min(3, len(sweep)-1)]
+}
+
+// ImportVPIC creates a "vpic" container in d and imports the named
+// variables of v into it, returning their object IDs by name.
+func ImportVPIC(d *core.Deployment, v *workload.VPIC, names ...string) (map[string]object.ID, error) {
+	c := d.CreateContainer("vpic")
+	ids := make(map[string]object.ID, len(names))
+	for _, name := range names {
+		o, err := d.ImportObject(c.ID, object.Property{
+			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(v.N)},
+		}, dtype.Bytes(v.Vars[name]))
+		if err != nil {
+			return nil, fmt.Errorf("import %s: %w", name, err)
+		}
+		ids[name] = o.ID
 	}
-	return sweep[idx]
+	return ids, nil
 }
 
 // vpicIDs holds the imported VPIC object handles.
 type vpicIDs struct {
 	Energy, X, Y, Z object.ID
-	ByName          map[string]object.ID
 }
 
-// deployVPIC imports the dataset into a fresh deployment.
-func deployVPIC(v *workload.VPIC, servers int, regionBytes int64, withIndex, withSorted bool) (*core.Deployment, vpicIDs, error) {
+// deployVPIC imports the dataset into a fresh deployment, builds
+// Energy's sorted replica when withSorted is set (with co-sorted x/y/z
+// companions when withCompanions is set too) and starts the servers.
+func deployVPIC(v *workload.VPIC, servers int, regionBytes int64, withIndex, withSorted, withCompanions bool) (*core.Deployment, vpicIDs, error) {
 	model := scaledModel(v.N)
-	factor := float64(RegionSweep(v.N, 6)[0].Bytes) / float64(4<<20)
-	if factor > 1 {
-		factor = 1
-	}
 	d := core.NewDeployment(core.Options{
 		Servers:     servers,
 		RegionBytes: regionBytes,
 		BuildIndex:  withIndex,
 		Model:       &model,
-		WireScale:   factor,
+		WireScale:   scaleFactor(v.N),
 	})
-	c := d.CreateContainer("vpic")
-	ids := vpicIDs{ByName: map[string]object.ID{}}
-	for _, name := range workload.VPICNames {
-		o, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(v.N)},
-		}, dtype.Bytes(v.Vars[name]))
-		if err != nil {
-			return nil, ids, err
-		}
-		ids.ByName[name] = o.ID
+	byName, err := ImportVPIC(d, v, workload.VPICNames...)
+	ids := vpicIDs{Energy: byName["Energy"], X: byName["x"], Y: byName["y"], Z: byName["z"]}
+	if err == nil && withSorted {
+		err = d.BuildSortedReplica(ids.Energy)
 	}
-	ids.Energy = ids.ByName["Energy"]
-	ids.X, ids.Y, ids.Z = ids.ByName["x"], ids.ByName["y"], ids.ByName["z"]
-	if withSorted {
-		if err := d.BuildSortedReplica(ids.Energy); err != nil {
-			return nil, ids, err
-		}
+	if err == nil && withCompanions {
+		err = d.AddCompanions(ids.Energy, ids.X, ids.Y, ids.Z)
 	}
-	if err := d.Start(); err != nil {
-		return nil, ids, err
+	if err == nil {
+		err = d.Start()
 	}
-	return d, ids, nil
-}
-
-// deployVPICCompanions is deployVPIC with co-sorted x/y/z companions
-// added to the Energy replica before the servers start.
-func deployVPICCompanions(v *workload.VPIC, servers int, regionBytes int64) (*core.Deployment, vpicIDs, error) {
-	model := scaledModel(v.N)
-	factor := float64(RegionSweep(v.N, 6)[0].Bytes) / float64(4<<20)
-	if factor > 1 {
-		factor = 1
-	}
-	d := core.NewDeployment(core.Options{
-		Servers:     servers,
-		RegionBytes: regionBytes,
-		Model:       &model,
-		WireScale:   factor,
-	})
-	c := d.CreateContainer("vpic")
-	ids := vpicIDs{ByName: map[string]object.ID{}}
-	for _, name := range workload.VPICNames {
-		o, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(v.N)},
-		}, dtype.Bytes(v.Vars[name]))
-		if err != nil {
-			return nil, ids, err
-		}
-		ids.ByName[name] = o.ID
-	}
-	ids.Energy = ids.ByName["Energy"]
-	ids.X, ids.Y, ids.Z = ids.ByName["x"], ids.ByName["y"], ids.ByName["z"]
-	if err := d.BuildSortedReplica(ids.Energy); err != nil {
-		return nil, ids, err
-	}
-	if err := d.AddCompanions(ids.Energy, ids.X, ids.Y, ids.Z); err != nil {
-		return nil, ids, err
-	}
-	if err := d.Start(); err != nil {
-		return nil, ids, err
+	if err != nil {
+		d.Close()
+		return nil, vpicIDs{}, err
 	}
 	return d, ids, nil
 }

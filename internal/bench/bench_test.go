@@ -50,21 +50,6 @@ func TestRegionSweep(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigEnv(t *testing.T) {
-	t.Setenv("PDCQ_LOGN", "18")
-	t.Setenv("PDCQ_SERVERS", "16")
-	c := DefaultConfig()
-	if c.LogN != 18 || c.Servers != 16 {
-		t.Errorf("env config = %+v", c)
-	}
-	t.Setenv("PDCQ_LOGN", "bogus")
-	t.Setenv("PDCQ_SERVERS", "-2")
-	c = DefaultConfig()
-	if c.LogN != 20 || c.Servers != 64 {
-		t.Errorf("bad env not ignored: %+v", c)
-	}
-}
-
 func TestFig3ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -8,8 +8,6 @@ import (
 
 	"pdcquery/internal/client"
 	"pdcquery/internal/core"
-	"pdcquery/internal/dtype"
-	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/telemetry"
@@ -24,14 +22,14 @@ import (
 // the scheduler's determinism contract); WallSeconds is the measured
 // wall time the parallelism actually buys.
 type ConcurrentRow struct {
-	Clients       int     `json:"clients"`
-	Workers       int     `json:"workers"`
-	Queries       int     `json:"queries"`
-	Completed     int     `json:"completed"`
-	Busy          int     `json:"busy"`
-	ModeledSec    float64 `json:"modeled_sec"`
-	WallSec       float64 `json:"wall_sec"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
+	Clients       int
+	Workers       int
+	Queries       int
+	Completed     int
+	Busy          int
+	ModeledSec    float64
+	WallSec       float64
+	QueriesPerSec float64
 }
 
 // concurrentWorkerSweep is the worker-count axis of the experiment.
@@ -77,10 +75,7 @@ func concurrentOnce(v *workload.VPIC, c Config, regionBytes int64, workers int) 
 		Workers:     workers,
 	})
 	defer d.Close()
-	cont := d.CreateContainer("vpic")
-	o, err := d.ImportObject(cont.ID, object.Property{
-		Name: "Energy", Type: dtype.Float32, Dims: []uint64{uint64(v.N)},
-	}, dtype.Bytes(v.Vars["Energy"]))
+	ids, err := ImportVPIC(d, v, "Energy")
 	if err != nil {
 		return ConcurrentRow{}, 0, err
 	}
@@ -88,7 +83,7 @@ func concurrentOnce(v *workload.VPIC, c Config, regionBytes int64, workers int) 
 		return ConcurrentRow{}, 0, err
 	}
 
-	queries := workload.SingleObjectQueries(o.ID)
+	queries := workload.SingleObjectQueries(ids["Energy"])
 	truths := make([]uint64, len(queries))
 	if c.Verify {
 		for i, q := range queries {

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"pdcquery/internal/core"
-	"pdcquery/internal/dtype"
 	"pdcquery/internal/fault"
-	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -25,15 +23,15 @@ import (
 // equality is checked, not assumed — and the wall-time delta is the
 // measured recovery overhead.
 type FaultsRow struct {
-	Queries      int     `json:"queries"`
-	Masked       int     `json:"masked"`
-	Typed        int     `json:"typed"`
-	FaultsFired  int     `json:"faults_fired"`
-	CleanModSec  float64 `json:"clean_modeled_sec"`
-	FaultModSec  float64 `json:"fault_modeled_sec"`
-	CleanWallSec float64 `json:"clean_wall_sec"`
-	FaultWallSec float64 `json:"fault_wall_sec"`
-	OverheadPct  float64 `json:"overhead_pct"`
+	Queries      int
+	Masked       int
+	Typed        int
+	FaultsFired  int
+	CleanModSec  float64
+	FaultModSec  float64
+	CleanWallSec float64
+	FaultWallSec float64
+	OverheadPct  float64
 }
 
 // faultsRounds: the batch runs twice so region caches are warm for half
@@ -117,10 +115,7 @@ func faultsOnce(v *workload.VPIC, c Config, regionBytes int64, inj *fault.Inject
 		CallTimeout: 30 * time.Second,
 	})
 	defer d.Close()
-	cont := d.CreateContainer("vpic")
-	o, err := d.ImportObject(cont.ID, object.Property{
-		Name: "Energy", Type: dtype.Float32, Dims: []uint64{uint64(v.N)},
-	}, dtype.Bytes(v.Vars["Energy"]))
+	ids, err := ImportVPIC(d, v, "Energy")
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +128,7 @@ func faultsOnce(v *workload.VPIC, c Config, regionBytes int64, inj *fault.Inject
 		return nil, err
 	}
 
-	queries := workload.SingleObjectQueries(o.ID)
+	queries := workload.SingleObjectQueries(ids["Energy"])
 	t := &faultsTally{}
 	start := telemetry.Wall.Now()
 	for r := 0; r < faultsRounds; r++ {

@@ -42,102 +42,106 @@ func Fig3Run(c Config) ([]Fig3Row, error) {
 	v := workload.GenerateVPIC(n, c.Seed)
 	var rows []Fig3Row
 	for _, rs := range RegionSweep(n, c.RegionSteps) {
-		d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, true, true)
+		regionRows, err := fig3Region(c, v, rs)
 		if err != nil {
 			return nil, err
 		}
-		queries := workload.SingleObjectQueries(ids.Energy)
-		regionRows := make([]Fig3Row, len(queries))
-		for k := range queries {
-			regionRows[k] = Fig3Row{
-				Region: rs, QueryIdx: k, Label: workload.SingleQueryLabel(k),
-				QueryTime:   make(map[string]time.Duration),
-				ColdTime:    make(map[string]time.Duration),
-				GetDataTime: make(map[string]time.Duration),
-			}
-		}
-
-		// HDF5-F: one full read of the Energy object amortized over the
-		// batch, plus each query's scan.
-		hcfg := baseline.DefaultConfig(d.Store().Model(), c.Servers)
-		for k, q := range queries {
-			res, err := baseline.FullScan(d.Store(), d.Meta().Get, q, hcfg)
-			if err != nil {
-				d.Close()
-				return nil, err
-			}
-			amort := baseline.AmortizedElapsed(res.ReadElapsed, res.ScanElapsed, len(queries))
-			regionRows[k].QueryTime["HDF5-F"] = amort
-			regionRows[k].ColdTime["HDF5-F"] = res.Elapsed()
-			regionRows[k].NHits = res.NHits
-			regionRows[k].Selectivity = 100 * float64(res.NHits) / float64(n)
-		}
-
-		// The four PDC approaches, each from a cold start.
-		for _, name := range Approaches[1:] {
-			strat := pdcStrategies[name]
-			// Cold pass: every query starts with empty caches.
-			for k, q := range queries {
-				d.ResetCaches()
-				res, err := d.Client().RunCount(q, strat)
-				if err != nil {
-					d.Close()
-					return nil, err
-				}
-				regionRows[k].ColdTime[name] = res.Info.Elapsed.Total()
-			}
-			// Warm pass: the paper's sequential execution.
-			d.ResetCaches()
-			var queryTimes []time.Duration
-			for k, q := range queries {
-				res, err := d.Client().Run(q, strat)
-				if err != nil {
-					d.Close()
-					return nil, err
-				}
-				if c.Verify {
-					truth, err := d.GroundTruth(q)
-					if err != nil {
-						d.Close()
-						return nil, err
-					}
-					if truth.NHits != res.Sel.NHits {
-						d.Close()
-						return nil, fmt.Errorf("fig3 %s %s: %d hits, truth %d",
-							name, regionRows[k].Label, res.Sel.NHits, truth.NHits)
-					}
-				}
-				queryTimes = append(queryTimes, res.Info.Elapsed.Total())
-				if res.Sel.NHits > 0 {
-					_, dinfo, err := res.GetData(ids.Energy)
-					if err != nil {
-						d.Close()
-						return nil, err
-					}
-					regionRows[k].GetDataTime[name] = dinfo.Elapsed.Total()
-				}
-			}
-			if strat == plan.ForceFull {
-				// Amortized accounting for the full-scan approach: the
-				// initial read is shared by the whole batch.
-				var total time.Duration
-				for _, t := range queryTimes {
-					total += t
-				}
-				avg := total / time.Duration(len(queryTimes))
-				for k := range regionRows {
-					regionRows[k].QueryTime[name] = avg
-				}
-			} else {
-				for k := range regionRows {
-					regionRows[k].QueryTime[name] = queryTimes[k]
-				}
-			}
-		}
-		d.Close()
 		rows = append(rows, regionRows...)
 	}
 	return rows, nil
+}
+
+// fig3Region runs Fig. 3's queries at one region size of the sweep.
+func fig3Region(c Config, v *workload.VPIC, rs RegionSize) ([]Fig3Row, error) {
+	n := v.N
+	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, true, true, false)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	queries := workload.SingleObjectQueries(ids.Energy)
+	regionRows := make([]Fig3Row, len(queries))
+	for k := range queries {
+		regionRows[k] = Fig3Row{
+			Region: rs, QueryIdx: k, Label: workload.SingleQueryLabel(k),
+			QueryTime:   make(map[string]time.Duration),
+			ColdTime:    make(map[string]time.Duration),
+			GetDataTime: make(map[string]time.Duration),
+		}
+	}
+
+	// HDF5-F: one full read of the Energy object amortized over the
+	// batch, plus each query's scan.
+	hcfg := baseline.DefaultConfig(d.Store().Model(), c.Servers)
+	for k, q := range queries {
+		res, err := baseline.FullScan(d.Store(), d.Meta().Get, q, hcfg)
+		if err != nil {
+			return nil, err
+		}
+		amort := baseline.AmortizedElapsed(res.ReadElapsed, res.ScanElapsed, len(queries))
+		regionRows[k].QueryTime["HDF5-F"] = amort
+		regionRows[k].ColdTime["HDF5-F"] = res.Elapsed()
+		regionRows[k].NHits = res.NHits
+		regionRows[k].Selectivity = 100 * float64(res.NHits) / float64(n)
+	}
+
+	// The four PDC approaches, each from a cold start.
+	for _, name := range Approaches[1:] {
+		strat := pdcStrategies[name]
+		// Cold pass: every query starts with empty caches.
+		for k, q := range queries {
+			d.ResetCaches()
+			res, err := d.Client().RunCount(q, strat)
+			if err != nil {
+				return nil, err
+			}
+			regionRows[k].ColdTime[name] = res.Info.Elapsed.Total()
+		}
+		// Warm pass: the paper's sequential execution.
+		d.ResetCaches()
+		var queryTimes []time.Duration
+		for k, q := range queries {
+			res, err := d.Client().Run(q, strat)
+			if err != nil {
+				return nil, err
+			}
+			if c.Verify {
+				truth, err := d.GroundTruth(q)
+				if err != nil {
+					return nil, err
+				}
+				if truth.NHits != res.Sel.NHits {
+					return nil, fmt.Errorf("fig3 %s %s: %d hits, truth %d",
+						name, regionRows[k].Label, res.Sel.NHits, truth.NHits)
+				}
+			}
+			queryTimes = append(queryTimes, res.Info.Elapsed.Total())
+			if res.Sel.NHits > 0 {
+				_, dinfo, err := res.GetData(ids.Energy)
+				if err != nil {
+					return nil, err
+				}
+				regionRows[k].GetDataTime[name] = dinfo.Elapsed.Total()
+			}
+		}
+		if strat == plan.ForceFull {
+			// Amortized accounting for the full-scan approach: the
+			// initial read is shared by the whole batch.
+			var total time.Duration
+			for _, t := range queryTimes {
+				total += t
+			}
+			avg := total / time.Duration(len(queryTimes))
+			for k := range regionRows {
+				regionRows[k].QueryTime[name] = avg
+			}
+		} else {
+			for k := range regionRows {
+				regionRows[k].QueryTime[name] = queryTimes[k]
+			}
+		}
+	}
+	return regionRows, nil
 }
 
 // Fig3Print renders the rows as one table per region size: the
@@ -250,15 +254,4 @@ func Fig3CSV(w io.Writer, rows []Fig3Row) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Fig3 runs and prints the experiment.
-func Fig3(w io.Writer, c Config) error {
-	rows, err := Fig3Run(c)
-	if err != nil {
-		return err
-	}
-	Fig3Print(w, rows)
-	Fig3Speedups(w, rows)
-	return nil
 }

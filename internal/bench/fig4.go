@@ -27,7 +27,7 @@ func Fig4Run(c Config) ([]Fig4Row, error) {
 	n := 1 << c.LogN
 	v := workload.GenerateVPIC(n, c.Seed)
 	rs := bestRegion(n) // the paper's 32MB-equivalent step
-	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, true, true)
+	d, ids, err := deployVPIC(v, c.Servers, rs.Bytes, true, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -120,14 +120,4 @@ func Fig4Print(w io.Writer, rows []Fig4Row) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Fig4 runs and prints the experiment.
-func Fig4(w io.Writer, c Config) error {
-	rows, err := Fig4Run(c)
-	if err != nil {
-		return err
-	}
-	Fig4Print(w, rows)
-	return nil
 }

@@ -39,6 +39,7 @@ func Fig5Run(c Config) ([]Fig5Row, error) {
 		RegionBytes: 1 << 20, // each fiber is far smaller: one region per object (§VI-C)
 		BuildIndex:  true,
 	})
+	defer d.Close()
 	cont := d.CreateContainer("h5boss")
 	ids := make([]object.ID, len(objs))
 	for i, bo := range objs {
@@ -54,7 +55,6 @@ func Fig5Run(c Config) ([]Fig5Row, error) {
 	if err := d.Start(); err != nil {
 		return nil, err
 	}
-	defer d.Close()
 
 	// The metadata condition: the first group's sky position (1000
 	// objects, as in the paper).
@@ -151,14 +151,4 @@ func Fig5Print(w io.Writer, rows []Fig5Row) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Fig5 runs and prints the experiment.
-func Fig5(w io.Writer, c Config) error {
-	rows, err := Fig5Run(c)
-	if err != nil {
-		return err
-	}
-	Fig5Print(w, rows)
-	return nil
 }

@@ -32,38 +32,44 @@ func Fig6Run(c Config) ([]Fig6Row, error) {
 
 	var rows []Fig6Row
 	for _, nsrv := range c.Fig6Servers {
-		d, ids, err := deployVPIC(v, nsrv, rs.Bytes, true, true)
+		row, err := fig6Fleet(c, v, rs, nsrv)
 		if err != nil {
 			return nil, err
 		}
-		q := workload.Fig6Query(ids.Energy, ids.X, ids.Y, ids.Z)
-		row := Fig6Row{Servers: nsrv, Time: make(map[string]time.Duration)}
-		for _, name := range fig6Approaches {
-			d.ResetCaches()
-			res, err := d.Client().Run(q, pdcStrategies[name])
-			if err != nil {
-				d.Close()
-				return nil, err
-			}
-			if c.Verify {
-				truth, err := d.GroundTruth(q)
-				if err != nil {
-					d.Close()
-					return nil, err
-				}
-				if truth.NHits != res.Sel.NHits {
-					d.Close()
-					return nil, fmt.Errorf("fig6 %s nsrv=%d: %d hits, truth %d", name, nsrv, res.Sel.NHits, truth.NHits)
-				}
-			}
-			row.Time[name] = res.Info.Elapsed.Total()
-			row.NHits = res.Sel.NHits
-			row.Selectivity = 100 * float64(res.Sel.NHits) / float64(n)
-		}
-		d.Close()
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// fig6Fleet runs Fig. 6's query on a fleet of nsrv servers.
+func fig6Fleet(c Config, v *workload.VPIC, rs RegionSize, nsrv int) (Fig6Row, error) {
+	d, ids, err := deployVPIC(v, nsrv, rs.Bytes, true, true, false)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	defer d.Close()
+	q := workload.Fig6Query(ids.Energy, ids.X, ids.Y, ids.Z)
+	row := Fig6Row{Servers: nsrv, Time: make(map[string]time.Duration)}
+	for _, name := range fig6Approaches {
+		d.ResetCaches()
+		res, err := d.Client().Run(q, pdcStrategies[name])
+		if err != nil {
+			return Fig6Row{}, err
+		}
+		if c.Verify {
+			truth, err := d.GroundTruth(q)
+			if err != nil {
+				return Fig6Row{}, err
+			}
+			if truth.NHits != res.Sel.NHits {
+				return Fig6Row{}, fmt.Errorf("fig6 %s nsrv=%d: %d hits, truth %d", name, nsrv, res.Sel.NHits, truth.NHits)
+			}
+		}
+		row.Time[name] = res.Info.Elapsed.Total()
+		row.NHits = res.Sel.NHits
+		row.Selectivity = 100 * float64(res.Sel.NHits) / float64(v.N)
+	}
+	return row, nil
 }
 
 // Fig6Print renders the table.
@@ -84,14 +90,4 @@ func Fig6Print(w io.Writer, rows []Fig6Row) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Fig6 runs and prints the experiment.
-func Fig6(w io.Writer, c Config) error {
-	rows, err := Fig6Run(c)
-	if err != nil {
-		return err
-	}
-	Fig6Print(w, rows)
-	return nil
 }

@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
 	"pdcquery/internal/core"
-	"pdcquery/internal/dtype"
-	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/workload"
 )
@@ -19,19 +15,19 @@ import (
 // counters after the round.
 type PlanCacheRow struct {
 	// Round is the repetition index (0 = cold cache).
-	Round int `json:"round"`
+	Round int
 	// Queries is the corpus size.
-	Queries int `json:"queries"`
+	Queries int
 	// NHits sums the hits across the corpus (identical every round).
-	NHits uint64 `json:"hits"`
+	NHits uint64
 	// TimeNs is the summed modeled elapsed time of the round.
-	TimeNs int64 `json:"modeled_ns"`
+	TimeNs int64
 	// CacheHits/CacheMisses are the fleet's cumulative plan-cache
 	// counters after the round.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
+	CacheHits   uint64
+	CacheMisses uint64
 	// Speedup is relative to the cold round.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // planCacheRounds is how many times the corpus is replayed (round 0
@@ -66,16 +62,9 @@ func PlanCacheRun(c Config) ([]PlanCacheRow, error) {
 		BuildIndex: true, Model: &model,
 	})
 	defer d.Close()
-	cont := d.CreateContainer("plancache")
-	ids := make(map[string]object.ID)
-	for _, name := range workload.VPICNames {
-		o, err := d.ImportObject(cont.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(n)},
-		}, dtype.Bytes(v.Vars[name]))
-		if err != nil {
-			return nil, err
-		}
-		ids[name] = o.ID
+	ids, err := ImportVPIC(d, v, workload.VPICNames...)
+	if err != nil {
+		return nil, err
 	}
 	if err := d.BuildSortedReplica(ids["Energy"]); err != nil {
 		return nil, err
@@ -130,20 +119,4 @@ func PlanCacheCSV(w io.Writer, rows []PlanCacheRow) {
 		fmt.Fprintf(w, "%d,%d,%d,%.9f,%.4f,%d,%d\n",
 			r.Round, r.Queries, r.NHits, time.Duration(r.TimeNs).Seconds(), r.Speedup, r.CacheHits, r.CacheMisses)
 	}
-}
-
-// PlanCacheJSON writes the rows as the BENCH_plancache.json document.
-func PlanCacheJSON(w io.Writer, rows []PlanCacheRow) error {
-	doc := struct {
-		Figure string         `json:"figure"`
-		Rows   []PlanCacheRow `json:"rows"`
-	}{Figure: "plancache", Rows: rows}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
 }

@@ -2,15 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
 	"pdcquery/internal/cluster"
 	"pdcquery/internal/core"
-	"pdcquery/internal/dtype"
-	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/selection"
@@ -22,16 +19,16 @@ import (
 // session against P members with R=2 replication.
 type ScaleoutRow struct {
 	// Members is the serving member count of the cluster.
-	Members int `json:"members"`
+	Members int
 	// Queries is the corpus size (all rows run the same corpus).
-	Queries int `json:"queries"`
+	Queries int
 	// NHits sums the hits across the corpus (identical for every row —
 	// the answers are byte-identical regardless of cluster size).
-	NHits uint64 `json:"hits"`
+	NHits uint64
 	// TimeNs is the summed modeled elapsed time of the corpus.
-	TimeNs int64 `json:"modeled_ns"`
+	TimeNs int64
 	// Speedup is relative to the single-member row.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // ScaleoutMembers are the cluster sizes the scale-out figure sweeps.
@@ -57,16 +54,9 @@ func ScaleoutRun(c Config) ([]ScaleoutRow, error) {
 		Servers: 2, RegionBytes: rs.Bytes, Model: &model,
 	})
 	defer src.Close()
-	cont := src.CreateContainer("scaleout")
-	ids := make(map[string]object.ID)
-	for _, name := range workload.VPICNames {
-		o, err := src.ImportObject(cont.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(n)},
-		}, dtype.Bytes(v.Vars[name]))
-		if err != nil {
-			return nil, err
-		}
-		ids[name] = o.ID
+	ids, err := ImportVPIC(src, v, workload.VPICNames...)
+	if err != nil {
+		return nil, err
 	}
 	queries := workload.SingleObjectQueries(ids["Energy"])
 	var truths []*selection.Selection
@@ -151,20 +141,4 @@ func ScaleoutCSV(w io.Writer, rows []ScaleoutRow) {
 		fmt.Fprintf(w, "%d,%d,%d,%.9f,%.4f\n",
 			r.Members, r.Queries, r.NHits, time.Duration(r.TimeNs).Seconds(), r.Speedup)
 	}
-}
-
-// ScaleoutJSON writes the rows as the BENCH_scaleout.json document.
-func ScaleoutJSON(w io.Writer, rows []ScaleoutRow) error {
-	doc := struct {
-		Figure string        `json:"figure"`
-		Rows   []ScaleoutRow `json:"rows"`
-	}{Figure: "scaleout", Rows: rows}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -60,18 +59,4 @@ func TestScaleoutShape(t *testing.T) {
 		t.Errorf("csv lines = %d, want %d", got, len(rows)+1)
 	}
 
-	var out bytes.Buffer
-	if err := ScaleoutJSON(&out, rows); err != nil {
-		t.Fatalf("ScaleoutJSON: %v", err)
-	}
-	var doc struct {
-		Figure string        `json:"figure"`
-		Rows   []ScaleoutRow `json:"rows"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_scaleout.json does not round-trip: %v", err)
-	}
-	if doc.Figure != "scaleout" || len(doc.Rows) != len(rows) {
-		t.Errorf("json doc = %q/%d rows, want scaleout/%d", doc.Figure, len(doc.Rows), len(rows))
-	}
 }

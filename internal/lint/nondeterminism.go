@@ -34,14 +34,6 @@ var nondetExemptSuffixes = []string{
 	"internal/telemetry",
 }
 
-// envExemptSuffixes are additionally allowed to read process
-// environment (os.Getenv and friends): the bench harness's sizing knobs
-// (PDCQ_LOGN, PDCQ_SERVERS) are test-infrastructure configuration, not
-// production inputs.
-var envExemptSuffixes = []string{
-	"internal/bench",
-}
-
 // forbiddenEnvFuncs read ambient process state (environment, pid, CPU
 // count); results vary per machine and silently skew deterministic
 // output if they influence production code paths.
@@ -74,12 +66,6 @@ func runNondeterminism(pass *Pass) error {
 			return nil
 		}
 	}
-	envExempt := false
-	for _, sfx := range envExemptSuffixes {
-		if strings.HasSuffix(pass.PkgPath, sfx) {
-			envExempt = true
-		}
-	}
 	type finding struct {
 		pos  token.Pos
 		what string
@@ -108,9 +94,6 @@ func runNondeterminism(pass *Pass) error {
 					"use an explicitly seeded rand.New(rand.NewSource(seed))"})
 			}
 		case "os", "runtime":
-			if envExempt {
-				continue
-			}
 			qual := fn.Pkg().Path() + "." + fn.Name()
 			if hint, bad := forbiddenEnvFuncs[qual]; bad {
 				found = append(found, finding{id.Pos(), qual, hint})
