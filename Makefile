@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test benchmark-check cover race fuzz stress chaos bench bench-diff bench-seed bench-smoke debug-smoke cluster-smoke cluster-test figures verify examples clean
+.PHONY: all build lint test benchmark-check cover race fuzz stress chaos bench bench-diff bench-seed bench-smoke figures verify examples clean
 
 all: build lint test
 
@@ -71,7 +71,9 @@ stress:
 # Chaos soak: CHAOS_SEEDS seeded transport/storage fault schedules
 # against a single-process deployment and CLUSTER_SEEDS seeded
 # kill/join/drain schedules against a local cluster, plus the pinned
-# corpus and the checkpoint crash-recovery round-trip. Every statement
+# corpus — its membership plans run on a local cluster and on real
+# pdc-server catalog and member processes, whose /metrics the audit
+# scrapes — and the checkpoint crash-recovery round-trip. Every statement
 # (seeded forcing, text or prepared, count or ids) is checked against the
 # brute-force oracle: zero wrong answers — every fault is masked by
 # recovery or surfaces as a typed error — and every fired fault is
@@ -111,8 +113,8 @@ bench:
 # Performance ratchet and the one allocation gate: deterministic
 # allocs/op (hot kernels, the index build, and whole warm statements on
 # every access path) and modeled virtual-time figures (every paper figure,
-# scale-out, plan cache, cluster import and rebalance) vs the committed
-# BENCH_seed.json baseline, the one baseline file. Every figure must
+# scale-out, plan cache, Fig. 3's import, cluster import and rebalance)
+# vs the committed BENCH_seed.json baseline, the one baseline file. Every figure must
 # equal its committed value: higher fails as a regression, lower fails
 # until bench-seed takes it.
 # Deterministic by construction, so CI runs it.
@@ -134,28 +136,6 @@ bench-smoke: bench-diff
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	dir=$$(mktemp -d) && $(GO) run ./cmd/pdc-bench -fig all -faults -logn 14 -servers 4 -boss 1000 -flux 50 -csv $$dir; \
 		rc=$$?; rm -rf $$dir; exit $$rc
-
-# Observability smoke: boot a real pdc-server daemon, run a query, then
-# scrape /metrics (strict text-exposition parse, expected series),
-# /debug/events (the flight recorder shows the query just served), and
-# /debug/pprof. Validates the whole record→aggregate→expose→scrape path.
-debug-smoke:
-	$(GO) build -o bin/pdc-server ./cmd/pdc-server
-	$(GO) run ./cmd/pdc-debugsmoke -server bin/pdc-server
-
-# Distributed smoke: boot a real pdc-server catalog plus three member
-# processes over TCP, import with R=2 replication, answer the corpus
-# byte-identically to the brute-force oracle through a mid-corpus
-# SIGKILL and a replacement join, then strictly parse every process's
-# /metrics. Exercises the whole multi-process path end to end.
-cluster-smoke:
-	$(GO) build -o bin/pdc-server ./cmd/pdc-server
-	$(GO) run ./cmd/pdc-clustersmoke -server bin/pdc-server
-
-# Multi-process cluster tests (process spawn + drain) outside -short.
-cluster-test:
-	$(GO) test -race -count=1 -run 'TestProcess' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestCluster|TestCatalog|TestPlacement' ./internal/cluster/
 
 # Regenerate every figure of the paper's evaluation (modeled times).
 figures:

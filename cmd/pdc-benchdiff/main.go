@@ -279,6 +279,9 @@ func measureModeled() (map[string]int64, error) {
 	for _, r := range rows {
 		addSeries(out, "fig3.logn16.", r.QueryTime)
 	}
+	// What building Fig. 3's deployment charges: the data, index and
+	// sorted-replica writes of the import.
+	out["import.setup"] = int64(rows[0].ImportTime)
 
 	// Plan-cache figures: the declarative corpus cold (round 0, every
 	// plan built) and warm (last round, every plan from the LRU). Both

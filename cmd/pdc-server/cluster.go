@@ -9,7 +9,7 @@
 //	pdc-query run -catalog 127.0.0.1:7000 "select count where Energy > 2.0"
 //
 // Members start empty: a client imports a dataset through the catalog
-// (see cluster.Session.Import and cmd/pdc-clustersmoke), which writes
+// (see cluster.Session.Import and fault.RunClusterChaos), which writes
 // every region's extents to all R placement owners. Like the standalone
 // daemon, both modes print the readiness handshake (announce).
 package main

@@ -13,8 +13,8 @@
 // Every mode (standalone, -catalog, -join) prints a `PDC_LISTENING
 // <addr>` line on stdout once it accepts connections, followed by
 // `PDC_METRICS <addr>` when -metrics-addr is set: the process harness
-// (core.ProcessDeployment), cmd/pdc-debugsmoke and shell scripts wait for
-// it instead of polling ports, so `-addr 127.0.0.1:0` works everywhere.
+// (core.ProcessDeployment) and shell scripts wait for it instead of
+// polling ports, so `-addr 127.0.0.1:0` works everywhere.
 package main
 
 import (

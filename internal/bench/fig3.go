@@ -28,6 +28,9 @@ type Fig3Row struct {
 	// between these two.
 	ColdTime    map[string]time.Duration
 	GetDataTime map[string]time.Duration
+	// ImportTime is the modeled import charge of the region size's
+	// deployment: data, index and sorted-replica writes.
+	ImportTime time.Duration
 }
 
 // Fig3Run reproduces Fig. 3 (a)–(f): 15 single-object energy queries,
@@ -67,6 +70,7 @@ func fig3Region(c Config, v *workload.VPIC, rs RegionSize) ([]Fig3Row, error) {
 			QueryTime:   make(map[string]time.Duration),
 			ColdTime:    make(map[string]time.Duration),
 			GetDataTime: make(map[string]time.Duration),
+			ImportTime:  d.ImportCost().Total(),
 		}
 	}
 

@@ -1,5 +1,5 @@
-// White-box regression tests for the busy-retry backoff: the exponent
-// clamp at high attempt counts, and the interaction between busy retries
+// White-box regression tests for the busy-retry backoff: the ramp and
+// the budget, and the interaction between busy retries
 // and a server that shut down or crashed mid-cycle.
 package client
 
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pdcquery/internal/metadata"
+	"pdcquery/internal/sched"
 	"pdcquery/internal/server"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/transport"
@@ -48,53 +49,34 @@ func busyReply(retryAfterNs uint64) reply {
 	return reply{srv: 0, msg: transport.Message{Type: server.MsgBusy, Payload: br.Encode()}}
 }
 
-// TestBusyBackoffClampHighAttempts pins the shift-overflow fix: before
-// the exponent clamp, attempt counts past ~40 shifted busyBaseWait to
-// zero or negative (50µs << 63 == 0), so a large retry budget turned the
-// capped backoff into a hot loop of zero-length sleeps. Every attempt
-// must wait in (0, busyMaxWait], and attempts past the ramp must wait
-// exactly busyMaxWait.
+// TestBusyBackoffClampHighAttempts pins the whole ramp of the fixed
+// budget: attempt n waits busyBaseWait<<(n-1), capped at busyMaxWait,
+// for n = 1..busyMaxRetries, and the next attempt fails with
+// sched.ErrBusy instead of waiting.
 func TestBusyBackoffClampHighAttempts(t *testing.T) {
 	c, _ := newBackoffClient(t)
-	c.SetBusyRetries(1000)
-	for _, n := range []int{1, 2, 8, 39, 40, 62, 63, 64, 65, 100, 999} {
-		attempts := []int{n - 1} // busyBackoff increments to n
-		wait, err := c.busyBackoff(busyReply(0), attempts, 1000)
+	attempts := []int{0}
+	for n := 1; n <= busyMaxRetries; n++ {
+		wait, err := c.busyBackoff(busyReply(0), attempts)
 		if err != nil {
 			t.Fatalf("attempt %d: unexpected error %v", n, err)
 		}
-		if wait <= 0 {
-			t.Fatalf("attempt %d: wait %v, want positive (shift overflow)", n, wait)
-		}
-		if wait > busyMaxWait {
-			t.Fatalf("attempt %d: wait %v exceeds cap %v", n, wait, busyMaxWait)
-		}
-		// The ramp reaches the cap at busyBaseWait<<8 > busyMaxWait.
-		if n >= 9 && wait != busyMaxWait {
-			t.Fatalf("attempt %d: wait %v, want cap %v", n, wait, busyMaxWait)
-		}
-	}
-	// The ramp itself must still be exponential below the cap.
-	for n := 1; n <= 7; n++ {
-		attempts := []int{n - 1}
-		wait, err := c.busyBackoff(busyReply(0), attempts, 1000)
-		if err != nil {
-			t.Fatalf("attempt %d: %v", n, err)
-		}
-		if want := busyBaseWait << uint(n-1); wait != want {
+		if want := min(busyBaseWait<<uint(n-1), busyMaxWait); wait != want {
 			t.Fatalf("attempt %d: wait %v, want %v", n, wait, want)
 		}
 	}
+	if _, err := c.busyBackoff(busyReply(0), attempts); !errors.Is(err, sched.ErrBusy) {
+		t.Fatalf("attempt %d: want sched.ErrBusy, got %v", busyMaxRetries+1, err)
+	}
 }
 
-// TestBusyBackoffBudgetExhausted: exceeding the configured budget still
-// fails with sched.ErrBusy, including budgets far past the old overflow
-// boundary.
+// TestBusyBackoffBudgetExhausted: an attempt count far past the budget
+// still fails with sched.ErrBusy.
 func TestBusyBackoffBudgetExhausted(t *testing.T) {
 	c, _ := newBackoffClient(t)
 	attempts := []int{100}
-	if _, err := c.busyBackoff(busyReply(0), attempts, 100); err == nil {
-		t.Fatal("want ErrBusy past the budget, got nil")
+	if _, err := c.busyBackoff(busyReply(0), attempts); !errors.Is(err, sched.ErrBusy) {
+		t.Fatalf("want sched.ErrBusy past the budget, got %v", err)
 	}
 }
 
@@ -108,7 +90,6 @@ func TestBusyRetryDeadServerTerminal(t *testing.T) {
 	c, serverSide := newBackoffClient(t)
 	sleeper := &countingSleeper{}
 	c.SetSleeper(sleeper)
-	c.SetBusyRetries(64) // large budget the buggy path would burn through
 
 	done := make(chan struct{})
 	go func() {

@@ -58,11 +58,6 @@ const (
 	busyMaxRetries = 8
 	busyBaseWait   = 50 * time.Microsecond
 	busyMaxWait    = 10 * time.Millisecond
-	// busyMaxShift bounds the backoff exponent: busyBaseWait<<8 already
-	// exceeds busyMaxWait, and shifting a Duration by ~40+ would wrap
-	// negative (and by 64+ is undefined), so larger retry budgets must
-	// clamp the exponent before shifting, not after.
-	busyMaxShift = 16
 	// maxRedials caps reconnection attempts per server within one call:
 	// a connection that dies repeatedly during a single request is
 	// surfaced as ServerDownError rather than retried forever.
@@ -117,9 +112,6 @@ type Client struct {
 	// It is the client's defense against a server that is reachable but
 	// silent: the call fails with ErrTimeout instead of hanging.
 	callTimeout time.Duration
-	// busyRetries is the per-server MsgBusy retry budget (default
-	// busyMaxRetries; SetBusyRetries overrides).
-	busyRetries int
 	// epoch, when useEpoch is set, stamps every query request with the
 	// placement epoch (cluster mode): servers reject mismatches so a
 	// query never spans two placements.
@@ -147,13 +139,12 @@ type reply struct {
 // for remote deployments; call SyncMeta to fetch a snapshot.
 func New(conns []transport.Conn, meta *metadata.Service) *Client {
 	c := &Client{
-		conns:       conns,
-		meta:        meta,
-		sleeper:     telemetry.NoSleep,
-		busyRetries: busyMaxRetries,
-		nextReq:     1,
-		pending:     make(map[uint64]chan reply),
-		downErr:     make([]error, len(conns)),
+		conns:   conns,
+		meta:    meta,
+		sleeper: telemetry.NoSleep,
+		nextReq: 1,
+		pending: make(map[uint64]chan reply),
+		downErr: make([]error, len(conns)),
 	}
 	c.closeCtx, c.closeCancel = context.WithCancel(context.Background())
 	// The background aggregator threads (§III-C): one reader per server
@@ -267,18 +258,6 @@ func (c *Client) SetEpoch(epoch uint64) {
 func (c *Client) SetRouter(router func(o *object.Object, region int) int) {
 	c.mu.Lock()
 	c.router = router
-	c.mu.Unlock()
-}
-
-// SetBusyRetries overrides the per-server MsgBusy retry budget (n <= 0
-// restores the default). Large budgets are safe: the backoff exponent is
-// clamped, so waits cap at busyMaxWait instead of wrapping to zero.
-func (c *Client) SetBusyRetries(n int) {
-	c.mu.Lock()
-	if n <= 0 {
-		n = busyMaxRetries
-	}
-	c.busyRetries = n
 	c.mu.Unlock()
 }
 
@@ -405,7 +384,6 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 		return 0, nil, 0, ErrClosed
 	}
 	deadline := uint64(c.budget)
-	maxRetries := c.busyRetries
 	timeout := c.callTimeout
 	req := c.nextReq
 	c.nextReq++
@@ -413,7 +391,7 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 	// result), and every dead reader posts one down notification per
 	// pending call; size the buffer for the worst case so the reader
 	// never blocks on a call that already gave up.
-	ch := make(chan reply, len(c.conns)*(maxRetries+4+maxRedials))
+	ch := make(chan reply, len(c.conns)*(busyMaxRetries+4+maxRedials))
 	c.pending[req] = ch
 	c.mu.Unlock()
 	defer func() {
@@ -511,7 +489,7 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 			continue
 		}
 		if r.msg.Type == server.MsgBusy {
-			wait, err := c.busyBackoff(r, attempts, maxRetries)
+			wait, err := c.busyBackoff(r, attempts)
 			if err != nil {
 				return 0, nil, busyWait, err
 			}
@@ -538,31 +516,23 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 
 // busyBackoff handles one MsgBusy reply: it bumps the per-server attempt
 // count, sleeps (via the Sleeper seam) for the backoff interval, and
-// returns the modeled wait. Exhausting the retry budget yields an error
-// wrapping sched.ErrBusy. A server that goes away mid-backoff interrupts
+// returns the modeled wait. Exhausting the busyMaxRetries budget yields
+// an error wrapping sched.ErrBusy. A server that goes away mid-backoff interrupts
 // the cycle immediately with a typed terminal error — the client must
 // not sleep through the remaining budget against a dead peer.
-func (c *Client) busyBackoff(r reply, attempts []int, maxRetries int) (time.Duration, error) {
+func (c *Client) busyBackoff(r reply, attempts []int) (time.Duration, error) {
 	br, derr := server.DecodeBusyResponse(r.msg.Payload)
 	if derr != nil {
 		return 0, fmt.Errorf("client: server %d: %w", r.srv, derr)
 	}
 	attempts[r.srv]++
-	if attempts[r.srv] > maxRetries {
+	if attempts[r.srv] > busyMaxRetries {
 		return 0, fmt.Errorf("client: server %d (%d queued): %w after %d attempts",
 			r.srv, br.Queued, sched.ErrBusy, attempts[r.srv]-1)
 	}
-	// Clamp the exponent BEFORE shifting: busyBaseWait << (attempts-1)
-	// with a large retry budget wraps to zero/negative (50µs << 63 == 0),
-	// which the busyMaxWait cap applied after the shift cannot repair —
-	// the capped backoff degenerated into a hot loop of zero-length
-	// sleeps. Past busyMaxShift the wait is busyMaxWait by construction.
-	wait := busyMaxWait
-	if shift := uint(attempts[r.srv] - 1); shift < busyMaxShift {
-		if w := busyBaseWait << shift; w < busyMaxWait {
-			wait = w
-		}
-	}
+	// The budget bounds the shift at busyMaxRetries-1, far below where
+	// a Duration would wrap.
+	wait := busyBaseWait << uint(attempts[r.srv]-1)
 	if hint := time.Duration(br.RetryAfterNs); hint > wait {
 		wait = hint
 	}
@@ -920,9 +890,10 @@ func (c *Client) ServerEvents() (events [][]telemetry.Event, totals []uint64, er
 
 // SyncMeta fetches a metadata snapshot from server 0 and installs it as
 // the client's metadata view (for TCP deployments where the client does
-// not share memory with the servers).
+// not share memory with the servers). Every server holds the same
+// metadata, so one snapshot is asked for, not one per server.
 func (c *Client) SyncMeta() error {
-	_, msgs, _, err := c.call(context.Background(), server.MsgMetaSnapshot, allServers, func(int) []byte { return nil })
+	_, msgs, _, err := c.call(context.Background(), server.MsgMetaSnapshot, 0, func(int) []byte { return nil })
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ func TestBusyBackoffRecordsEvent(t *testing.T) {
 	rec := telemetry.NewRecorder(16, nil)
 	c.SetRecorder(rec)
 	attempts := []int{0}
-	wait, err := c.busyBackoff(busyReply(0), attempts, 5)
+	wait, err := c.busyBackoff(busyReply(0), attempts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBusyBackoffRecordsEvent(t *testing.T) {
 		t.Errorf("event = srv=%d a=%d b=%d, want srv=0 a=1 b=%d", e.Srv, e.A, e.B, wait)
 	}
 	// A second attempt bumps the attempt number.
-	if _, err := c.busyBackoff(busyReply(0), attempts, 5); err != nil {
+	if _, err := c.busyBackoff(busyReply(0), attempts); err != nil {
 		t.Fatal(err)
 	}
 	events = rec.Snapshot()
@@ -88,7 +88,7 @@ func TestEnsureConnRecordsRedial(t *testing.T) {
 // recorder (the default) — Record is nil-safe by contract.
 func TestRecorderUninstalledIsNoop(t *testing.T) {
 	c, _ := newBackoffClient(t)
-	if _, err := c.busyBackoff(busyReply(0), []int{0}, 5); err != nil {
+	if _, err := c.busyBackoff(busyReply(0), []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetRedial(func(srv int) (transport.Conn, error) {

@@ -392,6 +392,24 @@ func TestTCPDeployment(t *testing.T) {
 	}
 }
 
+// TestSyncMetaAsksOneServer: every server holds the same metadata, so
+// SyncMeta takes one snapshot from server 0 and asks no other server.
+func TestSyncMetaAsksOneServer(t *testing.T) {
+	d, _ := vpicDeployment(t, 4000, Options{Servers: 4, RegionBytes: 4 << 10})
+	if err := d.Client().SyncMeta(); err != nil {
+		t.Fatal(err)
+	}
+	for i, srv := range d.Servers() {
+		want := int64(0)
+		if i == 0 {
+			want = 1
+		}
+		if got := srv.Metrics().Counter("msg.meta_snapshot"); got != want {
+			t.Errorf("server %d answered %d snapshot requests, want %d", i, got, want)
+		}
+	}
+}
+
 func TestStrategySwitchAndCacheReset(t *testing.T) {
 	d, ids := vpicDeployment(t, 10000, Options{Servers: 2, RegionBytes: 4 << 10}, plan.ForceFull)
 	q := &query.Query{Root: query.Leaf(ids["Energy"], query.OpGT, 2.0)}

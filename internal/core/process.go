@@ -4,7 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/http"
+	"os"
 	osexec "os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,8 +22,9 @@ import (
 // process over real TCP. The in-proc Deployment stays the deterministic
 // fast path; this harness exists to prove the same catalog, placement,
 // replication, and failover machinery holds when members are separate
-// processes that can be SIGKILLed — cmd/pdc-clustersmoke and the
-// process chaos test drive it.
+// processes that can be SIGKILLed. The chaos harness drives it
+// (fault.RunClusterChaos runs the pinned membership plans on it as on
+// cluster.Local), and so does the wall-clock benchmark.
 type ProcessDeployment struct {
 	opts ProcessOptions
 
@@ -61,13 +66,14 @@ const (
 // child is one spawned pdc-server process.
 type child struct {
 	cmd         *osexec.Cmd
-	addr        string // serving address from the PDC_LISTENING handshake
-	metricsAddr string // from PDC_METRICS (empty unless Metrics)
+	id          cluster.MemberID // catalog-assigned (members only)
+	addr        string           // serving address from the PDC_LISTENING handshake
+	metricsAddr string           // from PDC_METRICS (empty unless Metrics)
 	waitErr     chan error
 }
 
-// StartProcessDeployment spawns the catalog and the initial members,
-// then waits for the committed view to include them all.
+// StartProcessDeployment spawns the catalog, then joins the initial
+// members one by one.
 func StartProcessDeployment(opts ProcessOptions) (*ProcessDeployment, error) {
 	if opts.BinPath == "" {
 		return nil, fmt.Errorf("core: ProcessOptions.BinPath is required")
@@ -91,19 +97,16 @@ func StartProcessDeployment(opts ProcessOptions) (*ProcessDeployment, error) {
 	p.catalog = cat
 	p.catalogAddr = cat.addr
 	for i := 0; i < opts.Members; i++ {
-		if _, err := p.Spawn(); err != nil {
+		if _, err := p.Join(); err != nil {
 			p.Close()
 			return nil, err
 		}
 	}
-	if err := p.WaitMembers(opts.Members, processStartTimeout); err != nil {
-		p.Close()
-		return nil, err
-	}
 	return p, nil
 }
 
-// spawn starts one child and completes the PDC_LISTENING handshake.
+// spawn starts one child and completes the PDC_LISTENING handshake: the
+// one reader of the line in the module.
 func (p *ProcessDeployment) spawn(args ...string) (*child, error) {
 	if p.opts.Metrics {
 		args = append(args, "-metrics-addr", "127.0.0.1:0")
@@ -171,24 +174,45 @@ func (p *ProcessDeployment) spawn(args ...string) (*child, error) {
 	return c, nil
 }
 
-// Spawn adds one member process (a join: the catalog rebalances and
-// the joiner pulls its regions). Returns its serving address.
-func (p *ProcessDeployment) Spawn() (string, error) {
+// Join adds one member process (a join: the catalog rebalances and the
+// joiner pulls its regions) and returns its catalog-assigned ID once
+// the committed view includes it.
+func (p *ProcessDeployment) Join() (cluster.MemberID, error) {
 	c, err := p.spawn(
 		"-join", p.catalogAddr, "-addr", "127.0.0.1:0",
 		"-heartbeat", processHeartbeat.String(),
 	)
 	if err != nil {
-		return "", fmt.Errorf("core: spawn member: %w", err)
+		return -1, fmt.Errorf("core: spawn member: %w", err)
 	}
+	c.id = -1
 	p.mu.Lock()
 	p.members = append(p.members, c)
 	p.mu.Unlock()
-	return c.addr, nil
+	_, err = p.awaitView(processStartTimeout, func(v cluster.View) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, mi := range v.Members {
+			if mi.Addr == c.addr {
+				c.id = mi.ID
+			}
+		}
+		return c.id >= 0
+	})
+	return c.id, err
 }
 
-// CatalogAddr returns the catalog's TCP address.
-func (p *ProcessDeployment) CatalogAddr() string { return p.catalogAddr }
+// MemberIDs lists the live members in ID order.
+func (p *ProcessDeployment) MemberIDs() []cluster.MemberID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ids := make([]cluster.MemberID, len(p.members))
+	for i, c := range p.members {
+		ids[i] = c.id
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // MemberAddrs lists the live members' serving addresses in spawn order.
 func (p *ProcessDeployment) MemberAddrs() []string {
@@ -217,22 +241,27 @@ func (p *ProcessDeployment) MetricsAddr(addr string) string {
 	return ""
 }
 
-// Kill SIGKILLs the member serving addr — no goodbye, no flush; the
-// catalog finds out through the broken control connection or the
-// heartbeat timeout, and failover must keep answers exact.
-func (p *ProcessDeployment) Kill(addr string) error {
+// remove takes member id out of the live set and returns its process
+// (nil when no live member has that ID).
+func (p *ProcessDeployment) remove(id cluster.MemberID) *child {
 	p.mu.Lock()
-	var victim *child
+	defer p.mu.Unlock()
 	for i, c := range p.members {
-		if c.addr == addr {
-			victim = c
-			p.members = append(p.members[:i], p.members[i+1:]...)
-			break
+		if c.id == id {
+			p.members = slices.Delete(p.members, i, i+1)
+			return c
 		}
 	}
-	p.mu.Unlock()
+	return nil
+}
+
+// Crash SIGKILLs member id — no goodbye, no flush; the catalog finds out
+// through the broken control connection or the heartbeat timeout, and
+// failover must keep answers exact.
+func (p *ProcessDeployment) Crash(id cluster.MemberID) error {
+	victim := p.remove(id)
 	if victim == nil {
-		return fmt.Errorf("core: no member at %s", addr)
+		return fmt.Errorf("core: no member %d", id)
 	}
 	_ = victim.cmd.Process.Kill()
 	<-victim.waitErr
@@ -253,43 +282,20 @@ func (p *ProcessDeployment) Session() (*cluster.Session, error) {
 	})
 }
 
-// Drain retires the member serving addr through the catalog and waits
-// for its process to exit.
-func (p *ProcessDeployment) Drain(addr string, timeout time.Duration) error {
+// Drain retires member id through the catalog and waits for its
+// process to exit.
+func (p *ProcessDeployment) Drain(id cluster.MemberID, timeout time.Duration) error {
 	s, err := p.Session()
 	if err != nil {
 		return err
 	}
 	defer s.Close()
-	v, err := s.FetchView()
-	if err != nil {
-		return err
-	}
-	id := cluster.MemberID(-1)
-	for _, mi := range v.Members {
-		if mi.Addr == addr {
-			id = mi.ID
-			break
-		}
-	}
-	if id < 0 {
-		return fmt.Errorf("core: no member at %s in committed view", addr)
-	}
 	if err := s.Drain(id); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	var victim *child
-	for i, c := range p.members {
-		if c.addr == addr {
-			victim = c
-			p.members = append(p.members[:i], p.members[i+1:]...)
-			break
-		}
-	}
-	p.mu.Unlock()
+	victim := p.remove(id)
 	if victim == nil {
-		return fmt.Errorf("core: no member process at %s", addr)
+		return fmt.Errorf("core: no member process %d", id)
 	}
 	select {
 	case <-victim.waitErr:
@@ -297,7 +303,7 @@ func (p *ProcessDeployment) Drain(addr string, timeout time.Duration) error {
 	case <-wallAfter(timeout):
 		_ = victim.cmd.Process.Kill()
 		<-victim.waitErr
-		return fmt.Errorf("core: member %s did not exit %v after drain", addr, timeout)
+		return fmt.Errorf("core: member %d did not exit %v after drain", id, timeout)
 	}
 }
 
@@ -314,22 +320,30 @@ func wallAfter(d time.Duration) <-chan struct{} {
 
 // WaitMembers polls the committed view until it holds n members.
 func (p *ProcessDeployment) WaitMembers(n int, timeout time.Duration) error {
+	if _, err := p.awaitView(timeout, func(v cluster.View) bool { return len(v.Members) == n }); err != nil {
+		return fmt.Errorf("%w, want %d", err, n)
+	}
+	return nil
+}
+
+// awaitView polls the committed view until ok accepts it.
+func (p *ProcessDeployment) awaitView(timeout time.Duration, ok func(cluster.View) bool) (cluster.View, error) {
 	s, err := p.Session()
 	if err != nil {
-		return err
+		return cluster.View{}, err
 	}
 	defer s.Close()
 	const poll = 20 * time.Millisecond
 	for waited := time.Duration(0); ; waited += poll {
 		v, err := s.FetchView()
-		if err == nil && len(v.Members) == n {
-			return nil
+		if err == nil && ok(v) {
+			return v, nil
 		}
 		if waited >= timeout {
 			if err != nil {
-				return fmt.Errorf("core: cluster view unavailable after %v: %w", timeout, err)
+				return v, fmt.Errorf("core: cluster view unavailable after %v: %w", timeout, err)
 			}
-			return fmt.Errorf("core: %d members in view after %v, want %d", len(v.Members), timeout, n)
+			return v, fmt.Errorf("core: %d members in view after %v", len(v.Members), timeout)
 		}
 		telemetry.WallSleep.Sleep(poll)
 	}
@@ -350,5 +364,57 @@ func (p *ProcessDeployment) Close() {
 	if p.catalog != nil {
 		_ = p.catalog.cmd.Process.Kill()
 		<-p.catalog.waitErr
+	}
+}
+
+// ServerBuild compiles cmd/pdc-server — the binary ProcessOptions.BinPath
+// names — at most once, into a temporary directory. A test binary that
+// spawns processes holds one, asks each test for Path and calls Remove
+// from TestMain.
+type ServerBuild struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// Path builds the binary on first use and returns its path.
+func (b *ServerBuild) Path() (string, error) {
+	b.once.Do(func() {
+		if b.dir, b.err = os.MkdirTemp("", "pdc-bin-"); b.err != nil {
+			return
+		}
+		out, err := osexec.Command("go", "build", "-o", b.dir, "pdcquery/cmd/pdc-server").CombinedOutput()
+		if err != nil {
+			b.err = fmt.Errorf("go build pdc-server: %v\n%s", err, out)
+		}
+	})
+	return filepath.Join(b.dir, "pdc-server"), b.err
+}
+
+// Remove deletes the build directory (nothing before the first Path).
+func (b *ServerBuild) Remove() { _ = os.RemoveAll(b.dir) }
+
+// Scrape GETs path (say "/metrics") from a process's HTTP listener at
+// addr, a MetricsAddr, and returns the body of its 200 reply. A refused
+// connection is retried for up to processStartTimeout.
+func Scrape(addr, path string) (string, error) {
+	const poll = 50 * time.Millisecond
+	for waited := time.Duration(0); ; waited += poll {
+		resp, err := http.Get("http://" + addr + path)
+		if err == nil {
+			body, err := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+			if err != nil {
+				return "", fmt.Errorf("core: GET %s%s: %w", addr, path, err)
+			}
+			return string(body), nil
+		}
+		if waited >= processStartTimeout {
+			return "", fmt.Errorf("core: GET %s%s: %w", addr, path, err)
+		}
+		telemetry.WallSleep.Sleep(poll)
 	}
 }

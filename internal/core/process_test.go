@@ -1,228 +1,110 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
-	osexec "os/exec"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"pdcquery/internal/dtype"
-	"pdcquery/internal/object"
+	"pdcquery/internal/client"
 	"pdcquery/internal/plan"
-	"pdcquery/internal/query"
-	"pdcquery/internal/selection"
+	"pdcquery/internal/telemetry"
+	"pdcquery/internal/transport"
 	"pdcquery/internal/workload"
 )
 
-var (
-	buildOnce sync.Once
-	buildBin  string
-	buildErr  error
-)
+// pdcServer is the pdc-server binary the process tests spawn, built on
+// first use and removed when the tests end.
+var pdcServer ServerBuild
 
-// serverBinary builds cmd/pdc-server once per test run and returns the
-// path. Tests that need the real multi-process cluster skip when the
-// toolchain cannot build it (e.g. a stripped-down environment).
-func serverBinary(t *testing.T) string {
-	t.Helper()
-	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "pdc-bin-")
-		if err != nil {
-			buildErr = err
-			return
-		}
-		buildBin = dir + "/pdc-server"
-		cmd := osexec.Command("go", "build", "-o", buildBin, "pdcquery/cmd/pdc-server")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			buildErr = fmt.Errorf("go build pdc-server: %v\n%s", err, out)
-		}
-	})
-	if buildErr != nil {
-		t.Skipf("cannot build pdc-server: %v", buildErr)
-	}
-	return buildBin
+func TestMain(m *testing.M) {
+	code := m.Run()
+	pdcServer.Remove()
+	os.Exit(code)
 }
 
-// processSource builds the import source and oracle for process tests.
-func processSource(t *testing.T, particles int) (*Deployment, []*query.Query, []*selection.Selection) {
-	t.Helper()
-	d := NewDeployment(Options{Servers: 2, RegionBytes: 8 << 10})
-	c := d.CreateContainer("process-e2e")
-	v := workload.GenerateVPIC(particles, 42)
-	ids := make(map[string]object.ID)
-	for _, name := range workload.VPICNames {
-		o, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(particles)},
-		}, dtype.Bytes(v.Vars[name]))
-		if err != nil {
-			t.Fatalf("import %s: %v", name, err)
-		}
-		ids[name] = o.ID
-	}
-	queries := workload.SingleObjectQueries(ids["Energy"])
-	truths := make([]*selection.Selection, len(queries))
-	for i, q := range queries {
-		sel, err := d.GroundTruth(q)
-		if err != nil {
-			t.Fatalf("ground truth %d: %v", i, err)
-		}
-		truths[i] = sel
-	}
-	t.Cleanup(func() { _ = d.Close() })
-	return d, queries, truths
-}
-
-// TestProcessDeployment is the full multi-process story: a real catalog
-// process and three real pdc-server member processes over TCP; import,
-// byte-identical corpus, SIGKILL failover, replacement join, and a
-// strict /metrics parse.
-func TestProcessDeployment(t *testing.T) {
+// TestDaemonObservability boots the standalone pdc-server daemon through
+// the process harness's own spawn and handshake and answers a statement
+// over TCP exactly. It then scrapes the daemon's debug listener:
+// /metrics parses strictly and carries the query, cache, plan-cache,
+// recorder, phase and runtime series, plus query_slow, since a 1ns
+// threshold makes every statement slow. /debug/events shows the
+// statement's lifecycle, and /debug/pprof answers.
+func TestDaemonObservability(t *testing.T) {
 	if testing.Short() {
-		t.Skip("process cluster skipped in -short")
+		t.Skip("process tests skipped in -short")
 	}
-	bin := serverBinary(t)
-	src, queries, truths := processSource(t, 4000)
-
-	p, err := StartProcessDeployment(ProcessOptions{
-		BinPath: bin, Members: 3, R: 2, Seed: 42, Metrics: true,
-	})
+	bin, err := pdcServer.Path()
 	if err != nil {
-		t.Fatalf("start: %v", err)
+		t.Skipf("cannot build pdc-server: %v", err)
 	}
+	const logn = 12
+	p := &ProcessDeployment{opts: ProcessOptions{BinPath: bin, Metrics: true}}
+	daemon, err := p.spawn("-addr", "127.0.0.1:0", "-id", "0", "-n", "1", "-logn", strconv.Itoa(logn), "-slow-query", "1ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.members = []*child{daemon}
 	defer p.Close()
 
-	s, err := p.Session()
+	conn, err := transport.Dial(daemon.addr)
 	if err != nil {
-		t.Fatalf("session: %v", err)
+		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.Import(src); err != nil {
-		t.Fatalf("import: %v", err)
+	cli := client.New([]transport.Conn{conn}, nil)
+	defer cli.Close()
+	if err := cli.SyncMeta(); err != nil {
+		t.Fatalf("sync meta: %v", err)
 	}
-	if err := s.Verify(src); err != nil {
-		t.Fatalf("verify: %v", err)
+	res, err := cli.RunText("select ids where Energy > 2.0", plan.ForceScan)
+	if err != nil {
+		t.Fatalf("query: %v", err)
 	}
-	corpus := func(stage string) {
-		for i, q := range queries {
-			out, err := s.Run(q, plan.ForceScan)
-			if err != nil {
-				t.Fatalf("%s: query %d: %v", stage, i, err)
-			}
-			if !bytes.Equal(out.Sel.Encode(), truths[i].Encode()) {
-				t.Fatalf("%s: query %d: differs from oracle", stage, i)
-			}
+	want := uint64(0)
+	for _, e := range workload.GenerateVPIC(1<<logn, 42).Vars["Energy"] {
+		if e > 2.0 {
+			want++
 		}
 	}
-	corpus("baseline")
-
-	// SIGKILL one member mid-query: the kill races the corpus below, so
-	// some queries see the dying member's connection drop. Answers must
-	// stay byte-identical while the catalog fails over to the replicas.
-	victim := p.MemberAddrs()[0]
-	killDone := make(chan error, 1)
-	go func() { killDone <- p.Kill(victim) }()
-	corpus("during kill")
-	if err := <-killDone; err != nil {
-		t.Fatalf("kill: %v", err)
-	}
-	corpus("after kill")
-	if err := p.WaitMembers(2, 15*time.Second); err != nil {
-		t.Fatalf("settle after kill: %v", err)
+	if res.Sel.NHits != want {
+		t.Fatalf("daemon answered %d hits, brute force counts %d", res.Sel.NHits, want)
 	}
 
-	// A replacement joins and pulls its regions from the survivors.
-	if _, err := p.Spawn(); err != nil {
-		t.Fatalf("replacement: %v", err)
+	metrics := scrape(t, daemon.metricsAddr, "/metrics")
+	if err := telemetry.CheckPrometheusText([]byte(metrics)); err != nil {
+		t.Fatalf("/metrics failed strict parse: %v", err)
 	}
-	if err := p.WaitMembers(3, 15*time.Second); err != nil {
-		t.Fatalf("settle after join: %v", err)
-	}
-	s.Invalidate()
-	if err := s.Verify(src); err != nil {
-		t.Fatalf("verify after replacement: %v", err)
-	}
-	corpus("after replacement")
-
-	// Strict metrics check: the catalog scrape must expose the cluster
-	// gauges and the membership counters this run produced.
-	body := httpGet(t, "http://"+p.MetricsAddr("catalog")+"/metrics")
-	for _, want := range []string{"cluster_members 3", "cluster_member_join", "cluster_member_down"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("catalog /metrics missing %q:\n%s", want, body)
+	for _, want := range []string{
+		"query_count", "cache_hits", "cache_misses",
+		"plan_cache_hits", "plan_cache_misses", "plan_cache_evictions",
+		"recorder_capacity", "recorder_events",
+		"phase_region_exec_vns", "phase_merge_vns",
+		"runtime_goroutines", "runtime_heap_bytes",
+		"query_slow 1",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing series %q", want)
 		}
 	}
-	// A member scrape carries the ingest/transfer counters.
-	mAddr := p.MetricsAddr(p.MemberAddrs()[0])
-	if mAddr == "" {
-		t.Fatal("member has no metrics address")
+	events := scrape(t, daemon.metricsAddr, "/debug/events")
+	if !strings.HasPrefix(events, "flight recorder:") {
+		t.Errorf("/debug/events has no header: %.80q", events)
 	}
-	mBody := httpGet(t, "http://"+mAddr+"/metrics")
-	if !strings.Contains(mBody, "ingest_extents") {
-		t.Errorf("member /metrics missing ingest_extents:\n%s", mBody)
+	for _, want := range []string{"kind=admit", "kind=dispatch", "kind=query-done"} {
+		if !strings.Contains(events, want) {
+			t.Errorf("/debug/events has no %q event", want)
+		}
+	}
+	if out := scrape(t, daemon.metricsAddr, "/debug/pprof/cmdline"); out == "" {
+		t.Error("/debug/pprof/cmdline returned nothing")
 	}
 }
 
-func httpGet(t *testing.T, url string) string {
+func scrape(t *testing.T, addr, path string) string {
 	t.Helper()
-	resp, err := http.Get(url)
+	body, err := Scrape(addr, path)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: read: %v", url, err)
-	}
-	return string(b)
-}
-
-// TestProcessDrain retires a member process gracefully: its regions
-// migrate off, the process exits on its own, and the survivors answer
-// the corpus byte-identically.
-func TestProcessDrain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster skipped in -short")
-	}
-	bin := serverBinary(t)
-	src, queries, truths := processSource(t, 3000)
-
-	p, err := StartProcessDeployment(ProcessOptions{BinPath: bin, Members: 3, R: 2, Seed: 42})
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	defer p.Close()
-	s, err := p.Session()
-	if err != nil {
-		t.Fatalf("session: %v", err)
-	}
-	defer s.Close()
-	if err := s.Import(src); err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	if err := p.Drain(p.MemberAddrs()[1], 15*time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	s.Invalidate()
-	if err := s.Verify(src); err != nil {
-		t.Fatalf("verify after drain: %v", err)
-	}
-	for i, q := range queries {
-		out, err := s.Run(q, plan.ForceScan)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if !bytes.Equal(out.Sel.Encode(), truths[i].Encode()) {
-			t.Fatalf("query %d: differs from oracle after drain", i)
-		}
-	}
+	return body
 }

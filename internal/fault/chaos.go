@@ -40,7 +40,7 @@ const Particles = 6000
 // Options sizes a chaos run; zero fields take withDefaults' values.
 type Options struct {
 	// Servers is the deployment size: single-process servers (default
-	// 2) or initial cluster members (default 3).
+	// 2) or the initial cluster members a fleet starts with (default 3).
 	Servers int
 	// Queries is the number of statements (default 8, cluster 12).
 	Queries int
@@ -107,19 +107,19 @@ type Oracle struct {
 	truths  []*selection.Selection
 }
 
-// Source imports a VPIC dataset of particles into a deployment sized by
+// Source imports the VPIC dataset of Particles into a deployment sized by
 // o (not started; small regions, so statements touch several extents per
 // server) and computes the oracle from clean reads, before any fault seam
 // is armed.
-func Source(particles int, o core.Options) (*core.Deployment, *Oracle, error) {
+func Source(o core.Options) (*core.Deployment, *Oracle, error) {
 	o.RegionBytes = 8 << 10
 	d := core.NewDeployment(o)
 	c := d.CreateContainer("chaos")
-	v := workload.GenerateVPIC(particles, 42)
+	v := workload.GenerateVPIC(Particles, 42)
 	or := &Oracle{}
 	for _, name := range workload.VPICNames {
 		obj, err := d.ImportObject(c.ID, object.Property{
-			Name: name, Type: dtype.Float32, Dims: []uint64{uint64(particles)},
+			Name: name, Type: dtype.Float32, Dims: []uint64{Particles},
 		}, dtype.Bytes(v.Vars[name]))
 		if err != nil {
 			d.Close()
@@ -245,7 +245,7 @@ func RunChaos(p Plan, opts Options) (_ *Result, err error) {
 	defer nameSeed(&err, "chaos", p.Seed)
 	opts = opts.withDefaults(false)
 	inj := NewInjector(p)
-	d, or, err := Source(Particles, core.Options{Servers: opts.Servers, Redial: opts.Redial, CallTimeout: 10 * time.Second})
+	d, or, err := Source(core.Options{Servers: opts.Servers, Redial: opts.Redial, CallTimeout: 10 * time.Second})
 	if err != nil {
 		return nil, fmt.Errorf("setup: %w", err)
 	}
@@ -266,34 +266,38 @@ func RunChaos(p Plan, opts Options) (_ *Result, err error) {
 	return res, auditFaultEvents(inj, nil, 0, nil)
 }
 
-// RunClusterChaos executes plan against a fresh local cluster of
-// opts.Servers members holding the oracle dataset. Each statement slot
-// steps the member seam and fires what it schedules — a kill (no goodbye,
-// racing the slot's statement from a goroutine), a join (rebalance with
-// extent transfer) or a drain — runs the statement, and lets the fault
-// settle before the next slot: the schedule is a sequence of
-// single-failure episodes, as the no-data-loss argument for the cluster's
-// default R=2 needs. The settled cluster must then hold every replica its
-// placement assigns and answer every statement exactly. The error is
-// non-nil only on an invariant violation or a harness failure.
-func RunClusterChaos(p Plan, opts Options) (_ *Result, err error) {
-	defer nameSeed(&err, "cluster chaos", p.Seed)
-	opts = opts.withDefaults(true)
-	inj := NewInjector(p)
-	d, or, err := Source(Particles, core.Options{Servers: 2})
+// Fleet is a running cluster the membership harness drives: a local
+// cluster in one process (localFleet) or a *core.ProcessDeployment of
+// real pdc-server processes. Its methods are the membership faults'
+// vocabulary: the live members in ID order, a crash with no goodbye, a
+// join that returns the joiner's ID, a drain that waits for the member
+// to exit, a wait for the committed view to hold n members, and a
+// session on the catalog, paced as the fleet needs.
+type Fleet interface {
+	MemberIDs() []cluster.MemberID
+	Crash(id cluster.MemberID) error
+	Join() (cluster.MemberID, error)
+	Drain(id cluster.MemberID, timeout time.Duration) error
+	WaitMembers(n int, timeout time.Duration) error
+	Session() (*cluster.Session, error)
+}
+
+// localFleet is a cluster.Local as a Fleet.
+type localFleet struct{ *cluster.Local }
+
+func (l localFleet) Join() (cluster.MemberID, error) {
+	m, err := l.AddMember()
 	if err != nil {
-		return nil, fmt.Errorf("setup: %w", err)
+		return -1, err
 	}
-	defer d.Close()
-	l, err := cluster.StartLocal(cluster.LocalOptions{Members: opts.Servers, Seed: p.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("start: %w", err)
-	}
-	defer l.Close()
-	// A patient session: kills commit a new view in member/catalog
-	// goroutines, so retries pace on wall time instead of spinning through
-	// their attempt budget before failover lands.
-	s, err := cluster.DialSession(cluster.SessionOptions{
+	return m.ID(), nil
+}
+
+// Session is patient: kills commit a new view in member/catalog
+// goroutines, so retries pace on wall time instead of spinning through
+// their attempt budget before failover lands.
+func (l localFleet) Session() (*cluster.Session, error) {
+	return cluster.DialSession(cluster.SessionOptions{
 		Net:         l.Net(),
 		CatalogAddr: l.CatalogAddr(),
 		MaxAttempts: 40,
@@ -301,6 +305,31 @@ func RunClusterChaos(p Plan, opts Options) (_ *Result, err error) {
 		Sleeper:     telemetry.WallSleep,
 		Clock:       telemetry.Wall,
 	})
+}
+
+// RunClusterChaos executes plan against fleet f, freshly started and
+// empty, after importing the oracle dataset through it and verifying
+// every replica. Each statement slot steps the member seam and fires
+// what it schedules — a kill (no goodbye, racing the slot's statement
+// from a goroutine), a join (rebalance with extent transfer) or a drain
+// — runs the statement, and lets the fault settle before the next slot:
+// the schedule is a sequence of single-failure episodes, as the
+// no-data-loss argument for the cluster's default R=2 needs. The settled cluster must then hold every
+// replica its placement assigns and answer every statement exactly, and
+// the catalog must have recorded every membership fault: a local
+// catalog in its ring, a catalog process in its /metrics
+// (auditProcesses). The error is non-nil only on an invariant violation
+// or a harness failure.
+func RunClusterChaos(p Plan, opts Options, f Fleet) (_ *Result, err error) {
+	defer nameSeed(&err, "cluster chaos", p.Seed)
+	opts = opts.withDefaults(true)
+	inj := NewInjector(p)
+	d, or, err := Source(core.Options{Servers: 2})
+	if err != nil {
+		return nil, fmt.Errorf("setup: %w", err)
+	}
+	defer d.Close()
+	s, err := f.Session()
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
@@ -308,32 +337,41 @@ func RunClusterChaos(p Plan, opts Options) (_ *Result, err error) {
 	if err := s.Import(d); err != nil {
 		return nil, fmt.Errorf("import: %w", err)
 	}
-	cat, targets := l.Catalog().Recorder(), []int32(nil)
-	_, boot := cat.SnapshotTotal()
-	res, alive := &Result{}, opts.Servers
+	if err := s.Verify(d); err != nil {
+		return nil, fmt.Errorf("verify after import: %w", err)
+	}
+	var cat *telemetry.Recorder
+	var boot uint64
+	if l, ok := f.(localFleet); ok {
+		cat = l.Catalog().Recorder()
+		_, boot = cat.SnapshotTotal()
+	}
+	res, targets := &Result{}, []int32(nil)
+	initial := len(f.MemberIDs())
+	alive, joiner := initial, cluster.MemberID(-1)
 	var kills sync.WaitGroup
 	defer kills.Wait() // no crash outlives the run, even a failed one
 	for i := 0; i < opts.Queries; i++ {
 		for _, ev := range inj.step(memberSeam) {
-			ids := l.MemberIDs()
+			ids := f.MemberIDs()
 			victim := ids[ev.Arg%uint64(len(ids))]
 			switch ev.Kind {
 			case KillMember:
 				kills.Add(1)
 				go func() {
 					defer kills.Done()
-					_ = l.Crash(victim) // a victim already gone fails the settle below
+					_ = f.Crash(victim) // a victim already gone fails the settle below
 				}()
 				alive--
 			case JoinMember:
-				m, err := l.AddMember()
+				id, err := f.Join()
 				if err != nil {
 					return nil, fmt.Errorf("join: %w", err)
 				}
-				victim = m.ID()
+				victim, joiner = id, id
 				alive++
 			case DrainMember:
-				if err := l.Drain(victim, 10*time.Second); err != nil {
+				if err := f.Drain(victim, 10*time.Second); err != nil {
 					return nil, fmt.Errorf("drain member %d: %w", victim, err)
 				}
 				alive--
@@ -344,7 +382,7 @@ func RunClusterChaos(p Plan, opts Options) (_ *Result, err error) {
 			return nil, err
 		}
 		kills.Wait()
-		if err := l.WaitMembers(alive, 10*time.Second); err != nil {
+		if err := f.WaitMembers(alive, 10*time.Second); err != nil {
 			return nil, fmt.Errorf("settle after statement %d: %w", i, err)
 		}
 	}
@@ -356,7 +394,87 @@ func RunClusterChaos(p Plan, opts Options) (_ *Result, err error) {
 	if _, err := or.Pass(s, p.Seed, opts.Queries, true); err != nil {
 		return nil, fmt.Errorf("settled: %w", err)
 	}
-	return res, auditFaultEvents(inj, cat, boot, targets)
+	if err := auditFaultEvents(inj, cat, boot, targets); err != nil {
+		return nil, err
+	}
+	if pd, ok := f.(*core.ProcessDeployment); ok {
+		return res, auditProcesses(pd, s, res.Fired, initial, joiner)
+	}
+	return res, nil
+}
+
+// auditProcesses is the catalog half of the audit on processes, whose
+// catalog ring lives in another process: its /metrics must count the
+// kills (cluster_member_down), drains (cluster_drains) and initial
+// members plus joins (cluster_member_join) exactly; a heartbeat expiry
+// of a live member breaks this, and is a defect. The catalog's, a
+// surviving initial member's and a live joiner's /metrics must parse
+// strictly and carry their series, and the survivor must answer
+// /debug/pprof.
+func auditProcesses(pd *core.ProcessDeployment, s *cluster.Session, fired []Event, initial int, joiner cluster.MemberID) error {
+	n := map[Kind]int64{}
+	for _, ev := range fired {
+		n[ev.Kind]++
+	}
+	v, err := s.FetchView()
+	if err != nil {
+		return err
+	}
+	body, err := scrapeMetrics("catalog", pd.MetricsAddr("catalog"),
+		fmt.Sprintf("cluster_members %d", len(v.Members)), "cluster_rebalances", "cluster_imports 1")
+	if err != nil {
+		return err
+	}
+	for name, want := range map[string]int64{
+		"cluster_member_down": n[KillMember],
+		"cluster_drains":      n[DrainMember],
+		"cluster_member_join": int64(initial) + n[JoinMember],
+	} {
+		// A counter never incremented is absent, which reads as 0.
+		line := fmt.Sprintf("\n%s %d\n", name, want)
+		if !strings.Contains(body, line) && (want != 0 || strings.Contains(body, "\n"+name+" ")) {
+			return fmt.Errorf("observability mismatch: no %q in the catalog's /metrics after %d kills, %d drains and %d joins on %d members",
+				strings.TrimSpace(line), n[KillMember], n[DrainMember], n[JoinMember], initial)
+		}
+	}
+	addr := func(id cluster.MemberID) string {
+		mi, _ := v.Member(id)
+		return pd.MetricsAddr(mi.Addr)
+	}
+	survivor := v.Members[0].ID // the lowest live ID: an initial member in every pinned plan
+	if _, err := scrapeMetrics("survivor", addr(survivor), "ingest_extents", "cluster_epoch", "query_count"); err != nil {
+		return err
+	}
+	if _, ok := v.Member(joiner); ok {
+		if _, err := scrapeMetrics("joiner", addr(joiner), "cluster_transfers", "cluster_transfer_bytes", "cluster_epoch"); err != nil {
+			return err
+		}
+	}
+	if out, err := core.Scrape(addr(survivor), "/debug/pprof/cmdline"); err != nil || out == "" {
+		return fmt.Errorf("survivor /debug/pprof/cmdline: %q, %v", out, err)
+	}
+	return nil
+}
+
+// scrapeMetrics fetches one process's /metrics, insists the exposition
+// parses strictly and carries every wanted series, and returns it.
+func scrapeMetrics(who, addr string, wants ...string) (string, error) {
+	if addr == "" {
+		return "", fmt.Errorf("%s has no metrics address", who)
+	}
+	body, err := core.Scrape(addr, "/metrics")
+	if err != nil {
+		return "", err
+	}
+	if err := telemetry.CheckPrometheusText([]byte(body)); err != nil {
+		return "", fmt.Errorf("%s /metrics failed strict parse: %w", who, err)
+	}
+	for _, want := range wants {
+		if !strings.Contains(body, want) {
+			return "", fmt.Errorf("%s /metrics missing series %q", who, want)
+		}
+	}
+	return body, nil
 }
 
 // auditFaultEvents is the completeness half of the invariant: a recorder
@@ -438,7 +556,7 @@ func recorded(rec *telemetry.Recorder, boot uint64, kinds ...telemetry.EventKind
 func RunCrashRecovery(seed uint64, opts Options) (err error) {
 	defer nameSeed(&err, "crash", seed)
 	opts = opts.withDefaults(false)
-	d, or, err := Source(Particles, core.Options{Servers: opts.Servers, Redial: opts.Redial, CallTimeout: 10 * time.Second})
+	d, or, err := Source(core.Options{Servers: opts.Servers, Redial: opts.Redial, CallTimeout: 10 * time.Second})
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
 	}

@@ -2,12 +2,55 @@ package fault
 
 import (
 	"flag"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pdcquery/internal/cluster"
+	"pdcquery/internal/core"
 	"pdcquery/internal/telemetry"
 )
+
+// pdcServer is the pdc-server binary the process fleets spawn, built
+// on first use and removed when the tests end.
+var pdcServer core.ServerBuild
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	pdcServer.Remove()
+	os.Exit(code)
+}
+
+// runLocal runs plan on a fresh local cluster of opts.Servers members,
+// placed by the plan's seed.
+func runLocal(plan Plan, opts Options) (*Result, error) {
+	opts = opts.withDefaults(true)
+	l, err := cluster.StartLocal(cluster.LocalOptions{Members: opts.Servers, Seed: plan.Seed})
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	return RunClusterChaos(plan, opts, localFleet{l})
+}
+
+// runProcesses runs plan on a fresh catalog process and opts.Servers
+// pdc-server member processes, placed by the plan's seed.
+func runProcesses(t *testing.T, plan Plan, opts Options) (*Result, error) {
+	bin, err := pdcServer.Path()
+	if err != nil {
+		t.Skipf("cannot build pdc-server: %v", err)
+	}
+	opts = opts.withDefaults(true)
+	pd, err := core.StartProcessDeployment(core.ProcessOptions{
+		BinPath: bin, Members: opts.Servers, Seed: plan.Seed, Metrics: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer pd.Close()
+	return RunClusterChaos(plan, opts, pd)
+}
 
 // clusterSeeds is the cluster soak width: `make chaos` runs it with
 // -cluster-seeds 32. The default keeps `go test ./...` reasonable
@@ -41,9 +84,9 @@ func TestClusterChaos(t *testing.T) {
 	}
 	opts := Options{}.withDefaults(true)
 	for seed := uint64(1); seed <= uint64(*clusterSeeds); seed++ {
-		res, err := RunClusterChaos(clusterPlan(seed, opts), opts)
+		res, err := runLocal(clusterPlan(seed, opts), opts)
 		if err != nil {
-			t.Fatalf("seed %d: %v (replay: RunClusterChaos(RandomPlan(%d, ...), ...))", seed, err, seed)
+			t.Fatalf("seed %d: %v (replay: runLocal(RandomPlan(%d, ...), ...))", seed, err, seed)
 		}
 		if res.Masked+res.Typed != opts.Queries {
 			t.Fatalf("seed %d: %d masked + %d typed != %d queries", seed, res.Masked, res.Typed, opts.Queries)
@@ -62,11 +105,11 @@ func TestClusterChaosReplay(t *testing.T) {
 	}
 	opts := Options{Queries: 6}.withDefaults(true)
 	plan := clusterPlan(3, opts)
-	a, err := RunClusterChaos(plan, opts)
+	a, err := runLocal(plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunClusterChaos(plan, opts)
+	b, err := runLocal(plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

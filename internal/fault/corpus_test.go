@@ -137,24 +137,34 @@ func TestCorpusMultiFault(t *testing.T) {
 	}
 }
 
-// runClusterPlan runs one pinned membership plan against a local cluster
-// and insists every statement was masked: a settled R=2 cluster loses no
-// extent to one fault, and the session fails over rather than erring.
-func runClusterPlan(t *testing.T, plan Plan, opts Options) *Result {
+// runClusterPlan runs one pinned membership plan on both fleets — a
+// local cluster and real pdc-server processes — and insists on each that
+// every statement was masked: a settled R=2 cluster loses no extent to
+// one fault, and the session fails over rather than erring.
+func runClusterPlan(t *testing.T, plan Plan, opts Options) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("cluster chaos skipped in -short")
 	}
 	opts = opts.withDefaults(true)
-	res, err := RunClusterChaos(plan, opts)
-	if err != nil {
-		t.Fatalf("plan seed %d: %v", plan.Seed, err)
+	check := func(t *testing.T, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("plan seed %d: %v", plan.Seed, err)
+		}
+		if res.Masked != opts.Queries || len(res.Fired) != len(plan.Schedule) {
+			t.Fatalf("want all %d statements masked and %d faults fired, got %d masked / %d typed, %d fired (errors: %v)",
+				opts.Queries, len(plan.Schedule), res.Masked, res.Typed, len(res.Fired), res.Errors)
+		}
 	}
-	if res.Masked != opts.Queries || len(res.Fired) != len(plan.Schedule) {
-		t.Fatalf("want all %d statements masked and %d faults fired, got %d masked / %d typed, %d fired (errors: %v)",
-			opts.Queries, len(plan.Schedule), res.Masked, res.Typed, len(res.Fired), res.Errors)
-	}
-	return res
+	t.Run("local", func(t *testing.T) {
+		res, err := runLocal(plan, opts)
+		check(t, res, err)
+	})
+	t.Run("process", func(t *testing.T) {
+		res, err := runProcesses(t, plan, opts)
+		check(t, res, err)
+	})
 }
 
 // TestCorpusMemberKillMidStatement: a member crashes while the slot's
@@ -192,4 +202,14 @@ func TestCorpusMemberKillAtFloor(t *testing.T) {
 	runClusterPlan(t, Plan{Seed: 2004, Schedule: []Event{
 		{Seam: memberSeam, Count: 2, Kind: KillMember, Arg: 0},
 	}}, Options{Servers: 2})
+}
+
+// TestCorpusMemberKillThenReplace: a member of three crashes while the
+// slot's statement is in flight, and a replacement joins later and pulls
+// its regions from the survivors.
+func TestCorpusMemberKillThenReplace(t *testing.T) {
+	runClusterPlan(t, Plan{Seed: 2005, Schedule: []Event{
+		{Seam: memberSeam, Count: 2, Kind: KillMember, Arg: 0},
+		{Seam: memberSeam, Count: 6, Kind: JoinMember},
+	}}, Options{})
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // Strict validation of the Prometheus text exposition format (0.0.4),
-// as produced by WritePrometheus. Used by the /metrics parse tests and
-// the debug-smoke harness: every line must parse, every sample must
-// belong to a declared family, and no series may appear twice —
-// a malformed or colliding exposition is a bug even when a lenient
-// scraper would survive it.
+// as produced by WritePrometheus. Used by the /metrics parse tests, the
+// daemon test and the chaos harness's process runs: every line must
+// parse, every sample must belong to a declared family, and no series
+// may appear twice — a malformed or colliding exposition is a bug even
+// when a lenient scraper would survive it.
 
 var (
 	promMetricRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
