@@ -52,14 +52,15 @@ race:
 # Scheduler stress under the race detector: concurrent sessions vs the
 # brute-force oracle, admission-control overload, worker-count
 # determinism, the parallel import against its per-region reference,
-# busy-retry, async-lifetime leak checks, and the region-task
+# busy-retry, async-lifetime leak checks, one client's cached text run
+# from eight goroutines, and the region-task
 # pool's guarantees (shared bound, lowest-index error, cancellation, the
 # caller working, helpers stopping on Close) twenty times over. A separate CI
 # step so scheduler interleaving failures are attributable at a glance;
 # each pattern is listed first, so the log shows which tests it still
 # names.
 STRESS_CORE = TestConcurrentSessionsStress|TestOverloadBusyReplies|TestWorkerCountDeterminism|TestImportMatchesReference
-STRESS_CLIENT = TestBusyRetry|TestQueryBudgetEndToEnd|TestRunAsyncReapedOnClose|TestClosedClientReturnsError
+STRESS_CLIENT = TestBusyRetry|TestQueryBudgetEndToEnd|TestRunAsyncReapedOnClose|TestClosedClientReturnsError|TestConcurrentTextShared
 stress:
 	$(GO) test -list '$(STRESS_CORE)' ./internal/core/
 	$(GO) test -race -count=2 -run '$(STRESS_CORE)' ./internal/core/
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/
 	$(GO) test -run=^$$ -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryRequest -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzPreparedStatement -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryResponse -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeDataRequest -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFetchExtents -fuzztime=$(FUZZTIME) ./internal/server/

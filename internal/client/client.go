@@ -24,6 +24,7 @@ import (
 	"pdcquery/internal/histogram"
 	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
+	"pdcquery/internal/plan"
 	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
@@ -93,6 +94,11 @@ type Client struct {
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
 
+	// exchanges pools the calls' bookkeeping and texts holds the
+	// prepared text statements; both are internally synchronized.
+	exchanges sync.Pool
+	texts     *plan.Cache[*textEntry]
+
 	mu sync.Mutex
 	// meta is the client's metadata view; SyncMeta replaces it.
 	meta    *metadata.Service
@@ -128,6 +134,9 @@ type Client struct {
 
 type reply struct {
 	srv int
+	// req is the call the reply belongs to: a reader may route a late
+	// reply into a channel the next call already reuses.
+	req uint64
 	msg transport.Message
 	// down marks a connection-lost notification rather than a server
 	// reply: the reader for srv died and pending calls must recover
@@ -145,6 +154,7 @@ func New(conns []transport.Conn, meta *metadata.Service) *Client {
 		nextReq: 1,
 		pending: make(map[uint64]chan reply),
 		downErr: make([]error, len(conns)),
+		texts:   plan.NewCache[*textEntry](server.DefaultPlanCacheSize),
 	}
 	c.closeCtx, c.closeCancel = context.WithCancel(context.Background())
 	// The background aggregator threads (§III-C): one reader per server
@@ -175,9 +185,9 @@ func (c *Client) reader(srv int, conn transport.Conn) {
 			} else {
 				c.downErr[srv] = fmt.Errorf("client: server %d connection: %w", srv, err)
 			}
-			for _, ch := range c.pending {
+			for req, ch := range c.pending {
 				select {
-				case ch <- reply{srv: srv, down: true}:
+				case ch <- reply{srv: srv, req: req, down: true}:
 				default:
 				}
 			}
@@ -194,7 +204,7 @@ func (c *Client) reader(srv int, conn transport.Conn) {
 			return
 		}
 		if ch != nil {
-			ch <- reply{srv: srv, msg: m}
+			ch <- reply{srv: srv, req: m.ReqID, msg: m}
 		}
 	}
 }
@@ -363,6 +373,55 @@ func (c *Client) Close() error {
 // allServers addresses a call to every server.
 const allServers = -1
 
+// exchange is one call's bookkeeping: the channel the readers route its
+// replies into, the replies and per-server tallies, and the timer of
+// the SetCallTimeout bound. Calls take one from the client's pool and
+// put it back, so a warm call allocates none of it.
+type exchange struct {
+	req      uint64
+	ch       chan reply
+	out      []transport.Message
+	got      []bool
+	attempts []int
+	redials  []int
+	busyWait time.Duration
+	timer    telemetry.WallTimer
+}
+
+func (c *Client) getExchange() *exchange {
+	x, _ := c.exchanges.Get().(*exchange)
+	if x == nil {
+		n := len(c.conns)
+		// A server can answer the same request several times (busy,
+		// busy, result), every dead reader posts one down notification
+		// per pending call, and each reader may still route one late
+		// reply of the channel's previous call; size the buffer for the
+		// worst case so a reader never blocks on a call that already
+		// gave up.
+		return &exchange{
+			ch:  make(chan reply, n*(busyMaxRetries+5+maxRedials)),
+			out: make([]transport.Message, n), got: make([]bool, n),
+			attempts: make([]int, n), redials: make([]int, n),
+		}
+	}
+	for {
+		select {
+		case <-x.ch: // a late reply of an earlier call
+		default:
+			return x
+		}
+	}
+}
+
+func (c *Client) putExchange(x *exchange) {
+	clear(x.out)
+	clear(x.got)
+	clear(x.attempts)
+	clear(x.redials)
+	x.req, x.busyWait = 0, 0
+	c.exchanges.Put(x)
+}
+
 // call is the one request lifecycle every client operation runs: it
 // sends one message (perServer gives each server's payload) to every
 // server — or, when only >= 0, to that server alone — and collects the
@@ -374,6 +433,17 @@ const allServers = -1
 // accumulated backoff is returned so callers can fold it into the
 // modeled elapsed time.
 func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i int) []byte) (uint64, []transport.Message, time.Duration, error) {
+	x := c.getExchange()
+	defer c.putExchange(x)
+	if err := c.roundTrip(ctx, x, t, only, perServer); err != nil {
+		return 0, nil, x.busyWait, err
+	}
+	return x.req, slices.Clone(x.out), x.busyWait, nil
+}
+
+// roundTrip is call on an exchange the caller owns: the replies are in
+// x.out until the caller puts x back.
+func (c *Client) roundTrip(ctx context.Context, x *exchange, t byte, only int, perServer func(i int) []byte) error {
 	lo, hi := 0, len(c.conns)
 	if only >= 0 {
 		lo, hi = only, only+1
@@ -381,28 +451,24 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return 0, nil, 0, ErrClosed
+		return ErrClosed
 	}
 	deadline := uint64(c.budget)
 	timeout := c.callTimeout
 	req := c.nextReq
 	c.nextReq++
-	// A server can answer the same request several times (busy, busy,
-	// result), and every dead reader posts one down notification per
-	// pending call; size the buffer for the worst case so the reader
-	// never blocks on a call that already gave up.
-	ch := make(chan reply, len(c.conns)*(busyMaxRetries+4+maxRedials))
-	c.pending[req] = ch
+	x.req = req
+	c.pending[req] = x.ch
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		delete(c.pending, req)
 		c.mu.Unlock()
 	}()
+	var expired <-chan time.Time
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+		expired = x.timer.Start(timeout)
+		defer x.timer.Stop()
 	}
 
 	send := func(i int) error {
@@ -441,26 +507,27 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 	}
 	for i := lo; i < hi; i++ {
 		if err := sendRecover(i); err != nil {
-			return 0, nil, 0, err
+			return err
 		}
 	}
-	out := make([]transport.Message, len(c.conns))
-	got := make([]bool, len(c.conns))
-	attempts := make([]int, len(c.conns))
-	redials := make([]int, len(c.conns))
-	var busyWait time.Duration
+	got, redials := x.got, x.redials
 	for n := lo; n < hi; {
 		var r reply
 		select {
-		case r = <-ch:
+		case r = <-x.ch:
 		case <-ctx.Done():
 			err := ctx.Err()
 			if errors.Is(err, context.DeadlineExceeded) {
 				err = fmt.Errorf("%w after %v: %w", ErrTimeout, timeout, err)
 			}
-			return 0, nil, busyWait, err
+			return err
+		case <-expired:
+			return fmt.Errorf("%w after %v: %w", ErrTimeout, timeout, context.DeadlineExceeded)
 		case <-c.closeCtx.Done():
-			return 0, nil, busyWait, ErrClosed
+			return ErrClosed
+		}
+		if r.req != req {
+			continue // routed to this channel for an earlier call
 		}
 		if r.down {
 			if got[r.srv] || r.srv < lo || r.srv >= hi {
@@ -473,45 +540,45 @@ func (c *Client) call(ctx context.Context, t byte, only int, perServer func(i in
 				cause := c.downErr[r.srv]
 				c.mu.Unlock()
 				if errors.Is(cause, ErrClosed) {
-					return 0, nil, busyWait, ErrClosed
+					return ErrClosed
 				}
 				if cause == nil {
 					cause = errors.New("connection lost repeatedly")
 				}
-				return 0, nil, busyWait, &ServerDownError{Srv: r.srv, Cause: cause}
+				return &ServerDownError{Srv: r.srv, Cause: cause}
 			}
 			redials[r.srv]++
 			// Recover and resend: the in-flight request (and any reply it
 			// produced) died with the connection.
 			if err := sendRecover(r.srv); err != nil {
-				return 0, nil, busyWait, err
+				return err
 			}
 			continue
 		}
 		if r.msg.Type == server.MsgBusy {
-			wait, err := c.busyBackoff(r, attempts)
+			wait, err := c.busyBackoff(r, x.attempts)
 			if err != nil {
-				return 0, nil, busyWait, err
+				return err
 			}
-			busyWait += wait
+			x.busyWait += wait
 			if err := sendRecover(r.srv); err != nil {
-				return 0, nil, busyWait, err
+				return err
 			}
 			continue
 		}
 		if r.msg.Type == server.MsgError {
-			return 0, nil, busyWait, fmt.Errorf("client: server %d: %s", r.srv, r.msg.Payload)
+			return fmt.Errorf("client: server %d: %s", r.srv, r.msg.Payload)
 		}
 		if got[r.srv] {
 			// Duplicate answer (a resend raced with the original reply);
 			// keep the first.
 			continue
 		}
-		out[r.srv] = r.msg
+		x.out[r.srv] = r.msg
 		got[r.srv] = true
 		n++
 	}
-	return req, out, busyWait, nil
+	return nil
 }
 
 // busyBackoff handles one MsgBusy reply: it bumps the per-server attempt

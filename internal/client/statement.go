@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pdcquery/internal/histogram"
+	"pdcquery/internal/metadata"
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/qlang"
@@ -34,24 +35,58 @@ var (
 type Statement struct {
 	// Explain asks for the plan instead of the answer; Analyze (which
 	// implies it) also runs the statement, traced, and pairs the plan's
-	// estimates with what the servers observed. Text sets both from the
-	// statement's own prefix.
+	// estimates with what the servers observed. A text statement's own
+	// prefix sets them too.
 	Explain, Analyze bool
 
-	parsed *qlang.Query   // a text statement; Do lowers it against the metadata
-	text   string         // its canonical form, explain prefix stripped
-	low    *qlang.Lowered // a prepared statement: lowered already
-	err    error
+	src string         // a text statement; Do prepares it through the client's cache
+	low *qlang.Lowered // a prepared statement: lowered already
 }
 
-// Text parses a declarative statement (package qlang has the grammar).
-// A parse error is returned by Do.
+// Text is a declarative statement (package qlang has the grammar). Do
+// parses it; a parse error is returned by Do.
 func Text(src string) Statement {
+	return Statement{src: src}
+}
+
+// textEntry is a text statement prepared once on a client: parsed, its
+// canonical form rendered, lowered against one metadata view and its
+// query encoded. Do finds it by source text and uses it while the view
+// is the one it was lowered against, at the same generation, so a warm
+// statement is not parsed, rendered, lowered or encoded again.
+// Read-only once cached: results share its parse.
+type textEntry struct {
+	parsed *qlang.Query
+	text   string // parsed's canonical form, explain prefix stripped
+	meta   *metadata.Service
+	low    *qlang.Lowered
+	query  []byte // low.Query's encoding
+}
+
+// prepareText returns src's entry for the metadata view meta, through
+// the client's cache.
+func (c *Client) prepareText(src string, meta *metadata.Service) (*textEntry, error) {
+	var gen uint64
+	if meta != nil {
+		gen = meta.Gen()
+		if ent, ok := c.texts.Get(src, 0, gen); ok && ent.meta == meta {
+			return ent, nil
+		}
+	}
 	parsed, err := qlang.Parse(src)
 	if err != nil {
-		return Statement{err: err}
+		return nil, err
 	}
-	return Statement{Explain: parsed.Explain, Analyze: parsed.Analyze, parsed: parsed, text: parsed.Bare()}
+	if meta == nil {
+		return nil, errNoMeta
+	}
+	low, err := parsed.Lower(meta.IDByName)
+	if err != nil {
+		return nil, err
+	}
+	ent := &textEntry{parsed: parsed, text: parsed.Bare(), meta: meta, low: low, query: low.Query.Encode()}
+	c.texts.Put(src, 0, gen, ent)
+	return ent, nil
 }
 
 // Prepared wraps an already built condition tree with a count or ids
@@ -76,7 +111,8 @@ type Options struct {
 type Result struct {
 	// Statement is the parsed form of a text statement and Text its
 	// canonical rendering, explain prefix stripped; nil and empty for a
-	// prepared one.
+	// prepared one. Results of the same text may share Statement: it is
+	// read-only.
 	Statement *qlang.Query
 	Text      string
 	// Sel is the merged selection (count-only unless the projection was
@@ -126,52 +162,50 @@ func (r *Result) Trace() *telemetry.Span {
 // the call returns ctx's error (servers finish their evaluation; the
 // late responses are discarded).
 func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
 	c.mu.Lock()
 	meta, useEpoch, epoch := c.meta, c.useEpoch, c.epoch
 	c.mu.Unlock()
-	res := &Result{Statement: st.parsed, Text: st.text, client: c}
-	low := st.low
+	res := &Result{client: c}
+	low, query := st.low, []byte(nil)
+	explain, analyze := st.Explain, st.Analyze
 	switch {
-	case st.parsed != nil:
-		if meta == nil {
-			return nil, errNoMeta
-		}
-		var err error
-		if low, err = st.parsed.Lower(meta.IDByName); err != nil {
+	case low == nil:
+		ent, err := c.prepareText(st.src, meta)
+		if err != nil {
 			return nil, err
 		}
+		res.Statement, res.Text = ent.parsed, ent.text
+		low, query = ent.low, ent.query
+		explain, analyze = explain || ent.parsed.Explain, analyze || ent.parsed.Analyze
 	case meta != nil:
 		if err := low.Query.Validate(meta.Get); err != nil {
 			return nil, err
 		}
 	}
-	label := st.text
-	if st.Explain || st.Analyze {
+	label := res.Text
+	if explain || analyze {
 		// Only an explain statement reads the plan; every server plans
 		// (and caches) for itself.
 		if meta == nil {
 			return nil, errNoMeta
 		}
-		if st.parsed == nil {
+		if st.low != nil {
 			label = low.Query.Root.String()
 		}
 		var err error
 		if res.Plan, err = plan.Build(meta, low.Query, o.Force); err != nil {
 			return nil, err
 		}
-		if !st.Analyze {
+		if !analyze {
 			// Plain EXPLAIN: metadata only, no execution.
 			res.Explain = res.Plan.Format(label)
 			return res, nil
 		}
 	}
 
-	traced := o.Trace || st.Analyze
+	traced := o.Trace || analyze
 	var flags byte
-	if st.parsed == nil {
+	if st.low != nil {
 		// The one difference between the spellings: a prepared result is
 		// kept for GetData.
 		flags |= server.FlagKeep
@@ -182,14 +216,17 @@ func (c *Client) Do(ctx context.Context, st Statement, o Options) (*Result, erro
 	if useEpoch {
 		flags |= server.FlagEpoch
 	}
-	hists, err := c.ask(ctx, server.EncodeQueryRequest(flags, o.Force, epoch, low), traced, res)
+	if query == nil {
+		query = low.Query.Encode()
+	}
+	hists, err := c.ask(ctx, server.AppendQueryRequest(nil, flags, o.Force, epoch, low, query), traced, low.Projection.Kind == qlang.ProjHist, res)
 	if err != nil {
 		return nil, err
 	}
 	if low.Projection.Kind == qlang.ProjHist {
 		res.Hist = histogram.MergeAll(hists)
 	}
-	if st.Analyze {
+	if analyze {
 		res.Explain = res.Plan.FormatAnalyze(label, traceActuals(res.Traces))
 	}
 	return res, nil
@@ -215,31 +252,39 @@ func (c *Client) RunText(text string, f plan.Force) (*Result, error) {
 
 // ask broadcasts one encoded statement to every server and folds the
 // partial answers into res: the merged selection and the modeled
-// end-to-end profile. It returns the servers' partial histograms, nil
-// where a server sent none.
-func (c *Client) ask(ctx context.Context, payload []byte, traced bool, res *Result) ([]*histogram.Histogram, error) {
-	reqID, msgs, busyWait, err := c.call(ctx, server.MsgQuery, allServers, func(int) []byte { return payload })
-	if err != nil {
+// end-to-end profile. With hist set it returns the servers' partial
+// histograms, nil where a server sent none.
+func (c *Client) ask(ctx context.Context, payload []byte, traced, hist bool, res *Result) ([]*histogram.Histogram, error) {
+	x := c.getExchange()
+	defer c.putExchange(x)
+	if err := c.roundTrip(ctx, x, server.MsgQuery, allServers, func(int) []byte { return payload }); err != nil {
 		return nil, err
 	}
-	res.reqID = reqID
+	msgs, busyWait := x.out, x.busyWait
+	res.reqID = x.req
 	if traced {
-		res.TraceID = telemetry.TraceID(reqID)
+		res.TraceID = telemetry.TraceID(x.req)
 		res.Traces = make([]*telemetry.Span, len(msgs))
 	}
 	// Broadcast cost: the request goes out to all servers concurrently.
 	// Admission-control backoff (if any) delays the whole call.
 	res.Info.Elapsed = res.Info.Elapsed.Add(vclock.CostOf(vclock.Network, c.wire(len(payload))+busyWait))
 
-	parts := make([]*selection.Packed, 0, len(msgs))
+	var partBuf [8]*selection.Packed
+	parts := partBuf[:0]
 	var hists []*histogram.Histogram
+	if hist {
+		hists = make([]*histogram.Histogram, 0, len(msgs))
+	}
 	var respBytes int
 	for i, m := range msgs {
 		qr, err := server.DecodeQueryResponse(m.Payload)
 		if err != nil {
 			return nil, err
 		}
-		hists = append(hists, qr.Hist)
+		if hist {
+			hists = append(hists, qr.Hist)
+		}
 		res.Info.ServerMax = res.Info.ServerMax.Max(qr.Cost)
 		res.Info.Stats.Add(qr.Stats)
 		// The model prices the paper's reply, 8 bytes per coordinate: the
@@ -250,6 +295,7 @@ func (c *Client) ask(ctx context.Context, payload []byte, traced bool, res *Resu
 			res.Traces[i] = qr.Trace
 		}
 	}
+	var err error
 	if res.Sel, err = selection.MergePacked(parts); err != nil {
 		return nil, err
 	}

@@ -298,3 +298,40 @@ func TestClusterTagQuery(t *testing.T) {
 		t.Fatalf("tag query returned %d objects, want %d", len(ids), len(all))
 	}
 }
+
+// TestPreparedRebuiltAfterRebalance: a member's prepared entries are
+// valid for one placement epoch. After an AddMember rebalance every
+// original member prepares each statement again, once per distinct
+// statement, and every answer is still the oracle's.
+func TestPreparedRebuiltAfterRebalance(t *testing.T) {
+	src, queries, truths := newSource(t, 4000)
+	l, s := startCluster(t, src, 3, 2)
+	distinct := map[string]bool{}
+	for _, q := range queries {
+		distinct[string(q.Encode())] = true
+	}
+	original := l.MemberIDs()
+	misses := func() []int64 {
+		out := make([]int64, len(original))
+		for i, id := range original {
+			out[i] = l.Member(id).Server().Metrics().Counter("plan.cache_misses")
+		}
+		return out
+	}
+	runCorpus(t, s, queries, truths)
+	runCorpus(t, s, queries, truths)
+	before := misses()
+	if _, err := l.AddMember(); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if err := l.WaitMembers(4, 5*time.Second); err != nil {
+		t.Fatalf("wait after join: %v", err)
+	}
+	runCorpus(t, s, queries, truths)
+	runCorpus(t, s, queries, truths)
+	for i, n := range misses() {
+		if got := n - before[i]; got != int64(len(distinct)) {
+			t.Errorf("member %d: %d plan-cache misses after the rebalance, want one per statement (%d)", original[i], got, len(distinct))
+		}
+	}
+}

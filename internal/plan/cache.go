@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// Cache is the prepared-plan LRU: statement key → built plan, valid only
-// for the (epoch, metadata generation) pair it was built against. A hit
-// under a different epoch or generation is treated as a miss and evicted
-// — rebalances and metadata mutations invalidate without any explicit
-// flush.
-type Cache struct {
+// Cache is the prepared-statement LRU: statement key → what was
+// prepared for it, valid only for the (epoch, metadata generation) pair
+// it was built against. A hit under a different epoch or generation is
+// treated as a miss and evicted — rebalances and metadata mutations
+// invalidate without any explicit flush. Members keep their prepared
+// plans in one; clients keep their prepared texts in another.
+type Cache[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recent
@@ -20,57 +21,75 @@ type Cache struct {
 }
 
 // CacheStats is a snapshot of the cache's lifetime counters. Evictions
-// counts plans dropped to make room; a stale plan is counted as a miss.
+// counts entries dropped to make room; a stale entry is counted as a
+// miss.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key   string
 	epoch uint64
 	gen   uint64
-	plan  *Plan
+	val   V
 }
 
-// NewCache returns an LRU holding up to capacity plans (minimum 1).
-func NewCache(capacity int) *Cache {
+// NewCache returns an LRU holding up to capacity entries (minimum 1).
+func NewCache[V any](capacity int) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element)}
+	return &Cache[V]{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// Get returns the cached plan for key if it was built at exactly this
-// epoch and metadata generation.
-func (c *Cache) Get(key string, epoch, gen uint64) (*Plan, bool) {
+// Get returns the value cached for key if it was built at exactly this
+// epoch and metadata generation. The key is only read: a caller may
+// pass a string that aliases a buffer it reuses afterwards.
+func (c *Cache[V]) Get(key string, epoch, gen uint64) (V, bool) {
+	var zero V
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.stats.Misses++
-		return nil, false
+		return zero, false
 	}
-	ent := el.Value.(*cacheEntry)
+	ent := el.Value.(*cacheEntry[V])
 	if ent.epoch != epoch || ent.gen != gen {
-		// Stale: the world changed under the plan.
+		// Stale: the world changed under the entry.
 		c.ll.Remove(el)
-		delete(c.byKey, key)
+		delete(c.byKey, ent.key)
 		c.stats.Misses++
-		return nil, false
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
-	return ent.plan, true
+	return ent.val, true
 }
 
-// Put stores a plan built at (epoch, gen), evicting the least recently
-// used entry when full.
-func (c *Cache) Put(key string, epoch, gen uint64, p *Plan) {
+// Peek is Get without effects: it counts nothing and leaves recency and
+// stale entries as they are. A caller looks with it before it knows
+// whether the lookup will serve a statement at all.
+func (c *Cache[V]) Peek(key string, epoch, gen uint64) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.epoch, ent.gen, ent.plan = epoch, gen, p
+		if ent := el.Value.(*cacheEntry[V]); ent.epoch == epoch && ent.gen == gen {
+			return ent.val, true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// Put stores a value built at (epoch, gen), evicting the least recently
+// used entry when full.
+func (c *Cache[V]) Put(key string, epoch, gen uint64, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[key]; ok {
+		ent := el.Value.(*cacheEntry[V])
+		ent.epoch, ent.gen, ent.val = epoch, gen, v
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -80,21 +99,21 @@ func (c *Cache) Put(key string, epoch, gen uint64, p *Plan) {
 			break
 		}
 		c.ll.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
+		delete(c.byKey, back.Value.(*cacheEntry[V]).key)
 		c.stats.Evictions++
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, epoch: epoch, gen: gen, plan: p})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry[V]{key: key, epoch: epoch, gen: gen, val: v})
 }
 
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
+// Len returns the number of cached entries.
+func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
 // Stats snapshots the lifetime counters.
-func (c *Cache) Stats() CacheStats {
+func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats

@@ -3,7 +3,7 @@ package plan
 import "testing"
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[*Plan](2)
 	a, b, d := &Plan{}, &Plan{}, &Plan{}
 	c.Put("a", 1, 1, a)
 	c.Put("b", 1, 1, b)
@@ -24,7 +24,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheEpochAndGenInvalidate(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache[*Plan](4)
 	p := &Plan{}
 	c.Put("k", 3, 7, p)
 	if _, ok := c.Get("k", 4, 7); ok {
@@ -45,7 +45,7 @@ func TestCacheEpochAndGenInvalidate(t *testing.T) {
 }
 
 func TestCacheStats(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[*Plan](2)
 	c.Put("a", 1, 1, &Plan{})
 	c.Get("a", 1, 1)
 	c.Get("a", 1, 1)
@@ -58,7 +58,7 @@ func TestCacheStats(t *testing.T) {
 }
 
 func TestCacheUpdateInPlace(t *testing.T) {
-	c := NewCache(1)
+	c := NewCache[*Plan](1)
 	p1, p2 := &Plan{}, &Plan{}
 	c.Put("k", 1, 1, p1)
 	c.Put("k", 2, 2, p2)

@@ -136,6 +136,10 @@ type Plan struct {
 	Force Force
 	// Exec is the engine-facing form the server hands to the engine.
 	Exec exec.QueryPlan
+	// Normalized is the query's disjunctive normal form, which Conjuncts
+	// and Exec.Conjuncts follow index by index: what the engine prepares
+	// the plan against.
+	Normalized []query.Conjunct
 }
 
 // Modeled per-operation costs beyond the engine's per-element rates:
@@ -154,7 +158,7 @@ func Build(src Source, q *query.Query, force Force) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Force: force}
+	p := &Plan{Force: force, Normalized: conjuncts}
 	p.Exec.Label = force.Label()
 	p.Exec.Full = force == ForceFull
 	p.Exec.IndexOnly = force == ForceBitmap

@@ -3,17 +3,26 @@ package sched
 import "sync"
 
 // fqSession is one session's slice of the fair queue: a FIFO backlog
-// plus its deficit counter. Sessions exist only while they have queued
-// items (an emptied session's deficit resets, per classic DRR).
+// plus its deficit counter. A session is in the ring only while it has
+// queued items (an emptied session leaves it and its deficit resets, per
+// classic DRR), but its state outlives the busy period: a closed-loop
+// session empties after every request, and its next Push reuses the
+// backlog's storage instead of allocating it again. Drop frees it.
 type fqSession[T any] struct {
-	key   uint64
+	key uint64
+	// items[head:] and costs[head:] are the backlog; the popped prefix
+	// is reclaimed when the session empties or the storage is full.
 	items []T
 	costs []int64
+	head  int
 	// deficit is the session's accumulated service allowance; charged
 	// marks that the current visit already received its quantum.
 	deficit int64
 	charged bool
+	inRing  bool
 }
+
+func (s *fqSession[T]) len() int { return len(s.items) - s.head }
 
 // FairQueue is a deficit-round-robin fair queue with per-session
 // admission control. Producers Push under a session key; consumers Pop.
@@ -80,10 +89,21 @@ func (q *FairQueue[T]) Push(session uint64, cost int64, v T) (int, error) {
 	if s == nil {
 		s = &fqSession[T]{key: session}
 		q.sessions[session] = s
+	}
+	if s.len() >= q.depth {
+		return s.len(), ErrBusy
+	}
+	if !s.inRing {
+		s.inRing = true
 		q.ring = append(q.ring, s)
 	}
-	if len(s.items) >= q.depth {
-		return len(s.items), ErrBusy
+	if s.head > 0 && len(s.items) == cap(s.items) {
+		// Slide the backlog to the front rather than grow past the
+		// popped prefix.
+		n := copy(s.items, s.items[s.head:])
+		copy(s.costs, s.costs[s.head:])
+		clear(s.items[n:])
+		s.items, s.costs, s.head = s.items[:n], s.costs[:n], 0
 	}
 	s.items = append(s.items, v)
 	s.costs = append(s.costs, cost)
@@ -92,10 +112,10 @@ func (q *FairQueue[T]) Push(session uint64, cost int64, v T) (int, error) {
 		q.hiwater = q.size
 	}
 	if q.admitted != nil {
-		q.admitted(v, len(s.items))
+		q.admitted(v, s.len())
 	}
 	q.cond.Signal()
-	return len(s.items), nil
+	return s.len(), nil
 }
 
 // Pop blocks until an item is available and returns the next item in
@@ -115,13 +135,15 @@ func (q *FairQueue[T]) Pop() (v T, ok bool) {
 			s.deficit += q.quantum
 			s.charged = true
 		}
-		if s.deficit >= s.costs[0] {
-			v = s.items[0]
-			s.deficit -= s.costs[0]
-			s.items = s.items[1:]
-			s.costs = s.costs[1:]
+		if c := s.costs[s.head]; s.deficit >= c {
+			v = s.items[s.head]
+			var zero T
+			s.items[s.head] = zero // the queue keeps no reference to a popped item
+			s.deficit -= c
+			s.head++
 			q.size--
-			if len(s.items) == 0 {
+			if s.len() == 0 {
+				s.items, s.costs, s.head = s.items[:0], s.costs[:0], 0
 				q.removeLocked(s)
 			}
 			return v, true
@@ -132,10 +154,15 @@ func (q *FairQueue[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// removeLocked drops an emptied session from the ring and resets its
-// DRR state (q.mu held).
+// removeLocked takes an emptied session out of the ring and resets its
+// DRR state (q.mu held). The session keeps its storage for its next
+// busy period.
 func (q *FairQueue[T]) removeLocked(s *fqSession[T]) {
-	delete(q.sessions, s.key)
+	s.deficit, s.charged = 0, false
+	if !s.inRing {
+		return
+	}
+	s.inRing = false
 	for i, rs := range q.ring {
 		if rs == s {
 			q.ring = append(q.ring[:i], q.ring[i+1:]...)
@@ -150,8 +177,9 @@ func (q *FairQueue[T]) removeLocked(s *fqSession[T]) {
 	}
 }
 
-// Drop discards a session's queued items (its connection went away) and
-// returns how many were dropped. The caller owns any per-item cleanup.
+// Drop discards a session's queued items (its connection went away),
+// frees the session's state and returns the dropped items. The caller
+// owns any per-item cleanup.
 func (q *FairQueue[T]) Drop(session uint64) []T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -159,12 +187,12 @@ func (q *FairQueue[T]) Drop(session uint64) []T {
 	if s == nil {
 		return nil
 	}
-	dropped := s.items
-	q.size -= len(s.items)
-	s.items = nil
-	s.costs = nil
+	dropped := s.items[s.head:]
+	q.size -= s.len()
+	s.items, s.costs, s.head = nil, nil, 0
 	q.removeLocked(s)
-	//lint:ignore aliasguard ownership transfer: s.items is nil'd above, the queue keeps no alias
+	delete(q.sessions, session)
+	//lint:ignore aliasguard ownership transfer: s.items is nil'd above and the session deleted, the queue keeps no alias
 	return dropped
 }
 
@@ -188,7 +216,7 @@ func (q *FairQueue[T]) SessionLen(session uint64) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if s := q.sessions[session]; s != nil {
-		return len(s.items)
+		return s.len()
 	}
 	return 0
 }

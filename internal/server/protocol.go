@@ -197,6 +197,13 @@ var ErrBadStatement = errors.New("protocol: bad statement")
 // | u64 object | u32 bins — precedes the query, which query.Decode reads
 // to the end. The statement sets FlagWantSelection and FlagStatement.
 func EncodeQueryRequest(flags byte, force plan.Force, epoch uint64, st *qlang.Lowered) []byte {
+	return AppendQueryRequest(nil, flags, force, epoch, st, st.Query.Encode())
+}
+
+// AppendQueryRequest appends EncodeQueryRequest's payload to dst, with
+// query as st.Query's encoding: a caller that keeps the encoding of a
+// statement it sends again appends only the per-call header to it.
+func AppendQueryRequest(dst []byte, flags byte, force plan.Force, epoch uint64, st *qlang.Lowered, query []byte) []byte {
 	flags &^= FlagWantSelection | FlagStatement
 	if st.Projection.Kind == qlang.ProjIDs {
 		flags |= FlagWantSelection
@@ -205,23 +212,24 @@ func EncodeQueryRequest(flags byte, force plan.Force, epoch uint64, st *qlang.Lo
 	if hist || len(st.Tags) > 0 {
 		flags |= FlagStatement
 	}
-	q := st.Query.Encode()
-	out := make([]byte, 0, 9+len(q))
-	out = append(out, flags&flagBits|byte(force)<<forceShift)
+	if dst == nil {
+		dst = make([]byte, 0, 9+len(query))
+	}
+	dst = append(dst, flags&flagBits|byte(force)<<forceShift)
 	if flags&FlagEpoch != 0 {
-		out = binary.LittleEndian.AppendUint64(out, epoch)
+		dst = binary.LittleEndian.AppendUint64(dst, epoch)
 	}
 	if flags&FlagStatement != 0 {
-		out = encodeTags(out, st.Tags)
+		dst = encodeTags(dst, st.Tags)
 		if hist {
-			out = append(out, 1)
-			out = binary.LittleEndian.AppendUint64(out, uint64(st.HistObj))
-			out = binary.LittleEndian.AppendUint32(out, uint32(st.Projection.Bins))
+			dst = append(dst, 1)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(st.HistObj))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(st.Projection.Bins))
 		} else {
-			out = append(out, 0)
+			dst = append(dst, 0)
 		}
 	}
-	return append(out, q...)
+	return append(dst, query...)
 }
 
 // QueryRequest is a decoded MsgQuery payload.
@@ -238,22 +246,41 @@ type QueryRequest struct {
 	Query []byte
 }
 
-// DecodeQueryRequest parses a MsgQuery payload. A forcing no plan.Force
-// names is ErrBadQueryFlags; a section that is empty, names an unknown
-// projection, asks for ids and hist at once, or has a bin count outside
-// 1..qlang.MaxHistBins is ErrBadStatement.
+// DecodeQueryRequest parses a MsgQuery payload: its header, then the
+// query. A forcing no plan.Force names is ErrBadQueryFlags; a section
+// that is empty, names an unknown projection, asks for ids and hist at
+// once, or has a bin count outside 1..qlang.MaxHistBins is
+// ErrBadStatement.
 func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("protocol: empty query request")
+	r := &QueryRequest{Stmt: &qlang.Lowered{}}
+	if err := r.decodeHeader(b); err != nil {
+		return nil, err
 	}
-	r := &QueryRequest{Flags: b[0] & flagBits, Force: plan.Force(b[0] >> forceShift), Stmt: &qlang.Lowered{}}
+	q, err := query.Decode(r.Query)
+	if err != nil {
+		return nil, err
+	}
+	r.Stmt.Query = q
+	return r, nil
+}
+
+// decodeHeader is the half of DecodeQueryRequest a server runs on every
+// statement: it parses and checks everything before the query — flags,
+// forcing, epoch, tags and projection, into r and r.Stmt — and leaves
+// the query's bytes, undecoded, in r.Query. r.Stmt must be non-nil and
+// zero.
+func (r *QueryRequest) decodeHeader(b []byte) error {
+	if len(b) < 1 {
+		return fmt.Errorf("protocol: empty query request")
+	}
+	r.Flags, r.Force = b[0]&flagBits, plan.Force(b[0]>>forceShift)
 	b = b[1:]
 	if !r.Force.Valid() {
-		return nil, fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, int(r.Force))
+		return fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, int(r.Force))
 	}
 	if r.Flags&FlagEpoch != 0 {
 		if len(b) < 8 {
-			return nil, fmt.Errorf("protocol: truncated query epoch")
+			return fmt.Errorf("protocol: truncated query epoch")
 		}
 		r.Epoch = binary.LittleEndian.Uint64(b)
 		b = b[8:]
@@ -264,35 +291,31 @@ func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
 	if r.Flags&FlagStatement != 0 {
 		var err error
 		if r.Stmt.Tags, b, err = decodeTags(b); err != nil {
-			return nil, err
+			return err
 		}
 		switch {
 		case len(b) < 1 || b[0] == 1 && len(b) < 13:
-			return nil, fmt.Errorf("protocol: truncated statement projection")
+			return fmt.Errorf("protocol: truncated statement projection")
 		case b[0] > 1:
-			return nil, fmt.Errorf("%w: unknown projection %d", ErrBadStatement, b[0])
+			return fmt.Errorf("%w: unknown projection %d", ErrBadStatement, b[0])
 		case b[0] == 0 && len(r.Stmt.Tags) == 0:
-			return nil, fmt.Errorf("%w: empty statement section", ErrBadStatement)
+			return fmt.Errorf("%w: empty statement section", ErrBadStatement)
 		case b[0] == 0:
 			b = b[1:]
 		case r.Flags&FlagWantSelection != 0:
-			return nil, fmt.Errorf("%w: ids and hist projections at once", ErrBadStatement)
+			return fmt.Errorf("%w: ids and hist projections at once", ErrBadStatement)
 		default:
 			bins := binary.LittleEndian.Uint32(b[9:])
 			if bins < 1 || bins > qlang.MaxHistBins {
-				return nil, fmt.Errorf("%w: hist bins %d outside 1..%d", ErrBadStatement, bins, qlang.MaxHistBins)
+				return fmt.Errorf("%w: hist bins %d outside 1..%d", ErrBadStatement, bins, qlang.MaxHistBins)
 			}
 			r.Stmt.Projection = qlang.Projection{Kind: qlang.ProjHist, Bins: int(bins)}
 			r.Stmt.HistObj = object.ID(binary.LittleEndian.Uint64(b[1:]))
 			b = b[13:]
 		}
 	}
-	q, err := query.Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	r.Stmt.Query, r.Query = q, b
-	return r, nil
+	r.Query = b
+	return nil
 }
 
 // QueryResponse is one server's answer to a MsgQuery.

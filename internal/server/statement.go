@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
+	"unsafe"
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/exec"
@@ -16,6 +18,7 @@ import (
 	"pdcquery/internal/object"
 	"pdcquery/internal/plan"
 	"pdcquery/internal/qlang"
+	"pdcquery/internal/query"
 	"pdcquery/internal/sched"
 	"pdcquery/internal/selection"
 	"pdcquery/internal/sortstore"
@@ -48,6 +51,20 @@ func planBuildCost(p *plan.Plan) time.Duration {
 	return planBuildBase + time.Duration(n)*planBuildPerCond
 }
 
+// planEntry is a plan-cache entry: a statement's query decoded,
+// validated, planned — normalizing it once — and compiled for the engine
+// against one (placement epoch, metadata generation). Every request
+// whose forcing and encoded query match shares it, whichever way it was
+// spelled; what differs per request — flags, the epoch stamp, tags and
+// projection — comes from each request's own header. Read-only once
+// cached.
+type planEntry struct {
+	query *query.Query
+	ids   []object.ID // the query's objects, ascending
+	plan  *plan.Plan  // nil until prepare builds it
+	exec  *exec.Prepared
+}
+
 // statement is a decoded request and what the front end derived from
 // it: everything the path needs to answer it.
 type statement struct {
@@ -55,57 +72,81 @@ type statement struct {
 	// need is how much of the answer the reply (or a later get-data on
 	// it) can use.
 	need exec.Need
-	// planKey keys the prepared-plan LRU: the encoded query and the
-	// forcing, so both spellings of a statement share one plan.
-	planKey string
+	// gen is the metadata generation the statement was checked against.
+	gen uint64
+	// prep is the statement's cache entry or, when the cache had none,
+	// its decoded and validated query, which prepare plans.
+	prep *planEntry
 	// gated marks a statement whose tag conditions exclude an object it
 	// reads: the answer is empty without evaluating anything.
 	gated bool
 }
 
-// decodeStatement is the one front end. It checks what a server no
-// longer derives itself — the objects and the hist projection's shape —
-// sets the need from the statement, and closes the tag gate.
+// planKey is the request's plan-cache key — forcing, then the encoded
+// query — as a string over the request's reusable key buffer: looking
+// it up allocates nothing, and a Put stores a copy.
+func (r *request) planKey() string {
+	return unsafe.String(unsafe.SliceData(r.key), len(r.key))
+}
+
+// decodeStatement is the one front end. It decodes and checks the
+// request's header on every statement; the query itself is decoded and
+// validated only when the plan cache has no entry for it at this epoch
+// and generation, since an entry's query was validated against the same
+// metadata. It then checks the hist projection's shape, sets the need
+// from the statement, and closes the tag gate. Nothing here touches the
+// cache's counters or recency: a statement the gate or a check stops
+// never reaches prepare.
 func (s *Server) decodeStatement(r *request) (*statement, error) {
-	req, err := DecodeQueryRequest(r.m.Payload)
-	if err != nil {
+	st, req := &r.st, &r.req
+	st.QueryRequest, req.Stmt = req, &r.low
+	if err := req.decodeHeader(r.m.Payload); err != nil {
 		return nil, err
 	}
+	r.key = append(append(r.key[:0], byte(req.Force)), req.Query...)
+	st.gen = s.cfg.Meta.Gen()
+	prep, ok := s.planCache.Peek(r.planKey(), req.Epoch, st.gen)
+	if !ok {
+		q, err := query.Decode(req.Query)
+		if err != nil {
+			return nil, err
+		}
+		if err := q.Validate(s.cfg.Meta.Get); err != nil {
+			return nil, err
+		}
+		prep = &planEntry{query: q, ids: q.Root.Objects()}
+	}
+	st.prep = prep
 	low := req.Stmt
-	if err := low.Query.Validate(s.cfg.Meta.Get); err != nil {
-		return nil, err
-	}
+	low.Query = prep.query
 	if low.Projection.Kind == qlang.ProjHist {
 		// The projection reads the hist object at the anchor's
 		// coordinates, so it must exist and have the anchor's shape.
-		anchor, _ := s.cfg.Meta.Get(low.Query.Root.Objects()[0])
+		anchor, _ := s.cfg.Meta.Get(prep.ids[0])
 		if ho, ok := s.cfg.Meta.Get(low.HistObj); !ok || !slices.Equal(ho.Dims, anchor.Dims) {
 			return nil, fmt.Errorf("%w: hist object %d is missing or not shaped %v like the statement's objects", ErrBadStatement, low.HistObj, anchor.Dims)
 		}
 	}
-	st := &statement{
-		QueryRequest: req,
-		// What the statement can use decides what the engine
-		// materialises: a kept result captures the values it has in hand
-		// (the paper's server-side result caching, which the stash serves
-		// to later get-data requests on this request ID); ids are returned
-		// and hist reads values at the coordinates; a count needs neither.
-		need:    exec.NeedCount,
-		planKey: string(req.Query) + "|" + req.Force.String(),
-	}
+	// What the statement can use decides what the engine materialises:
+	// a kept result captures the values it has in hand (the paper's
+	// server-side result caching, which the stash serves to later
+	// get-data requests on this request ID); ids are returned and hist
+	// reads values at the coordinates; a count needs neither.
+	st.need = exec.NeedCount
 	if req.Flags&FlagKeep != 0 {
 		st.need = exec.NeedValues
 	} else if low.Projection.Kind != qlang.ProjCount {
 		st.need = exec.NeedCoords
 	}
-	st.gated = s.tagGated(r.acct, low)
+	st.gated = s.tagGated(r.acct, low, prep.ids)
 	return st, nil
 }
 
 // tagGated applies a statement's tag conditions: every object its
-// numeric conditions and projection touch must carry all the requested
-// tags, else the statement addresses data outside the tagged set.
-func (s *Server) tagGated(acct *vclock.Account, low *qlang.Lowered) bool {
+// numeric conditions (ids) and projection touch must carry all the
+// requested tags, else the statement addresses data outside the tagged
+// set.
+func (s *Server) tagGated(acct *vclock.Account, low *qlang.Lowered, ids []object.ID) bool {
 	if len(low.Tags) == 0 {
 		return false
 	}
@@ -113,7 +154,7 @@ func (s *Server) tagGated(acct *vclock.Account, low *qlang.Lowered) bool {
 	for _, id := range s.cfg.Meta.TagQuery(acct, low.Tags) {
 		inTag[id] = true
 	}
-	for _, id := range low.Query.Root.Objects() {
+	for _, id := range ids {
 		if !inTag[id] {
 			return true
 		}
@@ -121,26 +162,37 @@ func (s *Server) tagGated(acct *vclock.Account, low *qlang.Lowered) bool {
 	return low.Projection.Kind == qlang.ProjHist && !inTag[low.HistObj]
 }
 
-// prepare returns the statement's plan through the LRU: valid only for
+// prepare returns the statement's entry through the LRU: valid only for
 // the exact (placement epoch, metadata generation) it was built against.
-func (s *Server) prepare(acct *vclock.Account, st *statement) (*plan.Plan, error) {
-	gen := s.cfg.Meta.Gen()
-	pl, hit := s.planCache.Get(st.planKey, st.Epoch, gen)
+// A miss plans the query and compiles it for the engine, and the entry
+// serves every later request with the same key.
+func (s *Server) prepare(r *request, acct *vclock.Account, st *statement) (*planEntry, error) {
+	key := r.planKey()
+	prep, hit := s.planCache.Get(key, st.Epoch, st.gen)
 	if !hit {
-		var err error
-		if pl, err = plan.Build(s.cfg.Meta, st.Stmt.Query, st.Force); err != nil {
-			return nil, err
+		// Unless the entry was evicted since decodeStatement looked, the
+		// statement's own is private to this request until the Put.
+		prep = st.prep
+		if prep.plan == nil {
+			pl, err := plan.Build(s.cfg.Meta, prep.query, st.Force)
+			if err != nil {
+				return nil, err
+			}
+			if prep.exec, err = s.engine.Prepare(prep.query, pl.Normalized, &pl.Exec); err != nil {
+				return nil, err
+			}
+			prep.plan = pl
 		}
-		s.planCache.Put(st.planKey, st.Epoch, gen, pl)
+		s.planCache.Put(strings.Clone(key), st.Epoch, st.gen, prep)
 	}
 	if st.Force == plan.ForceAuto {
 		if hit {
 			acct.Charge(vclock.Meta, planHitCost)
 		} else {
-			acct.Charge(vclock.Meta, planBuildCost(pl))
+			acct.Charge(vclock.Meta, planBuildCost(prep.plan))
 		}
 	}
-	return pl, nil
+	return prep, nil
 }
 
 // handleStatement answers one MsgQuery.
@@ -149,7 +201,6 @@ func (s *Server) handleStatement(r *request) transport.Message {
 	if err != nil {
 		return s.errMsg(err)
 	}
-	q := st.Stmt.Query
 	ss, tok, acct, m := r.ss, r.tok, r.acct, r.m
 	fail := func(err error) transport.Message {
 		if errors.Is(err, sched.ErrDeadline) {
@@ -170,29 +221,29 @@ func (s *Server) handleStatement(r *request) transport.Message {
 		wallStart = s.clock().Now()
 	}
 
-	ids := q.Root.Objects()
-	anchor, _ := s.cfg.Meta.Get(ids[0])
-	res := &exec.Result{Sel: selection.PackedCount(0, anchor.Dims)}
+	var res *exec.Result
 	var hist *histogram.Histogram
-	var phases telemetry.PhaseTimes
-	if !st.gated {
-		pl, err := s.prepare(acct, st)
+	if st.gated {
+		anchor, _ := s.cfg.Meta.Get(st.prep.ids[0])
+		res = &exec.Result{Sel: selection.PackedCount(0, anchor.Dims)}
+	} else {
+		prep, err := s.prepare(r, acct, st)
 		if err != nil {
 			return s.errMsg(err)
 		}
 		var rep *sortstore.Replica
-		for _, id := range ids {
+		for _, id := range prep.ids {
 			if rp := s.cfg.Replicas[id]; rp != nil {
 				rep = rp
 				break
 			}
 		}
-		assign, err := s.cfg.Assign(st.Epoch, anchor, rep)
+		assign, err := s.cfg.Assign(st.Epoch, prep.exec.Anchor(), rep)
 		if err != nil {
 			return s.errMsg(err)
 		}
-		eng := s.reqEngine(acct, &phases)
-		if res, err = eng.EvaluateToken(tok, q, &pl.Exec, assign, st.need, span); err != nil {
+		eng := r.engine(s.engine, true)
+		if res, err = eng.Execute(tok, prep.exec, assign, st.need, span); err != nil {
 			return fail(err)
 		}
 		if st.Stmt.Projection.Kind == qlang.ProjHist {
@@ -249,8 +300,10 @@ func (s *Server) handleStatement(r *request) transport.Message {
 			resp.Trace = span
 		}
 	}
-	if st.Flags&FlagWantSelection == 0 {
-		resp.Sel = selection.PackedCount(res.Sel.NHits, res.Sel.Dims)
+	if st.Flags&FlagWantSelection == 0 && !res.Sel.CountOnly {
+		// Only the count travels; res keeps the chunks for the stash or
+		// Release.
+		resp.Sel = &selection.Packed{NHits: res.Sel.NHits, CountOnly: true, Dims: res.Sel.Dims}
 	}
 	encStart := s.clock().Now()
 	reply := transport.Message{Type: MsgQueryResult, Payload: resp.Encode()}
@@ -263,9 +316,9 @@ func (s *Server) handleStatement(r *request) transport.Message {
 	if encEnd := s.clock().Now(); encEnd != 0 || encStart != 0 {
 		// Encoding is pure compute with no modeled virtual cost; the
 		// phase is wall-only.
-		phases.Add(telemetry.PhaseEncode, 0, encEnd-encStart)
+		r.phases.Add(telemetry.PhaseEncode, 0, encEnd-encStart)
 	}
-	s.observePhases(ss, &phases)
+	s.observePhases(ss, &r.phases)
 	s.maybeLogSlowQuery(ss, m, span, cost, wallStart, res)
 	return reply
 }

@@ -63,6 +63,35 @@ func (noSleep) Sleep(time.Duration) {}
 // virtual time only and return immediately.
 var NoSleep Sleeper = noSleep{}
 
+// WallTimer is the seam's reusable wall-clock timer: code that bounds
+// repeated waits in real time (the client's per-call timeout) arms one
+// per wait instead of deriving a context with a deadline, which builds
+// a new timer every time. The zero value is ready. Arm it only when
+// stopped: Start and Stop alternate.
+type WallTimer struct{ t *time.Timer }
+
+// Start arms the timer to fire d from now and returns the channel it
+// fires on.
+func (w *WallTimer) Start(d time.Duration) <-chan time.Time {
+	if w.t == nil {
+		w.t = time.NewTimer(d)
+	} else {
+		w.t.Reset(d)
+	}
+	return w.t.C
+}
+
+// Stop disarms the timer. A fire nobody received is discarded, so the
+// next Start never sees it.
+func (w *WallTimer) Stop() {
+	if w.t != nil && !w.t.Stop() {
+		select {
+		case <-w.t.C:
+		default:
+		}
+	}
+}
+
 // Wall reads the real wall clock. Only user-facing daemons install it
 // (cmd/pdc-server's query log); everything under test uses NoClock so
 // traces stay byte-identical across runs.
