@@ -317,27 +317,32 @@ func TestTagQuerySharding(t *testing.T) {
 
 func TestAssignmentPartition(t *testing.T) {
 	// The region assignments of an N-server deployment partition the
-	// region set, for both plain and sorted regions.
+	// region set, for both plain and sorted regions, and give each
+	// server, in ascending order, the regions ModNOwner says it owns.
 	meta := metadata.NewService()
 	cont := meta.CreateContainer("c")
 	o, _ := meta.CreateObject(cont.ID, object.Property{Name: "o", Type: dtype.Float32, Dims: []uint64{1000}})
 	for i, r := range region.Split1D(1000, 100) {
 		o.Regions = append(o.Regions, object.RegionMeta{Index: i, Region: r})
 	}
-	const n = 3
-	counts := make([]int, len(o.Regions))
-	for id := 0; id < n; id++ {
-		a, err := ModNAssign(id, n)(0, o, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{1, 3, 4, 16} {
+		counts := make([]int, len(o.Regions))
+		for id := 0; id < n; id++ {
+			a, err := ModNAssign(id, n)(0, o, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range a.Orig {
+				counts[r]++
+				if ModNOwner(uint64(o.ID), r, n) != id || i > 0 && a.Orig[i-1] >= r {
+					t.Errorf("n=%d: server %d is assigned %v", n, id, a.Orig)
+				}
+			}
 		}
-		for _, r := range a.Orig {
-			counts[r]++
-		}
-	}
-	for r, c := range counts {
-		if c != 1 {
-			t.Errorf("region %d assigned %d times", r, c)
+		for r, c := range counts {
+			if c != 1 {
+				t.Errorf("n=%d: region %d assigned %d times", n, r, c)
+			}
 		}
 	}
 }
