@@ -106,6 +106,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeExtentsResult -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzPackedDecode -fuzztime=$(FUZZTIME) ./internal/selection/
 	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=$(FUZZTIME) ./internal/selection/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeView -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -run=^$$ -fuzz=FuzzSortedMatchesScan -fuzztime=$(FUZZTIME) ./internal/core/
 
 # Wall-clock and kernel benchmarks. The paper's figures are modeled, not
 # timed: `pdc-bench` prints them (figures below) and bench-diff gates them.

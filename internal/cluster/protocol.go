@@ -103,6 +103,11 @@ func DecodeView(b []byte) (View, int, error) {
 	v.R = int(binary.LittleEndian.Uint16(b[16:]))
 	count := int(binary.LittleEndian.Uint16(b[18:]))
 	off := 20
+	// Every member takes at least its id and address length: a count the
+	// payload cannot hold is refused before anything is sized by it.
+	if count > (len(b)-off)/6 {
+		return v, 0, fmt.Errorf("cluster: view member count %d exceeds its %d-byte payload", count, len(b)-off)
+	}
 	v.Members = make([]MemberInfo, 0, count)
 	for i := 0; i < count; i++ {
 		if len(b) < off+6 {

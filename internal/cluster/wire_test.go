@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pdcquery/internal/wiretest"
@@ -32,5 +36,40 @@ func TestWireRoundTrip(t *testing.T) {
 	t.Run("Prepare", func(t *testing.T) {
 		wiretest.RoundTrip(t, []Prepare{{Source: view, Pending: pending}},
 			func(p Prepare) (Prepare, error) { return DecodePrepare(p.Encode()) })
+	})
+}
+
+// TestDecodeViewRefusesOversizedCount: a 20-byte view header that claims
+// 65 535 members is refused before any member is sized by the count.
+func TestDecodeViewRefusesOversizedCount(t *testing.T) {
+	b := make([]byte, 20)
+	binary.LittleEndian.PutUint16(b[18:], 0xffff)
+	if _, _, err := DecodeView(b); err == nil || !strings.Contains(err.Error(), "member count 65535 exceeds its 0-byte payload") {
+		t.Fatalf("DecodeView of a 65535-member header: %v", err)
+	}
+	// Sizing the members by the count would take 1.5 MB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	DecodeView(b)
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+		t.Errorf("refusing the header allocated %d bytes", grown)
+	}
+}
+
+// FuzzDecodeView hardens the view decoder: no payload panics it, and any
+// view it accepts re-encodes to exactly the bytes it consumed.
+func FuzzDecodeView(f *testing.F) {
+	f.Add(View{Epoch: 7, Seed: 91, R: 2, Members: []MemberInfo{{ID: 1, Addr: "127.0.0.1:7101"}, {ID: 4, Addr: "127.0.0.1:7104"}}}.Encode())
+	f.Add(View{Epoch: 1}.Encode())
+	f.Add(append(make([]byte, 18), 0xff, 0xff))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, n, err := DecodeView(data)
+		if err != nil {
+			return
+		}
+		if re := v.Encode(); !bytes.Equal(re, data[:n]) {
+			t.Fatalf("accepted % x, re-encoded % x", data[:n], re)
+		}
 	})
 }

@@ -17,18 +17,20 @@
 //     reading only the index directory and the touched bins — no raw
 //     data unless a boundary candidate check requires it (IndexOnly).
 //   - PDC-SH: Sorted — when the first-ordered condition is on an object
-//     with a sorted replica, binary-search the sorted regions and probe
-//     the remaining conditions at the matching locations; otherwise
-//     scan + probe (the paper's Fig. 4 behaviour when a non-sort-key
-//     condition is evaluated first).
+//     with a sorted replica on this engine, the first condition's
+//     matches come from binary searches of the sorted regions instead of
+//     a scan; otherwise scan + probe (the paper's Fig. 4 behaviour when a
+//     non-sort-key condition is evaluated first).
 //
+// The strategies differ only in how the first condition's matches are
+// found, which Prepare settles once per statement; Execute runs one
+// evaluator (region tasks, merge barrier, bitset packer) for all four.
 // The engine also implements the AND short-circuit ("one condition has no
 // hit → stop") and evaluates OR terms independently, merging them with
 // duplicate removal.
 package exec
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -51,9 +53,9 @@ import (
 
 // Assignment names the regions this server evaluates: original region
 // indices (shared by all same-shaped objects) and sorted-replica region
-// indices for the sorted-replica path. Orig is in ascending order and
-// read-only: the engine walks it in place, and an assigner may hand the
-// same slice to every statement.
+// indices for the sorted-replica path. Both are in ascending order and
+// read-only: the engine walks Orig and binary-searches Sorted in place,
+// and an assigner may hand the same slices to every statement.
 type Assignment struct {
 	Orig   []int
 	Sorted []int
@@ -306,23 +308,45 @@ func condOut(cs *telemetry.Span, id object.ID, n int64) {
 
 // Prepared is a statement made ready for the engine: its query, the
 // query's normalized conjuncts with the plan that covers them, the
-// objects it reads, and each conjunct's conditions compiled in plan
-// order. It depends only on the statement, the plan and the metadata it
-// was built from and is read-only once built, so evaluations share it:
-// a server keeps one per prepared-plan cache entry.
+// objects it reads, each conjunct's conditions compiled in plan order,
+// and the sorted-replica path of each conjunct that takes it. It
+// depends only on the statement, the plan and the engine and metadata
+// it was built from and is read-only once built, so evaluations share
+// it: a server keeps one per prepared-plan cache entry.
 type Prepared struct {
 	query     *query.Query
 	plan      *QueryPlan
 	conjuncts []query.Conjunct
 	objs      map[object.ID]*object.Object
 	anchor    *object.Object
-	preds     [][]pred // per conjunct, in its plan's order
+	preds     [][]pred      // per conjunct, in its plan's order
+	sorted    []*sortedPath // per conjunct; nil where it scans
+}
+
+// sortedPath is a conjunct's sorted-replica path: the replica of its
+// first condition's object, the later conditions a co-sorted companion
+// resolves, compiled for the companion copy's element type, and the
+// rest, probed at the original regions afterwards.
+type sortedPath struct {
+	rep   *sortstore.Replica
+	comps []sortedCond
+	rests []sortedCond
+}
+
+// sortedCond is one later condition of a sorted conjunct: its object,
+// the element type its predicate reads and the predicate.
+type sortedCond struct {
+	id object.ID
+	t  dtype.Type
+	p  pred
 }
 
 // Prepare checks that pl covers conjuncts — q's normalized conjuncts, in
 // query.Normalize order — and refuses it with ErrPlan otherwise; looks
-// up q's objects, which must share one region decomposition; and
-// compiles every condition.
+// up q's objects, which must share one region decomposition; compiles
+// every condition; and resolves the sorted-replica path of each
+// conjunct whose plan asks for it and whose first object has a replica
+// on this engine (the others scan).
 func (e *Engine) Prepare(q *query.Query, conjuncts []query.Conjunct, pl *QueryPlan) (*Prepared, error) {
 	if pl == nil || len(pl.Conjuncts) != len(conjuncts) {
 		return nil, fmt.Errorf("%w: %d conjuncts", ErrPlan, len(conjuncts))
@@ -342,6 +366,7 @@ func (e *Engine) Prepare(q *query.Query, conjuncts []query.Conjunct, pl *QueryPl
 		}
 	}
 	p.preds = make([][]pred, len(conjuncts))
+	p.sorted = make([]*sortedPath, len(conjuncts))
 	for i, c := range conjuncts {
 		order, err := pl.Conjuncts[i].order(i, c)
 		if err != nil {
@@ -350,8 +375,40 @@ func (e *Engine) Prepare(q *query.Query, conjuncts []query.Conjunct, pl *QueryPl
 		if p.preds[i], err = compilePreds(c, order, p.objs); err != nil {
 			return nil, err
 		}
+		if !pl.Conjuncts[i].Sorted || e.Replica == nil {
+			continue
+		}
+		if rep := e.Replica(order[0]); rep != nil {
+			if p.sorted[i], err = prepareSorted(rep, c, order, p.preds[i], p.objs); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return p, nil
+}
+
+// prepareSorted splits a sorted conjunct's later conditions into those
+// rep's companions resolve, compiled for the companion copies, and the
+// rest, which keep their compiled predicates.
+func prepareSorted(rep *sortstore.Replica, c query.Conjunct, order []object.ID, preds []pred,
+	objs map[object.ID]*object.Object) (*sortedPath, error) {
+
+	sp := &sortedPath{rep: rep}
+	for k, id := range order[1:] {
+		cd := sortedCond{id: id, t: objs[id].Type, p: preds[k+1]}
+		i := slices.IndexFunc(rep.Companions, func(comp sortstore.Companion) bool { return comp.Obj == id })
+		if i < 0 {
+			sp.rests = append(sp.rests, cd)
+			continue
+		}
+		cd.t = rep.Companions[i].Type
+		var err error
+		if cd.p, err = compile(cd.t, c[id]); err != nil {
+			return nil, err
+		}
+		sp.comps = append(sp.comps, cd)
+	}
+	return sp, nil
 }
 
 // Anchor is the first of the statement's objects: its shape is the
@@ -456,7 +513,14 @@ func (e *Engine) Execute(tok *sched.Token, p *Prepared, assign Assignment, need 
 			cs = span.Child(telemetry.SpanConjunct, fmt.Sprintf("conjunct.%d", i))
 		}
 		before := e.spanCost(cs)
-		sel, vals, err := e.evalConjunct(tok, p, i, orig, assign.Sorted, need, &res.Stats, cs)
+		var sel *selection.Packed
+		var vals map[object.ID][]byte
+		var err error
+		if sp := p.sorted[i]; sp != nil {
+			sel, vals, err = e.evalConjunctSorted(tok, p, i, sp, assign.Sorted, need, &res.Stats, cs)
+		} else {
+			sel, vals, err = e.evalConjunctScanProbe(tok, p, i, orig, need, &res.Stats, cs)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -547,34 +611,11 @@ func runsElems(runs []localRun) int64 {
 	return n
 }
 
-// evalConjunct evaluates AND-term ci over the assigned regions as its
-// ConjunctPlan says: the order Prepare validated, and the sorted-replica
-// path when the plan chose it and the engine has the replica.
-func (e *Engine) evalConjunct(tok *sched.Token, p *Prepared, ci int, orig []int, sorted []int, need Need, stats *Stats,
-	cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
-
-	cp := &p.plan.Conjuncts[ci]
-	q, c, order := p.query, p.conjuncts[ci], cp.Order
-	if cp.Sorted {
-		if rep := e.replicaFor(order[0]); rep != nil {
-			return e.evalConjunctSorted(tok, q, c, order, p.objs, p.anchor, rep, sorted, need, stats, cs)
-		}
-	}
-	return e.evalConjunctScanProbe(tok, cp, p.plan.Full, q, c, order, p.preds[ci], p.objs, p.anchor, orig, need, stats, cs)
-}
-
-func (e *Engine) replicaFor(id object.ID) *sortstore.Replica {
-	if e.Replica == nil {
-		return nil
-	}
-	return e.Replica(id)
-}
-
-// regionTaskResult is one region-evaluation task: the region and its
-// constraint runs the prune pass handed it, and everything the task
-// produced on its shadow engine. The merge phase folds results back in
-// region order, so the query's output never depends on task
-// interleaving.
+// regionTaskResult is one region-evaluation task: the region (a sorted
+// region on the sorted-replica path) and the constraint runs the prune
+// pass handed it, and everything the task produced on its shadow engine.
+// The merge barrier folds results back in region order, so the query's
+// output never depends on task interleaving.
 type regionTaskResult struct {
 	r       int
 	runs    []localRun      // the constraint's runs; nil when the statement has no constraint
@@ -584,8 +625,43 @@ type regionTaskResult struct {
 	stats   Stats
 	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
 	nhits   int64
-	chunk   *[]byte // the region's packed hits, in a pooled buffer; nil under NeedCount
-	vals    map[object.ID][]float64
+	chunk   *[]byte                 // the region's packed hits, in a pooled buffer; nil under NeedCount
+	coords  []uint64                // a sorted region's matches, in the replica's value order
+	vals    map[object.ID][]float64 // aligned with the hits (scan) or coords (sorted)
+}
+
+// shadow makes te, a copy of the engine, the engine region task res
+// runs on. Tasks run concurrently: recording or phase accounting from
+// there would race and make event order depend on scheduling, so both
+// stay with the serial barriers. The task nils te's Rec and Phases
+// itself, where barrierdet sees them dominate its calls; shadow has the
+// task charge its own account, collect its cache traffic in res for the
+// merge barrier to flush, and never fan out again. When the conjunct is
+// traced (cs non-nil) the task gets a detached span of the given kind,
+// named after the region, and a private condition log.
+func (res *regionTaskResult) shadow(te *Engine, cs *telemetry.Span, kind telemetry.SpanKind, name string) {
+	te.Pool = nil
+	te.cacheEv = &res.cacheEv
+	te.Acct = &res.acct
+	if cs != nil {
+		res.span = telemetry.NewSpan(kind, fmt.Sprintf("%s.%d", name, res.r))
+		res.condLog = telemetry.NewSpan(telemetry.SpanPhase, "cond")
+	}
+}
+
+// absorb folds a finished task into the conjunct at the merge barrier:
+// it adopts the task's span, replays its condition log, absorbs its
+// account and adds its stats, then flushes its cache traffic and records
+// its EvRegionExec. Called in region order, so the event sequence is
+// deterministic at any worker count; each stamp is the account total
+// after the task's absorb.
+func (e *Engine) absorb(res *regionTaskResult, cs *telemetry.Span, stats *Stats) {
+	cs.Adopt(res.span)
+	replayCondAttrs(cs, res.condLog)
+	e.Acct.Absorb(&res.acct)
+	stats.Add(res.stats)
+	e.flushCacheTraffic(&res.cacheEv)
+	e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(res.r), res.nhits)
 }
 
 // pruneCond is one condition of a conjunct as the prune pass reads it:
@@ -676,10 +752,11 @@ func replayCondAttrs(cs, log *telemetry.Span) {
 //  3. a serial merge in region order that adopts spans, replays condition
 //     counters, absorbs shadow accounts, and concatenates the tasks'
 //     packed chunks into a stream sized once from their total.
-func (e *Engine) evalConjunctScanProbe(tok *sched.Token, cp *ConjunctPlan, full bool, q *query.Query, c query.Conjunct, order []object.ID,
-	preds []pred, objs map[object.ID]*object.Object, anchor *object.Object, orig []int,
+func (e *Engine) evalConjunctScanProbe(tok *sched.Token, p *Prepared, ci int, orig []int,
 	need Need, stats *Stats, cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
 
+	cp := &p.plan.Conjuncts[ci]
+	full, q, c, order, preds, objs, anchor := p.plan.Full, p.query, p.conjuncts[ci], cp.Order, p.preds[ci], p.objs, p.anchor
 	collect := need == NeedValues
 
 	// The pass reads each condition's interval and region metadata in
@@ -732,19 +809,8 @@ regions:
 		res := &results[i]
 		r := res.r
 		te := *e
-		te.Pool = nil // region tasks never fan out again
-		// Tasks run concurrently: recording or phase accounting from here
-		// would race and make event order depend on scheduling. Both stay
-		// with the serial barriers; cache traffic accumulates in the task
-		// result and is flushed there too.
-		te.Rec = nil
-		te.Phases = nil
-		te.cacheEv = &res.cacheEv
-		te.Acct = &res.acct
-		if cs != nil {
-			res.span = telemetry.NewSpan(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
-			res.condLog = telemetry.NewSpan(telemetry.SpanPhase, "cond")
-		}
+		te.Rec, te.Phases = nil, nil
+		res.shadow(&te, cs, telemetry.SpanRegion, "region")
 		rs := res.span
 		res.stats.RegionsEvaluated++
 		// An unconstrained task covers its whole region: one run, built
@@ -827,22 +893,13 @@ regions:
 	}
 	// Pruned spans (traced only) are adopted between the task spans, so
 	// the conjunct's children stay in region order.
-	p := 0
+	k := 0
 	for i := range results {
 		res := &results[i]
-		for ; p < len(pruned) && pruned[p].r < res.r; p++ {
-			cs.Adopt(pruned[p].span)
+		for ; k < len(pruned) && pruned[k].r < res.r; k++ {
+			cs.Adopt(pruned[k].span)
 		}
-		cs.Adopt(res.span)
-		replayCondAttrs(cs, res.condLog)
-		e.Acct.Absorb(&res.acct)
-		stats.Add(res.stats)
-		// Recorded at the merge barrier (absorb order is region order), so
-		// the sequence is deterministic at any worker count; the vclock
-		// stamp is the account total after this region's absorb. Cache
-		// traffic the task accumulated flushes here for the same reason.
-		e.flushCacheTraffic(&res.cacheEv)
-		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(res.r), res.nhits)
+		e.absorb(res, cs, stats)
 		if res.nhits == 0 {
 			continue
 		}
@@ -856,8 +913,8 @@ regions:
 			chunkBufs.Put(res.chunk)
 		}
 	}
-	for ; p < len(pruned); p++ {
-		cs.Adopt(pruned[p].span)
+	for ; k < len(pruned); k++ {
+		cs.Adopt(pruned[k].span)
 	}
 	e.Phases.Add(telemetry.PhaseRegionExec, e.vnow()-execV, e.wnow()-execW)
 	if need == NeedCount {
@@ -865,7 +922,7 @@ regions:
 	}
 	var out map[object.ID][]byte
 	if collect {
-		out = encodeValues(order, objs, vals)
+		out = encodeValues(objs, vals)
 	}
 	return &selection.Packed{NHits: uint64(nhits), Dims: anchor.Dims, Chunks: stream}, out, nil
 }
@@ -1066,258 +1123,101 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv qu
 	return nil
 }
 
-// shHit carries one PDC-SH match: the original coordinate plus the
-// values already in hand (key first, then companions in condition order)
-// for the stash.
-type shHit struct {
-	coord uint64
-	vals  []float64
-}
-
-// sortedTaskResult is the PDC-SH counterpart of regionTaskResult: what
-// one sorted-region task produced on its shadow engine.
-type sortedTaskResult struct {
-	span    *telemetry.Span
-	condLog *telemetry.Span
-	acct    vclock.Account // shadow account the task charges
-	stats   Stats
-	cacheEv CacheTraffic // cache traffic, flushed at the merge barrier
-	hits    []shHit
-}
-
-// evalConjunctSorted is the PDC-SH path: resolve the most selective
-// condition from the sorted replica, then probe the remaining conditions
-// at the matching original locations. Sorted regions fan out over the
-// worker pool with the same shadow-engine / ordered-merge discipline as
-// the scan+probe path; the rest-condition probe stays serial (it walks
-// the globally sorted hit list region by region).
-func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Conjunct, order []object.ID,
-	objs map[object.ID]*object.Object, anchor *object.Object, rep *sortstore.Replica,
-	sortedAssign []int, need Need, stats *Stats, cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
+// evalConjunctSorted is the PDC-SH path: the first condition's matches
+// come from the sorted replica instead of a scan. Its prune pass is two
+// binary searches, the sorted regions the interval overlaps cut to this
+// server's share; those regions run as region tasks (evalSortedRegion)
+// and fold back at the merge barrier, as on the scan path. The rest
+// conditions are then probed at the matches one original region at a
+// time, in coordinate order (a serial walk: every sorted region's
+// matches can land in any original region), and each region's
+// survivors are packed from its bitset.
+func (e *Engine) evalConjunctSorted(tok *sched.Token, p *Prepared, ci int, sp *sortedPath, share []int,
+	need Need, stats *Stats, cs *telemetry.Span) (*selection.Packed, map[object.ID][]byte, error) {
 
 	collect := need == NeedValues
-	keyID := order[0]
-	iv := c[keyID]
-	assigned := make(map[int]bool, len(sortedAssign))
-	for _, s := range sortedAssign {
-		assigned[s] = true
-	}
-	// Conditions on objects with a co-sorted companion are resolved from
-	// the companion extents (contiguous, aligned with the sorted key);
-	// the rest are probed against the original regions afterwards.
-	type cond struct {
-		id object.ID
-		t  dtype.Type
-		p  pred
-	}
-	var comps, rests []cond
-	for _, id := range order[1:] {
-		cd := cond{id: id, t: objs[id].Type}
-		companion := rep.HasCompanion(id)
-		var err error
-		if companion {
-			if cd.t, err = companionType(rep, id); err != nil {
-				return nil, nil, err
-			}
-		}
-		if cd.p, err = compile(cd.t, c[id]); err != nil {
-			return nil, nil, err
-		}
-		if companion {
-			comps = append(comps, cd)
-		} else {
-			rests = append(rests, cd)
-		}
-	}
+	objs, anchor := p.objs, p.anchor
+	keyID := p.plan.Conjuncts[ci].Order[0]
+	iv := p.conjuncts[ci][keyID]
 
 	pruneV, pruneW := e.vnow(), e.wnow()
-	var candidates []int
-	for _, s := range rep.RegionsOverlapping(iv) {
-		if assigned[s] {
-			candidates = append(candidates, s)
-		}
-	}
+	first, last := sp.rep.RegionsOverlapping(iv)
+	lo, _ := slices.BinarySearch(share, first)
+	hi, _ := slices.BinarySearch(share, last)
+	candidates := share[lo:hi]
 	e.Phases.Add(telemetry.PhasePrune, e.vnow()-pruneV, e.wnow()-pruneW)
 
-	results := make([]*sortedTaskResult, len(candidates))
-	runTask := func(ti int) error {
-		s := candidates[ti]
-		res := &sortedTaskResult{}
+	results := make([]regionTaskResult, len(candidates))
+	for i, s := range candidates {
+		results[i].r = s
+	}
+	runTask := func(i int) error {
+		res := &results[i]
 		te := *e
-		te.Pool = nil
-		// Same discipline as the scan-path tasks: no recording or phase
-		// accounting from concurrent tasks; cache traffic accumulates in
-		// the result and flushes at the serial merge barrier.
-		te.Rec = nil
-		te.Phases = nil
-		te.cacheEv = &res.cacheEv
-		te.Acct = &res.acct
-		if cs != nil {
-			res.span = telemetry.NewSpan(telemetry.SpanSortedRegion, fmt.Sprintf("sorted.%d", s))
-			res.condLog = telemetry.NewSpan(telemetry.SpanPhase, "cond")
-			if e.Cache.Contains(object.SortedValKey(keyID, s)) {
+		te.Rec, te.Phases = nil, nil
+		res.shadow(&te, cs, telemetry.SpanSortedRegion, "sorted")
+		if res.span != nil {
+			if e.Cache.Contains(object.SortedValKey(keyID, res.r)) {
 				res.span.SetStr("decision", telemetry.DecisionCacheHit)
 			} else {
 				res.span.SetStr("decision", telemetry.DecisionScan)
 			}
 		}
-		ss := res.span
-		// finish seals the task at any of its exit points: the span's
-		// cost is the shadow account's whole accumulation, matching the
-		// serial path's spanCost delta across the region body.
-		finish := func(matched int) {
-			ss.AddCost(res.acct.Cost())
-			ss.SetInt("matched", int64(matched))
-			results[ti] = res
-		}
-		valBytes, err := te.readExtent(object.SortedValKey(keyID, s))
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		matched, err := te.evalSortedRegion(tok, sp, keyID, iv, anchor, p.query.Constraint, collect, sc, res)
 		if err != nil {
 			return err
 		}
-		lo, hi := rep.EvaluateRegion(valBytes, iv)
-		condIn(res.condLog, keyID, int64(rep.Regions[s].Count))
-		condOut(res.condLog, keyID, int64(hi-lo))
-		res.stats.SortedRegions++
-		if hi <= lo {
-			finish(0)
-			return nil
-		}
-		te.Acct.Charge(vclock.Compute, computeCost(int64(hi-lo), probeNsPerElem))
-
-		// Resolve companion conditions first: contiguous co-sorted reads,
-		// no permutation needed for eliminated positions. The extents stay
-		// in hand so the survivors' values can be picked up afterwards.
-		alive := make([]uint64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			alive = append(alive, uint64(i))
-		}
-		var compData []dtype.ROBytes
-		if collect {
-			compData = make([]dtype.ROBytes, len(comps))
-		}
-		for ci, cd := range comps {
-			if err := tok.Err(); err != nil {
-				return err
-			}
-			if len(alive) == 0 {
-				break
-			}
-			data, err := te.readExtent(sortstore.CompanionValKey(keyID, cd.id, s))
-			if err != nil {
-				return err
-			}
-			res.stats.Probes += int64(len(alive))
-			condIn(res.condLog, cd.id, int64(len(alive)))
-			te.Acct.Charge(vclock.Compute, computeCost(int64(len(alive)), probeNsPerElem))
-			alive = cd.p.probe(data, 0, alive)
-			condOut(res.condLog, cd.id, int64(len(alive)))
-			if collect {
-				compData[ci] = data
-			}
-		}
-		if len(alive) == 0 {
-			finish(0)
-			return nil
-		}
-
-		// Fetch the surviving positions' permutation entries. When most
-		// of the region survives, read (and cache) the whole extent; for
-		// a narrow match, a ranged read of the needed slice is cheaper.
-		pw := rep.PermWidth()
-		regionElems := int(rep.Regions[s].Count)
-		var permBytes []byte
-		permBase := int(alive[0])
-		if hi-lo >= regionElems/4 {
-			full, err := te.readExtent(object.SortedPermKey(keyID, s))
-			if err != nil {
-				return err
-			}
-			permBytes = full
-			permBase = 0
-		} else {
-			span := int(alive[len(alive)-1]) - permBase + 1
-			var err error
-			permBytes, err = te.Store.Read(te.Acct, object.SortedPermKey(keyID, s), int64(permBase)*pw, int64(span)*pw)
-			if err != nil {
-				return err
-			}
-		}
-		cbuf := make([]uint64, len(anchor.Dims))
-		for _, p := range alive {
-			pos := int(p)
-			coord := rep.PermAt(permBytes, pos-permBase)
-			if q.Constraint != nil {
-				cbuf = region.LinearToCoord(anchor.Dims, coord, cbuf)
-				if !q.Constraint.ContainsCoord(cbuf) {
-					continue
-				}
-			}
-			h := shHit{coord: coord}
-			if collect {
-				h.vals = make([]float64, 1+len(comps))
-				h.vals[0] = dtype.At(rep.Type, valBytes, pos)
-				for ci, cd := range comps {
-					h.vals[1+ci] = dtype.At(cd.t, compData[ci], pos)
-				}
-			}
-			res.hits = append(res.hits, h)
-		}
-		finish(len(alive))
+		res.span.AddCost(res.acct.Cost())
+		res.span.SetInt("matched", int64(matched))
 		return nil
 	}
 	execV, execW := e.vnow(), e.wnow()
-	if err := e.Pool.Map(tok, len(candidates), runTask); err != nil {
+	if err := e.Pool.Map(tok, len(results), runTask); err != nil {
 		return nil, nil, err
 	}
 
-	var hits []shHit
-	for ti := range candidates {
-		res := results[ti]
-		cs.Adopt(res.span)
-		replayCondAttrs(cs, res.condLog)
-		e.Acct.Absorb(&res.acct)
-		stats.Add(res.stats)
-		e.flushCacheTraffic(&res.cacheEv)
-		e.Rec.Record(telemetry.EvRegionExec, 0, e.SrvID, e.vnow(), int64(candidates[ti]), int64(len(res.hits)))
-		hits = append(hits, res.hits...)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.hits = sc.hits[:0]
+	for i := range results {
+		e.absorb(&results[i], cs, stats)
+		sc.hits = append(sc.hits, results[i].coords...)
 	}
-	slices.SortFunc(hits, func(a, b shHit) int { return cmp.Compare(a.coord, b.coord) })
+	all := sc.hits
+	slices.Sort(all)
 
 	var vals map[object.ID][]float64
+	var final []uint64 // the survivors' coordinates, kept for their values
 	if collect {
-		vals = make(map[object.ID][]float64, len(order))
+		vals = make(map[object.ID][]float64, len(p.plan.Conjuncts[ci].Order))
 	}
-	// The survivors are walked one original region at a time, in
-	// coordinate order: each region's are packed as its chunk.
 	var nhits uint64
 	var chunks []byte
-	var abs []uint64
 	// Probe the remaining conditions region by region against the
 	// original (unsorted) objects. Only the already-selected locations
 	// are evaluated (§III-C); when they are a small fraction of the
 	// region, the probe uses aggregated ranged reads of just those
 	// elements (§III-E) instead of pulling the whole region.
-	for i := 0; i < len(hits); {
+	for i := 0; i < len(all); {
 		if err := tok.Err(); err != nil {
 			return nil, nil, err
 		}
-		r := anchor.RegionOfLinear(hits[i].coord)
+		r := anchor.RegionOfLinear(all[i])
 		start := anchor.LinearStart(r)
-		regionElems := anchor.Regions[r].Region.NumElems()
-		end := start + regionElems
+		regionElems := anchor.RegionElems(r)
+		// The region's matches become its local indices, in place.
 		j := i
-		var local []uint64
-		for j < len(hits) && hits[j].coord < end {
-			local = append(local, hits[j].coord-start)
-			j++
+		for ; j < len(all) && all[j] < start+regionElems; j++ {
+			all[j] -= start
 		}
-		group := hits[i:j]
-		surviving := local
+		surviving := all[i:j]
 		var rs *telemetry.Span
-		if len(rests) > 0 {
+		if len(sp.rests) > 0 {
 			rs = cs.Child(telemetry.SpanRegion, fmt.Sprintf("region.%d", r))
 			if rs != nil {
-				if e.Cache.Contains(objs[rests[0].id].Regions[r].ExtentKey) {
+				if e.Cache.Contains(objs[sp.rests[0].id].Regions[r].ExtentKey) {
 					rs.SetStr("decision", telemetry.DecisionCacheHit)
 				} else {
 					rs.SetStr("decision", telemetry.DecisionScan)
@@ -1325,52 +1225,40 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 			}
 		}
 		rsBefore := e.spanCost(rs)
-		for _, cd := range rests {
+		for _, cd := range sp.rests {
 			if len(surviving) == 0 {
 				break
 			}
-			id, o := cd.id, objs[cd.id]
 			stats.Probes += int64(len(surviving))
-			condIn(cs, id, int64(len(surviving)))
+			condIn(cs, cd.id, int64(len(surviving)))
 			e.Acct.Charge(vclock.Compute, computeCost(int64(len(surviving)), probeNsPerElem))
 			var err error
-			surviving, err = e.probeFilter(o, r, surviving, regionElems, cd.p)
-			if err != nil {
+			if surviving, err = e.probeFilter(objs[cd.id], r, surviving, regionElems, cd.p); err != nil {
 				return nil, nil, err
 			}
-			condOut(cs, id, int64(len(surviving)))
+			condOut(cs, cd.id, int64(len(surviving)))
 		}
 		if len(surviving) > 0 {
 			stats.RegionsEvaluated++
 			if collect {
-				// Key and companion values are already in the hits; the
-				// probe objects are re-fetched for the final survivors.
-				ki := 0
 				for _, lidx := range surviving {
-					for group[ki].coord-start != lidx {
-						ki++
-					}
-					vals[keyID] = append(vals[keyID], group[ki].vals[0])
-					for ci, cd := range comps {
-						vals[cd.id] = append(vals[cd.id], group[ki].vals[1+ci])
-					}
+					final = append(final, start+lidx)
 				}
-				for _, cd := range rests {
-					id, o := cd.id, objs[cd.id]
-					probed, err := e.probeValues(o, r, surviving, regionElems)
+				// The probe objects' values are read at the final survivors;
+				// the key's and the companions' came with the matches.
+				for _, cd := range sp.rests {
+					probed, err := e.probeValues(objs[cd.id], r, surviving, regionElems)
 					if err != nil {
 						return nil, nil, err
 					}
-					vals[id] = append(vals[id], probed...)
+					vals[cd.id] = append(vals[cd.id], probed...)
 				}
 			}
 			nhits += uint64(len(surviving))
 			if need >= NeedCoords {
-				abs = abs[:0]
-				for _, lidx := range surviving {
-					abs = append(abs, start+lidx)
-				}
-				chunks = selection.AppendChunkCoords(chunks, start, regionElems, abs)
+				sc.acc = zeroed(sc.acc, wah.DenseWords(regionElems))
+				setBits(sc.acc, surviving)
+				chunks = selection.AppendChunkBits(chunks, start, regionElems, sc.acc, uint64(len(surviving)))
 			}
 		}
 		e.spanCostDone(rs, rsBefore)
@@ -1383,21 +1271,123 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, q *query.Query, c query.Co
 	}
 	var out map[object.ID][]byte
 	if collect {
-		out = encodeValues(order, objs, vals)
+		// The key's and the companions' values came with the matches: each
+		// goes to its match's place among the survivors.
+		for i := 0; i < len(results) && len(final) > 0; i++ {
+			for id, held := range results[i].vals {
+				if vals[id] == nil {
+					vals[id] = make([]float64, len(final))
+				}
+				for k, c := range results[i].coords {
+					if at, ok := slices.BinarySearch(final, c); ok {
+						vals[id][at] = held[k]
+					}
+				}
+			}
+		}
+		out = encodeValues(objs, vals)
 	}
 	return &selection.Packed{NHits: nhits, Dims: anchor.Dims, Chunks: chunks}, out, nil
 }
 
-// companionType returns the element type of a companion copy. A missing
-// companion means the replica metadata and the query disagree (corrupt
-// or stale metadata): reported as an error so the request fails cleanly.
-func companionType(rep *sortstore.Replica, id object.ID) (dtype.Type, error) {
-	for _, comp := range rep.Companions {
-		if comp.Obj == id {
-			return comp.Type, nil
+// evalSortedRegion resolves sorted region res.r of a PDC-SH conjunct into
+// res.coords: two binary searches of the key's sorted values, then the
+// companion conditions over the co-sorted extents, then the permutation
+// to original coordinates, keeping those inside the spatial constraint.
+// With collect, res.vals holds the key's and the companions' values of
+// each coordinate. It returns how many positions matched before the
+// constraint.
+func (e *Engine) evalSortedRegion(tok *sched.Token, sp *sortedPath, keyID object.ID, iv query.Interval, anchor *object.Object,
+	cons *region.Region, collect bool, sc *scratch, res *regionTaskResult) (int, error) {
+
+	rep, s := sp.rep, res.r
+	valBytes, err := e.readExtent(object.SortedValKey(keyID, s))
+	if err != nil {
+		return 0, err
+	}
+	lo, hi := rep.EvaluateRegion(valBytes, iv)
+	condIn(res.condLog, keyID, int64(rep.Regions[s].Count))
+	condOut(res.condLog, keyID, int64(hi-lo))
+	res.stats.SortedRegions++
+	if hi <= lo {
+		return 0, nil
+	}
+	e.Acct.Charge(vclock.Compute, computeCost(int64(hi-lo), probeNsPerElem))
+
+	// Resolve companion conditions first: contiguous co-sorted reads,
+	// no permutation needed for eliminated positions. The extents stay
+	// in hand so the survivors' values can be picked up afterwards.
+	sc.hits = slices.Grow(sc.hits[:0], hi-lo)
+	alive := sc.hits
+	for i := lo; i < hi; i++ {
+		alive = append(alive, uint64(i))
+	}
+	var compData []dtype.ROBytes
+	if collect {
+		compData = make([]dtype.ROBytes, len(sp.comps))
+	}
+	for ci, cd := range sp.comps {
+		if err := tok.Err(); err != nil {
+			return 0, err
+		}
+		if len(alive) == 0 {
+			break
+		}
+		data, err := e.readExtent(sortstore.CompanionValKey(keyID, cd.id, s))
+		if err != nil {
+			return 0, err
+		}
+		res.stats.Probes += int64(len(alive))
+		condIn(res.condLog, cd.id, int64(len(alive)))
+		e.Acct.Charge(vclock.Compute, computeCost(int64(len(alive)), probeNsPerElem))
+		alive = cd.p.probe(data, 0, alive)
+		condOut(res.condLog, cd.id, int64(len(alive)))
+		if collect {
+			compData[ci] = data
 		}
 	}
-	return 0, fmt.Errorf("exec: replica %d has no companion copy of object %d", rep.Key, id)
+	if len(alive) == 0 {
+		return 0, nil
+	}
+
+	// Fetch the surviving positions' permutation entries. When most
+	// of the region survives, read (and cache) the whole extent; for
+	// a narrow match, a ranged read of the needed slice is cheaper.
+	pw := rep.PermWidth()
+	var permBytes []byte
+	permBase := int(alive[0])
+	if hi-lo >= int(rep.Regions[s].Count)/4 {
+		if permBytes, err = e.readExtent(object.SortedPermKey(keyID, s)); err != nil {
+			return 0, err
+		}
+		permBase = 0
+	} else {
+		span := int(alive[len(alive)-1]) - permBase + 1
+		if permBytes, err = e.Store.Read(e.Acct, object.SortedPermKey(keyID, s), int64(permBase)*pw, int64(span)*pw); err != nil {
+			return 0, err
+		}
+	}
+	coords := make([]uint64, 0, len(alive))
+	if collect {
+		res.vals = make(map[object.ID][]float64, 1+len(sp.comps))
+	}
+	sc.coord = sized(sc.coord, len(anchor.Dims))
+	for _, p := range alive {
+		pos := int(p)
+		coord := rep.PermAt(permBytes, pos-permBase)
+		if cons != nil && !cons.ContainsCoord(region.LinearToCoord(anchor.Dims, coord, sc.coord)) {
+			continue
+		}
+		coords = append(coords, coord)
+		if collect {
+			res.vals[keyID] = append(res.vals[keyID], dtype.At(rep.Type, valBytes, pos))
+			for ci, cd := range sp.comps {
+				res.vals[cd.id] = append(res.vals[cd.id], dtype.At(cd.t, compData[ci], pos))
+			}
+		}
+	}
+	res.coords, res.nhits = coords, int64(len(coords))
+	return len(alive), nil
 }
 
 // probeRead fetches what a probe of object o's region r at the given
@@ -1485,7 +1475,7 @@ func (e *Engine) collectRegionValues(tok *sched.Token, order []object.ID, objs m
 
 // encodeValues converts collected float64 values back to each object's
 // element type.
-func encodeValues(order []object.ID, objs map[object.ID]*object.Object, vals map[object.ID][]float64) map[object.ID][]byte {
+func encodeValues(objs map[object.ID]*object.Object, vals map[object.ID][]float64) map[object.ID][]byte {
 	out := make(map[object.ID][]byte, len(vals))
 	for id, vs := range vals {
 		o := objs[id]

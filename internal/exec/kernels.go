@@ -385,6 +385,9 @@ type scratch struct {
 	sure, cands []int
 	ranges      []simio.Range
 	blobs       []dtype.ROBytes
+	// One element's coordinate: the sorted path tests each match against
+	// the spatial constraint in it.
+	coord []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

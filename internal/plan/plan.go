@@ -125,6 +125,8 @@ type ConjunctPlan struct {
 	CostNs float64
 	// Exec is the engine-facing form.
 	Exec exec.ConjunctPlan
+	// scanNs is CostNs without the sorted path.
+	scanNs float64
 }
 
 // Plan is the planner's output for one query.
@@ -168,6 +170,22 @@ func Build(src Source, q *query.Query, force Force) (*Plan, error) {
 			return nil, err
 		}
 		p.Conjuncts = append(p.Conjuncts, cp)
+	}
+	// Servers split a statement's work by original region, or on the
+	// sorted path by the sorted regions of the leading object's replica,
+	// and the client adds up their partial answers. A statement whose
+	// conjuncts split it two ways would count a location two of them
+	// match on two servers, so unless every conjunct takes the sorted
+	// path on one replica, none does.
+	oneReplica := true
+	for _, cp := range p.Conjuncts {
+		oneReplica = oneReplica && cp.Sorted && cp.Conds[0].Obj == p.Conjuncts[0].Conds[0].Obj
+	}
+	for i := range p.Conjuncts {
+		cp := &p.Conjuncts[i]
+		if cp.Sorted && !oneReplica {
+			cp.Sorted, cp.Exec.Sorted, cp.CostNs = false, false, cp.scanNs
+		}
 		p.CostNs += cp.CostNs
 		p.Exec.Conjuncts = append(p.Exec.Conjuncts, cp.Exec)
 	}
@@ -294,10 +312,9 @@ func buildConjunct(src Source, c query.Conjunct, force Force) (ConjunctPlan, err
 			out.Sorted = true
 		}
 	}
+	out.CostNs, out.scanNs = scanProbeNs, scanProbeNs
 	if out.Sorted {
 		out.CostNs = sortedNs
-	} else {
-		out.CostNs = scanProbeNs
 	}
 	out.Exec.Sorted = out.Sorted
 	return out, nil

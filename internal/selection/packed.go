@@ -124,8 +124,7 @@ func AppendChunkBits(dst []byte, base, span uint64, words []uint64, nhits uint64
 // AppendChunkCoords appends the chunk of region [base, base+span) whose
 // matches are coords: sorted, distinct, absolute, all inside the region.
 // It writes the bytes AppendChunkBits writes for the same set. It is for
-// producers that hold coordinates rather than a bitset: the sorted
-// replica's survivors and Pack.
+// producers that hold coordinates rather than a bitset: Pack.
 func AppendChunkCoords(dst []byte, base, span uint64, coords []uint64) []byte {
 	nhits := uint64(len(coords))
 	if nhits == 0 {

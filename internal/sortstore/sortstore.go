@@ -247,28 +247,22 @@ func (r *Replica) CheckInvariants() error {
 	return nil
 }
 
-// RegionsOverlapping returns the indices of sorted regions whose value
-// range can contain elements of the interval. Because regions are
-// globally ordered, the result is a consecutive run found by binary
-// search — the heart of the sorted strategy's efficiency.
-func (r *Replica) RegionsOverlapping(iv query.Interval) []int {
-	if iv.Empty() || len(r.Regions) == 0 {
-		return nil
+// RegionsOverlapping returns the half-open range [first, last) of the
+// sorted regions whose value range can contain elements of the interval,
+// empty (first == last) when none can. Because regions are globally
+// ordered, they are a consecutive run found by two binary searches — the
+// heart of the sorted strategy's efficiency.
+func (r *Replica) RegionsOverlapping(iv query.Interval) (first, last int) {
+	if iv.Empty() {
+		return 0, 0
 	}
 	// First region whose Max can reach the interval's low bound, then the
 	// first region entirely above the high bound. Open-coded binary
 	// searches: a sort.Search closure would capture r and iv and allocate
 	// on every sorted-path evaluation.
-	first := searchRegions(r.Regions, true, iv.Lo, iv.LoIncl)
-	last := searchRegions(r.Regions, false, iv.Hi, !iv.HiIncl)
-	if first >= last {
-		return nil
-	}
-	out := make([]int, 0, last-first)
-	for i := first; i < last; i++ {
-		out = append(out, i)
-	}
-	return out
+	first = searchRegions(r.Regions, true, iv.Lo, iv.LoIncl)
+	last = searchRegions(r.Regions, false, iv.Hi, !iv.HiIncl)
+	return first, max(first, last)
 }
 
 // EvaluateRegion scans one sorted region's raw value bytes for the

@@ -127,31 +127,32 @@ func TestRegionsOverlapping(t *testing.T) {
 	_, _, rep, _ := buildReplica(t, vals, 1000, 500)
 
 	full := query.Full()
-	if got := rep.RegionsOverlapping(full); len(got) != len(rep.Regions) {
-		t.Errorf("full interval overlaps %d of %d regions", len(got), len(rep.Regions))
+	if first, last := rep.RegionsOverlapping(full); first != 0 || last != len(rep.Regions) {
+		t.Errorf("full interval overlaps [%d, %d) of %d regions", first, last, len(rep.Regions))
 	}
-	// A narrow interval touches a consecutive small run of regions.
+	// A narrow interval touches a small run of regions, each of which
+	// can hold a value of it.
 	iv := query.FromLeaf(query.OpGT, 1.0).Intersect(query.FromLeaf(query.OpLT, 1.1))
-	got := rep.RegionsOverlapping(iv)
-	if len(got) == 0 {
+	first, last := rep.RegionsOverlapping(iv)
+	if first >= last {
 		t.Fatal("narrow interval overlaps nothing")
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[i-1]+1 {
-			t.Fatalf("overlap run not consecutive: %v", got)
-		}
+	if last-first > 2 {
+		t.Errorf("narrow interval overlaps %d regions, want <= 2", last-first)
 	}
-	if len(got) > 2 {
-		t.Errorf("narrow interval overlaps %d regions, want <= 2", len(got))
+	for i := first; i < last; i++ {
+		if ri := rep.Regions[i]; ri.Max <= iv.Lo || ri.Min >= iv.Hi {
+			t.Errorf("region %d [%v, %v] cannot hold a value of (%v, %v)", i, ri.Min, ri.Max, iv.Lo, iv.Hi)
+		}
 	}
 	// Interval beyond the data.
 	iv = query.FromLeaf(query.OpGT, 1e9)
-	if got := rep.RegionsOverlapping(iv); len(got) != 0 {
-		t.Errorf("out-of-range interval overlaps %v", got)
+	if first, last := rep.RegionsOverlapping(iv); first != last {
+		t.Errorf("out-of-range interval overlaps [%d, %d)", first, last)
 	}
 	// Empty interval.
-	if got := rep.RegionsOverlapping(query.Interval{Lo: 5, Hi: 1}); got != nil {
-		t.Errorf("empty interval overlaps %v", got)
+	if first, last := rep.RegionsOverlapping(query.Interval{Lo: 5, Hi: 1}); first != last {
+		t.Errorf("empty interval overlaps [%d, %d)", first, last)
 	}
 }
 
@@ -165,7 +166,8 @@ func TestEvaluateRegionMatchesScan(t *testing.T) {
 	} {
 		iv := query.Interval{Lo: q.lo, Hi: q.hi, LoIncl: false, HiIncl: false}
 		var got []uint64
-		for _, ri := range rep.RegionsOverlapping(iv) {
+		first, last := rep.RegionsOverlapping(iv)
+		for ri := first; ri < last; ri++ {
 			vbytes, _ := st.ReadAll(nil, object.SortedValKey(o.ID, ri))
 			pbytes, _ := st.ReadAll(nil, object.SortedPermKey(o.ID, ri))
 			lo, hi := rep.EvaluateRegion(vbytes, iv)
@@ -201,9 +203,8 @@ func TestSelectiveQueryTouchesFewRegions(t *testing.T) {
 	}
 	// Top ~0.1% of a normal distribution.
 	iv := query.FromLeaf(query.OpGT, 6.0)
-	got := rep.RegionsOverlapping(iv)
-	if len(got) > 1 {
-		t.Errorf("0.1%% query touches %d of 20 regions", len(got))
+	if first, last := rep.RegionsOverlapping(iv); last-first > 1 {
+		t.Errorf("0.1%% query touches %d of 20 regions", last-first)
 	}
 }
 
@@ -233,7 +234,8 @@ func TestDuplicateValues(t *testing.T) {
 	st, o, rep, _ := buildReplica(t, vals, 50, 30)
 	iv := query.Interval{Lo: 2, Hi: 2, LoIncl: true, HiIncl: true}
 	var hits int
-	for _, ri := range rep.RegionsOverlapping(iv) {
+	first, last := rep.RegionsOverlapping(iv)
+	for ri := first; ri < last; ri++ {
 		vbytes, _ := st.ReadAll(nil, object.SortedValKey(o.ID, ri))
 		lo, hi := rep.EvaluateRegion(vbytes, iv)
 		hits += hi - lo

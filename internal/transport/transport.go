@@ -172,8 +172,12 @@ func (e *TornFrameError) Error() string {
 func (e *TornFrameError) Unwrap() error { return io.ErrUnexpectedEOF }
 
 type tcpConn struct {
-	c   net.Conn
-	br  *bufio.Reader
+	c  net.Conn
+	br *bufio.Reader
+	// hdr is the header Recv reads each frame into: Recv has one reader,
+	// so one buffer per connection needs no lock, and a header read into
+	// it does not escape to the heap on every frame.
+	hdr [frameHeader]byte
 	bw  *bufio.Writer
 	mu  sync.Mutex // serializes Send
 	buf []byte     // reused frame buffer, guarded by mu
@@ -214,7 +218,7 @@ func (c *tcpConn) Send(m Message) error {
 }
 
 func (c *tcpConn) Recv() (Message, error) {
-	var hdr [frameHeader]byte
+	hdr := &c.hdr
 	if n, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		// A clean close lands exactly between frames (zero header bytes,
 		// io.EOF). Any other cut is a torn frame and must be typed: an EOF
