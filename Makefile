@@ -86,28 +86,40 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestCorpus|TestClusterChaos' \
 		./internal/fault/ -chaos-seeds $(CHAOS_SEEDS) -cluster-seeds $(CLUSTER_SEEDS)
 
-# Short fuzz smoke on the serialization-heavy packages; CI runs this.
+# Short fuzz smoke on the serialization-heavy packages and every decoder
+# of another process's bytes; CI runs this. Minimizing is held to one
+# run per new input (FUZZMIN): left at its 60 s default, the engine
+# spends a short smoke minimizing, at 0 execs/s, instead of fuzzing.
 FUZZTIME ?= 20s
+FUZZMIN = 1x
+FUZZ = $(GO) test -run=^$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 fuzz:
-	$(GO) test -fuzz=FuzzWAHRoundTrip -fuzztime=$(FUZZTIME) ./internal/wah/
-	$(GO) test -run=^$$ -fuzz=FuzzOrEncodedInto -fuzztime=$(FUZZTIME) ./internal/wah/
-	$(GO) test -run=^$$ -fuzz=FuzzFromIndicesMatchesReference -fuzztime=$(FUZZTIME) ./internal/wah/
-	$(GO) test -run=^$$ -fuzz=FuzzBuildMatchesReference -fuzztime=$(FUZZTIME) ./internal/bitindex/
-	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) ./internal/histogram/
-	$(GO) test -run=^$$ -fuzz=FuzzBuildBytesMatchesBuild -fuzztime=$(FUZZTIME) ./internal/histogram/
-	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/qlang/
-	$(GO) test -run=^$$ -fuzz=FuzzCompiledBounds -fuzztime=$(FUZZTIME) ./internal/exec/
-	$(GO) test -run=^$$ -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/query/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryRequest -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzPreparedStatement -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeQueryResponse -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeDataRequest -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeFetchExtents -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeExtentsResult -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzPackedDecode -fuzztime=$(FUZZTIME) ./internal/selection/
-	$(GO) test -run=^$$ -fuzz=FuzzPackedRoundTrip -fuzztime=$(FUZZTIME) ./internal/selection/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeView -fuzztime=$(FUZZTIME) ./internal/cluster/
-	$(GO) test -run=^$$ -fuzz=FuzzSortedMatchesScan -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzWAHRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/wah/
+	$(FUZZ) -fuzz=FuzzOrEncodedInto ./internal/wah/
+	$(FUZZ) -fuzz=FuzzFromIndicesMatchesReference ./internal/wah/
+	$(FUZZ) -fuzz=FuzzBuildMatchesReference ./internal/bitindex/
+	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/histogram/
+	$(FUZZ) -fuzz=FuzzBuildBytesMatchesBuild ./internal/histogram/
+	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/qlang/
+	$(FUZZ) -fuzz=FuzzCompiledBounds ./internal/exec/
+	$(FUZZ) -fuzz='^FuzzDecode$$' ./internal/query/
+	$(FUZZ) -fuzz='^FuzzParse$$' ./internal/query/
+	$(FUZZ) -fuzz=FuzzDecodeQueryRequest ./internal/server/
+	$(FUZZ) -fuzz=FuzzPreparedStatement ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeQueryResponse ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeDataRequest ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeStatsResponse ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeTagQuery ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeReplies ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeFetchExtents ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeExtentsResult ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecodeEvents ./internal/telemetry/
+	$(FUZZ) -fuzz=FuzzDecodeSelection ./internal/selection/
+	$(FUZZ) -fuzz=FuzzPackedDecode ./internal/selection/
+	$(FUZZ) -fuzz=FuzzPackedRoundTrip ./internal/selection/
+	$(FUZZ) -fuzz=FuzzDecodeView ./internal/cluster/
+	$(FUZZ) -fuzz=FuzzDecodeCatalog ./internal/cluster/
+	$(FUZZ) -fuzz=FuzzSortedMatchesScan ./internal/core/
 
 # Wall-clock and kernel benchmarks. The paper's figures are modeled, not
 # timed: `pdc-bench` prints them (figures below) and bench-diff gates them.

@@ -26,6 +26,7 @@ import (
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/wah"
+	"pdcquery/internal/wire"
 )
 
 // DefaultPrecision matches the paper's FastBit setting.
@@ -318,36 +319,23 @@ func (x *Index) Directory() *Directory {
 // directory the bin list is populated with blob offsets relative to the
 // start of the encoded index.
 func DecodeDirectory(b []byte) (*Directory, error) {
-	if len(b) < headerSize {
-		return nil, fmt.Errorf("bitindex: directory too short (%d bytes)", len(b))
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != encMagic {
+	r := wire.NewReader(b)
+	if r.U32() != encMagic {
 		return nil, fmt.Errorf("bitindex: bad magic")
 	}
-	nbins := int(binary.LittleEndian.Uint32(b[4:8]))
-	d := &Directory{
-		N:    binary.LittleEndian.Uint64(b[8:16]),
-		Step: math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])),
-		Base: math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])),
-	}
-	need := DirectorySize(nbins)
-	if int64(len(b)) < need {
-		return nil, fmt.Errorf("bitindex: directory truncated: have %d, need %d", len(b), need)
-	}
-	off := int64(headerSize)
-	blobOff := need
-	d.Bins = make([]DirBin, nbins)
-	for i := 0; i < nbins; i++ {
+	nbins := r.U32()
+	d := &Directory{N: r.U64(), Step: math.Float64frombits(r.U64()), Base: math.Float64frombits(r.U64())}
+	d.Bins = make([]DirBin, r.Count(uint64(nbins), binMetaLen+8))
+	blobOff := DirectorySize(len(d.Bins))
+	for i := range d.Bins {
 		db := &d.Bins[i]
-		db.Lo = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		db.Hi = math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:]))
-		db.Min = math.Float64frombits(binary.LittleEndian.Uint64(b[off+16:]))
-		db.Max = math.Float64frombits(binary.LittleEndian.Uint64(b[off+24:]))
-		db.Count = binary.LittleEndian.Uint64(b[off+32:])
-		db.BlobLen = int64(binary.LittleEndian.Uint64(b[off+40:]))
-		db.BlobOff = blobOff
+		db.Lo, db.Hi = math.Float64frombits(r.U64()), math.Float64frombits(r.U64())
+		db.Min, db.Max = math.Float64frombits(r.U64()), math.Float64frombits(r.U64())
+		db.Count, db.BlobLen, db.BlobOff = r.U64(), int64(r.U64()), blobOff
 		blobOff += db.BlobLen
-		off += binMetaLen + 8
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bitindex: directory: %w", err)
 	}
 	return d, nil
 }

@@ -37,7 +37,7 @@ func (s *Session) Import(src Source) error {
 	if reply.Type != MsgCatCommit {
 		return fmt.Errorf("cluster: unexpected import reply %s", CatMsgName(reply.Type))
 	}
-	v, _, err := DecodeView(reply.Payload)
+	v, err := DecodeView(reply.Payload)
 	if err != nil {
 		return err
 	}

@@ -176,7 +176,7 @@ func TestClusterImportMemberError(t *testing.T) {
 	if err == nil {
 		t.Fatal("import succeeded although a member rejected an extent")
 	}
-	if !strings.Contains(err.Error(), "truncated extents result") {
+	if !strings.Contains(err.Error(), "extents result: truncated") {
 		t.Errorf("import error %q does not carry the member's rejection", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -345,7 +345,7 @@ func (m *Member) catalogLoop() {
 			}
 			m.handlePrepare(p)
 		case MsgCatCommit:
-			v, _, err := DecodeView(msg.Payload)
+			v, err := DecodeView(msg.Payload)
 			if err != nil {
 				continue
 			}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+
+	"pdcquery/internal/wire"
 )
 
 // Catalog protocol message kinds. They ride the same transport.Message
@@ -91,38 +93,20 @@ func (v View) Encode() []byte {
 	return buf
 }
 
-// DecodeView parses a View and returns the number of bytes consumed so
-// callers can embed views inside larger payloads.
-func DecodeView(b []byte) (View, int, error) {
-	var v View
-	if len(b) < 20 {
-		return v, 0, fmt.Errorf("cluster: view truncated: %d bytes", len(b))
+// DecodeView parses a View.
+func DecodeView(b []byte) (View, error) {
+	r := wire.NewReader(b)
+	v := View{Epoch: r.U64(), Seed: r.U64(), R: int(r.U16())}
+	// Every member takes at least its id and address length.
+	v.Members = make([]MemberInfo, r.Count(uint64(r.U16()), 6))
+	for i := range v.Members {
+		id := MemberID(r.U32())
+		v.Members[i] = MemberInfo{ID: id, Addr: string(r.Bytes(uint64(r.U16())))}
 	}
-	v.Epoch = binary.LittleEndian.Uint64(b[0:])
-	v.Seed = binary.LittleEndian.Uint64(b[8:])
-	v.R = int(binary.LittleEndian.Uint16(b[16:]))
-	count := int(binary.LittleEndian.Uint16(b[18:]))
-	off := 20
-	// Every member takes at least its id and address length: a count the
-	// payload cannot hold is refused before anything is sized by it.
-	if count > (len(b)-off)/6 {
-		return v, 0, fmt.Errorf("cluster: view member count %d exceeds its %d-byte payload", count, len(b)-off)
+	if err := r.Done(); err != nil {
+		return View{}, fmt.Errorf("cluster: view: %w", err)
 	}
-	v.Members = make([]MemberInfo, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < off+6 {
-			return v, 0, fmt.Errorf("cluster: view member %d truncated", i)
-		}
-		id := MemberID(binary.LittleEndian.Uint32(b[off:]))
-		alen := int(binary.LittleEndian.Uint16(b[off+4:]))
-		off += 6
-		if len(b) < off+alen {
-			return v, 0, fmt.Errorf("cluster: view member %d addr truncated", i)
-		}
-		v.Members = append(v.Members, MemberInfo{ID: id, Addr: string(b[off : off+alen])})
-		off += alen
-	}
-	return v, off, nil
+	return v, nil
 }
 
 // EncodeHello builds a MsgCatHello payload: the joiner's listen address.
@@ -135,14 +119,12 @@ func EncodeHello(addr string) []byte {
 
 // DecodeHello parses a MsgCatHello payload.
 func DecodeHello(b []byte) (string, error) {
-	if len(b) < 2 {
-		return "", fmt.Errorf("cluster: hello truncated")
+	r := wire.NewReader(b)
+	addr := string(r.Bytes(uint64(r.U16())))
+	if err := r.Done(); err != nil {
+		return "", fmt.Errorf("cluster: hello: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", fmt.Errorf("cluster: hello addr truncated")
-	}
-	return string(b[2 : 2+n]), nil
+	return addr, nil
 }
 
 // HelloResult is the catalog's join reply: the assigned member ID, the
@@ -171,22 +153,18 @@ func (h HelloResult) Encode() []byte {
 
 // DecodeHelloResult parses a MsgCatHelloResult payload.
 func DecodeHelloResult(b []byte) (HelloResult, error) {
-	var h HelloResult
-	if len(b) < 8 {
-		return h, fmt.Errorf("cluster: hello result truncated")
+	r := wire.NewReader(b)
+	id := MemberID(r.U32())
+	vb := r.Bytes(uint64(r.U32()))
+	meta := r.Rest()
+	if err := r.Done(); err != nil {
+		return HelloResult{}, fmt.Errorf("cluster: hello result: %w", err)
 	}
-	h.ID = MemberID(binary.LittleEndian.Uint32(b[0:]))
-	vlen := int(binary.LittleEndian.Uint32(b[4:]))
-	if len(b) < 8+vlen {
-		return h, fmt.Errorf("cluster: hello result view truncated")
-	}
-	v, _, err := DecodeView(b[8 : 8+vlen])
+	v, err := DecodeView(vb)
 	if err != nil {
-		return h, err
+		return HelloResult{}, err
 	}
-	h.View = v
-	h.Meta = append([]byte(nil), b[8+vlen:]...)
-	return h, nil
+	return HelloResult{ID: id, View: v, Meta: append([]byte(nil), meta...)}, nil
 }
 
 // Prepare is the catalog's rebalance push: the view transfers are
@@ -213,24 +191,21 @@ func (p Prepare) Encode() []byte {
 
 // DecodePrepare parses a MsgCatPrepare payload.
 func DecodePrepare(b []byte) (Prepare, error) {
-	var p Prepare
-	if len(b) < 4 {
-		return p, fmt.Errorf("cluster: prepare truncated")
+	r := wire.NewReader(b)
+	sb := r.Bytes(uint64(r.U32()))
+	pb := r.Rest()
+	if err := r.Done(); err != nil {
+		return Prepare{}, fmt.Errorf("cluster: prepare: %w", err)
 	}
-	slen := int(binary.LittleEndian.Uint32(b))
-	if len(b) < 4+slen {
-		return p, fmt.Errorf("cluster: prepare source view truncated")
-	}
-	src, _, err := DecodeView(b[4 : 4+slen])
+	src, err := DecodeView(sb)
 	if err != nil {
-		return p, err
+		return Prepare{}, err
 	}
-	pend, _, err := DecodeView(b[4+slen:])
+	pend, err := DecodeView(pb)
 	if err != nil {
-		return p, err
+		return Prepare{}, err
 	}
-	p.Source, p.Pending = src, pend
-	return p, nil
+	return Prepare{Source: src, Pending: pend}, nil
 }
 
 // EncodeMemberID builds the single-id payload shared by MsgCatHeartbeat,
@@ -243,10 +218,12 @@ func EncodeMemberID(id MemberID) []byte {
 
 // DecodeMemberID parses a single-member-id payload.
 func DecodeMemberID(b []byte) (MemberID, error) {
-	if len(b) < 4 {
-		return 0, fmt.Errorf("cluster: member id truncated")
+	r := wire.NewReader(b)
+	id := MemberID(r.U32())
+	if err := r.Done(); err != nil {
+		return 0, fmt.Errorf("cluster: member id: %w", err)
 	}
-	return MemberID(binary.LittleEndian.Uint32(b)), nil
+	return id, nil
 }
 
 // EncodeReady builds a MsgCatReady payload: member id + the pending
@@ -260,8 +237,10 @@ func EncodeReady(id MemberID, pendingEpoch uint64) []byte {
 
 // DecodeReady parses a MsgCatReady payload.
 func DecodeReady(b []byte) (MemberID, uint64, error) {
-	if len(b) < 12 {
-		return 0, 0, fmt.Errorf("cluster: ready truncated")
+	r := wire.NewReader(b)
+	id, epoch := MemberID(r.U32()), r.U64()
+	if err := r.Done(); err != nil {
+		return 0, 0, fmt.Errorf("cluster: ready: %w", err)
 	}
-	return MemberID(binary.LittleEndian.Uint32(b[0:])), binary.LittleEndian.Uint64(b[4:]), nil
+	return id, epoch, nil
 }

@@ -113,7 +113,7 @@ func (s *Session) FetchView() (View, error) {
 	if reply.Type != MsgCatCommit {
 		return View{}, fmt.Errorf("cluster: unexpected view reply %s", CatMsgName(reply.Type))
 	}
-	v, _, err := DecodeView(reply.Payload)
+	v, err := DecodeView(reply.Payload)
 	return v, err
 }
 

@@ -20,7 +20,7 @@ import (
 // it).
 const (
 	ckptMagic   = uint32(0x50444343) // "PDCC"
-	ckptVersion = uint32(1)
+	ckptVersion = uint32(2)          // 2: sorted replicas carry their extents' keys
 )
 
 // SaveCheckpoint writes the deployment's complete state to w. Valid

@@ -263,10 +263,10 @@ func (d *Deployment) MigrateObject(id object.ID, tier simio.Tier) error {
 	}
 	if rep := d.replicas[id]; rep != nil {
 		for _, ri := range rep.Regions {
-			if err := d.store.Migrate(d.importAcct, object.SortedValKey(id, ri.Index), tier); err != nil {
+			if err := d.store.Migrate(d.importAcct, ri.ValKey, tier); err != nil {
 				return err
 			}
-			if err := d.store.Migrate(d.importAcct, object.SortedPermKey(id, ri.Index), tier); err != nil {
+			if err := d.store.Migrate(d.importAcct, ri.PermKey, tier); err != nil {
 				return err
 			}
 		}

@@ -334,11 +334,13 @@ type sortedPath struct {
 }
 
 // sortedCond is one later condition of a sorted conjunct: its object,
-// the element type its predicate reads and the predicate.
+// the element type its predicate reads and the predicate; for a
+// companion, also its co-sorted extents' keys, one per sorted region.
 type sortedCond struct {
-	id object.ID
-	t  dtype.Type
-	p  pred
+	id   object.ID
+	t    dtype.Type
+	p    pred
+	keys []string
 }
 
 // Prepare checks that pl covers conjuncts — q's normalized conjuncts, in
@@ -401,7 +403,7 @@ func prepareSorted(rep *sortstore.Replica, c query.Conjunct, order []object.ID, 
 			sp.rests = append(sp.rests, cd)
 			continue
 		}
-		cd.t = rep.Companions[i].Type
+		cd.t, cd.keys = rep.Companions[i].Type, rep.Companions[i].ValKeys
 		var err error
 		if cd.p, err = compile(cd.t, c[id]); err != nil {
 			return nil, err
@@ -1157,7 +1159,7 @@ func (e *Engine) evalConjunctSorted(tok *sched.Token, p *Prepared, ci int, sp *s
 		te.Rec, te.Phases = nil, nil
 		res.shadow(&te, cs, telemetry.SpanSortedRegion, "sorted")
 		if res.span != nil {
-			if e.Cache.Contains(object.SortedValKey(keyID, res.r)) {
+			if e.Cache.Contains(sp.rep.Regions[res.r].ValKey) {
 				res.span.SetStr("decision", telemetry.DecisionCacheHit)
 			} else {
 				res.span.SetStr("decision", telemetry.DecisionScan)
@@ -1301,7 +1303,7 @@ func (e *Engine) evalSortedRegion(tok *sched.Token, sp *sortedPath, keyID object
 	cons *region.Region, collect bool, sc *scratch, res *regionTaskResult) (int, error) {
 
 	rep, s := sp.rep, res.r
-	valBytes, err := e.readExtent(object.SortedValKey(keyID, s))
+	valBytes, err := e.readExtent(rep.Regions[s].ValKey)
 	if err != nil {
 		return 0, err
 	}
@@ -1333,7 +1335,7 @@ func (e *Engine) evalSortedRegion(tok *sched.Token, sp *sortedPath, keyID object
 		if len(alive) == 0 {
 			break
 		}
-		data, err := e.readExtent(sortstore.CompanionValKey(keyID, cd.id, s))
+		data, err := e.readExtent(cd.keys[s])
 		if err != nil {
 			return 0, err
 		}
@@ -1357,13 +1359,13 @@ func (e *Engine) evalSortedRegion(tok *sched.Token, sp *sortedPath, keyID object
 	var permBytes []byte
 	permBase := int(alive[0])
 	if hi-lo >= int(rep.Regions[s].Count)/4 {
-		if permBytes, err = e.readExtent(object.SortedPermKey(keyID, s)); err != nil {
+		if permBytes, err = e.readExtent(rep.Regions[s].PermKey); err != nil {
 			return 0, err
 		}
 		permBase = 0
 	} else {
 		span := int(alive[len(alive)-1]) - permBase + 1
-		if permBytes, err = e.Store.Read(e.Acct, object.SortedPermKey(keyID, s), int64(permBase)*pw, int64(span)*pw); err != nil {
+		if permBytes, err = e.Store.Read(e.Acct, rep.Regions[s].PermKey, int64(permBase)*pw, int64(span)*pw); err != nil {
 			return 0, err
 		}
 	}

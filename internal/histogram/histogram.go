@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"pdcquery/internal/dtype"
+	"pdcquery/internal/wire"
 )
 
 // DefaultBins is the default lower bound on the number of bins; the paper
@@ -624,28 +625,26 @@ func (h *Histogram) Encode() []byte {
 
 // Decode deserializes a histogram produced by Encode.
 func Decode(b []byte) (*Histogram, error) {
-	if len(b) < 64 {
-		return nil, fmt.Errorf("histogram: encoded buffer too short (%d bytes)", len(b))
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != encMagic {
+	r := wire.NewReader(b)
+	if r.U32() != encMagic {
 		return nil, fmt.Errorf("histogram: bad magic")
 	}
-	n := int(binary.LittleEndian.Uint32(b[4:8]))
-	if len(b) != 64+8*n {
-		return nil, fmt.Errorf("histogram: encoded length %d does not match %d bins", len(b), n)
-	}
+	n := r.U32()
 	h := &Histogram{
-		Width:  math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
-		Start:  math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])),
-		Min:    math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])),
-		Max:    math.Float64frombits(binary.LittleEndian.Uint64(b[32:40])),
-		Total:  binary.LittleEndian.Uint64(b[40:48]),
-		NegInf: binary.LittleEndian.Uint64(b[48:56]),
-		PosInf: binary.LittleEndian.Uint64(b[56:64]),
-		Counts: make([]uint64, n),
+		Width:  math.Float64frombits(r.U64()),
+		Start:  math.Float64frombits(r.U64()),
+		Min:    math.Float64frombits(r.U64()),
+		Max:    math.Float64frombits(r.U64()),
+		Total:  r.U64(),
+		NegInf: r.U64(),
+		PosInf: r.U64(),
 	}
-	for i := 0; i < n; i++ {
-		h.Counts[i] = binary.LittleEndian.Uint64(b[64+8*i : 72+8*i])
+	h.Counts = make([]uint64, r.Count(uint64(n), 8))
+	for i := range h.Counts {
+		h.Counts[i] = r.U64()
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("histogram: %w", err)
 	}
 	return h, nil
 }

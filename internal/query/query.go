@@ -19,6 +19,7 @@ import (
 
 	"pdcquery/internal/object"
 	"pdcquery/internal/region"
+	"pdcquery/internal/wire"
 )
 
 // Op is a comparison operator.
@@ -446,88 +447,53 @@ func encodeNode(buf []byte, n *Node) []byte {
 
 // Decode deserializes a query produced by Encode.
 func Decode(b []byte) (*Query, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("query: encoded buffer too short")
-	}
-	if b[0] != wireVersion {
-		return nil, fmt.Errorf("query: unsupported wire version %d", b[0])
-	}
+	r := wire.NewReader(b)
 	q := &Query{}
-	pos := 1
-	if b[pos] > 1 { // Encode writes 0 or 1: a decoded query re-encodes to its bytes
-		return nil, fmt.Errorf("query: bad constraint marker %d", b[pos])
-	}
-	if b[pos] == 1 {
-		pos++
-		if pos >= len(b) {
-			return nil, fmt.Errorf("query: truncated constraint")
+	switch version, marker := r.U8(), r.U8(); {
+	case r.Err() != nil:
+	case version != wireVersion:
+		r.Fail(fmt.Errorf("unsupported wire version %d", version))
+	case marker > 1: // Encode writes 0 or 1: a decoded query re-encodes to its bytes
+		r.Fail(fmt.Errorf("bad constraint marker %d", marker))
+	case marker == 1:
+		rank := r.Count(uint64(r.U8()), 16)
+		c := region.Region{Offset: make([]uint64, rank), Count: make([]uint64, rank)}
+		for d := range rank {
+			c.Offset[d], c.Count[d] = r.U64(), r.U64()
 		}
-		rank := int(b[pos])
-		pos++
-		if len(b) < pos+16*rank {
-			return nil, fmt.Errorf("query: truncated constraint dims")
-		}
-		r := region.Region{Offset: make([]uint64, rank), Count: make([]uint64, rank)}
-		for d := 0; d < rank; d++ {
-			r.Offset[d] = binary.LittleEndian.Uint64(b[pos:])
-			r.Count[d] = binary.LittleEndian.Uint64(b[pos+8:])
-			pos += 16
-		}
-		q.Constraint = &r
-	} else {
-		pos++
+		q.Constraint = &c
 	}
-	root, rest, err := decodeNode(b[pos:])
-	if err != nil {
-		return nil, err
+	q.Root = decodeNode(&r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("query: %w", err)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("query: %d trailing bytes", len(rest))
-	}
-	if root == nil {
+	if q.Root == nil {
 		return nil, fmt.Errorf("query: empty condition tree")
 	}
-	q.Root = root
 	return q, nil
 }
 
-func decodeNode(b []byte) (*Node, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, fmt.Errorf("query: truncated node")
-	}
-	k := b[0]
-	b = b[1:]
-	if k == 255 {
-		return nil, b, nil
-	}
-	switch Kind(k) {
-	case KindLeaf:
-		if len(b) < 17 {
-			return nil, nil, fmt.Errorf("query: truncated leaf")
-		}
-		n := &Node{
-			Kind:  KindLeaf,
-			Obj:   object.ID(binary.LittleEndian.Uint64(b)),
-			Op:    Op(b[8]),
-			Value: math.Float64frombits(binary.LittleEndian.Uint64(b[9:])),
-		}
+// decodeNode reads one node and its subtree; nil for the nil marker
+// (and on a failed read).
+func decodeNode(r *wire.Reader) *Node {
+	k := Kind(r.U8())
+	switch {
+	case r.Err() != nil || k == 255:
+		return nil
+	case k == KindLeaf:
+		n := &Node{Kind: KindLeaf, Obj: object.ID(r.U64()), Op: Op(r.U8()), Value: math.Float64frombits(r.U64())}
 		if n.Op > OpEQ {
-			return nil, nil, fmt.Errorf("query: bad op %d", n.Op)
+			r.Fail(fmt.Errorf("bad op %d", n.Op))
 		}
-		return n, b[17:], nil
-	case KindAnd, KindOr:
-		l, rest, err := decodeNode(b)
-		if err != nil {
-			return nil, nil, err
+		return n
+	case k == KindAnd || k == KindOr:
+		l := decodeNode(r)
+		rt := decodeNode(r)
+		if l == nil || rt == nil {
+			r.Fail(fmt.Errorf("%v node with missing child", k))
 		}
-		r, rest, err := decodeNode(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		if l == nil || r == nil {
-			return nil, nil, fmt.Errorf("query: %v node with missing child", Kind(k))
-		}
-		return &Node{Kind: Kind(k), Left: l, Right: r}, rest, nil
+		return &Node{Kind: k, Left: l, Right: rt}
 	}
-	return nil, nil, fmt.Errorf("query: bad node kind %d", k)
+	r.Fail(fmt.Errorf("bad node kind %d", k))
+	return nil
 }

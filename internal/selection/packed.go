@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"pdcquery/internal/wire"
 )
 
 // Packed is a selection in the form it travels in: the hit count, the
@@ -219,26 +221,14 @@ func (p *Packed) Encode(dst []byte) []byte {
 // is validated when it is unpacked, not here: every way to read the
 // coordinates goes through that check.
 func DecodePacked(b []byte) (*Packed, error) {
-	if len(b) < 10 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorrupt, len(b))
+	r := wire.NewReader(b)
+	p := &Packed{}
+	p.CountOnly, p.NHits, p.Dims = decodeHeader(&r)
+	if p.Chunks = r.Rest(); p.CountOnly && len(p.Chunks) != 0 {
+		r.Fail(fmt.Errorf("count-only selection with %d chunk bytes", len(p.Chunks)))
 	}
-	if b[0] > 1 {
-		return nil, fmt.Errorf("%w: flags %#x", ErrCorrupt, b[0])
-	}
-	p := &Packed{CountOnly: b[0] == 1}
-	p.NHits = binary.LittleEndian.Uint64(b[1:9])
-	rank := int(b[9])
-	b = b[10:]
-	if len(b) < 8*rank {
-		return nil, fmt.Errorf("%w: truncated dims", ErrCorrupt)
-	}
-	p.Dims = make([]uint64, rank)
-	for d := range p.Dims {
-		p.Dims[d] = binary.LittleEndian.Uint64(b[8*d:])
-	}
-	p.Chunks = b[8*rank:]
-	if p.CountOnly && len(p.Chunks) != 0 {
-		return nil, fmt.Errorf("%w: count-only selection with %d chunk bytes", ErrCorrupt, len(p.Chunks))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return p, nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"pdcquery/internal/region"
+	"pdcquery/internal/wire"
 )
 
 // Selection is a set of matching element locations. CountOnly selections
@@ -166,34 +167,32 @@ func (s *Selection) Encode() []byte {
 
 // Decode deserializes a selection produced by Encode.
 func Decode(b []byte) (*Selection, error) {
-	if len(b) < 10 {
-		return nil, fmt.Errorf("selection: buffer too short")
-	}
-	s := &Selection{CountOnly: b[0] == 1}
-	s.NHits = binary.LittleEndian.Uint64(b[1:9])
-	rank := int(b[9])
-	pos := 10
-	if len(b) < pos+8*rank {
-		return nil, fmt.Errorf("selection: truncated dims")
-	}
-	s.Dims = make([]uint64, rank)
-	for d := 0; d < rank; d++ {
-		s.Dims[d] = binary.LittleEndian.Uint64(b[pos:])
-		pos += 8
-	}
-	if s.CountOnly {
-		if pos != len(b) {
-			return nil, fmt.Errorf("selection: trailing bytes")
+	r := wire.NewReader(b)
+	s := &Selection{}
+	s.CountOnly, s.NHits, s.Dims = decodeHeader(&r)
+	if !s.CountOnly {
+		s.Coords = make([]uint64, r.Count(s.NHits, 8))
+		for i := range s.Coords {
+			s.Coords[i] = r.U64()
 		}
-		return s, nil
 	}
-	if s.NHits != uint64(len(b)-pos)/8 || (len(b)-pos)%8 != 0 {
-		return nil, fmt.Errorf("selection: coord bytes %d do not match %d hits", len(b)-pos, s.NHits)
-	}
-	s.Coords = make([]uint64, s.NHits)
-	for i := range s.Coords {
-		s.Coords[i] = binary.LittleEndian.Uint64(b[pos:])
-		pos += 8
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("selection: %w", err)
 	}
 	return s, nil
+}
+
+// decodeHeader reads the header both wire forms share: flags, hit count,
+// rank and dims. A flags byte Encode cannot write fails the reader.
+func decodeHeader(r *wire.Reader) (countOnly bool, nhits uint64, dims []uint64) {
+	flags := r.U8()
+	nhits = r.U64()
+	if flags > 1 {
+		r.Fail(fmt.Errorf("flags %#x", flags))
+	}
+	dims = make([]uint64, r.Count(uint64(r.U8()), 8))
+	for d := range dims {
+		dims[d] = r.U64()
+	}
+	return flags == 1, nhits, dims
 }

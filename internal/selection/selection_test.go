@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -206,4 +207,22 @@ func sortedSet(xs []uint16) []uint64 {
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
+}
+
+// FuzzDecodeSelection hardens the flat selection decoder: no payload
+// panics it, and any payload it accepts re-encodes to exactly its bytes,
+// so each form has one flags byte.
+func FuzzDecodeSelection(f *testing.F) {
+	f.Add(New([]uint64{1, 5, 900}, []uint64{10, 100}).Encode())
+	f.Add(NewCount(123456, []uint64{7, 8, 9}).Encode())
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if re := s.Encode(); !bytes.Equal(re, data) {
+			t.Fatalf("accepted % x, re-encoded % x", data, re)
+		}
+	})
 }

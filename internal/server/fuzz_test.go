@@ -164,6 +164,66 @@ func FuzzDecodeTagQuery(f *testing.F) {
 	})
 }
 
+// replyCodecs are the client's reply decoders that have no fuzz target
+// of their own, each returning the re-encoding of what it accepted.
+// FuzzDecodeReplies picks one by its input's first byte.
+var replyCodecs = []func([]byte) ([]byte, error){
+	func(b []byte) ([]byte, error) {
+		r, err := DecodeDataResponse(b)
+		if err != nil {
+			return nil, err
+		}
+		return r.Encode(), nil
+	},
+	func(b []byte) ([]byte, error) {
+		cost, ids, err := DecodeTagResult(b)
+		return EncodeTagResult(cost, ids), err
+	},
+	func(b []byte) ([]byte, error) {
+		r, err := DecodeBusyResponse(b)
+		if err != nil {
+			return nil, err
+		}
+		return r.Encode(), nil
+	},
+	func(b []byte) ([]byte, error) {
+		h, err := DecodeHistResult(b)
+		return EncodeHistResult(h), err
+	},
+}
+
+// FuzzDecodeReplies hardens the data, tag, busy and histogram reply
+// decoders: no payload panics them, and any payload one accepts
+// re-encodes to exactly its bytes.
+func FuzzDecodeReplies(f *testing.F) {
+	for _, seed := range []struct {
+		codec byte
+		b     []byte
+	}{
+		{0, (&DataResponse{Cost: vclock.CostOf(vclock.Storage, 70), Coords: []uint64{1, 5}, Data: []byte{10, 20}}).Encode()},
+		{1, EncodeTagResult(vclock.CostOf(vclock.Meta, 9), []object.ID{3, 4})},
+		{2, (&BusyResponse{RetryAfterNs: 1 << 20, Queued: 3}).Encode()},
+		{3, EncodeHistResult(histogram.Build([]float64{0.5, 2, 9}, 8))},
+		{3, EncodeHistResult(nil)},
+	} {
+		f.Add(append([]byte{seed.codec}, seed.b...))
+		f.Add(append([]byte{seed.codec}, append(seed.b, 0)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		which := int(data[0]) % len(replyCodecs)
+		re, err := replyCodecs[which](data[1:])
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(re, data[1:]) {
+			t.Fatalf("decoder %d accepted % x, re-encoded % x", which, data[1:], re)
+		}
+	})
+}
+
 // TestExtentCodecsRefuseUnpayableCounts feeds both extent decoders a
 // bare count of 2^32-1 and nothing else: the count must be refused
 // against the payload's length, not used to size an allocation (it

@@ -19,6 +19,7 @@ import (
 	"pdcquery/internal/selection"
 	"pdcquery/internal/telemetry"
 	"pdcquery/internal/vclock"
+	"pdcquery/internal/wire"
 )
 
 // Message types.
@@ -131,16 +132,12 @@ func encodeCost(buf []byte, k vclock.Cost) []byte {
 	return buf
 }
 
-func decodeCost(b []byte) (vclock.Cost, []byte, error) {
-	if len(b) < 32 {
-		return vclock.Cost{}, nil, fmt.Errorf("protocol: truncated cost")
-	}
+func decodeCost(r *wire.Reader) vclock.Cost {
 	var k vclock.Cost
 	for c := vclock.Storage; c <= vclock.Meta; c++ {
-		k = k.Add(vclock.CostOf(c, time.Duration(binary.LittleEndian.Uint64(b))))
-		b = b[8:]
+		k = k.Add(vclock.CostOf(c, time.Duration(r.U64())))
 	}
-	return k, b, nil
+	return k
 }
 
 func encodeStats(buf []byte, s exec.Stats) []byte {
@@ -153,26 +150,15 @@ func encodeStats(buf []byte, s exec.Stats) []byte {
 	return buf
 }
 
-func decodeStats(b []byte) (exec.Stats, []byte, error) {
-	if len(b) < 72 {
-		return exec.Stats{}, nil, fmt.Errorf("protocol: truncated stats")
-	}
-	get := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		return v
-	}
+func decodeStats(r *wire.Reader) exec.Stats {
 	var s exec.Stats
-	s.RegionsEvaluated = get()
-	s.RegionsPruned = get()
-	s.SortedRegions = get()
-	s.ElementsScanned = get()
-	s.Probes = get()
-	s.IndexBinsRead = get()
-	s.IndexBytesRead = get()
-	s.CandChecks = get()
-	s.StorageBytes = get()
-	return s, b, nil
+	for _, v := range []*int64{
+		&s.RegionsEvaluated, &s.RegionsPruned, &s.SortedRegions, &s.ElementsScanned,
+		&s.Probes, &s.IndexBinsRead, &s.IndexBytesRead, &s.CandChecks, &s.StorageBytes,
+	} {
+		*v = int64(r.U64())
+	}
+	return s
 }
 
 // The forcing rides in the flags byte's three high bits (a plan.Force
@@ -270,51 +256,47 @@ func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
 // the query's bytes, undecoded, in r.Query. r.Stmt must be non-nil and
 // zero.
 func (r *QueryRequest) decodeHeader(b []byte) error {
-	if len(b) < 1 {
-		return fmt.Errorf("protocol: empty query request")
-	}
-	r.Flags, r.Force = b[0]&flagBits, plan.Force(b[0]>>forceShift)
-	b = b[1:]
+	rd := wire.NewReader(b)
+	flags := rd.U8()
+	r.Flags, r.Force = flags&flagBits, plan.Force(flags>>forceShift)
+	// The forcing is refused before any later field is found truncated.
 	if !r.Force.Valid() {
 		return fmt.Errorf("%w: forcing %d", ErrBadQueryFlags, int(r.Force))
 	}
 	if r.Flags&FlagEpoch != 0 {
-		if len(b) < 8 {
-			return fmt.Errorf("protocol: truncated query epoch")
-		}
-		r.Epoch = binary.LittleEndian.Uint64(b)
-		b = b[8:]
+		r.Epoch = rd.U64()
 	}
 	if r.Flags&FlagWantSelection != 0 {
 		r.Stmt.Projection.Kind = qlang.ProjIDs
 	}
 	if r.Flags&FlagStatement != 0 {
-		var err error
-		if r.Stmt.Tags, b, err = decodeTags(b); err != nil {
-			return err
+		r.Stmt.Tags = decodeTags(&rd)
+		marker := rd.U8()
+		var obj uint64
+		var bins uint32
+		if marker == 1 {
+			obj, bins = rd.U64(), rd.U32()
 		}
 		switch {
-		case len(b) < 1 || b[0] == 1 && len(b) < 13:
-			return fmt.Errorf("protocol: truncated statement projection")
-		case b[0] > 1:
-			return fmt.Errorf("%w: unknown projection %d", ErrBadStatement, b[0])
-		case b[0] == 0 && len(r.Stmt.Tags) == 0:
+		case rd.Err() != nil:
+		case marker > 1:
+			return fmt.Errorf("%w: unknown projection %d", ErrBadStatement, marker)
+		case marker == 0 && len(r.Stmt.Tags) == 0:
 			return fmt.Errorf("%w: empty statement section", ErrBadStatement)
-		case b[0] == 0:
-			b = b[1:]
+		case marker == 0:
 		case r.Flags&FlagWantSelection != 0:
 			return fmt.Errorf("%w: ids and hist projections at once", ErrBadStatement)
+		case bins < 1 || bins > qlang.MaxHistBins:
+			return fmt.Errorf("%w: hist bins %d outside 1..%d", ErrBadStatement, bins, qlang.MaxHistBins)
 		default:
-			bins := binary.LittleEndian.Uint32(b[9:])
-			if bins < 1 || bins > qlang.MaxHistBins {
-				return fmt.Errorf("%w: hist bins %d outside 1..%d", ErrBadStatement, bins, qlang.MaxHistBins)
-			}
 			r.Stmt.Projection = qlang.Projection{Kind: qlang.ProjHist, Bins: int(bins)}
-			r.Stmt.HistObj = object.ID(binary.LittleEndian.Uint64(b[1:]))
-			b = b[13:]
+			r.Stmt.HistObj = object.ID(obj)
 		}
 	}
-	r.Query = b
+	r.Query = rd.Rest()
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("protocol: query request: %w", err)
+	}
 	return nil
 }
 
@@ -374,71 +356,46 @@ func appendOptional(out, body []byte) []byte {
 	return append(out, body...)
 }
 
-// decodeOptional splits what appendOptional wrote off b: the body (nil
-// when absent) and the bytes after it.
-func decodeOptional(b []byte, what string) (body, rest []byte, err error) {
-	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("protocol: truncated %s marker", what)
-	}
-	switch b[0] {
+// decodeOptional reads what appendOptional wrote: the body, and whether
+// there is one.
+func decodeOptional(r *wire.Reader) (body []byte, present bool) {
+	switch m := r.U8(); m {
 	case 0:
-		return nil, b[1:], nil
+		return nil, false
 	case 1:
-		if len(b) < 5 || uint64(len(b)-5) < uint64(binary.LittleEndian.Uint32(b[1:])) {
-			return nil, nil, fmt.Errorf("protocol: truncated %s", what)
-		}
-		n := 5 + int(binary.LittleEndian.Uint32(b[1:]))
-		return b[5:n], b[n:], nil
+		return r.Bytes(uint64(r.U32())), true
+	default:
+		r.Fail(fmt.Errorf("bad optional-section marker %d", m))
+		return nil, false
 	}
-	return nil, nil, fmt.Errorf("protocol: bad %s marker %d", what, b[0])
 }
 
-// DecodeQueryResponse parses a MsgQueryResult payload.
+// DecodeQueryResponse parses a MsgQueryResult payload. The sections'
+// own decoders run once the payload's framing has been read whole.
 func DecodeQueryResponse(b []byte) (*QueryResponse, error) {
-	r := &QueryResponse{}
+	r := wire.NewReader(b)
+	resp := &QueryResponse{Cost: decodeCost(&r), Stats: decodeStats(&r)}
+	sel := r.Bytes(r.U64())
+	hist, hasHist := decodeOptional(&r)
+	trace, hasTrace := decodeOptional(&r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: query response: %w", err)
+	}
 	var err error
-	r.Cost, b, err = decodeCost(b)
-	if err != nil {
+	if resp.Sel, err = selection.DecodePacked(sel); err != nil {
 		return nil, err
 	}
-	r.Stats, b, err = decodeStats(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) < 8 {
-		return nil, fmt.Errorf("protocol: truncated selection length")
-	}
-	selLen := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	if uint64(len(b)) < selLen {
-		return nil, fmt.Errorf("protocol: truncated selection")
-	}
-	r.Sel, err = selection.DecodePacked(b[:selLen])
-	if err != nil {
-		return nil, err
-	}
-	b = b[selLen:]
-	var body []byte
-	if body, b, err = decodeOptional(b, "hist"); err != nil {
-		return nil, err
-	}
-	if body != nil {
-		if r.Hist, err = histogram.Decode(body); err != nil {
+	if hasHist {
+		if resp.Hist, err = histogram.Decode(hist); err != nil {
 			return nil, err
 		}
 	}
-	if body, b, err = decodeOptional(b, "trace"); err != nil {
-		return nil, err
-	}
-	if body != nil {
-		if r.Trace, err = telemetry.DecodeSpan(body); err != nil {
+	if hasTrace {
+		if resp.Trace, err = telemetry.DecodeSpan(trace); err != nil {
 			return nil, err
 		}
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in query response", len(b))
-	}
-	return r, nil
+	return resp, nil
 }
 
 // DataRequest asks a server for values of one object. When QueryReq is
@@ -464,25 +421,26 @@ func (r *DataRequest) Encode() []byte {
 
 // DecodeDataRequest parses a MsgGetData payload.
 func DecodeDataRequest(b []byte) (*DataRequest, error) {
-	if len(b) < 24 {
-		return nil, fmt.Errorf("protocol: truncated data request")
+	r := wire.NewReader(b)
+	req := &DataRequest{Obj: object.ID(r.U64()), QueryReq: r.U64(), Coords: decodeCoords(&r)}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: data request: %w", err)
 	}
-	r := &DataRequest{
-		Obj:      object.ID(binary.LittleEndian.Uint64(b)),
-		QueryReq: binary.LittleEndian.Uint64(b[8:]),
+	return req, nil
+}
+
+// decodeCoords reads a u64 count and that many u64 coordinates; nil when
+// there are none.
+func decodeCoords(r *wire.Reader) []uint64 {
+	n := r.Count(r.U64(), 8)
+	if n == 0 {
+		return nil
 	}
-	n := binary.LittleEndian.Uint64(b[16:])
-	b = b[24:]
-	if n != uint64(len(b))/8 || uint64(len(b))%8 != 0 {
-		return nil, fmt.Errorf("protocol: data request coords mismatch")
+	coords := make([]uint64, n)
+	for i := range coords {
+		coords[i] = r.U64()
 	}
-	if n > 0 {
-		r.Coords = make([]uint64, n)
-		for i := range r.Coords {
-			r.Coords[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	return r, nil
+	return coords
 }
 
 // DataResponse returns value bytes (aligned with the server's partial
@@ -510,34 +468,13 @@ func (r *DataResponse) Encode() []byte {
 
 // DecodeDataResponse parses a MsgDataResult payload.
 func DecodeDataResponse(b []byte) (*DataResponse, error) {
-	r := &DataResponse{}
-	var err error
-	r.Cost, b, err = decodeCost(b)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(b)
+	resp := &DataResponse{Cost: decodeCost(&r), Coords: decodeCoords(&r)}
+	resp.Data = r.Bytes(r.U64())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: data response: %w", err)
 	}
-	if len(b) < 8 {
-		return nil, fmt.Errorf("protocol: truncated data response")
-	}
-	n := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	if n > uint64(len(b))/8 || uint64(len(b)) < 8*n+8 {
-		return nil, fmt.Errorf("protocol: truncated data coords")
-	}
-	if n > 0 {
-		r.Coords = make([]uint64, n)
-		for i := range r.Coords {
-			r.Coords[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	}
-	b = b[8*n:]
-	dn := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	if uint64(len(b)) != dn {
-		return nil, fmt.Errorf("protocol: truncated data bytes")
-	}
-	r.Data = b
-	return r, nil
+	return resp, nil
 }
 
 // EncodeTagQuery serializes tag conditions.
@@ -561,43 +498,23 @@ func encodeTags(out []byte, conds []metadata.TagCond) []byte {
 
 // DecodeTagQuery parses a MsgTagQuery payload.
 func DecodeTagQuery(b []byte) ([]metadata.TagCond, error) {
-	conds, rest, err := decodeTags(b)
-	if err == nil && len(rest) != 0 {
-		return nil, fmt.Errorf("protocol: trailing bytes in tag query")
+	r := wire.NewReader(b)
+	conds := decodeTags(&r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: tag query: %w", err)
 	}
-	return conds, err
+	return conds, nil
 }
 
-// decodeTags parses what encodeTags appends and returns the bytes after
-// it.
-func decodeTags(b []byte) ([]metadata.TagCond, []byte, error) {
-	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("protocol: empty tag query")
+// decodeTags reads what encodeTags appends.
+func decodeTags(r *wire.Reader) []metadata.TagCond {
+	// Every condition takes at least its two length prefixes.
+	conds := make([]metadata.TagCond, r.Count(uint64(r.U8()), 8))
+	for i := range conds {
+		k := string(r.Bytes(uint64(r.U32())))
+		conds[i] = metadata.TagCond{Key: k, Value: string(r.Bytes(uint64(r.U32())))}
 	}
-	n := int(b[0])
-	b = b[1:]
-	conds := make([]metadata.TagCond, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return nil, nil, fmt.Errorf("protocol: truncated tag key length")
-		}
-		kl := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint64(len(b)) < uint64(kl)+4 {
-			return nil, nil, fmt.Errorf("protocol: truncated tag key")
-		}
-		k := string(b[:kl])
-		b = b[kl:]
-		vl := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint64(len(b)) < uint64(vl) {
-			return nil, nil, fmt.Errorf("protocol: truncated tag value")
-		}
-		v := string(b[:vl])
-		b = b[vl:]
-		conds = append(conds, metadata.TagCond{Key: k, Value: v})
-	}
-	return conds, b, nil
+	return conds
 }
 
 // EncodeTagResult serializes matching IDs with the lookup cost.
@@ -612,21 +529,14 @@ func EncodeTagResult(cost vclock.Cost, ids []object.ID) []byte {
 
 // DecodeTagResult parses a MsgTagResult payload.
 func DecodeTagResult(b []byte) (vclock.Cost, []object.ID, error) {
-	cost, b, err := decodeCost(b)
-	if err != nil {
-		return vclock.Cost{}, nil, err
-	}
-	if len(b) < 8 {
-		return vclock.Cost{}, nil, fmt.Errorf("protocol: truncated tag result")
-	}
-	n := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	if n != uint64(len(b))/8 || uint64(len(b))%8 != 0 {
-		return vclock.Cost{}, nil, fmt.Errorf("protocol: tag result length mismatch")
-	}
-	ids := make([]object.ID, n)
+	r := wire.NewReader(b)
+	cost := decodeCost(&r)
+	ids := make([]object.ID, r.Count(r.U64(), 8))
 	for i := range ids {
-		ids[i] = object.ID(binary.LittleEndian.Uint64(b[8*i:]))
+		ids[i] = object.ID(r.U64())
+	}
+	if err := r.Done(); err != nil {
+		return vclock.Cost{}, nil, fmt.Errorf("protocol: tag result: %w", err)
 	}
 	return cost, ids, nil
 }
@@ -648,11 +558,13 @@ func (r *StatsResponse) Encode() []byte {
 
 // DecodeStatsResponse parses a MsgStatsResult payload.
 func DecodeStatsResponse(b []byte) (*StatsResponse, error) {
-	cost, b, err := decodeCost(b)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(b)
+	cost := decodeCost(&r)
+	rest := r.Rest()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: stats response: %w", err)
 	}
-	reg, err := telemetry.DecodeRegistry(b)
+	reg, err := telemetry.DecodeRegistry(rest)
 	if err != nil {
 		return nil, err
 	}
@@ -677,13 +589,12 @@ func (r *BusyResponse) Encode() []byte {
 
 // DecodeBusyResponse parses a MsgBusy payload.
 func DecodeBusyResponse(b []byte) (*BusyResponse, error) {
-	if len(b) < 12 {
-		return nil, fmt.Errorf("protocol: truncated busy response")
+	r := wire.NewReader(b)
+	resp := &BusyResponse{RetryAfterNs: r.U64(), Queued: r.U32()}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: busy response: %w", err)
 	}
-	r := &BusyResponse{}
-	r.RetryAfterNs = binary.LittleEndian.Uint64(b)
-	r.Queued = binary.LittleEndian.Uint32(b[8:])
-	return r, nil
+	return resp, nil
 }
 
 // EncodeHistResult wraps an optional histogram.
@@ -697,13 +608,18 @@ func EncodeHistResult(h *histogram.Histogram) []byte {
 // DecodeHistResult parses a MsgHistResult payload (nil when the object
 // has no histogram).
 func DecodeHistResult(b []byte) (*histogram.Histogram, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("protocol: empty histogram result")
+	r := wire.NewReader(b)
+	switch m := r.U8(); m {
+	case 0:
+	case 1:
+		return histogram.Decode(r.Rest())
+	default:
+		r.Fail(fmt.Errorf("bad marker %d", m))
 	}
-	if b[0] == 0 {
-		return nil, nil
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: histogram result: %w", err)
 	}
-	return histogram.Decode(b[1:])
+	return nil, nil
 }
 
 // EncodeFetchExtents builds a MsgFetchExtents payload: count u32, then
@@ -724,31 +640,14 @@ func EncodeFetchExtents(keys []string) []byte {
 
 // DecodeFetchExtents parses a MsgFetchExtents payload.
 func DecodeFetchExtents(b []byte) ([]string, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("protocol: truncated fetch-extents")
+	r := wire.NewReader(b)
+	// Every key takes at least its length prefix.
+	keys := make([]string, r.Count(uint64(r.U32()), 2))
+	for i := range keys {
+		keys[i] = string(r.Bytes(uint64(r.U16())))
 	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	// Every key takes at least its length prefix: a count the payload
-	// cannot hold is refused before anything is sized by it.
-	if n > len(b)/2 {
-		return nil, fmt.Errorf("protocol: fetch-extents count %d exceeds its %d-byte payload", n, len(b))
-	}
-	keys := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("protocol: truncated fetch-extents key length")
-		}
-		kl := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl {
-			return nil, fmt.Errorf("protocol: truncated fetch-extents key")
-		}
-		keys = append(keys, string(b[:kl]))
-		b = b[kl:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("protocol: trailing bytes in fetch-extents")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: fetch-extents: %w", err)
 	}
 	return keys, nil
 }
@@ -810,56 +709,29 @@ func EncodeExtentsResult(exts []Extent) []byte {
 // payload. Extent data aliases the payload buffer (capped at its own
 // end, so nothing appends into the next extent).
 func DecodeExtentsResult(b []byte) ([]Extent, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("protocol: truncated extents result")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	// Every extent takes at least its fixed header: a count the payload
-	// cannot hold is refused before anything is sized by it.
-	if n > (len(b)-4)/extentHeaderLen {
-		return nil, fmt.Errorf("protocol: extents count %d exceeds its %d-byte payload", n, len(b))
-	}
-	exts := make([]Extent, 0, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		if len(b)-off < 2 {
-			return nil, fmt.Errorf("protocol: truncated extent key length")
-		}
-		kl := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if len(b)-off < kl+9 {
-			return nil, fmt.Errorf("protocol: truncated extent header")
-		}
-		e := Extent{Key: string(b[off : off+kl])}
-		switch b[off+kl] {
+	r := wire.NewReader(b)
+	// Every extent takes at least its fixed header.
+	exts := make([]Extent, r.Count(uint64(r.U32()), extentHeaderLen))
+	for i := range exts {
+		e := &exts[i]
+		e.Key = string(r.Bytes(uint64(r.U16())))
+		switch p := r.U8(); p {
 		case 0:
 		case 1:
 			e.Present = true
 		default:
-			return nil, fmt.Errorf("protocol: extent %q has present flag %d", e.Key, b[off+kl])
+			r.Fail(fmt.Errorf("extent %q has present flag %d", e.Key, p))
 		}
-		dl := binary.LittleEndian.Uint64(b[off+kl+1:])
-		off += kl + 9
-		pad := extentPad(off)
-		if len(b)-off < pad {
-			return nil, fmt.Errorf("protocol: truncated extent padding")
-		}
-		for _, z := range b[off : off+pad] {
+		dl := r.U64()
+		for _, z := range r.Bytes(uint64(extentPad(len(b) - r.Len()))) {
 			if z != 0 {
-				return nil, fmt.Errorf("protocol: extent %q has nonzero padding", e.Key)
+				r.Fail(fmt.Errorf("extent %q has nonzero padding", e.Key))
 			}
 		}
-		off += pad
-		if uint64(len(b)-off) < dl {
-			return nil, fmt.Errorf("protocol: truncated extent data")
-		}
-		end := off + int(dl)
-		e.Data = b[off:end:end]
-		off = end
-		exts = append(exts, e)
+		e.Data = r.Bytes(dl)
 	}
-	if off != len(b) {
-		return nil, fmt.Errorf("protocol: trailing bytes in extents result")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("protocol: extents result: %w", err)
 	}
 	return exts, nil
 }

@@ -34,6 +34,10 @@ type RegionInfo struct {
 	// Min and Max are the first and last key value in the region
 	// (inclusive); regions are globally ordered so Min[i] >= Max[i-1].
 	Min, Max float64
+	// ValKey and PermKey are the storage keys of the region's sorted
+	// values and permutation, kept so a query reads the extents without
+	// formatting their keys.
+	ValKey, PermKey string
 }
 
 // Replica is the metadata of an object's sorted replica. The sorted
@@ -81,6 +85,9 @@ type Companion struct {
 	Obj object.ID
 	// Type is its element type.
 	Type dtype.Type
+	// ValKeys are the storage keys of the co-sorted values, one per
+	// sorted region (CompanionValKey).
+	ValKeys []string
 }
 
 // CompanionValKey returns the storage key for the co-sorted values of
@@ -127,8 +134,9 @@ func (r *Replica) AddCompanions(st *simio.Store, a *vclock.Account, lookup func(
 			full = append(full, raw...)
 		}
 		es := o.Type.Size()
-		for _, ri := range r.Regions {
-			perm, err := st.ReadAll(a, object.SortedPermKey(r.Key, ri.Index))
+		keys := make([]string, len(r.Regions))
+		for i, ri := range r.Regions {
+			perm, err := st.ReadAll(a, ri.PermKey)
 			if err != nil {
 				return err
 			}
@@ -137,9 +145,10 @@ func (r *Replica) AddCompanions(st *simio.Store, a *vclock.Account, lookup func(
 				orig := int(r.PermAt(perm, i))
 				copy(out[i*es:(i+1)*es], full[orig*es:(orig+1)*es])
 			}
-			st.WriteOwned(a, CompanionValKey(r.Key, id, ri.Index), tier, out)
+			keys[i] = CompanionValKey(r.Key, id, ri.Index)
+			st.WriteOwned(a, keys[i], tier, out)
 		}
-		r.Companions = append(r.Companions, Companion{Obj: id, Type: o.Type})
+		r.Companions = append(r.Companions, Companion{Obj: id, Type: o.Type, ValKeys: keys})
 	}
 	return nil
 }
@@ -211,14 +220,17 @@ func Build(st *simio.Store, a *vclock.Account, o *object.Object, regionElems uin
 				dtype.View[uint32](perm)[i] = uint32(pairs[off+i].i)
 			}
 		}
-		st.WriteOwned(a, object.SortedValKey(o.ID, idx), tier, vals)
-		st.WriteOwned(a, object.SortedPermKey(o.ID, idx), tier, perm)
-		rep.Regions = append(rep.Regions, RegionInfo{
-			Index: idx,
-			Count: cnt,
-			Min:   pairs[off].v,
-			Max:   pairs[end-1].v,
-		})
+		ri := RegionInfo{
+			Index:   idx,
+			Count:   cnt,
+			Min:     pairs[off].v,
+			Max:     pairs[end-1].v,
+			ValKey:  object.SortedValKey(o.ID, idx),
+			PermKey: object.SortedPermKey(o.ID, idx),
+		}
+		st.WriteOwned(a, ri.ValKey, tier, vals)
+		st.WriteOwned(a, ri.PermKey, tier, perm)
+		rep.Regions = append(rep.Regions, ri)
 	}
 	return rep, nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"pdcquery/internal/wire"
 )
 
 // The flight recorder: an always-on, preallocated ring buffer of
@@ -257,7 +259,7 @@ type Event struct {
 // zero: 256 events × 56 bytes keeps an idle server's recorder at ~14 KB.
 const DefaultRecorderEvents = 256
 
-// maxRecorderEvents bounds decoded and requested capacities.
+// maxRecorderEvents bounds requested capacities.
 const maxRecorderEvents = 1 << 20
 
 // Recorder is a preallocated ring of Events. The zero-capacity
@@ -408,31 +410,24 @@ func EncodeEvents(events []Event, total uint64) []byte {
 
 // DecodeEvents parses an EncodeEvents buffer.
 func DecodeEvents(b []byte) (events []Event, total uint64, err error) {
-	if len(b) < 12 {
-		return nil, 0, fmt.Errorf("telemetry: truncated events header")
-	}
-	total = binary.LittleEndian.Uint64(b)
-	n := binary.LittleEndian.Uint32(b[8:])
-	b = b[12:]
-	if n > maxRecorderEvents {
-		return nil, 0, fmt.Errorf("telemetry: %d events exceeds limit", n)
-	}
-	if uint64(len(b)) != uint64(n)*eventWireSize {
-		return nil, 0, fmt.Errorf("telemetry: events payload %d bytes, want %d", len(b), uint64(n)*eventWireSize)
-	}
-	events = make([]Event, n)
+	r := wire.NewReader(b)
+	total = r.U64()
+	events = make([]Event, r.Count(uint64(r.U32()), eventWireSize))
 	for i := range events {
 		e := &events[i]
-		e.Seq = binary.LittleEndian.Uint64(b)
-		e.VNanos = int64(binary.LittleEndian.Uint64(b[8:]))
-		// Bytes 16..24 are the wall-clock slot, always zero on the wire;
-		// WallNanos stays zero on decode for the same determinism rule.
-		e.Kind = EventKind(b[24])
-		e.Code = b[25]
-		e.Srv = int32(binary.LittleEndian.Uint32(b[26:]))
-		e.A = int64(binary.LittleEndian.Uint64(b[30:]))
-		e.B = int64(binary.LittleEndian.Uint64(b[38:]))
-		b = b[eventWireSize:]
+		e.Seq = r.U64()
+		e.VNanos = int64(r.U64())
+		// The wall-clock slot, always zero on the wire; WallNanos stays
+		// zero on decode for the same determinism rule.
+		r.U64()
+		e.Kind = EventKind(r.U8())
+		e.Code = r.U8()
+		e.Srv = int32(r.U32())
+		e.A = int64(r.U64())
+		e.B = int64(r.U64())
+	}
+	if err := r.Done(); err != nil {
+		return nil, 0, fmt.Errorf("telemetry: events: %w", err)
 	}
 	return events, total, nil
 }

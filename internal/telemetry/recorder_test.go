@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -209,6 +210,29 @@ func TestDecodeEventsRejectsGarbage(t *testing.T) {
 	if _, _, err := DecodeEvents(bad); err == nil {
 		t.Fatal("oversized count accepted")
 	}
+}
+
+// FuzzDecodeEvents hardens the recorder-ring decoder: no payload panics
+// it, and any payload it accepts re-encodes to exactly its bytes, but
+// for each event's wall-clock slot, which the decoder skips and the
+// encoder zeroes.
+func FuzzDecodeEvents(f *testing.F) {
+	f.Add(EncodeEvents([]Event{{Seq: 5, VNanos: 1000, Kind: EvFault, Code: 2, Srv: -1, A: 3, B: SeamStore}}, 42))
+	f.Add(EncodeEvents(nil, 0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, total, err := DecodeEvents(data)
+		if err != nil {
+			return
+		}
+		want := bytes.Clone(data)
+		for i := range events {
+			clear(want[12+i*eventWireSize+16:][:8])
+		}
+		if re := EncodeEvents(events, total); !bytes.Equal(re, want) {
+			t.Fatalf("accepted % x, re-encoded % x", data, re)
+		}
+	})
 }
 
 func TestWriteEvents(t *testing.T) {

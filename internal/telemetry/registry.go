@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"pdcquery/internal/histogram"
+	"pdcquery/internal/wire"
 )
 
 // Distribution is a mergeable distribution of observed values (costs,
@@ -256,9 +257,6 @@ func sortedKeys[V any](m map[string]V) []string {
 
 const regMagic = uint32(0x50444354) // "PDCT"
 
-// maxRegEntries bounds decoded entry counts against corrupt frames.
-const maxRegEntries = 1 << 20
-
 // Encode serializes the registry deterministically (names sorted).
 func (r *Registry) Encode() []byte {
 	r.mu.Lock()
@@ -291,93 +289,38 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("telemetry: truncated string length")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(n) {
-		return "", nil, fmt.Errorf("telemetry: truncated string")
-	}
-	return string(b[:n]), b[n:], nil
-}
-
 // DecodeRegistry parses a registry produced by Encode.
 func DecodeRegistry(b []byte) (*Registry, error) {
-	if len(b) < 4 || binary.LittleEndian.Uint32(b) != regMagic {
+	r := wire.NewReader(b)
+	if r.U32() != regMagic {
 		return nil, fmt.Errorf("telemetry: bad registry magic")
 	}
-	b = b[4:]
-	r := NewRegistry()
-	count := func() (uint32, error) {
-		if len(b) < 4 {
-			return 0, fmt.Errorf("telemetry: truncated count")
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if n > maxRegEntries {
-			return 0, fmt.Errorf("telemetry: %d entries exceeds limit", n)
-		}
-		return n, nil
+	reg := NewRegistry()
+	// Every entry takes at least its name's length prefix and its value;
+	// a distribution's value is a sum and a histogram's length prefix.
+	for range r.Count(uint64(r.U32()), 4+8) {
+		k := string(r.Bytes(uint64(r.U32())))
+		reg.counters[k] = int64(r.U64())
 	}
-	nc, err := count()
-	if err != nil {
-		return nil, err
+	for range r.Count(uint64(r.U32()), 4+8) {
+		k := string(r.Bytes(uint64(r.U32())))
+		reg.gauges[k] = math.Float64frombits(r.U64())
 	}
-	for i := uint32(0); i < nc; i++ {
-		var k string
-		if k, b, err = takeString(b); err != nil {
-			return nil, err
+	for range r.Count(uint64(r.U32()), 4+8+4) {
+		k := string(r.Bytes(uint64(r.U32())))
+		sum := math.Float64frombits(r.U64())
+		hb := r.Bytes(uint64(r.U32()))
+		if r.Err() != nil {
+			break
 		}
-		if len(b) < 8 {
-			return nil, fmt.Errorf("telemetry: truncated counter value")
-		}
-		r.counters[k] = int64(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-	ng, err := count()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ng; i++ {
-		var k string
-		if k, b, err = takeString(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 8 {
-			return nil, fmt.Errorf("telemetry: truncated gauge value")
-		}
-		r.gauges[k] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-	nd, err := count()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nd; i++ {
-		var k string
-		if k, b, err = takeString(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 12 {
-			return nil, fmt.Errorf("telemetry: truncated distribution header")
-		}
-		sum := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		hl := binary.LittleEndian.Uint32(b[8:])
-		b = b[12:]
-		if uint64(len(b)) < uint64(hl) {
-			return nil, fmt.Errorf("telemetry: truncated distribution histogram")
-		}
-		h, err := histogram.Decode(b[:hl])
+		h, err := histogram.Decode(hb)
 		if err != nil {
 			return nil, err
 		}
-		b = b[hl:]
-		r.dists[k] = &Distribution{Hist: h, Sum: sum}
+		reg.dists[k] = &Distribution{Hist: h, Sum: sum}
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("telemetry: %d trailing bytes in registry", len(b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("telemetry: registry: %w", err)
 	}
-	return r, nil
+	return reg, nil
 }

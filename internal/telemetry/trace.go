@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pdcquery/internal/vclock"
+	"pdcquery/internal/wire"
 )
 
 // SpanKind classifies a span in the query trace tree.
@@ -250,13 +251,10 @@ func (s *Span) render(b *strings.Builder, depth int, includeWall bool) {
 
 // --- wire encoding -----------------------------------------------------------
 
-// Span encoding limits: depth and fan-out guards against corrupt or
-// hostile frames (the decoder runs on the client against server bytes).
-const (
-	maxSpanDepth    = 64
-	maxSpanChildren = 1 << 20
-	maxSpanAttrs    = 1 << 16
-)
+// maxSpanDepth bounds the decoder's recursion against corrupt or hostile
+// frames (it runs on the client against server bytes); the reader bounds
+// every count.
+const maxSpanDepth = 64
 
 // Encode serializes the span tree. Wall-clock fields are included only
 // when includeWall is set — the deterministic protocol encoding (golden
@@ -297,85 +295,45 @@ func (s *Span) encode(buf []byte, includeWall bool) []byte {
 
 // DecodeSpan parses a span tree produced by Encode.
 func DecodeSpan(b []byte) (*Span, error) {
-	s, rest, err := decodeSpan(b, 0)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("telemetry: %d trailing bytes after span", len(rest))
+	r := wire.NewReader(b)
+	s := decodeSpan(&r, 0)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("telemetry: span: %w", err)
 	}
 	return s, nil
 }
 
-func decodeSpan(b []byte, depth int) (*Span, []byte, error) {
+// Every attribute takes at least its key's length prefix, its tag and a
+// string value's length prefix; every span at least its fixed fields.
+const (
+	minAttrBytes = 4 + 1 + 4
+	minSpanBytes = 1 + 4 + 8 + 32 + 8 + 4 + 4
+)
+
+func decodeSpan(r *wire.Reader, depth int) *Span {
 	if depth > maxSpanDepth {
-		return nil, nil, fmt.Errorf("telemetry: span nesting exceeds %d", maxSpanDepth)
+		r.Fail(fmt.Errorf("span nesting exceeds %d", maxSpanDepth))
+		return nil
 	}
-	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("telemetry: truncated span kind")
-	}
-	s := &Span{Kind: SpanKind(b[0])}
-	b = b[1:]
-	var err error
-	if s.Name, b, err = takeString(b); err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 8+32+8 {
-		return nil, nil, fmt.Errorf("telemetry: truncated span header")
-	}
-	s.Trace = TraceID(binary.LittleEndian.Uint64(b))
-	b = b[8:]
+	s := &Span{Kind: SpanKind(r.U8())}
+	s.Name = string(r.Bytes(uint64(r.U32())))
+	s.Trace = TraceID(r.U64())
 	for c := vclock.Storage; c <= vclock.Meta; c++ {
-		s.Cost = s.Cost.Add(vclock.CostOf(c, time.Duration(binary.LittleEndian.Uint64(b))))
-		b = b[8:]
+		s.Cost = s.Cost.Add(vclock.CostOf(c, time.Duration(r.U64())))
 	}
-	s.WallNanos = int64(binary.LittleEndian.Uint64(b))
-	b = b[8:]
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("telemetry: truncated attr count")
-	}
-	nattrs := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if nattrs > maxSpanAttrs {
-		return nil, nil, fmt.Errorf("telemetry: %d attrs exceeds limit", nattrs)
-	}
-	for i := uint32(0); i < nattrs; i++ {
-		var a Attr
-		if a.Key, b, err = takeString(b); err != nil {
-			return nil, nil, err
-		}
-		if len(b) < 1 {
-			return nil, nil, fmt.Errorf("telemetry: truncated attr tag")
-		}
-		a.IsStr = b[0] == 1
-		b = b[1:]
+	s.WallNanos = int64(r.U64())
+	for range r.Count(uint64(r.U32()), minAttrBytes) {
+		a := Attr{Key: string(r.Bytes(uint64(r.U32())))}
+		a.IsStr = r.U8() == 1
 		if a.IsStr {
-			if a.Str, b, err = takeString(b); err != nil {
-				return nil, nil, err
-			}
+			a.Str = string(r.Bytes(uint64(r.U32())))
 		} else {
-			if len(b) < 8 {
-				return nil, nil, fmt.Errorf("telemetry: truncated attr value")
-			}
-			a.Int = int64(binary.LittleEndian.Uint64(b))
-			b = b[8:]
+			a.Int = int64(r.U64())
 		}
 		s.Attrs = append(s.Attrs, a)
 	}
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("telemetry: truncated child count")
+	for range r.Count(uint64(r.U32()), minSpanBytes) {
+		s.Children = append(s.Children, decodeSpan(r, depth+1))
 	}
-	nchildren := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if nchildren > maxSpanChildren {
-		return nil, nil, fmt.Errorf("telemetry: %d children exceeds limit", nchildren)
-	}
-	for i := uint32(0); i < nchildren; i++ {
-		var c *Span
-		if c, b, err = decodeSpan(b, depth+1); err != nil {
-			return nil, nil, err
-		}
-		s.Children = append(s.Children, c)
-	}
-	return s, b, nil
+	return s
 }
