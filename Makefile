@@ -98,6 +98,8 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzOrEncodedInto ./internal/wah/
 	$(FUZZ) -fuzz=FuzzFromIndicesMatchesReference ./internal/wah/
 	$(FUZZ) -fuzz=FuzzBuildMatchesReference ./internal/bitindex/
+	$(FUZZ) -fuzz=FuzzDecodeDirectory ./internal/bitindex/
+	$(FUZZ) -fuzz=FuzzSelect ./internal/bitindex/
 	$(GO) test -fuzz=FuzzHistogramMerge -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/histogram/
 	$(FUZZ) -fuzz=FuzzBuildBytesMatchesBuild ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/qlang/

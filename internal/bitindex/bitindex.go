@@ -175,16 +175,16 @@ func binElems[E dtype.Native](accs []binAcc, vals []E, base, step float64) {
 	}
 }
 
-// pred reports how a bin relates to the range predicate using the bin's
-// exact extrema: all elements match, none match, or undecided.
-func binMatch(b *Bin, lo, hi float64, loIncl, hiIncl bool) (all, none bool) {
-	minOK := b.Min > lo || (loIncl && b.Min == lo)
-	maxOK := b.Max < hi || (hiIncl && b.Max == hi)
+// binMatch reports how a bin relates to the range predicate using the
+// bin's exact extrema: all elements match, none match, or undecided.
+func binMatch(bmin, bmax, lo, hi float64, loIncl, hiIncl bool) (all, none bool) {
+	minOK := bmin > lo || (loIncl && bmin == lo)
+	maxOK := bmax < hi || (hiIncl && bmax == hi)
 	if minOK && maxOK {
 		return true, false
 	}
-	outLow := b.Max < lo || (!loIncl && b.Max == lo)
-	outHigh := b.Min > hi || (!hiIncl && b.Min == hi)
+	outLow := bmax < lo || (!loIncl && bmax == lo)
+	outHigh := bmin > hi || (!hiIncl && bmin == hi)
 	if outLow || outHigh {
 		return false, true
 	}
@@ -201,7 +201,7 @@ func (x *Index) Evaluate(lo, hi float64, loIncl, hiIncl bool) (sure *wah.Bitmap,
 	var sureBins []*wah.Bitmap
 	for i := range x.Bins {
 		b := &x.Bins[i]
-		all, none := binMatch(b, lo, hi, loIncl, hiIncl)
+		all, none := binMatch(b.Min, b.Max, lo, hi, loIncl, hiIncl)
 		switch {
 		case all:
 			sureBins = append(sureBins, b.Bits)
@@ -341,24 +341,44 @@ func DecodeDirectory(b []byte) (*Directory, error) {
 }
 
 // Select classifies bins against a range predicate using the directory
-// only: sure bins (every element matches) and candidate bins (their
-// extrema cannot decide, so their elements need checking against raw
-// data). The bin numbers are appended to sure and candidates, which a
-// caller on a hot path passes back emptied to reuse their storage.
-func (d *Directory) Select(sure, candidates []int, lo, hi float64, loIncl, hiIncl bool) ([]int, []int) {
+// only: sure bins (every element matches), candidate bins (their extrema
+// cannot decide, so their elements need checking against raw data) and
+// the rest (no element matches). It appends to bins whichever of the
+// sure and the rest bins has fewer blob bytes, and the candidate bins to
+// candidates; a caller on a hot path passes both back emptied to reuse
+// their storage. invert reports that bins holds the rest: the answer is
+// then the complement of the union of bins and candidates, plus the
+// candidates that pass the check. The rest is read only when every
+// element is in some bin (the counts sum to N): a NaN is in no bin, so
+// the complement of a region holding one would claim it.
+func (d *Directory) Select(bins, candidates []int, lo, hi float64, loIncl, hiIncl bool) (read, cands []int, invert bool) {
+	start := len(bins)
+	var sureBytes, restBytes int64
+	var elems uint64
 	for i := range d.Bins {
 		db := &d.Bins[i]
-		b := Bin{Lo: db.Lo, Hi: db.Hi, Min: db.Min, Max: db.Max}
-		all, none := binMatch(&b, lo, hi, loIncl, hiIncl)
+		elems += db.Count
+		all, none := binMatch(db.Min, db.Max, lo, hi, loIncl, hiIncl)
 		switch {
 		case all:
-			sure = append(sure, i)
+			bins = append(bins, i)
+			sureBytes += db.BlobLen
 		case none:
+			restBytes += db.BlobLen
 		default:
 			candidates = append(candidates, i)
 		}
 	}
-	return sure, candidates
+	if restBytes >= sureBytes || elems != d.N {
+		return bins, candidates, false
+	}
+	bins = bins[:start]
+	for i := range d.Bins {
+		if _, none := binMatch(d.Bins[i].Min, d.Bins[i].Max, lo, hi, loIncl, hiIncl); none {
+			bins = append(bins, i)
+		}
+	}
+	return bins, candidates, true
 }
 
 // Decode fully deserializes an encoded index (used by tests and tools;

@@ -230,9 +230,12 @@ func TestDirectoryPartialRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sure, cands := d.Select(nil, nil, 2.1, 2.4, false, false)
+	sure, cands, invert := d.Select(nil, nil, 2.1, 2.4, false, false)
 	if len(cands) != 0 {
 		t.Fatalf("aligned query produced candidates: %v", cands)
+	}
+	if invert {
+		t.Fatal("a selective query selected the complement")
 	}
 	// ...then only the selected bins' blobs.
 	var bms []*wah.Bitmap

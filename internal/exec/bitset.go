@@ -66,6 +66,15 @@ func clearRange(ws []uint64, lo, hi uint64) {
 	ws[j] &^= last
 }
 
+// invertBits complements the n-bit set ws: bits at and beyond n, the
+// slack word's included, come back zero.
+func invertBits(ws []uint64, n uint64) {
+	for i := range ws {
+		ws[i] = ^ws[i]
+	}
+	clearRange(ws, n, uint64(len(ws))<<6)
+}
+
 // coversRegion reports whether the runs are the whole n-element region,
 // i.e. there is no spatial constraint to apply.
 func coversRegion(runs []localRun, n uint64) bool {

@@ -1049,7 +1049,10 @@ func (e *Engine) evalRegionIndex(tok *sched.Token, c query.Conjunct, order []obj
 // evalIndexCondition reads the index directory and only the touched
 // bins, and ORs into dst — a zeroed dense bitset over the region's nbits
 // elements — every element the condition surely matches plus the
-// boundary candidates that pass a check against raw data.
+// boundary candidates that pass a check against raw data. Of the sure
+// bins and the rest it reads the side with fewer blob bytes
+// (bitindex.Directory.Select); from the rest, the sure elements are the
+// complement of the rest and candidate bins.
 func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv query.Interval, p pred, sc *scratch, dst []uint64, stats *Stats) error {
 	rm := &o.Regions[r]
 	// The directory usually lives in the region metadata (cached on all
@@ -1067,17 +1070,26 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv qu
 			return err
 		}
 	}
-	sc.sure, sc.cands = dir.Select(sc.sure[:0], sc.cands[:0], iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
-	sure, cands := sc.sure, sc.cands
-	if len(sure) == 0 && len(cands) == 0 {
+	var invert bool
+	sc.bins, sc.cands, invert = dir.Select(sc.bins[:0], sc.cands[:0], iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
+	bins, cands := sc.bins, sc.cands
+	if invert && dir.N != nbits {
+		// The complement is taken over nbits: a blob would refuse this
+		// index, and an empty side reads none.
+		return fmt.Errorf("exec: index %s covers %d elements, region holds %d", rm.IndexKey, dir.N, nbits)
+	}
+	if len(bins) == 0 && len(cands) == 0 {
+		if invert { // every bin is sure
+			invertBits(dst, nbits)
+		}
 		return nil
 	}
-	// Read the touched bins' blobs in one aggregated request: the sure
-	// bins, then the candidates.
+	// Read the touched bins' blobs in one aggregated request: the
+	// selected side, then the candidates.
 	sc.ranges = sc.ranges[:0]
 	var blobBytes int64
-	for _, bins := range [2][]int{sure, cands} {
-		for _, b := range bins {
+	for _, side := range [2][]int{bins, cands} {
+		for _, b := range side {
 			db := dir.Bins[b]
 			sc.ranges = append(sc.ranges, simio.Range{Off: db.BlobOff, Len: db.BlobLen})
 			blobBytes += db.BlobLen
@@ -1093,10 +1105,17 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv qu
 	// The pooled scratch must not pin extents beyond this call.
 	defer clear(sc.blobs)
 	e.Acct.Charge(vclock.Compute, time.Duration(blobBytes/1024+1)*decodeCostPerKB)
-	for _, blob := range sc.blobs[:len(sure)] {
+	ored := sc.blobs[:len(bins)]
+	if invert {
+		ored = sc.blobs
+	}
+	for _, blob := range ored {
 		if err := wah.OrEncodedInto(dst, nbits, blob); err != nil {
 			return fmt.Errorf("exec: index %s: %w", rm.IndexKey, err)
 		}
+	}
+	if invert {
+		invertBits(dst, nbits)
 	}
 	if len(cands) > 0 {
 		// Candidate bins need the raw data (rare: only when a query
@@ -1109,7 +1128,7 @@ func (e *Engine) evalIndexCondition(o *object.Object, r int, nbits uint64, iv qu
 			return fmt.Errorf("exec: region %s holds %d elements, index covers %d", rm.ExtentKey, o.Type.Count(len(data)), nbits)
 		}
 		sc.cand = zeroed(sc.cand, len(dst))
-		for _, blob := range sc.blobs[len(sure):] {
+		for _, blob := range sc.blobs[len(bins):] {
 			if err := wah.OrEncodedInto(sc.cand, nbits, blob); err != nil {
 				return fmt.Errorf("exec: index %s: %w", rm.IndexKey, err)
 			}

@@ -99,16 +99,29 @@ func (f *typedFixture) assign() Assignment {
 }
 
 // randInterval draws bounds from the object's own values (so they hit
-// boundary bins), with open, closed and missing ends.
+// boundary bins), with open, closed and missing ends: between two random
+// values, wide (both ends in the outer tenths of the values, so most of
+// each region's bins are sure and the index path reads the rest), or
+// narrow (one value, or two close ones).
 func (f *typedFixture) randInterval(rng *rand.Rand, id object.ID) query.Interval {
+	nudge := func(v float64) float64 { return v + float64(rng.Intn(3)-1)*0.125*float64(rng.Intn(2)) }
 	pick := func() float64 {
 		for {
 			if v := f.vals[id][rng.Intn(f.n)]; !math.IsNaN(v) {
-				return v + float64(rng.Intn(3)-1)*0.125*float64(rng.Intn(2))
+				return nudge(v)
 			}
 		}
 	}
 	lo, hi := pick(), pick()
+	switch rng.Intn(4) {
+	case 0:
+		sorted := slices.DeleteFunc(slices.Clone(f.vals[id]), math.IsNaN)
+		slices.Sort(sorted)
+		tenth := len(sorted) / 10
+		lo, hi = nudge(sorted[rng.Intn(tenth)]), nudge(sorted[len(sorted)-1-rng.Intn(tenth)])
+	case 1:
+		hi = lo + float64(rng.Intn(2))*0.25
+	}
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -122,6 +135,45 @@ func (f *typedFixture) randInterval(rng *rand.Rand, id object.ID) query.Interval
 	return iv
 }
 
+// sides counts the index conditions a conjunct over elements [lo, hi)
+// resolves on each side of its regions' indexes — the sure bins, or the
+// rest inverted — as bitindex.Directory.Select decides for the directory
+// the engine reads, over the indexed regions the window overlaps and the
+// condition does not prune. It fails t if a region holding a NaN would
+// be inverted: a NaN is in no bin, so the complement would claim it.
+func (f *typedFixture) sides(t *testing.T, conds map[object.ID]query.Interval, lo, hi int) (direct, inverted int) {
+	t.Helper()
+	for id, iv := range conds {
+		for _, rm := range f.objs[id].Regions {
+			start := int(rm.Region.Offset[0])
+			end := start + int(rm.Region.NumElems())
+			if rm.IndexKey == "" || end <= lo || start >= hi || Prunable(&rm, iv) {
+				continue
+			}
+			dir := rm.IndexDir
+			if dir == nil {
+				raw, err := f.st.ReadAll(nil, rm.IndexKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dir, err = bitindex.DecodeDirectory(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, invert := dir.Select(nil, nil, iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
+			if !invert {
+				direct++
+				continue
+			}
+			inverted++
+			if slices.ContainsFunc(f.vals[id][start:end], math.IsNaN) {
+				t.Fatalf("object %d region %d holds a NaN and inverted %v", id, rm.Index, iv)
+			}
+		}
+	}
+	return direct, inverted
+}
+
 func between(id object.ID, iv query.Interval) *query.Node {
 	return query.Between(id, iv.Lo, iv.Hi, iv.LoIncl, iv.HiIncl)
 }
@@ -131,7 +183,10 @@ func between(id object.ID, iv query.Interval) *query.Node {
 // and int32 regions whose lengths are multiples of neither 31 nor 64,
 // with open and closed ends, with and without a spatial constraint, one
 // region without an index, the directory in metadata and in storage,
-// and conjuncts of one to three conditions (some of which short-circuit).
+// and conjuncts of one to three conditions (some of which short-circuit),
+// over wide, narrow and open-ended intervals: the random cases must
+// resolve region-conditions on both sides of the index (the sure bins,
+// and the rest inverted), and never invert a region holding a NaN.
 // Fixed cases then take the bulk statements' densities (4, 20 and 57 %
 // of the first condition's object), alone and as the first of three
 // conditions, under spatial constraints whose runs start and end
@@ -139,6 +194,7 @@ func between(id object.ID, iv query.Interval) *query.Node {
 func TestIndexPathDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	types := []dtype.Type{dtype.Float32, dtype.Float64, dtype.Int32}
+	var direct, inverted int
 	for trial := 0; trial < 12; trial++ {
 		n := 2500 + rng.Intn(1500)
 		f := buildTypedFixture(rng, types, n, uint64(600+rng.Intn(300)), map[int]bool{2: true}, trial%2 == 0)
@@ -160,8 +216,14 @@ func TestIndexPathDifferential(t *testing.T) {
 				hi = lo + 1 + rng.Intn(n-lo)
 			}
 			checkPathsAgree(t, f, ids, conds, lo, hi, fmt.Sprintf("trial %d query %d", trial, k))
+			d, i := f.sides(t, conds, lo, hi)
+			direct, inverted = direct+d, inverted+i
 		}
 	}
+	if direct == 0 || inverted == 0 {
+		t.Fatalf("region-conditions read %d times from the sure bins and %d times from the rest: want both sides", direct, inverted)
+	}
+	t.Logf("region-conditions: %d direct, %d inverted", direct, inverted)
 
 	// Regions of 1000 elements: 15 words and 40 bits, the last region's
 	// index missing. Both constraints start and end inside a word, one

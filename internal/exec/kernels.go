@@ -382,7 +382,7 @@ type scratch struct {
 	// being resolved and its boundary candidates.
 	acc, cur, cand []uint64
 	// One index condition's touched bins and their reads.
-	sure, cands []int
+	bins, cands []int
 	ranges      []simio.Range
 	blobs       []dtype.ROBytes
 	// One element's coordinate: the sorted path tests each match against

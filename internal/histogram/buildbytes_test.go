@@ -31,8 +31,16 @@ func refBuildBytes(t dtype.Type, data []byte, nbin int) *Histogram {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
+		// Compared as the original loop compares: the first of -0 and
+		// +0 sampled is kept (the min and max builtins order -0 below
+		// +0, which moved Start's sign bit).
 		v = onGrid(v)
-		lo, hi = min(lo, v), max(hi, v)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
 	if math.IsInf(lo, 1) {
 		lo, hi = 0, 0

@@ -11,6 +11,12 @@ type parser struct {
 	src string
 	lx  lexer
 	tok token // lookahead
+	// depth is the most levels the expression just parsed lowers to (a
+	// comparison or tag is one query.Node, a range two, and/or one more
+	// than its deeper side); nest counts the parentheses open around the
+	// current term. Both stop at query.MaxDepth, the depth a member's
+	// decoder refuses beyond.
+	depth, nest int
 }
 
 // Parse parses one statement. Errors are always *ParseError with
@@ -189,7 +195,9 @@ func (p *parser) parseOr() (Expr, *ParseError) {
 	if err != nil {
 		return nil, err
 	}
+	depth := p.depth
 	for p.keyword("or") {
+		pos := p.tok.pos
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -197,8 +205,12 @@ func (p *parser) parseOr() (Expr, *ParseError) {
 		if err != nil {
 			return nil, err
 		}
+		if depth, err = p.deeper(depth, pos); err != nil {
+			return nil, err
+		}
 		left = &Logic{Or: true, Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
 }
 
@@ -208,7 +220,9 @@ func (p *parser) parseAnd() (Expr, *ParseError) {
 	if err != nil {
 		return nil, err
 	}
+	depth := p.depth
 	for p.keyword("and") {
+		pos := p.tok.pos
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -216,9 +230,23 @@ func (p *parser) parseAnd() (Expr, *ParseError) {
 		if err != nil {
 			return nil, err
 		}
+		if depth, err = p.deeper(depth, pos); err != nil {
+			return nil, err
+		}
 		left = &Logic{Or: false, Left: left, Right: right}
 	}
+	p.depth = depth
 	return left, nil
+}
+
+// deeper is the depth of an and/or node, at pos, over a left side of
+// depth left and the right side just parsed.
+func (p *parser) deeper(left, pos int) (int, *ParseError) {
+	d := max(left, p.depth) + 1
+	if d > query.MaxDepth {
+		return 0, errAt(p.src, pos, "condition tree deeper than %d levels", query.MaxDepth)
+	}
+	return d, nil
 }
 
 // parseTerm := '(' parseOr ')' | tag ident '=' string
@@ -228,6 +256,9 @@ func (p *parser) parseAnd() (Expr, *ParseError) {
 func (p *parser) parseTerm() (Expr, *ParseError) {
 	switch {
 	case p.tok.kind == tokLParen:
+		if p.nest++; p.nest > query.MaxDepth {
+			return nil, errAt(p.src, p.tok.pos, "parentheses nested deeper than %d levels", query.MaxDepth)
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -235,6 +266,7 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 		if err != nil {
 			return nil, err
 		}
+		p.nest--
 		if p.tok.kind != tokRParen {
 			return nil, errAt(p.src, p.tok.pos, "expected ')', found %q", p.tokText())
 		}
@@ -257,6 +289,7 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 			return nil, errAt(p.src, p.tok.pos, "expected quoted tag value, found %q", p.tokText())
 		}
 		val := p.tok.text
+		p.depth = 1
 		return &Tag{Key: key, Value: val}, p.advance()
 	case p.tok.kind == tokNumber:
 		// value-first comparison: flip to column-first.
@@ -273,6 +306,7 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 			return nil, err
 		}
 		first := &Cmp{Col: col, Op: flipOp(op), Value: v}
+		p.depth = 1
 		if !p.cmpOpNext() {
 			return first, nil
 		}
@@ -286,6 +320,7 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 		if err != nil {
 			return nil, err
 		}
+		p.depth = 2
 		return &Logic{Left: first, Right: &Cmp{Col: col, Op: op2, Value: hi}}, nil
 	case p.tok.kind == tokIdent:
 		col, err := p.parseName("column")
@@ -310,6 +345,7 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 			if hi < lo {
 				return nil, errAt(p.src, p.tok.pos, "between bounds inverted: %s > %s", num(lo), num(hi))
 			}
+			p.depth = 2
 			return &Between{Col: col, Lo: lo, Hi: hi}, nil
 		}
 		op, err2 := p.parseCmpOp()
@@ -320,6 +356,7 @@ func (p *parser) parseTerm() (Expr, *ParseError) {
 		if err2 != nil {
 			return nil, err2
 		}
+		p.depth = 1
 		return &Cmp{Col: col, Op: op, Value: v}, nil
 	}
 	return nil, errAt(p.src, p.tok.pos, "expected a condition, found %q", p.tokText())

@@ -263,3 +263,37 @@ func TestLowerMatchesHandBuiltTree(t *testing.T) {
 		t.Errorf("lowered tree %v, want %v", low.Query.Root, want)
 	}
 }
+
+// TestParseRefusesDeepTrees: a where clause whose condition tree would
+// pass query.MaxDepth is a parse error, so a client never sends a tree a
+// member's decoder refuses; one at the limit parses, lowers and decodes.
+// Deeply nested parentheses are refused before the parser recurses past
+// the same limit.
+func TestParseRefusesDeepTrees(t *testing.T) {
+	// A chain of n comparisons is n levels; a between is two.
+	where := func(n int, first string) string {
+		return "select count where " + first + strings.Repeat(" and x > 1", n-1)
+	}
+	for _, first := range []string{"x > 1", "x between 1 and 2"} {
+		n := query.MaxDepth
+		if first != "x > 1" {
+			n--
+		}
+		low, err := mustParse(t, where(n, first)).Lower(testResolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := query.Decode(low.Query.Encode()); err != nil {
+			t.Fatalf("%q at the limit: decode: %v", first, err)
+		}
+		var pe *ParseError
+		if _, err := Parse(where(n+1, first)); !errors.As(err, &pe) || !strings.Contains(pe.Msg, "deeper") {
+			t.Fatalf("%q one level past the limit: err %v, want a depth ParseError", first, err)
+		}
+	}
+	deep := "select count where " + strings.Repeat("(", 1<<20) + "x > 1" + strings.Repeat(")", 1<<20)
+	var pe *ParseError
+	if _, err := Parse(deep); !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nested") {
+		t.Fatalf("a million nested parentheses: err %v, want a nesting ParseError", err)
+	}
+}

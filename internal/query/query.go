@@ -176,28 +176,29 @@ func (q *Query) Validate(lookup func(object.ID) (*object.Object, bool)) error {
 	if q.Root == nil {
 		return fmt.Errorf("query: empty condition tree")
 	}
+	var bad error
+	var walk func(*Node, int)
+	walk = func(n *Node, level int) {
+		switch {
+		case n == nil || bad != nil:
+		case level > MaxDepth:
+			bad = fmt.Errorf("query: %w", ErrTooDeep)
+		case n.Kind == KindLeaf:
+			if !n.Op.Valid() {
+				bad = fmt.Errorf("query: bad op %d on object %d", n.Op, n.Obj)
+			}
+		default:
+			walk(n.Left, level+1)
+			walk(n.Right, level+1)
+		}
+	}
+	walk(q.Root, 1)
+	if bad != nil {
+		return bad
+	}
 	ids := q.Root.Objects()
 	if len(ids) == 0 {
 		return fmt.Errorf("query: no objects referenced")
-	}
-	var badOp error
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n == nil || badOp != nil {
-			return
-		}
-		if n.Kind == KindLeaf {
-			if !n.Op.Valid() {
-				badOp = fmt.Errorf("query: bad op %d on object %d", n.Op, n.Obj)
-			}
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(q.Root)
-	if badOp != nil {
-		return badOp
 	}
 	var dims []uint64
 	for _, id := range ids {
@@ -331,6 +332,16 @@ func (c Conjunct) ObjectsSorted() []object.ID {
 	return out
 }
 
+// MaxDepth bounds a condition tree's depth, a leaf being one level. Decode
+// refuses a deeper tree with ErrTooDeep, and a client builds none
+// (qlang.Parse, Validate): decoding recurses once per level, so an
+// unbounded tree would grow a member's stack with the size of the
+// payload, and a stack past Go's limit ends the process.
+const MaxDepth = 128
+
+// ErrTooDeep reports a condition tree deeper than MaxDepth.
+var ErrTooDeep = fmt.Errorf("condition tree deeper than %d levels", MaxDepth)
+
 // MaxConjuncts bounds DNF expansion; queries built from the paper's API
 // patterns stay far below it.
 const MaxConjuncts = 128
@@ -463,7 +474,7 @@ func Decode(b []byte) (*Query, error) {
 		}
 		q.Constraint = &c
 	}
-	q.Root = decodeNode(&r)
+	q.Root = decodeNode(&r, 1)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
@@ -473,12 +484,15 @@ func Decode(b []byte) (*Query, error) {
 	return q, nil
 }
 
-// decodeNode reads one node and its subtree; nil for the nil marker
-// (and on a failed read).
-func decodeNode(r *wire.Reader) *Node {
+// decodeNode reads one node, at the given level of the tree, and its
+// subtree; nil for the nil marker (and on a failed read).
+func decodeNode(r *wire.Reader, level int) *Node {
 	k := Kind(r.U8())
 	switch {
 	case r.Err() != nil || k == 255:
+		return nil
+	case level > MaxDepth:
+		r.Fail(ErrTooDeep)
 		return nil
 	case k == KindLeaf:
 		n := &Node{Kind: KindLeaf, Obj: object.ID(r.U64()), Op: Op(r.U8()), Value: math.Float64frombits(r.U64())}
@@ -487,8 +501,8 @@ func decodeNode(r *wire.Reader) *Node {
 		}
 		return n
 	case k == KindAnd || k == KindOr:
-		l := decodeNode(r)
-		rt := decodeNode(r)
+		l := decodeNode(r, level+1)
+		rt := decodeNode(r, level+1)
 		if l == nil || rt == nil {
 			r.Fail(fmt.Errorf("%v node with missing child", k))
 		}

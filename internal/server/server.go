@@ -296,28 +296,52 @@ func ModNOwner(key uint64, r, n int) int {
 
 // ModNAssign is the static deployment's assignment for server id of n:
 // the regions, and the sorted replica regions, that ModNOwner gives it.
-// Static placement has no epochs.
+// Static placement has no epochs. A share depends only on the object
+// (or replica) key and its region count, so each is built once and every
+// later statement gets the memoised one (exec.Assignment is read-only).
 func ModNAssign(id, n int) func(epoch uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
-	share := func(key uint64, nregions int) []int {
-		// ModNOwner gives server id every region r ≡ id − key (mod n):
-		// every n-th region from the first of them, in one allocation.
-		first := (id - int(key%uint64(n)) + n) % n
-		if first >= nregions {
-			return nil
-		}
-		out := make([]int, 0, (nregions-first+n-1)/n)
-		for r := first; r < nregions; r += n {
-			out = append(out, r)
-		}
-		return out
-	}
+	m := &modNShares{id: id, n: n, memo: map[modNKey][]int{}}
 	return func(_ uint64, anchor *object.Object, rep *sortstore.Replica) (exec.Assignment, error) {
-		a := exec.Assignment{Orig: share(uint64(anchor.ID), len(anchor.Regions))}
+		a := exec.Assignment{Orig: m.share(uint64(anchor.ID), len(anchor.Regions))}
 		if rep != nil {
-			a.Sorted = share(uint64(rep.Key), len(rep.Regions))
+			a.Sorted = m.share(uint64(rep.Key), len(rep.Regions))
 		}
 		return a, nil
 	}
+}
+
+// modNShares memoises one server's ModNAssign shares.
+type modNShares struct {
+	id, n int
+	mu    sync.Mutex
+	memo  map[modNKey][]int
+}
+
+type modNKey struct {
+	key      uint64
+	nregions int
+}
+
+// share returns the regions of the nregions keyed key that ModNOwner
+// gives the server, building them on first use.
+func (m *modNShares) share(key uint64, nregions int) []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := modNKey{key, nregions}
+	if out, ok := m.memo[k]; ok {
+		return out
+	}
+	// ModNOwner gives server id every region r ≡ id − key (mod n): every
+	// n-th region from the first of them, in one allocation.
+	var out []int
+	if first := (m.id - int(key%uint64(m.n)) + m.n) % m.n; first < nregions {
+		out = make([]int, 0, (nregions-first+m.n-1)/m.n)
+		for r := first; r < nregions; r += m.n {
+			out = append(out, r)
+		}
+	}
+	m.memo[k] = out
+	return out
 }
 
 // maxStash bounds the per-connection stash of recent query results.

@@ -417,9 +417,12 @@ func DecodeEvents(b []byte) (events []Event, total uint64, err error) {
 		e := &events[i]
 		e.Seq = r.U64()
 		e.VNanos = int64(r.U64())
-		// The wall-clock slot, always zero on the wire; WallNanos stays
-		// zero on decode for the same determinism rule.
-		r.U64()
+		// The wall-clock slot, always zero on the wire (WallNanos stays
+		// zero on decode for the same determinism rule): anything else
+		// is not an encoding of these events.
+		if r.U64() != 0 {
+			r.Fail(fmt.Errorf("event %d: non-zero wall-clock slot", i))
+		}
 		e.Kind = EventKind(r.U8())
 		e.Code = r.U8()
 		e.Srv = int32(r.U32())

@@ -324,11 +324,13 @@ func decodeSpan(r *wire.Reader, depth int) *Span {
 	s.WallNanos = int64(r.U64())
 	for range r.Count(uint64(r.U32()), minAttrBytes) {
 		a := Attr{Key: string(r.Bytes(uint64(r.U32())))}
-		a.IsStr = r.U8() == 1
-		if a.IsStr {
-			a.Str = string(r.Bytes(uint64(r.U32())))
-		} else {
+		switch tag := r.U8(); tag {
+		case 0:
 			a.Int = int64(r.U64())
+		case 1:
+			a.IsStr, a.Str = true, string(r.Bytes(uint64(r.U32())))
+		default: // encode writes 0 or 1: a decoded span re-encodes to its bytes
+			r.Fail(fmt.Errorf("attribute %q: bad tag %d", a.Key, tag))
 		}
 		s.Attrs = append(s.Attrs, a)
 	}

@@ -124,6 +124,15 @@ func TestDecodeSpanErrors(t *testing.T) {
 	if _, err := DecodeSpan(deep.Encode(false)); err == nil {
 		t.Error("over-deep span tree accepted")
 	}
+	// An attribute tag the encoder never writes (it writes 0 for an
+	// integer, 1 for a string) is refused, not read as an integer.
+	attr := NewSpan(SpanQuery, "q")
+	attr.SetInt("k", 7)
+	enc = attr.Encode(false)
+	enc[len(enc)-4-8-1] = 2 // the tag, before the value and the child count
+	if _, err := DecodeSpan(enc); err == nil {
+		t.Error("attribute tag 2 accepted")
+	}
 }
 
 func TestSpanRender(t *testing.T) {
