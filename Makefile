@@ -104,6 +104,7 @@ fuzz:
 	$(FUZZ) -fuzz=FuzzBuildBytesMatchesBuild ./internal/histogram/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/qlang/
 	$(FUZZ) -fuzz=FuzzCompiledBounds ./internal/exec/
+	$(FUZZ) -fuzz=FuzzCachedIndexOr ./internal/exec/
 	$(FUZZ) -fuzz='^FuzzDecode$$' ./internal/query/
 	$(FUZZ) -fuzz='^FuzzParse$$' ./internal/query/
 	$(FUZZ) -fuzz=FuzzDecodeQueryRequest ./internal/server/

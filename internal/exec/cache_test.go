@@ -150,3 +150,62 @@ func TestCacheTouch(t *testing.T) {
 		t.Error("nil cache Touch reported a hit")
 	}
 }
+
+// TestCacheBinIdentity: a decoded bin hits only for the blob it was
+// decoded from — the same backing array and length at the same element
+// count — and any other blob misses and is replaced by the next PutBin.
+// Bins are keyed apart from extents, counted apart in Stats, share the
+// byte budget, and go with Clear.
+func TestCacheBinIdentity(t *testing.T) {
+	c := NewCache(1 << 10)
+	blob := []byte("a bin's encoded words")
+	words := make([]byte, 64)
+	c.Put("idx", make([]byte, 100))
+	c.PutBin("idx", 3, 500, blob, words)
+	if got, ok := c.GetBin("idx", 3, 500, blob); !ok || &got[0] != &words[0] {
+		t.Fatal("miss on the blob the bin was decoded from")
+	}
+	if _, ok := c.Get("idx"); !ok {
+		t.Fatal("the bin replaced its extent")
+	}
+	same := append([]byte(nil), blob...)
+	for name, miss := range map[string]func() bool{
+		"equal bytes elsewhere": func() bool { _, ok := c.GetBin("idx", 3, 500, same); return ok },
+		"shorter view":          func() bool { _, ok := c.GetBin("idx", 3, 500, blob[:len(blob)-1]); return ok },
+		"other element count":   func() bool { _, ok := c.GetBin("idx", 3, 499, blob); return ok },
+		"other bin":             func() bool { _, ok := c.GetBin("idx", 4, 500, blob); return ok },
+		"other extent":          func() bool { _, ok := c.GetBin("idy", 3, 500, blob); return ok },
+	} {
+		if miss() {
+			t.Errorf("%s: hit", name)
+		}
+	}
+	if s := c.Stats(); s.BinHits != 1 || s.BinMisses != 5 || s.Hits != 1 || s.Misses != 0 ||
+		s.UsedBytes != 164 || s.BinBytes != 64 || s.Entries != 2 {
+		t.Errorf("stats %+v", s)
+	}
+	c.PutBin("idx", 3, 500, same, make([]byte, 32))
+	if _, ok := c.GetBin("idx", 3, 500, blob); ok {
+		t.Error("the replaced blob still hits")
+	}
+	if _, ok := c.GetBin("idx", 3, 500, same); !ok {
+		t.Error("the replacing blob misses")
+	}
+	if s := c.Stats(); s.UsedBytes != 132 || s.BinBytes != 32 || s.Entries != 2 {
+		t.Errorf("after replacing: %+v", s)
+	}
+	c.PutBin("idx", 5, 500, blob, make([]byte, 1000)) // evicts both others
+	if s := c.Stats(); s.Evictions != 2 || s.BinBytes != 1000 || s.Entries != 1 {
+		t.Errorf("after evicting: %+v", s)
+	}
+	c.Clear()
+	if s := c.Stats(); s.UsedBytes != 0 || s.BinBytes != 0 || s.Entries != 0 {
+		t.Errorf("after Clear: %+v", s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.PutBin("idx", 3, 500, blob, words)
+		c.GetBin("idx", 3, 500, blob)
+	}); allocs != 0 {
+		t.Errorf("a replacing PutBin and a hit allocate %.1f times, want 0", allocs)
+	}
+}

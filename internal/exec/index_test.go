@@ -190,14 +190,24 @@ func between(id object.ID, iv query.Interval) *query.Node {
 // Fixed cases then take the bulk statements' densities (4, 20 and 57 %
 // of the first condition's object), alone and as the first of three
 // conditions, under spatial constraints whose runs start and end
-// mid-word.
+// mid-word. Every conjunct runs twice on one index-path engine, as ids
+// and as a count, at 0, 1, 4 and 16 workers: the first pass decodes the
+// bins past binCacheMinWords into the region cache, the second ORs them
+// from it, and the last four trials' regions (2000 to 3500 elements)
+// are large enough to hold such bins, so the test fails unless some
+// second pass found its bins cached.
 func TestIndexPathDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	types := []dtype.Type{dtype.Float32, dtype.Float64, dtype.Int32}
 	var direct, inverted int
-	for trial := 0; trial < 12; trial++ {
+	var warmHits int64
+	for trial := 0; trial < 16; trial++ {
 		n := 2500 + rng.Intn(1500)
-		f := buildTypedFixture(rng, types, n, uint64(600+rng.Intn(300)), map[int]bool{2: true}, trial%2 == 0)
+		regionElems := uint64(600 + rng.Intn(300))
+		if trial >= 12 {
+			regionElems = uint64(2000 + rng.Intn(1500))
+		}
+		f := buildTypedFixture(rng, types, n, regionElems, map[int]bool{2: true}, trial%2 == 0)
 		for k := 0; k < 25; k++ {
 			ids := []object.ID{1, 2, 3}
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
@@ -215,7 +225,7 @@ func TestIndexPathDifferential(t *testing.T) {
 				lo = rng.Intn(n)
 				hi = lo + 1 + rng.Intn(n-lo)
 			}
-			checkPathsAgree(t, f, ids, conds, lo, hi, fmt.Sprintf("trial %d query %d", trial, k))
+			warmHits += checkPathsAgree(t, f, ids, conds, lo, hi, fmt.Sprintf("trial %d query %d", trial, k))
 			d, i := f.sides(t, conds, lo, hi)
 			direct, inverted = direct+d, inverted+i
 		}
@@ -244,17 +254,24 @@ func TestIndexPathDifferential(t *testing.T) {
 			}
 			for _, w := range [][2]int{{0, 4000}, {130, 900}, {1037, 2979}} {
 				label := fmt.Sprintf("%.0f %% of object 1, %d conditions, [%d,%d)", 100*share, len(ids), w[0], w[1])
-				checkPathsAgree(t, f, ids, conds, w[0], w[1], label)
+				warmHits += checkPathsAgree(t, f, ids, conds, w[0], w[1], label)
 			}
 		}
 	}
+	if warmHits == 0 {
+		t.Fatal("no second pass found a decoded bin in the cache")
+	}
+	t.Logf("second passes ORed %d decoded bins from the cache", warmHits)
 }
 
 // checkPathsAgree runs the conjunct of conds over elements [lo, hi) of
-// f on the index, scan and full-scan paths, as ids and as a count: every
-// answer is the plain Contains loop's, and the three packed chunk
-// streams are the same bytes.
-func checkPathsAgree(t *testing.T, f *typedFixture, ids []object.ID, conds map[object.ID]query.Interval, lo, hi int, label string) {
+// f on the index, scan and full-scan paths, as ids and as a count on
+// one engine: every answer is the plain Contains loop's, and the packed
+// chunk streams are the same bytes. The index path runs at 0, 1, 4 and
+// 16 workers, the ids first at two of them and the count first at the
+// others; it returns how many decoded bins the second passes found in
+// the cache.
+func checkPathsAgree(t *testing.T, f *typedFixture, ids []object.ID, conds map[object.ID]query.Interval, lo, hi int, label string) (warmHits int64) {
 	t.Helper()
 	var root *query.Node
 	for _, id := range ids {
@@ -280,33 +297,56 @@ func checkPathsAgree(t *testing.T, f *typedFixture, ids []object.ID, conds map[o
 	}
 	label = fmt.Sprintf("%s (%v in [%d,%d))", label, q.Root, lo, hi)
 	var packed []byte
-	for _, s := range []shape{shapeBitmap, shapeScan, shapeFull} {
-		e, _ := f.engine(s, 0)
-		res, err := e.Evaluate(q, f.assign(), NeedCoords)
+	havePacked := false
+	check := func(e planned, s shape, workers int, need Need) {
+		res, err := e.Evaluate(q, f.assign(), need)
+		if need == NeedCount {
+			if err != nil {
+				t.Fatalf("%s %v, %d workers, count: %v", label, s, workers, err)
+			}
+			if res.Sel.NHits != uint64(len(want)) {
+				t.Fatalf("%s %v, %d workers: count %d, want %d", label, s, workers, res.Sel.NHits, len(want))
+			}
+			if !res.Sel.CountOnly || len(res.Sel.Chunks) != 0 {
+				t.Fatalf("%s %v: select count packed %d chunk bytes", label, s, len(res.Sel.Chunks))
+			}
+			return
+		}
 		if err != nil {
-			t.Fatalf("%s %v ids: %v", label, s, err)
+			t.Fatalf("%s %v, %d workers, ids: %v", label, s, workers, err)
 		}
 		if got := coordsOf(t, res); !slices.Equal(got, want) {
-			t.Fatalf("%s %v: %d ids, want %d", label, s, len(got), len(want))
+			t.Fatalf("%s %v, %d workers: %d ids, want %d", label, s, workers, len(got), len(want))
 		}
 		// Every path packs from its region bitset: the same set gives the
 		// same bytes.
-		if s == shapeBitmap {
-			packed = res.Sel.Chunks
+		if !havePacked {
+			packed, havePacked = res.Sel.Chunks, true
 		} else if !bytes.Equal(res.Sel.Chunks, packed) {
-			t.Fatalf("%s: %v packed %d bytes, the index path %d, not the same", label, s, len(res.Sel.Chunks), len(packed))
-		}
-		res, err = e.Evaluate(q, f.assign(), NeedCount)
-		if err != nil {
-			t.Fatalf("%s %v count: %v", label, s, err)
-		}
-		if res.Sel.NHits != uint64(len(want)) {
-			t.Fatalf("%s %v: count %d, want %d", label, s, res.Sel.NHits, len(want))
-		}
-		if !res.Sel.CountOnly || len(res.Sel.Chunks) != 0 {
-			t.Fatalf("%s %v: select count packed %d chunk bytes", label, s, len(res.Sel.Chunks))
+			t.Fatalf("%s: %v at %d workers packed %d bytes, the index path %d, not the same", label, s, workers, len(res.Sel.Chunks), len(packed))
 		}
 	}
+	for _, s := range []shape{shapeBitmap, shapeScan, shapeFull} {
+		workers := []int{0}
+		if s == shapeBitmap {
+			workers = []int{0, 1, 4, 16}
+		}
+		for wi, w := range workers {
+			e, _ := f.engine(s, w)
+			needs := [2]Need{NeedCoords, NeedCount}
+			if wi%2 == 1 {
+				needs = [2]Need{NeedCount, NeedCoords}
+			}
+			check(e, s, w, needs[0])
+			before := e.Cache.Stats().BinHits
+			check(e, s, w, needs[1])
+			warmHits += e.Cache.Stats().BinHits - before
+			if e.Pool != nil {
+				e.Pool.Close()
+			}
+		}
+	}
+	return warmHits
 }
 
 // TestCorruptIndexExtentIsTypedError damages one bin of one region's

@@ -383,6 +383,7 @@ type scratch struct {
 	acc, cur, cand []uint64
 	// One index condition's touched bins and their reads.
 	bins, cands []int
+	touched     []int // bins, then cands: the bin of each blob read
 	ranges      []simio.Range
 	blobs       []dtype.ROBytes
 	// One element's coordinate: the sorted path tests each match against
@@ -409,7 +410,7 @@ func KernelOps() map[string]func() {
 	set := make([]uint64, wah.DenseWords(n))
 	hits := appendSetBits(nil, set, 0, p.mark(data, n, set))
 	probed := make([]uint64, len(hits))
-	scanRegion, indexRegion := regionOps(data, n)
+	scanRegion, indexRegion, _ := regionOps(data, n)
 	return map[string]func(){
 		"scanRegion":  scanRegion,
 		"probeRegion": func() { p.probe(data, 0, probed[:copy(probed, hits)]) },
@@ -422,8 +423,8 @@ func KernelOps() map[string]func() {
 // an n-element region, each with the packing of its hits — all an ids
 // statement adds to a count — for a window whose ends fall on values in
 // the data: to the index, nine sure bins and the two boundary bins as
-// candidates.
-func regionOps(data []byte, n uint64) (scan, index func()) {
+// candidates. The index evaluation's cache is returned beside them.
+func regionOps(data []byte, n uint64) (scan, index func(), cache *Cache) {
 	const id = object.ID(1)
 	o := &object.Object{ID: id, Type: dtype.Float32, Dims: []uint64{n}}
 	st := simio.New(simio.DefaultModel())
@@ -450,5 +451,5 @@ func regionOps(data []byte, n uint64) (scan, index func()) {
 	}
 	scan = func() { pack(e.evalRegionScan(nil, order, preds, objs, 0, runs, sc, stats, nil)) }
 	index = func() { pack(e.evalRegionIndex(nil, c, order, preds, objs, 0, runs, sc, stats, nil)) }
-	return scan, index
+	return scan, index, e.Cache
 }

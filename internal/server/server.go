@@ -261,6 +261,11 @@ func (s *Server) Metrics() *telemetry.Registry {
 	out.Add("cache.hits", cs.Hits)
 	out.Add("cache.misses", cs.Misses)
 	out.Add("cache.evictions", cs.Evictions)
+	// The decoded index bins' share: their own lookups (hits OR cached
+	// words, misses decode), and the bytes of cache.bytes they hold.
+	out.Add("cache.bin_hits", cs.BinHits)
+	out.Add("cache.bin_misses", cs.BinMisses)
+	out.SetGauge("cache.bin_bytes", float64(cs.BinBytes))
 	// The prepared-plan LRU's counters, the same way.
 	ps := s.planCache.Stats()
 	out.Add("plan.cache_hits", ps.Hits)

@@ -57,7 +57,11 @@ func BenchmarkCardinality(b *testing.B) {
 // 16384-element region of continuous data (about one set bit in eighty,
 // so fills and literals alternate) ORed into the dense bitset. The copy
 // sub-benchmark moves the same bytes and is the floor to read it
-// against; both report ns per 32-bit WAH word.
+// against; both report ns per 32-bit WAH word. The cached sub-benchmark
+// ORs the same bin already decoded (OrDenseInto of its 257 words), what
+// a bin costs once the region cache holds it; ns/op is ns per bin for
+// all three, and cached ÷ kernel's ns/word is the blob size, in WAH
+// words, at which keeping the decoded bin starts to pay.
 func BenchmarkOrEncodedInto(b *testing.B) {
 	const nbits = 1 << 14
 	blob := benchBitmap(nbits, 0.012, 6).Encode()
@@ -72,6 +76,18 @@ func BenchmarkOrEncodedInto(b *testing.B) {
 			if err := OrEncodedInto(dst, nbits, blob); err != nil {
 				b.Fatal(err)
 			}
+		}
+		perWord(b)
+	})
+	b.Run("cached", func(b *testing.B) {
+		dst := make([]uint64, DenseWords(nbits))
+		words := make([]uint64, DenseWords(nbits))
+		if err := OrEncodedInto(words, nbits, blob); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			OrDenseInto(dst, words)
 		}
 		perWord(b)
 	})

@@ -79,6 +79,17 @@ func OrEncodedInto(dst []uint64, nbits uint64, blob []byte) error {
 	return nil
 }
 
+// OrDenseInto ORs src, a dense bitset as OrEncodedInto leaves it, into
+// dst[:len(src)]; len(dst) must be at least len(src). A bin decoded
+// once into its own bitset is ORed into the next statement's with this
+// instead of being decoded again.
+func OrDenseInto(dst, src []uint64) {
+	dst = dst[:len(src)]
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
+
 // setRange sets bits [lo, hi) of dst; hi > lo.
 func setRange(dst []uint64, lo, hi uint64) {
 	i, j := lo>>6, (hi-1)>>6
