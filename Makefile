@@ -25,9 +25,11 @@ build:
 # need every package at once; -timing prints the per-analyzer step
 # budget. Allocation growth is pdc-benchdiff's to
 # catch (bench-diff below), and wire-codec symmetry each codec's
-# TestWireRoundTrip's.
+# TestWireRoundTrip's. The arm64 vet compiles the portable side of
+# every per-architecture file pair (internal/exec's mark kernels).
 lint:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) run ./cmd/pdc-lint -timing ./...
 
 test:

@@ -300,8 +300,23 @@ func (b bounds[E]) at(data []byte, i int) bool {
 // straight into the add that shifts the word, w+w+borrow, so an element
 // costs a subtract and an add-with-carry: the word collects the misses
 // and is inverted once.
+//
+// On amd64 CPUs with AVX2 (hasAVX2, read from CPUID once per process)
+// a 4-byte span builds its full words eight lanes at a time instead
+// (markSpan32, kernels_amd64.s): the same words, the same count. The
+// width test folds per shape, so the other widths compile to the
+// portable loop alone.
 
 func (s span[U]) mark(data []byte, n uint64, dst []uint64) int64 {
+	if unsafe.Sizeof(s.lo) == 4 && hasAVX2 {
+		return markSpan32(dtype.View[uint32](data), n, dst, uint32(s.lo), uint32(s.width))
+	}
+	return s.markPortable(data, n, dst)
+}
+
+// markPortable is mark in Go: the kernel of every width off AVX2, and
+// the reference the vector word build is tested against.
+func (s span[U]) markPortable(data []byte, n uint64, dst []uint64) int64 {
 	vals := dtype.View[U](data)
 	vals = vals[:min(n, uint64(len(vals)))]
 	lo, width := s.lo, uint64(s.width)
@@ -330,18 +345,27 @@ func (s span[U]) mark(data []byte, n uint64, dst []uint64) int64 {
 		}
 		dst[k] = ^miss
 	}
-	k := full
-	if tail := vals[full<<6:]; len(tail) > 0 {
-		var w uint64
-		for i, v := range tail {
-			_, m := bits.Sub64(width, uint64(v-lo), 0)
-			w |= (m ^ 1) << i
-		}
-		dst[k] = w
-		k++
+	return popcount(dst[:full]) + s.markTail(vals, full, dst)
+}
+
+// markTail finishes a mark whose full words dst[:full] are built: it
+// writes the short last word of vals, if there is one, clears every
+// word after it, and returns the short word's popcount.
+func (s span[U]) markTail(vals []U, full int, dst []uint64) int64 {
+	lo, width := s.lo, uint64(s.width)
+	tail := vals[full<<6:]
+	if len(tail) == 0 {
+		clear(dst[full:])
+		return 0
 	}
-	clear(dst[k:])
-	return popcount(dst[:k])
+	var w uint64
+	for i, v := range tail {
+		_, m := bits.Sub64(width, uint64(v-lo), 0)
+		w |= (m ^ 1) << i
+	}
+	dst[full] = w
+	clear(dst[full+1:])
+	return int64(bits.OnesCount64(w))
 }
 
 func (s span[U]) probe(data []byte, base uint64, hits []uint64) []uint64 {

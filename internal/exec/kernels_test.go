@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"pdcquery/internal/dtype"
 	"pdcquery/internal/query"
@@ -53,31 +54,46 @@ func checkBounds[E dtype.Native](t testing.TB, typ dtype.Type, vals []E, iv quer
 // side of one and of two words, and a 64 KiB float32 region.
 var markSizes = []uint64{1, 63, 64, 65, 127, 16384}
 
+// markLanes are the lanes of every word that checkMark fills with one
+// value of the repetition, word by word: the first and last lane of a
+// word and of its first 8-lane vector, and the first of the second.
+const markLanes = 1<<0 | 1<<7 | 1<<8 | 1<<63
+
 // markMem is the memory checkMark works in, reused from one check to the
 // next: a region of the largest of markSizes at up to 8 bytes per
-// element, and its bitset.
+// element with room to start it at any offset below 64 bytes, and its
+// bitset.
 type markMem struct{ region, set []uint64 }
 
 func newMarkMem() *markMem {
 	n := markSizes[len(markSizes)-1]
-	return &markMem{region: make([]uint64, n), set: make([]uint64, wah.DenseWords(n))}
+	return &markMem{region: make([]uint64, n+8), set: make([]uint64, wah.DenseWords(n))}
 }
 
-// checkMark marks vals repeated over each of markSizes into a bitset
-// full of garbage, and holds every word — the slack word included — to
-// in (the oracle's verdict per value of vals): mark overwrites, sets
-// exactly the matching bits below n, and returns their count.
+// checkMark marks a region built from vals over each of markSizes into a
+// bitset full of garbage, and holds every word — the slack word
+// included — to in (the oracle's verdict per value of vals): mark
+// overwrites, sets exactly the matching bits below n, and returns their
+// count. A 4-byte span is held there twice, through mark and through
+// markPortable (the word build mark replaces on AVX2), and from a
+// region that starts on a 32-byte boundary and from one 4 bytes past
+// it. Element i of the region is vals[i%period], except that the
+// markLanes of word w hold vals[w%period], so every value of vals is
+// marked in each of those lanes.
 func checkMark[E dtype.Native](t testing.TB, p pred, vals []E, in []bool, mem *markMem, label func() string) {
 	t.Helper()
 	period := len(vals)
 	maxN := markSizes[len(markSizes)-1]
-	// The region repeats vals; copies double, each from a multiple of
-	// the period, so element i is vals[i%period].
-	tile := dtype.View[E](dtype.Bytes(mem.region))[:maxN]
-	for k := copy(tile, vals); k < len(tile); k *= 2 {
-		copy(tile[k:], tile[:k])
+	type kernel struct {
+		name string
+		mark func(data []byte, n uint64, dst []uint64) int64
 	}
-	data := dtype.Bytes(tile)
+	kernels := []kernel{{"mark", p.mark}}
+	offsets := []uintptr{0}
+	if s, ok := p.(span[uint32]); ok {
+		kernels = append(kernels, kernel{"markPortable", s.markPortable})
+		offsets = append(offsets, 4)
+	}
 	// rowWant[r] is the word whose bit j is the verdict on element r+j of
 	// the repetition, r taken mod the period.
 	rowWant := make([]uint64, period)
@@ -88,28 +104,51 @@ func checkMark[E dtype.Native](t testing.TB, p pred, vals []E, in []bool, mem *m
 			}
 		}
 	}
-	for _, n := range markSizes {
-		dst := mem.set[:wah.DenseWords(n)]
-		for i := range dst {
-			dst[i] = 0xa5a5_5a5a_f00f_0ff0 ^ uint64(i)
+	raw := dtype.Bytes(mem.region)
+	aligned := (32 - uintptr(unsafe.Pointer(&raw[0]))%32) % 32
+	for _, off := range offsets {
+		// The region repeats vals; copies double, each from a multiple of
+		// the period, so element i is vals[i%period]. Then the lanes.
+		tile := dtype.View[E](raw[aligned+off:])[:maxN]
+		for k := copy(tile, vals); k < len(tile); k *= 2 {
+			copy(tile[k:], tile[:k])
 		}
-		got := p.mark(data, n, dst)
-		var pop int64
-		for w := range dst {
-			want := uint64(0)
-			if left := n - min(n, uint64(w)<<6); left > 0 {
-				want = rowWant[(w<<6)%period]
-				if left < 64 {
-					want &= 1<<left - 1
+		for w := 0; w<<6 < len(tile); w++ {
+			for lanes := uint64(markLanes); lanes != 0; lanes &= lanes - 1 {
+				if i := w<<6 + bits.TrailingZeros64(lanes); i < len(tile) {
+					tile[i] = vals[w%period]
 				}
 			}
-			if dst[w] != want {
-				t.Fatalf("%s: mark n=%d: word %d of %d = %#x, want %#x", label(), n, w, len(dst), dst[w], want)
-			}
-			pop += int64(bits.OnesCount64(want))
 		}
-		if got != pop {
-			t.Fatalf("%s: mark n=%d returned %d, %d bits are set", label(), n, got, pop)
+		data := dtype.Bytes(tile)
+		for _, k := range kernels {
+			for _, n := range markSizes {
+				dst := mem.set[:wah.DenseWords(n)]
+				for i := range dst {
+					dst[i] = 0xa5a5_5a5a_f00f_0ff0 ^ uint64(i)
+				}
+				got := k.mark(data, n, dst)
+				var pop int64
+				for w := range dst {
+					want := uint64(0)
+					if left := n - min(n, uint64(w)<<6); left > 0 {
+						want = rowWant[(w<<6)%period] &^ markLanes
+						if in[w%period] {
+							want |= markLanes
+						}
+						if left < 64 {
+							want &= 1<<left - 1
+						}
+					}
+					if dst[w] != want {
+						t.Fatalf("%s: %s at offset %d, n=%d: word %d of %d = %#x, want %#x", label(), k.name, off, n, w, len(dst), dst[w], want)
+					}
+					pop += int64(bits.OnesCount64(want))
+				}
+				if got != pop {
+					t.Fatalf("%s: %s at offset %d, n=%d returned %d, %d bits are set", label(), k.name, off, n, got, pop)
+				}
+			}
 		}
 	}
 }
@@ -137,6 +176,11 @@ func checkAllTypes(t testing.TB, iv query.Interval, seed uint64, mem *markMem) {
 		math.Nextafter32(float32(hi), inf32), math.Nextafter32(float32(hi), -inf32),
 		nan32, inf32, -inf32, 0, float32(math.Copysign(0, -1)),
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		// NaN payloads (quiet and signalling, either sign) and the
+		// largest subnormals.
+		math.Float32frombits(0x7f800001), math.Float32frombits(0x7fffffff),
+		math.Float32frombits(0xffc00000), math.Float32frombits(0xff800001),
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
 		math.MaxFloat32, -math.MaxFloat32, 1, -1,
 	}, iv, mem)
 	checkBounds(t, dtype.Int8, []int8{int8(seed), int8(lo), int8(lo) - 1, int8(lo) + 1, int8(hi), int8(hi) - 1, int8(hi) + 1,
